@@ -570,7 +570,9 @@ SELF_TEST_CASES = [
      'mutable std::shared_mutex tablets_mu_;',
      'mutable OrderedMutex mu_{lockrank::kReplicaServerTablets, '
      '"replica.server.tablets"};'),
-    (check_nondet, 'src/replica/log_tailer.cc',
+    # The committed-record applier replays the log for recovery, adoption
+    # and replica tailing alike; a random draw there would fork replays.
+    (check_nondet, 'src/tablet/log_applier.cc',
      'if (rand() % 100 < jitter) return Status::OK();',
      'if (rnd.Uniform(100) < jitter) return Status::OK();'),
     # The group-commit write path: the append queue's batch window is a

@@ -67,57 +67,78 @@ Result<log::LogReader*> ReplicaServer::ReaderForLocked(uint32_t instance) {
   return raw;
 }
 
+ReplicaServer::ReplicatedTablet::ReplicatedTablet(
+    const tablet::TabletDescriptor& descriptor, uint32_t source_instance,
+    std::unique_ptr<index::MultiVersionIndex> seeded, uint64_t seeded_max_ts,
+    log::LogReader* reader, tablet::LogApplier::OnApply on_apply)
+    : descriptor(descriptor),
+      source_instance(source_instance),
+      index(std::move(seeded)),
+      cursor(reader),
+      applier(
+          [this](const log::LogRecord& record) -> index::MultiVersionIndex* {
+            return tablet::RecordBelongsTo(record, this->descriptor)
+                       ? this->index.get()
+                       : nullptr;
+          },
+          std::move(on_apply), seeded_max_ts) {}
+
 Status ReplicaServer::SeedTabletLocked(
     const tablet::TabletDescriptor& descriptor, uint32_t source_instance) {
-  namespace ci = tablet::checkpoint_internal;
   obs::Span span("replica.seed");
 
   auto reader = ReaderForLocked(source_instance);
   if (!reader.ok()) return reader.status();
 
-  ReplicatedTablet t;
-  t.descriptor = descriptor;
-  t.source_instance = source_instance;
-  t.index = std::unique_ptr<index::MultiVersionIndex>(new index::BlinkTree());
-
-  // Checkpoint seeding mirrors tablet adoption: entries are matched by
-  // range overlap (a replica of a split child seeds from the parent's
-  // checkpoint filtered to the child's range), never by uid.
-  const std::string src_ckpt =
-      tablet::TabletServer::CheckpointDirFor(static_cast<int>(source_instance));
-  log::LogPosition start{0, 0};
-  if (fs_->Exists(ci::MetaPath(src_ckpt))) {
-    ci::CheckpointMeta meta;
-    LOGBASE_RETURN_NOT_OK(ci::LoadMeta(fs_.get(), src_ckpt, &meta));
-    for (const auto& [d, source] : meta.tablets) {
-      if (!d.Overlaps(descriptor)) continue;
-      std::string idx_path = ci::IndexFilePath(src_ckpt, d.uid());
-      if (!fs_->Exists(idx_path)) continue;
-      LOGBASE_RETURN_NOT_OK(index::LoadIndexCheckpointFiltered(
-          fs_.get(), idx_path, t.index.get(),
-          [&descriptor](const Slice& key) {
-            return descriptor.Contains(key);
-          }));
-      start = meta.position;
-    }
-  }
-
+  auto seeded =
+      std::unique_ptr<index::MultiVersionIndex>(new index::BlinkTree());
+  auto seed = tablet::checkpoint_internal::SeedFromCheckpoint(
+      fs_.get(),
+      tablet::TabletServer::CheckpointDirFor(static_cast<int>(source_instance)),
+      descriptor, seeded.get());
+  if (!seed.ok()) return seed.status();
   uint64_t seeded_max_ts = 0;
-  t.index->VisitAll([&seeded_max_ts](const index::IndexEntry& entry) {
+  seeded->VisitAll([&seeded_max_ts](const index::IndexEntry& entry) {
     seeded_max_ts = std::max(seeded_max_ts, entry.timestamp);
   });
 
-  t.tailer = std::make_unique<LogTailer>(descriptor, source_instance,
-                                         t.index.get(), *reader, start,
-                                         seeded_max_ts);
+  // Applied values also land in the read buffer, so replica reads of
+  // recently written rows skip the log fetch.
   const std::string uid = descriptor.uid();
+  const std::string prefix = BufferPrefix(uid);
+  auto t = std::make_unique<ReplicatedTablet>(
+      descriptor, source_instance, std::move(seeded), seeded_max_ts, *reader,
+      [this, prefix](bool is_delete, const std::string& key, uint64_t ts,
+                     const std::string& value) {
+        if (is_delete) {
+          buffer_.Invalidate(prefix + key);
+        } else {
+          buffer_.Put(prefix + key, tablet::CachedRecord{ts, value});
+        }
+      });
+  t->cursor.Reset(seed->start);
   // Re-seeding replaces any previous attachment; drop its cached rows so no
   // value from the torn-down index outlives it.
   if (tablets_.count(uid) > 0) buffer_.Clear();
+  ReplicatedTablet* attached = t.get();
   tablets_[uid] = std::move(t);
   // Catch up to the log end right away so the tablet is serveable (and its
   // staleness clock starts) without waiting for the first tick.
-  return tablets_[uid].tailer->Poll(&buffer_, BufferPrefix(uid));
+  return PollLocked(attached);
+}
+
+Status ReplicaServer::PollLocked(ReplicatedTablet* t) {
+  auto delivered = t->cursor.Poll(
+      [t](const log::LogRecord& record, const log::LogPtr& ptr) {
+        return t->applier.Apply(record, ptr);
+      });
+  if (!delivered.ok()) return delivered.status();
+  static obs::Counter* applied = ReplicaCounter("replica.tail.records");
+  applied->Add(*delivered);
+  // Reaching the end of the log makes this tablet current as of "now" — the
+  // staleness clock restarts even when nothing new was appended.
+  t->last_sync_us = sim::CurrentVirtualTime();
+  return Status::OK();
 }
 
 Status ReplicaServer::AddTablet(const tablet::TabletDescriptor& descriptor,
@@ -140,7 +161,7 @@ std::vector<tablet::TabletDescriptor> ReplicaServer::Tablets() const {
   MutexLock l(mu_);
   std::vector<tablet::TabletDescriptor> out;
   out.reserve(tablets_.size());
-  for (const auto& [uid, t] : tablets_) out.push_back(t.descriptor);
+  for (const auto& [uid, t] : tablets_) out.push_back(t->descriptor);
   return out;
 }
 
@@ -153,12 +174,13 @@ Status ReplicaServer::TickTailers() {
   if (!running()) return Status::Unavailable("replica server is down");
   MutexLock l(mu_);
   for (auto& [uid, t] : tablets_) {
-    if (t.needs_reseed) {
-      LOGBASE_RETURN_NOT_OK(
-          SeedTabletLocked(t.descriptor, t.source_instance));
+    if (t->needs_reseed) {
+      // Copied: re-seeding destroys the tablet the descriptor lives in.
+      const tablet::TabletDescriptor descriptor = t->descriptor;
+      LOGBASE_RETURN_NOT_OK(SeedTabletLocked(descriptor, t->source_instance));
       continue;  // the re-seed already caught up to the log end
     }
-    LOGBASE_RETURN_NOT_OK(t.tailer->Poll(&buffer_, BufferPrefix(uid)));
+    LOGBASE_RETURN_NOT_OK(PollLocked(t.get()));
   }
   return Status::OK();
 }
@@ -168,7 +190,7 @@ Status ReplicaServer::SnapshotBoundLocked(const ReplicatedTablet& t,
                                           int64_t max_staleness_us,
                                           uint64_t* effective_ts) const {
   if (max_staleness_us > 0) {
-    int64_t staleness = sim::CurrentVirtualTime() - t.tailer->last_sync_us();
+    int64_t staleness = sim::CurrentVirtualTime() - t.last_sync_us;
     if (staleness > max_staleness_us) {
       static obs::Counter* rejected =
           ReplicaCounter("replica.read.staleness_rejected");
@@ -177,7 +199,7 @@ Status ReplicaServer::SnapshotBoundLocked(const ReplicatedTablet& t,
     }
   }
   uint64_t requested = as_of == 0 ? ~0ull : as_of;
-  *effective_ts = std::min(requested, t.tailer->Watermark());
+  *effective_ts = std::min(requested, t.applier.Watermark());
   return Status::OK();
 }
 
@@ -215,7 +237,7 @@ Result<tablet::ReadValue> ReplicaServer::Get(const std::string& uid,
   if (it == tablets_.end()) {
     return Status::NotFound("unknown replica tablet: " + uid);
   }
-  ReplicatedTablet& t = it->second;
+  ReplicatedTablet& t = *it->second;
 
   uint64_t effective_ts = 0;
   LOGBASE_RETURN_NOT_OK(
@@ -226,7 +248,7 @@ Result<tablet::ReadValue> ReplicaServer::Get(const std::string& uid,
   static obs::HistogramMetric* staleness =
       obs::MetricsRegistry::Global().histogram("replica.read.staleness_us");
   staleness->Observe(static_cast<double>(
-      sim::CurrentVirtualTime() - t.tailer->last_sync_us()));
+      sim::CurrentVirtualTime() - t.last_sync_us));
 
   // The buffer holds the latest applied version; it answers only when that
   // version is already visible at the snapshot.
@@ -249,38 +271,6 @@ Result<tablet::ReadValue> ReplicaServer::Get(const std::string& uid,
   return tablet::ReadValue{entry->timestamp, std::move(*value)};
 }
 
-Result<std::vector<tablet::ReadRow>> ReplicaServer::Scan(
-    const std::string& uid, const Slice& start_key, const Slice& end_key,
-    uint64_t as_of, int64_t max_staleness_us, uint64_t* snapshot_ts) {
-  obs::Span span("replica.scan");
-  if (!running()) return Status::Unavailable("replica server is down");
-  LOGBASE_RETURN_NOT_OK(
-      admission_.Admit(uid, 1, start_key.size() + end_key.size()));
-  MutexLock l(mu_);
-  auto it = tablets_.find(uid);
-  if (it == tablets_.end()) {
-    return Status::NotFound("unknown replica tablet: " + uid);
-  }
-  ReplicatedTablet& t = it->second;
-
-  uint64_t effective_ts = 0;
-  LOGBASE_RETURN_NOT_OK(
-      SnapshotBoundLocked(t, as_of, max_staleness_us, &effective_ts));
-  if (snapshot_ts != nullptr) *snapshot_ts = effective_ts;
-
-  std::vector<tablet::ReadRow> rows;
-  for (const index::IndexEntry& entry :
-       t.index->ScanRange(start_key, end_key, effective_ts)) {
-    auto value = FetchValueLocked(&t, entry);
-    if (!value.ok()) return value.status();
-    rows.push_back(
-        tablet::ReadRow{entry.key, entry.timestamp, std::move(*value)});
-  }
-  static obs::Counter* served = ReplicaCounter("replica.read.served");
-  served->Add();
-  return rows;
-}
-
 Result<query::TabletResult> ReplicaServer::ExecuteScan(
     const std::string& uid, const Slice& encoded_plan, uint64_t as_of,
     int64_t max_staleness_us, const query::ExecOptions& options,
@@ -293,7 +283,7 @@ Result<query::TabletResult> ReplicaServer::ExecuteScan(
   if (it == tablets_.end()) {
     return Status::NotFound("unknown replica tablet: " + uid);
   }
-  ReplicatedTablet& t = it->second;
+  ReplicatedTablet& t = *it->second;
 
   uint64_t effective_ts = 0;
   LOGBASE_RETURN_NOT_OK(
@@ -335,7 +325,7 @@ Result<uint64_t> ReplicaServer::Watermark(const std::string& uid) const {
   if (it == tablets_.end()) {
     return Status::NotFound("unknown replica tablet: " + uid);
   }
-  return it->second.tailer->Watermark();
+  return it->second->applier.Watermark();
 }
 
 Result<int64_t> ReplicaServer::StalenessUs(const std::string& uid) const {
@@ -344,7 +334,20 @@ Result<int64_t> ReplicaServer::StalenessUs(const std::string& uid) const {
   if (it == tablets_.end()) {
     return Status::NotFound("unknown replica tablet: " + uid);
   }
-  return sim::CurrentVirtualTime() - it->second.tailer->last_sync_us();
+  return sim::CurrentVirtualTime() - it->second->last_sync_us;
+}
+
+Result<std::vector<index::IndexEntry>> ReplicaServer::IndexEntries(
+    const std::string& uid) const {
+  MutexLock l(mu_);
+  auto it = tablets_.find(uid);
+  if (it == tablets_.end()) {
+    return Status::NotFound("unknown replica tablet: " + uid);
+  }
+  std::vector<index::IndexEntry> entries;
+  it->second->index->VisitAll(
+      [&entries](const index::IndexEntry& entry) { entries.push_back(entry); });
+  return entries;
 }
 
 }  // namespace logbase::replica

@@ -2,8 +2,9 @@
 // shared log): a ReplicaServer owns no tablets and writes nothing. It seeds
 // each replicated tablet from the owner's checkpoint (the same filtered
 // reload tablet adoption uses, without taking ownership or sealing
-// anything), then tails the owner's log through a per-tablet LogTailer and
-// serves MVCC snapshot reads at min(requested timestamp, applied
+// anything), then tails the owner's log through a per-tablet TailCursor
+// feeding the shared committed-record applier (src/tablet/log_applier.h),
+// and serves MVCC snapshot reads at min(requested timestamp, applied
 // watermark). Reads are rejected with a retryable Unavailable when the
 // replica's last sync is older than the caller's staleness bound, so
 // clients fall back to the primary through their normal retry policy.
@@ -26,8 +27,10 @@
 #include "src/dfs/dfs.h"
 #include "src/index/multiversion_index.h"
 #include "src/log/log_reader.h"
+#include "src/log/tail_cursor.h"
 #include "src/query/executor.h"
-#include "src/replica/log_tailer.h"
+#include "src/sim/sim_context.h"
+#include "src/tablet/log_applier.h"
 #include "src/tablet/read_buffer.h"
 #include "src/tablet/schema.h"
 #include "src/tablet/tablet_server.h"
@@ -72,7 +75,7 @@ class ReplicaServer {
 
   /// Attaches (or re-seeds) a replicated tablet: loads the owner's
   /// checkpointed index entries filtered to the descriptor's range, then
-  /// positions a tailer at the checkpoint and catches up to the log end.
+  /// positions a log cursor at the checkpoint and catches up to the log end.
   Status AddTablet(const tablet::TabletDescriptor& descriptor,
                    uint32_t source_instance);
   /// Detaches a replicated tablet (source migrated/split/reassigned).
@@ -81,9 +84,9 @@ class ReplicaServer {
   std::vector<tablet::TabletDescriptor> Tablets() const;
   int NumTablets() const;
 
-  /// Polls every tablet's tailer once, applying all records appended since
-  /// the previous tick (re-seeding any tablet whose log pointers went stale
-  /// under it). The driver (cluster harness, bench, nemesis) decides the
+  /// Polls every tablet's log cursor once, applying all records appended
+  /// since the previous tick (re-seeding any tablet whose log pointers went
+  /// stale under it). The driver (cluster harness, bench, nemesis) decides the
   /// cadence.
   Status TickTailers();
 
@@ -96,17 +99,11 @@ class ReplicaServer {
   Result<tablet::ReadValue> Get(const std::string& uid, const Slice& key,
                                 uint64_t as_of, int64_t max_staleness_us,
                                 uint64_t* snapshot_ts = nullptr);
-  Result<std::vector<tablet::ReadRow>> Scan(const std::string& uid,
-                                            const Slice& start_key,
-                                            const Slice& end_key,
-                                            uint64_t as_of,
-                                            int64_t max_staleness_us,
-                                            uint64_t* snapshot_ts = nullptr);
 
   /// Scan pushdown at the replica (the Taurus-style analytics-over-the-log
   /// tier): evaluates the wire-encoded QueryPlan at
   /// min(`as_of`, applied watermark), under the same staleness gate as
-  /// Get/Scan. Aggregation partials computed here merge bit-identically
+  /// Get. Aggregation partials computed here merge bit-identically
   /// with primary partials — the snapshot bound, not the serving tier,
   /// decides the answer.
   Result<query::TabletResult> ExecuteScan(const std::string& uid,
@@ -122,17 +119,38 @@ class ReplicaServer {
   Result<uint64_t> Watermark(const std::string& uid) const;
   /// Virtual microseconds since the tablet's last completed log sync.
   Result<int64_t> StalenessUs(const std::string& uid) const;
+  /// Every entry of the tablet's replica index in VisitAll order (lets
+  /// tests compare it against a primary's index).
+  Result<std::vector<index::IndexEntry>> IndexEntries(
+      const std::string& uid) const;
   int replica_id() const { return options_.replica_id; }
   int node() const { return options_.node; }
   qos::TenantQuotaRegistry* quota_registry() { return &quota_registry_; }
   qos::AdmissionController* admission() { return &admission_; }
 
  private:
+  /// One replicated tablet: its seeded index, a cursor over the source log
+  /// and the applier that routes the cursor's records into the index.
   struct ReplicatedTablet {
-    tablet::TabletDescriptor descriptor;
-    uint32_t source_instance = 0;
-    std::unique_ptr<index::MultiVersionIndex> index;
-    std::unique_ptr<LogTailer> tailer;
+    /// `seeded` is complete up to the cursor's start position and holds
+    /// versions up to `seeded_max_ts`.
+    ReplicatedTablet(const tablet::TabletDescriptor& descriptor,
+                     uint32_t source_instance,
+                     std::unique_ptr<index::MultiVersionIndex> seeded,
+                     uint64_t seeded_max_ts, log::LogReader* reader,
+                     tablet::LogApplier::OnApply on_apply);
+    // The applier's route holds this object's address.
+    ReplicatedTablet(const ReplicatedTablet&) = delete;
+    ReplicatedTablet& operator=(const ReplicatedTablet&) = delete;
+
+    const tablet::TabletDescriptor descriptor;
+    const uint32_t source_instance;
+    const std::unique_ptr<index::MultiVersionIndex> index;
+    log::TailCursor cursor;
+    tablet::LogApplier applier;
+    /// Virtual time of the last poll that reached the end of the log (the
+    /// staleness reference point).
+    sim::VirtualTime last_sync_us = 0;
     /// Set when a log pointer no longer resolves (the source compacted the
     /// segment away); the next tick rebuilds from the fresh checkpoint.
     bool needs_reseed = false;
@@ -140,9 +158,12 @@ class ReplicaServer {
 
   Status SeedTabletLocked(const tablet::TabletDescriptor& descriptor,
                           uint32_t source_instance) REQUIRES(mu_);
+  /// Applies every record appended since the tablet's last poll and
+  /// restarts its staleness clock.
+  Status PollLocked(ReplicatedTablet* t) REQUIRES(mu_);
   Result<log::LogReader*> ReaderForLocked(uint32_t instance) REQUIRES(mu_);
   std::string BufferPrefix(const std::string& uid) const;
-  /// Staleness gate + snapshot clamp shared by Get and Scan; fills
+  /// Staleness gate + snapshot clamp shared by Get and ExecuteScan; fills
   /// `effective_ts`.
   Status SnapshotBoundLocked(const ReplicatedTablet& t, uint64_t as_of,
                              int64_t max_staleness_us,
@@ -153,7 +174,7 @@ class ReplicaServer {
 
   ReplicaServerOptions options_;  // fixed after construction
   dfs::Dfs* const dfs_;
-  // Internally synchronized; gates Get/Scan/ExecuteScan before mu_.
+  // Internally synchronized; gates Get/ExecuteScan before mu_.
   qos::TenantQuotaRegistry quota_registry_;
   qos::AdmissionController admission_;
   // Set in the constructor; the DFS adapter is internally synchronized.
@@ -163,10 +184,11 @@ class ReplicaServer {
 
   mutable OrderedMutex mu_{lockrank::kReplicaServerTablets,
                            "replica.server.tablets"};
-  // Tablet state (including each LogTailer, which is not internally
-  // synchronized) is only touched under mu_ — watermark/staleness reads
-  // included, so a mid-poll reader cannot observe a torn cursor.
-  std::map<std::string, ReplicatedTablet> tablets_ GUARDED_BY(mu_);
+  // Tablet state (cursor and applier are not internally synchronized) is
+  // only touched under mu_ — watermark/staleness reads included, so a
+  // mid-poll reader cannot observe a torn cursor.
+  std::map<std::string, std::unique_ptr<ReplicatedTablet>> tablets_
+      GUARDED_BY(mu_);
   std::map<uint32_t, std::unique_ptr<log::LogReader>> readers_
       GUARDED_BY(mu_);
   tablet::ReadBuffer buffer_;  // internally synchronized (its own mu_)

@@ -80,6 +80,30 @@ Status LoadMeta(FileSystem* fs, const std::string& dir, CheckpointMeta* meta) {
   return Status::OK();
 }
 
+Result<CheckpointSeed> SeedFromCheckpoint(FileSystem* fs,
+                                          const std::string& dir,
+                                          const TabletDescriptor& descriptor,
+                                          index::MultiVersionIndex* index) {
+  CheckpointSeed seed;
+  if (!fs->Exists(MetaPath(dir))) return seed;
+  CheckpointMeta meta;
+  LOGBASE_RETURN_NOT_OK(LoadMeta(fs, dir, &meta));
+  for (const auto& [d, source] : meta.tablets) {
+    if (!d.Overlaps(descriptor)) continue;
+    std::string idx_path = IndexFilePath(dir, d.uid());
+    if (!fs->Exists(idx_path)) continue;
+    uint64_t before = index->num_entries();
+    LOGBASE_RETURN_NOT_OK(index::LoadIndexCheckpointFiltered(
+        fs, idx_path, index, [&descriptor](const Slice& key) {
+          return descriptor.Contains(key);
+        }));
+    seed.loaded = true;
+    seed.start = meta.position;
+    seed.entries += index->num_entries() - before;
+  }
+  return seed;
+}
+
 }  // namespace checkpoint_internal
 
 Status WriteServerCheckpoint(TabletServer* server) {

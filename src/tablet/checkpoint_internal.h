@@ -1,5 +1,5 @@
-// Shared between checkpoint.cc (writer) and recovery.cc (loader): the
-// checkpoint block format. Internal to the tablet module.
+// Shared between checkpoint.cc (writer), recovery.cc (loader) and replica
+// seeding: the checkpoint block format and the range-filtered reload.
 
 #ifndef LOGBASE_TABLET_CHECKPOINT_INTERNAL_H_
 #define LOGBASE_TABLET_CHECKPOINT_INTERNAL_H_
@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/index/multiversion_index.h"
 #include "src/log/log_writer.h"
 #include "src/tablet/schema.h"
 #include "src/util/io.h"
@@ -27,6 +28,23 @@ struct CheckpointMeta {
 };
 
 Status LoadMeta(FileSystem* fs, const std::string& dir, CheckpointMeta* meta);
+
+/// What SeedFromCheckpoint loaded.
+struct CheckpointSeed {
+  bool loaded = false;           // some checkpointed index file overlapped
+  log::LogPosition start{0, 0};  // the seeded index is complete up to here
+  uint64_t entries = 0;          // entries loaded into the index
+};
+
+/// Loads the checkpointed index entries under `dir` that fall in
+/// `descriptor`'s key range into `index`. Entries are matched by range
+/// overlap, never by uid: a split child seeds its half of the parent's
+/// checkpoint. Without a checkpoint nothing loads and the redo starts at the
+/// log's beginning. Shared by tablet adoption and replica seeding.
+Result<CheckpointSeed> SeedFromCheckpoint(FileSystem* fs,
+                                          const std::string& dir,
+                                          const TabletDescriptor& descriptor,
+                                          index::MultiVersionIndex* index);
 
 }  // namespace logbase::tablet::checkpoint_internal
 

@@ -229,11 +229,10 @@ Status RunCompaction(TabletServer* server, const CompactionOptions& options,
   // Swing index pointers to the sorted segments. UpdateIfPresent leaves
   // concurrently deleted keys deleted and never resurrects anything.
   for (const KeptRecord& kr : outputs_records) {
-    TabletDescriptor d;
-    d.table_id = kr.record.key.table_id;
-    d.column_group = kr.record.key.tablet_id >> 20;
-    d.range_id = kr.record.key.tablet_id & 0xfffff;
-    Tablet* tablet = server->FindTablet(d.uid());
+    Tablet* tablet = server->FindTablet(
+        TabletDescriptor::FromPackedId(kr.record.key.table_id,
+                                       kr.record.key.tablet_id)
+            .uid());
     if (tablet == nullptr) continue;
     Status s = tablet->index()->UpdateIfPresent(
         Slice(kr.record.row.primary_key), kr.record.row.timestamp,

@@ -1,20 +1,21 @@
 // Recovery (paper §3.8): reload the persisted index files named by the last
-// checkpoint block, then redo the log from the checkpoint position. Redo is
-// an idempotent upsert keyed by (key, write timestamp); uncommitted
-// transactional entries are ignored (their COMMIT record never appears) and
-// invalidated entries re-apply deletions. Repeated crashes during recovery
-// simply redo again.
+// checkpoint block, then redo the log from the checkpoint position through
+// the committed-record applier. Redo is an idempotent upsert keyed by (key,
+// write timestamp); uncommitted transactional entries are ignored (their
+// COMMIT record never appears) and invalidated entries re-apply deletions.
+// Repeated crashes during recovery simply redo again.
 //
 // Also implements tablet adoption after *permanent* server failures: the new
 // owner loads the dead server's per-tablet index file and redoes the dead
 // log's tail filtered to the adopted tablet, reading everything from the
 // shared DFS.
 
-#include <map>
+#include <algorithm>
 
 #include "src/index/index_checkpoint.h"
-#include "src/log/log_reader.h"
+#include "src/log/tail_cursor.h"
 #include "src/tablet/checkpoint_internal.h"
+#include "src/tablet/log_applier.h"
 #include "src/tablet/tablet_server.h"
 #include "src/util/logging.h"
 
@@ -22,97 +23,29 @@ namespace logbase::tablet {
 
 namespace {
 
-struct PendingOp {
-  Tablet* tablet;
-  bool is_delete;
-  std::string key;
-  uint64_t timestamp;
-  log::LogPtr ptr;
-};
-
-/// Applies one committed operation to its tablet's index.
-Status ApplyOp(const PendingOp& op) {
-  if (op.is_delete) {
-    return op.tablet->index()->RemoveAllVersions(Slice(op.key));
-  }
-  return op.tablet->index()->Insert(Slice(op.key), op.timestamp, op.ptr);
-}
-
-/// Redoes `instance`'s log from `from`. `route` maps a record to the tablet
-/// whose index should absorb it (nullptr = not ours, skip).
-Status RedoLog(TabletServer* server, uint32_t instance, log::LogPosition from,
-               const std::function<Tablet*(const log::LogRecord&)>& route,
-               RecoveryStats* stats, uint64_t* max_lsn) {
-  auto reader_or = [&]() -> Result<log::LogReader*> {
-    // Private access via friend functions in this file only.
-    return server->ReaderFor(instance);
-  }();
-  if (!reader_or.ok()) return reader_or.status();
-  // Low-lane segments only: compaction outputs (gen << 24) are fully covered
-  // by the checkpoint the compaction wrote before reclaiming its inputs.
-  auto scanner = (*reader_or)->NewScanner(from, 1u << 24);
-  if (!scanner.ok()) return scanner.status();
-
-  std::map<uint64_t, std::vector<PendingOp>> pending;  // txn id -> ops
-  for (; (*scanner)->Valid(); (*scanner)->Next()) {
-    const log::LogRecord& record = (*scanner)->record();
-    if (record.key.lsn > *max_lsn) *max_lsn = record.key.lsn;
+/// Redoes `instance`'s log from `from` through `applier`, counting what it
+/// read into `stats`; returns the highest LSN seen. The cursor follows the
+/// low write lane only: compaction outputs (gen << 24) are fully covered by
+/// the checkpoint the compaction wrote before reclaiming its inputs.
+Result<uint64_t> RedoLog(TabletServer* server, uint32_t instance,
+                         log::LogPosition from, LogApplier* applier,
+                         RecoveryStats* stats) {
+  auto reader = server->ReaderFor(instance);
+  if (!reader.ok()) return reader.status();
+  log::TailCursor cursor(*reader);
+  cursor.Reset(from);
+  uint64_t max_lsn = 0;
+  auto redone = cursor.Poll([&](const log::LogRecord& record,
+                                const log::LogPtr& ptr) -> Status {
+    max_lsn = std::max(max_lsn, record.key.lsn);
     if (stats != nullptr) {
       stats->redo_records++;
-      stats->redo_bytes += (*scanner)->ptr().size;
+      stats->redo_bytes += ptr.size;
     }
-
-    switch (record.type) {
-      case log::LogRecordType::kData: {
-        Tablet* tablet = route(record);
-        if (tablet == nullptr) break;
-        PendingOp op{tablet, false, record.row.primary_key,
-                     record.row.timestamp, (*scanner)->ptr()};
-        if (record.txn_id == 0) {
-          LOGBASE_RETURN_NOT_OK(ApplyOp(op));
-        } else {
-          pending[record.txn_id].push_back(std::move(op));
-        }
-        break;
-      }
-      case log::LogRecordType::kInvalidate: {
-        Tablet* tablet = route(record);
-        if (tablet == nullptr) break;
-        PendingOp op{tablet, true, record.row.primary_key,
-                     record.row.timestamp, (*scanner)->ptr()};
-        if (record.txn_id == 0) {
-          LOGBASE_RETURN_NOT_OK(ApplyOp(op));
-        } else {
-          pending[record.txn_id].push_back(std::move(op));
-        }
-        break;
-      }
-      case log::LogRecordType::kCommit: {
-        auto it = pending.find(record.txn_id);
-        if (it != pending.end()) {
-          for (const PendingOp& op : it->second) {
-            LOGBASE_RETURN_NOT_OK(ApplyOp(op));
-          }
-          pending.erase(it);
-        }
-        break;
-      }
-      case log::LogRecordType::kBatchHeader:
-        // Consumed inside the scanner; never surfaced as a record.
-        break;
-    }
-  }
-  // Entries still pending lack a COMMIT record: the transaction never
-  // committed, so its writes stay invisible (and compaction reclaims them).
-  return (*scanner)->status();
-}
-
-TabletDescriptor DescriptorFromRecord(const log::LogRecord& record) {
-  TabletDescriptor d;
-  d.table_id = record.key.table_id;
-  d.column_group = record.key.tablet_id >> 20;
-  d.range_id = record.key.tablet_id & 0xfffff;
-  return d;
+    return applier->Apply(record, ptr);
+  });
+  if (!redone.ok()) return redone.status();
+  return max_lsn;
 }
 
 }  // namespace
@@ -150,77 +83,57 @@ Status RunRecovery(TabletServer* server, RecoveryStats* stats) {
   // Redo the tail of our own log. Records of tablets we have not seen yet
   // (no checkpoint — e.g. first crash before any checkpoint) recreate their
   // tablets on the fly; the master's later OpenTablet is a no-op.
-  uint64_t max_lsn = 0;
-  auto route = [server](const log::LogRecord& record) -> Tablet* {
-    TabletDescriptor d = DescriptorFromRecord(record);
-    Tablet* tablet = server->FindTablet(d.uid());
-    if (tablet != nullptr) return tablet;
-    // After a split the parent's uid routes nowhere, but a hosted child's
-    // range covers the key: its records belong to that child.
-    tablet = server->FindTabletCovering(d.table_id, d.column_group,
-                                        Slice(record.row.primary_key));
-    if (tablet != nullptr) return tablet;
-    if (!server->OpenTablet(d).ok()) return nullptr;
-    return server->FindTablet(d.uid());
-  };
-  LOGBASE_RETURN_NOT_OK(
-      RedoLog(server, server->server_id(), start, route, stats, &max_lsn));
+  LogApplier applier(
+      [server](const log::LogRecord& record) -> index::MultiVersionIndex* {
+        TabletDescriptor d = TabletDescriptor::FromPackedId(
+            record.key.table_id, record.key.tablet_id);
+        Tablet* tablet = server->FindTablet(d.uid());
+        // After a split the parent's uid routes nowhere, but a hosted
+        // child's range covers the key: its records belong to that child.
+        if (tablet == nullptr) {
+          tablet = server->FindTabletCovering(d.table_id, d.column_group,
+                                              Slice(record.row.primary_key));
+        }
+        if (tablet == nullptr) {
+          if (!server->OpenTablet(d).ok()) return nullptr;
+          tablet = server->FindTablet(d.uid());
+        }
+        return tablet == nullptr ? nullptr : tablet->index();
+      });
+  auto max_lsn =
+      RedoLog(server, server->server_id(), start, &applier, stats);
+  if (!max_lsn.ok()) return max_lsn.status();
 
   LOGBASE_LOG(kInfo, "server %d recovered: redo from segment %u",
               server->server_id(), start.segment);
-  return server->writer_->Open(std::max(next_lsn, max_lsn + 1));
+  return server->writer_->Open(std::max(next_lsn, *max_lsn + 1));
 }
 
 Status TabletServer::AdoptTablet(const TabletDescriptor& descriptor,
                                  uint32_t source_instance,
                                  RecoveryStats* stats) {
-  namespace ci = checkpoint_internal;
   LOGBASE_RETURN_NOT_OK(OpenTablet(descriptor));
   Tablet* tablet = FindTablet(descriptor.uid());
   tablet->set_source_instance(source_instance);
 
-  // Checkpoint entries are matched by *range overlap*, not uid: a split
-  // child adopts its half of the parent's checkpointed index under the
-  // parent's uid, filtered to the child's key range.
-  const std::string src_ckpt = CheckpointDirFor(source_instance);
-  log::LogPosition start{0, 0};
-  if (fs_->Exists(ci::MetaPath(src_ckpt))) {
-    ci::CheckpointMeta meta;
-    LOGBASE_RETURN_NOT_OK(ci::LoadMeta(fs_.get(), src_ckpt, &meta));
-    for (const auto& [d, source] : meta.tablets) {
-      if (!d.Overlaps(descriptor)) continue;
-      std::string idx_path = ci::IndexFilePath(src_ckpt, d.uid());
-      if (!fs_->Exists(idx_path)) continue;
-      uint64_t before = tablet->index()->num_entries();
-      LOGBASE_RETURN_NOT_OK(index::LoadIndexCheckpointFiltered(
-          fs_.get(), idx_path, tablet->index(),
-          [&descriptor](const Slice& key) {
-            return descriptor.Contains(key);
-          }));
-      start = meta.position;
-      if (stats != nullptr) {
-        stats->loaded_checkpoint = true;
-        stats->checkpoint_entries += tablet->index()->num_entries() - before;
-      }
-    }
+  auto seed = checkpoint_internal::SeedFromCheckpoint(
+      fs_.get(), CheckpointDirFor(source_instance), descriptor,
+      tablet->index());
+  if (!seed.ok()) return seed.status();
+  if (stats != nullptr && seed->loaded) {
+    stats->loaded_checkpoint = true;
+    stats->checkpoint_entries += seed->entries;
   }
 
   // Redo the source's log tail, filtered to the adopted range (the paper's
-  // log split: one shared log, per-tablet extraction). Filtering is by key
-  // containment so records logged under a pre-split parent's packed id
-  // still reach the child that now covers them.
-  uint64_t max_lsn = 0;
-  auto route = [tablet, &descriptor](const log::LogRecord& record)
-      -> Tablet* {
-    if (record.key.table_id != descriptor.table_id ||
-        (record.key.tablet_id >> 20) != descriptor.column_group) {
-      return nullptr;
-    }
-    if (!descriptor.Contains(Slice(record.row.primary_key))) return nullptr;
-    return tablet;
-  };
-  LOGBASE_RETURN_NOT_OK(
-      RedoLog(this, source_instance, start, route, stats, &max_lsn));
+  // log split: one shared log, per-tablet extraction).
+  LogApplier applier(
+      [tablet, &descriptor](const log::LogRecord& record)
+          -> index::MultiVersionIndex* {
+        return RecordBelongsTo(record, descriptor) ? tablet->index() : nullptr;
+      });
+  auto redone = RedoLog(this, source_instance, seed->start, &applier, stats);
+  if (!redone.ok()) return redone.status();
 
   // The dead owner drew timestamp blocks this server has not seen; writes
   // issued from a stale local block would sort below the adopted versions

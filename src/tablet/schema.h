@@ -55,6 +55,15 @@ struct TabletDescriptor {
 
   /// Packed id recorded in LogKey.tablet_id (column group in the high bits).
   uint32_t packed_id() const { return (column_group << 20) | range_id; }
+  /// Inverse of packed_id(): the identity a LogKey names. Name and key
+  /// range are not logged, so they stay empty.
+  static TabletDescriptor FromPackedId(uint32_t table_id, uint32_t packed) {
+    TabletDescriptor d;
+    d.table_id = table_id;
+    d.column_group = packed >> 20;
+    d.range_id = packed & 0xfffff;
+    return d;
+  }
 
   /// Stable identifier used for maps, checkpoint file names and routing.
   std::string uid() const {

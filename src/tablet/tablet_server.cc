@@ -515,6 +515,7 @@ Result<ReadValue> TabletServer::GetAsOf(const std::string& tablet_uid,
   CachedRecord cached;
   if (buffer_.Get(BufferKey(tablet_uid, key), &cached) &&
       cached.timestamp <= as_of) {
+    tablet->RecordRead(key.size() + cached.value.size());
     return ReadValue{cached.timestamp, std::move(cached.value)};
   }
   Result<index::IndexEntry> entry = [&] {

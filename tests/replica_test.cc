@@ -15,6 +15,7 @@
 #include "src/cluster/mini_cluster.h"
 #include "src/fault/nemesis.h"
 #include "src/log/log_record.h"
+#include "src/query/plan.h"
 #include "src/sim/sim_context.h"
 
 namespace logbase::replica {
@@ -287,10 +288,15 @@ TEST(ReplicaTest, CrashedReplicaRebuildsAndConverges) {
   ASSERT_TRUE(cluster.TickReplicas().ok());
   ReplicaServer* rep = cluster.replica(0);
   uint64_t snapshot_ts = 0;
-  auto replica_rows = rep->Scan(uid, Slice(""), Slice(""), /*as_of=*/0,
-                                /*max_staleness_us=*/0, &snapshot_ts);
-  ASSERT_TRUE(replica_rows.ok()) << replica_rows.status().ToString();
+  query::QueryPlan match_all;  // whole range, no predicate, raw values
+  auto scanned = rep->ExecuteScan(uid, Slice(match_all.Encode()),
+                                  /*as_of=*/0, /*max_staleness_us=*/0, {},
+                                  &snapshot_ts);
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
   ASSERT_NE(snapshot_ts, 0u);
+  client::QueryResult replica_result;
+  replica_result.batches = std::move(scanned->batches);
+  auto replica_rows = replica_result.ToRows();
 
   auto location = m->GetAssignment(uid);
   ASSERT_TRUE(location.ok());
@@ -298,12 +304,148 @@ TEST(ReplicaTest, CrashedReplicaRebuildsAndConverges) {
                           ->Scan(uid, Slice(""), Slice(""), snapshot_ts);
   ASSERT_TRUE(primary_rows.ok()) << primary_rows.status().ToString();
 
-  ASSERT_EQ(replica_rows->size(), primary_rows->size());
-  EXPECT_FALSE(replica_rows->empty());
-  for (size_t i = 0; i < replica_rows->size(); i++) {
-    EXPECT_EQ((*replica_rows)[i].key, (*primary_rows)[i].key);
-    EXPECT_EQ((*replica_rows)[i].timestamp, (*primary_rows)[i].timestamp);
-    EXPECT_EQ((*replica_rows)[i].value, (*primary_rows)[i].value);
+  ASSERT_EQ(replica_rows.size(), primary_rows->size());
+  EXPECT_FALSE(replica_rows.empty());
+  for (size_t i = 0; i < replica_rows.size(); i++) {
+    EXPECT_EQ(replica_rows[i].key, (*primary_rows)[i].key);
+    EXPECT_EQ(replica_rows[i].timestamp, (*primary_rows)[i].timestamp);
+    EXPECT_EQ(replica_rows[i].value, (*primary_rows)[i].value);
+  }
+}
+
+/// One line per index entry: key, version and log pointer.
+std::vector<std::string> Digest(const std::vector<index::IndexEntry>& entries) {
+  std::vector<std::string> out;
+  for (const index::IndexEntry& e : entries) {
+    out.push_back(e.key + "@" + std::to_string(e.timestamp) + "->" +
+                  std::to_string(e.ptr.instance) + ":" +
+                  std::to_string(e.ptr.segment) + ":" +
+                  std::to_string(e.ptr.offset) + ":" +
+                  std::to_string(e.ptr.size));
+  }
+  return out;
+}
+
+std::vector<std::string> Digest(const index::MultiVersionIndex& index) {
+  std::vector<index::IndexEntry> entries;
+  index.VisitAll(
+      [&entries](const index::IndexEntry& e) { entries.push_back(e); });
+  return Digest(entries);
+}
+
+// Crash recovery, tablet adoption and replica tailing replay one log through
+// the same committed-record applier, so all three must build the same
+// index: the restarted owner, an adopter on another server and a replica
+// attached before any checkpoint.
+TEST(ReplicaTest, RecoveryAdoptionAndTailingAgree) {
+  cluster::MiniCluster cluster(SmallCluster());
+  ASSERT_TRUE(cluster.Start().ok());
+  master::Master* m = cluster.master();
+  ASSERT_TRUE(m->CreateTable("t", {"v"}, {{"v"}}, {}).ok());
+  auto client = cluster.NewClient(0);
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(client->Put("t", 0, Key(i), "v" + std::to_string(i), {}).ok());
+  }
+  for (int i = 0; i < 20; i += 5) {
+    ASSERT_TRUE(client->Delete("t", 0, Key(i), {}).ok());
+  }
+  std::vector<std::string> uids = AttachAll(m, 1);
+  ASSERT_EQ(uids.size(), 1u);
+  const std::string uid = uids[0];
+  auto location = m->GetAssignment(uid);
+  ASSERT_TRUE(location.ok());
+  const int owner = location->server_id;
+  tablet::TabletServer* server = cluster.server(owner);
+  const tablet::TabletDescriptor descriptor =
+      server->FindTablet(uid)->descriptor();
+
+  // Transactional records go straight into the owner's log: client
+  // transactions never leave data without a COMMIT, nor interleave two.
+  auto op = [&](log::LogRecordType type, uint64_t txn_id, int key,
+                uint64_t ts) {
+    log::LogRecord rec;
+    rec.type = type;
+    rec.key.table_id = descriptor.table_id;
+    rec.key.tablet_id = descriptor.packed_id();
+    rec.txn_id = txn_id;
+    rec.row.primary_key = Key(key);
+    rec.row.column_group = descriptor.column_group;
+    rec.row.timestamp = ts;
+    rec.value = "txn" + std::to_string(txn_id);
+    rec.commit_ts = ts;
+    return rec;
+  };
+  auto commit = [](uint64_t txn_id, uint64_t ts) {
+    log::LogRecord rec;
+    rec.type = log::LogRecordType::kCommit;
+    rec.txn_id = txn_id;
+    rec.commit_ts = ts;
+    return rec;
+  };
+  auto append = [server](std::vector<log::LogRecord> batch) {
+    return server->AppendBatch(&batch).status();
+  };
+  const uint64_t ts_a = cluster.coord()->NextTimestamp(0);
+  const uint64_t ts_b = cluster.coord()->NextTimestamp(0);
+  const uint64_t ts_del = cluster.coord()->NextTimestamp(0);
+  const uint64_t ts_open = cluster.coord()->NextTimestamp(0);
+  using log::LogRecordType;
+  // A and B interleave and commit in reverse order.
+  ASSERT_TRUE(append({op(LogRecordType::kData, 101, 1, ts_a),
+                      op(LogRecordType::kData, 101, 40, ts_a)})
+                  .ok());
+  ASSERT_TRUE(append({op(LogRecordType::kData, 102, 2, ts_b)}).ok());
+  ASSERT_TRUE(append({commit(102, ts_b)}).ok());
+  ASSERT_TRUE(append({commit(101, ts_a)}).ok());
+  // A transactional delete.
+  ASSERT_TRUE(append({op(LogRecordType::kInvalidate, 103, 3, ts_del),
+                      commit(103, ts_del)})
+                  .ok());
+  // A transaction that never commits.
+  ASSERT_TRUE(append({op(LogRecordType::kData, 104, 4, ts_open)}).ok());
+  ASSERT_TRUE(client->Put("t", 0, Key(6), "late", {}).ok());
+  ASSERT_TRUE(client->Delete("t", 0, Key(7), {}).ok());
+
+  // Replica tailing.
+  ASSERT_TRUE(cluster.TickReplicas().ok());
+  auto replica_entries = cluster.replica(0)->IndexEntries(uid);
+  ASSERT_TRUE(replica_entries.ok()) << replica_entries.status().ToString();
+  const std::vector<std::string> replica = Digest(*replica_entries);
+  auto watermark = cluster.replica(0)->Watermark(uid);
+  ASSERT_TRUE(watermark.ok());
+  EXPECT_LT(*watermark, ts_open);
+
+  // Tablet adoption on another server.
+  tablet::TabletServer* adopter = cluster.server((owner + 1) % 3);
+  ASSERT_TRUE(adopter->AdoptTablet(descriptor, owner).ok());
+  const std::vector<std::string> adopted =
+      Digest(*adopter->FindTablet(uid)->index());
+
+  // Crash recovery of the owner.
+  cluster.CrashServer(owner);
+  ASSERT_TRUE(cluster.RestartServer(owner).ok());
+  tablet::Tablet* recovered_tablet = server->FindTablet(uid);
+  ASSERT_NE(recovered_tablet, nullptr);
+  const std::vector<std::string> recovered =
+      Digest(*recovered_tablet->index());
+
+  EXPECT_EQ(replica, recovered);
+  EXPECT_EQ(adopted, recovered);
+
+  // Spot-check the shared result against the log's committed history.
+  auto versions_of = [&](int key) {
+    return recovered_tablet->index()->GetAllVersions(Slice(Key(key)));
+  };
+  EXPECT_TRUE(versions_of(0).empty());  // auto-commit delete
+  EXPECT_TRUE(versions_of(7).empty());
+  EXPECT_TRUE(versions_of(3).empty());  // transactional delete
+  ASSERT_FALSE(versions_of(1).empty());
+  EXPECT_EQ(versions_of(1)[0].timestamp, ts_a);
+  ASSERT_EQ(versions_of(40).size(), 1u);
+  ASSERT_FALSE(versions_of(2).empty());
+  EXPECT_EQ(versions_of(2)[0].timestamp, ts_b);
+  for (const index::IndexEntry& e : versions_of(4)) {
+    EXPECT_NE(e.timestamp, ts_open);  // never committed
   }
 }
 

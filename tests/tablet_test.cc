@@ -208,6 +208,21 @@ TEST(TabletServerTest, ReadBufferServesRepeatReads) {
   EXPECT_GT(f.server->read_buffer()->hits(), hits_before);
 }
 
+// A read-buffer hit is still a read: transactional snapshot reads served
+// from the buffer must reach the load report the balancer scores.
+TEST(TabletServerTest, BufferedGetAsOfCountsAsRead) {
+  TabletServerOptions options;
+  options.read_buffer_bytes = 1 << 20;
+  ServerFixture f(options);
+  ASSERT_TRUE(f.server->Put(f.uid, "hot", "value").ok());  // fills the buffer
+  (void)f.server->CollectLoadReport();  // drain the write's window
+  ASSERT_TRUE(f.server->GetAsOf(f.uid, "hot", ~0ull).ok());
+  ASSERT_TRUE(f.server->GetAsOf(f.uid, "hot", ~0ull).ok());
+  balance::LoadReport report = f.server->CollectLoadReport();
+  ASSERT_EQ(report.tablets.size(), 1u);
+  EXPECT_EQ(report.tablets[0].read_ops, 2u);
+}
+
 TEST(TabletServerTest, FullScanCountsLiveRecords) {
   ServerFixture f;
   for (int i = 0; i < 20; i++) {
