@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
         // The seed path's client half: decode every shipped row and apply
         // the predicate here, paying the codec cost pushdown moves
         // server-side (where it is charged identically per record).
-        auto rows = result->ToRows();
+        auto rows = tablet::RowsFromBatches(result->batches);
         sim::ChargeCpu(static_cast<sim::VirtualTime>(rows.size()) *
                        sim::costs::kRecordCodecUs);
         uint64_t matched = 0;

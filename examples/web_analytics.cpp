@@ -75,8 +75,8 @@ int main() {
   // --- Compaction clusters the log for cheap future scans ------------------
   uint64_t before_segments = 0, after_segments = 0;
   for (int node = 0; node < cluster.num_nodes(); node++) {
-    auto reader = cluster.server(node)->ReaderFor(node);
-    before_segments += (*reader)->ListSegments()->size();
+    before_segments +=
+        cluster.server(node)->ReaderFor(node)->ListSegments()->size();
   }
   tablet::CompactionStats total{};
   for (int node = 0; node < cluster.num_nodes(); node++) {
@@ -86,8 +86,8 @@ int main() {
     total.output_records += stats.output_records;
   }
   for (int node = 0; node < cluster.num_nodes(); node++) {
-    auto reader = cluster.server(node)->ReaderFor(node);
-    after_segments += (*reader)->ListSegments()->size();
+    after_segments +=
+        cluster.server(node)->ReaderFor(node)->ListSegments()->size();
   }
   std::printf("compaction: %llu -> %llu records, segments %llu -> %llu "
               "(sorted, clustered)\n",

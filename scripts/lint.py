@@ -222,11 +222,11 @@ def check_raw_new(path, rel, stripped):
 # redesign and removed outright once the last call sites migrated;
 # ReadOptions/Txn handles are the supported surface. The names
 # GetVersioned/TxnRead/TxnWrite/TxnDelete existed only on the client, so
-# any call site is a violation. GetAsOf/GetVersions also legitimately exist
-# on TabletServer and the index layer, so those are only flagged on a
-# client-shaped receiver. With the wrappers gone the compiler catches most
-# spellings as plain unknown-member errors; the lint keeps them from being
-# reintroduced wholesale.
+# any call site is a violation. GetAsOf legitimately exists on the index
+# layer (MultiVersionIndex) and GetVersions on TabletServer, so those are
+# only flagged on a client-shaped receiver. With the wrappers gone the
+# compiler catches most spellings as plain unknown-member errors; the lint
+# keeps them from being reintroduced wholesale.
 DEPRECATED_CALLS = re.compile(
     r'(?:[.>]\s*(GetVersioned|TxnRead|TxnWrite|TxnDelete)\s*\(|'
     r'\bclient\w*(?:\.|->)\s*(GetAsOf|GetVersions)\s*\()')
@@ -541,7 +541,7 @@ SELF_TEST_CASES = [
      'ASSERT_TRUE(txn.Write("t", 0, "k", "v").ok());'),
     (check_deprecated, 'src/x/x.cc',
      'auto v = client->GetAsOf("t", 0, "k", 9);',
-     'auto v = server->GetAsOf(uid, key, 9);  // internal API, not client'),
+     'auto e = index->GetAsOf(key, 9);  // index layer, not client'),
     (check_mutex, 'src/x/x.h',
      'mutable std::mutex mu_;',
      'mutable OrderedMutex mu_{lockrank::kMasterState, "x.mu"};'),

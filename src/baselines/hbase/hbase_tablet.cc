@@ -223,7 +223,7 @@ Result<std::vector<tablet::ReadRow>> HTablet::Scan(const Slice& start_key,
     }
   }
   lsm::MergingIterator merged(BytewiseComparator(), std::move(children));
-  merged.Seek(Slice(index::EncodeCompositeKey(start_key, ~0ull)));
+  merged.Seek(Slice(index::EncodeCompositeKey(start_key, index::kLatest)));
 
   std::vector<tablet::ReadRow> rows;
   std::string current_key;

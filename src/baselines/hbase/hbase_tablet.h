@@ -17,7 +17,7 @@
 #include "src/log/log_writer.h"
 #include "src/sstable/block_cache.h"
 #include "src/sstable/table_reader.h"
-#include "src/tablet/tablet_server.h"  // ReadValue / ReadRow
+#include "src/tablet/read_path.h"  // ReadValue / ReadRow
 
 #include "src/util/ordered_mutex.h"
 
@@ -57,10 +57,11 @@ class HTablet {
   void ApplyRecovered(const Slice& key, uint64_t timestamp, bool is_delete,
                       const Slice& value);
 
-  Result<tablet::ReadValue> Get(const Slice& key, uint64_t as_of = ~0ull);
+  Result<tablet::ReadValue> Get(const Slice& key,
+                                uint64_t as_of = index::kLatest);
   Result<std::vector<tablet::ReadRow>> Scan(const Slice& start_key,
                                             const Slice& end_key,
-                                            uint64_t as_of = ~0ull);
+                                            uint64_t as_of = index::kLatest);
 
   /// Persists the memtable into a new store file (the WAL+Data double
   /// write) and records the flushed WAL position in META.

@@ -321,6 +321,12 @@ bool IsNoReplicaServed(const Status& s) {
          s.ToString().find("no replica served") != std::string::npos;
 }
 
+/// The server-side snapshot of a read: ReadOptions spells "latest" as 0,
+/// servers as index::kLatest. The only place that translates the two.
+uint64_t SnapshotOf(const ReadOptions& options) {
+  return options.as_of == 0 ? index::kLatest : options.as_of;
+}
+
 }  // namespace
 
 Result<tablet::ReadValue> LogBaseClient::ReplicaGet(const Route& route,
@@ -350,7 +356,7 @@ Result<tablet::ReadValue> LogBaseClient::ReplicaGet(const Route& route,
     replica::ReplicaServer* rep = replica_resolver_(replica_id);
     if (rep == nullptr || !rep->running()) continue;
     if (!ServerReachable(rep->node())) continue;
-    auto read = rep->Get(route.tablet_uid, key, options.as_of,
+    auto read = rep->Get(route.tablet_uid, key, SnapshotOf(options),
                          options.max_staleness_us, snapshot_ts);
     if (read.ok()) {
       ChargeRpc(rep->node(), key.size() + 64, read->value.size() + 32);
@@ -417,10 +423,8 @@ Result<ReadResult> LogBaseClient::Get(const std::string& table,
       return result;
     }
 
-    auto read = options.as_of == 0
-                    ? (*server)->Get(route->tablet_uid, key)
-                    : (*server)->GetAsOf(route->tablet_uid, key,
-                                         options.as_of);
+    auto read =
+        (*server)->Get(route->tablet_uid, key, SnapshotOf(options));
     if (!read.ok()) return NormalizeServerStatus(read.status());
     ChargeRpc(route->server_id, key.size() + 64, read->value.size() + 32);
     result.rows.push_back(tablet::ReadRow{
@@ -428,21 +432,6 @@ Result<ReadResult> LogBaseClient::Get(const std::string& table,
         std::move(read->value)});
     return result;
   });
-}
-
-std::vector<tablet::ReadRow> QueryResult::ToRows() const {
-  std::vector<tablet::ReadRow> rows;
-  for (const query::ColumnBatch& batch : batches) {
-    const query::BatchColumn* raw = batch.Find(query::kRawValueColumn);
-    for (size_t i = 0; i < batch.NumRows(); i++) {
-      tablet::ReadRow row;
-      row.key = batch.keys[i];
-      row.timestamp = batch.timestamps[i];
-      if (raw != nullptr && raw->present[i] != 0) row.value = raw->cells[i];
-      rows.push_back(std::move(row));
-    }
-  }
-  return rows;
 }
 
 Result<std::vector<tablet::ReadRow>> LogBaseClient::Scan(
@@ -460,7 +449,7 @@ Result<std::vector<tablet::ReadRow>> LogBaseClient::Scan(
   query_options.read = options;
   auto result = Query(table, column_group, plan, query_options);
   if (!result.ok()) return result.status();
-  return result->ToRows();
+  return tablet::RowsFromBatches(result->batches);
 }
 
 Result<query::TabletResult> LogBaseClient::QueryTablet(
@@ -498,9 +487,8 @@ Result<query::TabletResult> LogBaseClient::QueryTablet(
             replica::ReplicaServer* rep = replica_resolver_(replica_id);
             if (rep == nullptr || !rep->running()) continue;
             if (!ServerReachable(rep->node())) continue;
-            auto part =
-                rep->ExecuteScan(uid, wire_plan, options.read.as_of,
-                                 options.read.max_staleness_us, exec);
+            auto part = rep->ExecuteScan(
+                uid, wire_plan, options.read.max_staleness_us, exec);
             if (part.ok()) {
               ChargeRpc(rep->node(), wire_plan.size() + 64,
                         part->stats.bytes_shipped + 32);
@@ -549,7 +537,7 @@ Result<QueryResult> LogBaseClient::Query(const std::string& table,
   // network model charges for each request).
   const std::string wire_plan = plan.Encode();
   query::ExecOptions exec;
-  exec.as_of = options.read.as_of == 0 ? ~0ull : options.read.as_of;
+  exec.as_of = SnapshotOf(options.read);
   exec.batch_rows = options.batch_rows == 0 ? 256 : options.batch_rows;
 
   // Retried as a unit: a tablet that exhausts its per-tablet budget

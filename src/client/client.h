@@ -132,7 +132,8 @@ struct QueryOptions {
 };
 
 /// What a `Query` returns: filtered/projected column batches in global key
-/// order, or merged aggregation partials, plus the pushdown accounting.
+/// order (tablet::RowsFromBatches turns raw-value batches into rows), or
+/// merged aggregation partials, plus the pushdown accounting.
 struct QueryResult {
   bool aggregated = false;
   std::vector<query::ColumnBatch> batches;  // row queries
@@ -144,11 +145,6 @@ struct QueryResult {
   uint64_t bytes_shipped = 0;  // wire bytes shipped client-ward
   uint64_t tablets_queried = 0;
   uint64_t tablets_from_replica = 0;
-
-  /// Reconstructs rows from raw-value batches (plans with an empty
-  /// projection ship the stored values verbatim) — byte-exact, which is
-  /// what lets `Scan` route through the query path.
-  std::vector<tablet::ReadRow> ToRows() const;
 };
 
 class LogBaseClient;

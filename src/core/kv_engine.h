@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/baselines/hbase/hbase_server.h"
+#include "src/query/plan.h"
 #include "src/tablet/tablet_server.h"
 
 namespace logbase::core {
@@ -54,10 +55,16 @@ class TabletServerEngine : public KvEngine {
   Status Delete(const std::string& uid, const Slice& key) override {
     return server_->Delete(uid, key);
   }
+  /// A match-all ExecuteScan: the server's one range read.
   Result<std::vector<tablet::ReadRow>> Scan(const std::string& uid,
                                             const Slice& start,
                                             const Slice& end) override {
-    return server_->Scan(uid, start, end);
+    query::QueryPlan plan;
+    plan.start_key = start.ToString();
+    plan.end_key = end.ToString();
+    auto result = server_->ExecuteScan(uid, Slice(plan.Encode()));
+    if (!result.ok()) return result.status();
+    return tablet::RowsFromBatches(result->batches);
   }
   const char* Name() const override { return name_; }
 

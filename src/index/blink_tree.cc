@@ -27,7 +27,6 @@ obs::Counter* LatchRetries() {
 namespace {
 /// Max entries per node before splitting.
 constexpr size_t kNodeCapacity = 64;
-constexpr uint64_t kMaxTs = ~0ull;
 }  // namespace
 
 struct BlinkTree::CompositeKey {
@@ -335,13 +334,13 @@ Result<IndexEntry> BlinkTree::GetAsOf(const Slice& key,
 }
 
 Result<IndexEntry> BlinkTree::GetLatest(const Slice& key) const {
-  return GetAsOf(key, kMaxTs);
+  return GetAsOf(key, kLatest);
 }
 
 std::vector<IndexEntry> BlinkTree::GetAllVersions(const Slice& key) const {
   sim::ChargeCpu(sim::costs::kIndexLookupUs);
   std::vector<IndexEntry> versions;
-  CompositeKey target{key.ToString(), kMaxTs};
+  CompositeKey target{key.ToString(), kLatest};
   Node* n = DescendToLeaf(target, nullptr);
   n->mu.lock();
   while (n->has_high_key && CompareCK(target, n->high_key) > 0) {
@@ -374,7 +373,7 @@ std::vector<IndexEntry> BlinkTree::GetAllVersions(const Slice& key) const {
 
 Status BlinkTree::RemoveAllVersions(const Slice& key) {
   sim::ChargeCpu(sim::costs::kIndexLookupUs);
-  CompositeKey first{key.ToString(), kMaxTs};
+  CompositeKey first{key.ToString(), kLatest};
   CompositeKey last{key.ToString(), 0};
   Node* n = DescendToLeaf(first, nullptr);
   n->mu.lock();
@@ -412,7 +411,7 @@ std::vector<IndexEntry> BlinkTree::ScanRange(const Slice& start,
                                              const Slice& end,
                                              uint64_t as_of) const {
   std::vector<IndexEntry> result;
-  CompositeKey target{start.ToString(), kMaxTs};
+  CompositeKey target{start.ToString(), kLatest};
   Node* n = DescendToLeaf(target, nullptr);
   n->mu.lock();
   while (n->has_high_key && CompareCK(target, n->high_key) > 0) {
@@ -466,7 +465,7 @@ std::vector<IndexEntry> BlinkTree::ScanRange(const Slice& start,
 
 void BlinkTree::VisitAll(
     const std::function<void(const IndexEntry&)>& visitor) const {
-  CompositeKey target{"", kMaxTs};
+  CompositeKey target{"", kLatest};
   Node* n = DescendToLeaf(target, nullptr);
   n->mu.lock();
   size_t pos = 0;

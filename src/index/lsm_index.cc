@@ -68,13 +68,13 @@ Result<IndexEntry> LsmIndex::GetAsOf(const Slice& key, uint64_t as_of) const {
 }
 
 Result<IndexEntry> LsmIndex::GetLatest(const Slice& key) const {
-  return GetAsOf(key, ~0ull);
+  return GetAsOf(key, kLatest);
 }
 
 std::vector<IndexEntry> LsmIndex::GetAllVersions(const Slice& key) const {
   std::vector<IndexEntry> versions;
   auto iter = tree_->NewIterator();
-  for (iter->Seek(Slice(EncodeCompositeKey(key, ~0ull))); iter->Valid();
+  for (iter->Seek(Slice(EncodeCompositeKey(key, kLatest))); iter->Valid();
        iter->Next()) {
     IndexEntry entry;
     if (!ParseEntry(iter->key(), iter->value(), &entry)) break;
@@ -101,7 +101,7 @@ std::vector<IndexEntry> LsmIndex::ScanRange(const Slice& start,
   std::string current_key;
   bool have_current = false;
   bool taken = false;
-  for (iter->Seek(Slice(EncodeCompositeKey(start, ~0ull))); iter->Valid();
+  for (iter->Seek(Slice(EncodeCompositeKey(start, kLatest))); iter->Valid();
        iter->Next()) {
     IndexEntry entry;
     if (!ParseEntry(iter->key(), iter->value(), &entry)) break;

@@ -19,6 +19,10 @@
 
 namespace logbase::index {
 
+/// The snapshot that sees every version: reads at kLatest return a key's
+/// newest version. The one "latest" sentinel of every server-side read.
+constexpr uint64_t kLatest = ~0ull;
+
 struct IndexEntry {
   std::string key;
   uint64_t timestamp = 0;

@@ -263,7 +263,7 @@ Result<TabletResult> ExecuteOverEntries(
     // Fetch the chunk's stored values (buffer/log/replica per caller).
     std::vector<std::string> values(n);
     for (size_t i = 0; i < n; i++) {
-      auto value = fetch(base + i, entries[base + i]);
+      auto value = fetch(entries[base + i]);
       if (!value.ok()) return value.status();
       values[i] = std::move(*value);
     }

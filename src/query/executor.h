@@ -1,9 +1,9 @@
 // The shared scan-pushdown executor: evaluates a QueryPlan over one
 // tablet's index entries, fetching record values through a caller-supplied
-// callback (read buffer + log on the primary, replica fetch on a replica,
-// already-shipped rows on the client-side reference path). All three
-// callers reduce to the same code, so their results are bit-identical by
-// construction — the differential test in tests/query_test.cc pins that.
+// callback (read buffer + log on the primary, log on a replica). Both
+// server kinds reach it through tablet::ReadRange (src/tablet/read_path.h),
+// so their results are bit-identical by construction — the differential
+// test in tests/query_test.cc pins that.
 //
 // Evaluation is columnar: each chunk of scanned rows is decomposed into the
 // plan's referenced columns (cells + presence), the predicate runs
@@ -32,7 +32,7 @@ namespace logbase::query {
 /// Server-side execution knobs, shipped alongside the plan.
 struct ExecOptions {
   /// Snapshot bound (the index's ScanRange semantics): latest by default.
-  uint64_t as_of = ~0ull;
+  uint64_t as_of = index::kLatest;
   /// Rows per shipped ColumnBatch (streaming granularity).
   size_t batch_rows = 256;
 };
@@ -79,11 +79,11 @@ struct TabletResult {
   ScanStats stats;
 };
 
-/// Fetches the record value for `entries[i]`; the executor calls it once
+/// Fetches the record value of an index entry; the executor calls it once
 /// per scanned entry, in entry order. Callers route it at their storage
-/// (read buffer + log, replica log fetch, pre-materialized rows).
+/// (read buffer + log on the primary, log on a replica).
 using ValueFetcher =
-    std::function<Result<std::string>(size_t i, const index::IndexEntry&)>;
+    std::function<Result<std::string>(const index::IndexEntry&)>;
 
 /// Runs `plan` over `entries` (already range- and snapshot-filtered by the
 /// caller's index scan), fetching values through `fetch`.

@@ -6,7 +6,6 @@
 #include "src/index/index_checkpoint.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/sim/costs.h"
 #include "src/sim/sim_context.h"
 #include "src/tablet/checkpoint_internal.h"
 #include "src/util/logging.h"
@@ -51,13 +50,7 @@ void ReplicaServer::Crash() {
   (void)Stop();
 }
 
-std::string ReplicaServer::BufferPrefix(const std::string& uid) const {
-  std::string prefix = uid;
-  prefix.push_back('\0');
-  return prefix;
-}
-
-Result<log::LogReader*> ReplicaServer::ReaderForLocked(uint32_t instance) {
+log::LogReader* ReplicaServer::ReaderForLocked(uint32_t instance) {
   auto it = readers_.find(instance);
   if (it != readers_.end()) return it->second.get();
   auto reader = std::make_unique<log::LogReader>(
@@ -87,9 +80,6 @@ Status ReplicaServer::SeedTabletLocked(
     const tablet::TabletDescriptor& descriptor, uint32_t source_instance) {
   obs::Span span("replica.seed");
 
-  auto reader = ReaderForLocked(source_instance);
-  if (!reader.ok()) return reader.status();
-
   auto seeded =
       std::unique_ptr<index::MultiVersionIndex>(new index::BlinkTree());
   auto seed = tablet::checkpoint_internal::SeedFromCheckpoint(
@@ -105,15 +95,16 @@ Status ReplicaServer::SeedTabletLocked(
   // Applied values also land in the read buffer, so replica reads of
   // recently written rows skip the log fetch.
   const std::string uid = descriptor.uid();
-  const std::string prefix = BufferPrefix(uid);
   auto t = std::make_unique<ReplicatedTablet>(
-      descriptor, source_instance, std::move(seeded), seeded_max_ts, *reader,
-      [this, prefix](bool is_delete, const std::string& key, uint64_t ts,
-                     const std::string& value) {
+      descriptor, source_instance, std::move(seeded), seeded_max_ts,
+      ReaderForLocked(source_instance),
+      [this, uid](bool is_delete, const std::string& key, uint64_t ts,
+                  const std::string& value) {
         if (is_delete) {
-          buffer_.Invalidate(prefix + key);
+          buffer_.Invalidate(tablet::BufferKey(uid, Slice(key)));
         } else {
-          buffer_.Put(prefix + key, tablet::CachedRecord{ts, value});
+          buffer_.Put(tablet::BufferKey(uid, Slice(key)),
+                      tablet::CachedRecord{ts, value});
         }
       });
   t->cursor.Reset(seed->start);
@@ -185,12 +176,16 @@ Status ReplicaServer::TickTailers() {
   return Status::OK();
 }
 
-Status ReplicaServer::SnapshotBoundLocked(const ReplicatedTablet& t,
-                                          uint64_t as_of,
-                                          int64_t max_staleness_us,
-                                          uint64_t* effective_ts) const {
+Result<ReplicaServer::ReplicatedTablet*> ReplicaServer::SnapshotLocked(
+    const std::string& uid, uint64_t as_of, int64_t max_staleness_us,
+    uint64_t* snapshot, uint64_t* snapshot_ts) {
+  auto it = tablets_.find(uid);
+  if (it == tablets_.end()) {
+    return Status::NotFound("unknown replica tablet: " + uid);
+  }
+  ReplicatedTablet* t = it->second.get();
   if (max_staleness_us > 0) {
-    int64_t staleness = sim::CurrentVirtualTime() - t.last_sync_us;
+    int64_t staleness = sim::CurrentVirtualTime() - t->last_sync_us;
     if (staleness > max_staleness_us) {
       static obs::Counter* rejected =
           ReplicaCounter("replica.read.staleness_rejected");
@@ -198,29 +193,27 @@ Status ReplicaServer::SnapshotBoundLocked(const ReplicatedTablet& t,
       return Status::Unavailable("replica staleness exceeded");
     }
   }
-  uint64_t requested = as_of == 0 ? ~0ull : as_of;
-  *effective_ts = std::min(requested, t.applier.Watermark());
-  return Status::OK();
+  const uint64_t watermark = t->applier.Watermark();
+  if (snapshot_ts != nullptr) *snapshot_ts = std::min(as_of, watermark);
+  // A watermark no transaction holds back covers every applied version, so
+  // reading at `as_of` sees the same versions and a latest read stays one.
+  *snapshot = watermark < t->applier.max_applied_ts()
+                  ? std::min(as_of, watermark)
+                  : as_of;
+  return t;
 }
 
 Result<std::string> ReplicaServer::FetchValueLocked(
     ReplicatedTablet* t, const index::IndexEntry& entry) {
-  obs::Span span("log.read");
-  auto reader = ReaderForLocked(entry.ptr.instance);
-  if (!reader.ok()) return reader.status();
-  auto record = (*reader)->Read(entry.ptr);
-  if (!record.ok()) {
+  auto value = tablet::FetchValue(ReaderForLocked(entry.ptr.instance), entry);
+  if (!value.ok()) {
     // The pointer no longer resolves: the source compacted the segment away
     // since we indexed it. Rebuild from the compaction's checkpoint on the
     // next tick; the caller retries (and falls back to the primary).
     t->needs_reseed = true;
     return Status::Unavailable("replica log pointer stale; reseeding");
   }
-  sim::ChargeCpu(sim::costs::kRecordCodecUs);
-  if (record->row.timestamp != entry.timestamp) {
-    return Status::Corruption("replica index points at wrong record version");
-  }
-  return std::move(record->value);
+  return value;
 }
 
 Result<tablet::ReadValue> ReplicaServer::Get(const std::string& uid,
@@ -233,87 +226,47 @@ Result<tablet::ReadValue> ReplicaServer::Get(const std::string& uid,
   // primary front doors: a shed op never partially applies).
   LOGBASE_RETURN_NOT_OK(admission_.Admit(uid, 1, key.size()));
   MutexLock l(mu_);
-  auto it = tablets_.find(uid);
-  if (it == tablets_.end()) {
-    return Status::NotFound("unknown replica tablet: " + uid);
-  }
-  ReplicatedTablet& t = *it->second;
-
-  uint64_t effective_ts = 0;
-  LOGBASE_RETURN_NOT_OK(
-      SnapshotBoundLocked(t, as_of, max_staleness_us, &effective_ts));
-  if (snapshot_ts != nullptr) *snapshot_ts = effective_ts;
+  uint64_t snapshot = 0;
+  auto t = SnapshotLocked(uid, as_of, max_staleness_us, &snapshot,
+                          snapshot_ts);
+  if (!t.ok()) return t.status();
 
   static obs::Counter* served = ReplicaCounter("replica.read.served");
   static obs::HistogramMetric* staleness =
       obs::MetricsRegistry::Global().histogram("replica.read.staleness_us");
   staleness->Observe(static_cast<double>(
-      sim::CurrentVirtualTime() - t.last_sync_us));
+      sim::CurrentVirtualTime() - (*t)->last_sync_us));
 
-  // The buffer holds the latest applied version; it answers only when that
-  // version is already visible at the snapshot.
-  tablet::CachedRecord cached;
-  if (buffer_.Get(BufferPrefix(uid) + key.ToString(), &cached) &&
-      cached.timestamp <= effective_ts) {
-    served->Add();
-    return tablet::ReadValue{cached.timestamp, std::move(cached.value)};
-  }
-  Result<index::IndexEntry> entry = [&] {
-    obs::Span probe("index.probe");
-    return t.index->GetAsOf(key, effective_ts);
-  }();
-  if (!entry.ok()) return entry.status();
-  auto value = FetchValueLocked(&t, *entry);
-  if (!value.ok()) return value.status();
-  buffer_.Put(BufferPrefix(uid) + key.ToString(),
-              tablet::CachedRecord{entry->timestamp, *value});
+  auto read = tablet::ReadPoint(
+      *(*t)->index, &buffer_, uid, key, snapshot,
+      [this, t = *t](const index::IndexEntry& entry) {
+        return FetchValueLocked(t, entry);
+      });
+  if (!read.ok()) return read.status();
   served->Add();
-  return tablet::ReadValue{entry->timestamp, std::move(*value)};
+  return read;
 }
 
 Result<query::TabletResult> ReplicaServer::ExecuteScan(
-    const std::string& uid, const Slice& encoded_plan, uint64_t as_of,
+    const std::string& uid, const Slice& encoded_plan,
     int64_t max_staleness_us, const query::ExecOptions& options,
     uint64_t* snapshot_ts) {
   obs::Span span("replica.exec_scan");
   if (!running()) return Status::Unavailable("replica server is down");
   LOGBASE_RETURN_NOT_OK(admission_.Admit(uid, 1, encoded_plan.size()));
   MutexLock l(mu_);
-  auto it = tablets_.find(uid);
-  if (it == tablets_.end()) {
-    return Status::NotFound("unknown replica tablet: " + uid);
-  }
-  ReplicatedTablet& t = *it->second;
+  uint64_t snapshot = 0;
+  auto t = SnapshotLocked(uid, options.as_of, max_staleness_us, &snapshot,
+                          snapshot_ts);
+  if (!t.ok()) return t.status();
 
-  uint64_t effective_ts = 0;
-  LOGBASE_RETURN_NOT_OK(
-      SnapshotBoundLocked(t, as_of, max_staleness_us, &effective_ts));
-  if (snapshot_ts != nullptr) *snapshot_ts = effective_ts;
-
-  auto plan = query::QueryPlan::Decode(encoded_plan);
-  if (!plan.ok()) return plan.status();
-
-  std::vector<index::IndexEntry> entries = t.index->ScanRange(
-      Slice(plan->start_key), Slice(plan->end_key), effective_ts);
-  // Values are fetched up front under mu_ (FetchValueLocked flags stale log
-  // pointers for reseed); the executor then runs over the materialized
-  // chunk. The executor fetches every scanned value regardless — predicates
-  // read them — so nothing is wasted by eager fetching.
-  std::vector<std::string> values;
-  values.reserve(entries.size());
-  for (const index::IndexEntry& entry : entries) {
-    auto value = FetchValueLocked(&t, entry);
-    if (!value.ok()) return value.status();
-    values.push_back(std::move(*value));
-  }
-  auto fetch = [&values](size_t i,
-                         const index::IndexEntry&) -> Result<std::string> {
-    return std::move(values[i]);
-  };
-  auto result =
-      query::ExecuteOverEntries(*plan, entries, fetch, options.batch_rows);
+  // Every row comes from the log: only point reads consult the buffer here.
+  auto result = tablet::ReadRange(
+      *(*t)->index, encoded_plan, snapshot, options.batch_rows,
+      [this, t = *t](const index::IndexEntry& entry) {
+        return FetchValueLocked(t, entry);
+      });
   if (!result.ok()) return result.status();
-  query::RecordScanMetrics(result->stats);
   static obs::Counter* served = ReplicaCounter("replica.read.served");
   served->Add();
   return result;

@@ -5,9 +5,11 @@
 // anything), then tails the owner's log through a per-tablet TailCursor
 // feeding the shared committed-record applier (src/tablet/log_applier.h),
 // and serves MVCC snapshot reads at min(requested timestamp, applied
-// watermark). Reads are rejected with a retryable Unavailable when the
-// replica's last sync is older than the caller's staleness bound, so
-// clients fall back to the primary through their normal retry policy.
+// watermark) through the same read path as the primary
+// (src/tablet/read_path.h: read buffer, index, one log seek). Reads are
+// rejected with a retryable Unavailable when the replica's last sync is
+// older than the caller's staleness bound, so clients fall back to the
+// primary through their normal retry policy.
 //
 // Because the log *is* the database, replicas are soft state end to end: a
 // crashed replica rebuilds from the DFS (checkpoint + log tail) and
@@ -92,7 +94,8 @@ class ReplicaServer {
 
   // -- Snapshot reads ----------------------------------------------------
 
-  /// MVCC read at min(`as_of` (0 = latest), applied watermark). Unavailable
+  /// MVCC read through tablet::ReadPoint at min(`as_of`, applied
+  /// watermark); index::kLatest asks for the newest version. Unavailable
   /// (retryable) when virtual time since the last log sync exceeds
   /// `max_staleness_us` (0 = unbounded). `snapshot_ts` (optional) reports
   /// the snapshot actually served.
@@ -101,17 +104,15 @@ class ReplicaServer {
                                 uint64_t* snapshot_ts = nullptr);
 
   /// Scan pushdown at the replica (the Taurus-style analytics-over-the-log
-  /// tier): evaluates the wire-encoded QueryPlan at
-  /// min(`as_of`, applied watermark), under the same staleness gate as
-  /// Get. Aggregation partials computed here merge bit-identically
+  /// tier): evaluates the wire-encoded QueryPlan through tablet::ReadRange
+  /// at min(`options.as_of`, applied watermark), under the same staleness
+  /// gate as Get. Aggregation partials computed here merge bit-identically
   /// with primary partials — the snapshot bound, not the serving tier,
   /// decides the answer.
-  Result<query::TabletResult> ExecuteScan(const std::string& uid,
-                                          const Slice& encoded_plan,
-                                          uint64_t as_of,
-                                          int64_t max_staleness_us,
-                                          const query::ExecOptions& options = {},
-                                          uint64_t* snapshot_ts = nullptr);
+  Result<query::TabletResult> ExecuteScan(
+      const std::string& uid, const Slice& encoded_plan,
+      int64_t max_staleness_us, const query::ExecOptions& options = {},
+      uint64_t* snapshot_ts = nullptr);
 
   // -- Introspection -----------------------------------------------------
 
@@ -161,16 +162,23 @@ class ReplicaServer {
   /// Applies every record appended since the tablet's last poll and
   /// restarts its staleness clock.
   Status PollLocked(ReplicatedTablet* t) REQUIRES(mu_);
-  Result<log::LogReader*> ReaderForLocked(uint32_t instance) REQUIRES(mu_);
-  std::string BufferPrefix(const std::string& uid) const;
-  /// Staleness gate + snapshot clamp shared by Get and ExecuteScan; fills
-  /// `effective_ts`.
-  Status SnapshotBoundLocked(const ReplicatedTablet& t, uint64_t as_of,
-                             int64_t max_staleness_us,
-                             uint64_t* effective_ts) const REQUIRES(mu_);
+  log::LogReader* ReaderForLocked(uint32_t instance) REQUIRES(mu_);
+  /// Tablet lookup, staleness gate and snapshot clamp of Get and
+  /// ExecuteScan: `snapshot_ts` (optional) gets min(`as_of`, watermark),
+  /// `snapshot` the timestamp to read at (`as_of` itself when no pending
+  /// transaction holds the watermark back).
+  Result<ReplicatedTablet*> SnapshotLocked(const std::string& uid,
+                                           uint64_t as_of,
+                                           int64_t max_staleness_us,
+                                           uint64_t* snapshot,
+                                           uint64_t* snapshot_ts)
+      REQUIRES(mu_);
+  /// tablet::FetchValue, flagging the tablet for reseed on a stale
+  /// pointer. Runs only inside Get/ExecuteScan under mu_, a proof the
+  /// analysis cannot follow across the read path's std::function boundary.
   Result<std::string> FetchValueLocked(ReplicatedTablet* t,
                                        const index::IndexEntry& entry)
-      REQUIRES(mu_);
+      NO_THREAD_SAFETY_ANALYSIS;
 
   ReplicaServerOptions options_;  // fixed after construction
   dfs::Dfs* const dfs_;

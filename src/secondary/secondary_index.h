@@ -58,12 +58,12 @@ class SecondaryIndex {
   /// point <= as_of (newest entry per (secondary, primary) pair). Callers
   /// verify candidates against the base record.
   std::vector<SecondaryMatch> Lookup(const Slice& secondary_key,
-                                     uint64_t as_of = ~0ull) const;
+                                     uint64_t as_of = index::kLatest) const;
 
   /// Candidates over the secondary-key range [start, end).
-  std::vector<SecondaryMatch> LookupRange(const Slice& start,
-                                          const Slice& end,
-                                          uint64_t as_of = ~0ull) const;
+  std::vector<SecondaryMatch> LookupRange(
+      const Slice& start, const Slice& end,
+      uint64_t as_of = index::kLatest) const;
 
   size_t num_entries() const { return tree_.num_entries(); }
 

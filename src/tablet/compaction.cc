@@ -64,9 +64,7 @@ Status RunCompaction(TabletServer* server, const CompactionOptions& options,
   LOGBASE_RETURN_NOT_OK(server->writer_->Roll());
   uint32_t tail_segment = server->writer_->Position().segment;
 
-  auto reader_or = server->ReaderFor(server->server_id());
-  if (!reader_or.ok()) return reader_or.status();
-  log::LogReader* reader = *reader_or;
+  log::LogReader* reader = server->ReaderFor(server->server_id());
   auto segments = reader->ListSegments();
   if (!segments.ok()) return segments.status();
 

@@ -30,9 +30,7 @@ namespace {
 Result<uint64_t> RedoLog(TabletServer* server, uint32_t instance,
                          log::LogPosition from, LogApplier* applier,
                          RecoveryStats* stats) {
-  auto reader = server->ReaderFor(instance);
-  if (!reader.ok()) return reader.status();
-  log::TailCursor cursor(*reader);
+  log::TailCursor cursor(server->ReaderFor(instance));
   cursor.Reset(from);
   uint64_t max_lsn = 0;
   auto redone = cursor.Poll([&](const log::LogRecord& record,

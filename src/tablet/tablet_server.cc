@@ -306,7 +306,7 @@ Result<std::string> TabletServer::SuggestSplitKey(const std::string& uid) {
   const TabletDescriptor& d = tablet->descriptor();
   std::vector<std::string> keys;
   for (const index::IndexEntry& entry :
-       tablet->index()->ScanRange("", "", ~0ull)) {
+       tablet->index()->ScanRange("", "", index::kLatest)) {
     if (keys.empty() || keys.back() != entry.key) keys.push_back(entry.key);
   }
   if (keys.size() < 2) {
@@ -322,7 +322,7 @@ Result<std::string> TabletServer::SuggestSplitKey(const std::string& uid) {
   return candidate;
 }
 
-Result<log::LogReader*> TabletServer::ReaderFor(uint32_t instance) {
+log::LogReader* TabletServer::ReaderFor(uint32_t instance) {
   MutexLock l(readers_mu_);
   auto it = readers_.find(instance);
   if (it != readers_.end()) return it->second.get();
@@ -352,14 +352,6 @@ void TabletServer::AdvanceTimestampsBeyond(uint64_t ts) {
   // Force a fresh reservation: the authority's clock is >= every timestamp
   // it ever issued, so the next block starts above `ts`.
   ts_next_ = ts_limit_ = 0;
-}
-
-std::string TabletServer::BufferKey(const std::string& tablet_uid,
-                                    const Slice& key) const {
-  std::string buffer_key = tablet_uid;
-  buffer_key.push_back('\0');
-  buffer_key.append(key.data(), key.size());
-  return buffer_key;
 }
 
 Status TabletServer::MaybeAutoCheckpoint(Tablet* tablet) {
@@ -462,71 +454,20 @@ Status TabletServer::CompleteWrite(PendingWrite* pending) {
   return MaybeAutoCheckpoint(tablet);
 }
 
-Result<std::string> TabletServer::FetchRecordValue(const log::LogPtr& ptr,
-                                                   uint64_t expect_ts) {
-  obs::Span span("log.read");
-  auto reader = ReaderFor(ptr.instance);
-  if (!reader.ok()) return reader.status();
-  auto record = (*reader)->Read(ptr);
-  if (!record.ok()) return record.status();
-  sim::ChargeCpu(sim::costs::kRecordCodecUs);
-  if (record->row.timestamp != expect_ts) {
-    return Status::Corruption("index points at wrong record version");
-  }
-  return std::move(record->value);
-}
-
 Result<ReadValue> TabletServer::Get(const std::string& tablet_uid,
-                                    const Slice& key) {
+                                    const Slice& key, uint64_t as_of) {
   obs::Span span("tablet.get");
   if (!running()) return Status::Unavailable("tablet server is down");
   LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, key.size()));
   Tablet* tablet = FindTablet(tablet_uid);
   if (tablet == nullptr) return Status::NotFound("unknown tablet");
-
-  CachedRecord cached;
-  if (buffer_.Get(BufferKey(tablet_uid, key), &cached)) {
-    tablet->RecordRead(key.size() + cached.value.size());
-    return ReadValue{cached.timestamp, std::move(cached.value)};
-  }
-  Result<index::IndexEntry> entry = [&] {
-    obs::Span probe("index.probe");
-    return tablet->index()->GetLatest(key);
-  }();
-  if (!entry.ok()) return entry.status();
-  auto value = FetchRecordValue(entry->ptr, entry->timestamp);
-  if (!value.ok()) return value.status();
-  tablet->RecordRead(key.size() + value->size());
-  buffer_.Put(BufferKey(tablet_uid, key),
-              CachedRecord{entry->timestamp, *value});
-  return ReadValue{entry->timestamp, std::move(*value)};
-}
-
-Result<ReadValue> TabletServer::GetAsOf(const std::string& tablet_uid,
-                                        const Slice& key, uint64_t as_of) {
-  obs::Span span("tablet.get");
-  if (!running()) return Status::Unavailable("tablet server is down");
-  LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, key.size()));
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-
-  // The buffer holds the latest version; it answers historical reads only
-  // when that latest version is already visible at `as_of`.
-  CachedRecord cached;
-  if (buffer_.Get(BufferKey(tablet_uid, key), &cached) &&
-      cached.timestamp <= as_of) {
-    tablet->RecordRead(key.size() + cached.value.size());
-    return ReadValue{cached.timestamp, std::move(cached.value)};
-  }
-  Result<index::IndexEntry> entry = [&] {
-    obs::Span probe("index.probe");
-    return tablet->index()->GetAsOf(key, as_of);
-  }();
-  if (!entry.ok()) return entry.status();
-  auto value = FetchRecordValue(entry->ptr, entry->timestamp);
-  if (!value.ok()) return value.status();
-  tablet->RecordRead(key.size() + value->size());
-  return ReadValue{entry->timestamp, std::move(*value)};
+  auto read = ReadPoint(*tablet->index(), &buffer_, tablet_uid, key, as_of,
+                        [this](const index::IndexEntry& entry) {
+                          return FetchLogValue(entry);
+                        });
+  if (!read.ok()) return read.status();
+  tablet->RecordRead(key.size() + read->value.size());
+  return read;
 }
 
 Result<std::vector<ReadRow>> TabletServer::GetVersions(
@@ -539,7 +480,7 @@ Result<std::vector<ReadRow>> TabletServer::GetVersions(
   std::vector<ReadRow> rows;
   for (const index::IndexEntry& entry :
        tablet->index()->GetAllVersions(key)) {
-    auto value = FetchRecordValue(entry.ptr, entry.timestamp);
+    auto value = FetchLogValue(entry);
     if (!value.ok()) return value.status();
     rows.push_back(ReadRow{entry.key, entry.timestamp, std::move(*value)});
   }
@@ -580,30 +521,6 @@ Status TabletServer::Delete(const std::string& tablet_uid, const Slice& key,
   return Status::OK();
 }
 
-Result<std::vector<ReadRow>> TabletServer::Scan(const std::string& tablet_uid,
-                                                const Slice& start_key,
-                                                const Slice& end_key,
-                                                uint64_t as_of) {
-  obs::Span span("tablet.scan");
-  if (!running()) return Status::Unavailable("tablet server is down");
-  LOGBASE_RETURN_NOT_OK(
-      admission_.Admit(tablet_uid, 1, start_key.size() + end_key.size()));
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-
-  std::vector<ReadRow> rows;
-  for (const index::IndexEntry& entry :
-       tablet->index()->ScanRange(start_key, end_key, as_of)) {
-    auto value = FetchRecordValue(entry.ptr, entry.timestamp);
-    if (!value.ok()) return value.status();
-    rows.push_back(ReadRow{entry.key, entry.timestamp, std::move(*value)});
-  }
-  uint64_t bytes = 0;
-  for (const ReadRow& row : rows) bytes += row.key.size() + row.value.size();
-  tablet->RecordRead(bytes);
-  return rows;
-}
-
 Result<query::TabletResult> TabletServer::ExecuteScan(
     const std::string& tablet_uid, const Slice& encoded_plan,
     const query::ExecOptions& options) {
@@ -613,38 +530,29 @@ Result<query::TabletResult> TabletServer::ExecuteScan(
       admission_.Admit(tablet_uid, 1, encoded_plan.size()));
   Tablet* tablet = FindTablet(tablet_uid);
   if (tablet == nullptr) return Status::NotFound("unknown tablet");
-  auto plan = query::QueryPlan::Decode(encoded_plan);
-  if (!plan.ok()) return plan.status();
 
-  std::vector<index::IndexEntry> entries = [&] {
-    obs::Span probe("index.probe");
-    return tablet->index()->ScanRange(Slice(plan->start_key),
-                                      Slice(plan->end_key), options.as_of);
-  }();
-  // Only latest-snapshot executions may populate the read buffer: it holds
-  // the newest version per key, and caching an as-of version would serve
-  // stale data to later Gets.
-  const bool cacheable = options.as_of == ~0ull;
+  // The index already chose each row's version, so the buffer answers only
+  // for exactly that version. As in ReadPoint, only latest-snapshot
+  // executions fill the buffer.
+  const bool cacheable = options.as_of == index::kLatest;
   uint64_t scanned_bytes = 0;
-  auto fetch = [&](size_t, const index::IndexEntry& entry)
-      -> Result<std::string> {
+  auto fetch = [&](const index::IndexEntry& entry) -> Result<std::string> {
     const std::string bkey = BufferKey(tablet_uid, Slice(entry.key));
     CachedRecord cached;
     if (buffer_.Get(bkey, &cached) && cached.timestamp == entry.timestamp) {
       scanned_bytes += entry.key.size() + cached.value.size();
       return std::move(cached.value);
     }
-    auto value = FetchRecordValue(entry.ptr, entry.timestamp);
+    auto value = FetchLogValue(entry);
     if (!value.ok()) return value.status();
     scanned_bytes += entry.key.size() + value->size();
     if (cacheable) buffer_.Put(bkey, CachedRecord{entry.timestamp, *value});
     return value;
   };
-  auto result =
-      query::ExecuteOverEntries(*plan, entries, fetch, options.batch_rows);
+  auto result = ReadRange(*tablet->index(), encoded_plan, options.as_of,
+                          options.batch_rows, fetch);
   if (!result.ok()) return result.status();
   tablet->RecordRead(scanned_bytes);
-  query::RecordScanMetrics(result->stats);
   return result;
 }
 
@@ -654,14 +562,13 @@ Result<uint64_t> TabletServer::FullScanCount(const std::string& tablet_uid) {
   Tablet* tablet = FindTablet(tablet_uid);
   if (tablet == nullptr) return Status::NotFound("unknown tablet");
 
-  auto reader = ReaderFor(tablet->source_instance());
-  if (!reader.ok()) return reader.status();
-  auto segments = (*reader)->ListSegments();
+  log::LogReader* reader = ReaderFor(tablet->source_instance());
+  auto segments = reader->ListSegments();
   if (!segments.ok()) return segments.status();
 
   uint64_t live = 0;
   for (uint32_t segment : *segments) {
-    auto scanner = (*reader)->NewSegmentScanner(segment);
+    auto scanner = reader->NewSegmentScanner(segment);
     if (!scanner.ok()) return scanner.status();
     for (; (*scanner)->Valid(); (*scanner)->Next()) {
       const log::LogRecord& record = (*scanner)->record();
@@ -768,8 +675,8 @@ Status TabletServer::CreateSecondaryIndex(const std::string& tablet_uid,
       std::make_unique<secondary::SecondaryIndex>(index_name, extractor);
   // Backfill from the current (latest-version) contents of the tablet.
   for (const index::IndexEntry& entry :
-       tablet->index()->ScanRange("", "", ~0ull)) {
-    auto value = FetchRecordValue(entry.ptr, entry.timestamp);
+       tablet->index()->ScanRange("", "", index::kLatest)) {
+    auto value = FetchLogValue(entry);
     if (!value.ok()) return value.status();
     LOGBASE_RETURN_NOT_OK(
         index->OnWrite(Slice(entry.key), entry.timestamp, Slice(*value)));
@@ -794,7 +701,7 @@ Result<std::vector<ReadRow>> TabletServer::LookupBySecondary(
     if (!seen.insert(match.primary_key).second) continue;
     // Verify the candidate: its value at `as_of` must still map to the
     // queried secondary key (the entry may predate an attribute change).
-    auto read = GetAsOf(tablet_uid, Slice(match.primary_key), as_of);
+    auto read = Get(tablet_uid, Slice(match.primary_key), as_of);
     if (!read.ok()) {
       if (read.status().IsNotFound()) continue;
       return read.status();

@@ -25,6 +25,7 @@
 #include "src/qos/quota_registry.h"
 #include "src/query/executor.h"
 #include "src/tablet/read_buffer.h"
+#include "src/tablet/read_path.h"
 #include "src/tablet/tablet.h"
 
 #include "src/util/ordered_mutex.h"
@@ -50,19 +51,6 @@ struct TabletServerOptions {
   /// Multi-tenant QoS at the front door (src/qos/): disabled by default.
   qos::AdmissionOptions admission;
   qos::TenantQuotaRegistry::Options quota_registry;
-};
-
-/// A read result: the version (write timestamp) and value.
-struct ReadValue {
-  uint64_t timestamp = 0;
-  std::string value;
-};
-
-/// A row surfaced by a scan.
-struct ReadRow {
-  std::string key;
-  uint64_t timestamp = 0;
-  std::string value;
 };
 
 struct CompactionOptions {
@@ -174,31 +162,27 @@ class TabletServer {
   /// returns OK may the write be acknowledged to a client (invariant I1:
   /// acked writes survive crashes).
   Status CompleteWrite(PendingWrite* pending);
-  Result<ReadValue> Get(const std::string& tablet_uid, const Slice& key);
-  Result<ReadValue> GetAsOf(const std::string& tablet_uid, const Slice& key,
-                            uint64_t as_of);
+  /// The version of `key` visible at `as_of` (tablet::ReadPoint).
+  Result<ReadValue> Get(const std::string& tablet_uid, const Slice& key,
+                        uint64_t as_of = index::kLatest);
   /// All versions of a key, newest first (multiversion access).
   Result<std::vector<ReadRow>> GetVersions(const std::string& tablet_uid,
                                            const Slice& key);
   Status Delete(const std::string& tablet_uid, const Slice& key,
                 log::AckMode ack = log::AckMode::kQuorum);
-  Result<std::vector<ReadRow>> Scan(const std::string& tablet_uid,
-                                    const Slice& start_key,
-                                    const Slice& end_key,
-                                    uint64_t as_of = ~0ull);
   /// Full scan with index version check (§3.6.4): returns the number of
   /// records whose stored version is current.
   Result<uint64_t> FullScanCount(const std::string& tablet_uid);
 
   // -- Scan pushdown (src/query/, ROADMAP item 4) -----------------------
 
-  /// Evaluates a pushed-down QueryPlan over the tablet's index + log values
-  /// and returns filtered/projected column batches or pre-aggregated
-  /// partials instead of whole rows. The plan arrives in its wire encoding
-  /// (exactly what the RPC layer delivers); value fetches go through the
-  /// read buffer first, so warm scans skip the log entirely. Historical
-  /// executions (`options.as_of`) never populate the buffer — it holds only
-  /// latest versions.
+  /// The only range read: evaluates a pushed-down QueryPlan (tablet::
+  /// ReadRange) and returns filtered/projected column batches (whole rows
+  /// for a match-all plan, see RowsFromBatches) or aggregate partials. The
+  /// plan arrives in its wire encoding (exactly what the RPC layer
+  /// delivers); value fetches go through the read buffer first, so warm
+  /// scans skip the log entirely. Historical executions (`options.as_of`)
+  /// never populate the buffer — it holds only latest versions.
   Result<query::TabletResult> ExecuteScan(
       const std::string& tablet_uid, const Slice& encoded_plan,
       const query::ExecOptions& options = {});
@@ -234,7 +218,7 @@ class TabletServer {
   /// Rows whose extracted attribute equals `secondary_key` at `as_of`.
   Result<std::vector<ReadRow>> LookupBySecondary(
       const std::string& tablet_uid, const std::string& index_name,
-      const Slice& secondary_key, uint64_t as_of = ~0ull);
+      const Slice& secondary_key, uint64_t as_of = index::kLatest);
 
   // -- Maintenance -------------------------------------------------------
 
@@ -268,7 +252,7 @@ class TabletServer {
                              const Slice& key);
   /// Reader over a log instance's segments (own or adopted), created
   /// lazily; exposed for recovery, compaction and diagnostics.
-  Result<log::LogReader*> ReaderFor(uint32_t instance);
+  log::LogReader* ReaderFor(uint32_t instance);
   coord::CoordinationService* coord() { return coord_; }
   dfs::Dfs* dfs() { return dfs_; }
   const TabletServerOptions& options() const { return options_; }
@@ -286,9 +270,10 @@ class TabletServer {
 
   Result<std::unique_ptr<index::MultiVersionIndex>> NewIndex(
       const std::string& uid);
-  Result<std::string> FetchRecordValue(const log::LogPtr& ptr,
-                                       uint64_t expect_ts);
-  std::string BufferKey(const std::string& tablet_uid, const Slice& key) const;
+  /// tablet::FetchValue through the reader of the entry's log instance.
+  Result<std::string> FetchLogValue(const index::IndexEntry& entry) {
+    return FetchValue(ReaderFor(entry.ptr.instance), entry);
+  }
   Status MaybeAutoCheckpoint(Tablet* tablet);
   /// Restart fencing: drops recovered tablets whose persisted assignment
   /// names another server (they were adopted while this process was down;

@@ -55,7 +55,7 @@ Result<std::string> TransactionManager::Read(Transaction* txn,
 
   tablet::TabletServer* server = resolver_(tablet_uid);
   if (server == nullptr) return Status::Unavailable("no server for tablet");
-  auto read = server->GetAsOf(tablet_uid, key, txn->snapshot_ts());
+  auto read = server->Get(tablet_uid, key, txn->snapshot_ts());
   if (read.ok()) {
     txn->RecordRead(cell, read->timestamp);
     return std::move(read->value);

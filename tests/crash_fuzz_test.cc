@@ -8,6 +8,7 @@
 #include <map>
 
 #include "src/dfs/dfs.h"
+#include "src/query/plan.h"
 #include "src/tablet/tablet_server.h"
 #include "src/util/random.h"
 
@@ -60,11 +61,13 @@ TEST_P(CrashFuzzTest, RecoveredStateMatchesOracle) {
       EXPECT_EQ(got->value, value) << key;
     }
     // Scan agreement (count + order).
-    auto rows = f.server->Scan(f.uid, "", "", ~0ull);
-    ASSERT_TRUE(rows.ok());
-    ASSERT_EQ(rows->size(), oracle.size());
+    query::QueryPlan match_all;  // whole range, no predicate, raw values
+    auto scanned = f.server->ExecuteScan(f.uid, Slice(match_all.Encode()));
+    ASSERT_TRUE(scanned.ok());
+    std::vector<ReadRow> rows = RowsFromBatches(scanned->batches);
+    ASSERT_EQ(rows.size(), oracle.size());
     auto want = oracle.begin();
-    for (const auto& row : *rows) {
+    for (const auto& row : rows) {
       EXPECT_EQ(row.key, want->first);
       ++want;
     }
@@ -138,7 +141,7 @@ TEST_P(CompactionFuzzTest, MultiversionHistoryConsistentAcrossCompactions) {
   // pointers were swung to sorted segments.
   for (const auto& [key, versions] : history) {
     for (const auto& [ts, value] : versions) {
-      auto got = f.server->GetAsOf(f.uid, key, ts);
+      auto got = f.server->Get(f.uid, key, ts);
       ASSERT_TRUE(got.ok()) << key << "@" << ts;
       EXPECT_EQ(got->value, value) << key << "@" << ts;
     }

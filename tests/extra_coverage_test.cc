@@ -1,96 +1,19 @@
-// Additional coverage: the graph partitioner, pipelined-write cost
-// semantics, buffered DFS writer durability boundary, read/write disk
-// streams, group commit across segment rolls, client cache behaviour, and
-// compaction/recovery edge cases surfaced by the benchmark work.
+// Additional coverage: pipelined-write cost semantics, buffered DFS writer
+// durability boundary, read/write disk streams, group commit across segment
+// rolls, client cache behaviour, and compaction/recovery edge cases
+// surfaced by the benchmark work.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "src/cluster/mini_cluster.h"
-#include "src/partition/graph_partitioner.h"
 #include "src/sim/disk_model.h"
 #include "src/sim/network_model.h"
 #include "src/tablet/tablet_server.h"
 
 namespace logbase {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Graph partitioner (§3.2, Schism-style)
-// ---------------------------------------------------------------------------
-
-TEST(GraphPartitionerTest, CoAccessedKeysColocate) {
-  using partition::GraphPartitioner;
-  using partition::TransactionTrace;
-  // Two tight cliques of keys; partitioning into 2 must keep each whole.
-  std::vector<TransactionTrace> trace{
-      {{"a1", "a2", "a3"}, 10.0},
-      {{"a1", "a3"}, 5.0},
-      {{"b1", "b2", "b3"}, 10.0},
-      {{"b2", "b3"}, 5.0},
-  };
-  auto result = GraphPartitioner::Partition(trace, 2);
-  EXPECT_EQ(result.assignment.at("a1"), result.assignment.at("a2"));
-  EXPECT_EQ(result.assignment.at("a1"), result.assignment.at("a3"));
-  EXPECT_EQ(result.assignment.at("b1"), result.assignment.at("b2"));
-  EXPECT_EQ(result.assignment.at("b1"), result.assignment.at("b3"));
-  EXPECT_NE(result.assignment.at("a1"), result.assignment.at("b1"));
-  EXPECT_DOUBLE_EQ(result.cross_partition_fraction, 0.0);
-}
-
-TEST(GraphPartitionerTest, BeatsHashPartitioningOnClusteredTrace) {
-  using partition::GraphPartitioner;
-  using partition::TransactionTrace;
-  std::vector<TransactionTrace> trace;
-  Random rnd(21);
-  for (int group = 0; group < 20; group++) {
-    for (int t = 0; t < 5; t++) {
-      TransactionTrace txn;
-      for (int k = 0; k < 4; k++) {
-        txn.keys.push_back("g" + std::to_string(group) + "-k" +
-                           std::to_string(rnd.Uniform(6)));
-      }
-      trace.push_back(std::move(txn));
-    }
-  }
-  auto smart = GraphPartitioner::Partition(trace, 4);
-  // Hash assignment for comparison.
-  std::map<std::string, int> hashed;
-  for (const auto& txn : trace) {
-    for (const auto& key : txn.keys) {
-      hashed[key] = static_cast<int>(std::hash<std::string>()(key) % 4);
-    }
-  }
-  double hash_cross = GraphPartitioner::CrossPartitionFraction(trace, hashed);
-  EXPECT_LT(smart.cross_partition_fraction, hash_cross * 0.5);
-}
-
-TEST(GraphPartitionerTest, RespectsBalanceCap) {
-  using partition::GraphPartitioner;
-  using partition::TransactionTrace;
-  // One giant clique of 40 keys cannot all land in one of 4 partitions.
-  TransactionTrace big;
-  for (int i = 0; i < 40; i++) big.keys.push_back("k" + std::to_string(i));
-  big.frequency = 100;
-  auto result = GraphPartitioner::Partition({big}, 4);
-  std::map<int, int> sizes;
-  for (const auto& [key, part] : result.assignment) sizes[part]++;
-  for (const auto& [part, size] : sizes) {
-    EXPECT_LE(size, 40 / 4 * 1.3 + 1);
-  }
-}
-
-TEST(GraphPartitionerTest, EmptyAndDegenerateInputs) {
-  using partition::GraphPartitioner;
-  auto empty = GraphPartitioner::Partition({}, 4);
-  EXPECT_TRUE(empty.assignment.empty());
-  auto zero_k = GraphPartitioner::Partition({{{"a"}, 1.0}}, 0);
-  EXPECT_TRUE(zero_k.assignment.empty());
-  auto one_k = GraphPartitioner::Partition({{{"a", "b"}, 1.0}}, 1);
-  EXPECT_EQ(one_k.assignment.size(), 2u);
-  EXPECT_DOUBLE_EQ(one_k.cross_partition_fraction, 0.0);
-}
 
 // ---------------------------------------------------------------------------
 // Simulation: pipelined primitives
@@ -269,7 +192,7 @@ TEST(CompactionEdgeTest, HistoricalReadsSurviveCompaction) {
   auto v1 = f.server->Get(f.uid, "k");
   ASSERT_TRUE(f.server->Put(f.uid, "k", "v2").ok());
   ASSERT_TRUE(f.server->CompactLog().ok());  // keep all versions (default)
-  EXPECT_EQ(f.server->GetAsOf(f.uid, "k", v1->timestamp)->value, "v1");
+  EXPECT_EQ(f.server->Get(f.uid, "k", v1->timestamp)->value, "v1");
   EXPECT_EQ(f.server->Get(f.uid, "k")->value, "v2");
 }
 
@@ -282,7 +205,7 @@ TEST(CompactionEdgeTest, VersionCapDropsHistoricalReads) {
   options.max_versions_per_key = 1;
   ASSERT_TRUE(f.server->CompactLog(options).ok());
   // The old version is gone from both log and (via redo-less swap) index.
-  auto old_read = f.server->GetAsOf(f.uid, "k", v1->timestamp);
+  auto old_read = f.server->Get(f.uid, "k", v1->timestamp);
   // Index may still hold the entry pointing nowhere-valid only if swap kept
   // it; the contract is that the latest version always survives:
   EXPECT_EQ(f.server->Get(f.uid, "k")->value, "v2");

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "src/fault/nemesis.h"
 #include "src/log/log_record.h"
 #include "src/query/plan.h"
+#include "src/tablet/read_path.h"
 #include "src/sim/sim_context.h"
 
 namespace logbase::replica {
@@ -198,8 +200,8 @@ TEST(ReplicaTest, TxnHoldbackAdvancesOnCommit) {
   EXPECT_GE(*advanced, late_ts);
 
   uint64_t snapshot_ts = 0;
-  auto got = rep->Get(uid, Slice(Key(3)), /*as_of=*/0, /*max_staleness_us=*/0,
-                      &snapshot_ts);
+  auto got = rep->Get(uid, Slice(Key(3)), index::kLatest,
+                      /*max_staleness_us=*/0, &snapshot_ts);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->value, "txn-value");
   EXPECT_EQ(got->timestamp, txn_ts);
@@ -225,15 +227,16 @@ TEST(ReplicaTest, StalenessRejectionIsRetryableAndFallsBack) {
 
   // Just synced: any bound is satisfied.
   uint64_t snapshot_ts = 0;
-  auto fresh = rep->Get(uid, Slice(Key(1)), 0, /*max_staleness_us=*/1000,
-                        &snapshot_ts);
+  auto fresh = rep->Get(uid, Slice(Key(1)), index::kLatest,
+                        /*max_staleness_us=*/1000, &snapshot_ts);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   EXPECT_NE(snapshot_ts, 0u);
 
   // The replica falls behind the caller's bound: the read is rejected with
   // a *retryable* Unavailable, never silently served.
   ctx.Advance(5000);
-  auto rejected = rep->Get(uid, Slice(Key(1)), 0, /*max_staleness_us=*/1000);
+  auto rejected =
+      rep->Get(uid, Slice(Key(1)), index::kLatest, /*max_staleness_us=*/1000);
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsUnavailable())
       << rejected.status().ToString();
@@ -290,26 +293,26 @@ TEST(ReplicaTest, CrashedReplicaRebuildsAndConverges) {
   uint64_t snapshot_ts = 0;
   query::QueryPlan match_all;  // whole range, no predicate, raw values
   auto scanned = rep->ExecuteScan(uid, Slice(match_all.Encode()),
-                                  /*as_of=*/0, /*max_staleness_us=*/0, {},
-                                  &snapshot_ts);
+                                  /*max_staleness_us=*/0, {}, &snapshot_ts);
   ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
   ASSERT_NE(snapshot_ts, 0u);
-  client::QueryResult replica_result;
-  replica_result.batches = std::move(scanned->batches);
-  auto replica_rows = replica_result.ToRows();
+  auto replica_rows = tablet::RowsFromBatches(scanned->batches);
 
   auto location = m->GetAssignment(uid);
   ASSERT_TRUE(location.ok());
-  auto primary_rows = cluster.server(location->server_id)
-                          ->Scan(uid, Slice(""), Slice(""), snapshot_ts);
-  ASSERT_TRUE(primary_rows.ok()) << primary_rows.status().ToString();
+  query::ExecOptions at_snapshot;
+  at_snapshot.as_of = snapshot_ts;
+  auto primary = cluster.server(location->server_id)
+                     ->ExecuteScan(uid, Slice(match_all.Encode()), at_snapshot);
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  auto primary_rows = tablet::RowsFromBatches(primary->batches);
 
-  ASSERT_EQ(replica_rows.size(), primary_rows->size());
+  ASSERT_EQ(replica_rows.size(), primary_rows.size());
   EXPECT_FALSE(replica_rows.empty());
   for (size_t i = 0; i < replica_rows.size(); i++) {
-    EXPECT_EQ(replica_rows[i].key, (*primary_rows)[i].key);
-    EXPECT_EQ(replica_rows[i].timestamp, (*primary_rows)[i].timestamp);
-    EXPECT_EQ(replica_rows[i].value, (*primary_rows)[i].value);
+    EXPECT_EQ(replica_rows[i].key, primary_rows[i].key);
+    EXPECT_EQ(replica_rows[i].timestamp, primary_rows[i].timestamp);
+    EXPECT_EQ(replica_rows[i].value, primary_rows[i].value);
   }
 }
 
@@ -447,6 +450,146 @@ TEST(ReplicaTest, RecoveryAdoptionAndTailingAgree) {
   for (const index::IndexEntry& e : versions_of(4)) {
     EXPECT_NE(e.timestamp, ts_open);  // never committed
   }
+}
+
+// A historical read must not fill the read buffer: the buffer holds a row's
+// newest version, so a cached as-of miss would answer later latest reads
+// with the old value.
+TEST(ReplicaTest, AsOfReadDoesNotPoisonLatest) {
+  cluster::MiniCluster cluster(SmallCluster());
+  ASSERT_TRUE(cluster.Start().ok());
+  master::Master* m = cluster.master();
+  ASSERT_TRUE(m->CreateTable("t", {"v"}, {{"v"}}, {}).ok());
+  auto client = cluster.NewClient(0);
+  ASSERT_TRUE(client->Put("t", 0, "k", "old", {}).ok());
+  auto old_read = client->Get("t", 0, "k", client::ReadOptions{});
+  ASSERT_TRUE(old_read.ok());
+  const uint64_t t_old = old_read->timestamp();
+  ASSERT_TRUE(client->Put("t", 0, "k", "new", {}).ok());
+
+  // Seeded from the checkpoint, the replica's buffer has no entry for k.
+  for (int i = 0; i < cluster.num_nodes(); i++) {
+    ASSERT_TRUE(cluster.server(i)->Checkpoint().ok());
+  }
+  std::vector<std::string> uids = AttachAll(m, 1);
+  ASSERT_EQ(uids.size(), 1u);
+  ReplicaServer* rep = cluster.replica(0);
+
+  auto historical = rep->Get(uids[0], "k", t_old, /*max_staleness_us=*/0);
+  ASSERT_TRUE(historical.ok()) << historical.status().ToString();
+  EXPECT_EQ(historical->value, "old");
+  auto latest = rep->Get(uids[0], "k", index::kLatest, /*max_staleness_us=*/0);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(latest->value, "new");
+}
+
+/// What one read saw: found, and if so the version and value.
+struct PointRead {
+  bool found = false;
+  uint64_t timestamp = 0;
+  std::string value;
+
+  bool operator==(const PointRead&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const PointRead& r) {
+  if (!r.found) return os << "(not found)";
+  return os << r.value << "@" << r.timestamp;
+}
+
+PointRead FromGet(const Result<tablet::ReadValue>& read) {
+  EXPECT_TRUE(read.ok() || read.status().IsNotFound())
+      << read.status().ToString();
+  if (!read.ok()) return {};
+  return {true, read->timestamp, read->value};
+}
+
+PointRead FromScan(const Result<query::TabletResult>& result) {
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return {};
+  std::vector<tablet::ReadRow> rows = tablet::RowsFromBatches(result->batches);
+  EXPECT_LE(rows.size(), 1u);
+  if (rows.empty()) return {};
+  return {true, rows[0].timestamp, rows[0].value};
+}
+
+// Point reads and range reads share one read path on both server kinds, so
+// at any snapshot a primary Get, a replica Get and a one-key ExecuteScan on
+// each must see the same version. The history mixes overwrites, a delete, a
+// committed transaction, a checkpoint and writes after it; the second pass
+// reads through the buffers the first pass filled.
+TEST(ReplicaTest, PointAndRangeReadsAgreeOnBothServers) {
+  cluster::MiniClusterOptions options = SmallCluster();
+  options.server_template.read_buffer_bytes = 1 << 20;
+  cluster::MiniCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  master::Master* m = cluster.master();
+  ASSERT_TRUE(m->CreateTable("t", {"v"}, {{"v"}}, {}).ok());
+  auto client = cluster.NewClient(0);
+
+  std::vector<uint64_t> write_ts;
+  auto put = [&](int key, const std::string& value) {
+    ASSERT_TRUE(client->Put("t", 0, Key(key), value, {}).ok());
+    auto landed = client->Get("t", 0, Key(key), client::ReadOptions{});
+    ASSERT_TRUE(landed.ok());
+    write_ts.push_back(landed->timestamp());
+  };
+  for (int round = 0; round < 3; round++) {
+    for (int key = 0; key < 8; key++) {
+      put(key, "v" + std::to_string(key) + "." + std::to_string(round));
+    }
+  }
+  ASSERT_TRUE(client->Delete("t", 0, Key(2), {}).ok());
+  client::Txn txn = client->BeginTxn();
+  ASSERT_TRUE(txn.Write("t", 0, Key(3), "txn3").ok());
+  ASSERT_TRUE(txn.Write("t", 0, Key(8), "txn8").ok());
+  ASSERT_TRUE(txn.Commit().ok());
+  for (int key : {3, 8}) {
+    auto landed = client->Get("t", 0, Key(key), client::ReadOptions{});
+    ASSERT_TRUE(landed.ok());
+    write_ts.push_back(landed->timestamp());
+  }
+  for (int i = 0; i < cluster.num_nodes(); i++) {
+    ASSERT_TRUE(cluster.server(i)->Checkpoint().ok());
+  }
+  put(1, "after-checkpoint");
+  put(2, "reborn");
+  put(9, "new-key");
+
+  std::vector<std::string> uids = AttachAll(m, 1);
+  ASSERT_EQ(uids.size(), 1u);
+  const std::string& uid = uids[0];
+  ASSERT_TRUE(cluster.TickReplicas().ok());
+  auto location = m->GetAssignment(uid);
+  ASSERT_TRUE(location.ok());
+  tablet::TabletServer* primary = cluster.server(location->server_id);
+  ReplicaServer* rep = cluster.replica(0);
+
+  std::vector<uint64_t> snapshots = write_ts;
+  snapshots.push_back(index::kLatest);
+  for (int pass = 0; pass < 2; pass++) {
+    for (int key = 0; key < 10; key++) {
+      query::QueryPlan one_key;
+      one_key.start_key = Key(key);
+      one_key.end_key = Key(key) + '\0';
+      const std::string plan = one_key.Encode();
+      for (uint64_t snapshot : snapshots) {
+        query::ExecOptions exec;
+        exec.as_of = snapshot;
+        const PointRead want = FromGet(primary->Get(uid, Key(key), snapshot));
+        SCOPED_TRACE(Key(key) + " at " + std::to_string(snapshot) +
+                     ", pass " + std::to_string(pass));
+        EXPECT_EQ(FromGet(rep->Get(uid, Key(key), snapshot, 0)), want);
+        EXPECT_EQ(FromScan(primary->ExecuteScan(uid, plan, exec)), want);
+        EXPECT_EQ(FromScan(rep->ExecuteScan(uid, plan, 0, exec)), want);
+      }
+    }
+  }
+  // The history is what the comparison claims to cover.
+  EXPECT_EQ(FromGet(rep->Get(uid, Key(2), index::kLatest, 0)).value, "reborn");
+  EXPECT_EQ(FromGet(rep->Get(uid, Key(3), index::kLatest, 0)).value, "txn3");
+  EXPECT_EQ(FromGet(rep->Get(uid, Key(9), index::kLatest, 0)).value,
+            "new-key");
 }
 
 TEST(ReplicaTest, MigrationTearsDownReplicasAndClientsFallBack) {

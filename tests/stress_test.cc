@@ -114,7 +114,7 @@ TEST(StressTest, TabletServerConcurrentWriteReadCheckpoint) {
       std::string key = "k" + std::to_string(rnd.Uniform(40));
       auto read = server->Get(uid, key);               // latest version
       if (read.ok()) {
-        (void)server->GetAsOf(uid, key, read->timestamp);  // historical
+        (void)server->Get(uid, key, read->timestamp);  // historical
         (void)server->GetVersions(uid, key);
       }
     }

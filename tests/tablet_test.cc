@@ -6,6 +6,7 @@
 #include <set>
 
 #include "src/dfs/dfs.h"
+#include "src/query/plan.h"
 #include "src/tablet/read_buffer.h"
 #include "src/tablet/tablet_server.h"
 
@@ -96,6 +97,20 @@ TabletDescriptor Descriptor(uint32_t table = 1, uint32_t group = 0,
   return d;
 }
 
+/// The tablet's rows in [start, end) at the newest versions: a match-all
+/// ExecuteScan, the server's one range read.
+Result<std::vector<ReadRow>> ScanRows(TabletServer* server,
+                                      const std::string& uid,
+                                      const std::string& start,
+                                      const std::string& end) {
+  query::QueryPlan plan;
+  plan.start_key = start;
+  plan.end_key = end;
+  auto result = server->ExecuteScan(uid, Slice(plan.Encode()));
+  if (!result.ok()) return result.status();
+  return RowsFromBatches(result->batches);
+}
+
 struct ServerFixture {
   dfs::DfsOptions dfs_options;
   std::unique_ptr<dfs::Dfs> dfs;
@@ -145,7 +160,7 @@ TEST(TabletServerTest, OverwriteCreatesNewVersion) {
   EXPECT_GT(second->timestamp, first->timestamp);
 
   // Historical read at the first version's timestamp (§3.6.2).
-  auto historical = f.server->GetAsOf(f.uid, "k", first->timestamp);
+  auto historical = f.server->Get(f.uid, "k", first->timestamp);
   ASSERT_TRUE(historical.ok());
   EXPECT_EQ(historical->value, "v1");
 
@@ -162,7 +177,7 @@ TEST(TabletServerTest, DeleteHidesAllVersions) {
   ASSERT_TRUE(f.server->Put(f.uid, "k", "v2").ok());
   ASSERT_TRUE(f.server->Delete(f.uid, "k").ok());
   EXPECT_TRUE(f.server->Get(f.uid, "k").status().IsNotFound());
-  EXPECT_TRUE(f.server->GetAsOf(f.uid, "k", ~0ull).status().IsNotFound());
+  EXPECT_TRUE(f.server->Get(f.uid, "k", index::kLatest).status().IsNotFound());
   EXPECT_TRUE(f.server->GetVersions(f.uid, "k")->empty());
   // Reinsertion works.
   ASSERT_TRUE(f.server->Put(f.uid, "k", "reborn").ok());
@@ -177,7 +192,7 @@ TEST(TabletServerTest, ScanReturnsSortedLatestVersions) {
             .ok());
   }
   ASSERT_TRUE(f.server->Put(f.uid, "key3", "v3-updated").ok());
-  auto rows = f.server->Scan(f.uid, "key2", "key6", ~0ull);
+  auto rows = ScanRows(f.server.get(), f.uid, "key2", "key6");
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 4u);
   EXPECT_EQ((*rows)[0].key, "key2");
@@ -216,8 +231,8 @@ TEST(TabletServerTest, BufferedGetAsOfCountsAsRead) {
   ServerFixture f(options);
   ASSERT_TRUE(f.server->Put(f.uid, "hot", "value").ok());  // fills the buffer
   (void)f.server->CollectLoadReport();  // drain the write's window
-  ASSERT_TRUE(f.server->GetAsOf(f.uid, "hot", ~0ull).ok());
-  ASSERT_TRUE(f.server->GetAsOf(f.uid, "hot", ~0ull).ok());
+  ASSERT_TRUE(f.server->Get(f.uid, "hot", index::kLatest).ok());
+  ASSERT_TRUE(f.server->Get(f.uid, "hot", index::kLatest).ok());
   balance::LoadReport report = f.server->CollectLoadReport();
   ASSERT_EQ(report.tablets.size(), 1u);
   EXPECT_EQ(report.tablets[0].read_ops, 2u);
@@ -252,9 +267,8 @@ TEST(TabletServerTest, MultipleTabletsShareOneLog) {
   EXPECT_EQ(f.server->Get(f.uid, "k")->value, "group0");
   EXPECT_EQ(f.server->Get(d2.uid(), "k")->value, "group1");
   // One shared log instance: both records live in the same directory.
-  auto segments = f.server->ReaderFor(f.server->server_id());
-  ASSERT_TRUE(segments.ok());
-  EXPECT_EQ((*segments)->ListSegments()->size(), 1u);
+  log::LogReader* reader = f.server->ReaderFor(f.server->server_id());
+  EXPECT_EQ(reader->ListSegments()->size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -341,7 +355,7 @@ TEST(RecoveryTest, MultiVersionHistorySurvivesRestart) {
   f.server->Crash();
   ASSERT_TRUE(f.server->Start().ok());
   EXPECT_EQ(f.server->Get(f.uid, "k")->value, "v2");
-  EXPECT_EQ(f.server->GetAsOf(f.uid, "k", first->timestamp)->value, "v1");
+  EXPECT_EQ(f.server->Get(f.uid, "k", first->timestamp)->value, "v1");
 }
 
 TEST(RecoveryTest, AutoCheckpointAtThreshold) {
@@ -434,8 +448,8 @@ TEST(CompactionTest, ReadsWorkAfterInputReclamation) {
                               "value" + std::to_string(i))
                     .ok());
   }
-  auto reader = f.server->ReaderFor(f.server->server_id());
-  size_t segments_before = (*reader)->ListSegments()->size();
+  log::LogReader* reader = f.server->ReaderFor(f.server->server_id());
+  size_t segments_before = reader->ListSegments()->size();
   CompactionStats stats;
   ASSERT_TRUE(f.server->CompactLog({}, &stats).ok());
   EXPECT_EQ(stats.output_records, 200u);
@@ -445,7 +459,7 @@ TEST(CompactionTest, ReadsWorkAfterInputReclamation) {
               "value" + std::to_string(i))
         << i;
   }
-  auto segments_after = (*reader)->ListSegments();
+  auto segments_after = reader->ListSegments();
   // Inputs deleted; outputs live in the generation lane.
   bool has_high_lane = false;
   for (uint32_t seg : *segments_after) {
@@ -466,7 +480,7 @@ TEST(CompactionTest, SortedOutputClustersKeyRanges) {
   ASSERT_TRUE(f.server->CompactLog().ok());
   // After compaction, scanning a range yields monotonically increasing log
   // offsets (clustered data) — the property behind Figure 10.
-  auto rows = f.server->Scan(f.uid, "", "", ~0ull);
+  auto rows = ScanRows(f.server.get(), f.uid, "", "");
   ASSERT_TRUE(rows.ok());
   Tablet* tablet = f.server->FindTablet(f.uid);
   uint64_t last_offset = 0;

@@ -1,5 +1,5 @@
 // Tests for the workload generators (YCSB, TPC-W), the closed-loop driver
-// and the partitioners.
+// and the vertical partitioner.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "src/cluster/mini_cluster.h"
 #include "src/core/kv_engine.h"
-#include "src/partition/range_partitioner.h"
 #include "src/partition/vertical_partitioner.h"
 #include "src/workload/driver.h"
 #include "src/workload/tpcw.h"
@@ -161,28 +160,6 @@ TEST(VerticalPartitionerTest, GreedyMatchesExhaustiveOnSmallSchema) {
       widths, workload);
   EXPECT_LE(exhaustive_cost, greedy_cost);
   EXPECT_LE(greedy_cost, exhaustive_cost * 1.25);  // greedy is near-optimal
-}
-
-TEST(RangePartitionerTest, SplitPointsBalanceSample) {
-  std::vector<std::string> sample;
-  for (int i = 0; i < 1000; i++) {
-    char key[16];
-    std::snprintf(key, sizeof(key), "k%04d", i);
-    sample.push_back(key);
-  }
-  auto splits = partition::RangePartitioner::SplitPoints(sample, 4);
-  ASSERT_EQ(splits.size(), 3u);
-  EXPECT_EQ(splits[0], "k0250");
-  EXPECT_EQ(splits[1], "k0500");
-  EXPECT_EQ(splits[2], "k0750");
-}
-
-TEST(RangePartitionerTest, LocateRoutesKeys) {
-  std::vector<std::string> splits{"g", "n", "t"};
-  EXPECT_EQ(partition::RangePartitioner::Locate(splits, "a"), 0);
-  EXPECT_EQ(partition::RangePartitioner::Locate(splits, "g"), 1);
-  EXPECT_EQ(partition::RangePartitioner::Locate(splits, "m"), 1);
-  EXPECT_EQ(partition::RangePartitioner::Locate(splits, "z"), 3);
 }
 
 // ---------------------------------------------------------------------------
