@@ -19,6 +19,11 @@
 #                                    # given) and aggregate their --json
 #                                    # results into repo-root BENCH_*.json
 #                                    # via scripts/collect_bench.py
+#   scripts/check.sh --profile <workload>
+#                                    # gprof flat profile (top 20) of one
+#                                    # untraced perfbench repetition, built
+#                                    # with the profile preset's flags into
+#                                    # .bench_build/profile
 #   scripts/check.sh default tsan    # explicit preset list
 #
 # The default preset runs the full suite including the `lint` and
@@ -35,19 +40,48 @@ run_lint() {
   python3 scripts/lint.py
 }
 
+# Profiles one perfbench repetition (part 0, untraced) of workload $1. The
+# repetition runs in this process, not a spawned child, so gmon.out is its
+# profile. The flags come from the profile preset; -static keeps libstdc++
+# and libc frames in the profile (DESIGN.md §5).
+run_profile() {
+  local workload="$1"
+  local dir=".bench_build/profile"
+  local flags
+  mapfile -t flags < <(python3 -c '
+import json
+for p in json.load(open("CMakePresets.json"))["configurePresets"]:
+    if p["name"] == "profile":
+        for k, v in p["cacheVariables"].items():
+            print("-D%s=%s" % (k, v))')
+  echo "==== profile: ${workload} ===="
+  cmake -S perfbench -B "${dir}" "${flags[@]}" >/dev/null
+  cmake --build "${dir}" -j "$(nproc)" >/dev/null
+  rm -f "${dir}/gmon.out"
+  (cd "${dir}" && ./logbase_perfbench --workload "${workload}" --seed 1 \
+    --part 0 --traced 0 >/dev/null)
+  gprof -b -p "${dir}/logbase_perfbench" "${dir}/gmon.out" | head -n 25
+}
+
 presets=()
 lint_only=0
 chaos=0
 tsa=0
 bench=0
 bench_names=()
+profile=""
 for arg in "$@"; do
   if [ "${bench}" -eq 1 ]; then
     # Everything after --bench names a bench binary to run.
     bench_names+=("${arg}")
     continue
   fi
+  if [ "${profile}" = "-" ]; then
+    profile="${arg}"
+    continue
+  fi
   case "${arg}" in
+    --profile) profile="-" ;;
     --lint) lint_only=1 ;;
     --asan) presets+=(asan) ;;
     --tsan) presets+=(tsan) ;;
@@ -57,6 +91,15 @@ for arg in "$@"; do
     *) presets+=("${arg}") ;;
   esac
 done
+
+if [ "${profile}" = "-" ]; then
+  echo "usage: scripts/check.sh --profile <workload>" >&2
+  exit 2
+fi
+if [ -n "${profile}" ]; then
+  run_profile "${profile}"
+  exit 0
+fi
 
 if [ "${lint_only}" -eq 1 ] && [ ${#presets[@]} -eq 0 ] \
     && [ "${chaos}" -eq 0 ] && [ "${tsa}" -eq 0 ] \

@@ -1,11 +1,25 @@
 #include "src/obs/trace.h"
 
+#include <unordered_map>
+
 #include "src/obs/metrics.h"
 
 namespace logbase::obs {
 
 namespace {
 thread_local OpTracer* g_tracer = nullptr;
+
+// The `<name>.us` histogram of a span, resolved once per call site and
+// thread. Span names are string literals, so the address identifies the
+// site; registry handles are stable, so the cached pointer never dangles.
+HistogramMetric* SpanHistogram(const char* name) {
+  thread_local std::unordered_map<const char*, HistogramMetric*> sites;
+  HistogramMetric*& histogram = sites[name];
+  if (histogram == nullptr) {
+    histogram = MetricsRegistry::Global().histogram(std::string(name) + ".us");
+  }
+  return histogram;
+}
 }  // namespace
 
 OpTracer* OpTracer::Current() { return g_tracer; }
@@ -48,9 +62,7 @@ Span::~Span() {
   // Aggregate only when a virtual clock is running — otherwise the elapsed
   // time is identically zero and would just dilute the histogram.
   if (sim::SimContext::Current() != nullptr) {
-    MetricsRegistry::Global()
-        .histogram(std::string(name_) + ".us")
-        ->Observe(static_cast<double>(end - begin_));
+    SpanHistogram(name_)->Observe(static_cast<double>(end - begin_));
   }
 }
 

@@ -80,6 +80,8 @@ class OpTracer {
 /// RAII span. Cheap when neither a tracer nor a sim context is installed.
 class Span {
  public:
+  /// `name` must be a string literal (or otherwise live for the process):
+  /// its address keys the cached `<name>.us` histogram handle.
   explicit Span(const char* name);
   ~Span();
   Span(const Span&) = delete;

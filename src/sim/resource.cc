@@ -1,13 +1,18 @@
 #include "src/sim/resource.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace logbase::sim {
 
 namespace {
-// Idle intervals tracked per resource. Callers' clocks only drift a few
-// multi-hop chains apart, so a small bound suffices; the oldest gaps are
-// the least likely to be fillable by later requests and are dropped first.
+// Idle-gap cap, applied only when a tail reservation opens a new gap: the
+// oldest gap is dropped, as it is the least likely to be fillable by later
+// requests. Filling a gap can split it in two without consulting the cap,
+// so the list does grow past it (thousands of gaps in perfbench's
+// workloads). The eviction is left as it is because which gaps survive
+// decides where later requests land: trimming splits too would move every
+// virtual-time result. The exact lookup in Acquire keeps a long list cheap.
 constexpr size_t kMaxGaps = 64;
 }  // namespace
 
@@ -20,7 +25,17 @@ VirtualTime Resource::Acquire(VirtualTime now, VirtualTime service_us) {
   // blocks every later-arriving request at an earlier virtual time even
   // though the server is idle — short ops queue behind long chains they
   // would in reality slip ahead of.
-  for (auto it = gaps_.begin(); it != gaps_.end(); ++it) {
+  //
+  // A gap [s, e) fits when max(s, now) + service_us <= e, so it must end at
+  // or after `due`. Gaps are disjoint and non-empty, so ends ascend with
+  // starts: the fitting candidates are at most one gap starting before
+  // `due` (the one just before lower_bound) plus every gap from
+  // lower_bound on. Starting there picks the same gap a first-fit scan
+  // from begin() would.
+  const VirtualTime due = now + service_us;
+  auto it = gaps_.lower_bound(due);
+  if (it != gaps_.begin() && std::prev(it)->second >= due) --it;
+  for (; it != gaps_.end(); ++it) {
     VirtualTime begin = std::max(it->first, now);
     if (begin + service_us > it->second) continue;
     VirtualTime gap_start = it->first;
@@ -47,6 +62,11 @@ VirtualTime Resource::total_busy_us() const {
 VirtualTime Resource::free_at() const {
   MutexLock l(mu_);
   return free_at_;
+}
+
+size_t Resource::idle_gaps() const {
+  MutexLock l(mu_);
+  return gaps_.size();
 }
 
 void Resource::Reset() {

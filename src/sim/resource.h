@@ -7,6 +7,13 @@
 // parking work downstream would serialize every later-issued short op
 // behind it). Serializing all actors' requests through the same Resource
 // is what produces queueing delay under contention.
+//
+// Idle gaps are kept in a map ordered by start. A tail reservation that
+// opens a new gap drops the oldest gap if the map then holds more than 64;
+// filling a gap can split it in two without that check, so the map can
+// grow well past 64. The eviction stays as it is because which gaps
+// survive decides where later requests are served. Finding the first fitting gap is a map lookup,
+// not a scan from the oldest gap, so a long map stays cheap.
 
 #ifndef LOGBASE_SIM_RESOURCE_H_
 #define LOGBASE_SIM_RESOURCE_H_
@@ -44,6 +51,9 @@ class Resource {
   VirtualTime free_at() const;
 
   const std::string& name() const { return name_; }
+
+  /// Number of idle gaps currently tracked before free_at().
+  size_t idle_gaps() const;
 
   /// Forgets queue state (between benchmark phases).
   void Reset();

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "src/sim/costs.h"
 #include "src/sim/disk_model.h"
 #include "src/sim/network_model.h"
 #include "src/sim/resource.h"
 #include "src/sim/sim_context.h"
+#include "src/util/random.h"
 
 namespace logbase::sim {
 namespace {
@@ -71,6 +75,108 @@ TEST(ResourceTest, FillsIdleGapsBeforeFutureReservations) {
   // The rest of the gap still serves fitting requests.
   EXPECT_EQ(r.Acquire(200, 300), 500);
   EXPECT_EQ(r.total_busy_us(), 1311);
+}
+
+// Reference model: the first-fit scan Resource::Acquire used before its
+// gap lookup, walking every gap from the oldest, with the same tail-only
+// kMaxGaps eviction.
+struct LinearFirstFit {
+  static constexpr size_t kMaxGaps = 64;
+  VirtualTime free_at = 0;
+  VirtualTime total_busy = 0;
+  std::map<VirtualTime, VirtualTime> gaps;
+
+  VirtualTime Acquire(VirtualTime now, VirtualTime service_us) {
+    total_busy += service_us;
+    for (auto it = gaps.begin(); it != gaps.end(); ++it) {
+      VirtualTime begin = std::max(it->first, now);
+      if (begin + service_us > it->second) continue;
+      VirtualTime gap_start = it->first;
+      VirtualTime gap_end = it->second;
+      gaps.erase(it);
+      if (begin > gap_start) gaps[gap_start] = begin;
+      if (begin + service_us < gap_end) gaps[begin + service_us] = gap_end;
+      return begin + service_us;
+    }
+    VirtualTime begin = std::max(now, free_at);
+    if (begin > free_at) {
+      gaps[free_at] = begin;
+      if (gaps.size() > kMaxGaps) gaps.erase(gaps.begin());
+    }
+    free_at = begin + service_us;
+    return free_at;
+  }
+};
+
+TEST(ResourceTest, GapLookupMatchesLinearFirstFit) {
+  Random rnd(20120827);
+  Resource r("disk");
+  LinearFirstFit ref;
+  size_t peak_gaps = 0;
+  int boundary_hits = 0;
+  auto uniform = [&rnd](VirtualTime n) {
+    return static_cast<VirtualTime>(rnd.Uniform(static_cast<uint64_t>(n)));
+  };
+  for (int i = 0; i < 200000; i++) {
+    VirtualTime now;
+    VirtualTime service = uniform(4) == 0 ? 0 : 1 + uniform(40);
+    // Splits outnumber exact fills, so past a few hundred gaps a call fills
+    // one gap exactly; that keeps the reference scan affordable.
+    const bool shrink = ref.gaps.size() > 256;
+    const VirtualTime mode = shrink ? 0 : uniform(10);
+    if (mode < 4 && !ref.gaps.empty()) {
+      // Aim at an existing gap: arrive exactly at its start or end, or
+      // inside it, half the time with a request that exactly fills the
+      // rest of the gap.
+      auto it = ref.gaps.upper_bound(uniform(ref.free_at));
+      if (it != ref.gaps.begin()) --it;
+      const auto [start, end] = *it;
+      switch (shrink ? 0 : uniform(4)) {
+        case 0: now = start; break;
+        case 1: now = end; break;
+        default: now = start + uniform(end - start); break;
+      }
+      if (shrink || uniform(2) == 0) service = end - now;
+      boundary_hits++;
+    } else if (mode < 6) {
+      // A future-start reservation past the tail opens a new gap.
+      now = ref.free_at + uniform(400);
+    } else {
+      // Out-of-order arrivals behind the tail.
+      now = std::max<VirtualTime>(0, ref.free_at - uniform(3000));
+    }
+    ASSERT_EQ(r.Acquire(now, service), ref.Acquire(now, service))
+        << "call " << i << " now=" << now << " service=" << service;
+    ASSERT_EQ(r.free_at(), ref.free_at) << "call " << i;
+    ASSERT_EQ(r.total_busy_us(), ref.total_busy) << "call " << i;
+    ASSERT_EQ(r.idle_gaps(), ref.gaps.size()) << "call " << i;
+    peak_gaps = std::max(peak_gaps, ref.gaps.size());
+  }
+  // The stream must have grown the list past the cap, so tail reservations
+  // evicted gaps, and aimed many arrivals at gap boundaries.
+  EXPECT_GT(peak_gaps, LinearFirstFit::kMaxGaps);
+  EXPECT_GT(boundary_hits, 10000);
+}
+
+TEST(ResourceTest, SplitsGrowGapListPastCap) {
+  Resource r("disk");
+  // One far-future reservation leaves the idle gap [0, 10000).
+  EXPECT_EQ(r.Acquire(10000, 1), 10001);
+  EXPECT_EQ(r.idle_gaps(), 1u);
+  // Each request lands mid-gap and splits it in two. Splits do not consult
+  // the 64-gap cap, so the list keeps every gap.
+  for (VirtualTime i = 0; i < 100; i++) {
+    EXPECT_EQ(r.Acquire(i * 100 + 50, 10), i * 100 + 60);
+  }
+  EXPECT_EQ(r.idle_gaps(), 101u);
+  // The oldest gap [0, 50) survived and still serves an exact fit.
+  EXPECT_EQ(r.Acquire(0, 50), 50);
+  EXPECT_EQ(r.idle_gaps(), 100u);
+  // A tail reservation that opens a gap trims only the oldest one, [60, 150):
+  // a request that would have fit there now lands in [160, 250).
+  EXPECT_EQ(r.Acquire(20000, 1), 20001);
+  EXPECT_EQ(r.idle_gaps(), 100u);
+  EXPECT_EQ(r.Acquire(60, 10), 170);
 }
 
 TEST(ResourceTest, ResetClearsState) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -236,6 +238,57 @@ TEST(Crc32cTest, ExtendEqualsWhole) {
   uint32_t whole = crc32c::Value(data, 11);
   uint32_t split = crc32c::Extend(crc32c::Value(data, 5), data + 5, 6);
   EXPECT_EQ(whole, split);
+}
+
+// Byte-at-a-time CRC32C straight from the reflected polynomial, the
+// reference the table-driven Extend must agree with.
+uint32_t BytewiseCrc32c(uint32_t init_crc, const char* data, size_t n) {
+  uint32_t crc = init_crc ^ 0xffffffffu;
+  for (size_t i = 0; i < n; i++) {
+    crc ^= static_cast<unsigned char>(data[i]);
+    for (int j = 0; j < 8; j++) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0);
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32cTest, MatchesBytewiseAtEveryLengthAndAlignment) {
+  Random rnd(32);
+  std::string buf(64 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Uniform(256));
+  for (size_t align = 0; align < 8; align++) {
+    for (size_t len = 0; len <= 64; len++) {
+      const uint32_t init = static_cast<uint32_t>(rnd.Next());
+      const char* p = buf.data() + align;
+      EXPECT_EQ(crc32c::Extend(init, p, len), BytewiseCrc32c(init, p, len))
+          << "align " << align << " len " << len;
+      EXPECT_EQ(crc32c::Value(p, len), BytewiseCrc32c(0, p, len))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, MatchesBytewiseOnLargeBuffers) {
+  Random rnd(64);
+  std::string buf((1 << 20) + 7, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Uniform(256));
+  for (size_t align = 0; align < 8; align++) {
+    const uint32_t init = static_cast<uint32_t>(rnd.Next());
+    const char* p = buf.data() + align;
+    const size_t n = (1 << 20) - align % 3;
+    EXPECT_EQ(crc32c::Extend(init, p, n), BytewiseCrc32c(init, p, n))
+        << "align " << align;
+  }
+  // Extending piecewise at odd split points equals one pass.
+  const uint32_t whole = crc32c::Value(buf.data(), 1 << 20);
+  uint32_t pieces = 0;
+  size_t step = 1;
+  for (size_t off = 0; off < (1u << 20); off += step, step = step * 3 + 1) {
+    const size_t n = std::min<size_t>(step, (1u << 20) - off);
+    pieces = crc32c::Extend(pieces, buf.data() + off, n);
+  }
+  EXPECT_EQ(pieces, whole);
 }
 
 TEST(Crc32cTest, MaskUnmaskInverse) {
