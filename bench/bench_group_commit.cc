@@ -74,19 +74,22 @@ RunResult RunWriters(WriteFixture* f, int writers, uint64_t n,
   result.seconds = TimedRun([&] {
     sim::SimContext* ctx = sim::SimContext::Current();
     struct Inflight {
-      tablet::PendingWrite pending;
+      tablet::MutationBatch pending;
       sim::VirtualTime submitted_at;
     };
     std::deque<Inflight> inflight;
     auto complete_front = [&] {
       Inflight f_op = std::move(inflight.front());
       inflight.pop_front();
-      if (!f->server->CompleteWrite(&f_op.pending).ok()) std::abort();
+      if (!f->server->Wait(&f_op.pending).ok() ||
+          !f->server->Publish(f_op.pending).ok()) {
+        std::abort();
+      }
       latency.Add(static_cast<double>(ctx->now() - f_op.submitted_at));
     };
     for (uint64_t i = 0; i < n; i++) {
-      auto pending = f->server->SubmitPut(
-          f->uid, {{workload.KeyAt(i), workload.MakeValue(&rnd)}}, ack);
+      auto pending = f->server->Submit(
+          {{f->uid, workload.KeyAt(i), workload.MakeValue(&rnd)}}, ack);
       if (!pending.ok()) std::abort();
       inflight.push_back(Inflight{std::move(*pending), ctx->now()});
       if (inflight.size() >= static_cast<size_t>(writers)) complete_front();

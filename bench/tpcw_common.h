@@ -66,9 +66,8 @@ inline TpcwResult RunTpcw(int nodes, workload::TpcwMix mix,
                                                  uids) {
       for (int i = 0; i < nodes; i++) {
         if (batches[i].empty()) continue;
-        if (!fixture.servers[i]->PutBatch(uids[i], batches[i]).ok()) {
-          std::abort();
-        }
+        core::TabletServerEngine engine(fixture.servers[i].get(), "LogBase");
+        if (!engine.PutBatch(uids[i], batches[i]).ok()) std::abort();
         batches[i].clear();
       }
     };

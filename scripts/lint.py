@@ -32,6 +32,11 @@ Rules enforced over src/ (and, where noted, the whole tree):
                 the declaration site.
   nodiscard    Status and Result<T> stay [[nodiscard]] so ignored error
                 returns fail the build (-Werror=unused-result).
+  write-path    Under src/tablet/ and src/txn/, only TabletServer::Submit
+                appends to a LogWriter (Submit/Append/AppendBatch on a
+                `writer*` receiver). Puts, deletes and transaction records
+                share that one mutation batch, so every write is logged,
+                made durable, then published, in that order.
 
 Usage:
   lint.py [--root DIR]     lint the tree, exit non-zero on violations
@@ -439,10 +444,65 @@ def check_nodiscard(root):
 
 
 # --------------------------------------------------------------------------
+# rule: write-path
+
+# Paper §3.6.1: append to the log, wait until the append is durable, then
+# make the write visible. TabletServer::Submit is the single place under
+# src/tablet/ and src/txn/ that appends to the server's LogWriter; recovery,
+# checkpointing and compaction may Open/Flush/Roll it but never append. A
+# second append path is how a delete once came to drop index entries before
+# its INVALIDATE record was durable. LogWriters are named `writer*` in this
+# codebase (members or accessors), which is what the receiver pattern keys
+# on.
+WRITE_PATH_DIRS = ('src/tablet/', 'src/txn/')
+LOG_WRITER_APPEND = re.compile(
+    r'\bwriter\w*(?:\(\))?\s*(?:->|\.)\s*(Submit|Append|AppendBatch)\s*\(')
+WRITE_PATH_OWNER_FILE = 'src/tablet/tablet_server.cc'
+WRITE_PATH_OWNER = re.compile(r'\bTabletServer::Submit\s*\(')
+
+
+def function_body_lines(stripped, signature):
+    """Line numbers of the first function definition matching `signature`,
+    from its signature line to its closing brace (empty when absent)."""
+    m = signature.search(stripped)
+    if not m:
+        return set()
+    depth = 0
+    for i in range(stripped.find('{', m.end()), len(stripped)):
+        if stripped[i] == '{':
+            depth += 1
+        elif stripped[i] == '}':
+            depth -= 1
+            if depth == 0:
+                first = stripped.count('\n', 0, m.start()) + 1
+                last = stripped.count('\n', 0, i) + 1
+                return set(range(first, last + 1))
+    return set()
+
+
+def check_write_path(path, rel, stripped):
+    if not rel.startswith(WRITE_PATH_DIRS):
+        return []
+    owner = (function_body_lines(stripped, WRITE_PATH_OWNER)
+             if rel == WRITE_PATH_OWNER_FILE else set())
+    found = []
+    for lineno, line in iter_lines(stripped):
+        m = LOG_WRITER_APPEND.search(line)
+        if m and lineno not in owner:
+            found.append(Violation(
+                'write-path', rel, lineno,
+                'LogWriter::%s outside TabletServer::Submit; send the '
+                'records through Submit / Wait / Publish so they share the '
+                'one log-durable-publish path' % m.group(1)))
+    return found
+
+
+# --------------------------------------------------------------------------
 # driver
 
 PER_FILE_RULES = [check_wall_clock, check_nondet, check_raw_new,
-                  check_deprecated, check_mutex, check_guarded_by]
+                  check_deprecated, check_mutex, check_guarded_by,
+                  check_write_path]
 
 
 def lint_tree(root):
@@ -646,6 +706,24 @@ SELF_TEST_CASES = [
      '  std::map<std::string, Entry> entries_;',
      'mutable OrderedMutex mu_{lockrank::kQosRegistry, "qos.registry"};\n'
      '  std::map<std::string, Entry> entries_ GUARDED_BY(mu_);'),
+    # One write path: only TabletServer::Submit appends to the LogWriter.
+    # A delete that logs its own INVALIDATE, or a transaction manager that
+    # appends its own records, is a second path.
+    (check_write_path, 'src/tablet/tablet_server.cc',
+     'Result<MutationBatch> TabletServer::Submit(std::vector<WriteOp> ops) {\n'
+     '  auto ticket = writer_->Submit(&records, ack);\n'
+     '}\n'
+     'Status TabletServer::Delete(const std::string& uid, const Slice& k) {\n'
+     '  auto ptr = writer_->Append(std::move(record), ack);\n'
+     '}',
+     'Result<MutationBatch> TabletServer::Submit(std::vector<WriteOp> ops) {\n'
+     '  if (ops.empty()) { return MutationBatch{}; }\n'
+     '  auto ticket = writer_->Submit(&records, ack);\n'
+     '}\n'
+     'Status TabletServer::Checkpoint() { return writer_->Flush(); }'),
+    (check_write_path, 'src/txn/transaction_manager.cc',
+     'LOGBASE_RETURN_NOT_OK(server->writer()->AppendBatch(&records, &ptrs));',
+     'auto batch = p.server->Submit(std::move(p.ops), ack, stamp);'),
 ]
 
 

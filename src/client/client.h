@@ -52,8 +52,9 @@ struct WriteOptions {
 };
 
 /// An ordered list of row mutations submitted together through `PutBatch`.
-/// Consecutive puts that land on the same tablet are shipped as one
-/// server-side batch, so they share a single group-committed log append.
+/// Consecutive ops (puts and deletes) that land on the same tablet are
+/// shipped as one server-side batch, so they share a single group-committed
+/// log append.
 class WriteBatch {
  public:
   struct Op {

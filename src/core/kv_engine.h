@@ -46,7 +46,13 @@ class TabletServerEngine : public KvEngine {
   Status PutBatch(const std::string& uid,
                   const std::vector<std::pair<std::string, std::string>>& kvs)
       override {
-    return server_->PutBatch(uid, kvs);
+    std::vector<tablet::WriteOp> ops;
+    ops.reserve(kvs.size());
+    for (const auto& [key, value] : kvs) ops.push_back({uid, key, value});
+    auto batch = server_->Submit(std::move(ops));
+    if (!batch.ok()) return batch.status();
+    LOGBASE_RETURN_NOT_OK(server_->Wait(&*batch));
+    return server_->Publish(*batch);
   }
   Result<tablet::ReadValue> Get(const std::string& uid,
                                 const Slice& key) override {

@@ -1,5 +1,7 @@
 #include "src/dfs/data_node.h"
 
+#include <algorithm>
+
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -43,22 +45,27 @@ DataNode::DataNode(int id, sim::DiskParams disk_params)
     : id_(id), disk_("disk-" + std::to_string(id), disk_params) {}
 
 Status DataNode::StoreBlockData(BlockId block, uint64_t offset,
-                                const Slice& data) {
+                                std::shared_ptr<const std::string> data) {
   if (!alive()) return Status::Unavailable("data node is down");
   if (ConsumeInjectedError()) return Status::IOError("injected disk fault");
   MutexLock l(mu_);
-  std::string& stored = blocks_[block];
-  if (offset != stored.size()) {
+  StoredBlock& stored = blocks_[block];
+  if (offset != stored.size) {
     return Status::InvalidArgument("non-contiguous block append");
   }
-  stored.append(data.data(), data.size());
+  if (data->empty()) return Status::OK();
+  stored.size += data->size();
+  stored.starts.push_back(offset);
+  stored.pieces.push_back(std::move(data));
   return Status::OK();
 }
 
 Status DataNode::WriteBlock(BlockId block, uint64_t offset,
                             const Slice& data) {
   obs::Span span("dfs.write");
-  LOGBASE_RETURN_NOT_OK(StoreBlockData(block, offset, data));
+  LOGBASE_RETURN_NOT_OK(StoreBlockData(
+      block, offset,
+      std::make_shared<const std::string>(data.data(), data.size())));
   WriteBytes()->Add(data.size());
   disk_.Access(block, offset, data.size(), /*is_write=*/true);
   return Status::OK();
@@ -74,9 +81,20 @@ Result<std::string> DataNode::ReadBlock(BlockId block, uint64_t offset,
     MutexLock l(mu_);
     auto it = blocks_.find(block);
     if (it == blocks_.end()) return Status::NotFound("block not on this node");
-    const std::string& stored = it->second;
-    if (offset < stored.size()) {
-      out = stored.substr(offset, std::min<uint64_t>(n, stored.size() - offset));
+    const StoredBlock& stored = it->second;
+    if (offset < stored.size) {
+      uint64_t left = std::min<uint64_t>(n, stored.size - offset);
+      out.reserve(left);
+      // The piece holding `offset`, then its successors.
+      size_t i = std::upper_bound(stored.starts.begin(), stored.starts.end(),
+                                  offset) -
+                 stored.starts.begin() - 1;
+      for (uint64_t at = offset - stored.starts[i]; left > 0; i++, at = 0) {
+        const std::string& piece = *stored.pieces[i];
+        uint64_t take = std::min<uint64_t>(left, piece.size() - at);
+        out.append(piece, at, take);
+        left -= take;
+      }
     }
   }
   disk_.Access(block, offset, out.size());
@@ -99,7 +117,7 @@ Result<uint64_t> DataNode::BlockSize(BlockId block) const {
   MutexLock l(mu_);
   auto it = blocks_.find(block);
   if (it == blocks_.end()) return Status::NotFound("block not on this node");
-  return static_cast<uint64_t>(it->second.size());
+  return it->second.size;
 }
 
 std::vector<BlockId> DataNode::ListBlocks() const {
@@ -113,7 +131,7 @@ std::vector<BlockId> DataNode::ListBlocks() const {
 uint64_t DataNode::used_bytes() const {
   MutexLock l(mu_);
   uint64_t total = 0;
-  for (const auto& [id, data] : blocks_) total += data.size();
+  for (const auto& [id, data] : blocks_) total += data.size;
   return total;
 }
 

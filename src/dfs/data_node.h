@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -52,8 +53,11 @@ class DataNode {
   Status WriteBlock(BlockId block, uint64_t offset, const Slice& data);
 
   /// Stores the bytes without charging disk costs — the DFS write pipeline
-  /// charges the disks itself so the hops overlap (packet streaming).
-  Status StoreBlockData(BlockId block, uint64_t offset, const Slice& data);
+  /// charges the disks itself so the hops overlap (packet streaming). The
+  /// pipeline hands every replica the same immutable piece, so replicas on
+  /// different nodes share its memory.
+  Status StoreBlockData(BlockId block, uint64_t offset,
+                        std::shared_ptr<const std::string> data);
 
   /// Reads up to n bytes from the block at `offset`; short reads at the end
   /// of the block are not an error. Charges a disk access.
@@ -81,7 +85,14 @@ class DataNode {
   // Mutable: reads charge disk costs too.
   mutable sim::DiskModel disk_;
   mutable OrderedMutex mu_{lockrank::kDfsDataNode, "dfs.data"};
-  std::unordered_map<BlockId, std::string> blocks_ GUARDED_BY(mu_);
+  /// A replica: its bytes as appended pieces, `starts[i]` the offset of
+  /// pieces[i] within the block.
+  struct StoredBlock {
+    std::vector<std::shared_ptr<const std::string>> pieces;
+    std::vector<uint64_t> starts;
+    uint64_t size = 0;
+  };
+  std::unordered_map<BlockId, StoredBlock> blocks_ GUARDED_BY(mu_);
 };
 
 }  // namespace logbase::dfs

@@ -158,6 +158,9 @@ class DfsWritableFile : public WritableFile {
     std::vector<sim::VirtualTime> completions;
     int prev = client_node_;
     int successes = 0;
+    // One copy of the bytes, shared by every replica that stores them.
+    auto piece = std::make_shared<const std::string>(chunk.data(),
+                                                     chunk.size());
     for (int replica : current_.replicas) {
       DataNode* dn = dfs_->data_nodes_[replica].get();
       if (!dn->alive()) continue;
@@ -167,7 +170,7 @@ class DfsWritableFile : public WritableFile {
           !dfs_->network_->Reachable(prev, replica)) {
         continue;
       }
-      Status s = dn->StoreBlockData(current_.id, block_fill_, chunk);
+      Status s = dn->StoreBlockData(current_.id, block_fill_, piece);
       if (!s.ok()) continue;
       if (ctx != nullptr && dfs_->network_ != nullptr) {
         sim::VirtualTime net_done = dfs_->network_->TransferFrom(

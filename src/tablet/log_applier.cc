@@ -14,6 +14,13 @@ bool RecordBelongsTo(const log::LogRecord& record,
          descriptor.Contains(Slice(record.row.primary_key));
 }
 
+Status ApplyToIndex(index::MultiVersionIndex* index, bool is_delete,
+                    const Slice& key, uint64_t timestamp,
+                    const log::LogPtr& ptr) {
+  if (is_delete) return index->RemoveAllVersions(key);
+  return index->Insert(key, timestamp, ptr);
+}
+
 LogApplier::LogApplier(Route route, OnApply on_apply, uint64_t seeded_max_ts)
     : route_(std::move(route)),
       on_apply_(std::move(on_apply)),
@@ -22,11 +29,8 @@ LogApplier::LogApplier(Route route, OnApply on_apply, uint64_t seeded_max_ts)
 Status LogApplier::ApplyOp(index::MultiVersionIndex* index, bool is_delete,
                            const std::string& key, uint64_t timestamp,
                            const log::LogPtr& ptr, const std::string& value) {
-  if (is_delete) {
-    LOGBASE_RETURN_NOT_OK(index->RemoveAllVersions(Slice(key)));
-  } else {
-    LOGBASE_RETURN_NOT_OK(index->Insert(Slice(key), timestamp, ptr));
-  }
+  LOGBASE_RETURN_NOT_OK(
+      ApplyToIndex(index, is_delete, Slice(key), timestamp, ptr));
   if (on_apply_) on_apply_(is_delete, key, timestamp, value);
   max_applied_ts_ = std::max(max_applied_ts_, timestamp);
   return Status::OK();

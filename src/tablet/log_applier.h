@@ -35,6 +35,13 @@ namespace logbase::tablet {
 bool RecordBelongsTo(const log::LogRecord& record,
                      const TabletDescriptor& descriptor);
 
+/// How one committed op changes a multiversion index (paper §3.6.3): a put
+/// adds the version at `ptr`, a delete drops every version of the key. The
+/// write path's publish and the log replay both apply ops through here.
+Status ApplyToIndex(index::MultiVersionIndex* index, bool is_delete,
+                    const Slice& key, uint64_t timestamp,
+                    const log::LogPtr& ptr);
+
 class LogApplier {
  public:
   /// Maps a data or invalidate record to the index that absorbs it; nullptr

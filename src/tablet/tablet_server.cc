@@ -11,6 +11,7 @@
 #include "src/obs/trace.h"
 #include "src/sim/costs.h"
 #include "src/sim/sim_context.h"
+#include "src/tablet/log_applier.h"
 #include "src/util/logging.h"
 
 namespace logbase::tablet {
@@ -354,105 +355,130 @@ void TabletServer::AdvanceTimestampsBeyond(uint64_t ts) {
   ts_next_ = ts_limit_ = 0;
 }
 
-Status TabletServer::MaybeAutoCheckpoint(Tablet* tablet) {
-  if (options_.checkpoint_update_threshold == 0) return Status::OK();
-  if (tablet->updates_since_persist() <
-      options_.checkpoint_update_threshold) {
-    return Status::OK();
-  }
-  return Checkpoint();
-}
-
 // ---------------------------------------------------------------------------
-// Auto-committed operations.
+// Writes: Submit -> Wait -> Publish.
 // ---------------------------------------------------------------------------
 
-Status TabletServer::Put(const std::string& tablet_uid, const Slice& key,
-                         const Slice& value, log::AckMode ack) {
-  obs::Span span("tablet.put");
-  auto pending = SubmitPut(
-      tablet_uid, {{key.ToString(), value.ToString()}}, ack);
-  if (!pending.ok()) return pending.status();
-  return CompleteWrite(&*pending);
-}
-
-Status TabletServer::PutBatch(
-    const std::string& tablet_uid,
-    const std::vector<std::pair<std::string, std::string>>& kvs,
-    log::AckMode ack) {
-  auto pending = SubmitPut(tablet_uid, kvs, ack);
-  if (!pending.ok()) return pending.status();
-  return CompleteWrite(&*pending);
-}
-
-Result<PendingWrite> TabletServer::SubmitPut(
-    const std::string& tablet_uid,
-    const std::vector<std::pair<std::string, std::string>>& kvs,
-    log::AckMode ack) {
+Result<MutationBatch> TabletServer::Submit(std::vector<WriteOp> ops,
+                                           log::AckMode ack,
+                                           const TxnStamp& txn) {
   if (!running()) return Status::Unavailable("tablet server is down");
   // Admission before any state is touched: a shed write must not have
-  // recorded load, drawn timestamps, or enqueued log records (I7).
+  // recorded load, drawn timestamps, or enqueued log records (I7). A batch
+  // within one tablet is gated under that tablet's quota, one spanning
+  // tablets (or a bare COMMIT) under the tenant's.
+  std::string scope = ops.empty() ? "" : ops.front().tablet_uid;
   uint64_t payload = 0;
-  for (const auto& [key, value] : kvs) payload += key.size() + value.size();
-  LOGBASE_RETURN_NOT_OK(
-      admission_.Admit(tablet_uid, kvs.empty() ? 1 : kvs.size(), payload));
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-  if (tablet->sealed()) {
-    return Status::Unavailable("tablet sealed for migration: " + tablet_uid);
+  for (const WriteOp& op : ops) {
+    payload += op.key.size() + op.value.size();
+    if (op.tablet_uid != scope) scope.clear();
   }
-  for (const auto& [key, value] : kvs) {
-    tablet->RecordWrite(key.size() + value.size());
+  const size_t record_count = ops.size() + (txn.commit ? 1 : 0);
+  LOGBASE_RETURN_NOT_OK(admission_.Admit(
+      scope, record_count == 0 ? 1 : record_count, payload));
+  // Every op's tablet is checked before anything reaches the log, so a
+  // refused batch leaves no record behind for recovery to resurrect.
+  std::vector<Tablet*> tablets;
+  tablets.reserve(ops.size());
+  for (const WriteOp& op : ops) {
+    Tablet* tablet = FindTablet(op.tablet_uid);
+    if (tablet == nullptr) return Status::NotFound("unknown tablet");
+    if (tablet->sealed()) {
+      return Status::Unavailable("tablet sealed for migration: " +
+                                 op.tablet_uid);
+    }
+    tablets.push_back(tablet);
   }
 
-  PendingWrite pending;
-  pending.tablet_uid = tablet_uid;
-  pending.kvs = kvs;
+  MutationBatch batch;
   std::vector<log::LogRecord> records;
-  records.reserve(kvs.size());
-  for (const auto& [key, value] : kvs) {
-    uint64_t ts = NextLocalTimestamp();
-    pending.timestamps.push_back(ts);
+  records.reserve(record_count);
+  batch.timestamps.reserve(ops.size());
+  for (size_t i = 0; i < ops.size(); i++) {
+    const WriteOp& op = ops[i];
+    const TabletDescriptor& d = tablets[i]->descriptor();
+    tablets[i]->RecordWrite(op.key.size() + op.value.size());
+    const uint64_t ts = txn.txn_id == 0 ? NextLocalTimestamp() : txn.commit_ts;
+    batch.timestamps.push_back(ts);
     log::LogRecord record;
-    record.type = log::LogRecordType::kData;
-    record.key.table_id = tablet->descriptor().table_id;
-    record.key.tablet_id = tablet->descriptor().packed_id();
-    record.row.primary_key = key;
-    record.row.column_group = tablet->descriptor().column_group;
+    record.type = op.is_delete ? log::LogRecordType::kInvalidate
+                               : log::LogRecordType::kData;
+    record.key.table_id = d.table_id;
+    record.key.tablet_id = d.packed_id();
+    record.txn_id = txn.txn_id;
+    record.row.primary_key = op.key;
+    record.row.column_group = d.column_group;
     record.row.timestamp = ts;
-    record.value = value;
+    record.value = op.value;
     record.commit_ts = ts;
     records.push_back(std::move(record));
+  }
+  if (txn.commit) {
+    log::LogRecord commit;
+    commit.type = log::LogRecordType::kCommit;
+    commit.txn_id = txn.txn_id;
+    commit.commit_ts = txn.commit_ts;
+    records.push_back(std::move(commit));
   }
   // Log first (the log IS the data repository): enqueue into the
   // group-commit batch. Nothing is indexed or acked yet.
   auto ticket = writer_->Submit(&records, ack);
   if (!ticket.ok()) return ticket.status();
-  pending.ticket = *ticket;
-  return pending;
+  batch.ticket = *ticket;
+  batch.ops = std::move(ops);
+  return batch;
 }
 
-Status TabletServer::CompleteWrite(PendingWrite* pending) {
+Status TabletServer::Wait(MutationBatch* batch) {
   if (!running()) return Status::Unavailable("tablet server is down");
-  std::vector<log::LogPtr> ptrs;
-  LOGBASE_RETURN_NOT_OK(writer_->Wait(pending->ticket, &ptrs));
-  // The batch is durable; publish index entries, then cache.
-  Tablet* tablet = FindTablet(pending->tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-  for (size_t i = 0; i < pending->kvs.size(); i++) {
-    LOGBASE_RETURN_NOT_OK(tablet->index()->Insert(
-        Slice(pending->kvs[i].first), pending->timestamps[i], ptrs[i]));
-    tablet->RecordUpdate();
-    buffer_.Put(BufferKey(pending->tablet_uid, Slice(pending->kvs[i].first)),
-                CachedRecord{pending->timestamps[i], pending->kvs[i].second});
-    if (tablet->has_secondary_indexes()) {
-      LOGBASE_RETURN_NOT_OK(tablet->NotifySecondaryWrite(
-          Slice(pending->kvs[i].first), pending->timestamps[i],
-          Slice(pending->kvs[i].second)));
-    }
-  }
-  return MaybeAutoCheckpoint(tablet);
+  LOGBASE_RETURN_NOT_OK(writer_->Wait(batch->ticket, &batch->ptrs));
+  batch->ptrs.resize(batch->ops.size());  // a trailing COMMIT's ptr
+  return Status::OK();
 }
+
+Status TabletServer::Publish(const MutationBatch& batch) {
+  bool checkpoint_due = false;
+  for (size_t i = 0; i < batch.ops.size(); i++) {
+    const WriteOp& op = batch.ops[i];
+    const uint64_t ts = batch.timestamps[i];
+    Tablet* tablet = FindTablet(op.tablet_uid);
+    if (tablet == nullptr) return Status::NotFound("unknown tablet");
+    LOGBASE_RETURN_NOT_OK(ApplyToIndex(tablet->index(), op.is_delete,
+                                       Slice(op.key), ts, batch.ptrs[i]));
+    tablet->RecordUpdate();
+    const std::string bkey = BufferKey(op.tablet_uid, Slice(op.key));
+    if (op.is_delete) {
+      buffer_.Invalidate(bkey);
+    } else {
+      buffer_.Put(bkey, CachedRecord{ts, op.value});
+    }
+    if (tablet->has_secondary_indexes()) {
+      LOGBASE_RETURN_NOT_OK(
+          op.is_delete
+              ? tablet->NotifySecondaryDelete(Slice(op.key))
+              : tablet->NotifySecondaryWrite(Slice(op.key), ts,
+                                             Slice(op.value)));
+    }
+    // Persist indexes after enough updates (§3.6.1), but only once the
+    // whole batch is applied: the checkpoint's log position is past it.
+    checkpoint_due |= options_.checkpoint_update_threshold > 0 &&
+                      tablet->updates_since_persist() >=
+                          options_.checkpoint_update_threshold;
+  }
+  return checkpoint_due ? Checkpoint() : Status::OK();
+}
+
+Status TabletServer::Write(std::vector<WriteOp> ops, log::AckMode ack) {
+  obs::Span span("tablet.write");
+  auto batch = Submit(std::move(ops), ack);
+  if (!batch.ok()) return batch.status();
+  LOGBASE_RETURN_NOT_OK(Wait(&*batch));
+  return Publish(*batch);
+}
+
+// ---------------------------------------------------------------------------
+// Reads.
+// ---------------------------------------------------------------------------
 
 Result<ReadValue> TabletServer::Get(const std::string& tablet_uid,
                                     const Slice& key, uint64_t as_of) {
@@ -488,37 +514,6 @@ Result<std::vector<ReadRow>> TabletServer::GetVersions(
   for (const ReadRow& row : rows) bytes += row.key.size() + row.value.size();
   tablet->RecordRead(bytes);
   return rows;
-}
-
-Status TabletServer::Delete(const std::string& tablet_uid, const Slice& key,
-                            log::AckMode ack) {
-  if (!running()) return Status::Unavailable("tablet server is down");
-  LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, key.size()));
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-  if (tablet->sealed()) {
-    return Status::Unavailable("tablet sealed for migration: " + tablet_uid);
-  }
-  tablet->RecordWrite(key.size());
-
-  // Step 1: drop index entries so no query can reach the record. Step 2:
-  // persist an invalidated entry so restarts re-apply the deletion (§3.6.3).
-  LOGBASE_RETURN_NOT_OK(tablet->index()->RemoveAllVersions(key));
-  log::LogRecord record;
-  record.type = log::LogRecordType::kInvalidate;
-  record.key.table_id = tablet->descriptor().table_id;
-  record.key.tablet_id = tablet->descriptor().packed_id();
-  record.row.primary_key = key.ToString();
-  record.row.column_group = tablet->descriptor().column_group;
-  record.row.timestamp = NextLocalTimestamp();
-  auto ptr = writer_->Append(std::move(record), ack);
-  if (!ptr.ok()) return ptr.status();
-  tablet->RecordUpdate();
-  buffer_.Invalidate(BufferKey(tablet_uid, key));
-  if (tablet->has_secondary_indexes()) {
-    LOGBASE_RETURN_NOT_OK(tablet->NotifySecondaryDelete(key));
-  }
-  return Status::OK();
 }
 
 Result<query::TabletResult> TabletServer::ExecuteScan(
@@ -588,63 +583,6 @@ Result<uint64_t> TabletServer::FullScanCount(const std::string& tablet_uid) {
     if (!(*scanner)->status().ok()) return (*scanner)->status();
   }
   return live;
-}
-
-// ---------------------------------------------------------------------------
-// Transaction support.
-// ---------------------------------------------------------------------------
-
-Result<std::vector<log::LogPtr>> TabletServer::AppendBatch(
-    std::vector<log::LogRecord>* records, log::AckMode ack) {
-  if (!running()) return Status::Unavailable("tablet server is down");
-  // Transactional front door: gate the whole batch before it reaches the
-  // log. Publishes of an already-appended batch are not re-gated (shedding
-  // half a committed transaction would violate atomicity).
-  uint64_t payload = 0;
-  for (const log::LogRecord& r : *records) payload += r.value.size();
-  LOGBASE_RETURN_NOT_OK(admission_.Admit(
-      "", records->empty() ? 1 : records->size(), payload));
-  std::vector<log::LogPtr> ptrs;
-  LOGBASE_RETURN_NOT_OK(writer_->AppendBatch(records, &ptrs, ack));
-  return ptrs;
-}
-
-Status TabletServer::PublishWrite(const std::string& tablet_uid,
-                                  const Slice& key, uint64_t timestamp,
-                                  const log::LogPtr& ptr,
-                                  const Slice& value) {
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-  if (tablet->sealed()) {
-    return Status::Unavailable("tablet sealed for migration: " + tablet_uid);
-  }
-  tablet->RecordWrite(key.size() + value.size());
-  LOGBASE_RETURN_NOT_OK(tablet->index()->Insert(key, timestamp, ptr));
-  tablet->RecordUpdate();
-  buffer_.Put(BufferKey(tablet_uid, key),
-              CachedRecord{timestamp, value.ToString()});
-  if (tablet->has_secondary_indexes()) {
-    LOGBASE_RETURN_NOT_OK(
-        tablet->NotifySecondaryWrite(key, timestamp, value));
-  }
-  return Status::OK();
-}
-
-Status TabletServer::PublishDelete(const std::string& tablet_uid,
-                                   const Slice& key) {
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-  if (tablet->sealed()) {
-    return Status::Unavailable("tablet sealed for migration: " + tablet_uid);
-  }
-  tablet->RecordWrite(key.size());
-  LOGBASE_RETURN_NOT_OK(tablet->index()->RemoveAllVersions(key));
-  tablet->RecordUpdate();
-  buffer_.Invalidate(BufferKey(tablet_uid, key));
-  if (tablet->has_secondary_indexes()) {
-    LOGBASE_RETURN_NOT_OK(tablet->NotifySecondaryDelete(key));
-  }
-  return Status::OK();
 }
 
 Result<uint64_t> TabletServer::LatestVersion(const std::string& tablet_uid,

@@ -1,8 +1,8 @@
 // The tablet server (paper §3.3/§3.6): a single log instance in the DFS as
 // the *only* data repository, one in-memory multiversion index per column
 // group per tablet, an optional read buffer, checkpointing, recovery and log
-// compaction. Transactions layer on top through the Append/Publish
-// primitives (src/txn/).
+// compaction. Auto-commit writes and transactions (src/txn/) share one
+// write surface: Submit / Wait / Publish.
 
 #ifndef LOGBASE_TABLET_TABLET_SERVER_H_
 #define LOGBASE_TABLET_TABLET_SERVER_H_
@@ -74,14 +74,32 @@ struct RecoveryStats {
   uint64_t redo_bytes = 0;
 };
 
-/// An in-flight asynchronous write: the log ticket plus everything needed
-/// to publish the write once its group-commit batch is durable. Obtained
-/// from TabletServer::SubmitPut, completed by TabletServer::CompleteWrite.
-struct PendingWrite {
-  log::AppendTicket ticket;
+/// One op of a mutation batch: a put, or a delete (an INVALIDATE record,
+/// §3.6.3), of one key in one tablet.
+struct WriteOp {
   std::string tablet_uid;
-  std::vector<std::pair<std::string, std::string>> kvs;
-  std::vector<uint64_t> timestamps;
+  std::string key;
+  std::string value;  // empty for a delete
+  bool is_delete = false;
+};
+
+/// Marks a mutation batch as (part of) a transaction's write set: every op
+/// is stamped with `txn_id` and versioned at `commit_ts`, and `commit`
+/// appends the COMMIT record after the ops. txn_id 0 is auto-commit: each
+/// op draws its own timestamp and is visible once published.
+struct TxnStamp {
+  uint64_t txn_id = 0;
+  uint64_t commit_ts = 0;
+  bool commit = false;
+};
+
+/// A mutation batch in flight: Submit enqueues its records, Wait fills
+/// `ptrs` once they are durable, Publish makes the ops visible.
+struct MutationBatch {
+  std::vector<WriteOp> ops;
+  std::vector<uint64_t> timestamps;  // one per op
+  std::vector<log::LogPtr> ptrs;     // one per op, after Wait
+  log::AppendTicket ticket;
 };
 
 class TabletServer {
@@ -142,34 +160,47 @@ class TabletServer {
   /// distinct keys or no interior key exists.
   Result<std::string> SuggestSplitKey(const std::string& uid);
 
-  // -- Auto-committed data operations (§3.6) ----------------------------
+  // -- Writes (§3.6.1-§3.6.3, §3.7.2) ------------------------------------
+  //
+  // Every write follows one rule: append the records to the log, wait
+  // until they are durable, then make them visible. Only after Publish
+  // returns OK may a write be acknowledged (invariant I1: acked writes
+  // survive crashes).
+
+  /// Checks admission and every op's tablet (known, not sealed), draws
+  /// timestamps, and enqueues the ops' DATA/INVALIDATE records (plus a
+  /// trailing COMMIT when `txn.commit`) into group commit. Nothing is
+  /// visible yet. An empty `ops` with `txn.commit` submits a bare COMMIT.
+  Result<MutationBatch> Submit(std::vector<WriteOp> ops,
+                               log::AckMode ack = log::AckMode::kQuorum,
+                               const TxnStamp& txn = {});
+  /// Waits until the batch's records are durable and fills its `ptrs`.
+  Status Wait(MutationBatch* batch);
+  /// Applies the ops, in op order, to the index, read buffer and secondary
+  /// indexes. Call only after Wait (for 2PC: after every participant's
+  /// COMMIT is durable).
+  Status Publish(const MutationBatch& batch);
 
   Status Put(const std::string& tablet_uid, const Slice& key,
-             const Slice& value, log::AckMode ack = log::AckMode::kQuorum);
-  /// Bulk write: one group-committed log append for the whole batch.
-  Status PutBatch(const std::string& tablet_uid,
-                  const std::vector<std::pair<std::string, std::string>>& kvs,
-                  log::AckMode ack = log::AckMode::kQuorum);
-  /// Async half of a write: stamps timestamps and enqueues the records into
-  /// the log's group-commit queue without waiting for durability. The write
-  /// is NOT visible (not indexed, not acked) until CompleteWrite.
-  Result<PendingWrite> SubmitPut(
-      const std::string& tablet_uid,
-      const std::vector<std::pair<std::string, std::string>>& kvs,
-      log::AckMode ack = log::AckMode::kQuorum);
-  /// Completes a SubmitPut: waits for the batch's durability ack, then
-  /// publishes the write into the index + read buffer. Only after this
-  /// returns OK may the write be acknowledged to a client (invariant I1:
-  /// acked writes survive crashes).
-  Status CompleteWrite(PendingWrite* pending);
+             const Slice& value, log::AckMode ack = log::AckMode::kQuorum) {
+    return Write({{tablet_uid, key.ToString(), value.ToString(), false}}, ack);
+  }
+  Status Delete(const std::string& tablet_uid, const Slice& key,
+                log::AckMode ack = log::AckMode::kQuorum) {
+    return Write({{tablet_uid, key.ToString(), "", true}}, ack);
+  }
+
+  // -- Reads (§3.6.4) ---------------------------------------------------
+
   /// The version of `key` visible at `as_of` (tablet::ReadPoint).
   Result<ReadValue> Get(const std::string& tablet_uid, const Slice& key,
                         uint64_t as_of = index::kLatest);
   /// All versions of a key, newest first (multiversion access).
   Result<std::vector<ReadRow>> GetVersions(const std::string& tablet_uid,
                                            const Slice& key);
-  Status Delete(const std::string& tablet_uid, const Slice& key,
-                log::AckMode ack = log::AckMode::kQuorum);
+  /// Latest committed version of a key (0 when absent) — MVOCC validation.
+  Result<uint64_t> LatestVersion(const std::string& tablet_uid,
+                                 const Slice& key);
   /// Full scan with index version check (§3.6.4): returns the number of
   /// records whose stored version is current.
   Result<uint64_t> FullScanCount(const std::string& tablet_uid);
@@ -186,23 +217,6 @@ class TabletServer {
   Result<query::TabletResult> ExecuteScan(
       const std::string& tablet_uid, const Slice& encoded_plan,
       const query::ExecOptions& options = {});
-
-  // -- Transaction support (used by txn::TransactionManager) ------------
-
-  /// Group-commits a batch of prepared records into the log.
-  Result<std::vector<log::LogPtr>> AppendBatch(
-      std::vector<log::LogRecord>* records,
-      log::AckMode ack = log::AckMode::kQuorum);
-  /// Publishes a committed write into the index + read buffer.
-  Status PublishWrite(const std::string& tablet_uid, const Slice& key,
-                      uint64_t timestamp, const log::LogPtr& ptr,
-                      const Slice& value);
-  /// Publishes a committed delete (index removal; the INVALIDATE record must
-  /// already be in the batch).
-  Status PublishDelete(const std::string& tablet_uid, const Slice& key);
-  /// Latest committed version of a key (0 when absent) — MVOCC validation.
-  Result<uint64_t> LatestVersion(const std::string& tablet_uid,
-                                 const Slice& key);
 
   // -- Secondary indexes (§5 future work, implemented) -------------------
 
@@ -274,7 +288,8 @@ class TabletServer {
   Result<std::string> FetchLogValue(const index::IndexEntry& entry) {
     return FetchValue(ReaderFor(entry.ptr.instance), entry);
   }
-  Status MaybeAutoCheckpoint(Tablet* tablet);
+  /// Submit -> Wait -> Publish of one auto-commit batch.
+  Status Write(std::vector<WriteOp> ops, log::AckMode ack);
   /// Restart fencing: drops recovered tablets whose persisted assignment
   /// names another server (they were adopted while this process was down;
   /// serving the stale copies would fork history).

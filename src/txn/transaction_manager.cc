@@ -121,88 +121,47 @@ Status TransactionManager::ValidateLocked(Transaction* txn) {
 
 Status TransactionManager::PersistAndPublish(Transaction* txn,
                                              log::AckMode ack) {
-  // Group writes per participant server.
+  // One mutation batch per participant server, keyed by server id so the
+  // 2PC append order is the same in every run.
   struct Participant {
-    tablet::TabletServer* server;
-    std::vector<log::LogRecord> records;
-    std::vector<const TxnCell*> cells;  // parallel to records
+    tablet::TabletServer* server = nullptr;
+    std::vector<tablet::WriteOp> ops;  // moved into `batch` by Submit
+    tablet::MutationBatch batch;
   };
-  std::map<tablet::TabletServer*, Participant> participants;
-
+  std::map<int, Participant> participants;
   for (const auto& [cell, write] : txn->writes()) {
     tablet::TabletServer* server = resolver_(cell.tablet_uid);
     if (server == nullptr) return Status::Unavailable("no server for tablet");
-    tablet::Tablet* tablet = server->FindTablet(cell.tablet_uid);
-    if (tablet == nullptr) return Status::NotFound("unknown tablet");
-
-    Participant& p = participants[server];
+    Participant& p = participants[server->server_id()];
     p.server = server;
-    log::LogRecord record;
-    record.type = write.is_delete ? log::LogRecordType::kInvalidate
-                                  : log::LogRecordType::kData;
-    record.key.table_id = tablet->descriptor().table_id;
-    record.key.tablet_id = tablet->descriptor().packed_id();
-    record.txn_id = txn->id();
-    record.row.primary_key = cell.key;
-    record.row.column_group = tablet->descriptor().column_group;
-    record.row.timestamp = txn->commit_ts();
-    record.value = write.value;
-    record.commit_ts = txn->commit_ts();
-    p.records.push_back(std::move(record));
-    p.cells.push_back(&cell);
+    p.ops.push_back(tablet::WriteOp{cell.tablet_uid, cell.key, write.value,
+                                    write.is_delete});
   }
 
-  auto make_commit_record = [txn]() {
-    log::LogRecord commit;
-    commit.type = log::LogRecordType::kCommit;
-    commit.txn_id = txn->id();
-    commit.commit_ts = txn->commit_ts();
-    return commit;
-  };
-
-  std::map<tablet::TabletServer*, std::vector<log::LogPtr>> ptrs;
-  if (participants.size() == 1) {
-    // Fast path: data + COMMIT in one group-committed append (§3.7.2).
-    Participant& p = participants.begin()->second;
-    p.records.push_back(make_commit_record());
-    auto appended = p.server->AppendBatch(&p.records, ack);
-    if (!appended.ok()) return appended.status();
-    appended->pop_back();  // drop the commit record's ptr
-    p.records.pop_back();
-    ptrs[p.server] = std::move(*appended);
-  } else {
-    // 2PC: phase one writes the data records everywhere...
-    for (auto& [server, p] : participants) {
-      auto appended = server->AppendBatch(&p.records, ack);
-      if (!appended.ok()) return appended.status();  // invisible: no COMMIT
-      ptrs[server] = std::move(*appended);
-    }
-    // ...phase two makes the transaction durable-visible everywhere.
-    for (auto& [server, p] : participants) {
-      std::vector<log::LogRecord> commit_batch;
-      commit_batch.push_back(make_commit_record());
-      std::vector<log::LogPtr> commit_ptrs;
-      auto appended = server->AppendBatch(&commit_batch, ack);
-      if (!appended.ok()) return appended.status();
-      (void)commit_ptrs;
+  // Fast path: one participant writes data + COMMIT in one group-committed
+  // batch (§3.7.2). 2PC: phase one writes the data records everywhere,
+  // phase two the COMMIT records; a failure before every COMMIT is durable
+  // leaves the transaction invisible everywhere.
+  tablet::TxnStamp stamp{txn->id(), txn->commit_ts(),
+                         /*commit=*/participants.size() == 1};
+  for (auto& [id, p] : participants) {
+    auto batch = p.server->Submit(std::move(p.ops), ack, stamp);
+    if (!batch.ok()) return batch.status();
+    LOGBASE_RETURN_NOT_OK(p.server->Wait(&*batch));
+    p.batch = std::move(*batch);
+  }
+  if (!stamp.commit) {
+    stamp.commit = true;
+    for (auto& [id, p] : participants) {
+      auto commit = p.server->Submit({}, ack, stamp);
+      if (!commit.ok()) return commit.status();
+      LOGBASE_RETURN_NOT_OK(p.server->Wait(&*commit));
     }
   }
 
   // Publication: only now do the writes become visible to reads.
-  for (auto& [server, p] : participants) {
-    const std::vector<log::LogPtr>& server_ptrs = ptrs[server];
-    for (size_t i = 0; i < p.cells.size(); i++) {
-      const TxnCell& cell = *p.cells[i];
-      const BufferedWrite& write = txn->writes().at(cell);
-      if (write.is_delete) {
-        LOGBASE_RETURN_NOT_OK(
-            server->PublishDelete(cell.tablet_uid, Slice(cell.key)));
-      } else {
-        LOGBASE_RETURN_NOT_OK(server->PublishWrite(
-            cell.tablet_uid, Slice(cell.key), txn->commit_ts(),
-            server_ptrs[i], Slice(write.value)));
-      }
-    }
+  for (auto& [id, p] : participants) {
+    LOGBASE_RETURN_NOT_OK(p.server->Publish(p.batch));
   }
   return Status::OK();
 }

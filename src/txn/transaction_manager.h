@@ -8,8 +8,10 @@
 // Single-server transactions commit with one group-committed log append
 // (data + COMMIT together). Multi-server transactions run a two-phase
 // commit: data records on every participant first, COMMIT records after all
-// succeeded — visibility requires the COMMIT record plus index publication,
-// so a failure between phases leaves the transaction invisible everywhere.
+// succeeded, participants in server-id order — visibility requires the
+// COMMIT record plus index publication, so a failure between phases leaves
+// the transaction invisible everywhere. Both go through the tablet servers'
+// one write surface (Submit / Wait / Publish).
 
 #ifndef LOGBASE_TXN_TRANSACTION_MANAGER_H_
 #define LOGBASE_TXN_TRANSACTION_MANAGER_H_

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "src/cluster/mini_cluster.h"
+#include "src/obs/metrics.h"
 #include "src/sim/sim_context.h"
 
 namespace logbase::cluster {
@@ -138,28 +139,44 @@ TEST(ClientTest, DeleteThroughClient) {
 
 TEST(ClientTest, PutBatchSpansTabletsAndDeletes) {
   // One WriteBatch mixing puts across tablet boundaries (splits at user3 and
-  // user6), column groups, an interleaved delete, and a same-key overwrite.
-  // The client coalesces same-tablet runs into server-side batches; insertion
-  // order must still be what the reader observes.
+  // user6), column groups, deletes, and same-key sequences. The client ships
+  // each maximal same-tablet run, puts and deletes mixed, as one server-side
+  // batch; insertion order must still be what the reader observes.
   ClusterFixture f;
   ASSERT_TRUE(f.CreateUsersTable().ok());
   ASSERT_TRUE(f.client->Put("users", 0, "user5", "stale", {}).ok());
+  ASSERT_TRUE(f.client->Put("users", 0, "user6", "stale", {}).ok());
 
   client::WriteBatch batch;
   batch.Put(0, "user1", "v1")
-      .Put(0, "user2", "v2")     // same tablet as user1: coalesced run
+      .Put(0, "user2", "v2")     // same tablet as user1: one run
       .Put(0, "user4", "v4")     // crosses the user3 split
-      .Delete(0, "user5")        // delete flushes the run, then applies
+      .Delete(0, "user5")        // same tablet as user4: joins its run
       .Put(0, "user7", "v7")     // crosses the user6 split
       .Put(1, "user1", "bio1")   // different column group
-      .Put(0, "user9", "early")
-      .Put(0, "user9", "late");  // same key twice: later op wins
+      .Put(0, "user9", "early")  // back to user7's tablet: a new run
+      .Put(0, "user9", "late")   // same key twice: later op wins
+      .Put(0, "user8", "first")  // put, delete, put of one key
+      .Delete(0, "user8")
+      .Put(0, "user8", "second")
+      .Delete(0, "user6")        // delete, then put, of an existing key
+      .Put(0, "user6", "reborn");
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   ASSERT_TRUE(f.client->PutBatch("users", batch, {}).ok());
+  const obs::MetricsSnapshot delta =
+      obs::MetricsRegistry::Global().Snapshot().Delta(before);
+
+  // Five runs, five log submissions: the deletes ride their runs.
+  const obs::MetricPoint* submissions = delta.Find("log.append.batch_records");
+  ASSERT_NE(submissions, nullptr);
+  EXPECT_EQ(submissions->count, 5u);
+  EXPECT_EQ(submissions->sum, static_cast<double>(batch.size()));
 
   for (auto [key, want] : std::initializer_list<
            std::pair<const char*, const char*>>{
            {"user1", "v1"}, {"user2", "v2"}, {"user4", "v4"},
-           {"user7", "v7"}, {"user9", "late"}}) {
+           {"user7", "v7"}, {"user9", "late"}, {"user8", "second"},
+           {"user6", "reborn"}}) {
     auto value = f.client->Get("users", 0, key, client::ReadOptions{});
     ASSERT_TRUE(value.ok()) << key;
     EXPECT_EQ(value->value(), want) << key;

@@ -144,28 +144,19 @@ TEST(ReplicaTest, TxnHoldbackAdvancesOnCommit) {
   auto before = rep->Watermark(uid);
   ASSERT_TRUE(before.ok());
 
-  // Craft an uncommitted transaction directly in the owner's log. Client
-  // transactions buffer writes until Commit, so data-without-COMMIT state —
-  // what the tailer must hold the watermark under — needs a raw AppendBatch.
+  // Stage an undecided transaction in the owner's log: its data records,
+  // durable but unpublished, and no COMMIT yet. Client transactions never
+  // leave that state behind, so the test drives the server's write surface.
   auto location = m->GetAssignment(uid);
   ASSERT_TRUE(location.ok());
   tablet::TabletServer* server = cluster.server(location->server_id);
-  tablet::Tablet* tablet = server->FindTablet(uid);
-  ASSERT_NE(tablet, nullptr);
   // A commit timestamp above every issued one, straight from the authority.
   const uint64_t txn_ts = cluster.coord()->NextTimestamp(0);
-  log::LogRecord rec;
-  rec.type = log::LogRecordType::kData;
-  rec.key.table_id = tablet->descriptor().table_id;
-  rec.key.tablet_id = tablet->descriptor().packed_id();
-  rec.txn_id = 777;
-  rec.row.primary_key = Key(3);
-  rec.row.column_group = 0;
-  rec.row.timestamp = txn_ts;
-  rec.value = "txn-value";
-  rec.commit_ts = txn_ts;
-  std::vector<log::LogRecord> batch{rec};
-  ASSERT_TRUE(server->AppendBatch(&batch).ok());
+  auto staged = server->Submit({{uid, Key(3), "txn-value"}},
+                               log::AckMode::kQuorum,
+                               tablet::TxnStamp{777, txn_ts, false});
+  ASSERT_TRUE(staged.ok());
+  ASSERT_TRUE(server->Wait(&*staged).ok());
 
   // Auto-commit writes land above the pending transaction (the server may
   // first drain a cached timestamp block below txn_ts; write until one
@@ -188,12 +179,10 @@ TEST(ReplicaTest, TxnHoldbackAdvancesOnCommit) {
 
   // COMMIT decides it; the watermark catches up past the late writes and
   // the transactional value becomes readable at the replica.
-  log::LogRecord commit;
-  commit.type = log::LogRecordType::kCommit;
-  commit.txn_id = 777;
-  commit.commit_ts = txn_ts;
-  std::vector<log::LogRecord> commit_batch{commit};
-  ASSERT_TRUE(server->AppendBatch(&commit_batch).ok());
+  auto commit = server->Submit({}, log::AckMode::kQuorum,
+                               tablet::TxnStamp{777, txn_ts, true});
+  ASSERT_TRUE(commit.ok());
+  ASSERT_TRUE(server->Wait(&*commit).ok());
   ASSERT_TRUE(cluster.TickReplicas().ok());
   auto advanced = rep->Watermark(uid);
   ASSERT_TRUE(advanced.ok());
@@ -362,50 +351,33 @@ TEST(ReplicaTest, RecoveryAdoptionAndTailingAgree) {
   const tablet::TabletDescriptor descriptor =
       server->FindTablet(uid)->descriptor();
 
-  // Transactional records go straight into the owner's log: client
-  // transactions never leave data without a COMMIT, nor interleave two.
-  auto op = [&](log::LogRecordType type, uint64_t txn_id, int key,
-                uint64_t ts) {
-    log::LogRecord rec;
-    rec.type = type;
-    rec.key.table_id = descriptor.table_id;
-    rec.key.tablet_id = descriptor.packed_id();
-    rec.txn_id = txn_id;
-    rec.row.primary_key = Key(key);
-    rec.row.column_group = descriptor.column_group;
-    rec.row.timestamp = ts;
-    rec.value = "txn" + std::to_string(txn_id);
-    rec.commit_ts = ts;
-    return rec;
+  // Transactional records go straight into the owner's log, durable but
+  // never published: client transactions never leave data without a
+  // COMMIT, nor interleave two.
+  auto put = [&](uint64_t txn_id, int key) {
+    return tablet::WriteOp{uid, Key(key), "txn" + std::to_string(txn_id),
+                           false};
   };
-  auto commit = [](uint64_t txn_id, uint64_t ts) {
-    log::LogRecord rec;
-    rec.type = log::LogRecordType::kCommit;
-    rec.txn_id = txn_id;
-    rec.commit_ts = ts;
-    return rec;
-  };
-  auto append = [server](std::vector<log::LogRecord> batch) {
-    return server->AppendBatch(&batch).status();
+  auto append = [server](std::vector<tablet::WriteOp> ops, uint64_t txn_id,
+                         uint64_t ts, bool commit) {
+    auto batch = server->Submit(std::move(ops), log::AckMode::kQuorum,
+                                tablet::TxnStamp{txn_id, ts, commit});
+    if (!batch.ok()) return batch.status();
+    return server->Wait(&*batch);
   };
   const uint64_t ts_a = cluster.coord()->NextTimestamp(0);
   const uint64_t ts_b = cluster.coord()->NextTimestamp(0);
   const uint64_t ts_del = cluster.coord()->NextTimestamp(0);
   const uint64_t ts_open = cluster.coord()->NextTimestamp(0);
-  using log::LogRecordType;
   // A and B interleave and commit in reverse order.
-  ASSERT_TRUE(append({op(LogRecordType::kData, 101, 1, ts_a),
-                      op(LogRecordType::kData, 101, 40, ts_a)})
-                  .ok());
-  ASSERT_TRUE(append({op(LogRecordType::kData, 102, 2, ts_b)}).ok());
-  ASSERT_TRUE(append({commit(102, ts_b)}).ok());
-  ASSERT_TRUE(append({commit(101, ts_a)}).ok());
+  ASSERT_TRUE(append({put(101, 1), put(101, 40)}, 101, ts_a, false).ok());
+  ASSERT_TRUE(append({put(102, 2)}, 102, ts_b, false).ok());
+  ASSERT_TRUE(append({}, 102, ts_b, true).ok());
+  ASSERT_TRUE(append({}, 101, ts_a, true).ok());
   // A transactional delete.
-  ASSERT_TRUE(append({op(LogRecordType::kInvalidate, 103, 3, ts_del),
-                      commit(103, ts_del)})
-                  .ok());
+  ASSERT_TRUE(append({{uid, Key(3), "", true}}, 103, ts_del, true).ok());
   // A transaction that never commits.
-  ASSERT_TRUE(append({op(LogRecordType::kData, 104, 4, ts_open)}).ok());
+  ASSERT_TRUE(append({put(104, 4)}, 104, ts_open, false).ok());
   ASSERT_TRUE(client->Put("t", 0, Key(6), "late", {}).ok());
   ASSERT_TRUE(client->Delete("t", 0, Key(7), {}).ok());
 

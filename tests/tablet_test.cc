@@ -202,14 +202,43 @@ TEST(TabletServerTest, ScanReturnsSortedLatestVersions) {
 
 TEST(TabletServerTest, PutBatchGroupCommits) {
   ServerFixture f;
-  std::vector<std::pair<std::string, std::string>> kvs;
+  std::vector<WriteOp> ops;
   for (int i = 0; i < 50; i++) {
-    kvs.emplace_back("batch" + std::to_string(i), "v" + std::to_string(i));
+    ops.push_back(
+        {f.uid, "batch" + std::to_string(i), "v" + std::to_string(i)});
   }
-  ASSERT_TRUE(f.server->PutBatch(f.uid, kvs).ok());
-  for (const auto& [k, v] : kvs) {
-    EXPECT_EQ(f.server->Get(f.uid, k)->value, v);
+  auto batch = f.server->Submit(ops);
+  ASSERT_TRUE(batch.ok());
+  // Durable is not yet visible: the ops show up at Publish.
+  ASSERT_TRUE(f.server->Wait(&*batch).ok());
+  EXPECT_TRUE(f.server->Get(f.uid, "batch0").status().IsNotFound());
+  ASSERT_TRUE(f.server->Publish(*batch).ok());
+  for (const WriteOp& op : ops) {
+    EXPECT_EQ(f.server->Get(f.uid, op.key)->value, op.value);
   }
+}
+
+// A delete takes effect only once its INVALIDATE record is durable: when the
+// log append fails, the key keeps its value, before and after a restart.
+TEST(TabletServerTest, FailedDeleteLosesNothing) {
+  ServerFixture f;
+  ASSERT_TRUE(f.server->Put(f.uid, "k", "kept").ok());
+  for (int node = 0; node < 3; node++) {
+    f.dfs->data_node(node)->InjectIoErrors(1000);
+  }
+  EXPECT_FALSE(f.server->Delete(f.uid, "k").ok());
+  for (int node = 0; node < 3; node++) {
+    f.dfs->data_node(node)->InjectIoErrors(0);
+  }
+  auto before = f.server->Get(f.uid, "k");
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->value, "kept");
+
+  f.server->Crash();
+  ASSERT_TRUE(f.server->Start().ok());
+  auto after = f.server->Get(f.uid, "k");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->value, "kept");
 }
 
 TEST(TabletServerTest, ReadBufferServesRepeatReads) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+
 #include "src/cluster/mini_cluster.h"
 #include "src/dfs/dfs.h"
 #include "src/tablet/tablet_server.h"
@@ -57,6 +60,17 @@ struct TxnFixture {
         });
   }
 };
+
+/// Phase one of a commit without phase two: the transaction's data record
+/// made durable in the log, never committed or published.
+Status AppendUncommitted(TabletServer* server, const std::string& uid,
+                         const std::string& key, const std::string& value,
+                         uint64_t txn_id, uint64_t ts) {
+  auto batch = server->Submit({{uid, key, value}}, log::AckMode::kQuorum,
+                              tablet::TxnStamp{txn_id, ts, false});
+  if (!batch.ok()) return batch.status();
+  return server->Wait(&*batch);
+}
 
 TEST(TxnTest, CommitMakesWritesVisible) {
   TxnFixture f;
@@ -219,16 +233,10 @@ TEST(TxnTest, CompactionDropsUncommittedTxnData) {
   // Simulate a transaction that persisted data records but crashed before
   // its COMMIT record: compaction must reclaim them.
   TxnFixture f(1);
-  log::LogRecord orphan;
-  orphan.type = log::LogRecordType::kData;
-  orphan.key.table_id = 1;
-  orphan.key.tablet_id = 0;
-  orphan.txn_id = 999;  // no commit record will ever exist
-  orphan.row.primary_key = "orphan";
-  orphan.row.timestamp = 12345;
-  orphan.value = "ghost";
-  std::vector<log::LogRecord> batch{orphan};
-  ASSERT_TRUE(f.servers[0]->AppendBatch(&batch).ok());
+  // No commit record will ever exist for txn 999.
+  ASSERT_TRUE(AppendUncommitted(f.servers[0].get(), f.uid0, "orphan", "ghost",
+                                /*txn_id=*/999, /*ts=*/12345)
+                  .ok());
   ASSERT_TRUE(f.servers[0]->Put(f.uid0, "real", "v").ok());
 
   tablet::CompactionStats stats;
@@ -240,19 +248,76 @@ TEST(TxnTest, CompactionDropsUncommittedTxnData) {
 
 TEST(TxnTest, UncommittedTxnDataIgnoredByRecovery) {
   TxnFixture f(1);
-  log::LogRecord orphan;
-  orphan.type = log::LogRecordType::kData;
-  orphan.key.table_id = 1;
-  orphan.key.tablet_id = 0;
-  orphan.txn_id = 777;
-  orphan.row.primary_key = "phantom";
-  orphan.row.timestamp = 1;
-  orphan.value = "boo";
-  std::vector<log::LogRecord> batch{orphan};
-  ASSERT_TRUE(f.servers[0]->AppendBatch(&batch).ok());
+  ASSERT_TRUE(AppendUncommitted(f.servers[0].get(), f.uid0, "phantom", "boo",
+                                /*txn_id=*/777, /*ts=*/1)
+                  .ok());
   f.servers[0]->Crash();
   ASSERT_TRUE(f.servers[0]->Start().ok());
   EXPECT_TRUE(f.servers[0]->Get(f.uid0, "phantom").status().IsNotFound());
+}
+
+// The seal is checked before anything reaches the log: a commit on a
+// sealed tablet fails without leaving a COMMIT for recovery to replay.
+TEST(TxnTest, SealedTabletRefusesCommitBeforeLog) {
+  TxnFixture f(1);
+  ASSERT_TRUE(f.servers[0]->Put(f.uid0, "before", "v").ok());
+  ASSERT_TRUE(f.servers[0]->SealTablet(f.uid0).ok());
+  auto txn = f.manager->Begin();
+  ASSERT_TRUE(f.manager->Write(txn.get(), f.uid0, "k", "refused").ok());
+  Status committed = f.manager->Commit(txn.get());
+  EXPECT_TRUE(committed.IsUnavailable()) << committed.ToString();
+  f.servers[0]->Crash();
+  ASSERT_TRUE(f.servers[0]->Start().ok());
+  ASSERT_TRUE(f.servers[0]->Get(f.uid0, "before").ok());  // tablet recovered
+  EXPECT_TRUE(f.servers[0]->Get(f.uid0, "k").status().IsNotFound());
+}
+
+// 2PC visits its participants in server-id order, whatever their addresses:
+// when phase one fails on the higher-id participant, the lower-id one has
+// already appended its data records.
+TEST(TxnTest, TwoPhaseCommitAppendsInServerIdOrder) {
+  dfs::DfsOptions dfs_options;
+  dfs_options.num_nodes = 3;
+  // Each server logs to a DFS of its own, so disk errors fail only the
+  // higher-id participant's appends.
+  dfs::Dfs high_dfs(dfs_options), low_dfs(dfs_options);
+  coord::CoordinationService coord;
+  // The higher id sits at the lower address, so an order by address would
+  // reach it first.
+  std::array<std::optional<TabletServer>, 2> servers;
+  for (int slot = 0; slot < 2; slot++) {
+    TabletServerOptions options;
+    options.server_id = 1 - slot;
+    servers[slot].emplace(options, slot == 0 ? &high_dfs : &low_dfs, &coord);
+    ASSERT_TRUE(servers[slot]->Start().ok());
+  }
+  TabletServer& high = *servers[0];
+  TabletServer& low = *servers[1];
+  ASSERT_LT(&high, &low);
+  TabletDescriptor d_low, d_high;
+  d_low.table_id = d_high.table_id = 1;
+  d_high.range_id = 1;
+  ASSERT_TRUE(low.OpenTablet(d_low).ok());
+  ASSERT_TRUE(high.OpenTablet(d_high).ok());
+  TransactionManager manager(&coord, /*client_node=*/0,
+                             [&](const std::string& uid) {
+                               return uid == d_low.uid() ? &low : &high;
+                             });
+
+  auto txn = manager.Begin();
+  ASSERT_TRUE(manager.Write(txn.get(), d_low.uid(), "a", "x").ok());
+  ASSERT_TRUE(manager.Write(txn.get(), d_high.uid(), "b", "y").ok());
+  for (int node = 0; node < 3; node++) {
+    high_dfs.data_node(node)->InjectIoErrors(1000);
+  }
+  const uint64_t low_log_before = low.log_bytes_written();
+  EXPECT_FALSE(manager.Commit(txn.get()).ok());
+  EXPECT_GT(low.log_bytes_written(), low_log_before);
+  EXPECT_EQ(high.log_bytes_written(), 0u);
+  EXPECT_TRUE(low.Get(d_low.uid(), "a").status().IsNotFound());
+  for (int node = 0; node < 3; node++) {
+    high_dfs.data_node(node)->InjectIoErrors(0);
+  }
 }
 
 TEST(TxnTest, SerializableModeAbortsWriteSkew) {
