@@ -37,6 +37,11 @@ Rules enforced over src/ (and, where noted, the whole tree):
                 `writer*` receiver). Puts, deletes and transaction records
                 share that one mutation batch, so every write is logged,
                 made durable, then published, in that order.
+  read-buffer   Under src/tablet/ and src/replica/, only
+                src/tablet/read_path.cc looks up the read buffer
+                (`buffer_.Get(` / `buffer->Get(`). Point and range reads on
+                both server kinds share its one rule for when a buffered
+                value may answer and when a fetch may fill the buffer.
 
 Usage:
   lint.py [--root DIR]     lint the tree, exit non-zero on violations
@@ -498,11 +503,36 @@ def check_write_path(path, rel, stripped):
 
 
 # --------------------------------------------------------------------------
+# rule: read-buffer
+
+# Paper §3.6.2: the read buffer answers a read only with the version the
+# snapshot sees, and only a latest read may fill it. tablet::ReadPoint and
+# tablet::ReadRange hold that rule for both server kinds; a second lookup
+# site is how replica scans once skipped the buffer and how a replica as-of
+# read once poisoned it. Buffers are named `buffer` in this codebase
+# (members `buffer_`, parameters `buffer`).
+READ_BUFFER_DIRS = ('src/tablet/', 'src/replica/')
+READ_BUFFER_OWNER_FILE = 'src/tablet/read_path.cc'
+READ_BUFFER_GET = re.compile(r'\bbuffer(?:_\s*\.|\s*->)\s*Get\s*\(')
+
+
+def check_read_buffer(path, rel, stripped):
+    if not rel.startswith(READ_BUFFER_DIRS) or rel == READ_BUFFER_OWNER_FILE:
+        return []
+    return [Violation('read-buffer', rel, lineno,
+                      'read-buffer lookup outside src/tablet/read_path.cc; '
+                      'read through tablet::ReadPoint / tablet::ReadRange so '
+                      'both server kinds share one buffer rule')
+            for lineno, line in iter_lines(stripped)
+            if READ_BUFFER_GET.search(line)]
+
+
+# --------------------------------------------------------------------------
 # driver
 
 PER_FILE_RULES = [check_wall_clock, check_nondet, check_raw_new,
                   check_deprecated, check_mutex, check_guarded_by,
-                  check_write_path]
+                  check_write_path, check_read_buffer]
 
 
 def lint_tree(root):
@@ -724,6 +754,18 @@ SELF_TEST_CASES = [
     (check_write_path, 'src/txn/transaction_manager.cc',
      'LOGBASE_RETURN_NOT_OK(server->writer()->AppendBatch(&records, &ptrs));',
      'auto batch = p.server->Submit(std::move(p.ops), ack, stamp);'),
+    # One buffer rule: a server that probes its own read buffer is a second
+    # rule for which version the buffer may answer with.
+    (check_read_buffer, 'src/replica/replica_server.cc',
+     'if (buffer_.Get(tablet::BufferKey(uid, key), &cached)) return cached;',
+     'buffer_.Put(tablet::BufferKey(uid, Slice(key)), record);'),
+    (check_read_buffer, 'src/tablet/tablet_server.cc',
+     'if (buffer_.Get(bkey, &cached) && cached.timestamp == ts) {',
+     'auto result = ReadRange(*tablet->index(), &buffer_, uid, plan, as_of,\n'
+     '                        rows, fetch, &scanned_bytes);'),
+    (check_read_buffer, 'src/tablet/scan_helper.cc',
+     'bool hit = buffer->Get(key, &cached);',
+     'buffer->Invalidate(key);'),
 ]
 
 

@@ -1,9 +1,9 @@
 // The shared scan-pushdown executor: evaluates a QueryPlan over one
 // tablet's index entries, fetching record values through a caller-supplied
-// callback (read buffer + log on the primary, log on a replica). Both
-// server kinds reach it through tablet::ReadRange (src/tablet/read_path.h),
-// so their results are bit-identical by construction — the differential
-// test in tests/query_test.cc pins that.
+// callback. Both server kinds reach it through tablet::ReadRange
+// (src/tablet/read_path.h), whose callback tries the server's read buffer
+// before its log, so their results are bit-identical by construction — the
+// differential test in tests/query_test.cc pins that.
 //
 // Evaluation is columnar: each chunk of scanned rows is decomposed into the
 // plan's referenced columns (cells + presence), the predicate runs
@@ -80,8 +80,9 @@ struct TabletResult {
 };
 
 /// Fetches the record value of an index entry; the executor calls it once
-/// per scanned entry, in entry order. Callers route it at their storage
-/// (read buffer + log on the primary, log on a replica).
+/// per scanned entry, in entry order. tablet::ReadRange passes one that
+/// serves from the read buffer when it holds the entry's version and falls
+/// back to the server's log fetch.
 using ValueFetcher =
     std::function<Result<std::string>(const index::IndexEntry&)>;
 

@@ -260,9 +260,9 @@ Result<query::TabletResult> ReplicaServer::ExecuteScan(
                           snapshot_ts);
   if (!t.ok()) return t.status();
 
-  // Every row comes from the log: only point reads consult the buffer here.
+  // Rows the applier hook or a latest read buffered skip the log fetch.
   auto result = tablet::ReadRange(
-      *(*t)->index, encoded_plan, snapshot, options.batch_rows,
+      *(*t)->index, &buffer_, uid, encoded_plan, snapshot, options.batch_rows,
       [this, t = *t](const index::IndexEntry& entry) {
         return FetchValueLocked(t, entry);
       });

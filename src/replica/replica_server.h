@@ -106,7 +106,8 @@ class ReplicaServer {
   /// Scan pushdown at the replica (the Taurus-style analytics-over-the-log
   /// tier): evaluates the wire-encoded QueryPlan through tablet::ReadRange
   /// at min(`options.as_of`, applied watermark), under the same staleness
-  /// gate as Get. Aggregation partials computed here merge bit-identically
+  /// gate as Get. As on the primary, rows buffered at the indexed version
+  /// skip the log. Aggregation partials computed here merge bit-identically
   /// with primary partials — the snapshot bound, not the serving tier,
   /// decides the answer.
   Result<query::TabletResult> ExecuteScan(

@@ -51,9 +51,12 @@ Result<ReadValue> ReadPoint(const index::MultiVersionIndex& index,
 }
 
 Result<query::TabletResult> ReadRange(const index::MultiVersionIndex& index,
+                                      ReadBuffer* buffer,
+                                      const std::string& uid,
                                       const Slice& encoded_plan,
                                       uint64_t snapshot, size_t batch_rows,
-                                      const query::ValueFetcher& fetch) {
+                                      const query::ValueFetcher& fetch,
+                                      uint64_t* row_bytes) {
   auto plan = query::QueryPlan::Decode(encoded_plan);
   if (!plan.ok()) return plan.status();
   std::vector<index::IndexEntry> entries = [&] {
@@ -61,9 +64,29 @@ Result<query::TabletResult> ReadRange(const index::MultiVersionIndex& index,
     return index.ScanRange(Slice(plan->start_key), Slice(plan->end_key),
                            snapshot);
   }();
-  auto result = query::ExecuteOverEntries(*plan, entries, fetch, batch_rows);
+  uint64_t bytes = 0;
+  auto buffered_fetch =
+      [&](const index::IndexEntry& entry) -> Result<std::string> {
+    const std::string buffer_key = BufferKey(uid, Slice(entry.key));
+    CachedRecord cached;
+    if (buffer->Get(buffer_key, &cached) &&
+        cached.timestamp == entry.timestamp) {
+      bytes += entry.key.size() + cached.value.size();
+      return std::move(cached.value);
+    }
+    auto value = fetch(entry);
+    if (!value.ok()) return value.status();
+    bytes += entry.key.size() + value->size();
+    if (snapshot == index::kLatest) {
+      buffer->Put(buffer_key, CachedRecord{entry.timestamp, *value});
+    }
+    return value;
+  };
+  auto result =
+      query::ExecuteOverEntries(*plan, entries, buffered_fetch, batch_rows);
   if (!result.ok()) return result.status();
   query::RecordScanMetrics(result->stats);
+  if (row_bytes != nullptr) *row_bytes += bytes;
   return result;
 }
 

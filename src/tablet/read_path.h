@@ -1,7 +1,8 @@
 // The one read path of tablet servers and read replicas (paper §3.6.2):
 // read buffer, then the in-memory multiversion index, then one log seek.
-// The server kinds differ only in the index, the fetch callback and the
-// snapshot (a timestamp; index::kLatest reads the newest version).
+// Both server kinds consult their read buffer here, the same way; they
+// differ only in the index, the buffer instance, the log fetch callback and
+// the snapshot (a timestamp; index::kLatest reads the newest version).
 
 #ifndef LOGBASE_TABLET_READ_PATH_H_
 #define LOGBASE_TABLET_READ_PATH_H_
@@ -49,12 +50,18 @@ Result<ReadValue> ReadPoint(const index::MultiVersionIndex& index,
                             const Slice& key, uint64_t snapshot,
                             const query::ValueFetcher& fetch);
 
-/// Runs the wire-encoded plan over its key range at `snapshot`, fetching
-/// values through `fetch`; reports into the query.scan.* metrics.
+/// Runs the wire-encoded plan over its key range at `snapshot`; reports
+/// into the query.scan.* metrics. The index picks each row's version, so
+/// the buffer answers only when it holds exactly that version; other rows
+/// come from `fetch` and fill the buffer only at index::kLatest. Adds each
+/// row's key and value bytes to `*row_bytes` when it is not null.
 Result<query::TabletResult> ReadRange(const index::MultiVersionIndex& index,
+                                      ReadBuffer* buffer,
+                                      const std::string& uid,
                                       const Slice& encoded_plan,
                                       uint64_t snapshot, size_t batch_rows,
-                                      const query::ValueFetcher& fetch);
+                                      const query::ValueFetcher& fetch,
+                                      uint64_t* row_bytes = nullptr);
 
 /// The rows of raw-value batches, as a plan with no projection ships them.
 std::vector<ReadRow> RowsFromBatches(

@@ -526,26 +526,13 @@ Result<query::TabletResult> TabletServer::ExecuteScan(
   Tablet* tablet = FindTablet(tablet_uid);
   if (tablet == nullptr) return Status::NotFound("unknown tablet");
 
-  // The index already chose each row's version, so the buffer answers only
-  // for exactly that version. As in ReadPoint, only latest-snapshot
-  // executions fill the buffer.
-  const bool cacheable = options.as_of == index::kLatest;
   uint64_t scanned_bytes = 0;
-  auto fetch = [&](const index::IndexEntry& entry) -> Result<std::string> {
-    const std::string bkey = BufferKey(tablet_uid, Slice(entry.key));
-    CachedRecord cached;
-    if (buffer_.Get(bkey, &cached) && cached.timestamp == entry.timestamp) {
-      scanned_bytes += entry.key.size() + cached.value.size();
-      return std::move(cached.value);
-    }
-    auto value = FetchLogValue(entry);
-    if (!value.ok()) return value.status();
-    scanned_bytes += entry.key.size() + value->size();
-    if (cacheable) buffer_.Put(bkey, CachedRecord{entry.timestamp, *value});
-    return value;
-  };
-  auto result = ReadRange(*tablet->index(), encoded_plan, options.as_of,
-                          options.batch_rows, fetch);
+  auto result = ReadRange(*tablet->index(), &buffer_, tablet_uid,
+                          encoded_plan, options.as_of, options.batch_rows,
+                          [this](const index::IndexEntry& entry) {
+                            return FetchLogValue(entry);
+                          },
+                          &scanned_bytes);
   if (!result.ok()) return result.status();
   tablet->RecordRead(scanned_bytes);
   return result;

@@ -16,6 +16,7 @@
 #include "src/cluster/mini_cluster.h"
 #include "src/fault/nemesis.h"
 #include "src/log/log_record.h"
+#include "src/obs/metrics.h"
 #include "src/query/plan.h"
 #include "src/tablet/read_path.h"
 #include "src/sim/sim_context.h"
@@ -485,11 +486,25 @@ PointRead FromScan(const Result<query::TabletResult>& result) {
   return {true, rows[0].timestamp, rows[0].value};
 }
 
+/// A match-all plan over `key` alone.
+query::QueryPlan OneKey(const std::string& key) {
+  query::QueryPlan plan;
+  plan.start_key = key;
+  plan.end_key = key + '\0';
+  return plan;
+}
+
+/// Bytes the data nodes have served: every pread moves it.
+uint64_t PreadBytes() {
+  return obs::MetricsRegistry::Global().counter("dfs.pread.bytes")->value();
+}
+
 // Point reads and range reads share one read path on both server kinds, so
 // at any snapshot a primary Get, a replica Get and a one-key ExecuteScan on
 // each must see the same version. The history mixes overwrites, a delete, a
 // committed transaction, a checkpoint and writes after it; the second pass
-// reads through the buffers the first pass filled.
+// reads through the buffers the first pass filled, so the replica's latest
+// scans never reach the log.
 TEST(ReplicaTest, PointAndRangeReadsAgreeOnBothServers) {
   cluster::MiniClusterOptions options = SmallCluster();
   options.server_template.read_buffer_bytes = 1 << 20;
@@ -537,14 +552,27 @@ TEST(ReplicaTest, PointAndRangeReadsAgreeOnBothServers) {
   tablet::TabletServer* primary = cluster.server(location->server_id);
   ReplicaServer* rep = cluster.replica(0);
 
+  // An as-of scan below a row's newest version reads the log and leaves the
+  // buffer alone. The applier buffered key 1's newest version; key 4 came
+  // from the checkpoint and is not buffered yet.
+  for (int key : {1, 4}) {
+    query::ExecOptions first_write;
+    first_write.as_of = write_ts[key];  // round 0
+    const uint64_t preads_before = PreadBytes();
+    EXPECT_EQ(
+        FromScan(rep->ExecuteScan(uid, OneKey(Key(key)).Encode(), 0,
+                                  first_write)),
+        (PointRead{true, write_ts[key], "v" + std::to_string(key) + ".0"}));
+    EXPECT_GT(PreadBytes(), preads_before);
+    EXPECT_EQ(FromGet(rep->Get(uid, Key(key), index::kLatest, 0)),
+              FromGet(primary->Get(uid, Key(key))));
+  }
+
   std::vector<uint64_t> snapshots = write_ts;
   snapshots.push_back(index::kLatest);
   for (int pass = 0; pass < 2; pass++) {
     for (int key = 0; key < 10; key++) {
-      query::QueryPlan one_key;
-      one_key.start_key = Key(key);
-      one_key.end_key = Key(key) + '\0';
-      const std::string plan = one_key.Encode();
+      const std::string plan = OneKey(Key(key)).Encode();
       for (uint64_t snapshot : snapshots) {
         query::ExecOptions exec;
         exec.as_of = snapshot;
@@ -553,15 +581,93 @@ TEST(ReplicaTest, PointAndRangeReadsAgreeOnBothServers) {
                      ", pass " + std::to_string(pass));
         EXPECT_EQ(FromGet(rep->Get(uid, Key(key), snapshot, 0)), want);
         EXPECT_EQ(FromScan(primary->ExecuteScan(uid, plan, exec)), want);
+        const uint64_t preads_before = PreadBytes();
         EXPECT_EQ(FromScan(rep->ExecuteScan(uid, plan, 0, exec)), want);
+        if (pass == 1 && snapshot == index::kLatest) {
+          EXPECT_EQ(PreadBytes(), preads_before)
+              << "a buffered replica scan read the log";
+        }
       }
     }
   }
+
   // The history is what the comparison claims to cover.
   EXPECT_EQ(FromGet(rep->Get(uid, Key(2), index::kLatest, 0)).value, "reborn");
   EXPECT_EQ(FromGet(rep->Get(uid, Key(3), index::kLatest, 0)).value, "txn3");
   EXPECT_EQ(FromGet(rep->Get(uid, Key(9), index::kLatest, 0)).value,
             "new-key");
+}
+
+// A replica index pointer that no longer resolves (the primary compacted
+// its segment away) fails an unbuffered row's scan with a retryable
+// Unavailable and flags the tablet for reseed. Rows the buffer holds at the
+// indexed version are still served, and the next tick reseeds the tablet
+// from the compaction's checkpoint.
+TEST(ReplicaTest, CompactedLogPointerReseedsOnNextTick) {
+  cluster::MiniClusterOptions options = SmallCluster();
+  options.server_template.read_buffer_bytes = 1 << 20;
+  cluster::MiniCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  master::Master* m = cluster.master();
+  ASSERT_TRUE(m->CreateTable("t", {"v"}, {{"v"}}, {}).ok());
+  auto client = cluster.NewClient(0);
+  for (int i = 0; i < 5; i++) {
+    ASSERT_TRUE(client->Put("t", 0, Key(i), "cold" + std::to_string(i), {})
+                    .ok());
+  }
+  // Seeded from the checkpoint, keys 0-4 are indexed but not buffered.
+  for (int i = 0; i < cluster.num_nodes(); i++) {
+    ASSERT_TRUE(cluster.server(i)->Checkpoint().ok());
+  }
+  std::vector<std::string> uids = AttachAll(m, 1);
+  ASSERT_EQ(uids.size(), 1u);
+  const std::string& uid = uids[0];
+  // Tailed after the seed, key 5 lands in the buffer through the applier.
+  ASSERT_TRUE(client->Put("t", 0, Key(5), "hot", {}).ok());
+  ASSERT_TRUE(cluster.TickReplicas().ok());
+  client->InvalidateCache();  // routes were cached before the attach
+  auto location = m->GetAssignment(uid);
+  ASSERT_TRUE(location.ok());
+  tablet::TabletServer* primary = cluster.server(location->server_id);
+  ReplicaServer* rep = cluster.replica(0);
+  const PointRead hot = FromGet(primary->Get(uid, Key(5)));
+  ASSERT_EQ(hot.value, "hot");
+
+  ASSERT_TRUE(primary->CompactLog().ok());
+
+  auto stale = rep->ExecuteScan(uid, OneKey(Key(0)).Encode(), 0);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_TRUE(stale.status().IsUnavailable()) << stale.status().ToString();
+
+  client::QueryOptions stale_ok;
+  stale_ok.read.allow_stale = true;
+  auto fallback = client->Query("t", 0, OneKey(Key(0)), stale_ok);
+  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+  EXPECT_EQ(fallback->tablets_from_replica, 0u);
+  std::vector<tablet::ReadRow> rows =
+      tablet::RowsFromBatches(fallback->batches);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].value, "cold0");
+
+  EXPECT_EQ(FromScan(rep->ExecuteScan(uid, OneKey(Key(5)).Encode(), 0)), hot);
+
+  ASSERT_TRUE(rep->TickTailers().ok());
+  query::QueryPlan all;
+  const std::string plan = all.Encode();
+  auto want = primary->ExecuteScan(uid, plan, {});
+  auto got = rep->ExecuteScan(uid, plan, 0);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  std::vector<tablet::ReadRow> want_rows =
+      tablet::RowsFromBatches(want->batches);
+  std::vector<tablet::ReadRow> got_rows = tablet::RowsFromBatches(got->batches);
+  ASSERT_EQ(got_rows.size(), 6u);
+  ASSERT_EQ(got_rows.size(), want_rows.size());
+  for (size_t i = 0; i < want_rows.size(); i++) {
+    EXPECT_EQ(got_rows[i].key, want_rows[i].key);
+    EXPECT_EQ(got_rows[i].timestamp, want_rows[i].timestamp);
+    EXPECT_EQ(got_rows[i].value, want_rows[i].value);
+  }
 }
 
 TEST(ReplicaTest, MigrationTearsDownReplicasAndClientsFallBack) {
