@@ -42,6 +42,11 @@ Rules enforced over src/ (and, where noted, the whole tree):
                 (`buffer_.Get(` / `buffer->Get(`). Point and range reads on
                 both server kinds share its one rule for when a buffered
                 value may answer and when a fetch may fill the buffer.
+  reassign      Under src/, only src/balance/migration.cc and
+                src/master/master.cc name the reassignment intent path
+                (kMetaReassign / ReassignPath) or call CommitReassign;
+                meta_codec.h and master.h only declare them. Migrations and
+                splits share that one intent-commit-reconcile protocol.
 
 Usage:
   lint.py [--root DIR]     lint the tree, exit non-zero on violations
@@ -528,11 +533,42 @@ def check_read_buffer(path, rel, stripped):
 
 
 # --------------------------------------------------------------------------
+# rule: reassign
+
+# DESIGN.md §8.2: tablet migration and split are one reassignment protocol,
+# with one intent znode per parent tablet and one commit point. The
+# migration coordinator writes the intent and drives the steps; the master
+# commits and reconciles. Another file that names the intent path or
+# commits a reassignment is a second copy of that state machine, which is
+# how a split and a migration of one tablet once ran at the same time (their
+# intents lived in two directories).
+REASSIGN_OWNER_FILES = ('src/balance/migration.cc', 'src/master/master.cc')
+REASSIGN_DECL_FILES = ('src/master/meta_codec.h', 'src/master/master.h')
+REASSIGN_USE = re.compile(r'\b(kMetaReassign|ReassignPath|CommitReassign)\b')
+
+
+def check_reassign(path, rel, stripped):
+    if (not rel.startswith('src/') or
+            rel in REASSIGN_OWNER_FILES + REASSIGN_DECL_FILES):
+        return []
+    found = []
+    for lineno, line in iter_lines(stripped):
+        m = REASSIGN_USE.search(line)
+        if m:
+            found.append(Violation(
+                'reassign', rel, lineno,
+                '%s outside src/balance/migration.cc and src/master/master.cc;'
+                ' move tablets through MigrationCoordinator so migrations and'
+                ' splits share one intent and one commit point' % m.group(1)))
+    return found
+
+
+# --------------------------------------------------------------------------
 # driver
 
 PER_FILE_RULES = [check_wall_clock, check_nondet, check_raw_new,
                   check_deprecated, check_mutex, check_guarded_by,
-                  check_write_path, check_read_buffer]
+                  check_write_path, check_read_buffer, check_reassign]
 
 
 def lint_tree(root):
@@ -766,6 +802,17 @@ SELF_TEST_CASES = [
     (check_read_buffer, 'src/tablet/scan_helper.cc',
      'bool hit = buffer->Get(key, &cached);',
      'buffer->Invalidate(key);'),
+    # One reassignment protocol: a balancer that commits its own split, or a
+    # server that peeks at in-flight intents, is a second state machine.
+    (check_reassign, 'src/balance/balancer.cc',
+     'Status s = m->CommitReassign(top_uid, {left, right});',
+     'Status s = coordinator.SplitTablet(top_uid, *key, cold);'),
+    (check_reassign, 'src/tablet/tablet_server.cc',
+     'if (tree->Exists(master::meta::ReassignPath(d.uid()))) continue;',
+     'std::string path = master::meta::AssignPath(d.uid());'),
+    (check_reassign, 'src/master/replica_admin.cc',
+     'auto intents = znodes->GetChildren(meta::kMetaReassign);',
+     'auto sets = znodes->GetChildren(meta::kMetaReplica);'),
 ]
 
 

@@ -1,5 +1,7 @@
 #include "src/balance/migration.h"
 
+#include <algorithm>
+
 #include "src/master/meta_codec.h"
 #include "src/util/logging.h"
 
@@ -27,13 +29,6 @@ const char* MigrationStepName(MigrationStep step) {
     case MigrationStep::kAssignmentFlipped: return "assignment-flipped";
     case MigrationStep::kSourceClosed: return "source-closed";
     case MigrationStep::kIntentCleared: return "intent-cleared";
-    case MigrationStep::kSplitIntentPersisted: return "split-intent-persisted";
-    case MigrationStep::kParentSealed: return "parent-sealed";
-    case MigrationStep::kParentCheckpointed: return "parent-checkpointed";
-    case MigrationStep::kChildrenBuilt: return "children-built";
-    case MigrationStep::kSplitCommitted: return "split-committed";
-    case MigrationStep::kParentClosed: return "parent-closed";
-    case MigrationStep::kSplitIntentCleared: return "split-intent-cleared";
   }
   return "unknown";
 }
@@ -54,95 +49,10 @@ Status MigrationCoordinator::MigrateTablet(const std::string& uid, int to) {
   }
   auto loc = master_->GetAssignment(uid);
   if (!loc.ok()) return loc.status();
-  const int from = loc->server_id;
-  if (from == to) return Status::InvalidArgument("tablet already on target");
-  tablet::TabletServer* src = master_->ResolveServer(from);
-  tablet::TabletServer* dst = master_->ResolveServer(to);
-  if (src == nullptr || !src->running()) {
-    return Status::Unavailable("migration source is down");
+  if (loc->server_id == to) {
+    return Status::InvalidArgument("tablet already on target");
   }
-  if (dst == nullptr || !dst->running()) {
-    return Status::Unavailable("migration target is down");
-  }
-
-  coord::ZnodeTree* znodes = master_->coord()->znodes();
-  LOGBASE_RETURN_NOT_OK(
-      EnsurePath(znodes, master_->session(), master::meta::kMetaRoot));
-  LOGBASE_RETURN_NOT_OK(
-      EnsurePath(znodes, master_->session(), master::meta::kMetaMigrate));
-  const std::string path = master::meta::MigratePath(uid);
-  if (znodes->Exists(path)) {
-    return Status::Busy("migration already in flight: " + uid);
-  }
-
-  // Step 1: durable intent. A master promoted mid-protocol decides from
-  // this intent + the persisted assignment whether to roll forward or back.
-  std::string intent =
-      master::meta::EncodeMigrationIntent(from, to, loc->descriptor);
-  master_->coord()->ChargeRoundTrip(master_->node(), intent.size());
-  auto created = znodes->Create(master_->session(), path, intent,
-                                coord::CreateMode::kPersistent);
-  if (!created.ok()) return created.status();
-  LOGBASE_RETURN_NOT_OK(AfterStep(MigrationStep::kIntentPersisted));
-
-  // Inline rollback for failures before the commit point, while this master
-  // still leads; a successor repeats the same rollback from the intent.
-  auto fail = [&](const Status& s) -> Status {
-    (void)dst->CloseTablet(uid);
-    (void)src->UnsealTablet(uid);
-    (void)znodes->Delete(path);
-    return s;
-  };
-
-  // Step 2: fence the source. No write can be acked past this point, so
-  // the checkpoint + tail the destination reads below is complete.
-  Status s = src->SealTablet(uid);
-  if (!s.ok()) return fail(s);
-  s = AfterStep(MigrationStep::kSourceSealed);
-  if (!s.ok()) return s;
-
-  // Step 3: flush the source's index checkpoint; it bounds the
-  // destination's replay to the log tail written since.
-  s = src->Checkpoint();
-  if (!s.ok()) return fail(s);
-  s = AfterStep(MigrationStep::kCheckpointFlushed);
-  if (!s.ok()) return s;
-
-  // Step 4: the destination rebuilds the tablet's index from the source's
-  // checkpoint + tail, then checkpoints itself — its own recovery metadata
-  // must name the adopted tablet (with pointers into the source's log), or
-  // a later failure of the destination would lose the tablet's history.
-  tablet::RecoveryStats stats;
-  s = dst->AdoptTablet(loc->descriptor, static_cast<uint32_t>(from), &stats);
-  if (!s.ok()) return fail(s);
-  s = dst->Checkpoint();
-  if (!s.ok()) return fail(s);
-  s = AfterStep(MigrationStep::kDestAdopted);
-  if (!s.ok()) return s;
-
-  // Step 5: commit point — flip the persisted assignment.
-  s = master_->CommitMigration(uid, to);
-  if (!s.ok()) return fail(s);
-  s = AfterStep(MigrationStep::kAssignmentFlipped);
-  if (!s.ok()) return s;  // committed; a successor rolls forward
-
-  // Steps 6-7: release the source and clear the intent. Failures here are
-  // finished by the next promote's reconcile.
-  (void)src->CloseTablet(uid);
-  s = AfterStep(MigrationStep::kSourceClosed);
-  if (!s.ok()) return s;
-  master_->coord()->ChargeRoundTrip(master_->node());
-  (void)znodes->Delete(path);
-  s = AfterStep(MigrationStep::kIntentCleared);
-  if (!s.ok()) return s;
-
-  LOGBASE_LOG(kInfo,
-              "migrated tablet %s: server %d -> %d (%llu checkpoint entries, "
-              "%llu redo records)",
-              uid.c_str(), from, to,
-              static_cast<unsigned long long>(stats.checkpoint_entries),
-              static_cast<unsigned long long>(stats.redo_records));
-  return Status::OK();
+  return Reassign(uid, {master::TabletLocation{loc->descriptor, to}});
 }
 
 Status MigrationCoordinator::SplitTablet(const std::string& uid,
@@ -153,111 +63,143 @@ Status MigrationCoordinator::SplitTablet(const std::string& uid,
   }
   auto loc = master_->GetAssignment(uid);
   if (!loc.ok()) return loc.status();
-  const tablet::TabletDescriptor parent = loc->descriptor;
-  const int owner = loc->server_id;
+  const tablet::TabletDescriptor& parent = loc->descriptor;
   if (!parent.Contains(Slice(split_key)) || split_key == parent.start_key) {
     return Status::InvalidArgument("split key not interior to " + uid);
   }
-  tablet::TabletServer* owner_srv = master_->ResolveServer(owner);
-  tablet::TabletServer* right_srv = master_->ResolveServer(right_server);
-  if (owner_srv == nullptr || !owner_srv->running()) {
-    return Status::Unavailable("split owner is down");
-  }
-  if (right_srv == nullptr || !right_srv->running()) {
-    return Status::Unavailable("split target is down");
-  }
-
   // Children take fresh range ids: reusing the parent's uid would route
   // stale-cached clients at the wrong half and collide checkpoint files.
   auto ids = master_->AllocateRangeIds(parent.table_id, parent.column_group, 2);
   if (!ids.ok()) return ids.status();
-  tablet::TabletDescriptor left = parent;
-  left.range_id = (*ids)[0];
-  left.end_key = split_key;
-  tablet::TabletDescriptor right = parent;
-  right.range_id = (*ids)[1];
-  right.start_key = split_key;
+  master::TabletLocation left{parent, loc->server_id};
+  left.descriptor.range_id = (*ids)[0];
+  left.descriptor.end_key = split_key;
+  master::TabletLocation right{parent, right_server};
+  right.descriptor.range_id = (*ids)[1];
+  right.descriptor.start_key = split_key;
+  return Reassign(uid, {left, right});
+}
+
+Status MigrationCoordinator::Reassign(
+    const std::string& parent_uid,
+    const std::vector<master::TabletLocation>& children) {
+  auto loc = master_->GetAssignment(parent_uid);
+  if (!loc.ok()) return loc.status();
+  const int owner = loc->server_id;
+  tablet::TabletServer* src = master_->ResolveServer(owner);
+  if (src == nullptr || !src->running()) {
+    return Status::Unavailable("reassignment source is down");
+  }
+  // Each child's server, and the distinct ones in child order: those are
+  // the servers whose recovery metadata must name the children.
+  std::vector<tablet::TabletServer*> dst;
+  std::vector<tablet::TabletServer*> dst_servers;
+  for (const master::TabletLocation& child : children) {
+    tablet::TabletServer* server = master_->ResolveServer(child.server_id);
+    if (server == nullptr || !server->running()) {
+      return Status::Unavailable("reassignment target is down");
+    }
+    dst.push_back(server);
+    if (std::find(dst_servers.begin(), dst_servers.end(), server) ==
+        dst_servers.end()) {
+      dst_servers.push_back(server);
+    }
+  }
 
   coord::ZnodeTree* znodes = master_->coord()->znodes();
   LOGBASE_RETURN_NOT_OK(
       EnsurePath(znodes, master_->session(), master::meta::kMetaRoot));
   LOGBASE_RETURN_NOT_OK(
-      EnsurePath(znodes, master_->session(), master::meta::kMetaSplit));
-  const std::string path = master::meta::SplitPath(uid);
+      EnsurePath(znodes, master_->session(), master::meta::kMetaReassign));
+  const std::string path = master::meta::ReassignPath(parent_uid);
   if (znodes->Exists(path)) {
-    return Status::Busy("split already in flight: " + uid);
+    return Status::Busy("reassignment already in flight: " + parent_uid);
   }
 
-  std::string intent = master::meta::EncodeSplitIntent(owner, parent, left,
-                                                       right_server, right);
+  // Step 1: durable intent. A master promoted mid-protocol decides from
+  // this intent + the persisted assignments whether to roll forward or back.
+  std::string intent =
+      master::meta::EncodeReassignIntent(owner, loc->descriptor, children);
   master_->coord()->ChargeRoundTrip(master_->node(), intent.size());
   auto created = znodes->Create(master_->session(), path, intent,
                                 coord::CreateMode::kPersistent);
   if (!created.ok()) return created.status();
-  LOGBASE_RETURN_NOT_OK(AfterStep(MigrationStep::kSplitIntentPersisted));
+  LOGBASE_RETURN_NOT_OK(AfterStep(MigrationStep::kIntentPersisted));
 
+  // Inline rollback for failures before the commit point, while this master
+  // still leads; a successor repeats the same rollback from the intent.
   auto fail = [&](const Status& s) -> Status {
-    (void)owner_srv->CloseTablet(left.uid());
-    (void)right_srv->CloseTablet(right.uid());
-    (void)owner_srv->UnsealTablet(uid);
+    for (size_t i = 0; i < children.size(); i++) {
+      (void)dst[i]->CloseTablet(children[i].descriptor.uid());
+    }
+    (void)src->UnsealTablet(parent_uid);
     (void)znodes->Delete(path);
     return s;
   };
 
-  Status s = owner_srv->SealTablet(uid);
+  // Step 2: fence the parent. No write can be acked past this point, so
+  // the checkpoint + tail the children read below is complete.
+  Status s = src->SealTablet(parent_uid);
   if (!s.ok()) return fail(s);
-  s = AfterStep(MigrationStep::kParentSealed);
+  s = AfterStep(MigrationStep::kSourceSealed);
   if (!s.ok()) return s;
 
-  s = owner_srv->Checkpoint();
+  // Step 3: flush the owner's index checkpoint; it bounds each child's
+  // replay to the log tail written since.
+  s = src->Checkpoint();
   if (!s.ok()) return fail(s);
-  s = AfterStep(MigrationStep::kParentCheckpointed);
+  s = AfterStep(MigrationStep::kCheckpointFlushed);
   if (!s.ok()) return s;
 
-  // Build both children from the parent's checkpoint + tail, each filtered
-  // to its half. The left child is a self-adoption on the owner. Both
-  // servers checkpoint before the commit so the children are durable in
-  // their recovery metadata whichever side fails next.
-  s = owner_srv->AdoptTablet(left, static_cast<uint32_t>(owner));
-  if (!s.ok()) return fail(s);
-  s = right_srv->AdoptTablet(right, static_cast<uint32_t>(owner));
-  if (!s.ok()) return fail(s);
-  s = owner_srv->Checkpoint();
-  if (!s.ok()) return fail(s);
-  if (right_srv != owner_srv) {
-    s = right_srv->Checkpoint();
+  // Step 4: each child's server rebuilds the child's index from the owner's
+  // checkpoint + tail, filtered to the child's range, then checkpoints
+  // itself — its own recovery metadata must name the child (with pointers
+  // into the owner's log), or a later failure of that server would lose the
+  // child's history.
+  tablet::RecoveryStats stats;
+  for (size_t i = 0; i < children.size(); i++) {
+    s = dst[i]->AdoptTablet(children[i].descriptor,
+                            static_cast<uint32_t>(owner), &stats);
     if (!s.ok()) return fail(s);
   }
-  s = AfterStep(MigrationStep::kChildrenBuilt);
+  for (tablet::TabletServer* server : dst_servers) {
+    s = server->Checkpoint();
+    if (!s.ok()) return fail(s);
+  }
+  s = AfterStep(MigrationStep::kDestAdopted);
   if (!s.ok()) return s;
 
-  // Commit point: children assigned, parent assignment gone.
-  s = master_->CommitSplit(
-      uid, master::TabletLocation{left, owner},
-      master::TabletLocation{right, right_server});
+  // Step 5: commit point — persist the children's assignments.
+  s = master_->CommitReassign(parent_uid, children);
   if (!s.ok()) return fail(s);
-  s = AfterStep(MigrationStep::kSplitCommitted);
+  s = AfterStep(MigrationStep::kAssignmentFlipped);
+  if (!s.ok()) return s;  // committed; a successor rolls forward
+
+  // Steps 6-7: release the parent and clear the intent. Failures here are
+  // finished by the next promote's reconcile.
+  (void)src->CloseTablet(parent_uid);
+  s = AfterStep(MigrationStep::kSourceClosed);
   if (!s.ok()) return s;
-
-  (void)owner_srv->CloseTablet(uid);
-  s = AfterStep(MigrationStep::kParentClosed);
-  if (!s.ok()) return s;
-
-  // Re-checkpoint both involved servers: their recovery metadata must name
-  // the children, not the parent, or a restart resurrects the pre-split
-  // tablet alongside the children.
-  (void)owner_srv->Checkpoint();
-  if (right_srv != owner_srv) (void)right_srv->Checkpoint();
-
+  if (master::RetiresParent(parent_uid, children)) {
+    // Re-checkpoint every involved server: its recovery metadata must name
+    // the children, not the parent, or a restart resurrects the parent
+    // alongside them.
+    (void)src->Checkpoint();
+    for (tablet::TabletServer* server : dst_servers) {
+      if (server != src) (void)server->Checkpoint();
+    }
+  }
   master_->coord()->ChargeRoundTrip(master_->node());
   (void)znodes->Delete(path);
-  s = AfterStep(MigrationStep::kSplitIntentCleared);
+  s = AfterStep(MigrationStep::kIntentCleared);
   if (!s.ok()) return s;
 
-  LOGBASE_LOG(kInfo, "split tablet %s at '%s' into %s (server %d) + %s "
-              "(server %d)",
-              uid.c_str(), split_key.c_str(), left.uid().c_str(), owner,
-              right.uid().c_str(), right_server);
+  LOGBASE_LOG(kInfo,
+              "reassigned tablet %s on server %d to %zu children (%llu "
+              "checkpoint entries, %llu redo records)",
+              parent_uid.c_str(), owner, children.size(),
+              static_cast<unsigned long long>(stats.checkpoint_entries),
+              static_cast<unsigned long long>(stats.redo_records));
   return Status::OK();
 }
 

@@ -1,21 +1,26 @@
 // Live tablet migration and hot-tablet splitting over the shared DFS log
-// (paper §3.8 applied to elasticity): moving a tablet never copies data —
-// the source seals writes and flushes an index checkpoint, the destination
-// reloads that checkpoint and redoes only the log tail past it, and the
-// master flips the persisted assignment. A split is the same handover with
-// the checkpoint and tail filtered by key range: two child descriptors
-// replace the parent, sharing its log history.
+// (paper §3.8 applied to elasticity) as one reassignment protocol: a parent
+// tablet on its owner is replaced by a list of children (descriptor +
+// server each). Moving a tablet never copies data — the owner seals writes
+// and flushes an index checkpoint, each child's server reloads that
+// checkpoint filtered to the child's range and redoes only the log tail past
+// it, and the master persists the children's assignments. A migration is
+// one child with the parent's descriptor on another server; a split is two
+// children with fresh range ids sharing the parent's log history.
 //
-// Crash safety: every protocol writes a durable intent znode before its
-// first side effect and deletes it after the last. The persisted assignment
-// flip is the single commit point; a master promoted mid-protocol rolls the
-// surviving intent forward iff the flip landed (Master::ReconcileIntents).
+// Crash safety: every reassignment writes a durable intent znode
+// (/meta/reassign/<parent uid>) before its first side effect and deletes it
+// after the last, so one tablet never has two reassignments in flight. The
+// persisted assignment flip is the single commit point; a master promoted
+// mid-protocol rolls the surviving intent forward iff some child's
+// assignment landed (Master::ReconcileIntents).
 
 #ifndef LOGBASE_BALANCE_MIGRATION_H_
 #define LOGBASE_BALANCE_MIGRATION_H_
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "src/master/master.h"
 #include "src/util/status.h"
@@ -24,23 +29,15 @@ namespace logbase::balance {
 
 /// Protocol steps, in execution order, for fault-injection hooks: a test
 /// crashes the master after a named step and asserts the reconcile outcome.
+/// "Source" is the parent's owner, "dest" every child's server.
 enum class MigrationStep {
-  // MigrateTablet
   kIntentPersisted,
   kSourceSealed,
   kCheckpointFlushed,
-  kDestAdopted,
+  kDestAdopted,        // each child built and its server checkpointed
   kAssignmentFlipped,  // commit point
   kSourceClosed,
   kIntentCleared,
-  // SplitTablet
-  kSplitIntentPersisted,
-  kParentSealed,
-  kParentCheckpointed,
-  kChildrenBuilt,
-  kSplitCommitted,  // commit point
-  kParentClosed,
-  kSplitIntentCleared,
 };
 
 const char* MigrationStepName(MigrationStep step);
@@ -59,9 +56,8 @@ class MigrationCoordinator {
     hook_ = std::move(hook);
   }
 
-  /// Moves `uid` to server `to` with no acked-write loss. Errors before the
-  /// assignment flip roll back inline (source unsealed, destination copy
-  /// dropped, intent cleared) while this master still leads.
+  /// Moves `uid` to server `to` with no acked-write loss: a reassignment to
+  /// one child with the parent's descriptor.
   Status MigrateTablet(const std::string& uid, int to);
 
   /// Splits `uid` at `split_key` (strictly interior): the left child stays
@@ -72,6 +68,17 @@ class MigrationCoordinator {
                      int right_server);
 
  private:
+  /// Replaces `parent_uid` on its owner with `children`: intent, seal the
+  /// parent, checkpoint the owner, each child's server adopts its child,
+  /// checkpoint the child servers, commit, close the parent, clear the
+  /// intent. A retired parent (no child keeps its uid) also re-checkpoints
+  /// every involved server after the close, or a restart would recover the
+  /// parent beside its children. Errors before the commit roll back inline
+  /// (each child closed, parent unsealed, intent cleared) while this master
+  /// still leads; Busy when `parent_uid` already has an intent.
+  Status Reassign(const std::string& parent_uid,
+                  const std::vector<master::TabletLocation>& children);
+
   /// Fires the hook, then verifies this master still leads.
   Status AfterStep(MigrationStep step);
 

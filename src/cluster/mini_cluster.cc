@@ -28,7 +28,6 @@ MiniCluster::MiniCluster(MiniClusterOptions options)
     replica::ReplicaServerOptions replica_options = options_.replica_template;
     replica_options.replica_id = i;
     replica_options.node = (i + 1) % options_.num_nodes;
-    replica_options.read_buffer_bytes = options_.replica_read_buffer_bytes;
     // Replicas get the coordination service so their quota registries see
     // /meta/quota updates made through the master (src/qos/).
     replicas_.push_back(std::make_unique<replica::ReplicaServer>(

@@ -38,10 +38,9 @@ struct MiniClusterOptions {
   /// Tablets are attached via active_master()->AddReplica(uid); tailing
   /// advances when the driver calls TickReplicas().
   int num_replicas = 0;
-  size_t replica_read_buffer_bytes = 32ull << 20;
-  /// Template for replica servers (admission control + quota refresh knobs,
-  /// src/qos/); replica_id, node and read_buffer_bytes are overridden per
-  /// instance from the fields above.
+  /// Template for replica servers (read buffer size, admission control +
+  /// quota refresh knobs, src/qos/); replica_id and node are overridden per
+  /// instance.
   replica::ReplicaServerOptions replica_template;
 };
 

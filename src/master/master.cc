@@ -563,36 +563,35 @@ void Master::set_load_hint(std::function<double(int)> hint) {
   load_hint_ = std::move(hint);
 }
 
-Status Master::CommitMigration(const std::string& uid, int to) {
-  MutexLock l(mu_);
-  if (!promoted_) return Status::Unavailable("not the active master");
-  auto it = assignments_.find(uid);
-  if (it == assignments_.end()) {
-    return Status::NotFound("tablet not assigned: " + uid);
-  }
-  // The destination appends to its own log from here on; replicas tailing
-  // the source's log stream would silently stop seeing writes.
-  DropReplicasLocked(uid);
-  it->second.server_id = to;
-  return PersistAssignmentLocked(it->second);
-}
-
-Status Master::CommitSplit(const std::string& parent_uid,
-                           const TabletLocation& left,
-                           const TabletLocation& right) {
+Status Master::CommitReassign(const std::string& parent_uid,
+                              const std::vector<TabletLocation>& children) {
   MutexLock l(mu_);
   if (!promoted_) return Status::Unavailable("not the active master");
   if (assignments_.count(parent_uid) == 0) {
     return Status::NotFound("tablet not assigned: " + parent_uid);
   }
-  // The parent tablet stops existing; its replicas' cursors and ranges are
-  // both wrong for the children.
+  return CommitReassignLocked(parent_uid, children);
+}
+
+Status Master::CommitReassignLocked(
+    const std::string& parent_uid,
+    const std::vector<TabletLocation>& children) {
+  // The children's servers append to their own logs from here on: replicas
+  // tailing the owner's log stream would silently stop seeing writes (and a
+  // split parent's range is wrong for either child).
   DropReplicasLocked(parent_uid);
-  assignments_[left.descriptor.uid()] = left;
-  LOGBASE_RETURN_NOT_OK(PersistAssignmentLocked(left));
-  assignments_[right.descriptor.uid()] = right;
-  LOGBASE_RETURN_NOT_OK(PersistAssignmentLocked(right));
-  assignments_.erase(parent_uid);
+  for (const TabletLocation& child : children) {
+    auto it = assignments_.find(child.descriptor.uid());
+    if (it != assignments_.end() && it->second.server_id == child.server_id) {
+      continue;
+    }
+    assignments_[child.descriptor.uid()] = child;
+    LOGBASE_RETURN_NOT_OK(PersistAssignmentLocked(child));
+  }
+  if (!RetiresParent(parent_uid, children) ||
+      assignments_.erase(parent_uid) == 0) {
+    return Status::OK();
+  }
   coord_->ChargeRoundTrip(node_);
   return coord_->znodes()->Delete(meta::AssignPath(parent_uid));
 }
@@ -704,113 +703,76 @@ Status Master::ReseedReplica(int replica_id) {
 
 Status Master::ReconcileIntentsLocked() {
   coord::ZnodeTree* znodes = coord_->znodes();
-
-  // Migrations: the flip of the persisted assignment is the commit point.
-  // Flipped -> roll forward (destination serves); not flipped -> roll back
-  // (source resumes). Dead endpoints are left to DetectAndHandleFailures.
-  if (znodes->Exists(meta::kMetaMigrate)) {
-    auto uids = znodes->GetChildren(meta::kMetaMigrate);
-    if (!uids.ok()) return uids.status();
-    for (const std::string& uid : *uids) {
-      auto data = znodes->Get(meta::MigratePath(uid));
-      if (!data.ok()) continue;
-      int from = -1;
-      int to = -1;
-      tablet::TabletDescriptor d;
-      if (!meta::DecodeMigrationIntent(Slice(*data), &from, &to, &d)) {
-        (void)znodes->Delete(meta::MigratePath(uid));
-        continue;
-      }
-      auto it = assignments_.find(uid);
-      bool flipped = it != assignments_.end() && it->second.server_id == to;
-      tablet::TabletServer* src = server_resolver_(from);
-      tablet::TabletServer* dst = server_resolver_(to);
-      if (flipped) {
-        DropReplicasLocked(uid);  // cursors pinned to the source's log
-        if (dst != nullptr && dst->running() &&
-            dst->FindTablet(uid) == nullptr) {
-          LOGBASE_RETURN_NOT_OK(
-              dst->AdoptTablet(d, static_cast<uint32_t>(from)));
-          LOGBASE_RETURN_NOT_OK(dst->Checkpoint());
-        }
-        if (src != nullptr && src->running()) (void)src->CloseTablet(uid);
-      } else {
-        if (dst != nullptr && dst->running()) (void)dst->CloseTablet(uid);
-        if (src != nullptr && src->running()) (void)src->UnsealTablet(uid);
-      }
-      (void)znodes->Delete(meta::MigratePath(uid));
-      LOGBASE_LOG(kInfo, "master %d rolled migration of %s %s", node_,
-                  uid.c_str(), flipped ? "forward" : "back");
+  if (!znodes->Exists(meta::kMetaReassign)) return Status::OK();
+  auto uids = znodes->GetChildren(meta::kMetaReassign);
+  if (!uids.ok()) return uids.status();
+  // Dead endpoints are skipped here and left to DetectAndHandleFailures.
+  auto up = [this](int server_id) -> tablet::TabletServer* {
+    tablet::TabletServer* server = server_resolver_(server_id);
+    return server != nullptr && server->running() ? server : nullptr;
+  };
+  for (const std::string& uid : *uids) {
+    const std::string path = meta::ReassignPath(uid);
+    auto data = znodes->Get(path);
+    if (!data.ok()) continue;
+    int owner = -1;
+    tablet::TabletDescriptor parent;
+    std::vector<TabletLocation> children;
+    if (!meta::DecodeReassignIntent(Slice(*data), &owner, &parent,
+                                    &children)) {
+      (void)znodes->Delete(path);
+      continue;
     }
-  }
-
-  // Splits: committed iff any child assignment was persisted (CommitSplit
-  // persists both children before deleting the parent).
-  if (znodes->Exists(meta::kMetaSplit)) {
-    auto uids = znodes->GetChildren(meta::kMetaSplit);
-    if (!uids.ok()) return uids.status();
-    for (const std::string& uid : *uids) {
-      auto data = znodes->Get(meta::SplitPath(uid));
-      if (!data.ok()) continue;
-      int owner = -1;
-      int right_server = -1;
-      tablet::TabletDescriptor parent, left, right;
-      if (!meta::DecodeSplitIntent(Slice(*data), &owner, &parent, &left,
-                                   &right_server, &right)) {
-        (void)znodes->Delete(meta::SplitPath(uid));
-        continue;
+    // The commit point is the persisted flip: committed iff some child's
+    // assignment already names that child's server.
+    bool committed = false;
+    for (const TabletLocation& child : children) {
+      auto it = assignments_.find(child.descriptor.uid());
+      if (it != assignments_.end() && it->second.server_id == child.server_id) {
+        committed = true;
       }
-      bool committed = assignments_.count(left.uid()) > 0 ||
-                       assignments_.count(right.uid()) > 0;
-      tablet::TabletServer* owner_srv = server_resolver_(owner);
-      tablet::TabletServer* right_srv = server_resolver_(right_server);
-      if (committed) {
-        DropReplicasLocked(uid);  // the parent tablet is gone
-        if (assignments_.count(left.uid()) == 0) {
-          assignments_[left.uid()] = TabletLocation{left, owner};
-          LOGBASE_RETURN_NOT_OK(
-              PersistAssignmentLocked(assignments_[left.uid()]));
-        }
-        if (assignments_.count(right.uid()) == 0) {
-          assignments_[right.uid()] = TabletLocation{right, right_server};
-          LOGBASE_RETURN_NOT_OK(
-              PersistAssignmentLocked(assignments_[right.uid()]));
-        }
-        if (owner_srv != nullptr && owner_srv->running() &&
-            owner_srv->FindTablet(left.uid()) == nullptr) {
-          LOGBASE_RETURN_NOT_OK(
-              owner_srv->AdoptTablet(left, static_cast<uint32_t>(owner)));
-        }
-        if (right_srv != nullptr && right_srv->running() &&
-            right_srv->FindTablet(right.uid()) == nullptr) {
-          LOGBASE_RETURN_NOT_OK(
-              right_srv->AdoptTablet(right, static_cast<uint32_t>(owner)));
-        }
-        if (assignments_.count(uid) > 0) {
-          assignments_.erase(uid);
-          (void)znodes->Delete(meta::AssignPath(uid));
-        }
-        if (owner_srv != nullptr && owner_srv->running()) {
-          (void)owner_srv->CloseTablet(uid);
-          LOGBASE_RETURN_NOT_OK(owner_srv->Checkpoint());
-        }
-        if (right_srv != nullptr && right_srv != owner_srv &&
-            right_srv->running()) {
-          LOGBASE_RETURN_NOT_OK(right_srv->Checkpoint());
-        }
-      } else {
-        if (owner_srv != nullptr && owner_srv->running()) {
-          (void)owner_srv->CloseTablet(left.uid());
-          (void)owner_srv->UnsealTablet(uid);
-        }
-        if (right_srv != nullptr && right_srv->running()) {
-          (void)right_srv->CloseTablet(right.uid());
-        }
-      }
-      (void)znodes->Delete(meta::SplitPath(uid));
-      LOGBASE_LOG(kInfo, "master %d rolled split of %s %s", node_,
-                  uid.c_str(), committed ? "forward" : "back");
     }
+    tablet::TabletServer* owner_srv = up(owner);
+    if (committed) {
+      // Roll forward: finish the commit, adopt children a crash left
+      // unbuilt, release the parent, then checkpoint every server whose
+      // recovery metadata changed (adopters; all involved when the parent
+      // is retired).
+      LOGBASE_RETURN_NOT_OK(CommitReassignLocked(uid, children));
+      std::vector<tablet::TabletServer*> stale;
+      auto mark = [&stale](tablet::TabletServer* srv) {
+        if (srv != nullptr &&
+            std::find(stale.begin(), stale.end(), srv) == stale.end()) {
+          stale.push_back(srv);
+        }
+      };
+      for (const TabletLocation& child : children) {
+        const std::string child_uid = child.descriptor.uid();
+        tablet::TabletServer* srv = up(child.server_id);
+        if (srv == nullptr || srv->FindTablet(child_uid) != nullptr) continue;
+        LOGBASE_RETURN_NOT_OK(
+            srv->AdoptTablet(child.descriptor, static_cast<uint32_t>(owner)));
+        mark(srv);
+      }
+      if (owner_srv != nullptr) (void)owner_srv->CloseTablet(uid);
+      if (RetiresParent(uid, children)) {
+        mark(owner_srv);
+        for (const TabletLocation& child : children) mark(up(child.server_id));
+      }
+      for (tablet::TabletServer* srv : stale) {
+        LOGBASE_RETURN_NOT_OK(srv->Checkpoint());
+      }
+    } else {
+      // Roll back: drop every child copy, the parent resumes on its owner.
+      for (const TabletLocation& child : children) {
+        tablet::TabletServer* srv = up(child.server_id);
+        if (srv != nullptr) (void)srv->CloseTablet(child.descriptor.uid());
+      }
+      if (owner_srv != nullptr) (void)owner_srv->UnsealTablet(uid);
+    }
+    (void)znodes->Delete(path);
+    LOGBASE_LOG(kInfo, "master %d rolled reassignment of %s %s", node_,
+                uid.c_str(), committed ? "forward" : "back");
   }
   return Status::OK();
 }

@@ -18,6 +18,7 @@
 
 #include "src/coord/coordination_service.h"
 #include "src/coord/master_election.h"
+#include "src/master/meta_codec.h"
 #include "src/replica/replica_server.h"
 #include "src/tablet/schema.h"
 #include "src/tablet/tablet_server.h"
@@ -26,14 +27,16 @@
 
 namespace logbase::master {
 
-struct TabletLocation {
-  tablet::TabletDescriptor descriptor;
-  int server_id = -1;
-  /// Read replicas serving bounded-staleness snapshot reads of this tablet
-  /// (replica ids, not server ids). Torn down on migration/split/failure —
-  /// the replicas' log cursors point at the old owner's log.
-  std::vector<int> replicas;
-};
+/// Whether a reassignment of `parent_uid` to `children` retires the parent
+/// (no child keeps its uid, as in a split). A retired parent must vanish from
+/// every involved server's recovery metadata, not just from the assignments.
+inline bool RetiresParent(const std::string& parent_uid,
+                          const std::vector<TabletLocation>& children) {
+  for (const TabletLocation& child : children) {
+    if (child.descriptor.uid() == parent_uid) return false;
+  }
+  return true;
+}
 
 class Master {
  public:
@@ -104,14 +107,11 @@ class Master {
   /// as a tie-break by placement decisions. May be empty (returns 0).
   void set_load_hint(std::function<double(int)> hint);
 
-  /// Flips the persisted assignment of `uid` to `to` — the commit point of a
-  /// live migration. Active master only.
-  Status CommitMigration(const std::string& uid, int to);
-  /// Replaces the parent assignment with the two children: persists both
-  /// child assignments, then removes the parent's (map entry + znode) — the
-  /// commit point of a split. Active master only.
-  Status CommitSplit(const std::string& parent_uid, const TabletLocation& left,
-                     const TabletLocation& right);
+  /// The commit point of a reassignment (src/balance/migration.h): drops the
+  /// parent's replicas, persists every child's assignment, then removes the
+  /// parent's (map entry + znode) when it is retired. Active master only.
+  Status CommitReassign(const std::string& parent_uid,
+                        const std::vector<TabletLocation>& children);
   /// Fresh range ids for split children (max over current assignments of the
   /// (table, group) + 1). Fails when the 20-bit range-id space would
   /// overflow the packed tablet id.
@@ -189,9 +189,14 @@ class Master {
       REQUIRES(mu_) {
     return replica_resolver_ ? replica_resolver_(replica_id) : nullptr;
   }
-  /// Rolls surviving migration/split intents forward or back after this
-  /// master recovers metadata (the previous active master died mid-
-  /// protocol).
+  /// CommitReassign without the leadership check; children whose
+  /// assignment already names their server are skipped, so reconcile can
+  /// finish a commit that was cut short.
+  Status CommitReassignLocked(const std::string& parent_uid,
+                              const std::vector<TabletLocation>& children)
+      REQUIRES(mu_);
+  /// Rolls surviving reassignment intents forward or back after this master
+  /// recovers metadata (the previous active master died mid-protocol).
   Status ReconcileIntentsLocked() REQUIRES(mu_);
 
   // Metadata persistence (znodes under /meta): schemas + split keys under

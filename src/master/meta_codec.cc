@@ -23,6 +23,36 @@ bool DecodeStringVec(Slice* in, std::vector<std::string>* v) {
   return true;
 }
 
+void EncodeDescriptor(std::string* out, const tablet::TabletDescriptor& d) {
+  PutVarint32(out, d.table_id);
+  PutLengthPrefixedSlice(out, Slice(d.table_name));
+  PutVarint32(out, d.column_group);
+  PutVarint32(out, d.range_id);
+  PutLengthPrefixedSlice(out, Slice(d.start_key));
+  PutLengthPrefixedSlice(out, Slice(d.end_key));
+}
+
+bool DecodeDescriptor(Slice* in, tablet::TabletDescriptor* d) {
+  Slice table_name, start_key, end_key;
+  if (!GetVarint32(in, &d->table_id)) return false;
+  if (!GetLengthPrefixedSlice(in, &table_name)) return false;
+  d->table_name = table_name.ToString();
+  if (!GetVarint32(in, &d->column_group)) return false;
+  if (!GetVarint32(in, &d->range_id)) return false;
+  if (!GetLengthPrefixedSlice(in, &start_key)) return false;
+  d->start_key = start_key.ToString();
+  if (!GetLengthPrefixedSlice(in, &end_key)) return false;
+  d->end_key = end_key.ToString();
+  return true;
+}
+
+bool DecodeServer(Slice* in, int* server_id) {
+  uint32_t server;
+  if (!GetVarint32(in, &server)) return false;
+  *server_id = static_cast<int>(server);
+  return true;
+}
+
 }  // namespace
 
 std::string EncodeTableMeta(const tablet::TableSchema& schema,
@@ -67,103 +97,47 @@ std::string EncodeAssignment(int server_id,
                              const tablet::TabletDescriptor& d) {
   std::string out;
   PutVarint32(&out, static_cast<uint32_t>(server_id));
-  PutVarint32(&out, d.table_id);
-  PutLengthPrefixedSlice(&out, Slice(d.table_name));
-  PutVarint32(&out, d.column_group);
-  PutVarint32(&out, d.range_id);
-  PutLengthPrefixedSlice(&out, Slice(d.start_key));
-  PutLengthPrefixedSlice(&out, Slice(d.end_key));
+  EncodeDescriptor(&out, d);
   return out;
 }
 
 bool DecodeAssignment(Slice in, int* server_id,
                       tablet::TabletDescriptor* d) {
-  uint32_t server;
-  if (!GetVarint32(&in, &server)) return false;
-  *server_id = static_cast<int>(server);
-  Slice table_name, start_key, end_key;
-  if (!GetVarint32(&in, &d->table_id)) return false;
-  if (!GetLengthPrefixedSlice(&in, &table_name)) return false;
-  d->table_name = table_name.ToString();
-  if (!GetVarint32(&in, &d->column_group)) return false;
-  if (!GetVarint32(&in, &d->range_id)) return false;
-  if (!GetLengthPrefixedSlice(&in, &start_key)) return false;
-  d->start_key = start_key.ToString();
-  if (!GetLengthPrefixedSlice(&in, &end_key)) return false;
-  d->end_key = end_key.ToString();
-  return true;
+  return DecodeServer(&in, server_id) && DecodeDescriptor(&in, d);
 }
 
-namespace {
-
-void EncodeDescriptor(std::string* out, const tablet::TabletDescriptor& d) {
-  PutVarint32(out, d.table_id);
-  PutLengthPrefixedSlice(out, Slice(d.table_name));
-  PutVarint32(out, d.column_group);
-  PutVarint32(out, d.range_id);
-  PutLengthPrefixedSlice(out, Slice(d.start_key));
-  PutLengthPrefixedSlice(out, Slice(d.end_key));
-}
-
-bool DecodeDescriptor(Slice* in, tablet::TabletDescriptor* d) {
-  Slice table_name, start_key, end_key;
-  if (!GetVarint32(in, &d->table_id)) return false;
-  if (!GetLengthPrefixedSlice(in, &table_name)) return false;
-  d->table_name = table_name.ToString();
-  if (!GetVarint32(in, &d->column_group)) return false;
-  if (!GetVarint32(in, &d->range_id)) return false;
-  if (!GetLengthPrefixedSlice(in, &start_key)) return false;
-  d->start_key = start_key.ToString();
-  if (!GetLengthPrefixedSlice(in, &end_key)) return false;
-  d->end_key = end_key.ToString();
-  return true;
-}
-
-}  // namespace
-
-std::string EncodeMigrationIntent(int from, int to,
-                                  const tablet::TabletDescriptor& d) {
-  std::string out;
-  PutVarint32(&out, static_cast<uint32_t>(from));
-  PutVarint32(&out, static_cast<uint32_t>(to));
-  EncodeDescriptor(&out, d);
-  return out;
-}
-
-bool DecodeMigrationIntent(Slice in, int* from, int* to,
-                           tablet::TabletDescriptor* d) {
-  uint32_t f, t;
-  if (!GetVarint32(&in, &f) || !GetVarint32(&in, &t)) return false;
-  *from = static_cast<int>(f);
-  *to = static_cast<int>(t);
-  return DecodeDescriptor(&in, d);
-}
-
-std::string EncodeSplitIntent(int owner,
-                              const tablet::TabletDescriptor& parent,
-                              const tablet::TabletDescriptor& left,
-                              int right_server,
-                              const tablet::TabletDescriptor& right) {
+std::string EncodeReassignIntent(int owner,
+                                 const tablet::TabletDescriptor& parent,
+                                 const std::vector<TabletLocation>& children) {
   std::string out;
   PutVarint32(&out, static_cast<uint32_t>(owner));
   EncodeDescriptor(&out, parent);
-  EncodeDescriptor(&out, left);
-  PutVarint32(&out, static_cast<uint32_t>(right_server));
-  EncodeDescriptor(&out, right);
+  PutVarint32(&out, static_cast<uint32_t>(children.size()));
+  for (const TabletLocation& child : children) {
+    PutVarint32(&out, static_cast<uint32_t>(child.server_id));
+    EncodeDescriptor(&out, child.descriptor);
+  }
   return out;
 }
 
-bool DecodeSplitIntent(Slice in, int* owner, tablet::TabletDescriptor* parent,
-                       tablet::TabletDescriptor* left, int* right_server,
-                       tablet::TabletDescriptor* right) {
-  uint32_t o, rs;
-  if (!GetVarint32(&in, &o)) return false;
-  *owner = static_cast<int>(o);
-  if (!DecodeDescriptor(&in, parent)) return false;
-  if (!DecodeDescriptor(&in, left)) return false;
-  if (!GetVarint32(&in, &rs)) return false;
-  *right_server = static_cast<int>(rs);
-  return DecodeDescriptor(&in, right);
+bool DecodeReassignIntent(Slice in, int* owner,
+                          tablet::TabletDescriptor* parent,
+                          std::vector<TabletLocation>* children) {
+  uint32_t n;
+  if (!DecodeServer(&in, owner) || !DecodeDescriptor(&in, parent) ||
+      !GetVarint32(&in, &n)) {
+    return false;
+  }
+  children->clear();
+  for (uint32_t i = 0; i < n; i++) {
+    TabletLocation child;
+    if (!DecodeServer(&in, &child.server_id) ||
+        !DecodeDescriptor(&in, &child.descriptor)) {
+      return false;
+    }
+    children->push_back(std::move(child));
+  }
+  return true;
 }
 
 std::string EncodeReplicaSet(const std::vector<int>& replica_ids) {

@@ -1,8 +1,11 @@
 // Wire format for the master metadata persisted in coordination-service
 // znodes: table schemas + split keys under /meta/tables/<name>, tablet
-// assignments under /meta/assign/<uid>. Shared between the master (writes
-// and recovers it) and the tablet server (reads assignments on restart to
-// fence itself off tablets that were adopted elsewhere while it was down).
+// assignments under /meta/assign/<uid>, in-flight reassignment intents under
+// /meta/reassign/<parent uid>, replica sets under /meta/replica/<uid>.
+// Shared between the master (writes and recovers it), the migration
+// coordinator (writes intents) and the tablet server (reads assignments on
+// restart to fence itself off tablets that were adopted elsewhere while it
+// was down).
 
 #ifndef LOGBASE_MASTER_META_CODEC_H_
 #define LOGBASE_MASTER_META_CODEC_H_
@@ -13,17 +16,30 @@
 #include "src/tablet/schema.h"
 #include "src/util/slice.h"
 
-namespace logbase::master::meta {
+namespace logbase::master {
+
+/// Where a tablet lives: its descriptor and the owning tablet server. The
+/// assignment znode persists both; the replica set is persisted separately.
+struct TabletLocation {
+  tablet::TabletDescriptor descriptor;
+  int server_id = -1;
+  /// Read replicas serving bounded-staleness snapshot reads of this tablet
+  /// (replica ids, not server ids). Torn down on migration/split/failure —
+  /// the replicas' log cursors point at the old owner's log.
+  std::vector<int> replicas = {};
+};
+
+namespace meta {
 
 inline constexpr const char* kMetaRoot = "/meta";
 inline constexpr const char* kMetaTables = "/meta/tables";
 inline constexpr const char* kMetaAssign = "/meta/assign";
-/// In-flight migration / split intents (src/balance/). Written before any
-/// step mutates server or assignment state; deleted after the protocol
-/// completes. A freshly promoted master rolls each surviving intent forward
-/// or back depending on whether the assignment flip was persisted.
-inline constexpr const char* kMetaMigrate = "/meta/migrate";
-inline constexpr const char* kMetaSplit = "/meta/split";
+/// In-flight reassignment intents (src/balance/), one per parent tablet: a
+/// migration or a split. Written before any step mutates server or
+/// assignment state; deleted after the protocol completes. A freshly
+/// promoted master rolls each surviving intent forward or back depending on
+/// whether a child's assignment was persisted.
+inline constexpr const char* kMetaReassign = "/meta/reassign";
 /// Read-replica attachments per tablet: the set of replica ids serving
 /// snapshot reads for /meta/replica/<uid>. Soft-state hint only — a replica
 /// that lost its in-memory index is simply re-seeded — but persisted so a
@@ -36,11 +52,8 @@ inline std::string TablePath(const std::string& name) {
 inline std::string AssignPath(const std::string& uid) {
   return std::string(kMetaAssign) + "/" + uid;
 }
-inline std::string MigratePath(const std::string& uid) {
-  return std::string(kMetaMigrate) + "/" + uid;
-}
-inline std::string SplitPath(const std::string& uid) {
-  return std::string(kMetaSplit) + "/" + uid;
+inline std::string ReassignPath(const std::string& parent_uid) {
+  return std::string(kMetaReassign) + "/" + parent_uid;
 }
 inline std::string ReplicaPath(const std::string& uid) {
   return std::string(kMetaReplica) + "/" + uid;
@@ -56,27 +69,22 @@ std::string EncodeAssignment(int server_id,
 bool DecodeAssignment(Slice in, int* server_id,
                       tablet::TabletDescriptor* descriptor);
 
-/// A live-migration intent: tablet `descriptor` moving `from` -> `to`.
-std::string EncodeMigrationIntent(int from, int to,
-                                  const tablet::TabletDescriptor& descriptor);
-bool DecodeMigrationIntent(Slice in, int* from, int* to,
-                           tablet::TabletDescriptor* descriptor);
-
-/// A split intent: `parent` (hosted by `owner`) splitting into `left`
-/// (stays on `owner`) and `right` (placed on `right_server`).
-std::string EncodeSplitIntent(int owner,
-                              const tablet::TabletDescriptor& parent,
-                              const tablet::TabletDescriptor& left,
-                              int right_server,
-                              const tablet::TabletDescriptor& right);
-bool DecodeSplitIntent(Slice in, int* owner, tablet::TabletDescriptor* parent,
-                       tablet::TabletDescriptor* left, int* right_server,
-                       tablet::TabletDescriptor* right);
+/// A reassignment intent: `parent`, hosted by `owner`, is replaced by
+/// `children` (descriptor + server each; replica sets are not encoded). A
+/// migration is one child with the parent's descriptor on another server; a
+/// split is two children with fresh range ids.
+std::string EncodeReassignIntent(int owner,
+                                 const tablet::TabletDescriptor& parent,
+                                 const std::vector<TabletLocation>& children);
+bool DecodeReassignIntent(Slice in, int* owner,
+                          tablet::TabletDescriptor* parent,
+                          std::vector<TabletLocation>* children);
 
 /// The replica ids attached to one tablet.
 std::string EncodeReplicaSet(const std::vector<int>& replica_ids);
 bool DecodeReplicaSet(Slice in, std::vector<int>* replica_ids);
 
-}  // namespace logbase::master::meta
+}  // namespace meta
+}  // namespace logbase::master
 
 #endif  // LOGBASE_MASTER_META_CODEC_H_

@@ -27,8 +27,7 @@ ReplicaServer::ReplicaServer(ReplicaServerOptions options, dfs::Dfs* dfs,
       quota_registry_(coord, options_.node, options_.quota_registry),
       admission_(options_.admission, &quota_registry_),
       fs_(std::make_unique<dfs::DfsFileSystem>(dfs, options_.node)),
-      buffer_(options_.read_buffer_bytes,
-              tablet::MakePolicy(options_.replacement_policy)) {}
+      buffer_(options_.read_buffer_bytes, tablet::MakeLruPolicy()) {}
 
 Status ReplicaServer::Start() {
   running_.store(true, std::memory_order_release);

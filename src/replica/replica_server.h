@@ -48,7 +48,6 @@ struct ReplicaServerOptions {
   /// The machine this replica runs on (network/DFS charging).
   int node = 0;
   size_t read_buffer_bytes = 32ull << 20;
-  std::string replacement_policy = "lru";
   /// Multi-tenant QoS at the replica front door (src/qos/): disabled by
   /// default.
   qos::AdmissionOptions admission;

@@ -9,8 +9,6 @@ namespace {
 
 class LruPolicy : public ReplacementPolicy {
  public:
-  const char* Name() const override { return "lru"; }
-
   void OnInsert(const std::string& key) override {
     auto it = index_.find(key);
     if (it != index_.end()) {
@@ -41,8 +39,6 @@ class LruPolicy : public ReplacementPolicy {
 
 class FifoPolicy : public ReplacementPolicy {
  public:
-  const char* Name() const override { return "fifo"; }
-
   void OnInsert(const std::string& key) override {
     if (index_.count(key) > 0) return;  // insertion order is sticky
     order_.push_front(key);
@@ -76,11 +72,6 @@ std::unique_ptr<ReplacementPolicy> MakeLruPolicy() {
 
 std::unique_ptr<ReplacementPolicy> MakeFifoPolicy() {
   return std::make_unique<FifoPolicy>();
-}
-
-std::unique_ptr<ReplacementPolicy> MakePolicy(const std::string& name) {
-  if (name == "fifo") return MakeFifoPolicy();
-  return MakeLruPolicy();
 }
 
 ReadBuffer::ReadBuffer(size_t capacity_bytes,

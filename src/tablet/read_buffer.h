@@ -30,7 +30,6 @@ struct CachedRecord {
 class ReplacementPolicy {
  public:
   virtual ~ReplacementPolicy() = default;
-  virtual const char* Name() const = 0;
   virtual void OnInsert(const std::string& key) = 0;
   virtual void OnAccess(const std::string& key) = 0;
   virtual void OnRemove(const std::string& key) = 0;
@@ -42,7 +41,6 @@ class ReplacementPolicy {
 std::unique_ptr<ReplacementPolicy> MakeLruPolicy();
 /// First-in-first-out (ablation alternative).
 std::unique_ptr<ReplacementPolicy> MakeFifoPolicy();
-std::unique_ptr<ReplacementPolicy> MakePolicy(const std::string& name);
 
 /// Thread-safe record cache bounded by total bytes.
 class ReadBuffer {

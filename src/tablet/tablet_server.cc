@@ -55,8 +55,7 @@ TabletServer::TabletServer(TabletServerOptions options, dfs::Dfs* dfs,
       quota_registry_(coord, options_.server_id, options_.quota_registry),
       admission_(options_.admission, &quota_registry_),
       fs_(std::make_unique<dfs::DfsFileSystem>(dfs, options_.server_id)),
-      buffer_(options_.read_buffer_bytes,
-              MakePolicy(options_.replacement_policy)) {
+      buffer_(options_.read_buffer_bytes, MakeLruPolicy()) {
   writer_ = std::make_unique<log::LogWriter>(
       fs_.get(), log_dir(), options_.server_id, options_.segment_bytes,
       options_.group_commit);

@@ -39,7 +39,6 @@ struct TabletServerOptions {
   uint64_t segment_bytes = 64ull << 20;
   /// 0 disables the read buffer (it is an optional component, §3.6.1).
   size_t read_buffer_bytes = 0;
-  std::string replacement_policy = "lru";
   /// Persist indexes after this many updates (0 = only explicit
   /// checkpoints), §3.6.1.
   uint64_t checkpoint_update_threshold = 0;

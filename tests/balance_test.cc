@@ -1,7 +1,8 @@
 // Elastic load balancing (src/balance/): load reports, placement scoring,
 // live log-based migration (checkpoint-bounded replay, fencing, client
-// re-routing), hot-tablet splitting, the policy loop, and crash recovery of
-// the migration/split protocols across master failovers.
+// re-routing), hot-tablet splitting, the policy loop, the reassignment
+// intent codec, and crash recovery of migrations and splits across master
+// failovers.
 
 #include <gtest/gtest.h>
 
@@ -120,7 +121,7 @@ TEST(MigrationTest, MoveTabletKeepsDataAndRoutes) {
   EXPECT_FALSE(cluster.server(to)->FindTablet(uid)->sealed());
   // The intent is gone.
   EXPECT_FALSE(cluster.coord()->znodes()->Exists(
-      master::meta::MigratePath(uid)));
+      master::meta::ReassignPath(uid)));
 
   // The same client (stale route cached) reads and writes through the
   // migrated tablet: the source's "unknown tablet" turns into a cache
@@ -253,8 +254,12 @@ TEST(SplitTest, SplitSurvivesServerRestart) {
 
   cluster.CrashServer(owner);
   cluster.CrashServer(right_target);
-  ASSERT_TRUE(cluster.RestartServer(owner).ok());
+  tablet::RecoveryStats owner_stats;
+  ASSERT_TRUE(cluster.RestartServer(owner, &owner_stats).ok());
   ASSERT_TRUE(cluster.RestartServer(right_target).ok());
+  // The owner re-checkpointed after closing the parent, so its recovery
+  // reloads the left child alone, not the parent's 40 rows beside it.
+  EXPECT_LT(owner_stats.checkpoint_entries, 40u);
 
   // The parent must not resurrect next to its children.
   for (int node : {owner, right_target}) {
@@ -343,12 +348,36 @@ TEST(BalancerTest, NoopWhenBalancedOrCold) {
   EXPECT_EQ(cluster.balancer()->stats().splits, 0u);
 }
 
-// Crash the active master after a chosen protocol step; the standby must
-// reconcile the surviving intent to exactly one owner.
-class FailoverMidMigrationTest
-    : public ::testing::TestWithParam<MigrationStep> {};
+/// Every tablet is hosted, unsealed, by exactly the server its assignment
+/// names: a split parent never comes back next to its children, and a
+/// migrated tablet never lives on two servers.
+void ExpectHostedAsAssigned(cluster::MiniCluster* cluster, master::Master* m) {
+  std::set<std::pair<int, std::string>> assigned;
+  for (const auto& [uid, location] : m->AssignmentsSnapshot()) {
+    assigned.emplace(location.server_id, uid);
+  }
+  std::set<std::pair<int, std::string>> hosted;
+  for (int node = 0; node < cluster->num_nodes(); node++) {
+    tablet::TabletServer* server = cluster->server(node);
+    for (const tablet::TabletDescriptor& d : server->Tablets()) {
+      hosted.emplace(node, d.uid());
+      EXPECT_FALSE(server->FindTablet(d.uid())->sealed()) << d.uid();
+    }
+  }
+  EXPECT_EQ(hosted, assigned);
+}
 
-TEST_P(FailoverMidMigrationTest, StandbyReconcilesToOneOwner) {
+// Crash the active master after a chosen protocol step of a migration
+// (StandbyReconcilesToOneOwner) or a split (StandbyReconcilesSplit); the
+// standby must reconcile the surviving intent to one owner per key range,
+// and restarting the owner and the child servers must not undo that.
+class FailoverMidMigrationTest
+    : public ::testing::TestWithParam<MigrationStep> {
+ protected:
+  void CrashAndReconcile(bool split);
+};
+
+void FailoverMidMigrationTest::CrashAndReconcile(bool split) {
   const MigrationStep crash_after = GetParam();
   cluster::MiniCluster cluster(SmallCluster(3, /*masters=*/2));
   ASSERT_TRUE(cluster.Start().ok());
@@ -362,42 +391,78 @@ TEST_P(FailoverMidMigrationTest, StandbyReconcilesToOneOwner) {
   auto loc = first->Locate("t", 0, Slice(Key(0)));
   ASSERT_TRUE(loc.ok());
   const std::string uid = loc->descriptor.uid();
-  const int from = loc->server_id;
-  const int to = (from + 1) % cluster.num_nodes();
+  const int owner = loc->server_id;
+  const int target = (owner + 1) % cluster.num_nodes();
+  std::string split_key;
+  if (split) {
+    auto key = cluster.server(owner)->SuggestSplitKey(uid);
+    ASSERT_TRUE(key.ok());
+    split_key = *key;
+  }
 
   MigrationCoordinator coordinator(first);
   coordinator.set_step_hook([&](MigrationStep step) {
     if (step == crash_after) cluster.CrashMaster(0);
   });
-  Status s = coordinator.MigrateTablet(uid, to);
+  Status s = split ? coordinator.SplitTablet(uid, split_key, target)
+                   : coordinator.MigrateTablet(uid, target);
   EXPECT_FALSE(s.ok());  // leadership lost mid-protocol
 
   // Standby takes over and reconciles the intent.
   master::Master* active = cluster.active_master();
   ASSERT_NE(active, nullptr);
   ASSERT_EQ(active, cluster.masters(1));
+  EXPECT_FALSE(cluster.coord()->znodes()->Exists(
+      master::meta::ReassignPath(uid)));
 
   const bool committed = crash_after >= MigrationStep::kAssignmentFlipped;
-  auto assignment = active->GetAssignment(uid);
-  ASSERT_TRUE(assignment.ok());
-  EXPECT_EQ(assignment->server_id, committed ? to : from);
-  // Exactly one live owner hosts the tablet, unsealed; the intent is gone.
-  const int owner = assignment->server_id;
-  const int other = owner == from ? to : from;
-  ASSERT_NE(cluster.server(owner)->FindTablet(uid), nullptr);
-  EXPECT_FALSE(cluster.server(owner)->FindTablet(uid)->sealed());
-  EXPECT_EQ(cluster.server(other)->FindTablet(uid), nullptr);
-  EXPECT_FALSE(cluster.coord()->znodes()->Exists(
-      master::meta::MigratePath(uid)));
+  auto all = active->LocateAll("t", 0);
+  ASSERT_TRUE(all.ok());
+  if (split && committed) {
+    EXPECT_FALSE(active->GetAssignment(uid).ok());
+    ASSERT_EQ(all->size(), 2u);
+    EXPECT_EQ((*all)[0].server_id, owner);
+    EXPECT_EQ((*all)[0].descriptor.end_key, split_key);
+    EXPECT_EQ((*all)[1].server_id, target);
+    EXPECT_EQ((*all)[1].descriptor.start_key, split_key);
+  } else {
+    ASSERT_EQ(all->size(), 1u);
+    EXPECT_EQ((*all)[0].descriptor.uid(), uid);
+    EXPECT_EQ((*all)[0].server_id, committed && !split ? target : owner);
+  }
+  ExpectHostedAsAssigned(&cluster, active);
 
   // No acked write was lost, and new writes flow.
-  for (int i = 0; i < 25; i++) {
-    auto r = client->Get("t", 0, Key(i), client::ReadOptions{});
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ASSERT_TRUE(r->found());
-    EXPECT_EQ(r->value(), "v" + std::to_string(i));
-  }
-  EXPECT_TRUE(client->Put("t", 0, Key(0), "post-failover", {}).ok());
+  auto expect_rows = [&](const std::string& first_value) {
+    for (int i = 0; i < 25; i++) {
+      auto r = client->Get("t", 0, Key(i), client::ReadOptions{});
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_TRUE(r->found()) << Key(i);
+      EXPECT_EQ(r->value(), i == 0 ? first_value : "v" + std::to_string(i));
+    }
+  };
+  expect_rows("v0");
+  ASSERT_TRUE(client->Put("t", 0, Key(0), "post-failover", {}).ok());
+
+  // The reconciled state is durable in the servers' own recovery metadata.
+  // A committed split re-checkpointed the owner after closing the parent,
+  // so the owner reloads the left child alone, not the parent's 25 rows.
+  cluster.CrashServer(owner);
+  cluster.CrashServer(target);
+  tablet::RecoveryStats owner_stats;
+  ASSERT_TRUE(cluster.RestartServer(owner, &owner_stats).ok());
+  ASSERT_TRUE(cluster.RestartServer(target).ok());
+  if (split && committed) EXPECT_LT(owner_stats.checkpoint_entries, 25u);
+  ExpectHostedAsAssigned(&cluster, active);
+  expect_rows("post-failover");
+}
+
+TEST_P(FailoverMidMigrationTest, StandbyReconcilesToOneOwner) {
+  CrashAndReconcile(/*split=*/false);
+}
+
+TEST_P(FailoverMidMigrationTest, StandbyReconcilesSplit) {
+  CrashAndReconcile(/*split=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -415,6 +480,142 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+TEST(ReassignTest, SecondReassignmentOfOneTabletIsBusy) {
+  cluster::MiniCluster cluster(SmallCluster());
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.master()->CreateTable("t", {"v"}, {{"v"}}, {}).ok());
+  auto client = cluster.NewClient(0);
+  for (int i = 0; i < 30; i++) {
+    ASSERT_TRUE(client->Put("t", 0, Key(i), "v" + std::to_string(i), {}).ok());
+  }
+  auto loc = cluster.master()->Locate("t", 0, Slice(Key(0)));
+  ASSERT_TRUE(loc.ok());
+  const std::string uid = loc->descriptor.uid();
+  const int owner = loc->server_id;
+  const int to = (owner + 1) % cluster.num_nodes();
+  auto split_key = cluster.server(owner)->SuggestSplitKey(uid);
+  ASSERT_TRUE(split_key.ok());
+
+  // A split of the same tablet, started after every step of a migration
+  // that is still in flight, must be refused: both share one intent.
+  MigrationCoordinator migration(cluster.active_master());
+  MigrationCoordinator splitter(cluster.active_master());
+  std::vector<Status> refused;
+  migration.set_step_hook([&](MigrationStep step) {
+    if (step == MigrationStep::kIntentCleared) return;
+    refused.push_back(splitter.SplitTablet(uid, *split_key, owner));
+  });
+  Status s = migration.MigrateTablet(uid, to);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(refused.size(), 6u);
+  for (const Status& r : refused) EXPECT_TRUE(r.IsBusy()) << r.ToString();
+
+  // The migration finished as if alone.
+  auto all = cluster.master()->LocateAll("t", 0);
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->size(), 1u);
+  EXPECT_EQ((*all)[0].descriptor.uid(), uid);
+  EXPECT_EQ((*all)[0].server_id, to);
+  ExpectHostedAsAssigned(&cluster, cluster.master());
+  for (int i = 0; i < 30; i++) {
+    auto r = client->Get("t", 0, Key(i), client::ReadOptions{});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->value(), "v" + std::to_string(i));
+  }
+}
+
+TEST(ReassignTest, StandbyDropsUndecodableIntent) {
+  cluster::MiniCluster cluster(SmallCluster(3, /*masters=*/2));
+  ASSERT_TRUE(cluster.Start().ok());
+  master::Master* first = cluster.active_master();
+  ASSERT_TRUE(first->CreateTable("t", {"v"}, {{"v"}}, {}).ok());
+  auto loc = first->Locate("t", 0, Slice(Key(0)));
+  ASSERT_TRUE(loc.ok());
+  const std::string uid = loc->descriptor.uid();
+
+  // A truncated intent for a live tablet: the standby can neither roll it
+  // forward nor back, so it deletes it and leaves the tablet where it is.
+  std::string intent = master::meta::EncodeReassignIntent(
+      loc->server_id, loc->descriptor,
+      {master::TabletLocation{loc->descriptor,
+                              (loc->server_id + 1) % cluster.num_nodes()}});
+  intent.resize(intent.size() / 2);
+  coord::ZnodeTree* znodes = cluster.coord()->znodes();
+  ASSERT_TRUE(znodes
+                  ->Create(first->session(), master::meta::kMetaReassign, "",
+                           coord::CreateMode::kPersistent)
+                  .ok());
+  ASSERT_TRUE(znodes
+                  ->Create(first->session(), master::meta::ReassignPath(uid),
+                           intent, coord::CreateMode::kPersistent)
+                  .ok());
+  cluster.CrashMaster(0);
+
+  master::Master* active = cluster.active_master();
+  ASSERT_EQ(active, cluster.masters(1));
+  EXPECT_FALSE(znodes->Exists(master::meta::ReassignPath(uid)));
+  auto assignment = active->GetAssignment(uid);
+  ASSERT_TRUE(assignment.ok());
+  EXPECT_EQ(assignment->server_id, loc->server_id);
+  ExpectHostedAsAssigned(&cluster, active);
+}
+
+TEST(ReassignIntentTest, RoundTripsChildren) {
+  tablet::TabletDescriptor parent;
+  parent.table_id = 7;
+  parent.table_name = "orders";
+  parent.column_group = 1;
+  parent.range_id = 3;
+  parent.start_key = "b";
+  parent.end_key = "m";
+  master::TabletLocation left{parent, 5};
+  left.descriptor.range_id = 8;
+  left.descriptor.end_key = "g";
+  master::TabletLocation right{parent, 2};
+  right.descriptor.range_id = 9;
+  right.descriptor.start_key = "g";
+
+  std::string intent =
+      master::meta::EncodeReassignIntent(5, parent, {left, right});
+  int owner = -1;
+  tablet::TabletDescriptor decoded_parent;
+  std::vector<master::TabletLocation> children;
+  ASSERT_TRUE(master::meta::DecodeReassignIntent(Slice(intent), &owner,
+                                                 &decoded_parent, &children));
+  EXPECT_EQ(owner, 5);
+  EXPECT_EQ(decoded_parent.uid(), parent.uid());
+  EXPECT_EQ(decoded_parent.table_name, "orders");
+  EXPECT_EQ(decoded_parent.start_key, "b");
+  EXPECT_EQ(decoded_parent.end_key, "m");
+  ASSERT_EQ(children.size(), 2u);
+  for (size_t i = 0; i < 2; i++) {
+    const master::TabletLocation& want = i == 0 ? left : right;
+    EXPECT_EQ(children[i].server_id, want.server_id);
+    EXPECT_EQ(children[i].descriptor.uid(), want.descriptor.uid());
+    EXPECT_EQ(children[i].descriptor.table_name, "orders");
+    EXPECT_EQ(children[i].descriptor.start_key, want.descriptor.start_key);
+    EXPECT_EQ(children[i].descriptor.end_key, want.descriptor.end_key);
+  }
+}
+
+TEST(ReassignIntentTest, RejectsTruncatedInput) {
+  tablet::TabletDescriptor parent;
+  parent.table_id = 7;
+  parent.table_name = "orders";
+  std::string intent = master::meta::EncodeReassignIntent(
+      1, parent, {master::TabletLocation{parent, 2}});
+  int owner = -1;
+  tablet::TabletDescriptor decoded;
+  std::vector<master::TabletLocation> children;
+  ASSERT_TRUE(master::meta::DecodeReassignIntent(Slice(intent), &owner,
+                                                 &decoded, &children));
+  for (size_t n = 0; n < intent.size(); n++) {
+    EXPECT_FALSE(master::meta::DecodeReassignIntent(
+        Slice(intent.data(), n), &owner, &decoded, &children))
+        << "prefix of " << n << " bytes";
+  }
+}
 
 TEST(FailoverScatterTest, DeadServersTabletsSpreadAcrossSurvivors) {
   cluster::MiniCluster cluster(SmallCluster(5));

@@ -77,12 +77,6 @@ TEST(ReadBufferTest, DisabledBufferIsNoop) {
   EXPECT_FALSE(buffer.Get("k", &rec));
 }
 
-TEST(ReadBufferTest, PolicyFactoryByName) {
-  EXPECT_STREQ(MakePolicy("lru")->Name(), "lru");
-  EXPECT_STREQ(MakePolicy("fifo")->Name(), "fifo");
-  EXPECT_STREQ(MakePolicy("unknown")->Name(), "lru");  // default
-}
-
 // ---------------------------------------------------------------------------
 // Tablet server fixture
 // ---------------------------------------------------------------------------
