@@ -58,21 +58,20 @@ double Imbalance(const std::vector<uint64_t>& per_server) {
   return static_cast<double>(max_ops) * kNodes / static_cast<double>(total);
 }
 
-/// One closed-loop round-robin pass: one zipfian op per client per round so
-/// the clients' requests interleave on the FCFS resources (bench driver
-/// idiom), 50/50 read/update.
+/// One closed-loop pass: every client is an actor issuing
+/// `ops_per_client` zipfian ops from `t0`, 50/50 read/update.
 Phase RunOps(std::vector<std::unique_ptr<client::LogBaseClient>>* clients,
              ZipfianGenerator* zipf, std::vector<Random>* rngs,
-             uint64_t ops_per_client, const std::string& value) {
+             uint64_t ops_per_client, const std::string& value,
+             sim::VirtualTime t0) {
   Phase phase;
-  const int n = static_cast<int>(clients->size());
-  std::vector<sim::SimContext> ctxs(n);
-  for (uint64_t round = 0; round < ops_per_client; round++) {
-    for (int c = 0; c < n; c++) {
-      sim::SimContext::Scope scope(&ctxs[c]);
+  sim::Scheduler sched;
+  for (size_t c = 0; c < clients->size(); c++) {
+    sched.Add(t0, [&, c, done = uint64_t{0}](sim::SimContext& ctx) mutable {
+      if (done++ == ops_per_client) return false;
       Random* rnd = &(*rngs)[c];
       std::string key = KeyAt(zipf->Next(rnd));
-      sim::VirtualTime start = ctxs[c].now();
+      sim::VirtualTime start = ctx.now();
       Status s;
       if (rnd->Bernoulli(0.5)) {
         s = (*clients)[c]->Put(kTable, 0, key, value, {});
@@ -80,16 +79,15 @@ Phase RunOps(std::vector<std::unique_ptr<client::LogBaseClient>>* clients,
         s = (*clients)[c]->Get(kTable, 0, key, client::ReadOptions{}).status();
       }
       if (s.ok()) {
-        phase.latency_us.Add(static_cast<double>(ctxs[c].now() - start));
+        phase.latency_us.Add(static_cast<double>(ctx.now() - start));
       } else {
         phase.failed++;
       }
       phase.ops++;
-    }
+      return true;
+    });
   }
-  for (const sim::SimContext& ctx : ctxs) {
-    phase.seconds = std::max(phase.seconds, ctx.now() / 1e6);
-  }
+  phase.seconds = static_cast<double>(sched.Run() - t0) / 1e6;
   if (phase.seconds > 0) {
     phase.throughput = static_cast<double>(phase.ops) / phase.seconds;
   }
@@ -143,9 +141,9 @@ int main(int argc, char** argv) {
   }
   const std::string value(1024, 'v');
 
-  // Load all records (uniform), then zero the load windows and queues.
+  // Load all records (uniform), then drain the load windows.
   {
-    sim::SimContext load_ctx;
+    sim::SimContext load_ctx(QuiesceTime(cluster.dfs(), cluster.network()));
     sim::SimContext::Scope scope(&load_ctx);
     for (uint64_t i = 0; i < records; i++) {
       if (!clients[i % kNodes]->Put(kTable, 0, KeyAt(i), value, {}).ok()) {
@@ -158,8 +156,8 @@ int main(int argc, char** argv) {
   ZipfianGenerator zipf(records, 0.99);
 
   // -- Phase A: skewed load, balancer off ---------------------------------
-  ResetCosts(cluster.dfs(), cluster.network());
-  Phase before = RunOps(&clients, &zipf, &rngs, ops_per_client, value);
+  Phase before = RunOps(&clients, &zipf, &rngs, ops_per_client, value,
+                        QuiesceTime(cluster.dfs(), cluster.network()));
   before.per_server = DrainPerServerOps(&cluster);
   before.imbalance = Imbalance(before.per_server);
 
@@ -168,7 +166,8 @@ int main(int argc, char** argv) {
   uint64_t last_actions = ~0ull;
   for (int round = 0; round < 16; round++) {
     // Fresh traffic so each tick sees a live load window.
-    (void)RunOps(&clients, &zipf, &rngs, ops_per_client / 8, value);
+    (void)RunOps(&clients, &zipf, &rngs, ops_per_client / 8, value,
+                 QuiesceTime(cluster.dfs(), cluster.network()));
     if (!cluster.balancer()->Tick().ok()) break;
     ticks++;
     const balance::BalancerStats stats = cluster.balancer()->stats();
@@ -185,8 +184,8 @@ int main(int argc, char** argv) {
 
   // -- Phase B: same skewed load, placement rebalanced --------------------
   (void)DrainPerServerOps(&cluster);
-  ResetCosts(cluster.dfs(), cluster.network());
-  Phase after = RunOps(&clients, &zipf, &rngs, ops_per_client, value);
+  Phase after = RunOps(&clients, &zipf, &rngs, ops_per_client, value,
+                       QuiesceTime(cluster.dfs(), cluster.network()));
   after.per_server = DrainPerServerOps(&cluster);
   after.imbalance = Imbalance(after.per_server);
 

@@ -23,9 +23,8 @@ namespace {
 double BatchedLoad(tablet::TabletServer* server, const std::string& uid,
                    const workload::YcsbWorkload& workload, uint64_t n,
                    dfs::Dfs* dfs, int writers) {
-  ResetCosts(dfs);
   Random rnd(4242);
-  return TimedRun([&] {
+  return TimedRun(QuiesceTime(dfs), [&] {
     std::deque<tablet::MutationBatch> inflight;
     auto complete_front = [&] {
       tablet::MutationBatch pending = std::move(inflight.front());
@@ -81,7 +80,7 @@ int main(int argc, char** argv) {
                        hbase_fixture.dfs.get());
     // HBase eventually persists the memtable too; include the trailing
     // flush so both systems have durably stored all data.
-    hbase_s += TimedRun([&] {
+    hbase_s += TimedRun(QuiesceTime(hbase_fixture.dfs.get()), [&] {
       if (!hbase_fixture.server->FlushAll().ok()) std::abort();
     });
 

@@ -45,10 +45,9 @@ int main(int argc, char** argv) {
 
   auto run_reads = [&](core::KvEngine* engine, const std::string& uid,
                        uint64_t reads, uint64_t seed, dfs::Dfs* dfs) {
-    ResetCosts(dfs);
     workload::YcsbWorkload zipf(read_opts, seed);
     Random rnd(seed);
-    return TimedRun([&] {
+    return TimedRun(QuiesceTime(dfs), [&] {
       for (uint64_t i = 0; i < reads; i++) {
         auto op = zipf.NextOp(&rnd);
         auto value = engine->Get(uid, Slice(op.key));

@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
                                             "LogBase");
     SequentialLoad(&logbase_engine, logbase_fixture.uid, workload, n,
                    logbase_fixture.dfs.get());
-    ResetCosts(logbase_fixture.dfs.get());
-    double logbase_s = TimedRun([&] {
+    double logbase_s = TimedRun(QuiesceTime(logbase_fixture.dfs.get()), [&] {
       auto live = logbase_fixture.server->FullScanCount(logbase_fixture.uid);
       // Hash collisions in key generation make a handful of duplicates.
       if (!live.ok() || *live < n - n / 100) std::abort();
@@ -38,8 +37,7 @@ int main(int argc, char** argv) {
     SequentialLoad(&hbase_engine, hbase_fixture.uid, workload, n,
                    hbase_fixture.dfs.get());
     if (!hbase_fixture.server->FlushAll().ok()) return 1;
-    ResetCosts(hbase_fixture.dfs.get());
-    double hbase_s = TimedRun([&] {
+    double hbase_s = TimedRun(QuiesceTime(hbase_fixture.dfs.get()), [&] {
       auto rows = hbase_engine.Scan(hbase_fixture.uid, "", "");
       if (!rows.ok() || rows->size() < n - n / 100) std::abort();
     });

@@ -27,9 +27,8 @@ template <typename ScanFn>
 double AvgScanMs(ScanFn&& scan, const std::vector<std::string>& sorted_keys,
                  uint64_t count, int queries, uint64_t seed,
                  logbase::dfs::Dfs* dfs) {
-  logbase::bench::ResetCosts(dfs);
   Random rnd(seed);
-  logbase::sim::SimContext ctx;
+  logbase::sim::SimContext ctx(logbase::bench::QuiesceTime(dfs));
   logbase::sim::SimContext::Scope scope(&ctx);
   double total_us = 0;
   for (int q = 0; q < queries; q++) {
@@ -161,7 +160,7 @@ int main(int argc, char** argv) {
   const char* colors[] = {"red", "green", "blue", "amber"};
   Random rnd(10);
   {
-    sim::SimContext load_ctx;
+    sim::SimContext load_ctx(QuiesceTime(cluster.dfs(), cluster.network()));
     sim::SimContext::Scope scope(&load_ctx);
     for (uint64_t i = 0; i < kRows; i++) {
       std::map<std::string, std::string> columns;
@@ -188,9 +187,8 @@ int main(int argc, char** argv) {
 
   const int kPushdownQueries = 5;
   auto run = [&](const query::QueryPlan& plan, bool client_filter) {
-    ResetCosts(cluster.dfs(), cluster.network());
     PushdownRun out;
-    sim::SimContext ctx;
+    sim::SimContext ctx(QuiesceTime(cluster.dfs(), cluster.network()));
     sim::SimContext::Scope scope(&ctx);
     double total_us = 0;
     for (int q = 0; q < kPushdownQueries; q++) {

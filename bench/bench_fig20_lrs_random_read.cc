@@ -29,9 +29,8 @@ int main(int argc, char** argv) {
 
   auto run_reads = [&](core::KvEngine* engine, const std::string& uid,
                        uint64_t reads, uint64_t seed, dfs::Dfs* dfs) {
-    ResetCosts(dfs);
     Random rnd(seed);
-    return TimedRun([&] {
+    return TimedRun(QuiesceTime(dfs), [&] {
       for (uint64_t i = 0; i < reads; i++) {
         std::string key = workload.KeyAt(rnd.Uniform(load_n));
         if (!engine->Get(uid, Slice(key)).ok()) std::abort();

@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
                                             "LogBase");
     SequentialLoad(&logbase_engine, logbase_fixture.uid, workload, n,
                    logbase_fixture.dfs.get());
-    ResetCosts(logbase_fixture.dfs.get());
-    double logbase_s = TimedRun([&] {
+    double logbase_s = TimedRun(QuiesceTime(logbase_fixture.dfs.get()), [&] {
       auto live = logbase_fixture.server->FullScanCount(logbase_fixture.uid);
       if (!live.ok() || *live < n - n / 100) std::abort();
     });
@@ -35,8 +34,7 @@ int main(int argc, char** argv) {
     core::TabletServerEngine lrs_engine(lrs_fixture.server.get(), "LRS");
     SequentialLoad(&lrs_engine, lrs_fixture.uid, workload, n,
                    lrs_fixture.dfs.get());
-    ResetCosts(lrs_fixture.dfs.get());
-    double lrs_s = TimedRun([&] {
+    double lrs_s = TimedRun(QuiesceTime(lrs_fixture.dfs.get()), [&] {
       auto live = lrs_fixture.server->FullScanCount(lrs_fixture.uid);
       if (!live.ok() || *live < n - n / 100) std::abort();
     });

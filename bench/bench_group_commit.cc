@@ -61,7 +61,7 @@ struct RunResult {
 /// coalesce to about `writers` records.
 RunResult RunWriters(WriteFixture* f, int writers, uint64_t n,
                      log::AckMode ack) {
-  ResetCosts(f->dfs.get());
+  const sim::VirtualTime start = QuiesceTime(f->dfs.get());
   auto before = obs::MetricsRegistry::Global().Snapshot();
   workload::YcsbOptions wopts;
   wopts.record_count = n;
@@ -71,7 +71,7 @@ RunResult RunWriters(WriteFixture* f, int writers, uint64_t n,
 
   Histogram latency;
   RunResult result;
-  result.seconds = TimedRun([&] {
+  result.seconds = TimedRun(start, [&] {
     sim::SimContext* ctx = sim::SimContext::Current();
     struct Inflight {
       tablet::MutationBatch pending;

@@ -43,15 +43,14 @@ int main(int argc, char** argv) {
     dfs::DfsFileSystem fs(&dfs, 0);
     log::LogWriter writer(&fs, "/log", 0);
     if (!writer.Open().ok()) return 1;
-    single_write_s = TimedRun([&] {
+    single_write_s = TimedRun(QuiesceTime(&dfs), [&] {
       for (uint64_t i = 0; i < kRecords; i++) {
         if (!writer.Append(MakeRecord(i % kGroups, i)).ok()) std::abort();
       }
     });
     // Recovering ONE column group scans the whole shared log.
-    ResetCosts(&dfs);
     log::LogReader reader(&fs, "/log");
-    single_recover_s = TimedRun([&] {
+    single_recover_s = TimedRun(QuiesceTime(&dfs), [&] {
       auto scanner = reader.NewScanner();
       uint64_t mine = 0;
       for (; (*scanner)->Valid(); (*scanner)->Next()) {
@@ -74,16 +73,15 @@ int main(int argc, char** argv) {
           &fs, "/log-cg" + std::to_string(g), g));
       if (!writers.back()->Open().ok()) return 1;
     }
-    multi_write_s = TimedRun([&] {
+    multi_write_s = TimedRun(QuiesceTime(&dfs), [&] {
       for (uint64_t i = 0; i < kRecords; i++) {
         uint32_t g = i % kGroups;
         if (!writers[g]->Append(MakeRecord(g, i)).ok()) std::abort();
       }
     });
     // Recovering one column group scans only its own log.
-    ResetCosts(&dfs);
     log::LogReader reader(&fs, "/log-cg0", 0);
-    multi_recover_s = TimedRun([&] {
+    multi_recover_s = TimedRun(QuiesceTime(&dfs), [&] {
       auto scanner = reader.NewScanner();
       uint64_t mine = 0;
       for (; (*scanner)->Valid(); (*scanner)->Next()) mine++;

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
     if (!writer.Open().ok()) return 1;
 
     Random rnd(9);
-    double seconds = TimedRun([&] {
+    double seconds = TimedRun(QuiesceTime(&dfs), [&] {
       std::vector<log::LogRecord> batch;
       std::vector<log::LogPtr> ptrs;
       for (uint64_t i = 0; i < kRecords; i++) {

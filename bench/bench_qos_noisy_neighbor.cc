@@ -58,117 +58,91 @@ struct TenantPhase {
   Histogram latency_us;
 };
 
-/// One concurrent hostile connection: an open-loop op source on its own
-/// virtual clock, with at most one op in flight (possibly mid-pacing after
-/// a shed, waiting out its retry-after hint).
+/// One concurrent hostile connection's state: at most one op in flight
+/// (possibly mid-pacing after a shed, waiting out its retry-after hint).
 struct HostileStream {
-  sim::SimContext ctx;
   uint64_t issued = 0;  // completed (acked, failed, or given-up) ops
-  bool pending = false;
-  std::string pending_key;
-  sim::VirtualTime pending_start = 0;
-  int pending_attempts = 0;
+  std::string key;      // the op in flight
+  sim::VirtualTime start = 0;
+  int attempts = 0;  // shed attempts of the op in flight so far
 };
 
-/// One open-loop pass, driven in virtual-time order. Every op source — the
-/// victim, and each of the hostile tenant's kHostileStreams connections —
-/// is a stream on its own clock with fixed grid start times (the victim
-/// offers one uniform update per kRoundPeriodUs, each hostile connection
-/// its share of kHostileOpsPerRound zipfian updates per round), and the
-/// driver always issues the single attempt whose scheduled start
-/// (max(stream clock, grid time)) is earliest: the discrete-event rule that
-/// keeps every server's arrival order consistent with the streams'
-/// diverging clocks. The hostile client is fail-fast (one attempt) and the
-/// DRIVER honors a shed's retry-after hint — it advances only that
-/// stream's clock by the hint and re-attempts the same op at its new slot,
-/// so ops scheduled during the pacing sleep interleave in front of the
-/// retry exactly as concurrent clients would. A stream that ran long
-/// misses grid points and degrades to closed-loop — what the throttled
-/// hostile connections do in phase B — while the victim's offered load
-/// stays constant across phases so its latency numbers are comparable.
+/// One open-loop pass from `t0`. Every op source — the victim, and each of
+/// the hostile tenant's kHostileStreams connections — is a sim::Scheduler
+/// actor with fixed grid start times offset by `t0` (the victim offers one
+/// uniform update per kRoundPeriodUs, each hostile connection its share of
+/// kHostileOpsPerRound zipfian updates per round). After each op an actor
+/// moves its clock to its next grid time (if that is later), so the
+/// scheduler always issues the single attempt whose scheduled start is
+/// earliest: the discrete-event rule that keeps every server's arrival
+/// order consistent with the streams' diverging clocks. The hostile client
+/// is fail-fast (one attempt) and the DRIVER honors a shed's retry-after
+/// hint — it advances only that stream's clock by the hint and re-attempts
+/// the same op at its new slot, so ops scheduled during the pacing sleep
+/// interleave in front of the retry exactly as concurrent clients would. A
+/// stream that ran long misses grid points and degrades to closed-loop —
+/// what the throttled hostile connections do in phase B — while the
+/// victim's offered load stays constant across phases so its latency
+/// numbers are comparable.
 void RunPhase(client::LogBaseClient* victim, client::LogBaseClient* hostile,
               ZipfianGenerator* zipf, Random* victim_rnd, Random* hostile_rnd,
               uint64_t rounds, uint64_t records,
               const std::string& victim_value,
-              const std::string& hostile_value, TenantPhase* victim_out,
-              TenantPhase* hostile_out) {
-  sim::SimContext victim_ctx;
-  std::vector<HostileStream> streams(kHostileStreams);
+              const std::string& hostile_value, sim::VirtualTime t0,
+              TenantPhase* victim_out, TenantPhase* hostile_out) {
   constexpr uint64_t kPerStreamPerRound = kHostileOpsPerRound / kHostileStreams;
   const uint64_t per_stream_ops = rounds * kPerStreamPerRound;
   // Paced re-attempts before giving up. Streams race for the same tenant
   // bucket, so one connection can lose many consecutive token grants to
   // its siblings before its turn comes around.
   constexpr int kMaxAttempts = 256;
-  uint64_t victim_issued = 0;
-  uint64_t hostile_done = 0;
-  const uint64_t hostile_total = per_stream_ops * kHostileStreams;
-  while (victim_issued < rounds || hostile_done < hostile_total) {
-    const sim::VirtualTime victim_next = std::max(
-        victim_ctx.now(),
-        static_cast<sim::VirtualTime>(victim_issued) * kRoundPeriodUs);
-    int pick = -1;  // earliest-scheduled hostile stream, if any remain
-    sim::VirtualTime pick_next = 0;
-    for (int i = 0; i < kHostileStreams; i++) {
-      if (streams[i].issued >= per_stream_ops) continue;
-      const sim::VirtualTime next = std::max(
-          streams[i].ctx.now(),
-          static_cast<sim::VirtualTime>(streams[i].issued / kPerStreamPerRound)
-              * kRoundPeriodUs);
-      if (pick < 0 || next < pick_next) {
-        pick = i;
-        pick_next = next;
-      }
-    }
-    if (pick < 0 || (victim_issued < rounds && victim_next <= pick_next)) {
-      sim::SimContext::Scope scope(&victim_ctx);
-      victim_ctx.AdvanceTo(victim_next);
-      std::string key = KeyAt(victim_rnd->Uniform(records));
-      sim::VirtualTime start = victim_ctx.now();
-      Status s = victim->Put(kTable, 0, key, victim_value, {});
-      victim_out->ops++;
-      if (s.ok()) {
-        victim_out->latency_us.Add(
-            static_cast<double>(victim_ctx.now() - start));
-      } else {
-        victim_out->failed++;
-      }
-      victim_issued++;
+  // Grid start of op `n` of a source offering `per_round` ops per round.
+  auto grid = [t0](uint64_t n, uint64_t per_round) {
+    return t0 + static_cast<sim::VirtualTime>(n / per_round) * kRoundPeriodUs;
+  };
+  sim::VirtualTime victim_end = t0;
+  sim::VirtualTime hostile_end = t0;
+  sim::Scheduler sched;
+  sched.Add(t0, [&, issued = uint64_t{0}](sim::SimContext& ctx) mutable {
+    std::string key = KeyAt(victim_rnd->Uniform(records));
+    sim::VirtualTime start = ctx.now();
+    Status s = victim->Put(kTable, 0, key, victim_value, {});
+    victim_out->ops++;
+    if (s.ok()) {
+      victim_out->latency_us.Add(static_cast<double>(ctx.now() - start));
     } else {
-      HostileStream& st = streams[pick];
-      sim::SimContext::Scope scope(&st.ctx);
-      st.ctx.AdvanceTo(pick_next);
-      if (!st.pending) {
-        st.pending_key = KeyAt(zipf->Next(hostile_rnd));
-        st.pending_start = st.ctx.now();
-        st.pending_attempts = 0;
-        st.pending = true;
+      victim_out->failed++;
+    }
+    victim_end = ctx.now();
+    ctx.AdvanceTo(grid(++issued, 1));
+    return issued < rounds;
+  });
+  for (int i = 0; i < kHostileStreams; i++) {
+    sched.Add(t0, [&, st = HostileStream{}](sim::SimContext& ctx) mutable {
+      if (st.attempts == 0) {
+        st.key = KeyAt(zipf->Next(hostile_rnd));
+        st.start = ctx.now();
       }
-      Status s = hostile->Put(kTable, 0, st.pending_key, hostile_value, {});
-      st.pending_attempts++;
-      if (!s.ok() && s.retry_after_us() > 0 &&
-          st.pending_attempts < kMaxAttempts) {
-        st.ctx.Advance(s.retry_after_us());  // pace, re-attempt later
-        continue;
+      Status s = hostile->Put(kTable, 0, st.key, hostile_value, {});
+      if (!s.ok() && s.retry_after_us() > 0 && ++st.attempts < kMaxAttempts) {
+        ctx.Advance(s.retry_after_us());  // pace, re-attempt later
+        return true;
       }
       hostile_out->ops++;
       if (s.ok()) {
-        hostile_out->latency_us.Add(
-            static_cast<double>(st.ctx.now() - st.pending_start));
+        hostile_out->latency_us.Add(static_cast<double>(ctx.now() - st.start));
       } else {
         hostile_out->failed++;
       }
-      st.pending = false;
-      st.issued++;
-      hostile_done++;
-    }
+      hostile_end = std::max(hostile_end, ctx.now());
+      st.attempts = 0;
+      ctx.AdvanceTo(grid(++st.issued, kPerStreamPerRound));
+      return st.issued < per_stream_ops;
+    });
   }
-  victim_out->seconds = victim_ctx.now() / 1e6;
-  sim::VirtualTime hostile_end = 0;
-  for (const HostileStream& st : streams) {
-    hostile_end = std::max(hostile_end, st.ctx.now());
-  }
-  hostile_out->seconds = hostile_end / 1e6;
+  sched.Run();
+  victim_out->seconds = static_cast<double>(victim_end - t0) / 1e6;
+  hostile_out->seconds = static_cast<double>(hostile_end - t0) / 1e6;
   if (victim_out->seconds > 0) {
     victim_out->throughput =
         static_cast<double>(victim_out->ops - victim_out->failed) /
@@ -236,7 +210,7 @@ int main(int argc, char** argv) {
 
   // Load all records (uniform, as the victim tenant's setup job).
   {
-    sim::SimContext load_ctx;
+    sim::SimContext load_ctx(QuiesceTime(cluster.dfs(), cluster.network()));
     sim::SimContext::Scope scope(&load_ctx);
     for (uint64_t i = 0; i < records; i++) {
       if (!victim->Put(kTable, 0, KeyAt(i), value, {}).ok()) std::abort();
@@ -247,10 +221,10 @@ int main(int argc, char** argv) {
   Random victim_rnd(0x51C7), hostile_rnd(0xB1A5);
 
   // -- Phase A: no quota — the hostile tenant floods the shared queues ----
-  ResetCosts(cluster.dfs(), cluster.network());
   TenantPhase victim_before, hostile_before;
   RunPhase(victim.get(), hostile.get(), &zipf, &victim_rnd, &hostile_rnd,
-           rounds, records, value, hostile_value, &victim_before,
+           rounds, records, value, hostile_value,
+           QuiesceTime(cluster.dfs(), cluster.network()), &victim_before,
            &hostile_before);
 
   // -- Install the quota through the master (persisted, resolved by every
@@ -267,11 +241,11 @@ int main(int argc, char** argv) {
   }
 
   // -- Phase B: same load, hostile tenant throttled to its quota ----------
-  ResetCosts(cluster.dfs(), cluster.network());
   cluster.ResetMetrics();
   TenantPhase victim_after, hostile_after;
   RunPhase(victim.get(), hostile.get(), &zipf, &victim_rnd, &hostile_rnd,
-           rounds, records, value, hostile_value, &victim_after,
+           rounds, records, value, hostile_value,
+           QuiesceTime(cluster.dfs(), cluster.network()), &victim_after,
            &hostile_after);
 
   PrintTenant("victim, no quota:", victim_before);

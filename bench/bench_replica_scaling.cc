@@ -81,7 +81,7 @@ ConfigResult RunConfig(int num_replicas, uint64_t records,
 
   // Load, then attach every tablet to every replica and let them catch up.
   {
-    sim::SimContext load_ctx;
+    sim::SimContext load_ctx(QuiesceTime(cluster.dfs(), cluster.network()));
     sim::SimContext::Scope scope(&load_ctx);
     for (uint64_t i = 0; i < records; i++) {
       if (!writers[i % kWriteClients]->Put(kTable, 0, KeyAt(i), value, {}).ok()) {
@@ -96,94 +96,82 @@ ConfigResult RunConfig(int num_replicas, uint64_t records,
     }
   }
   {
-    sim::SimContext seed_ctx;
+    sim::SimContext seed_ctx(QuiesceTime(cluster.dfs(), cluster.network()));
     sim::SimContext::Scope scope(&seed_ctx);
     if (!cluster.TickReplicas().ok()) std::abort();
   }
   for (auto& c : readers) c->InvalidateCache();
 
-  ResetCosts(cluster.dfs(), cluster.network());
+  const sim::VirtualTime t0 = QuiesceTime(cluster.dfs(), cluster.network());
   cluster.ResetMetrics();
 
   // Closed loop: writers hammer the primary while readers issue
-  // stale-tolerant point reads; a tailer actor re-syncs the replicas each
-  // round (its DFS reads contend with everything else, as they would).
+  // stale-tolerant point reads, each client an actor doing one op per step.
   ConfigResult result;
   result.replicas = num_replicas;
   Histogram read_latency, write_latency;
-  std::vector<sim::SimContext> read_ctxs(kReadClients);
-  std::vector<sim::SimContext> write_ctxs(kWriteClients);
-  std::vector<sim::SimContext> tailer_ctxs(num_replicas);
-  std::vector<Random> rngs;
-  for (int i = 0; i < kReadClients + kWriteClients; i++) {
-    rngs.emplace_back(0x5CA1E + i);
-  }
 
   client::ReadOptions stale;
   stale.allow_stale = true;
   uint64_t reads = 0;
-  for (uint64_t round = 0; round < ops_per_client; round++) {
-    // Synchronized closed loop: each round starts with every actor's clock
-    // at the fleet's frontier. The shared resources are FCFS in *call*
-    // order, so an actor whose clock runs ahead of the fleet reserves
-    // resource time in the future and everyone at the present queues behind
-    // it; any alignment short of a full barrier lets the leading half of
-    // the fleet cut the line, and per-op latency equilibrates at a full
-    // round for everybody regardless of server count. With the barrier,
-    // call order equals time order and latency measures real queueing.
-    sim::VirtualTime frontier = 0;
-    for (const sim::SimContext& ctx : read_ctxs) {
-      frontier = std::max(frontier, ctx.now());
+  uint64_t ops_started = 0;
+  sim::VirtualTime read_end = t0;
+  sim::Scheduler sched;
+  // Every round of client ops (one op's worth per client) each replica
+  // polls the log once, as its own actor starting at the clock of the op
+  // that completed the round; its DFS reads contend with everything else,
+  // as they would. Frequent tiny polls (one round's appends, ~16KB) beat
+  // rare big catch-ups: a lumped 100KB+ pread seeks the disk, then parks
+  // the replica's ingress NIC milliseconds into the future, and every read
+  // request behind it stalls. The NICs are full duplex, so poll ingress
+  // never contends with response egress — only the poll's own wire time
+  // matters, and at one round of log per poll that is ~0.1ms. Aggregate
+  // tail-read bytes still scale with replica count — every replica must
+  // see every log record, the cost of this design.
+  auto start_op = [&] {
+    if (++ops_started % (kReadClients + kWriteClients) != 0) return;
+    for (int i = 0; i < num_replicas; i++) {
+      sched.Add(sched.now(), [&cluster, i](sim::SimContext&) {
+        if (!cluster.replica(i)->TickTailers().ok()) std::abort();
+        return false;
+      });
     }
-    for (const sim::SimContext& ctx : write_ctxs) {
-      frontier = std::max(frontier, ctx.now());
-    }
-    for (sim::SimContext& ctx : read_ctxs) ctx.AdvanceTo(frontier);
-    for (sim::SimContext& ctx : write_ctxs) ctx.AdvanceTo(frontier);
-    for (int w = 0; w < kWriteClients; w++) {
-      sim::SimContext::Scope scope(&write_ctxs[w]);
-      Random* rnd = &rngs[kReadClients + w];
-      sim::VirtualTime start = write_ctxs[w].now();
-      if (writers[w]->Put(kTable, 0, KeyAt(rnd->Uniform(records)), value, {})
+  };
+  for (int w = 0; w < kWriteClients; w++) {
+    sched.Add(t0, [&, w, rng = Random(0x5CA1E + kReadClients + w),
+                   done = uint64_t{0}](sim::SimContext& ctx) mutable {
+      if (done++ == ops_per_client) return false;
+      start_op();
+      sim::VirtualTime start = ctx.now();
+      if (writers[w]->Put(kTable, 0, KeyAt(rng.Uniform(records)), value, {})
               .ok()) {
-        write_latency.Add(static_cast<double>(write_ctxs[w].now() - start));
+        write_latency.Add(static_cast<double>(ctx.now() - start));
       }
-    }
-    for (int r = 0; r < kReadClients; r++) {
-      sim::SimContext::Scope scope(&read_ctxs[r]);
-      Random* rnd = &rngs[r];
-      sim::VirtualTime start = read_ctxs[r].now();
-      auto got =
-          readers[r]->Get(kTable, 0, KeyAt(rnd->Uniform(records)), stale);
+      return true;
+    });
+  }
+  for (int r = 0; r < kReadClients; r++) {
+    sched.Add(t0, [&, r, rng = Random(0x5CA1E + r),
+                   done = uint64_t{0}](sim::SimContext& ctx) mutable {
+      if (done++ == ops_per_client) {
+        read_end = std::max(read_end, ctx.now());
+        return false;
+      }
+      start_op();
+      sim::VirtualTime start = ctx.now();
+      auto got = readers[r]->Get(kTable, 0, KeyAt(rng.Uniform(records)), stale);
       reads++;
       if (got.ok()) {
-        read_latency.Add(static_cast<double>(read_ctxs[r].now() - start));
+        read_latency.Add(static_cast<double>(ctx.now() - start));
       } else {
         result.read_failed++;
       }
-    }
-    for (int i = 0; i < num_replicas; i++) {
-      // Each replica is its own actor polling the log every round. Frequent
-      // tiny polls (one round's appends, ~16KB) beat rare big catch-ups: a
-      // lumped 100KB+ pread seeks the disk, then parks the replica's
-      // ingress NIC milliseconds into the future, and every read request
-      // behind it stalls. The NICs are full duplex, so poll ingress never
-      // contends with response egress — only the poll's own wire time
-      // matters, and at one round of log per poll that is ~0.1ms. Aggregate
-      // tail-read bytes still scale with replica count — every replica must
-      // see every log record, the cost of this design. The poller starts
-      // each poll at the same frontier the clients started the round from,
-      // so its I/O charges land in the present, not the future.
-      tailer_ctxs[i].AdvanceTo(frontier);
-      sim::SimContext::Scope scope(&tailer_ctxs[i]);
-      if (!cluster.replica(i)->TickTailers().ok()) std::abort();
-    }
+      return true;
+    });
   }
+  sched.Run();
 
-  double read_seconds = 0;
-  for (const sim::SimContext& ctx : read_ctxs) {
-    read_seconds = std::max(read_seconds, ctx.now() / 1e6);
-  }
+  const double read_seconds = static_cast<double>(read_end - t0) / 1e6;
   result.read_throughput =
       read_seconds > 0 ? static_cast<double>(reads) / read_seconds : 0;
   result.read_p50_us = read_latency.Percentile(50);
@@ -195,6 +183,7 @@ ConfigResult RunConfig(int num_replicas, uint64_t records,
   if (std::getenv("LOGBASE_BENCH_BREAKDOWN") != nullptr) {
     PrintComponentBreakdown(m, "this config");
     sim::NetworkModel* net = cluster.network();
+    std::printf("  busy time since cluster start (load included):\n");
     for (int i = 0; i < net->num_nodes(); i++) {
       std::printf("  node %2d  tx=%8llu us  rx=%8llu us", i,
                   static_cast<unsigned long long>(

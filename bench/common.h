@@ -24,6 +24,7 @@
 #include "src/cluster/mini_cluster.h"
 #include "src/core/kv_engine.h"
 #include "src/obs/metrics.h"
+#include "src/sim/scheduler.h"
 #include "src/sim/sim_context.h"
 #include "src/workload/driver.h"
 #include "src/workload/ycsb.h"
@@ -339,31 +340,35 @@ class BenchResult {
   std::vector<std::pair<std::string, std::vector<std::string>>> arrays_;
 };
 
-/// Runs `fn` as one simulated actor and returns the virtual seconds it took.
-template <typename Fn>
-double TimedRun(Fn&& fn) {
-  sim::SimContext ctx;
-  {
-    sim::SimContext::Scope scope(&ctx);
-    fn();
-  }
-  return static_cast<double>(ctx.now()) / 1e6;
-}
-
-/// Clears FCFS queue state between benchmark phases (the system is idle at
-/// a phase boundary, so the next phase's clock starts at zero rather than
-/// queueing behind the previous phase).
-inline void ResetCosts(dfs::Dfs* dfs, sim::NetworkModel* network = nullptr) {
+/// The fixture's quiesce time: the latest free_at() over every disk and
+/// every NIC (the DFS-owned ones when `network` is null). A phase whose
+/// actors start here queues behind nothing earlier phases left in flight.
+inline sim::VirtualTime QuiesceTime(dfs::Dfs* dfs,
+                                    sim::NetworkModel* network = nullptr) {
+  sim::VirtualTime t = 0;
   for (int i = 0; i < dfs->num_nodes(); i++) {
-    dfs->data_node(i)->disk()->resource()->Reset();
+    t = std::max(t, dfs->data_node(i)->disk()->resource()->free_at());
   }
   if (network == nullptr) network = dfs->network();  // DFS-owned NICs
   if (network != nullptr) {
     for (int i = 0; i < network->num_nodes(); i++) {
-      network->nic_tx(i)->Reset();
-      network->nic_rx(i)->Reset();
+      t = std::max(t, network->nic_tx(i)->free_at());
+      t = std::max(t, network->nic_rx(i)->free_at());
     }
   }
+  return t;
+}
+
+/// Runs `fn` as one simulated actor whose clock starts at `start`; returns
+/// the virtual seconds it took.
+template <typename Fn>
+double TimedRun(sim::VirtualTime start, Fn&& fn) {
+  sim::SimContext ctx(start);
+  {
+    sim::SimContext::Scope scope(&ctx);
+    fn();
+  }
+  return static_cast<double>(ctx.now() - start) / 1e6;
 }
 
 // ---------------------------------------------------------------------------
@@ -433,13 +438,12 @@ struct MicroHBase {
 };
 
 /// Sequentially loads `n` records through `engine` as one simulated client
-/// (resetting phase state first); returns virtual seconds.
+/// starting at the quiesce time; returns virtual seconds.
 inline double SequentialLoad(core::KvEngine* engine, const std::string& uid,
                              const workload::YcsbWorkload& workload,
                              uint64_t n, dfs::Dfs* dfs) {
-  ResetCosts(dfs);
   Random rnd(4242);
-  return TimedRun([&] {
+  return TimedRun(QuiesceTime(dfs), [&] {
     for (uint64_t i = 0; i < n; i++) {
       Status s = engine->Put(uid, Slice(workload.KeyAt(i)),
                              Slice(workload.MakeValue(&rnd)));

@@ -48,13 +48,12 @@ inline MixedResult RunMixedExperiment(EngineKind kind, int nodes,
   MixedResult result;
   auto execute = [&](workload::EngineCluster& cluster, dfs::Dfs* dfs,
                      sim::NetworkModel* network) {
-    ResetCosts(dfs, network);
     result.load = workload::ClosedLoopDriver::Load(
-        cluster, workload, records_per_node, /*batch_size=*/50);
+        cluster, QuiesceTime(dfs, network), workload, records_per_node,
+        /*batch_size=*/50);
     if (ops_per_client > 0) {
-      ResetCosts(dfs, network);
-      result.run = workload::ClosedLoopDriver::RunYcsb(cluster, &workload,
-                                                       ops_per_client);
+      result.run = workload::ClosedLoopDriver::RunYcsb(
+          cluster, QuiesceTime(dfs, network), &workload, ops_per_client);
     }
   };
 

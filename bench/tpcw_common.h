@@ -58,7 +58,6 @@ inline TpcwResult RunTpcw(int nodes, workload::TpcwMix mix,
 
   // Bulk load items and carts.
   {
-    ResetCosts(fixture.dfs.get(), fixture.network.get());
     Random rnd(11);
     std::vector<std::vector<std::pair<std::string, std::string>>> item_batches(
         nodes), cust_batches(nodes);
@@ -87,9 +86,10 @@ inline TpcwResult RunTpcw(int nodes, workload::TpcwMix mix,
     flush_batches(cust_batches, cust_uid);
   }
 
-  // One transaction client per node, closed loop, interleaved rounds.
-  ResetCosts(fixture.dfs.get(), fixture.network.get());
-  std::vector<sim::SimContext> clients(nodes);
+  // One transaction client actor per node, closed loop: a step is one
+  // transaction.
+  const sim::VirtualTime start =
+      QuiesceTime(fixture.dfs.get(), fixture.network.get());
   std::vector<std::unique_ptr<txn::TransactionManager>> managers;
   for (int c = 0; c < nodes; c++) {
     managers.push_back(std::make_unique<txn::TransactionManager>(
@@ -100,50 +100,48 @@ inline TpcwResult RunTpcw(int nodes, workload::TpcwMix mix,
           return static_cast<tablet::TabletServer*>(nullptr);
         }));
   }
-  std::vector<Random> rngs;
-  for (int c = 0; c < nodes; c++) rngs.emplace_back(300 + c);
 
   TpcwResult result;
   Histogram latency;
-  for (uint64_t round = 0; round < txns_per_client; round++) {
-    for (int c = 0; c < nodes; c++) {
-      sim::SimContext::Scope scope(&clients[c]);
-      workload::TpcwWorkload::Txn spec = generator.NextTxn(&rngs[c], mix);
-      sim::VirtualTime begin = clients[c].now();
-      auto txn = managers[c]->Begin();
+  sim::Scheduler sched;
+  for (int c = 0; c < nodes; c++) {
+    sched.Add(start, [&, c, rng = Random(300 + c),
+                      done = uint64_t{0}](sim::SimContext& ctx) mutable {
+      if (done++ == txns_per_client) return false;
+      txn::TransactionManager* manager = managers[c].get();
+      workload::TpcwWorkload::Txn spec = generator.NextTxn(&rng, mix);
+      sim::VirtualTime begin = ctx.now();
+      auto txn = manager->Begin();
       Status outcome = Status::OK();
       if (spec.update) {
         int node = route_customer(spec.cart_key);
-        auto cart = managers[c]->Read(txn.get(), cust_uid[node],
-                                      Slice(spec.cart_key));
+        auto cart =
+            manager->Read(txn.get(), cust_uid[node], Slice(spec.cart_key));
         if (cart.ok() || cart.status().IsNotFound()) {
-          Status w = managers[c]->Write(txn.get(), cust_uid[node],
-                                        Slice(spec.order_key),
-                                        Slice(spec.order_value));
-          outcome = w.ok() ? managers[c]->Commit(txn.get()) : w;
+          Status w = manager->Write(txn.get(), cust_uid[node],
+                                    Slice(spec.order_key),
+                                    Slice(spec.order_value));
+          outcome = w.ok() ? manager->Commit(txn.get()) : w;
         } else {
           outcome = cart.status();
         }
       } else {
         int node = route(Slice(spec.item_key));
         auto item =
-            managers[c]->Read(txn.get(), item_uid[node], Slice(spec.item_key));
+            manager->Read(txn.get(), item_uid[node], Slice(spec.item_key));
         outcome = item.ok() || item.status().IsNotFound()
-                      ? managers[c]->Commit(txn.get())
+                      ? manager->Commit(txn.get())
                       : item.status();
       }
       if (!outcome.ok()) {
-        managers[c]->Abort(txn.get());
+        manager->Abort(txn.get());
         result.aborted++;
       }
-      latency.Add(static_cast<double>(clients[c].now() - begin));
-    }
+      latency.Add(static_cast<double>(ctx.now() - begin));
+      return true;
+    });
   }
-
-  double makespan = 0;
-  for (const sim::SimContext& client : clients) {
-    makespan = std::max(makespan, client.now() / 1e6);
-  }
+  const double makespan = static_cast<double>(sched.Run() - start) / 1e6;
   result.latency_ms = latency.Average() / 1000.0;
   result.tps = makespan > 0
                    ? static_cast<double>(txns_per_client) * nodes / makespan

@@ -47,6 +47,10 @@ Rules enforced over src/ (and, where noted, the whole tree):
                 (kMetaReassign / ReassignPath) or call CommitReassign;
                 meta_codec.h and master.h only declare them. Migrations and
                 splits share that one intent-commit-reconcile protocol.
+  actor-clock   Under src/ and bench/, only src/sim/ holds a collection of
+                actor clocks (a container of sim::SimContext). Several
+                actors are stepped by sim::Scheduler alone, smallest clock
+                first, so no driver keeps its own round-robin or barrier.
 
 Usage:
   lint.py [--root DIR]     lint the tree, exit non-zero on violations
@@ -564,11 +568,39 @@ def check_reassign(path, rel, stripped):
 
 
 # --------------------------------------------------------------------------
+# rule: actor-clock
+
+# A bench phase with several simulated actors steps them through
+# sim::Scheduler: always the smallest clock, ties in add order. A driver
+# that keeps its own container of clocks is a second scheduler, and the
+# hand-rolled ones (round-robin passes, frontier barriers) are how calls
+# once reached the FCFS resources out of virtual-time order. src/sim/ owns
+# the scheduler, so it alone may hold such a container.
+ACTOR_CLOCK_DIRS = ('src/', 'bench/')
+ACTOR_CLOCK_OWNER_DIR = 'src/sim/'
+ACTOR_CLOCK_COLLECTION = re.compile(
+    r'\b(?:vector|deque|list|array|map|unordered_map|priority_queue)\s*<'
+    r'[^;]*\bSimContext\b|\bSimContext\s+\w+\s*\[')
+
+
+def check_actor_clock(path, rel, stripped):
+    if not rel.startswith(ACTOR_CLOCK_DIRS) or \
+            rel.startswith(ACTOR_CLOCK_OWNER_DIR):
+        return []
+    return [Violation('actor-clock', rel, lineno,
+                      'collection of SimContext clocks outside src/sim/; add '
+                      'each actor to a sim::Scheduler instead')
+            for lineno, line in iter_lines(stripped)
+            if ACTOR_CLOCK_COLLECTION.search(line)]
+
+
+# --------------------------------------------------------------------------
 # driver
 
 PER_FILE_RULES = [check_wall_clock, check_nondet, check_raw_new,
                   check_deprecated, check_mutex, check_guarded_by,
-                  check_write_path, check_read_buffer, check_reassign]
+                  check_write_path, check_read_buffer, check_reassign,
+                  check_actor_clock]
 
 
 def lint_tree(root):
@@ -586,6 +618,7 @@ def lint_tree(root):
                 violations.extend(rule(path, rel, stripped))
     # The deprecated-API rule also covers tests, examples and benches:
     # lint must stay clean there so the shims can eventually be removed.
+    # Benches also step their actors through sim::Scheduler only.
     for extra in ('tests', 'examples', 'bench'):
         extra_root = os.path.join(root, extra)
         if not os.path.isdir(extra_root):
@@ -599,6 +632,7 @@ def lint_tree(root):
                 with open(path, encoding='utf-8') as f:
                     stripped = strip_comments_and_strings(f.read())
                 violations.extend(check_deprecated(path, rel, stripped))
+                violations.extend(check_actor_clock(path, rel, stripped))
     violations.extend(check_nodiscard(root))
     return violations
 
@@ -813,6 +847,21 @@ SELF_TEST_CASES = [
     (check_reassign, 'src/master/replica_admin.cc',
      'auto intents = znodes->GetChildren(meta::kMetaReassign);',
      'auto sets = znodes->GetChildren(meta::kMetaReplica);'),
+    # One scheduler: a driver that keeps its own clocks steps them itself
+    # (round-robin, frontier barrier, hand-written earliest-first pick).
+    (check_actor_clock, 'src/workload/driver.cc',
+     'std::vector<sim::SimContext> clients(nodes);',
+     'sim::Scheduler sched;\n'
+     'sched.Add(start, [&, c](sim::SimContext& ctx) { return Op(c, ctx); });'),
+    (check_actor_clock, 'bench/bench_replica_scaling.cc',
+     'std::vector<sim::SimContext> tailer_ctxs(num_replicas);',
+     'sched.Add(sched.now(), [&cluster, i](sim::SimContext&) {\n'
+     '  return false;\n'
+     '});'),
+    (check_actor_clock, 'bench/bench_qos_noisy_neighbor.cc',
+     'sim::SimContext stream_ctx[kHostileStreams];',
+     'sim::SimContext load_ctx(QuiesceTime(cluster.dfs(), '
+     'cluster.network()));'),
 ]
 
 
@@ -841,6 +890,13 @@ def self_test():
         failures += 1
     else:
         print('self-test ok: comments and strings are ignored')
+    # The scheduler itself may hold the actors' clocks.
+    if check_actor_clock('x', 'src/sim/scheduler.h', strip_comments_and_strings(
+            'std::vector<std::unique_ptr<SimContext>> clocks_;')):
+        print('SELF-TEST FAIL: actor-clock fires inside src/sim/')
+        failures += 1
+    else:
+        print('self-test ok: actor-clock allows src/sim/')
     # nodiscard rule fires when the attribute is absent.
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:

@@ -69,11 +69,4 @@ size_t Resource::idle_gaps() const {
   return gaps_.size();
 }
 
-void Resource::Reset() {
-  MutexLock l(mu_);
-  free_at_ = 0;
-  total_busy_ = 0;
-  gaps_.clear();
-}
-
 }  // namespace logbase::sim

@@ -55,9 +55,6 @@ class Resource {
   /// Number of idle gaps currently tracked before free_at().
   size_t idle_gaps() const;
 
-  /// Forgets queue state (between benchmark phases).
-  void Reset();
-
  private:
   mutable OrderedMutex mu_{lockrank::kSimResource, "sim.resource"};
   const std::string name_;

@@ -1,8 +1,6 @@
 #include "src/workload/driver.h"
 
-#include <algorithm>
-
-#include "src/sim/sim_context.h"
+#include "src/sim/scheduler.h"
 #include "src/sstable/bloom_filter.h"
 
 namespace logbase::workload {
@@ -23,39 +21,29 @@ void ChargeRpc(const EngineCluster& cluster, int client_node, int server_node,
   cluster.network->Transfer(server_node, client_node, response_bytes);
 }
 
+/// Fills the makespan-derived fields once every client is done.
+void Finish(sim::VirtualTime start, sim::VirtualTime end,
+            DriverResult* result) {
+  result->virtual_seconds = static_cast<double>(end - start) / 1e6;
+  if (result->virtual_seconds > 0) {
+    result->throughput_ops_per_sec =
+        result->total_ops / result->virtual_seconds;
+  }
+}
+
 }  // namespace
 
 DriverResult ClosedLoopDriver::Load(const EngineCluster& cluster,
+                                    sim::VirtualTime start,
                                     const YcsbWorkload& workload,
                                     uint64_t records_per_node,
                                     size_t batch_size) {
   const int nodes = static_cast<int>(cluster.engines.size());
+  const uint64_t total_records = records_per_node * nodes;
   DriverResult result;
-  std::vector<sim::SimContext> clients(nodes);
 
-  // One loader per node, each owning a stride of the record ordinals.
-  // Loaders are stepped round-robin — one batch per loader per round — so
-  // their requests interleave in virtual time the way truly concurrent
-  // clients would (sequentially draining one loader would make later
-  // loaders queue behind its entire timeline).
-  uint64_t total_records = records_per_node * nodes;
-  struct Loader {
-    uint64_t next_index;
-    std::vector<std::vector<std::pair<std::string, std::string>>> pending;
-    Random value_rnd;
-    bool exhausted = false;
-
-    Loader(uint64_t start, int nodes, uint64_t seed)
-        : next_index(start), pending(nodes), value_rnd(seed) {}
-  };
-  std::vector<Loader> loaders;
-  for (int i = 0; i < nodes; i++) {
-    loaders.emplace_back(static_cast<uint64_t>(i), nodes, 991 + i);
-  }
-
-  auto send_batch = [&](int loader, int target,
-                        std::vector<std::pair<std::string, std::string>>*
-                            batch) {
+  using Batch = std::vector<std::pair<std::string, std::string>>;
+  auto send_batch = [&](int loader, int target, Batch* batch) {
     uint64_t bytes = 0;
     for (const auto& [k, v] : *batch) bytes += k.size() + v.size();
     ChargeRpc(cluster, loader, target, bytes, 64);
@@ -66,68 +54,53 @@ DriverResult ClosedLoopDriver::Load(const EngineCluster& cluster,
     batch->clear();
   };
 
-  bool all_done = false;
-  while (!all_done) {
-    all_done = true;
-    for (int l = 0; l < nodes; l++) {
-      Loader& loader = loaders[l];
-      if (loader.exhausted) continue;
-      all_done = false;
-      sim::SimContext::Scope scope(&clients[l]);
-      // Generate records until one destination bucket fills, then ship it.
-      int full_target = -1;
-      while (full_target < 0 && loader.next_index < total_records) {
-        std::string key = workload.KeyAt(loader.next_index);
-        loader.next_index += nodes;
+  // One loader actor per node, each owning a stride of the record ordinals.
+  // A step generates records until one destination bucket fills and ships
+  // it; once the input is exhausted, the loader drains its partial buckets
+  // and retires.
+  sim::Scheduler sched;
+  for (int l = 0; l < nodes; l++) {
+    sched.Add(start, [&, l, next_index = static_cast<uint64_t>(l),
+                      pending = std::vector<Batch>(nodes),
+                      value_rnd = Random(991 + l)](sim::SimContext&) mutable {
+      while (next_index < total_records) {
+        std::string key = workload.KeyAt(next_index);
+        next_index += nodes;
         int target = cluster.route(Slice(key));
-        loader.pending[target].emplace_back(
-            std::move(key), workload.MakeValue(&loader.value_rnd));
-        if (loader.pending[target].size() >= batch_size) full_target = target;
-      }
-      if (full_target >= 0) {
-        send_batch(l, full_target, &loader.pending[full_target]);
-      } else {
-        // Input exhausted: drain the partial buckets and retire.
-        for (int target = 0; target < nodes; target++) {
-          if (!loader.pending[target].empty()) {
-            send_batch(l, target, &loader.pending[target]);
-          }
+        pending[target].emplace_back(std::move(key),
+                                     workload.MakeValue(&value_rnd));
+        if (pending[target].size() >= batch_size) {
+          send_batch(l, target, &pending[target]);
+          return true;
         }
-        loader.exhausted = true;
       }
-    }
+      for (int target = 0; target < nodes; target++) {
+        if (!pending[target].empty()) send_batch(l, target, &pending[target]);
+      }
+      return false;
+    });
   }
-
-  for (const sim::SimContext& client : clients) {
-    result.virtual_seconds =
-        std::max(result.virtual_seconds, client.now() / 1e6);
-  }
-  if (result.virtual_seconds > 0) {
-    result.throughput_ops_per_sec = result.total_ops / result.virtual_seconds;
-  }
+  Finish(start, sched.Run(), &result);
   return result;
 }
 
 DriverResult ClosedLoopDriver::RunYcsb(const EngineCluster& cluster,
+                                       sim::VirtualTime start,
                                        YcsbWorkload* workload,
                                        uint64_t ops_per_client,
                                        uint64_t seed) {
   const int nodes = static_cast<int>(cluster.engines.size());
   DriverResult result;
-  std::vector<sim::SimContext> clients(nodes);
-  std::vector<Random> rngs;
-  for (int i = 0; i < nodes; i++) {
-    rngs.emplace_back(seed * 7919 + i);
-  }
 
-  // Round-robin one op per client so the FCFS resources interleave the
-  // clients' requests (closed loop per client).
-  for (uint64_t round = 0; round < ops_per_client; round++) {
-    for (int c = 0; c < nodes; c++) {
-      sim::SimContext::Scope scope(&clients[c]);
-      YcsbWorkload::Op op = workload->NextOp(&rngs[c]);
+  // One closed-loop client actor per node: a step is one op.
+  sim::Scheduler sched;
+  for (int c = 0; c < nodes; c++) {
+    sched.Add(start, [&, c, rng = Random(seed * 7919 + c),
+                      done = uint64_t{0}](sim::SimContext& ctx) mutable {
+      if (done++ == ops_per_client) return false;
+      YcsbWorkload::Op op = workload->NextOp(&rng);
       int target = cluster.route(Slice(op.key));
-      sim::VirtualTime start = clients[c].now();
+      sim::VirtualTime op_start = ctx.now();
       if (op.type == YcsbWorkload::OpType::kUpdate) {
         ChargeRpc(cluster, c, target, op.key.size() + op.value.size() + 64,
                   32);
@@ -138,7 +111,7 @@ DriverResult ClosedLoopDriver::RunYcsb(const EngineCluster& cluster,
           result.failed_ops++;
         } else {
           result.update_latency_us.Add(
-              static_cast<double>(clients[c].now() - start));
+              static_cast<double>(ctx.now() - op_start));
         }
       } else {
         ChargeRpc(cluster, c, target, op.key.size() + 64, 32);
@@ -147,22 +120,16 @@ DriverResult ClosedLoopDriver::RunYcsb(const EngineCluster& cluster,
         if (read.ok()) {
           ChargeRpc(cluster, c, target, 0, read->value.size());
           result.read_latency_us.Add(
-              static_cast<double>(clients[c].now() - start));
+              static_cast<double>(ctx.now() - op_start));
         } else {
           result.failed_ops++;
         }
       }
       result.total_ops++;
-    }
+      return true;
+    });
   }
-
-  for (const sim::SimContext& client : clients) {
-    result.virtual_seconds =
-        std::max(result.virtual_seconds, client.now() / 1e6);
-  }
-  if (result.virtual_seconds > 0) {
-    result.throughput_ops_per_sec = result.total_ops / result.virtual_seconds;
-  }
+  Finish(start, sched.Run(), &result);
   return result;
 }
 

@@ -1,7 +1,9 @@
 // The closed-loop benchmark driver (paper §4.1: one benchmark client per
 // node, each submitting a constant workload — a completed operation is
-// immediately followed by a new one). Clients are simulated actors on the
-// virtual clock; the reported time/throughput/latency figures are virtual.
+// immediately followed by a new one). Clients are simulated actors stepped
+// by sim::Scheduler from a caller-given start time (a bench passes its
+// fixture's quiesce time); the reported time/throughput/latency figures are
+// virtual and measured from that start.
 
 #ifndef LOGBASE_WORKLOAD_DRIVER_H_
 #define LOGBASE_WORKLOAD_DRIVER_H_
@@ -12,6 +14,7 @@
 
 #include "src/core/kv_engine.h"
 #include "src/sim/network_model.h"
+#include "src/sim/sim_context.h"
 #include "src/util/histogram.h"
 #include "src/workload/ycsb.h"
 
@@ -44,13 +47,17 @@ std::function<int(const Slice&)> HashRouter(int num_nodes);
 class ClosedLoopDriver {
  public:
   /// Loads `records_per_node` records per node through PutBatch in
-  /// `batch_size` chunks; returns the load makespan stats.
+  /// `batch_size` chunks, one loader per node starting at `start`; returns
+  /// the load makespan stats.
   static DriverResult Load(const EngineCluster& cluster,
+                           sim::VirtualTime start,
                            const YcsbWorkload& workload,
                            uint64_t records_per_node, size_t batch_size);
 
-  /// Runs `ops_per_client` YCSB operations per node-client.
+  /// Runs `ops_per_client` YCSB operations per node-client, every client
+  /// starting at `start`.
   static DriverResult RunYcsb(const EngineCluster& cluster,
+                              sim::VirtualTime start,
                               YcsbWorkload* workload,
                               uint64_t ops_per_client, uint64_t seed = 7);
 };

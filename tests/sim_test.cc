@@ -1,16 +1,19 @@
 // Tests for the virtual-time simulation substrate: FCFS resources, the disk
-// cost model's sequential/random classification, the network model, and
-// ambient context plumbing.
+// cost model's sequential/random classification, the network model,
+// ambient context plumbing, and the actor scheduler.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "src/sim/costs.h"
 #include "src/sim/disk_model.h"
 #include "src/sim/network_model.h"
 #include "src/sim/resource.h"
+#include "src/sim/scheduler.h"
 #include "src/sim/sim_context.h"
 #include "src/util/random.h"
 
@@ -179,12 +182,84 @@ TEST(ResourceTest, SplitsGrowGapListPastCap) {
   EXPECT_EQ(r.Acquire(60, 10), 170);
 }
 
-TEST(ResourceTest, ResetClearsState) {
-  Resource r("x");
-  r.Acquire(0, 50);
-  r.Reset();
-  EXPECT_EQ(r.free_at(), 0);
-  EXPECT_EQ(r.total_busy_us(), 0);
+TEST(SchedulerTest, SmallestClockStepsFirst) {
+  Scheduler sched;
+  std::vector<std::pair<int, VirtualTime>> steps;
+  // Actor 0 takes 30us per step, actor 1 starts late and takes 10us.
+  sched.Add(0, [&, n = 0](SimContext& ctx) mutable {
+    steps.emplace_back(0, ctx.now());
+    ctx.Advance(30);
+    return ++n < 3;
+  });
+  sched.Add(25, [&, n = 0](SimContext& ctx) mutable {
+    steps.emplace_back(1, ctx.now());
+    ctx.Advance(10);
+    return ++n < 3;
+  });
+  sched.Run();
+  const std::vector<std::pair<int, VirtualTime>> want = {
+      {0, 0}, {1, 25}, {0, 30}, {1, 35}, {1, 45}, {0, 60}};
+  EXPECT_EQ(steps, want);
+}
+
+TEST(SchedulerTest, TiesStepInAddOrder) {
+  Scheduler sched;
+  std::vector<int> order;
+  // All four start at 100 and every step takes 10us, so each round of
+  // steps is one four-way tie.
+  for (int id = 0; id < 4; id++) {
+    sched.Add(100, [&, id, n = 0](SimContext& ctx) mutable {
+      order.push_back(id);
+      ctx.Advance(10);
+      return ++n < 2;
+    });
+  }
+  sched.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 0, 1, 2, 3}));
+}
+
+TEST(SchedulerTest, ActorAddedInsideAStepRunsFromTheNextStep) {
+  Scheduler sched;
+  std::vector<std::pair<char, VirtualTime>> steps;
+  sched.Add(0, [&, n = 0](SimContext& ctx) mutable {
+    steps.emplace_back('a', ctx.now());
+    EXPECT_EQ(sched.now(), ctx.now());
+    if (n == 0) {
+      // Same start as this actor's next step: the tie goes to 'a', the
+      // older actor.
+      sched.Add(ctx.now() + 10, [&](SimContext& child) {
+        steps.emplace_back('b', child.now());
+        EXPECT_EQ(SimContext::Current(), &child);
+        return false;
+      });
+      EXPECT_EQ(steps.size(), 1u);  // not stepped inside the adding step
+    }
+    ctx.Advance(10);
+    return ++n < 2;
+  });
+  sched.Run();
+  const std::vector<std::pair<char, VirtualTime>> want = {
+      {'a', 0}, {'a', 10}, {'b', 10}};
+  EXPECT_EQ(steps, want);
+}
+
+TEST(SchedulerTest, FalseRetiresTheActor) {
+  Scheduler sched;
+  int a_steps = 0;
+  int b_steps = 0;
+  sched.Add(0, [&](SimContext& ctx) {
+    a_steps++;
+    ctx.Advance(1);
+    return false;  // retired after one step, though its clock is smallest
+  });
+  sched.Add(5, [&](SimContext& ctx) {
+    ctx.Advance(1);
+    return ++b_steps < 4;
+  });
+  // Run returns the latest clock an actor retired at: b's, after 4 steps.
+  EXPECT_EQ(sched.Run(), 9);
+  EXPECT_EQ(a_steps, 1);
+  EXPECT_EQ(b_steps, 4);
 }
 
 TEST(DiskModelTest, SequentialAvoidsSeek) {

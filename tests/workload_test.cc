@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "src/cluster/mini_cluster.h"
@@ -211,22 +212,40 @@ TEST(DriverTest, LoadThenRunProducesSaneMetrics) {
   options.value_bytes = 128;
   YcsbWorkload workload(options);
 
-  auto load = ClosedLoopDriver::Load(f.cluster, workload,
+  auto load = ClosedLoopDriver::Load(f.cluster, /*start=*/0, workload,
                                      /*records_per_node=*/100,
                                      /*batch_size=*/20);
   EXPECT_EQ(load.total_ops, 300u);
   EXPECT_EQ(load.failed_ops, 0u);
   EXPECT_GT(load.virtual_seconds, 0.0);
 
-  auto run = ClosedLoopDriver::RunYcsb(f.cluster, &workload,
+  // The run phase starts where the load left every disk and NIC idle.
+  sim::VirtualTime quiesce = 0;
+  for (int i = 0; i < f.dfs.num_nodes(); i++) {
+    quiesce = std::max(quiesce,
+                       f.dfs.data_node(i)->disk()->resource()->free_at());
+  }
+  for (sim::NetworkModel* net : {f.dfs.network(), &f.network}) {
+    for (int i = 0; net != nullptr && i < net->num_nodes(); i++) {
+      quiesce = std::max({quiesce, net->nic_tx(i)->free_at(),
+                          net->nic_rx(i)->free_at()});
+    }
+  }
+  ASSERT_GT(quiesce, 0);
+  auto run = ClosedLoopDriver::RunYcsb(f.cluster, quiesce, &workload,
                                        /*ops_per_client=*/100);
   EXPECT_EQ(run.total_ops, 300u);
   EXPECT_EQ(run.failed_ops, 0u);
   EXPECT_GT(run.throughput_ops_per_sec, 0.0);
   EXPECT_GT(run.update_latency_us.num(), 0u);
   EXPECT_GT(run.read_latency_us.num(), 0u);
-  // Closed loop: makespan at least sum of per-op latencies per client.
+  // Closed loop, measured from the start: the makespan is one client's sum
+  // of op latencies, so it is positive and at most the sum over all clients.
+  const double latency_sum_us =
+      run.read_latency_us.Average() * run.read_latency_us.num() +
+      run.update_latency_us.Average() * run.update_latency_us.num();
   EXPECT_GT(run.virtual_seconds, 0.0);
+  EXPECT_LE(run.virtual_seconds * 1e6, latency_sum_us + 1);
 }
 
 TEST(DriverTest, HashRouterCoversAllNodes) {
