@@ -1,6 +1,7 @@
 #include "src/sim/resource.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <iterator>
 
 namespace logbase::sim {
@@ -12,7 +13,8 @@ namespace {
 // so the list does grow past it (thousands of gaps in perfbench's
 // workloads). The eviction is left as it is because which gaps survive
 // decides where later requests land: trimming splits too would move every
-// virtual-time result. The exact lookup in Acquire keeps a long list cheap.
+// virtual-time result. The binary search in Acquire keeps a long list
+// cheap, and the flat vector keeps it small.
 constexpr size_t kMaxGaps = 64;
 }  // namespace
 
@@ -31,24 +33,42 @@ VirtualTime Resource::Acquire(VirtualTime now, VirtualTime service_us) {
   // starts: the fitting candidates are at most one gap starting before
   // `due` (the one just before lower_bound) plus every gap from
   // lower_bound on. Starting there picks the same gap a first-fit scan
-  // from begin() would.
+  // from the oldest gap would.
   const VirtualTime due = now + service_us;
-  auto it = gaps_.lower_bound(due);
-  if (it != gaps_.begin() && std::prev(it)->second >= due) --it;
+  const auto live = gaps_.begin() + static_cast<ptrdiff_t>(head_);
+  auto it = std::lower_bound(
+      live, gaps_.end(), due,
+      [](const auto& gap, VirtualTime t) { return gap.first < t; });
+  if (it != live && std::prev(it)->second >= due) --it;
   for (; it != gaps_.end(); ++it) {
-    VirtualTime begin = std::max(it->first, now);
-    if (begin + service_us > it->second) continue;
-    VirtualTime gap_start = it->first;
-    VirtualTime gap_end = it->second;
-    gaps_.erase(it);
-    if (begin > gap_start) gaps_[gap_start] = begin;
-    if (begin + service_us < gap_end) gaps_[begin + service_us] = gap_end;
-    return begin + service_us;
+    const VirtualTime begin = std::max(it->first, now);
+    const VirtualTime end = begin + service_us;
+    if (end > it->second) continue;
+    // What is left of the gap replaces it in place, keeping the order.
+    if (begin > it->first && end < it->second) {
+      const VirtualTime gap_end = it->second;
+      it->second = begin;
+      gaps_.insert(it + 1, {end, gap_end});
+    } else if (begin > it->first) {
+      it->second = begin;
+    } else if (end < it->second) {
+      it->first = end;
+    } else {
+      gaps_.erase(it);
+    }
+    return end;
   }
   VirtualTime begin = std::max(now, free_at_);
   if (begin > free_at_) {
-    gaps_[free_at_] = begin;
-    if (gaps_.size() > kMaxGaps) gaps_.erase(gaps_.begin());
+    gaps_.emplace_back(free_at_, begin);
+    if (gaps_.size() - head_ > kMaxGaps) {
+      ++head_;  // evict the oldest gap
+      if (head_ * 2 > gaps_.size()) {
+        gaps_.erase(gaps_.begin(),
+                    gaps_.begin() + static_cast<ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
   }
   free_at_ = begin + service_us;
   return free_at_;
@@ -66,7 +86,7 @@ VirtualTime Resource::free_at() const {
 
 size_t Resource::idle_gaps() const {
   MutexLock l(mu_);
-  return gaps_.size();
+  return gaps_.size() - head_;
 }
 
 }  // namespace logbase::sim

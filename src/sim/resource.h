@@ -8,19 +8,21 @@
 // behind it). Serializing all actors' requests through the same Resource
 // is what produces queueing delay under contention.
 //
-// Idle gaps are kept in a map ordered by start. A tail reservation that
-// opens a new gap drops the oldest gap if the map then holds more than 64;
-// filling a gap can split it in two without that check, so the map can
-// grow well past 64. The eviction stays as it is because which gaps
-// survive decides where later requests are served. Finding the first fitting gap is a map lookup,
-// not a scan from the oldest gap, so a long map stays cheap.
+// Idle gaps are kept in a flat vector sorted by start, 16 bytes a gap. A
+// tail reservation that opens a new gap drops the oldest gap if more than
+// 64 are then live; filling a gap can split it in two without that check,
+// so the list can grow well past 64. The eviction stays as it is because
+// which gaps survive decides where later requests are served. Finding the
+// first fitting gap is a binary search, not a scan from the oldest gap, so
+// a long list stays cheap.
 
 #ifndef LOGBASE_SIM_RESOURCE_H_
 #define LOGBASE_SIM_RESOURCE_H_
 
-#include <map>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/sim/sim_context.h"
 
@@ -60,8 +62,11 @@ class Resource {
   const std::string name_;
   VirtualTime free_at_ GUARDED_BY(mu_) = 0;
   VirtualTime total_busy_ GUARDED_BY(mu_) = 0;
-  /// Idle intervals [start, end) before free_at_, ordered by start.
-  std::map<VirtualTime, VirtualTime> gaps_ GUARDED_BY(mu_);
+  /// Idle intervals [start, end) before free_at_, ordered by start. The
+  /// live gaps are gaps_[head_..]; evicting the oldest advances head_, and
+  /// the dead prefix is erased once it outgrows the live part.
+  std::vector<std::pair<VirtualTime, VirtualTime>> gaps_ GUARDED_BY(mu_);
+  size_t head_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace logbase::sim

@@ -87,6 +87,7 @@ struct LinearFirstFit {
   static constexpr size_t kMaxGaps = 64;
   VirtualTime free_at = 0;
   VirtualTime total_busy = 0;
+  size_t evictions = 0;
   std::map<VirtualTime, VirtualTime> gaps;
 
   VirtualTime Acquire(VirtualTime now, VirtualTime service_us) {
@@ -104,7 +105,10 @@ struct LinearFirstFit {
     VirtualTime begin = std::max(now, free_at);
     if (begin > free_at) {
       gaps[free_at] = begin;
-      if (gaps.size() > kMaxGaps) gaps.erase(gaps.begin());
+      if (gaps.size() > kMaxGaps) {
+        gaps.erase(gaps.begin());
+        evictions++;
+      }
     }
     free_at = begin + service_us;
     return free_at;
@@ -159,6 +163,11 @@ TEST(ResourceTest, GapLookupMatchesLinearFirstFit) {
   // evicted gaps, and aimed many arrivals at gap boundaries.
   EXPECT_GT(peak_gaps, LinearFirstFit::kMaxGaps);
   EXPECT_GT(boundary_hits, 10000);
+  // Resource evicts by advancing a head index and erases the evicted prefix
+  // once it outgrows the live gaps. More evictions than the list ever held
+  // live means that compaction ran, and the lookups above stayed exact
+  // across it.
+  EXPECT_GT(ref.evictions, peak_gaps);
 }
 
 TEST(ResourceTest, SplitsGrowGapListPastCap) {
