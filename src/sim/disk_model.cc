@@ -15,17 +15,23 @@ VirtualTime DiskModel::TransferUs(uint64_t n) const {
 
 bool DiskModel::MatchStreamLocked(uint64_t locus, uint64_t offset,
                                   uint64_t n) {
-  // `locus` arrives pre-tagged with the read/write bit by the callers. An
-  // access is sequential when it continues any tracked stream on the file
-  // (same locus, expected offset); the matched stream — or a fresh one —
-  // then expects `offset + n` next. The matched entry stays in the table
-  // rather than being consumed: a just-read region sits in the page cache,
-  // so a second reader arriving at the same offset (co-tailing readers of
-  // a shared log) is cheap too, not a 12ms seek. The LRU ages cold entries
-  // out.
+  // `locus` arrives pre-tagged with the read/write bit (the low bit) by the
+  // callers. An access is sequential when it continues any tracked stream
+  // on the file (same locus, expected offset); the matched stream — or a
+  // fresh one — then expects `offset + n` next. A matched read entry stays
+  // in the table rather than being consumed: a just-read region sits in
+  // the page cache, so a second reader arriving at the same offset
+  // (co-tailing readers of a shared log) is cheap too, not a 12ms seek.
+  // An append never revisits an offset, so a matched write entry is
+  // consumed: the stream advances in place instead of adding an entry per
+  // append and pushing other files' live streams out of the table. The
+  // LRU ages cold entries out.
   auto it = streams_.find(StreamKey{locus, offset});
   bool sequential = it != streams_.end();
-  if (sequential) {
+  if (sequential && (locus & 1) != 0) {
+    stream_lru_.erase(it->second);
+    streams_.erase(it);
+  } else if (sequential) {
     stream_lru_.splice(stream_lru_.begin(), stream_lru_, it->second);
   }
   StreamKey advanced{locus, offset + n};

@@ -60,7 +60,9 @@ class DiskModel {
   /// per open file description — not per file — so several readers tailing
   /// the same file at different offsets each stay effectively sequential
   /// (the inter-stream head movement is amortized by the readahead window);
-  /// the cap only bounds the model's memory. Streams are therefore keyed by
+  /// the cap only bounds the model's memory (an append advances its write
+  /// stream's entry, so a busy log writer holds one entry, not one per
+  /// append). Streams are therefore keyed by
   /// (locus, next expected offset): an access that continues any tracked
   /// stream is sequential, no matter how many other streams share the file.
   static constexpr size_t kMaxStreams = 64;

@@ -308,6 +308,23 @@ TEST(DiskModelTest, DifferentLocusPaysSeek) {
   EXPECT_GE(ctx.now() - t1, disk.params().seek_us);
 }
 
+TEST(DiskModelTest, AppendsDoNotEvictAnotherFilesReadStream) {
+  DiskModel disk("d");
+  SimContext ctx;
+  SimContext::Scope scope(&ctx);
+  disk.Access(/*locus=*/1, /*offset=*/0, /*n=*/100);  // a tail reader
+  // A writer appends to another file on the same disk, many more times
+  // than the model tracks streams. Each append continues one stream.
+  for (uint64_t i = 0; i < 100; i++) {
+    disk.Access(2, i * 100, 100, /*is_write=*/true);
+  }
+  EXPECT_LT(disk.AccessCost(2, 10000, 100, true), disk.params().seek_us);
+  // The reader's stream is still live: its next read is sequential.
+  VirtualTime before = ctx.now();
+  disk.Access(1, 100, 100);
+  EXPECT_LT(ctx.now() - before, disk.params().seek_us);
+}
+
 TEST(DiskModelTest, TransferScalesWithBytes) {
   DiskModel disk("d");
   VirtualTime small = disk.AccessCost(9, 0, 4 << 10);
