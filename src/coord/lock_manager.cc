@@ -31,27 +31,32 @@ std::string LockManager::LockPath(const Slice& key) {
   return std::string(kLockRoot) + "/" + HexEscape(key);
 }
 
-bool LockManager::TryLock(SessionId session, const Slice& key,
-                          const std::string& owner, int client_node) {
-  coord_->ChargeRoundTrip(client_node);
-  std::string path = LockPath(key);
-  auto created =
-      coord_->znodes()->Create(session, path, owner, CreateMode::kEphemeral);
-  if (created.ok()) return true;
-  // Lock node exists: re-entrant success only for the same owner.
-  auto holder = coord_->znodes()->Get(path);
-  return holder.ok() && *holder == owner;
+namespace {
+
+std::vector<std::string> LockPaths(const std::vector<std::string>& keys) {
+  std::vector<std::string> paths;
+  paths.reserve(keys.size());
+  for (const std::string& key : keys) {
+    paths.push_back(LockManager::LockPath(Slice(key)));
+  }
+  return paths;
 }
 
-void LockManager::Unlock(const Slice& key, const std::string& owner,
-                         int client_node) {
+}  // namespace
+
+bool LockManager::TryLock(SessionId session,
+                          const std::vector<std::string>& keys,
+                          const std::string& owner, int client_node) {
   coord_->ChargeRoundTrip(client_node);
-  std::string path = LockPath(key);
-  auto holder = coord_->znodes()->Get(path);
-  if (holder.ok() && *holder == owner) {
-    // Losing a delete race with session expiry still releases the lock.
-    (void)coord_->znodes()->Delete(path);
-  }
+  return coord_->znodes()
+      ->CreateAll(session, LockPaths(keys), owner, CreateMode::kEphemeral)
+      .ok();
+}
+
+void LockManager::Unlock(const std::vector<std::string>& keys,
+                         const std::string& owner, int client_node) {
+  coord_->ChargeRoundTrip(client_node);
+  coord_->znodes()->DeleteAll(LockPaths(keys), owner);
 }
 
 Result<std::string> LockManager::Holder(const Slice& key) const {

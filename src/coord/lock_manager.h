@@ -1,7 +1,10 @@
 // Distributed write locks on the znode tree (ZK lock recipe with ephemeral
-// nodes). MVOCC validation acquires these over the records in a
-// transaction's write set, in key order to avoid deadlock (paper §3.7.1,
-// "Validation with Write Locks").
+// nodes). MVOCC validation takes the locks over a transaction's write set
+// (paper §3.7.1, "Validation with Write Locks") as one all-or-nothing set:
+// one multi creates every lock node or none, so no caller ever holds part
+// of a set while waiting for the rest, and no acquisition order is needed
+// to avoid deadlock. Each call is one coordination round trip, whatever
+// the set size.
 
 #ifndef LOGBASE_COORD_LOCK_MANAGER_H_
 #define LOGBASE_COORD_LOCK_MANAGER_H_
@@ -18,14 +21,18 @@ class LockManager {
  public:
   explicit LockManager(CoordinationService* coord);
 
-  /// Attempts to take the exclusive lock for `key` on behalf of `owner`
-  /// (an opaque transaction identity). Returns true on success, false when
-  /// another owner holds it. Re-entrant for the same owner.
-  bool TryLock(SessionId session, const Slice& key, const std::string& owner,
-               int client_node);
+  /// Takes the exclusive locks for every key in `keys` on behalf of `owner`
+  /// (an opaque transaction identity), all or none. Returns true when
+  /// `owner` holds them all; false, creating no lock node, when another
+  /// owner holds any of them. Re-entrant: keys `owner` already holds count
+  /// as taken.
+  bool TryLock(SessionId session, const std::vector<std::string>& keys,
+               const std::string& owner, int client_node);
 
-  /// Releases the lock; no-op if `owner` does not hold it.
-  void Unlock(const Slice& key, const std::string& owner, int client_node);
+  /// Releases every lock in `keys` that `owner` holds; the others are left
+  /// alone.
+  void Unlock(const std::vector<std::string>& keys, const std::string& owner,
+              int client_node);
 
   /// Current holder of the lock, or NotFound.
   Result<std::string> Holder(const Slice& key) const;

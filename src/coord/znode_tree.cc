@@ -10,6 +10,11 @@ std::string ZnodeTree::ParentOf(const std::string& path) {
   return path.substr(0, pos);
 }
 
+bool ZnodeTree::ValidPath(const std::string& path) {
+  return !path.empty() && path[0] == '/' &&
+         (path.size() == 1 || path.back() != '/');
+}
+
 SessionId ZnodeTree::CreateSession() {
   MutexLock l(mu_);
   SessionId id = next_session_++;
@@ -76,8 +81,7 @@ Result<std::string> ZnodeTree::Create(SessionId session,
   std::string actual;
   {
     MutexLock l(mu_);
-    if (path.empty() || path[0] != '/' ||
-        (path.size() > 1 && path.back() == '/')) {
+    if (!ValidPath(path)) {
       return Status::InvalidArgument("bad znode path: " + path);
     }
     if ((mode == CreateMode::kEphemeral ||
@@ -117,6 +121,49 @@ Result<std::string> ZnodeTree::Create(SessionId session,
   }
   for (auto& [cb, p] : fired) cb(p);
   return actual;
+}
+
+Status ZnodeTree::CreateAll(SessionId session,
+                            const std::vector<std::string>& paths,
+                            const std::string& data, CreateMode mode) {
+  if (mode == CreateMode::kPersistentSequential ||
+      mode == CreateMode::kEphemeralSequential) {
+    return Status::InvalidArgument("sequential create in a multi");
+  }
+  std::vector<std::pair<WatchCallback, std::string>> fired;
+  {
+    MutexLock l(mu_);
+    if (mode == CreateMode::kEphemeral && sessions_.count(session) == 0) {
+      return Status::InvalidArgument("ephemeral create with dead session");
+    }
+    // Check every path before creating any, so a failure changes nothing.
+    std::vector<const std::string*> missing;
+    for (const std::string& path : paths) {
+      if (!ValidPath(path)) {
+        return Status::InvalidArgument("bad znode path: " + path);
+      }
+      std::string parent = ParentOf(path);
+      if (parent != "/" && nodes_.count(parent) == 0) {
+        return Status::NotFound("parent znode missing: " + parent);
+      }
+      auto it = nodes_.find(path);
+      if (it == nodes_.end()) {
+        missing.push_back(&path);
+      } else if (it->second.data != data) {
+        return Status::InvalidArgument("znode exists: " + path);
+      }
+    }
+    for (const std::string* path : missing) {
+      // A path listed twice is created once.
+      if (!nodes_.emplace(*path, Znode{data, mode, session, 0}).second) {
+        continue;
+      }
+      auto child_fired = CollectChildWatches(ParentOf(*path));
+      fired.insert(fired.end(), child_fired.begin(), child_fired.end());
+    }
+  }
+  for (auto& [cb, p] : fired) cb(p);
+  return Status::OK();
 }
 
 Result<std::string> ZnodeTree::Get(const std::string& path) const {
@@ -170,6 +217,21 @@ Status ZnodeTree::Delete(const std::string& path) {
   }
   for (auto& [cb, p] : fired) cb(p);
   return s;
+}
+
+void ZnodeTree::DeleteAll(const std::vector<std::string>& paths,
+                          const std::string& data) {
+  std::vector<std::pair<WatchCallback, std::string>> fired;
+  {
+    MutexLock l(mu_);
+    for (const std::string& path : paths) {
+      auto it = nodes_.find(path);
+      if (it != nodes_.end() && it->second.data == data) {
+        (void)DeleteLocked(path, &fired);
+      }
+    }
+  }
+  for (auto& [cb, p] : fired) cb(p);
 }
 
 bool ZnodeTree::Exists(const std::string& path) const {

@@ -54,10 +54,22 @@ class ZnodeTree {
   Result<std::string> Create(SessionId session, const std::string& path,
                              const std::string& data, CreateMode mode);
 
+  /// Creates every path in `paths` holding `data`, or none of them, under
+  /// one tree lock (ZooKeeper's multi). A path that already exists holding
+  /// `data` counts as created, so an owner can retake what it holds; any
+  /// other existing node, a missing parent, a bad path or a sequential
+  /// mode fails the whole call.
+  Status CreateAll(SessionId session, const std::vector<std::string>& paths,
+                   const std::string& data, CreateMode mode);
+
   Result<std::string> Get(const std::string& path) const;
   Status Set(const std::string& path, const std::string& data);
   /// Deletes a node; fails if it has children (ZK semantics).
   Status Delete(const std::string& path);
+  /// Deletes every path in `paths` whose node holds `data`, under one tree
+  /// lock; other nodes, and nodes with children, are left alone.
+  void DeleteAll(const std::vector<std::string>& paths,
+                 const std::string& data);
   bool Exists(const std::string& path) const;
   /// Child *names* (not full paths), sorted.
   Result<std::vector<std::string>> GetChildren(const std::string& path) const;
@@ -81,6 +93,7 @@ class ZnodeTree {
   std::vector<std::pair<WatchCallback, std::string>> CollectChildWatches(
       const std::string& parent) REQUIRES(mu_);
   static std::string ParentOf(const std::string& path);
+  static bool ValidPath(const std::string& path);
   bool HasChildrenLocked(const std::string& path) const REQUIRES(mu_);
   Status DeleteLocked(
       const std::string& path,

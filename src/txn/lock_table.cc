@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <thread>
 
+#include "src/sim/sim_context.h"
+
 namespace logbase::txn {
 
 OrderedLockSet::OrderedLockSet(coord::LockManager* locks,
@@ -23,36 +25,31 @@ std::string OrderedLockSet::LockName(const TxnCell& cell) {
 }
 
 Status OrderedLockSet::AcquireAll(const std::vector<TxnCell>& cells,
-                                  int max_attempts_per_lock) {
-  std::vector<TxnCell> ordered = cells;
-  std::sort(ordered.begin(), ordered.end());
-  ordered.erase(std::unique(ordered.begin(), ordered.end()), ordered.end());
-
-  for (const TxnCell& cell : ordered) {
-    std::string name = LockName(cell);
-    bool acquired = false;
-    for (int attempt = 0; attempt < max_attempts_per_lock; attempt++) {
-      if (locks_->TryLock(session_, Slice(name), owner_, client_node_)) {
-        acquired = true;
-        break;
-      }
-      // Another validating transaction holds it; keep pre-claiming (the
-      // order guarantees the holder is not waiting on us).
-      std::this_thread::yield();
+                                  int max_attempts) {
+  std::vector<std::string> names;
+  names.reserve(cells.size());
+  for (const TxnCell& cell : cells) names.push_back(LockName(cell));
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  for (int attempt = 0; attempt < max_attempts; attempt++) {
+    if (locks_->TryLock(session_, names, owner_, client_node_)) {
+      held_ = std::move(names);
+      holds_all_ = true;
+      return Status::OK();
     }
-    if (!acquired) {
-      ReleaseAll();
-      return Status::Busy("could not acquire write lock: " + cell.key);
-    }
-    held_.push_back(std::move(name));
+    // Another validating transaction holds part of the set. It holds its
+    // whole set and waits for none, so it finishes without us.
+    std::this_thread::yield();
   }
-  holds_all_ = true;
-  return Status::OK();
+  return Status::Busy("could not acquire the write lock set");
 }
 
 void OrderedLockSet::ReleaseAll() {
-  for (const std::string& name : held_) {
-    locks_->Unlock(Slice(name), owner_, client_node_);
+  if (!held_.empty()) {
+    sim::SimContext* ctx = sim::SimContext::Current();
+    sim::SimContext release(ctx != nullptr ? ctx->now() : 0);
+    sim::SimContext::Scope scope(ctx != nullptr ? &release : nullptr);
+    locks_->Unlock(held_, owner_, client_node_);
   }
   held_.clear();
   holds_all_ = false;

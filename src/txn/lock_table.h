@@ -1,7 +1,8 @@
-// Ordered acquisition of the distributed write locks used by MVOCC
-// validation (paper §3.7.1): locks are requested in record-key order so no
-// transaction waits for a lock while holding one another transaction wants
-// out of order — deadlock freedom. RAII: the set releases on destruction.
+// A transaction's distributed write locks for MVOCC validation (paper
+// §3.7.1), kept as one sorted, deduplicated set and taken all-or-nothing:
+// a holder never waits for part of its set while holding the rest, so
+// acquisition cannot deadlock. RAII: the set releases on destruction, off
+// the caller's critical path.
 
 #ifndef LOGBASE_TXN_LOCK_TABLE_H_
 #define LOGBASE_TXN_LOCK_TABLE_H_
@@ -23,13 +24,16 @@ class OrderedLockSet {
   OrderedLockSet(const OrderedLockSet&) = delete;
   OrderedLockSet& operator=(const OrderedLockSet&) = delete;
 
-  /// Acquires all cells' locks in their natural (key-major) order, spinning
-  /// per lock up to `max_attempts_per_lock` (the paper pre-claims until all
-  /// locks are held; the bound guards against a crashed holder).
+  /// Acquires every cell's lock with one all-or-nothing call, retrying the
+  /// whole set up to `max_attempts` times while another owner holds any of
+  /// them (the paper pre-claims until all locks are held; the bound guards
+  /// against a crashed holder).
   Status AcquireAll(const std::vector<TxnCell>& cells,
-                    int max_attempts_per_lock = 1000);
+                    int max_attempts = 1000);
 
-  /// Releases everything held (also run by the destructor).
+  /// Releases everything held (also run by the destructor). The release is
+  /// charged on its own clock starting at the caller's: the network and
+  /// the coordinator pay for it, the caller does not wait for it.
   void ReleaseAll();
 
   bool holds_all() const { return holds_all_; }

@@ -191,6 +191,9 @@ Status TransactionManager::Commit(Transaction* txn, log::AckMode ack) {
     }
   }
 
+  // One coordination round trip takes the whole set; it is released when
+  // `lock_set` leaves scope, after the COMMIT record is durable and the
+  // writes are published, on a clock of its own.
   OrderedLockSet lock_set(&locks_, session_,
                           "txn-" + std::to_string(txn->id()), client_node_);
   Status lock_status;

@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "src/coord/coordination_service.h"
 #include "src/coord/lock_manager.h"
 #include "src/coord/master_election.h"
 #include "src/coord/znode_tree.h"
+#include "src/sim/network_model.h"
+#include "src/sim/sim_context.h"
 
 namespace logbase::coord {
 namespace {
@@ -206,27 +211,27 @@ TEST(LockManagerTest, MutualExclusion) {
   LockManager locks(&coord);
   SessionId s1 = coord.CreateSession(0);
   SessionId s2 = coord.CreateSession(1);
-  EXPECT_TRUE(locks.TryLock(s1, "key1", "txn-1", 0));
-  EXPECT_FALSE(locks.TryLock(s2, "key1", "txn-2", 1));
+  EXPECT_TRUE(locks.TryLock(s1, {"key1"}, "txn-1", 0));
+  EXPECT_FALSE(locks.TryLock(s2, {"key1"}, "txn-2", 1));
   EXPECT_EQ(*locks.Holder("key1"), "txn-1");
-  locks.Unlock("key1", "txn-1", 0);
-  EXPECT_TRUE(locks.TryLock(s2, "key1", "txn-2", 1));
+  locks.Unlock({"key1"}, "txn-1", 0);
+  EXPECT_TRUE(locks.TryLock(s2, {"key1"}, "txn-2", 1));
 }
 
 TEST(LockManagerTest, ReentrantForSameOwner) {
   CoordinationService coord;
   LockManager locks(&coord);
   SessionId s = coord.CreateSession(0);
-  EXPECT_TRUE(locks.TryLock(s, "k", "txn-9", 0));
-  EXPECT_TRUE(locks.TryLock(s, "k", "txn-9", 0));
+  EXPECT_TRUE(locks.TryLock(s, {"k"}, "txn-9", 0));
+  EXPECT_TRUE(locks.TryLock(s, {"k"}, "txn-9", 0));
 }
 
 TEST(LockManagerTest, UnlockByNonOwnerIsIgnored) {
   CoordinationService coord;
   LockManager locks(&coord);
   SessionId s = coord.CreateSession(0);
-  EXPECT_TRUE(locks.TryLock(s, "k", "owner", 0));
-  locks.Unlock("k", "impostor", 0);
+  EXPECT_TRUE(locks.TryLock(s, {"k"}, "owner", 0));
+  locks.Unlock({"k"}, "impostor", 0);
   EXPECT_EQ(*locks.Holder("k"), "owner");
 }
 
@@ -235,9 +240,94 @@ TEST(LockManagerTest, SessionDeathReleasesLocks) {
   LockManager locks(&coord);
   SessionId s1 = coord.CreateSession(0);
   SessionId s2 = coord.CreateSession(1);
-  EXPECT_TRUE(locks.TryLock(s1, "k", "txn-1", 0));
+  EXPECT_TRUE(locks.TryLock(s1, {"k"}, "txn-1", 0));
   coord.CloseSession(s1);  // crashed transaction holder
-  EXPECT_TRUE(locks.TryLock(s2, "k", "txn-2", 1));
+  EXPECT_TRUE(locks.TryLock(s2, {"k"}, "txn-2", 1));
+}
+
+TEST(LockManagerTest, OverlappingSetTakesNothing) {
+  CoordinationService coord;
+  LockManager locks(&coord);
+  SessionId s1 = coord.CreateSession(0);
+  SessionId s2 = coord.CreateSession(1);
+  ASSERT_TRUE(locks.TryLock(s1, {"b"}, "txn-1", 0));
+  // One key of the set is held by another owner: no lock node is created.
+  EXPECT_FALSE(locks.TryLock(s2, {"a", "b", "c"}, "txn-2", 1));
+  EXPECT_TRUE(locks.Holder("a").status().IsNotFound());
+  EXPECT_TRUE(locks.Holder("c").status().IsNotFound());
+  EXPECT_EQ(*locks.Holder("b"), "txn-1");
+  EXPECT_EQ(coord.znodes()->GetChildren("/locks")->size(), 1u);
+  // Once the holder releases, the whole set is taken at once.
+  locks.Unlock({"b"}, "txn-1", 0);
+  EXPECT_TRUE(locks.TryLock(s2, {"a", "b", "c"}, "txn-2", 1));
+  for (const char* key : {"a", "b", "c"}) {
+    EXPECT_EQ(*locks.Holder(key), "txn-2");
+  }
+}
+
+TEST(LockManagerTest, SetIsReentrantForSameOwner) {
+  CoordinationService coord;
+  LockManager locks(&coord);
+  SessionId s = coord.CreateSession(0);
+  ASSERT_TRUE(locks.TryLock(s, {"a"}, "txn-3", 0));
+  // A set overlapping what the owner holds takes the rest.
+  EXPECT_TRUE(locks.TryLock(s, {"a", "b", "a"}, "txn-3", 0));
+  EXPECT_EQ(*locks.Holder("b"), "txn-3");
+  // Unlock releases only what the owner holds.
+  ASSERT_TRUE(locks.TryLock(s, {"c"}, "txn-4", 0));
+  locks.Unlock({"a", "b", "c"}, "txn-3", 0);
+  EXPECT_TRUE(locks.Holder("a").status().IsNotFound());
+  EXPECT_TRUE(locks.Holder("b").status().IsNotFound());
+  EXPECT_EQ(*locks.Holder("c"), "txn-4");
+}
+
+TEST(LockManagerTest, OneRoundTripPerCallWhateverTheSetSize) {
+  sim::NetworkModel net(2);
+  CoordinationService coord(&net, /*host_node=*/1);
+  LockManager locks(&coord);
+  SessionId s = coord.CreateSession(0);
+  sim::SimContext ctx(1000);
+  sim::SimContext::Scope scope(&ctx);
+  auto elapsed = [&ctx](const std::function<void()>& call) {
+    sim::VirtualTime start = ctx.now();
+    call();
+    return ctx.now() - start;
+  };
+  const sim::VirtualTime round_trip =
+      elapsed([&] { coord.ChargeRoundTrip(0); });
+  EXPECT_GE(round_trip, sim::costs::kCoordinationUs);
+  std::vector<std::string> eight;
+  for (int i = 0; i < 8; i++) eight.push_back("k" + std::to_string(i));
+  EXPECT_EQ(elapsed([&] { EXPECT_TRUE(locks.TryLock(s, {"x"}, "o", 0)); }),
+            round_trip);
+  EXPECT_EQ(elapsed([&] { EXPECT_TRUE(locks.TryLock(s, eight, "o", 0)); }),
+            round_trip);
+  EXPECT_EQ(elapsed([&] { locks.Unlock(eight, "o", 0); }), round_trip);
+  // A refused set costs the same round trip.
+  EXPECT_EQ(elapsed([&] { EXPECT_FALSE(locks.TryLock(s, {"x"}, "p", 0)); }),
+            round_trip);
+}
+
+TEST(ZnodeTreeTest, CreateAllIsAllOrNothing) {
+  ZnodeTree tree;
+  SessionId s = tree.CreateSession();
+  ASSERT_TRUE(tree.Create(s, "/d", "", CreateMode::kPersistent).ok());
+  ASSERT_TRUE(tree.Create(s, "/d/b", "other", CreateMode::kPersistent).ok());
+  EXPECT_FALSE(tree.CreateAll(s, {"/d/a", "/d/b"}, "me",
+                              CreateMode::kEphemeral).ok());
+  EXPECT_FALSE(tree.CreateAll(s, {"/d/a", "/missing/c"}, "me",
+                              CreateMode::kEphemeral).ok());
+  EXPECT_FALSE(tree.Exists("/d/a"));
+  ASSERT_TRUE(tree.CreateAll(s, {"/d/a", "/d/c"}, "me",
+                             CreateMode::kEphemeral).ok());
+  EXPECT_EQ(*tree.Get("/d/a"), "me");
+  // DeleteAll removes only the nodes holding the given data.
+  tree.DeleteAll({"/d/a", "/d/b", "/d/c", "/d/none"}, "me");
+  EXPECT_EQ(*tree.GetChildren("/d"), std::vector<std::string>{"b"});
+  // The created nodes are ephemeral: they die with the session.
+  ASSERT_TRUE(tree.CreateAll(s, {"/d/e"}, "me", CreateMode::kEphemeral).ok());
+  tree.CloseSession(s);
+  EXPECT_FALSE(tree.Exists("/d/e"));
 }
 
 TEST(LockManagerTest, BinaryKeysAreEscaped) {
@@ -245,8 +335,8 @@ TEST(LockManagerTest, BinaryKeysAreEscaped) {
   LockManager locks(&coord);
   SessionId s = coord.CreateSession(0);
   std::string weird("a/b\0c", 5);
-  EXPECT_TRUE(locks.TryLock(s, Slice(weird), "o", 0));
-  EXPECT_FALSE(locks.TryLock(s, Slice(weird), "other", 0));
+  EXPECT_TRUE(locks.TryLock(s, {weird}, "o", 0));
+  EXPECT_FALSE(locks.TryLock(s, {weird}, "other", 0));
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 // default) observes every nested acquisition the system performs under
 // load. They also run under the default preset as plain correctness tests.
 
+#include <array>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,24 +47,41 @@ TEST(StressTest, ThreadPoolManySubmittersAndWaiters) {
 TEST(StressTest, LockTableContendedAcquireRelease) {
   coord::CoordinationService coord;
   coord::LockManager locks(&coord);
-  // 8 transactions repeatedly lock overlapping key sets through the ordered
-  // lock table; key-order acquisition must stay deadlock-free and TSan must
-  // see no races in the znode tree underneath.
+  // 8 transactions repeatedly lock overlapping key sets through the lock
+  // table. Each set is taken all-or-nothing, so acquisition must stay
+  // deadlock-free; while a set is held no other transaction may hold any of
+  // its keys, and TSan must see no races in the znode tree underneath.
+  constexpr int kKeys = 6;
+  std::array<std::atomic<int>, kKeys> holders{};
+  std::atomic<int> max_holders{0};
   std::atomic<int> acquired{0};
   std::vector<std::thread> txns;
   for (int t = 0; t < 8; t++) {
-    txns.emplace_back([&coord, &locks, &acquired, t] {
+    txns.emplace_back([&, t] {
       coord::SessionId session = coord.CreateSession(t % 4);
       Random rnd(1000 + t);
       for (int round = 0; round < 40; round++) {
         std::vector<txn::TxnCell> cells;
+        std::set<int> keys;
         for (int k = 0; k < 3; k++) {
-          cells.push_back(txn::TxnCell{
-              "tablet", "key" + std::to_string(rnd.Uniform(6))});
+          int key = static_cast<int>(rnd.Uniform(kKeys));
+          keys.insert(key);
+          cells.push_back(
+              txn::TxnCell{"tablet", "key" + std::to_string(key)});
         }
         txn::OrderedLockSet set(&locks, session, "txn" + std::to_string(t),
                                 t % 4);
-        if (set.AcquireAll(cells).ok()) acquired++;
+        if (!set.AcquireAll(cells).ok()) continue;
+        acquired++;
+        for (int key : keys) {
+          int now_holding = ++holders[key];
+          int seen = max_holders.load();
+          while (now_holding > seen &&
+                 !max_holders.compare_exchange_weak(seen, now_holding)) {
+          }
+        }
+        std::this_thread::yield();
+        for (int key : keys) holders[key]--;
         // ~OrderedLockSet releases everything.
       }
       coord.CloseSession(session);
@@ -70,6 +89,7 @@ TEST(StressTest, LockTableContendedAcquireRelease) {
   }
   for (auto& t : txns) t.join();
   EXPECT_GT(acquired.load(), 0);
+  EXPECT_EQ(max_holders.load(), 1);
 }
 
 // Writers, historical readers, checkpoints and a compaction all running

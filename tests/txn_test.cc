@@ -1,14 +1,19 @@
 // Tests for MVOCC transactions (paper §3.7): snapshot isolation semantics
-// (every ANSI anomaly except write skew prevented), validation with ordered
-// write locks, read-only fast path, 2PC across servers, and crash atomicity.
+// (every ANSI anomaly except write skew prevented), validation under an
+// all-or-nothing write-lock set, the commit's coordination cost, read-only
+// fast path, 2PC across servers, and crash atomicity.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <optional>
 
 #include "src/cluster/mini_cluster.h"
 #include "src/dfs/dfs.h"
+#include "src/sim/costs.h"
+#include "src/sim/network_model.h"
+#include "src/sim/sim_context.h"
 #include "src/tablet/tablet_server.h"
 #include "src/txn/lock_table.h"
 #include "src/txn/transaction_manager.h"
@@ -364,6 +369,46 @@ TEST(TxnTest, SerializableReadOnlyStillCommitsWithoutLocks) {
   EXPECT_TRUE(strict.Commit(reader.get()).ok());
 }
 
+// The commit's critical path is two coordination round trips (the lock
+// set, the commit timestamp), the validation probes, and the
+// group-committed append and publish. The lock release runs on a clock of
+// its own, but the locks are gone when Commit returns.
+TEST(TxnTest, CommitPaysTwoCoordinationRoundTripsPlusAppend) {
+  TxnFixture f(1);
+  sim::SimContext ctx(50000);
+  sim::VirtualTime start = 0;
+  std::unique_ptr<Transaction> txn;
+  {
+    sim::SimContext::Scope scope(&ctx);
+    txn = f.manager->Begin();
+    ASSERT_TRUE(f.manager->Write(txn.get(), f.uid0, "a", "1").ok());
+    ASSERT_TRUE(f.manager->Write(txn.get(), f.uid0, "b", "2").ok());
+    start = ctx.now();
+    ASSERT_TRUE(f.manager->Commit(txn.get()).ok());
+    EXPECT_TRUE(f.coord.znodes()->GetChildren("/locks")->empty());
+  }
+
+  // The same append and publish on an identical server, started where the
+  // commit's round trips and validation end. There is no network here, so
+  // a round trip is the coordination service's quorum time.
+  const sim::VirtualTime before_append =
+      2 * sim::costs::kCoordinationUs + 2 * sim::costs::kIndexLookupUs;
+  TxnFixture ref(1);
+  sim::SimContext ref_ctx(start + before_append);
+  {
+    sim::SimContext::Scope scope(&ref_ctx);
+    auto batch = ref.servers[0]->Submit(
+        {{ref.uid0, "a", "1"}, {ref.uid0, "b", "2"}}, log::AckMode::kQuorum,
+        tablet::TxnStamp{txn->id(), txn->commit_ts(), /*commit=*/true});
+    ASSERT_TRUE(batch.ok());
+    ASSERT_TRUE(ref.servers[0]->Wait(&*batch).ok());
+    ASSERT_TRUE(ref.servers[0]->Publish(*batch).ok());
+  }
+  const sim::VirtualTime append_us = ref_ctx.now() - (start + before_append);
+  EXPECT_GT(append_us, 0);
+  EXPECT_EQ(ctx.now() - start, before_append + append_us);
+}
+
 TEST(OrderedLockSetTest, AcquiresAndReleases) {
   coord::CoordinationService coord;
   coord::LockManager locks(&coord);
@@ -381,6 +426,26 @@ TEST(OrderedLockSetTest, AcquiresAndReleases) {
   EXPECT_TRUE(after.AcquireAll({{"t", "a"}, {"t", "b"}}).ok());
 }
 
+TEST(OrderedLockSetTest, ReleaseRunsOffTheCallersClock) {
+  sim::NetworkModel net(2);
+  coord::CoordinationService coord(&net, /*host_node=*/1);
+  coord::LockManager locks(&coord);
+  coord::SessionId s = coord.CreateSession(0);
+  sim::SimContext ctx;
+  sim::SimContext::Scope scope(&ctx);
+  OrderedLockSet set(&locks, s, "txn-1", 0);
+  ASSERT_TRUE(set.AcquireAll({{"t", "a"}, {"t", "b"}}).ok());
+  const sim::VirtualTime acquired = ctx.now();
+  EXPECT_GE(acquired, sim::costs::kCoordinationUs);
+  const sim::VirtualTime nic_busy = net.nic_tx(0)->total_busy_us();
+  set.ReleaseAll();
+  // The locks are free at once, the caller's clock did not move, and the
+  // client's NIC still carried the release.
+  EXPECT_TRUE(coord.znodes()->GetChildren("/locks")->empty());
+  EXPECT_EQ(ctx.now(), acquired);
+  EXPECT_GT(net.nic_tx(0)->total_busy_us(), nic_busy);
+}
+
 TEST(OrderedLockSetTest, StatsCountLockFailures) {
   TxnFixture f(1);
   // Hold a lock out-of-band so the transaction cannot acquire it.
@@ -389,7 +454,7 @@ TEST(OrderedLockSetTest, StatsCountLockFailures) {
   std::string lock_name = f.uid0;
   lock_name.push_back('\0');
   lock_name += "blocked";
-  ASSERT_TRUE(locks.TryLock(s, Slice(lock_name), "outsider", 0));
+  ASSERT_TRUE(locks.TryLock(s, {lock_name}, "outsider", 0));
 
   auto txn = f.manager->Begin();
   ASSERT_TRUE(f.manager->Write(txn.get(), f.uid0, "blocked", "v").ok());
