@@ -28,15 +28,18 @@ bool CoordinationService::SessionAlive(SessionId session) const {
   return tree_.SessionAlive(session);
 }
 
-uint64_t CoordinationService::NextTimestamp(int client_node) {
-  ChargeRoundTrip(client_node);
-  return clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 uint64_t CoordinationService::ReserveTimestamps(int client_node,
                                                 uint32_t count) {
   ChargeRoundTrip(client_node);
   return clock_.fetch_add(count, std::memory_order_relaxed) + 1;
+}
+
+std::optional<uint64_t> CoordinationService::CreateAllAndStamp(
+    SessionId session, const std::vector<std::string>& paths,
+    const std::string& data, CreateMode mode, int client_node) {
+  ChargeRoundTrip(client_node);
+  if (!tree_.CreateAll(session, paths, data, mode).ok()) return std::nullopt;
+  return clock_.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 uint64_t CoordinationService::LatestTimestamp() const {

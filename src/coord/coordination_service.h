@@ -2,14 +2,16 @@
 // commit-timestamp authority (the paper uses Zookeeper as a timestamp
 // authority to establish a global order for committed update transactions,
 // §3.7.1). Every call charges a coordination round-trip to the ambient
-// virtual clock.
+// virtual clock; no call hands out a timestamp without one.
 
 #ifndef LOGBASE_COORD_COORDINATION_SERVICE_H_
 #define LOGBASE_COORD_COORDINATION_SERVICE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/coord/znode_tree.h"
 #include "src/sim/costs.h"
@@ -32,14 +34,20 @@ class CoordinationService {
   void CloseSession(SessionId session);
   bool SessionAlive(SessionId session) const;
 
-  /// Next globally unique, monotonically increasing timestamp. Used both as
-  /// transaction commit timestamps and as write versions.
-  uint64_t NextTimestamp(int client_node);
   /// Reserves `count` consecutive timestamps with one round-trip and returns
   /// the first; the caller hands them out locally. Auto-commit writes
-  /// amortize the timestamp authority this way (transaction commits use
-  /// NextTimestamp directly, preserving the global commit order of §3.7.1).
+  /// amortize the timestamp authority this way (transaction commits draw
+  /// theirs with CreateAllAndStamp, preserving the global commit order of
+  /// §3.7.1).
   uint64_t ReserveTimestamps(int client_node, uint32_t count);
+
+  /// One multi in one round-trip: ZnodeTree::CreateAll of `paths`, plus, when
+  /// every node was created, the next globally unique, monotonically
+  /// increasing timestamp (ZooKeeper's sequential node in the same multi).
+  /// Returns nullopt, drawing nothing, when the create fails.
+  std::optional<uint64_t> CreateAllAndStamp(
+      SessionId session, const std::vector<std::string>& paths,
+      const std::string& data, CreateMode mode, int client_node);
 
   /// The most recently issued timestamp (reads of a "current snapshot" use
   /// this without consuming a timestamp).

@@ -44,13 +44,11 @@ std::vector<std::string> LockPaths(const std::vector<std::string>& keys) {
 
 }  // namespace
 
-bool LockManager::TryLock(SessionId session,
-                          const std::vector<std::string>& keys,
-                          const std::string& owner, int client_node) {
-  coord_->ChargeRoundTrip(client_node);
-  return coord_->znodes()
-      ->CreateAll(session, LockPaths(keys), owner, CreateMode::kEphemeral)
-      .ok();
+std::optional<uint64_t> LockManager::TryLock(
+    SessionId session, const std::vector<std::string>& keys,
+    const std::string& owner, int client_node) {
+  return coord_->CreateAllAndStamp(session, LockPaths(keys), owner,
+                                   CreateMode::kEphemeral, client_node);
 }
 
 void LockManager::Unlock(const std::vector<std::string>& keys,

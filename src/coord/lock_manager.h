@@ -3,12 +3,15 @@
 // (paper §3.7.1, "Validation with Write Locks") as one all-or-nothing set:
 // one multi creates every lock node or none, so no caller ever holds part
 // of a set while waiting for the rest, and no acquisition order is needed
-// to avoid deadlock. Each call is one coordination round trip, whatever
-// the set size.
+// to avoid deadlock. The same multi draws the transaction's commit
+// timestamp from the coordination service's counter when the set is taken.
+// Each call is one coordination round trip, whatever the set size.
 
 #ifndef LOGBASE_COORD_LOCK_MANAGER_H_
 #define LOGBASE_COORD_LOCK_MANAGER_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,12 +25,14 @@ class LockManager {
   explicit LockManager(CoordinationService* coord);
 
   /// Takes the exclusive locks for every key in `keys` on behalf of `owner`
-  /// (an opaque transaction identity), all or none. Returns true when
-  /// `owner` holds them all; false, creating no lock node, when another
-  /// owner holds any of them. Re-entrant: keys `owner` already holds count
+  /// (an opaque transaction identity), all or none. When `owner` holds them
+  /// all, returns the commit timestamp drawn in the same round trip; when
+  /// another owner holds any of them, returns nullopt, creating no lock node
+  /// and drawing no timestamp. Re-entrant: keys `owner` already holds count
   /// as taken.
-  bool TryLock(SessionId session, const std::vector<std::string>& keys,
-               const std::string& owner, int client_node);
+  std::optional<uint64_t> TryLock(SessionId session,
+                                  const std::vector<std::string>& keys,
+                                  const std::string& owner, int client_node);
 
   /// Releases every lock in `keys` that `owner` holds; the others are left
   /// alone.

@@ -15,12 +15,6 @@ obs::Counter* PreadBytes() {
   return c;
 }
 
-obs::Counter* WriteBytes() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().counter("dfs.write.bytes");
-  return c;
-}
-
 obs::Counter* InjectedIoErrors() {
   static obs::Counter* c =
       obs::MetricsRegistry::Global().counter("fault.injected.disk_errors");
@@ -28,6 +22,54 @@ obs::Counter* InjectedIoErrors() {
 }
 
 }  // namespace
+
+void BlockBytes::WriteAt(uint64_t offset, const Slice& data) {
+  MutexLock l(mu_);
+  if (offset < size_) {
+    // Drop the bytes at and past `offset`.
+    chunks_.resize((offset + kChunkBytes - 1) / kChunkBytes);
+    if (!chunks_.empty()) {
+      chunks_.back().resize(offset - (chunks_.size() - 1) * kChunkBytes);
+    }
+    size_ = offset;
+  }
+  const char* p = data.data();
+  uint64_t left = data.size();
+  while (left > 0) {
+    if (chunks_.empty() || chunks_.back().size() == kChunkBytes) {
+      chunks_.emplace_back();
+    }
+    std::string& chunk = chunks_.back();
+    uint64_t take = std::min<uint64_t>(left, kChunkBytes - chunk.size());
+    if (chunk.size() + take > chunk.capacity()) {
+      // A block's first write is sized exactly, so a small file stays
+      // small; past that a chunk is allocated whole, as growing it in steps
+      // leaves holes in the heap that other allocations fit poorly.
+      chunk.reserve(chunks_.size() == 1 && chunk.empty() ? take : kChunkBytes);
+    }
+    chunk.append(p, take);
+    p += take;
+    left -= take;
+  }
+  size_ += data.size();
+}
+
+void BlockBytes::CopyTo(uint64_t offset, uint64_t n, std::string* out) const {
+  MutexLock l(mu_);
+  out->reserve(out->size() + n);
+  for (size_t i = offset / kChunkBytes; n > 0; i++) {
+    uint64_t at = offset % kChunkBytes;
+    uint64_t take = std::min<uint64_t>(n, chunks_[i].size() - at);
+    out->append(chunks_[i], at, take);
+    offset += take;
+    n -= take;
+  }
+}
+
+uint64_t BlockBytes::size() const {
+  MutexLock l(mu_);
+  return size_;
+}
 
 bool DataNode::ConsumeInjectedError() const {
   int pending = injected_io_errors_.load(std::memory_order_relaxed);
@@ -44,30 +86,18 @@ bool DataNode::ConsumeInjectedError() const {
 DataNode::DataNode(int id, sim::DiskParams disk_params)
     : id_(id), disk_("disk-" + std::to_string(id), disk_params) {}
 
-Status DataNode::StoreBlockData(BlockId block, uint64_t offset,
-                                std::shared_ptr<const std::string> data) {
+Status DataNode::StoreBlockData(BlockId block,
+                                std::shared_ptr<const BlockBytes> bytes,
+                                uint64_t offset, uint64_t length) {
   if (!alive()) return Status::Unavailable("data node is down");
   if (ConsumeInjectedError()) return Status::IOError("injected disk fault");
   MutexLock l(mu_);
-  StoredBlock& stored = blocks_[block];
-  if (offset != stored.size) {
+  Replica& replica = blocks_[block];
+  if (offset != replica.size) {
     return Status::InvalidArgument("non-contiguous block append");
   }
-  if (data->empty()) return Status::OK();
-  stored.size += data->size();
-  stored.starts.push_back(offset);
-  stored.pieces.push_back(std::move(data));
-  return Status::OK();
-}
-
-Status DataNode::WriteBlock(BlockId block, uint64_t offset,
-                            const Slice& data) {
-  obs::Span span("dfs.write");
-  LOGBASE_RETURN_NOT_OK(StoreBlockData(
-      block, offset,
-      std::make_shared<const std::string>(data.data(), data.size())));
-  WriteBytes()->Add(data.size());
-  disk_.Access(block, offset, data.size(), /*is_write=*/true);
+  replica.bytes = std::move(bytes);
+  replica.size = length;
   return Status::OK();
 }
 
@@ -81,20 +111,10 @@ Result<std::string> DataNode::ReadBlock(BlockId block, uint64_t offset,
     MutexLock l(mu_);
     auto it = blocks_.find(block);
     if (it == blocks_.end()) return Status::NotFound("block not on this node");
-    const StoredBlock& stored = it->second;
-    if (offset < stored.size) {
-      uint64_t left = std::min<uint64_t>(n, stored.size - offset);
-      out.reserve(left);
-      // The piece holding `offset`, then its successors.
-      size_t i = std::upper_bound(stored.starts.begin(), stored.starts.end(),
-                                  offset) -
-                 stored.starts.begin() - 1;
-      for (uint64_t at = offset - stored.starts[i]; left > 0; i++, at = 0) {
-        const std::string& piece = *stored.pieces[i];
-        uint64_t take = std::min<uint64_t>(left, piece.size() - at);
-        out.append(piece, at, take);
-        left -= take;
-      }
+    const Replica& replica = it->second;
+    if (offset < replica.size) {
+      replica.bytes->CopyTo(
+          offset, std::min<uint64_t>(n, replica.size - offset), &out);
     }
   }
   disk_.Access(block, offset, out.size());
@@ -118,6 +138,12 @@ Result<uint64_t> DataNode::BlockSize(BlockId block) const {
   auto it = blocks_.find(block);
   if (it == blocks_.end()) return Status::NotFound("block not on this node");
   return it->second.size;
+}
+
+std::shared_ptr<const BlockBytes> DataNode::SharedBytes(BlockId block) const {
+  MutexLock l(mu_);
+  auto it = blocks_.find(block);
+  return it == blocks_.end() ? nullptr : it->second.bytes;
 }
 
 std::vector<BlockId> DataNode::ListBlocks() const {

@@ -1,6 +1,8 @@
 // A DFS data node: stores replicas of fixed-size blocks and owns one
 // simulated disk. Each cluster machine runs one data node and one tablet
 // server (the paper's deployment), so they share the machine's node id.
+// A block's bytes are stored once, in a BlockBytes the writer appends to;
+// each replica holds a reference to it plus its own length.
 
 #ifndef LOGBASE_DFS_DATA_NODE_H_
 #define LOGBASE_DFS_DATA_NODE_H_
@@ -23,6 +25,32 @@
 namespace logbase::dfs {
 
 using BlockId = uint64_t;
+
+/// One block's bytes, stored once for all its replicas: the block's writer
+/// appends, and each replica is a prefix of length at most size().
+/// Append-only in small fixed-size chunks, so a growing block never moves
+/// the bytes it already holds and a small block stays small. Thread-safe.
+class BlockBytes {
+ public:
+  /// Stores `data` at `offset` <= size(). Bytes at or past `offset` came
+  /// from a pipeline attempt that reached no replica, so no replica covers
+  /// them; they are replaced.
+  void WriteAt(uint64_t offset, const Slice& data);
+
+  /// Appends bytes [offset, offset + n) to `out`; requires
+  /// offset + n <= size().
+  void CopyTo(uint64_t offset, uint64_t n, std::string* out) const;
+
+  uint64_t size() const;
+
+ private:
+  static constexpr uint64_t kChunkBytes = 4 << 10;
+
+  mutable OrderedMutex mu_{lockrank::kDfsBlockBytes, "dfs.block_bytes"};
+  /// Every chunk but the last holds exactly kChunkBytes.
+  std::vector<std::string> chunks_ GUARDED_BY(mu_);
+  uint64_t size_ GUARDED_BY(mu_) = 0;
+};
 
 /// Thread-safe block store with simulated disk costs.
 class DataNode {
@@ -47,17 +75,14 @@ class DataNode {
     return injected_io_errors_.load(std::memory_order_relaxed);
   }
 
-  /// Appends `data` at `offset` within the block (creating it on first
-  /// write). Charges a disk access. Fails when dead or on non-contiguous
-  /// append.
-  Status WriteBlock(BlockId block, uint64_t offset, const Slice& data);
-
-  /// Stores the bytes without charging disk costs — the DFS write pipeline
-  /// charges the disks itself so the hops overlap (packet streaming). The
-  /// pipeline hands every replica the same immutable piece, so replicas on
-  /// different nodes share its memory.
-  Status StoreBlockData(BlockId block, uint64_t offset,
-                        std::shared_ptr<const std::string> data);
+  /// Extends this node's replica of `block` (creating it on first write)
+  /// from `offset` to `length` bytes of `bytes`, the block's one shared
+  /// store. Charges no disk costs: the DFS write pipeline and the heal
+  /// charge the disks themselves. Fails when dead, on an injected fault, or
+  /// when `offset` is not the replica's length (a replica that missed
+  /// appends stays a clean prefix until the heal catches it up).
+  Status StoreBlockData(BlockId block, std::shared_ptr<const BlockBytes> bytes,
+                        uint64_t offset, uint64_t length);
 
   /// Reads up to n bytes from the block at `offset`; short reads at the end
   /// of the block are not an error. Charges a disk access.
@@ -67,6 +92,8 @@ class DataNode {
   Status DeleteBlock(BlockId block);
   bool HasBlock(BlockId block) const;
   Result<uint64_t> BlockSize(BlockId block) const;
+  /// The shared store behind this node's replica of `block`, or null.
+  std::shared_ptr<const BlockBytes> SharedBytes(BlockId block) const;
   std::vector<BlockId> ListBlocks() const;
 
   /// Total stored bytes (all replicas hosted here).
@@ -85,14 +112,12 @@ class DataNode {
   // Mutable: reads charge disk costs too.
   mutable sim::DiskModel disk_;
   mutable OrderedMutex mu_{lockrank::kDfsDataNode, "dfs.data"};
-  /// A replica: its bytes as appended pieces, `starts[i]` the offset of
-  /// pieces[i] within the block.
-  struct StoredBlock {
-    std::vector<std::shared_ptr<const std::string>> pieces;
-    std::vector<uint64_t> starts;
+  /// A replica: the first `size` bytes of the block's shared store.
+  struct Replica {
+    std::shared_ptr<const BlockBytes> bytes;
     uint64_t size = 0;
   };
-  std::unordered_map<BlockId, StoredBlock> blocks_ GUARDED_BY(mu_);
+  std::unordered_map<BlockId, Replica> blocks_ GUARDED_BY(mu_);
 };
 
 }  // namespace logbase::dfs

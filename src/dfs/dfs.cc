@@ -26,6 +26,12 @@ obs::Counter* ReplicationBytes() {
   return c;
 }
 
+obs::Counter* WriteBytes() {
+  static obs::Counter* c =
+      obs::MetricsRegistry::Global().counter("dfs.write.bytes");
+  return c;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -126,6 +132,7 @@ class DfsWritableFile : public WritableFile {
                                                   dfs_->AliveNodes());
       if (!block.ok()) return block.status();
       current_ = *block;
+      bytes_ = std::make_shared<BlockBytes>();
       block_fill_ = 0;
       block_open_ = true;
       return Status::OK();
@@ -158,9 +165,9 @@ class DfsWritableFile : public WritableFile {
     std::vector<sim::VirtualTime> completions;
     int prev = client_node_;
     int successes = 0;
-    // One copy of the bytes, shared by every replica that stores them.
-    auto piece = std::make_shared<const std::string>(chunk.data(),
-                                                     chunk.size());
+    // The block's one copy of the bytes, shared by every replica. A retry
+    // after an attempt that reached no replica rewrites the same offset.
+    bytes_->WriteAt(block_fill_, chunk);
     for (int replica : current_.replicas) {
       DataNode* dn = dfs_->data_nodes_[replica].get();
       if (!dn->alive()) continue;
@@ -170,7 +177,8 @@ class DfsWritableFile : public WritableFile {
           !dfs_->network_->Reachable(prev, replica)) {
         continue;
       }
-      Status s = dn->StoreBlockData(current_.id, block_fill_, piece);
+      Status s = dn->StoreBlockData(current_.id, bytes_, block_fill_,
+                                    block_fill_ + chunk.size());
       if (!s.ok()) continue;
       if (ctx != nullptr && dfs_->network_ != nullptr) {
         sim::VirtualTime net_done = dfs_->network_->TransferFrom(
@@ -237,6 +245,7 @@ class DfsWritableFile : public WritableFile {
   SyncPolicy policy_;   // sticky: the last policy a SyncWith() installed
   std::deque<sim::VirtualTime> inflight_acks_;  // pipelined, not yet waited
   BlockInfo current_;
+  std::shared_ptr<BlockBytes> bytes_;  // current_'s bytes, appended here
   bool block_open_ = false;
   uint64_t block_fill_ = 0;
   uint64_t size_ = 0;
@@ -452,7 +461,8 @@ int Dfs::ExecuteRereplication(
     DataNode* src = data_nodes_[task.source_node].get();
     DataNode* dst = data_nodes_[task.target_node].get();
     auto size = src->BlockSize(task.block);
-    if (!size.ok()) continue;
+    std::shared_ptr<const BlockBytes> bytes = src->SharedBytes(task.block);
+    if (!size.ok() || bytes == nullptr) continue;
     // A stale target (restarted after missing tail appends) already holds a
     // prefix of the block; copy only the missing tail, contiguously.
     uint64_t dst_have = 0;
@@ -466,8 +476,14 @@ int Dfs::ExecuteRereplication(
     if (network_ != nullptr) {
       network_->Transfer(task.source_node, task.target_node, data->size());
     }
-    Status s = dst->WriteBlock(task.block, dst_have, *data);
+    // The target pays the disk write, but stores no second copy: its
+    // replica extends over the block's shared bytes.
+    obs::Span span("dfs.write");
+    Status s = dst->StoreBlockData(task.block, std::move(bytes), dst_have,
+                                   dst_have + data->size());
     if (!s.ok()) continue;
+    WriteBytes()->Add(data->size());
+    dst->disk()->Access(task.block, dst_have, data->size(), /*is_write=*/true);
     s = name_node_.AddReplica(task.path, task.block, task.target_node);
     if (!s.ok()) continue;  // file deleted mid-copy
     copied++;

@@ -24,18 +24,18 @@ std::string OrderedLockSet::LockName(const TxnCell& cell) {
   return name;
 }
 
-Status OrderedLockSet::AcquireAll(const std::vector<TxnCell>& cells,
-                                  int max_attempts) {
+Result<uint64_t> OrderedLockSet::AcquireAll(
+    const std::vector<TxnCell>& cells, int max_attempts) {
   std::vector<std::string> names;
   names.reserve(cells.size());
   for (const TxnCell& cell : cells) names.push_back(LockName(cell));
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
   for (int attempt = 0; attempt < max_attempts; attempt++) {
-    if (locks_->TryLock(session_, names, owner_, client_node_)) {
+    if (auto stamp = locks_->TryLock(session_, names, owner_, client_node_)) {
       held_ = std::move(names);
       holds_all_ = true;
-      return Status::OK();
+      return *stamp;
     }
     // Another validating transaction holds part of the set. It holds its
     // whole set and waits for none, so it finishes without us.

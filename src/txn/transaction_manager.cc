@@ -191,22 +191,22 @@ Status TransactionManager::Commit(Transaction* txn, log::AckMode ack) {
     }
   }
 
-  // One coordination round trip takes the whole set; it is released when
-  // `lock_set` leaves scope, after the COMMIT record is durable and the
-  // writes are published, on a clock of its own.
+  // One coordination round trip takes the whole set and draws the commit
+  // timestamp; the set is released when `lock_set` leaves scope, after the
+  // COMMIT record is durable and the writes are published, on a clock of
+  // its own. A transaction that then fails validation burns its stamp.
   OrderedLockSet lock_set(&locks_, session_,
                           "txn-" + std::to_string(txn->id()), client_node_);
-  Status lock_status;
-  {
+  Result<uint64_t> stamp = [&] {
     obs::Span lock_span("txn.lock.wait");
-    lock_status = lock_set.AcquireAll(cells);
-  }
-  if (!lock_status.ok()) {
+    return lock_set.AcquireAll(cells);
+  }();
+  if (!stamp.ok()) {
     stats_.lock_failures.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter* lock_failures = TxnCounter("txn.lock_failures");
     lock_failures->Add();
     Abort(txn);
-    return Status::Aborted(lock_status.message());
+    return Status::Aborted(stamp.status().message());
   }
 
   Status valid = ValidateLocked(txn);
@@ -221,7 +221,7 @@ Status TransactionManager::Commit(Transaction* txn, log::AckMode ack) {
     return valid;
   }
 
-  txn->set_commit_ts(coord_->NextTimestamp(client_node_));
+  txn->set_commit_ts(*stamp);
   Status persisted = PersistAndPublish(txn, ack);
   if (!persisted.ok()) {
     Abort(txn);

@@ -3,9 +3,10 @@
 // group-commit persistence and post-commit index publication. Provides
 // snapshot isolation: all ANSI anomalies except write skew are prevented;
 // the first-committer-wins rule is enforced by holding write locks across
-// validation + write phase. A commit makes two coordination round trips:
-// one takes the lock set, one draws the commit timestamp; the locks are
-// released off the commit's critical path.
+// validation + write phase. A commit makes one coordination round trip on
+// its critical path: the multi that takes the lock set also draws the
+// commit timestamp, so the stamp is drawn under the locks, before
+// validation; the locks are released off the critical path.
 //
 // Single-server transactions commit with one group-committed log append
 // (data + COMMIT together). Multi-server transactions run a two-phase

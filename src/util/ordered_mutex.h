@@ -83,6 +83,7 @@ enum Rank : uint32_t {
   // DFS metadata/data plane: reached from nearly every lock above.
   kDfsNameNode = 700,           // dfs::NameNode::mu_
   kDfsDataNode = 710,           // dfs::DataNode::mu_
+  kDfsBlockBytes = 720,         // dfs::BlockBytes::mu_
 
   // In-memory test filesystem: map lock, then per-file lock.
   kMemFs = 750,                 // MemFileSystem::mu_

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -143,7 +144,7 @@ TEST(CoordinationServiceTest, TimestampsAreUniqueAndMonotonic) {
   CoordinationService coord;
   uint64_t prev = 0;
   for (int i = 0; i < 1000; i++) {
-    uint64_t ts = coord.NextTimestamp(0);
+    uint64_t ts = coord.ReserveTimestamps(0, 1);
     EXPECT_GT(ts, prev);
     prev = ts;
   }
@@ -155,7 +156,7 @@ TEST(CoordinationServiceTest, ReservedRangesDoNotOverlap) {
   uint64_t a = coord.ReserveTimestamps(0, 100);
   uint64_t b = coord.ReserveTimestamps(1, 100);
   EXPECT_GE(b, a + 100);
-  EXPECT_GT(coord.NextTimestamp(0), b + 99);
+  EXPECT_GT(coord.ReserveTimestamps(0, 1), b + 99);
 }
 
 TEST(CoordinationServiceTest, RoundTripChargesVirtualTime) {
@@ -163,7 +164,7 @@ TEST(CoordinationServiceTest, RoundTripChargesVirtualTime) {
   CoordinationService coord(&net, 0);
   sim::SimContext ctx;
   sim::SimContext::Scope scope(&ctx);
-  coord.NextTimestamp(1);
+  coord.ReserveTimestamps(1, 1);
   EXPECT_GT(ctx.now(), 0);
 }
 
@@ -263,6 +264,25 @@ TEST(LockManagerTest, OverlappingSetTakesNothing) {
   for (const char* key : {"a", "b", "c"}) {
     EXPECT_EQ(*locks.Holder(key), "txn-2");
   }
+}
+
+TEST(LockManagerTest, FailedSetDrawsNoTimestamp) {
+  CoordinationService coord;
+  LockManager locks(&coord);
+  SessionId s1 = coord.CreateSession(0);
+  SessionId s2 = coord.CreateSession(1);
+  std::optional<uint64_t> first = locks.TryLock(s1, {"b"}, "txn-1", 0);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(coord.LatestTimestamp(), *first);
+  // An overlapping set is refused and draws nothing.
+  EXPECT_FALSE(locks.TryLock(s2, {"a", "b"}, "txn-2", 1).has_value());
+  EXPECT_EQ(coord.LatestTimestamp(), *first);
+  // Once the set is taken, its stamp is the next in the global order.
+  locks.Unlock({"b"}, "txn-1", 0);
+  std::optional<uint64_t> second = locks.TryLock(s2, {"a", "b"}, "txn-2", 1);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*second, *first + 1);
+  EXPECT_EQ(coord.LatestTimestamp(), *second);
 }
 
 TEST(LockManagerTest, SetIsReentrantForSameOwner) {

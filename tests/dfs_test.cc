@@ -217,6 +217,85 @@ TEST(DfsTest, ConcurrentReaderSeesGrowingTail) {
   EXPECT_EQ(*(*rf)->Read(5, 6), "second");
 }
 
+TEST(DfsTest, RetriedAppendStoresItsBytesOnce) {
+  Dfs dfs(SmallBlocks(3, 1 << 20));
+  std::string data(17000, '\0');
+  for (size_t i = 0; i < data.size(); i++) data[i] = static_cast<char>(i % 251);
+  auto wf = dfs.Create("/retry", 0);
+  ASSERT_TRUE((*wf)->Append(Slice(data.data(), 10000)).ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+  // Every replica fails its next store, so the first pipeline attempt of
+  // the second append reaches no replica and the retry rewrites its offset.
+  for (int i = 0; i < 3; i++) dfs.data_node(i)->InjectIoErrors(1);
+  ASSERT_TRUE((*wf)->Append(Slice(data.data() + 10000, 7000)).ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+
+  auto blocks = dfs.name_node()->GetBlocks("/retry");
+  ASSERT_EQ(blocks->size(), 1u);
+  const BlockId id = (*blocks)[0].id;
+  auto bytes = dfs.data_node(0)->SharedBytes(id);
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_EQ(bytes->size(), data.size());  // stored once, not 24000 bytes
+  for (int i = 0; i < 3; i++) {
+    EXPECT_EQ(dfs.data_node(i)->injected_io_errors(), 0);
+    EXPECT_EQ(dfs.data_node(i)->SharedBytes(id), bytes);
+    EXPECT_EQ(*dfs.data_node(i)->BlockSize(id), data.size());
+  }
+  auto rf = dfs.Open("/retry", 1);
+  EXPECT_EQ(*(*rf)->Read(0, data.size()), data);
+}
+
+TEST(DfsTest, StaleReplicaReadsItsPrefixUntilHealed) {
+  Dfs dfs(SmallBlocks(3));
+  auto wf = dfs.Create("/stale", 0);
+  ASSERT_TRUE((*wf)->Append("head").ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+  auto blocks = dfs.name_node()->GetBlocks("/stale");
+  const BlockId id = (*blocks)[0].id;
+  const int stale = (*blocks)[0].replicas[2];
+  // The replica misses the tail appends, then comes back.
+  dfs.KillDataNode(stale);
+  ASSERT_TRUE((*wf)->Append("tail").ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+  dfs.RestartDataNode(stale);
+  DataNode* node = dfs.data_node(stale);
+  auto bytes = node->SharedBytes(id);
+  EXPECT_EQ(bytes->size(), 8u);
+  EXPECT_EQ(*node->BlockSize(id), 4u);
+  EXPECT_EQ(*node->ReadBlock(id, 0, 100), "head");
+
+  auto healed = dfs.HealUnderReplicated();
+  ASSERT_TRUE(healed.ok());
+  EXPECT_EQ(*healed, 1);
+  EXPECT_EQ(*node->ReadBlock(id, 0, 100), "headtail");
+  // Caught up over the same store, which still holds the bytes once.
+  EXPECT_EQ(node->SharedBytes(id), bytes);
+  EXPECT_EQ(bytes->size(), 8u);
+  EXPECT_EQ(*dfs.HealUnderReplicated(), 0);
+}
+
+TEST(BlockBytesTest, ChunkedAppendRewriteAndCopy) {
+  std::string data(20000, '\0');
+  for (size_t i = 0; i < data.size(); i++) data[i] = static_cast<char>(i % 253);
+  BlockBytes bytes;
+  bytes.WriteAt(0, Slice(data.data(), 9000));
+  bytes.WriteAt(9000, Slice(data.data() + 9000, 5000));
+  EXPECT_EQ(bytes.size(), 14000u);
+  // Rewriting from an offset drops what followed it, across chunks.
+  bytes.WriteAt(8192, Slice("xyz"));
+  EXPECT_EQ(bytes.size(), 8195u);
+  bytes.WriteAt(8192, Slice(data.data() + 8192, data.size() - 8192));
+  EXPECT_EQ(bytes.size(), data.size());
+  std::string out = "prefix";
+  bytes.CopyTo(8000, 9000, &out);
+  EXPECT_EQ(out, "prefix" + data.substr(8000, 9000));
+  out.clear();
+  bytes.CopyTo(0, data.size(), &out);
+  EXPECT_EQ(out, data);
+  bytes.WriteAt(0, Slice("a"));
+  EXPECT_EQ(bytes.size(), 1u);
+}
+
 TEST(DfsTest, DeleteReclaimsBlocks) {
   Dfs dfs(SmallBlocks(3));
   auto wf = dfs.Create("/tmp", 0);

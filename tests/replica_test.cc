@@ -152,7 +152,7 @@ TEST(ReplicaTest, TxnHoldbackAdvancesOnCommit) {
   ASSERT_TRUE(location.ok());
   tablet::TabletServer* server = cluster.server(location->server_id);
   // A commit timestamp above every issued one, straight from the authority.
-  const uint64_t txn_ts = cluster.coord()->NextTimestamp(0);
+  const uint64_t txn_ts = cluster.coord()->ReserveTimestamps(0, 1);
   auto staged = server->Submit({{uid, Key(3), "txn-value"}},
                                log::AckMode::kQuorum,
                                tablet::TxnStamp{777, txn_ts, false});
@@ -366,10 +366,10 @@ TEST(ReplicaTest, RecoveryAdoptionAndTailingAgree) {
     if (!batch.ok()) return batch.status();
     return server->Wait(&*batch);
   };
-  const uint64_t ts_a = cluster.coord()->NextTimestamp(0);
-  const uint64_t ts_b = cluster.coord()->NextTimestamp(0);
-  const uint64_t ts_del = cluster.coord()->NextTimestamp(0);
-  const uint64_t ts_open = cluster.coord()->NextTimestamp(0);
+  const uint64_t ts_a = cluster.coord()->ReserveTimestamps(0, 1);
+  const uint64_t ts_b = cluster.coord()->ReserveTimestamps(0, 1);
+  const uint64_t ts_del = cluster.coord()->ReserveTimestamps(0, 1);
+  const uint64_t ts_open = cluster.coord()->ReserveTimestamps(0, 1);
   // A and B interleave and commit in reverse order.
   ASSERT_TRUE(append({put(101, 1), put(101, 40)}, 101, ts_a, false).ok());
   ASSERT_TRUE(append({put(102, 2)}, 102, ts_b, false).ok());

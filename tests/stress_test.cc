@@ -1,7 +1,8 @@
 // Concurrency stress tests, written for the ThreadSanitizer preset
 // (`cmake --preset tsan`). They hammer the components with real cross-thread
-// contention — ThreadPool, the coordination lock table, and a tablet server
-// serving writes, reads and checkpoints concurrently — so TSan sees the
+// contention — ThreadPool, the coordination lock table, one DFS block
+// written and read at once, and a tablet server serving writes, reads and
+// checkpoints concurrently — so TSan sees the
 // interesting interleavings and the ranked lock-order checker (on by
 // default) observes every nested acquisition the system performs under
 // load. They also run under the default preset as plain correctness tests.
@@ -90,6 +91,70 @@ TEST(StressTest, LockTableContendedAcquireRelease) {
   for (auto& t : txns) t.join();
   EXPECT_GT(acquired.load(), 0);
   EXPECT_EQ(max_holders.load(), 1);
+}
+
+// One writer appends to a single DFS block while readers on every node read
+// it back: the block's one shared byte store grows under the readers, who
+// must only ever see a byte-exact prefix of what was written.
+TEST(StressTest, DfsOneWriterManyReadersOnOneBlock) {
+  dfs::DfsOptions options;
+  options.num_nodes = 3;
+  options.block_size = 1 << 20;
+  dfs::Dfs dfs(options);
+  auto wf = dfs.Create("/shared", 0);
+  ASSERT_TRUE(wf.ok());
+  auto byte_at = [](uint64_t i) { return static_cast<char>(i * 7 % 251); };
+  constexpr uint64_t kAppends = 200;
+  constexpr uint64_t kAppendBytes = 700;  // spans many store chunks
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; r++) {
+    readers.emplace_back([&, r] {
+      auto rf = dfs.Open("/shared", r);
+      if (!rf.ok()) {
+        bad++;
+        return;
+      }
+      for (;;) {
+        // One more read after the writer finished, so every reader reads.
+        const bool last = done.load();
+        const uint64_t size = (*rf)->Size();
+        const uint64_t offset = size * r / 3;
+        auto data = (*rf)->Read(offset, size - offset);
+        if (!data.ok() || data->size() != size - offset) {
+          bad++;
+        } else {
+          for (uint64_t i = 0; i < data->size(); i++) {
+            if ((*data)[i] != byte_at(offset + i)) {
+              bad++;
+              break;
+            }
+          }
+          reads++;
+        }
+        if (last) break;
+        std::this_thread::yield();
+      }
+    });
+  }
+  std::string chunk;
+  for (uint64_t a = 0; a < kAppends; a++) {
+    chunk.clear();
+    for (uint64_t i = 0; i < kAppendBytes; i++) {
+      chunk.push_back(byte_at(a * kAppendBytes + i));
+    }
+    if (!(*wf)->Append(chunk).ok() || !(*wf)->Sync().ok()) bad++;
+  }
+  done = true;
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GE(reads.load(), 3);
+  auto rf = dfs.Open("/shared", 1);
+  ASSERT_TRUE(rf.ok());
+  EXPECT_EQ((*rf)->Size(), kAppends * kAppendBytes);
+  EXPECT_EQ(HeldRankCount(), 0u);
 }
 
 // Writers, historical readers, checkpoints and a compaction all running

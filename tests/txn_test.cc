@@ -369,11 +369,11 @@ TEST(TxnTest, SerializableReadOnlyStillCommitsWithoutLocks) {
   EXPECT_TRUE(strict.Commit(reader.get()).ok());
 }
 
-// The commit's critical path is two coordination round trips (the lock
-// set, the commit timestamp), the validation probes, and the
-// group-committed append and publish. The lock release runs on a clock of
-// its own, but the locks are gone when Commit returns.
-TEST(TxnTest, CommitPaysTwoCoordinationRoundTripsPlusAppend) {
+// The commit's critical path is one coordination round trip (the multi
+// that takes the lock set also draws the commit timestamp), the validation
+// probes, and the group-committed append and publish. The lock release runs
+// on a clock of its own, but the locks are gone when Commit returns.
+TEST(TxnTest, CommitPaysOneCoordinationRoundTripPlusAppend) {
   TxnFixture f(1);
   sim::SimContext ctx(50000);
   sim::VirtualTime start = 0;
@@ -389,10 +389,11 @@ TEST(TxnTest, CommitPaysTwoCoordinationRoundTripsPlusAppend) {
   }
 
   // The same append and publish on an identical server, started where the
-  // commit's round trips and validation end. There is no network here, so
-  // a round trip is the coordination service's quorum time.
+  // commit's round trip (locks and stamp together) and validation end.
+  // There is no network here, so a round trip is the coordination
+  // service's quorum time.
   const sim::VirtualTime before_append =
-      2 * sim::costs::kCoordinationUs + 2 * sim::costs::kIndexLookupUs;
+      1 * sim::costs::kCoordinationUs + 2 * sim::costs::kIndexLookupUs;
   TxnFixture ref(1);
   sim::SimContext ref_ctx(start + before_append);
   {
@@ -407,6 +408,38 @@ TEST(TxnTest, CommitPaysTwoCoordinationRoundTripsPlusAppend) {
   const sim::VirtualTime append_us = ref_ctx.now() - (start + before_append);
   EXPECT_GT(append_us, 0);
   EXPECT_EQ(ctx.now() - start, before_append + append_us);
+}
+
+// Stamps are drawn under the write locks, before validation: writers of one
+// key stamp in lock order, and a transaction that fails validation burns
+// its stamp without leaving a lock node or a version behind.
+TEST(TxnTest, ConflictingCommitsStampInLockOrder) {
+  TxnFixture f(1);
+  auto first = f.manager->Begin();
+  auto loser = f.manager->Begin();
+  ASSERT_TRUE(f.manager->Write(first.get(), f.uid0, "k", "1").ok());
+  ASSERT_TRUE(f.manager->Write(loser.get(), f.uid0, "k", "lost").ok());
+  ASSERT_TRUE(f.manager->Commit(first.get()).ok());
+  EXPECT_EQ(*f.servers[0]->LatestVersion(f.uid0, "k"), first->commit_ts());
+
+  // `loser` observed the version before `first`: it takes the lock and a
+  // stamp, fails validation, and leaves no lock node and no version behind.
+  const uint64_t before_abort = f.coord.LatestTimestamp();
+  EXPECT_TRUE(f.manager->Commit(loser.get()).IsAborted());
+  EXPECT_EQ(f.coord.LatestTimestamp(), before_abort + 1);  // burned
+  EXPECT_TRUE(f.coord.znodes()->GetChildren("/locks")->empty());
+  EXPECT_EQ(*f.servers[0]->LatestVersion(f.uid0, "k"), first->commit_ts());
+  EXPECT_EQ(f.servers[0]->Get(f.uid0, "k")->value, "1");
+
+  // The next writer of the key takes the lock after `first` released it,
+  // so its stamp is later in the global order.
+  auto second = f.manager->Begin();
+  ASSERT_TRUE(f.manager->Write(second.get(), f.uid0, "k", "2").ok());
+  ASSERT_TRUE(f.manager->Commit(second.get()).ok());
+  EXPECT_GT(second->commit_ts(), first->commit_ts());
+  EXPECT_GT(second->commit_ts(), before_abort + 1);
+  EXPECT_EQ(*f.servers[0]->LatestVersion(f.uid0, "k"), second->commit_ts());
+  EXPECT_EQ(f.servers[0]->Get(f.uid0, "k")->value, "2");
 }
 
 TEST(OrderedLockSetTest, AcquiresAndReleases) {
