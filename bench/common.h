@@ -145,8 +145,11 @@ inline void PrintComponentBreakdown(
                   m.CounterValue("index.latch.retries")));
 
   hist_line("dfs.pread", "dfs.pread.us");
-  std::printf("  bytes=%llu\n", static_cast<unsigned long long>(
-                                    m.CounterValue("dfs.pread.bytes")));
+  std::printf("  bytes=%llu  remote=%llu\n",
+              static_cast<unsigned long long>(
+                  m.CounterValue("dfs.pread.bytes")),
+              static_cast<unsigned long long>(
+                  m.CounterValue("dfs.pread.remote")));
 
   uint64_t rb_hits = m.CounterValue("tablet.read_buffer.hits");
   uint64_t rb_misses = m.CounterValue("tablet.read_buffer.misses");

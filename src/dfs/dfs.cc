@@ -1,7 +1,10 @@
 #include "src/dfs/dfs.h"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
+#include <memory>
+#include <utility>
 
 #include "src/fault/retry_policy.h"
 #include "src/obs/metrics.h"
@@ -29,6 +32,12 @@ obs::Counter* ReplicationBytes() {
 obs::Counter* WriteBytes() {
   static obs::Counter* c =
       obs::MetricsRegistry::Global().counter("dfs.write.bytes");
+  return c;
+}
+
+obs::Counter* PreadRemote() {
+  static obs::Counter* c =
+      obs::MetricsRegistry::Global().counter("dfs.pread.remote");
   return c;
 }
 
@@ -236,9 +245,11 @@ class DfsWritableFile : public WritableFile {
     return dfs_->name_node_.SealBlock(path_, current_.id, block_fill_);
   }
 
-  Dfs* dfs_;
+  Dfs* const dfs_;
   const std::string path_;
   const int client_node_;
+  // Only the file's one writer calls into it, so the state below takes no
+  // lock (the reader's mutex further down does not cover it).
   fault::RetryPolicy retry_{
       fault::RetryOptions{.seed = 0x0df5u}};  // shared per-writer policy
   std::string buffer_;  // appended but not yet pipelined
@@ -252,7 +263,7 @@ class DfsWritableFile : public WritableFile {
 };
 
 // ---------------------------------------------------------------------------
-// Reader: replica selection with data locality, location caching.
+// Reader: replica selection by expected completion, location caching.
 // ---------------------------------------------------------------------------
 
 class DfsRandomAccessFile : public RandomAccessFile {
@@ -261,10 +272,11 @@ class DfsRandomAccessFile : public RandomAccessFile {
       : dfs_(dfs), path_(std::move(path)), client_node_(client_node) {}
 
   Result<std::string> Read(uint64_t offset, size_t n) const override {
-    LOGBASE_RETURN_NOT_OK(RefreshLocationsIfNeeded(offset + n));
+    auto blocks = Locations(offset + n);
+    if (!blocks.ok()) return blocks.status();
     std::string out;
     uint64_t block_start = 0;
-    for (const BlockInfo& b : blocks_) {
+    for (const BlockInfo& b : **blocks) {
       uint64_t block_end = block_start + b.size;
       if (offset < block_end && offset + n > block_start) {
         uint64_t in_off = offset > block_start ? offset - block_start : 0;
@@ -286,29 +298,46 @@ class DfsRandomAccessFile : public RandomAccessFile {
   }
 
  private:
-  Status RefreshLocationsIfNeeded(uint64_t need_bytes) const {
-    if (!blocks_.empty()) {
+  using BlockList = std::shared_ptr<const std::vector<BlockInfo>>;
+
+  /// Where this file's previous read ended, and on which replica.
+  struct LastRead {
+    BlockId block = 0;
+    uint64_t end = 0;
+    int replica = -1;  // none yet
+  };
+
+  /// The cached block locations, refetched from the name node when they
+  /// cover fewer than `need_bytes` (the file grew since they were fetched).
+  Result<BlockList> Locations(uint64_t need_bytes) const {
+    MutexLock l(mu_);
+    if (blocks_ != nullptr && !blocks_->empty()) {
       uint64_t cached = 0;
-      for (const BlockInfo& b : blocks_) cached += b.size;
-      if (cached >= need_bytes) return Status::OK();
+      for (const BlockInfo& b : *blocks_) cached += b.size;
+      if (cached >= need_bytes) return blocks_;
     }
     dfs_->MetadataRpc(client_node_);
     auto blocks = dfs_->name_node_.GetBlocks(path_);
     if (!blocks.ok()) return blocks.status();
-    blocks_ = std::move(*blocks);
-    return Status::OK();
+    blocks_ = std::make_shared<const std::vector<BlockInfo>>(std::move(*blocks));
+    return blocks_;
   }
 
-  Result<std::string> ReadFromReplica(const BlockInfo& b, uint64_t offset,
-                                      uint64_t n) const {
-    // Prefer the local replica (HDFS short-circuit read). Remote order is
-    // sticky per reader node — sorted, then rotated by the reader's id — so
-    // concurrent readers of a hot file spread across replicas while each
-    // reader keeps hitting the same disk. Stickiness matters: a reader that
-    // tails a file sequentially (replica catch-up, re-replication) only gets
-    // the disk's sequential-stream rate if consecutive reads land on the
-    // same replica; chasing the least-busy disk per call breaks the stream
-    // and pays full positioning every time.
+  /// The order to try `b`'s replicas in for a read starting at `offset`:
+  /// by the completion this reader expects from each. The expected start
+  /// on data node r is max(now, the latest completion r's read responses
+  /// have reported to this reader node). The expected cost is seek plus
+  /// half-rotation, unless the read continues this file's previous read on
+  /// r; then it is transfer only, the same on every replica, so it is left
+  /// out. The view holds only what this node's own responses said: a
+  /// random read leaves a local disk it saw queued for a replica it saw
+  /// clear first (C3, Suresh et al., NSDI 2015), while a reader tailing a
+  /// file (replica catch-up, recovery, re-replication) stays on its
+  /// replica's sequential stream. Ties keep the locality order: the local
+  /// replica, then the remotes sorted and rotated by the reader's id, so
+  /// an idle cluster reads locally and concurrent remote readers of a hot
+  /// file spread across replicas.
+  std::vector<int> ReplicaOrder(const BlockInfo& b, uint64_t offset) const {
     std::vector<int> order;
     std::vector<int> remote;
     for (int r : b.replicas) {
@@ -322,10 +351,38 @@ class DfsRandomAccessFile : public RandomAccessFile {
                   remote.end());
     }
     order.insert(order.end(), remote.begin(), remote.end());
+    LastRead last;
+    {
+      MutexLock l(mu_);
+      last = last_;
+    }
+    sim::SimContext* ctx = sim::SimContext::Current();
+    const sim::VirtualTime now = ctx != nullptr ? ctx->now() : 0;
+    std::vector<std::pair<sim::VirtualTime, int>> expected;
+    expected.reserve(order.size());
+    for (int r : order) {
+      const bool continues =
+          last.replica == r && last.block == b.id && last.end == offset;
+      const sim::DiskParams& disk = dfs_->data_nodes_[r]->disk()->params();
+      expected.emplace_back(
+          std::max(now, dfs_->SeenDone(client_node_, r)) +
+              (continues ? 0 : disk.seek_us + disk.rotational_us),
+          r);
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const auto& x, const auto& y) {
+                       return x.first < y.first;
+                     });
+    for (size_t i = 0; i < order.size(); i++) order[i] = expected[i].second;
+    return order;
+  }
+
+  Result<std::string> ReadFromReplica(const BlockInfo& b, uint64_t offset,
+                                      uint64_t n) const {
     Status last = Status::Unavailable("no replicas");
     std::string best;
     bool have_best = false;
-    for (int r : order) {
+    for (int r : ReplicaOrder(b, offset)) {
       DataNode* dn = dfs_->data_nodes_[r].get();
       if (!dn->alive()) continue;
       if (dfs_->network_ != nullptr &&
@@ -335,6 +392,15 @@ class DfsRandomAccessFile : public RandomAccessFile {
       }
       auto data = dn->ReadBlock(b.id, offset, n);
       if (data.ok()) {
+        // The response tells the reader when the data node finished.
+        if (sim::SimContext* ctx = sim::SimContext::Current()) {
+          dfs_->ObserveDone(client_node_, r, ctx->now());
+        }
+        {
+          MutexLock l(mu_);
+          last_ = LastRead{b.id, offset + data->size(), r};
+        }
+        if (r != client_node_) PreadRemote()->Add();
         if (dfs_->network_ != nullptr) {
           dfs_->network_->Transfer(r, client_node_, data->size());
         }
@@ -355,10 +421,14 @@ class DfsRandomAccessFile : public RandomAccessFile {
     return last;
   }
 
-  Dfs* dfs_;
+  Dfs* const dfs_;
   const std::string path_;
   const int client_node_;
-  mutable std::vector<BlockInfo> blocks_;  // cached locations
+  // Readers may share the file: its cached locations and its last read
+  // are swapped under mu_, never held across a data node's read.
+  mutable OrderedMutex mu_{lockrank::kDfsReader, "dfs.reader"};
+  mutable BlockList blocks_ GUARDED_BY(mu_);  // cached locations
+  mutable LastRead last_ GUARDED_BY(mu_);
 };
 
 // ---------------------------------------------------------------------------
@@ -383,7 +453,9 @@ Dfs::Dfs(DfsOptions options, sim::NetworkModel* network)
                          ? std::make_unique<sim::NetworkModel>(options.num_nodes)
                          : nullptr),
       network_(network == nullptr ? owned_network_.get() : network),
-      name_node_(MakeRacks(options), options.replication) {
+      name_node_(MakeRacks(options), options.replication),
+      seen_done_(std::make_unique<std::atomic<sim::VirtualTime>[]>(
+          static_cast<size_t>(options.num_nodes) * options.num_nodes)) {
   data_nodes_.reserve(options.num_nodes);
   for (int i = 0; i < options.num_nodes; i++) {
     data_nodes_.push_back(std::make_unique<DataNode>(i, options.disk_params));
@@ -394,6 +466,18 @@ void Dfs::MetadataRpc(int client_node) const {
   MetaRpcs()->Add();
   if (network_ != nullptr) {
     network_->Transfer(client_node, kNameNodeHost, kMetadataRpcBytes);
+  }
+}
+
+sim::VirtualTime Dfs::SeenDone(int reader, int replica) const {
+  return seen_done_[reader * num_nodes() + replica].load();
+}
+
+void Dfs::ObserveDone(int reader, int replica, sim::VirtualTime done) {
+  std::atomic<sim::VirtualTime>& cell =
+      seen_done_[reader * num_nodes() + replica];
+  sim::VirtualTime seen = cell.load();
+  while (seen < done && !cell.compare_exchange_weak(seen, done)) {
   }
 }
 

@@ -8,6 +8,7 @@
 #ifndef LOGBASE_DFS_DFS_H_
 #define LOGBASE_DFS_DFS_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,7 +35,10 @@ struct DfsOptions {
 
 /// The whole file system: one name node plus `num_nodes` data nodes.
 /// Thread-safe. All client operations take the issuing machine's node id so
-/// network transfers and data locality are modeled.
+/// network transfers are modeled and a read can choose its replica: each
+/// read goes first to the replica the reader node expects to finish it
+/// soonest, judged only from the completions that node's own earlier reads
+/// reported. On an idle cluster that is the local copy.
 class Dfs {
  public:
   /// If `network` is null the Dfs owns a NetworkModel of its own.
@@ -84,11 +88,22 @@ class Dfs {
   int ExecuteRereplication(
       const std::vector<NameNode::RereplicationTask>& tasks);
 
+  /// The latest completion time a read response from data node `replica`
+  /// has reported to node `reader` (0 before the first one).
+  sim::VirtualTime SeenDone(int reader, int replica) const;
+  /// Records that a read response from `replica` told `reader` its request
+  /// finished at `done`; the view only moves forward.
+  void ObserveDone(int reader, int replica, sim::VirtualTime done);
+
   const DfsOptions options_;
   std::unique_ptr<sim::NetworkModel> owned_network_;
   sim::NetworkModel* network_;
   NameNode name_node_;
   std::vector<std::unique_ptr<DataNode>> data_nodes_;
+  /// What each reader node has seen of each data node's queue, shared by
+  /// every file the reader has open: cell [reader * num_nodes + replica]
+  /// holds SeenDone(reader, replica). Cells are raised with a fetch-max.
+  std::unique_ptr<std::atomic<sim::VirtualTime>[]> seen_done_;
 };
 
 /// util::FileSystem adapter binding a Dfs to one client machine, so the

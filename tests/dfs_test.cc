@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "src/dfs/dfs.h"
@@ -364,6 +365,142 @@ TEST(DfsTest, LocalReadSkipsNetwork) {
       EXPECT_GT(remote.now(), local.now());
     }
   }
+}
+
+uint64_t RemotePreads(const obs::MetricsSnapshot& before) {
+  return obs::MetricsRegistry::Global()
+      .Snapshot()
+      .Delta(before)
+      .CounterValue("dfs.pread.remote");
+}
+
+// With every disk idle the expected completions tie, and a tie goes to the
+// local replica: no read leaves its node.
+TEST(DfsTest, IdleClusterReadsLocally) {
+  Dfs dfs(SmallBlocks(3, 1 << 20));
+  {
+    auto wf = dfs.Create("/idle", 0);
+    ASSERT_TRUE((*wf)->Append(std::string(64 << 10, 'i')).ok());
+    ASSERT_TRUE((*wf)->Sync().ok());
+  }
+  const std::vector<int> replicas =
+      (*dfs.name_node()->GetBlocks("/idle"))[0].replicas;
+  const auto before = obs::MetricsRegistry::Global().Snapshot();
+  for (int node : replicas) {
+    sim::SimContext ctx;
+    sim::SimContext::Scope scope(&ctx);
+    auto rf = dfs.Open("/idle", node);
+    Random rnd(static_cast<uint64_t>(node) + 1);
+    for (int i = 0; i < 20; i++) {
+      ASSERT_TRUE((*rf)->Read(rnd.Uniform(60 << 10), 100).ok());
+    }
+  }
+  EXPECT_EQ(RemotePreads(before), 0u);
+}
+
+// Once the reader node has seen its local disk's queue run well past a
+// seek, a random read goes to a remote replica and finishes before the
+// local queue would have let it start.
+TEST(DfsTest, RandomReadAvoidsBusyLocalReplica) {
+  Dfs dfs(SmallBlocks(3, 1 << 20));
+  {
+    auto wf = dfs.Create("/busy", 0);
+    ASSERT_TRUE((*wf)->Append(std::string(64 << 10, 'b')).ok());
+    ASSERT_TRUE((*wf)->Sync().ok());
+  }
+  const std::vector<int> replicas =
+      (*dfs.name_node()->GetBlocks("/busy"))[0].replicas;
+  ASSERT_EQ(replicas[0], 0);  // the writer's node holds the first copy
+  // Someone else's work holds node 0's disk for 200 ms.
+  constexpr sim::VirtualTime kBacklog = 200000;
+  sim::Resource* local_disk = dfs.data_node(0)->disk()->resource();
+  local_disk->Acquire(0, kBacklog);
+  const auto before = obs::MetricsRegistry::Global().Snapshot();
+  // A first read on node 0 queues behind the backlog (nothing says
+  // otherwise yet) and its response tells the node how long that took.
+  sim::SimContext first;
+  {
+    sim::SimContext::Scope scope(&first);
+    auto rf = dfs.Open("/busy", 0);
+    ASSERT_TRUE((*rf)->Read(1000, 100).ok());
+  }
+  EXPECT_GT(first.now(), kBacklog);
+  EXPECT_EQ(RemotePreads(before), 0u);
+  // A second actor on node 0 reads another random offset through its own
+  // handle: the view, shared by the node, sends it to a remote replica.
+  sim::SimContext second(1000);
+  {
+    sim::SimContext::Scope scope(&second);
+    auto rf = dfs.Open("/busy", 0);
+    EXPECT_EQ(*(*rf)->Read(40000, 100), std::string(100, 'b'));
+  }
+  EXPECT_EQ(RemotePreads(before), 1u);
+  EXPECT_LT(second.now(), kBacklog);
+  const sim::DiskParams& disk = dfs.data_node(0)->disk()->params();
+  EXPECT_LT(second.now(), 1000 + 2 * (disk.seek_us + disk.rotational_us));
+  sim::VirtualTime remote_busy = 0;
+  for (int r : replicas) {
+    if (r != 0) remote_busy += dfs.data_node(r)->disk()->resource()->total_busy_us();
+  }
+  EXPECT_GT(remote_busy, 0);
+}
+
+// A reader tailing a file in consecutive chunks stays on the replica its
+// first read chose: one positioning in total, one disk charged. Here the
+// first read leaves a local disk the node saw queued; the tail then runs
+// past the time that queue cleared, and the stream still keeps it remote.
+TEST(DfsTest, SequentialReaderStaysOnItsReplica) {
+  Dfs dfs(SmallBlocks(3, 4 << 20));
+  constexpr uint64_t kChunk = 64 << 10;
+  constexpr int kChunks = 32;
+  {
+    auto wf = dfs.Create("/tail", 0);
+    ASSERT_TRUE((*wf)->Append(std::string(kChunk * kChunks, 't')).ok());
+    ASSERT_TRUE((*wf)->Sync().ok());
+  }
+  const std::vector<int> replicas =
+      (*dfs.name_node()->GetBlocks("/tail"))[0].replicas;
+  ASSERT_EQ(replicas[0], 0);
+  // Node 0 sees its own disk queued 30 ms deep.
+  constexpr sim::VirtualTime kBacklog = 30000;
+  dfs.data_node(0)->disk()->resource()->Acquire(0, kBacklog);
+  sim::SimContext observer;
+  {
+    sim::SimContext::Scope scope(&observer);
+    auto rf = dfs.Open("/tail", 0);
+    ASSERT_TRUE((*rf)->Read(kChunk * kChunks / 2, 100).ok());
+  }
+  std::vector<sim::VirtualTime> busy_before;
+  for (int r : replicas) {
+    busy_before.push_back(
+        dfs.data_node(r)->disk()->resource()->total_busy_us());
+  }
+  const auto before = obs::MetricsRegistry::Global().Snapshot();
+  sim::SimContext tail(1000);
+  {
+    sim::SimContext::Scope scope(&tail);
+    auto rf = dfs.Open("/tail", 0);
+    for (int i = 0; i < kChunks; i++) {
+      ASSERT_TRUE((*rf)->Read(i * kChunk, kChunk).ok());
+    }
+  }
+  EXPECT_GT(tail.now(), observer.now());  // the local queue had cleared
+  EXPECT_EQ(RemotePreads(before), static_cast<uint64_t>(kChunks));
+  int charged = 0;
+  sim::VirtualTime busy = 0;
+  for (size_t i = 0; i < replicas.size(); i++) {
+    sim::VirtualTime t =
+        dfs.data_node(replicas[i])->disk()->resource()->total_busy_us() -
+        busy_before[i];
+    if (t > 0) charged++;
+    busy += t;
+  }
+  EXPECT_EQ(charged, 1);
+  // One positioning, then every chunk at the disk's sequential rate.
+  const sim::DiskParams& disk = dfs.data_node(0)->disk()->params();
+  const sim::VirtualTime transfer =
+      static_cast<sim::VirtualTime>(kChunk / disk.bandwidth_mb_per_s) + 1;
+  EXPECT_EQ(busy, disk.seek_us + disk.rotational_us + kChunks * transfer);
 }
 
 // FileSystem adapter behaves like the generic interface.

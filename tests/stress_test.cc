@@ -1,12 +1,14 @@
 // Concurrency stress tests, written for the ThreadSanitizer preset
 // (`cmake --preset tsan`). They hammer the components with real cross-thread
 // contention — ThreadPool, the coordination lock table, one DFS block
-// written and read at once, and a tablet server serving writes, reads and
+// written and read at once, random DFS readers on every node beside an
+// appending writer, and a tablet server serving writes, reads and
 // checkpoints concurrently — so TSan sees the
 // interesting interleavings and the ranked lock-order checker (on by
 // default) observes every nested acquisition the system performs under
 // load. They also run under the default preset as plain correctness tests.
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <memory>
@@ -19,6 +21,7 @@
 #include "src/coord/coordination_service.h"
 #include "src/coord/lock_manager.h"
 #include "src/dfs/dfs.h"
+#include "src/sim/sim_context.h"
 #include "src/tablet/tablet_server.h"
 #include "src/txn/lock_table.h"
 #include "src/util/ordered_mutex.h"
@@ -154,6 +157,83 @@ TEST(StressTest, DfsOneWriterManyReadersOnOneBlock) {
   auto rf = dfs.Open("/shared", 1);
   ASSERT_TRUE(rf.ok());
   EXPECT_EQ((*rf)->Size(), kAppends * kAppendBytes);
+  EXPECT_EQ(HeldRankCount(), 0u);
+}
+
+// Readers on every node, two threads a node sharing one open file, read
+// random ranges of a file while a writer appends to it. The threads of a
+// node share its view of the replicas' queues (and their file's cached
+// locations), and every read must still return the exact bytes written.
+TEST(StressTest, DfsRandomReadersOnEveryNodeWhileWriterAppends) {
+  dfs::DfsOptions options;
+  options.num_nodes = 4;
+  options.block_size = 64 << 10;  // the file spans several blocks
+  dfs::Dfs dfs(options);
+  auto wf = dfs.Create("/spread", 0);
+  ASSERT_TRUE(wf.ok());
+  auto byte_at = [](uint64_t i) { return static_cast<char>(i * 13 % 251); };
+  constexpr uint64_t kAppends = 200;
+  constexpr uint64_t kAppendBytes = 700;
+  constexpr int kThreadsPerNode = 2;
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::atomic<int> reads{0};
+  std::vector<std::unique_ptr<RandomAccessFile>> files;
+  for (int node = 0; node < options.num_nodes; node++) {
+    auto rf = dfs.Open("/spread", node);
+    ASSERT_TRUE(rf.ok());
+    files.push_back(std::move(*rf));
+  }
+  std::vector<std::thread> readers;
+  for (int node = 0; node < options.num_nodes; node++) {
+    for (int t = 0; t < kThreadsPerNode; t++) {
+      readers.emplace_back([&, node, t] {
+        const RandomAccessFile& file = *files[node];
+        sim::SimContext ctx;
+        sim::SimContext::Scope scope(&ctx);
+        Random rnd(static_cast<uint64_t>(node * kThreadsPerNode + t) + 1);
+        for (;;) {
+          const bool last = done.load();
+          const uint64_t size = file.Size();
+          if (size > 0) {
+            const uint64_t offset = rnd.Uniform(size);
+            const uint64_t n = std::min<uint64_t>(size - offset, 300);
+            auto data = file.Read(offset, n);
+            if (!data.ok() || data->size() != n) {
+              bad++;
+            } else {
+              for (uint64_t i = 0; i < n; i++) {
+                if ((*data)[i] != byte_at(offset + i)) {
+                  bad++;
+                  break;
+                }
+              }
+              reads++;
+            }
+          }
+          if (last) break;
+          std::this_thread::yield();
+        }
+      });
+    }
+  }
+  {
+    sim::SimContext ctx;
+    sim::SimContext::Scope scope(&ctx);
+    std::string chunk;
+    for (uint64_t a = 0; a < kAppends; a++) {
+      chunk.clear();
+      for (uint64_t i = 0; i < kAppendBytes; i++) {
+        chunk.push_back(byte_at(a * kAppendBytes + i));
+      }
+      if (!(*wf)->Append(chunk).ok() || !(*wf)->Sync().ok()) bad++;
+    }
+  }
+  done = true;
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GE(reads.load(), options.num_nodes * kThreadsPerNode);
+  EXPECT_EQ(files[1]->Size(), kAppends * kAppendBytes);
   EXPECT_EQ(HeldRankCount(), 0u);
 }
 
