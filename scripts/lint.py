@@ -388,16 +388,9 @@ GUARDED_BY_ALLOWLIST = {
     'src/sim/disk_model.h#resource_',
     'src/dfs/data_node.h#disk_',
     'src/secondary/secondary_index.h#tree_',
-    # Confined to the DFS writer's one writing thread; the OrderedMutex in
-    # the same file belongs to the reader.
-    'src/dfs/dfs.cc#buffer_',
-    'src/dfs/dfs.cc#policy_',
-    'src/dfs/dfs.cc#inflight_acks_',
-    'src/dfs/dfs.cc#current_',
-    'src/dfs/dfs.cc#bytes_',
-    'src/dfs/dfs.cc#block_open_',
-    'src/dfs/dfs.cc#block_fill_',
-    'src/dfs/dfs.cc#size_',
+    # The DFS writer's state, confined to the file's one writing thread;
+    # the OrderedMutex in the same file belongs to the reader.
+    'src/dfs/dfs.cc#w_',
 }
 
 

@@ -1,7 +1,6 @@
 #include "src/dfs/dfs.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <utility>
@@ -60,15 +59,15 @@ class DfsWritableFile : public WritableFile {
   // the buffer through the replication pipeline and is the durability
   // boundary.
   Status Append(const Slice& data) override {
-    buffer_.append(data.data(), data.size());
-    size_ += data.size();
-    if (buffer_.size() >= kStreamChunk) {
-      return FlushBuffer(policy_, nullptr);
+    w_.buffer.append(data.data(), data.size());
+    w_.size += data.size();
+    if (w_.buffer.size() >= kStreamChunk) {
+      return FlushBuffer(w_.policy, nullptr);
     }
     return Status::OK();
   }
 
-  Status Sync() override { return FlushBuffer(policy_, nullptr); }
+  Status Sync() override { return FlushBuffer(w_.policy, nullptr); }
 
   // Quorum / pipelined durability: remembers the policy (so streaming
   // flushes triggered by Append() keep using it) and reports when the ack
@@ -76,40 +75,40 @@ class DfsWritableFile : public WritableFile {
   // only advances to the point its NIC finished streaming the chunk; the
   // replication pipeline's completion is tracked as an outstanding ack.
   Status SyncWith(const SyncPolicy& policy, SyncReceipt* receipt) override {
-    policy_ = policy;
+    w_.policy = policy;
     return FlushBuffer(policy, receipt);
   }
 
   Status WaitForAcks() override {
     sim::SimContext* ctx = sim::SimContext::Current();
     if (ctx != nullptr) {
-      for (sim::VirtualTime ack : inflight_acks_) ctx->AdvanceTo(ack);
+      for (sim::VirtualTime ack : w_.inflight_acks) ctx->AdvanceTo(ack);
     }
-    inflight_acks_.clear();
+    w_.inflight_acks.clear();
     return Status::OK();
   }
 
   Status Close() override {
-    LOGBASE_RETURN_NOT_OK(FlushBuffer(policy_, nullptr));
+    LOGBASE_RETURN_NOT_OK(FlushBuffer(w_.policy, nullptr));
     LOGBASE_RETURN_NOT_OK(WaitForAcks());
-    block_open_ = false;
+    w_.block_open = false;
     return Status::OK();
   }
 
-  uint64_t Size() const override { return size_; }
+  uint64_t Size() const override { return w_.size; }
 
  private:
   static constexpr size_t kStreamChunk = 1 << 20;
 
   Status FlushBuffer(const SyncPolicy& policy, SyncReceipt* receipt) {
-    Slice remaining(buffer_);
+    Slice remaining(w_.buffer);
     sim::VirtualTime ack_us = 0;
     sim::VirtualTime full_us = 0;
     while (!remaining.empty()) {
-      if (!block_open_ || block_fill_ >= dfs_->options_.block_size) {
+      if (!w_.block_open || w_.block_fill >= dfs_->options_.block_size) {
         LOGBASE_RETURN_NOT_OK(StartNewBlock());
       }
-      uint64_t room = dfs_->options_.block_size - block_fill_;
+      uint64_t room = dfs_->options_.block_size - w_.block_fill;
       size_t chunk_len =
           static_cast<size_t>(std::min<uint64_t>(room, remaining.size()));
       Slice chunk(remaining.data(), chunk_len);
@@ -121,7 +120,7 @@ class DfsWritableFile : public WritableFile {
       }));
       remaining.remove_prefix(chunk_len);
     }
-    buffer_.clear();
+    w_.buffer.clear();
     if (receipt != nullptr) {
       receipt->ack_us = static_cast<uint64_t>(ack_us);
       receipt->full_us = static_cast<uint64_t>(full_us);
@@ -140,10 +139,10 @@ class DfsWritableFile : public WritableFile {
       auto block = dfs_->name_node_.AllocateBlock(path_, client_node_,
                                                   dfs_->AliveNodes());
       if (!block.ok()) return block.status();
-      current_ = *block;
-      bytes_ = std::make_shared<BlockBytes>();
-      block_fill_ = 0;
-      block_open_ = true;
+      w_.current = *block;
+      w_.bytes = std::make_shared<BlockBytes>();
+      w_.block_fill = 0;
+      w_.block_open = true;
       return Status::OK();
     });
   }
@@ -176,8 +175,8 @@ class DfsWritableFile : public WritableFile {
     int successes = 0;
     // The block's one copy of the bytes, shared by every replica. A retry
     // after an attempt that reached no replica rewrites the same offset.
-    bytes_->WriteAt(block_fill_, chunk);
-    for (int replica : current_.replicas) {
+    w_.bytes->WriteAt(w_.block_fill, chunk);
+    for (int replica : w_.current.replicas) {
       DataNode* dn = dfs_->data_nodes_[replica].get();
       if (!dn->alive()) continue;
       // A replica the upstream hop can't reach drops out of the pipeline
@@ -186,21 +185,21 @@ class DfsWritableFile : public WritableFile {
           !dfs_->network_->Reachable(prev, replica)) {
         continue;
       }
-      Status s = dn->StoreBlockData(current_.id, bytes_, block_fill_,
-                                    block_fill_ + chunk.size());
+      Status s = dn->StoreBlockData(w_.current.id, w_.bytes, w_.block_fill,
+                                    w_.block_fill + chunk.size());
       if (!s.ok()) continue;
       if (ctx != nullptr && dfs_->network_ != nullptr) {
         sim::VirtualTime net_done = dfs_->network_->TransferFrom(
             stream_begin, prev, replica, chunk.size());
         sim::VirtualTime disk_done = dn->disk()->AccessFrom(
-            stream_begin, current_.id, block_fill_, chunk.size(),
+            stream_begin, w_.current.id, w_.block_fill, chunk.size(),
             /*is_write=*/true);
         completions.push_back(std::max(net_done, disk_done));
         if (prev == client_node_) push_done = net_done;
         stream_begin += dfs_->network_->params().rpc_overhead_us;
       } else {
         // No actor: keep the disk's stream state warm, charge nothing.
-        dn->disk()->Access(current_.id, block_fill_, chunk.size(),
+        dn->disk()->Access(w_.current.id, w_.block_fill, chunk.size(),
                            /*is_write=*/true);
       }
       successes++;
@@ -229,37 +228,40 @@ class DfsWritableFile : public WritableFile {
       if (full_out != nullptr) *full_out = std::max(*full_out, full);
       if (policy.max_inflight > 1) {
         ctx->AdvanceTo(push_done);
-        inflight_acks_.push_back(ack);
-        while (static_cast<int>(inflight_acks_.size()) >=
+        w_.inflight_acks.push_back(ack);
+        while (static_cast<int>(w_.inflight_acks.size()) >=
                policy.max_inflight) {
-          ctx->AdvanceTo(inflight_acks_.front());
-          inflight_acks_.pop_front();
+          ctx->AdvanceTo(w_.inflight_acks.front());
+          w_.inflight_acks.pop_front();
         }
       } else {
         ctx->AdvanceTo(ack);
       }
     }
-    block_fill_ += chunk.size();
-    size_ += chunk.size();
+    w_.block_fill += chunk.size();
+    w_.size += chunk.size();
     // Publish the new length so concurrent readers can see the tail.
-    return dfs_->name_node_.SealBlock(path_, current_.id, block_fill_);
+    return dfs_->name_node_.SealBlock(path_, w_.current.id, w_.block_fill);
   }
 
   Dfs* const dfs_;
   const std::string path_;
   const int client_node_;
-  // Only the file's one writer calls into it, so the state below takes no
-  // lock (the reader's mutex further down does not cover it).
   fault::RetryPolicy retry_{
       fault::RetryOptions{.seed = 0x0df5u}};  // shared per-writer policy
-  std::string buffer_;  // appended but not yet pipelined
-  SyncPolicy policy_;   // sticky: the last policy a SyncWith() installed
-  std::deque<sim::VirtualTime> inflight_acks_;  // pipelined, not yet waited
-  BlockInfo current_;
-  std::shared_ptr<BlockBytes> bytes_;  // current_'s bytes, appended here
-  bool block_open_ = false;
-  uint64_t block_fill_ = 0;
-  uint64_t size_ = 0;
+  /// The file's write state. Only its one writer calls into it, so this
+  /// takes no lock (the reader's mutex further down does not cover it).
+  struct WriteState {
+    std::string buffer;  // appended but not yet pipelined
+    SyncPolicy policy;   // sticky: the last policy a SyncWith() installed
+    std::deque<sim::VirtualTime> inflight_acks;  // pipelined, not yet waited
+    BlockInfo current;
+    std::shared_ptr<BlockBytes> bytes;  // current's bytes, appended here
+    bool block_open = false;
+    uint64_t block_fill = 0;
+    uint64_t size = 0;
+  };
+  WriteState w_;
 };
 
 // ---------------------------------------------------------------------------
@@ -300,13 +302,6 @@ class DfsRandomAccessFile : public RandomAccessFile {
  private:
   using BlockList = std::shared_ptr<const std::vector<BlockInfo>>;
 
-  /// Where this file's previous read ended, and on which replica.
-  struct LastRead {
-    BlockId block = 0;
-    uint64_t end = 0;
-    int replica = -1;  // none yet
-  };
-
   /// The cached block locations, refetched from the name node when they
   /// cover fewer than `need_bytes` (the file grew since they were fetched).
   Result<BlockList> Locations(uint64_t need_bytes) const {
@@ -319,70 +314,70 @@ class DfsRandomAccessFile : public RandomAccessFile {
     dfs_->MetadataRpc(client_node_);
     auto blocks = dfs_->name_node_.GetBlocks(path_);
     if (!blocks.ok()) return blocks.status();
-    blocks_ = std::make_shared<const std::vector<BlockInfo>>(std::move(*blocks));
+    blocks_ =
+        std::make_shared<const std::vector<BlockInfo>>(std::move(*blocks));
     return blocks_;
   }
 
-  /// The order to try `b`'s replicas in for a read starting at `offset`:
-  /// by the completion this reader expects from each. The expected start
-  /// on data node r is max(now, the latest completion r's read responses
-  /// have reported to this reader node). The expected cost is seek plus
-  /// half-rotation, unless the read continues this file's previous read on
-  /// r; then it is transfer only, the same on every replica, so it is left
-  /// out. The view holds only what this node's own responses said: a
-  /// random read leaves a local disk it saw queued for a replica it saw
-  /// clear first (C3, Suresh et al., NSDI 2015), while a reader tailing a
-  /// file (replica catch-up, recovery, re-replication) stays on its
-  /// replica's sequential stream. Ties keep the locality order: the local
-  /// replica, then the remotes sorted and rotated by the reader's id, so
-  /// an idle cluster reads locally and concurrent remote readers of a hot
-  /// file spread across replicas.
-  std::vector<int> ReplicaOrder(const BlockInfo& b, uint64_t offset) const {
-    std::vector<int> order;
-    std::vector<int> remote;
+  /// One of a block's replicas, as this reader ranks it for one read.
+  struct Candidate {
+    int replica;
+    int rank;                   // locality order: local 0, then remotes
+    sim::VirtualTime expected;  // time to completion this reader expects
+  };
+
+  /// The order to try `b`'s replicas in for a read at `offset` sent at
+  /// `now`: by the completion this reader node expects from each, judged
+  /// only from what it knows at `now` (ReplicaView). Each read the node
+  /// still has outstanding on a replica is ahead of this one and costs a
+  /// seek plus half-rotation. The read's own cost is the same, unless it
+  /// starts where one of the node's reads on that replica ended; then it
+  /// continues that disk's sequential stream and costs transfer only. The
+  /// transfer is the same on every replica, so it is left out. So a
+  /// random read leaves a local disk its node is already waiting on for a
+  /// replica where it waits on less, while a reader tailing a file
+  /// (replica catch-up, recovery, re-replication) stays on its replica's
+  /// stream, even when each poll opens the file afresh. Ties keep the
+  /// locality order: the local replica, then the remotes sorted and
+  /// rotated by the reader's id, so an idle cluster reads locally and
+  /// concurrent remote readers of a hot file spread across replicas.
+  std::vector<Candidate> ReplicaOrder(const BlockInfo& b, uint64_t offset,
+                                      sim::VirtualTime now) const {
+    int remotes = 0;
+    for (int r : b.replicas) remotes += r != client_node_ ? 1 : 0;
+    std::vector<Candidate> order;
+    order.reserve(b.replicas.size());
     for (int r : b.replicas) {
-      if (r == client_node_) order.push_back(r);
-      else remote.push_back(r);
-    }
-    std::sort(remote.begin(), remote.end());
-    if (!remote.empty()) {
-      std::rotate(remote.begin(),
-                  remote.begin() + client_node_ % remote.size(),
-                  remote.end());
-    }
-    order.insert(order.end(), remote.begin(), remote.end());
-    LastRead last;
-    {
-      MutexLock l(mu_);
-      last = last_;
-    }
-    sim::SimContext* ctx = sim::SimContext::Current();
-    const sim::VirtualTime now = ctx != nullptr ? ctx->now() : 0;
-    std::vector<std::pair<sim::VirtualTime, int>> expected;
-    expected.reserve(order.size());
-    for (int r : order) {
-      const bool continues =
-          last.replica == r && last.block == b.id && last.end == offset;
+      int rank = 0;
+      if (r != client_node_) {
+        int below = 0;  // r's index among the sorted remotes
+        for (int q : b.replicas) below += q != client_node_ && q < r ? 1 : 0;
+        rank = 1 + (below - client_node_ % remotes + remotes) % remotes;
+      }
       const sim::DiskParams& disk = dfs_->data_nodes_[r]->disk()->params();
-      expected.emplace_back(
-          std::max(now, dfs_->SeenDone(client_node_, r)) +
-              (continues ? 0 : disk.seek_us + disk.rotational_us),
-          r);
+      const sim::VirtualTime positioning = disk.seek_us + disk.rotational_us;
+      const ReplicaView::Seen seen =
+          dfs_->view_.Look(client_node_, r, now, b.id, offset);
+      const int seeks = seen.outstanding + (seen.continues ? 0 : 1);
+      order.push_back(Candidate{r, rank, seeks * positioning});
     }
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const auto& x, const auto& y) {
-                       return x.first < y.first;
-                     });
-    for (size_t i = 0; i < order.size(); i++) order[i] = expected[i].second;
+    std::sort(order.begin(), order.end(),
+              [](const Candidate& x, const Candidate& y) {
+                return x.expected != y.expected ? x.expected < y.expected
+                                                : x.rank < y.rank;
+              });
     return order;
   }
 
   Result<std::string> ReadFromReplica(const BlockInfo& b, uint64_t offset,
                                       uint64_t n) const {
+    sim::SimContext* ctx = sim::SimContext::Current();
     Status last = Status::Unavailable("no replicas");
     std::string best;
     bool have_best = false;
-    for (int r : ReplicaOrder(b, offset)) {
+    for (const Candidate& c :
+         ReplicaOrder(b, offset, ctx != nullptr ? ctx->now() : 0)) {
+      const int r = c.replica;
       DataNode* dn = dfs_->data_nodes_[r].get();
       if (!dn->alive()) continue;
       if (dfs_->network_ != nullptr &&
@@ -390,20 +385,17 @@ class DfsRandomAccessFile : public RandomAccessFile {
         last = Status::Unavailable("replica unreachable");
         continue;
       }
+      const sim::VirtualTime sent = ctx != nullptr ? ctx->now() : 0;
       auto data = dn->ReadBlock(b.id, offset, n);
       if (data.ok()) {
-        // The response tells the reader when the data node finished.
-        if (sim::SimContext* ctx = sim::SimContext::Current()) {
-          dfs_->ObserveDone(client_node_, r, ctx->now());
-        }
-        {
-          MutexLock l(mu_);
-          last_ = LastRead{b.id, offset + data->size(), r};
-        }
-        if (r != client_node_) PreadRemote()->Add();
         if (dfs_->network_ != nullptr) {
           dfs_->network_->Transfer(r, client_node_, data->size());
         }
+        if (ctx != nullptr) {
+          dfs_->view_.Record(client_node_, r,
+                             {sent, ctx->now(), b.id, offset + data->size()});
+        }
+        if (r != client_node_) PreadRemote()->Add();
         if (data->size() >= n) return data;
         // Short read: this replica is missing bytes the name node sealed —
         // it fell out of a quorum-acked pipeline append and has not been
@@ -424,11 +416,10 @@ class DfsRandomAccessFile : public RandomAccessFile {
   Dfs* const dfs_;
   const std::string path_;
   const int client_node_;
-  // Readers may share the file: its cached locations and its last read
-  // are swapped under mu_, never held across a data node's read.
+  // Readers may share the file: its cached locations are swapped under
+  // mu_, never held across a data node's read.
   mutable OrderedMutex mu_{lockrank::kDfsReader, "dfs.reader"};
   mutable BlockList blocks_ GUARDED_BY(mu_);  // cached locations
-  mutable LastRead last_ GUARDED_BY(mu_);
 };
 
 // ---------------------------------------------------------------------------
@@ -454,8 +445,7 @@ Dfs::Dfs(DfsOptions options, sim::NetworkModel* network)
                          : nullptr),
       network_(network == nullptr ? owned_network_.get() : network),
       name_node_(MakeRacks(options), options.replication),
-      seen_done_(std::make_unique<std::atomic<sim::VirtualTime>[]>(
-          static_cast<size_t>(options.num_nodes) * options.num_nodes)) {
+      view_(options.num_nodes) {
   data_nodes_.reserve(options.num_nodes);
   for (int i = 0; i < options.num_nodes; i++) {
     data_nodes_.push_back(std::make_unique<DataNode>(i, options.disk_params));
@@ -466,18 +456,6 @@ void Dfs::MetadataRpc(int client_node) const {
   MetaRpcs()->Add();
   if (network_ != nullptr) {
     network_->Transfer(client_node, kNameNodeHost, kMetadataRpcBytes);
-  }
-}
-
-sim::VirtualTime Dfs::SeenDone(int reader, int replica) const {
-  return seen_done_[reader * num_nodes() + replica].load();
-}
-
-void Dfs::ObserveDone(int reader, int replica, sim::VirtualTime done) {
-  std::atomic<sim::VirtualTime>& cell =
-      seen_done_[reader * num_nodes() + replica];
-  sim::VirtualTime seen = cell.load();
-  while (seen < done && !cell.compare_exchange_weak(seen, done)) {
   }
 }
 

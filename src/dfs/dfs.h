@@ -8,13 +8,13 @@
 #ifndef LOGBASE_DFS_DFS_H_
 #define LOGBASE_DFS_DFS_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/dfs/data_node.h"
 #include "src/dfs/name_node.h"
+#include "src/dfs/replica_view.h"
 #include "src/sim/network_model.h"
 #include "src/util/io.h"
 #include "src/util/result.h"
@@ -37,8 +37,8 @@ struct DfsOptions {
 /// Thread-safe. All client operations take the issuing machine's node id so
 /// network transfers are modeled and a read can choose its replica: each
 /// read goes first to the replica the reader node expects to finish it
-/// soonest, judged only from the completions that node's own earlier reads
-/// reported. On an idle cluster that is the local copy.
+/// soonest, judged only from what that node's own reads have told it so
+/// far (ReplicaView). On an idle cluster that is the local copy.
 class Dfs {
  public:
   /// If `network` is null the Dfs owns a NetworkModel of its own.
@@ -88,22 +88,14 @@ class Dfs {
   int ExecuteRereplication(
       const std::vector<NameNode::RereplicationTask>& tasks);
 
-  /// The latest completion time a read response from data node `replica`
-  /// has reported to node `reader` (0 before the first one).
-  sim::VirtualTime SeenDone(int reader, int replica) const;
-  /// Records that a read response from `replica` told `reader` its request
-  /// finished at `done`; the view only moves forward.
-  void ObserveDone(int reader, int replica, sim::VirtualTime done);
-
   const DfsOptions options_;
   std::unique_ptr<sim::NetworkModel> owned_network_;
   sim::NetworkModel* network_;
   NameNode name_node_;
   std::vector<std::unique_ptr<DataNode>> data_nodes_;
-  /// What each reader node has seen of each data node's queue, shared by
-  /// every file the reader has open: cell [reader * num_nodes + replica]
-  /// holds SeenDone(reader, replica). Cells are raised with a fetch-max.
-  std::unique_ptr<std::atomic<sim::VirtualTime>[]> seen_done_;
+  /// What each reader node has seen of each data node, shared by every
+  /// file the reader has open.
+  ReplicaView view_;
 };
 
 /// util::FileSystem adapter binding a Dfs to one client machine, so the

@@ -82,6 +82,7 @@ enum Rank : uint32_t {
 
   // DFS metadata/data plane: reached from nearly every lock above.
   kDfsReader = 690,             // dfs::DfsRandomAccessFile::mu_
+  kDfsReplicaView = 695,        // dfs::ReplicaView::mu_
   kDfsNameNode = 700,           // dfs::NameNode::mu_
   kDfsDataNode = 710,           // dfs::DataNode::mu_
   kDfsBlockBytes = 720,         // dfs::BlockBytes::mu_

@@ -398,9 +398,9 @@ TEST(DfsTest, IdleClusterReadsLocally) {
   EXPECT_EQ(RemotePreads(before), 0u);
 }
 
-// Once the reader node has seen its local disk's queue run well past a
-// seek, a random read goes to a remote replica and finishes before the
-// local queue would have let it start.
+// While a read of node 0 is still outstanding on its local disk (sent, not
+// yet back), another random read from node 0 goes to a remote replica and
+// finishes before the local queue would have let it start.
 TEST(DfsTest, RandomReadAvoidsBusyLocalReplica) {
   Dfs dfs(SmallBlocks(3, 1 << 20));
   {
@@ -413,11 +413,10 @@ TEST(DfsTest, RandomReadAvoidsBusyLocalReplica) {
   ASSERT_EQ(replicas[0], 0);  // the writer's node holds the first copy
   // Someone else's work holds node 0's disk for 200 ms.
   constexpr sim::VirtualTime kBacklog = 200000;
-  sim::Resource* local_disk = dfs.data_node(0)->disk()->resource();
-  local_disk->Acquire(0, kBacklog);
+  dfs.data_node(0)->disk()->resource()->Acquire(0, kBacklog);
   const auto before = obs::MetricsRegistry::Global().Snapshot();
-  // A first read on node 0 queues behind the backlog (nothing says
-  // otherwise yet) and its response tells the node how long that took.
+  // A first read on node 0 sees nothing outstanding, so it stays local and
+  // queues behind the backlog.
   sim::SimContext first;
   {
     sim::SimContext::Scope scope(&first);
@@ -426,8 +425,8 @@ TEST(DfsTest, RandomReadAvoidsBusyLocalReplica) {
   }
   EXPECT_GT(first.now(), kBacklog);
   EXPECT_EQ(RemotePreads(before), 0u);
-  // A second actor on node 0 reads another random offset through its own
-  // handle: the view, shared by the node, sends it to a remote replica.
+  // At t = 1 ms node 0 has sent that read and not heard back: a second
+  // actor's read, through its own handle, goes to a remote replica.
   sim::SimContext second(1000);
   {
     sim::SimContext::Scope scope(&second);
@@ -440,15 +439,52 @@ TEST(DfsTest, RandomReadAvoidsBusyLocalReplica) {
   EXPECT_LT(second.now(), 1000 + 2 * (disk.seek_us + disk.rotational_us));
   sim::VirtualTime remote_busy = 0;
   for (int r : replicas) {
-    if (r != 0) remote_busy += dfs.data_node(r)->disk()->resource()->total_busy_us();
+    if (r != 0) {
+      remote_busy += dfs.data_node(r)->disk()->resource()->total_busy_us();
+    }
   }
   EXPECT_GT(remote_busy, 0);
 }
 
+// The view holds only what the reader node knows at its own time: a read
+// another actor of the node sends later in virtual time, or one whose
+// response has already come back, does not steer a read.
+TEST(DfsTest, ReadViewUsesOnlyWhatTheReaderKnowsAtItsTime) {
+  Dfs dfs(SmallBlocks(3, 1 << 20));
+  {
+    auto wf = dfs.Create("/causal", 0);
+    ASSERT_TRUE((*wf)->Append(std::string(64 << 10, 'c')).ok());
+    ASSERT_TRUE((*wf)->Sync().ok());
+  }
+  ASSERT_EQ((*dfs.name_node()->GetBlocks("/causal"))[0].replicas[0], 0);
+  constexpr sim::VirtualTime kBacklog = 200000;
+  dfs.data_node(0)->disk()->resource()->Acquire(0, kBacklog);
+  const auto before = obs::MetricsRegistry::Global().Snapshot();
+  auto read_at = [&](sim::VirtualTime start, uint64_t offset) {
+    sim::SimContext ctx(start);
+    sim::SimContext::Scope scope(&ctx);
+    auto rf = dfs.Open("/causal", 0);
+    EXPECT_TRUE((*rf)->Read(offset, 100).ok());
+    return ctx.now();
+  };
+  // An actor run ahead to t = 100 ms reads locally and queues.
+  const sim::VirtualTime ahead_done = read_at(100000, 1000);
+  EXPECT_GT(ahead_done, kBacklog);
+  // An actor still at t = 1 ms: that read has not been sent yet, so this
+  // one stays local too, although the simulation already ran it.
+  const sim::VirtualTime behind_done = read_at(1000, 20000);
+  EXPECT_EQ(RemotePreads(before), 0u);
+  // After both responses came back nothing is outstanding: local again.
+  read_at(std::max(ahead_done, behind_done), 40000);
+  EXPECT_EQ(RemotePreads(before), 0u);
+}
+
 // A reader tailing a file in consecutive chunks stays on the replica its
 // first read chose: one positioning in total, one disk charged. Here the
-// first read leaves a local disk the node saw queued; the tail then runs
-// past the time that queue cleared, and the stream still keeps it remote.
+// first chunk leaves a local disk that another read of the node is still
+// waiting on; the tail then runs past that read's return, and the stream
+// keeps it on the remote replica. Like a log tailer's polls, each chunk
+// opens the file afresh: the stream is the node's, not the handle's.
 TEST(DfsTest, SequentialReaderStaysOnItsReplica) {
   Dfs dfs(SmallBlocks(3, 4 << 20));
   constexpr uint64_t kChunk = 64 << 10;
@@ -461,12 +497,13 @@ TEST(DfsTest, SequentialReaderStaysOnItsReplica) {
   const std::vector<int> replicas =
       (*dfs.name_node()->GetBlocks("/tail"))[0].replicas;
   ASSERT_EQ(replicas[0], 0);
-  // Node 0 sees its own disk queued 30 ms deep.
-  constexpr sim::VirtualTime kBacklog = 30000;
+  // Node 0's disk is queued 10 ms deep, and a random read of node 0 sent at
+  // t = 0 waits behind that.
+  constexpr sim::VirtualTime kBacklog = 10000;
   dfs.data_node(0)->disk()->resource()->Acquire(0, kBacklog);
-  sim::SimContext observer;
+  sim::SimContext other;
   {
-    sim::SimContext::Scope scope(&observer);
+    sim::SimContext::Scope scope(&other);
     auto rf = dfs.Open("/tail", 0);
     ASSERT_TRUE((*rf)->Read(kChunk * kChunks / 2, 100).ok());
   }
@@ -479,12 +516,12 @@ TEST(DfsTest, SequentialReaderStaysOnItsReplica) {
   sim::SimContext tail(1000);
   {
     sim::SimContext::Scope scope(&tail);
-    auto rf = dfs.Open("/tail", 0);
     for (int i = 0; i < kChunks; i++) {
+      auto rf = dfs.Open("/tail", 0);
       ASSERT_TRUE((*rf)->Read(i * kChunk, kChunk).ok());
     }
   }
-  EXPECT_GT(tail.now(), observer.now());  // the local queue had cleared
+  EXPECT_GT(tail.now(), other.now());  // the other read had come back
   EXPECT_EQ(RemotePreads(before), static_cast<uint64_t>(kChunks));
   int charged = 0;
   sim::VirtualTime busy = 0;

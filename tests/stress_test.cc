@@ -162,7 +162,7 @@ TEST(StressTest, DfsOneWriterManyReadersOnOneBlock) {
 
 // Readers on every node, two threads a node sharing one open file, read
 // random ranges of a file while a writer appends to it. The threads of a
-// node share its view of the replicas' queues (and their file's cached
+// node share its view of its outstanding reads (and their file's cached
 // locations), and every read must still return the exact bytes written.
 TEST(StressTest, DfsRandomReadersOnEveryNodeWhileWriterAppends) {
   dfs::DfsOptions options;
