@@ -51,6 +51,11 @@ Rules enforced over src/ (and, where noted, the whole tree):
                 actor clocks (a container of sim::SimContext). Several
                 actors are stepped by sim::Scheduler alone, smallest clock
                 first, so no driver keeps its own round-robin or barrier.
+  status-text   Under src/, only src/tablet/stale_route.cc matches a
+                Status's message text (`ToString().find(`,
+                `message().find(`). Callers tell statuses apart by code, and
+                stale routes by tablet::IsStaleRoute, so no module spells
+                another module's error text.
 
 Usage:
   lint.py [--root DIR]     lint the tree, exit non-zero on violations
@@ -146,15 +151,11 @@ WALL_CLOCK_PATTERNS = [
      'time(NULL)'),
 ]
 
-# thread_pool blocks real OS threads; sleeping/waiting there is about the
-# host scheduler, not simulated time, so chrono *durations* stay allowed
-# everywhere -- only clock *sources* are banned.
-WALL_CLOCK_ALLOWLIST = set()
+# Chrono *durations* stay allowed everywhere -- only clock *sources* are
+# banned.
 
 
 def check_wall_clock(path, rel, stripped):
-    if rel in WALL_CLOCK_ALLOWLIST:
-        return []
     found = []
     for lineno, line in iter_lines(stripped):
         for pattern, what in WALL_CLOCK_PATTERNS:
@@ -355,7 +356,6 @@ GUARDED_BY_ALLOWLIST = {
     'src/baselines/hbase/hbase_server.h#fs_',
     'src/baselines/hbase/hbase_server.h#block_cache_',
     'src/baselines/hbase/hbase_server.h#wal_',
-    'src/util/thread_pool.h#workers_',  # written only before workers start
     'src/lsm/lsm_tree.h#versions_',  # internally synchronized VersionSet
     'src/lsm/lsm_tree.h#internal_comparator_',
     'src/lsm/lsm_tree.h#internal_table_options_',
@@ -598,12 +598,36 @@ def check_actor_clock(path, rel, stripped):
 
 
 # --------------------------------------------------------------------------
+# rule: status-text
+
+# A caller that finds a substring in another module's error message breaks
+# silently when that text changes, and each such match is one more copy of
+# the rule that decides what the status means. The tablet and replica
+# servers build their stale-route answers in src/tablet/stale_route.cc and
+# the client recognises them there, so that file alone may read the text.
+STATUS_TEXT_OWNER_FILE = 'src/tablet/stale_route.cc'
+STATUS_TEXT_MATCH = re.compile(
+    r'\b(?:ToString|message)\s*\(\s*\)\s*\.\s*find\s*\(')
+
+
+def check_status_text(path, rel, stripped):
+    if not rel.startswith('src/') or rel == STATUS_TEXT_OWNER_FILE:
+        return []
+    return [Violation('status-text', rel, lineno,
+                      'matching a Status message outside '
+                      'src/tablet/stale_route.cc; test the status code, or '
+                      'tablet::IsStaleRoute for a stale route')
+            for lineno, line in iter_lines(stripped)
+            if STATUS_TEXT_MATCH.search(line)]
+
+
+# --------------------------------------------------------------------------
 # driver
 
 PER_FILE_RULES = [check_wall_clock, check_nondet, check_raw_new,
                   check_deprecated, check_mutex, check_guarded_by,
                   check_write_path, check_read_buffer, check_reassign,
-                  check_actor_clock]
+                  check_actor_clock, check_status_text]
 
 
 def lint_tree(root):
@@ -865,6 +889,14 @@ SELF_TEST_CASES = [
      'sim::SimContext stream_ctx[kHostileStreams];',
      'sim::SimContext load_ctx(QuiesceTime(cluster.dfs(), '
      'cluster.network()));'),
+    # One stale-route rule: a client that greps a server's error text is a
+    # second copy of it.
+    (check_status_text, 'src/client/client.cc',
+     'if (s.ToString().find("unknown tablet") != std::string::npos) {',
+     'if (tablet::IsStaleRoute(s)) {'),
+    (check_status_text, 'src/balance/migration.cc',
+     'bool sealed = s.message().find("tablet sealed") == 0;',
+     'bool sealed = s.IsUnavailable();'),
 ]
 
 
@@ -900,6 +932,14 @@ def self_test():
         failures += 1
     else:
         print('self-test ok: actor-clock allows src/sim/')
+    # The stale-route helper itself may read the text it builds.
+    if check_status_text('x', STATUS_TEXT_OWNER_FILE,
+                         strip_comments_and_strings(
+                             'return s.message().find(kTabletSealed) == 0;')):
+        print('SELF-TEST FAIL: status-text fires inside its owner file')
+        failures += 1
+    else:
+        print('self-test ok: status-text allows %s' % STATUS_TEXT_OWNER_FILE)
     # nodiscard rule fires when the attribute is absent.
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,6 +8,7 @@
 #include "src/obs/trace.h"
 #include "src/query/column_batch.h"
 #include "src/sim/sim_context.h"
+#include "src/tablet/stale_route.h"
 
 namespace logbase::client {
 
@@ -127,62 +128,69 @@ void LogBaseClient::ChargeRpc(int server_id, uint64_t request_bytes,
   network_->Transfer(server_id, node_, response_bytes);
 }
 
-Result<LogBaseClient::Route> LogBaseClient::Resolve(const std::string& table,
-                                                    uint32_t column_group,
-                                                    const Slice& key) {
-  obs::Span span("client.route");
-  // Locating through the master only happens on cache misses (§3.3); we
-  // model that by keeping the cached copy of the whole table's layout.
+Result<std::shared_ptr<const LogBaseClient::Layout>> LogBaseClient::LoadLayout(
+    const std::string& table, uint32_t column_group) {
   {
     MutexLock l(cache_mu_);
-    auto schema_it = schema_cache_.find(table);
-    if (schema_it != schema_cache_.end()) {
-      for (const auto& [uid, location] : location_cache_) {
-        if (location.descriptor.table_id == schema_it->second.id &&
-            location.descriptor.column_group == column_group &&
-            location.descriptor.Contains(key)) {
-          return Route{uid, location.server_id, location.replicas};
-        }
-      }
-    }
+    auto it = layouts_.find({table, column_group});
+    if (it != layouts_.end()) return it->second;
   }
-  // Miss: ask the master and fill the cache.
+  // Miss: one master call for the whole layout (§3.3), so the master stays
+  // off the data path until a stale route drops the cache.
   static obs::Counter* misses =
       obs::MetricsRegistry::Global().counter("client.route.cache_misses");
   misses->Add();
   auto master = ActiveMaster();
   if (!master.ok()) return master.status();
-  auto schema = (*master)->GetTable(table);
-  if (!schema.ok()) return schema.status();
-  auto location = (*master)->Locate(table, column_group, key);
-  if (!location.ok()) return location.status();
-  {
-    MutexLock l(cache_mu_);
-    schema_cache_[table] = *schema;
-    location_cache_[location->descriptor.uid()] = *location;
+  auto locations = (*master)->LocateAll(table, column_group);
+  if (!locations.ok()) return locations.status();
+  auto layout = std::make_shared<Layout>();
+  layout->reserve(locations->size());
+  for (master::TabletLocation& location : *locations) {
+    std::string uid = location.descriptor.uid();
+    layout->push_back(Route{std::move(location), std::move(uid)});
   }
-  return Route{location->descriptor.uid(), location->server_id,
-               location->replicas};
+  // An empty layout (a column group not created yet) is not cached.
+  if (!layout->empty()) {
+    MutexLock l(cache_mu_);
+    layouts_[{table, column_group}] = layout;
+  }
+  return std::shared_ptr<const Layout>(std::move(layout));
+}
+
+Result<LogBaseClient::RouteRef> LogBaseClient::Resolve(
+    const std::string& table, uint32_t column_group, const Slice& key) {
+  obs::Span span("client.route");
+  auto layout = LoadLayout(table, column_group);
+  if (!layout.ok()) return layout.status();
+  for (const Route& route : **layout) {
+    if (route.descriptor.Contains(key)) return RouteRef(*layout, &route);
+  }
+  return Status::NotFound("tablet not assigned: " + table + "/cg" +
+                          std::to_string(column_group) + " for key " +
+                          key.ToString());
 }
 
 tablet::TabletServer* LogBaseClient::ServerByUid(const std::string& uid) {
+  int server_id = -1;
   {
     MutexLock l(cache_mu_);
-    auto it = location_cache_.find(uid);
-    if (it != location_cache_.end()) {
-      if (!ServerReachable(it->second.server_id)) return nullptr;
-      tablet::TabletServer* server = server_resolver_(it->second.server_id);
-      if (server != nullptr && server->running()) return server;
+    for (const auto& [group, layout] : layouts_) {
+      for (const Route& route : *layout) {
+        if (route.tablet_uid == uid) server_id = route.server_id;
+      }
     }
   }
-  return nullptr;
+  if (server_id < 0) return nullptr;
+  auto server = ServerFor(server_id);
+  return server.ok() ? *server : nullptr;
 }
 
-Result<tablet::TabletServer*> LogBaseClient::ServerFor(const Route& route) {
-  if (!ServerReachable(route.server_id)) {
+Result<tablet::TabletServer*> LogBaseClient::ServerFor(int server_id) {
+  if (!ServerReachable(server_id)) {
     return Status::Unavailable("tablet server unreachable (partition)");
   }
-  tablet::TabletServer* server = server_resolver_(route.server_id);
+  tablet::TabletServer* server = server_resolver_(server_id);
   if (server == nullptr || !server->running()) {
     // Stale cache (e.g. server died, tablets reassigned): refresh once.
     InvalidateCache();
@@ -193,28 +201,17 @@ Result<tablet::TabletServer*> LogBaseClient::ServerFor(const Route& route) {
 
 void LogBaseClient::InvalidateCache() {
   MutexLock l(cache_mu_);
-  location_cache_.clear();
-  schema_cache_.clear();
+  layouts_.clear();
 }
 
 Status LogBaseClient::NormalizeServerStatus(const Status& s) {
-  // "Unknown tablet" from a running server means our route is stale: the
-  // tablet moved (adopted after a crash) and a restarted server fenced it
-  // off. Re-resolve through the master and retry.
-  if (s.IsNotFound() && s.ToString().find("unknown tablet") !=
-                            std::string::npos) {
-    InvalidateCache();
-    return Status::Unavailable("stale tablet route; cache invalidated");
-  }
-  // A sealed tablet is mid-migration: the write will succeed at the new
-  // owner once the assignment flips, so drop the route and let the retry
-  // policy's backoff cover the handover window.
-  if (s.IsUnavailable() && s.ToString().find("tablet sealed") !=
-                               std::string::npos) {
-    InvalidateCache();
-    return Status::Unavailable("tablet migrating; cache invalidated");
-  }
-  return s;
+  // The route is stale: the tablet moved (adopted after a crash, split, or
+  // migrated), a restarted server fenced it off, or it is sealed
+  // mid-migration. Re-resolve through the master and let the retry policy's
+  // backoff cover any handover window.
+  if (!tablet::IsStaleRoute(s)) return s;
+  InvalidateCache();
+  return Status::Unavailable("stale tablet route; cache invalidated");
 }
 
 // ---------------------------------------------------------------------------
@@ -227,17 +224,17 @@ Status LogBaseClient::PutBatchAttempt(const std::string& table,
   // A run is a maximal sequence of consecutive same-tablet ops, puts and
   // deletes mixed: one server-side mutation batch, so the group-commit
   // queue sees multi-record submissions. Runs go out in insertion order.
-  Route run_route;
+  RouteRef run_route;
   std::vector<tablet::WriteOp> run;
   auto flush_run = [&]() -> Status {
     if (run.empty()) return Status::OK();
-    auto server = ServerFor(run_route);
+    auto server = ServerFor(run_route->server_id);
     if (!server.ok()) return server.status();
     uint64_t bytes = 0;
     for (const tablet::WriteOp& op : run) {
       bytes += op.key.size() + op.value.size();
     }
-    ChargeRpc(run_route.server_id, bytes + 64, 32);
+    ChargeRpc(run_route->server_id, bytes + 64, 32);
     auto submitted = (*server)->Submit(std::move(run), ack);
     run.clear();
     Status s = submitted.status();
@@ -248,12 +245,12 @@ Status LogBaseClient::PutBatchAttempt(const std::string& table,
   for (const WriteBatch::Op& op : batch.ops()) {
     auto route = Resolve(table, op.column_group, Slice(op.key));
     if (!route.ok()) return route.status();
-    if (!run.empty() && route->tablet_uid != run_route.tablet_uid) {
+    if (!run.empty() && (*route)->tablet_uid != run_route->tablet_uid) {
       LOGBASE_RETURN_NOT_OK(flush_run());
     }
-    run_route = *route;
-    run.push_back(
-        tablet::WriteOp{route->tablet_uid, op.key, op.value, op.is_delete});
+    run_route = std::move(*route);
+    run.push_back(tablet::WriteOp{run_route->tablet_uid, op.key, op.value,
+                                  op.is_delete});
   }
   return flush_run();
 }
@@ -312,10 +309,10 @@ Status LogBaseClient::Delete(const std::string& table, uint32_t column_group,
 
 namespace {
 
-bool IsNoReplicaServed(const Status& s) {
-  return s.IsNotFound() &&
-         s.ToString().find("no replica served") != std::string::npos;
-}
+/// Per-tablet sub-queries in flight at once: the scatter/gather fan-out
+/// bound. In virtual time up to this many tablets overlap; the next
+/// sub-query starts when the earliest running one finishes.
+constexpr size_t kQueryFanout = 4;
 
 /// The server-side snapshot of a read: ReadOptions spells "latest" as 0,
 /// servers as index::kLatest. The only place that translates the two.
@@ -323,64 +320,69 @@ uint64_t SnapshotOf(const ReadOptions& options) {
   return options.as_of == 0 ? index::kLatest : options.as_of;
 }
 
-}  // namespace
+/// Response payload bytes a served read ships back.
+uint64_t PayloadBytes(const tablet::ReadValue& read) {
+  return read.value.size();
+}
+uint64_t PayloadBytes(const query::TabletResult& part) {
+  return part.stats.bytes_shipped;
+}
 
-Result<tablet::ReadValue> LogBaseClient::ReplicaGet(const Route& route,
-                                                    const Slice& key,
-                                                    const ReadOptions& options,
-                                                    uint64_t* snapshot_ts) {
-  if (!replica_resolver_ || route.replicas.empty()) {
-    return Status::NotFound("no replica served");
-  }
-  // Deterministic rotation by (key, client node) spreads one tablet's reads
-  // across its replicas without coordination or randomness. The hash needs
-  // real avalanche: `start % replicas` keeps only the low bits, and a plain
-  // polynomial hash of short keys leaves those correlated with the key's
-  // last digits (all reads pile onto one replica).
-  uint64_t h = static_cast<uint64_t>(node_) ^ 0x9E3779B97F4A7C15ull;
+/// Where a (key or tablet uid, client node) pair starts its walk over a
+/// tablet's replicas: deterministic, so one tablet's load spreads without
+/// coordination or randomness. The hash needs real avalanche: `start %
+/// replicas` keeps only the low bits, and a plain polynomial hash of short
+/// keys leaves those correlated with the key's last digits (all reads pile
+/// onto one replica).
+size_t ReplicaRotation(const Slice& key, int node) {
+  uint64_t h = static_cast<uint64_t>(node) ^ 0x9E3779B97F4A7C15ull;
   for (size_t i = 0; i < key.size(); i++) {
     h = (h ^ static_cast<unsigned char>(key.data()[i])) * 0x100000001B3ull;
   }
   h ^= h >> 33;
   h *= 0xFF51AFD7ED558CCDull;
   h ^= h >> 33;
-  size_t start = static_cast<size_t>(h);
+  return static_cast<size_t>(h);
+}
+
+}  // namespace
+
+template <typename T, typename Call>
+std::optional<Result<T>> LogBaseClient::ReplicaFirst(const Route& route,
+                                                     const Slice& rotation_key,
+                                                     uint64_t request_bytes,
+                                                     const Call& call) {
+  if (!replica_resolver_ || route.replicas.empty()) return std::nullopt;
   static obs::Counter* redirects =
       obs::MetricsRegistry::Global().counter("client.replica.redirects");
-  for (size_t i = 0; i < route.replicas.size(); i++) {
-    int replica_id = route.replicas[(start + i) % route.replicas.size()];
-    replica::ReplicaServer* rep = replica_resolver_(replica_id);
-    if (rep == nullptr || !rep->running()) continue;
-    if (!ServerReachable(rep->node())) continue;
-    auto read = rep->Get(route.tablet_uid, key, SnapshotOf(options),
-                         options.max_staleness_us, snapshot_ts);
-    if (read.ok()) {
-      ChargeRpc(rep->node(), key.size() + 64, read->value.size() + 32);
-      redirects->Add();
-      return read;
+  static obs::Counter* fallbacks =
+      obs::MetricsRegistry::Global().counter("client.replica.fallbacks");
+  const size_t n = route.replicas.size();
+  const size_t start = ReplicaRotation(rotation_key, node_);
+  for (size_t i = 0; i < n; i++) {
+    replica::ReplicaServer* rep =
+        replica_resolver_(route.replicas[(start + i) % n]);
+    if (rep == nullptr || !rep->running() || !ServerReachable(rep->node())) {
+      continue;
     }
-    if (read.status().IsNotFound()) {
-      if (read.status().ToString().find("unknown replica tablet") !=
-          std::string::npos) {
-        // The attachment was torn down under us (the tablet migrated or
-        // split): the route is stale — invalidate exactly like an
-        // unknown-tablet primary response and try the next candidate.
-        InvalidateCache();
-        continue;
-      }
-      // The key is absent at the replica's snapshot. Authoritative under
-      // allow_stale: the snapshot is prefix-consistent by construction.
-      ChargeRpc(rep->node(), key.size() + 64, 32);
+    Result<T> answer = call(rep);
+    if (tablet::IsStaleRoute(answer.status())) {
+      // The attachment was torn down under us (the tablet migrated or
+      // split): drop the layout like a stale primary route, try the next.
+      InvalidateCache();
+      continue;
+    }
+    if (answer.ok() || answer.status().IsNotFound()) {
+      ChargeRpc(rep->node(), request_bytes,
+                (answer.ok() ? PayloadBytes(*answer) : 0) + 32);
       redirects->Add();
-      return read.status();
+      return answer;
     }
     // Unavailable (staleness exceeded, re-seeding, crashed mid-flight):
     // try the next replica, then the primary.
   }
-  static obs::Counter* fallbacks =
-      obs::MetricsRegistry::Global().counter("client.replica.fallbacks");
   fallbacks->Add();
-  return Status::NotFound("no replica served");
+  return std::nullopt;
 }
 
 Result<ReadResult> LogBaseClient::Get(const std::string& table,
@@ -389,43 +391,43 @@ Result<ReadResult> LogBaseClient::Get(const std::string& table,
   obs::Span span("client.get");
   qos::TenantScope tenant(&tenant_);
   return retry_.Run<ReadResult>("client.get", [&]() -> Result<ReadResult> {
-    auto route = Resolve(table, column_group, key);
-    if (!route.ok()) return route.status();
+    auto resolved = Resolve(table, column_group, key);
+    if (!resolved.ok()) return resolved.status();
+    const Route& route = **resolved;
 
     ReadResult result;
-    if (options.allow_stale && !options.all_versions) {
-      uint64_t snap = 0;
-      auto read = ReplicaGet(*route, key, options, &snap);
-      if (read.ok()) {
-        result.snapshot_ts = snap;
-        result.rows.push_back(tablet::ReadRow{
-            key.ToString(), options.with_timestamp ? read->timestamp : 0,
-            std::move(read->value)});
-        return result;
-      }
-      if (!IsNoReplicaServed(read.status())) return read.status();
-      // Every candidate declined — same attempt continues on the primary.
-    }
-
-    auto server = ServerFor(*route);
-    if (!server.ok()) return server.status();
     if (options.all_versions) {
-      auto rows = (*server)->GetVersions(route->tablet_uid, key);
+      auto server = ServerFor(route.server_id);
+      if (!server.ok()) return server.status();
+      auto rows = (*server)->GetVersions(route.tablet_uid, key);
       if (!rows.ok()) return NormalizeServerStatus(rows.status());
       uint64_t bytes = 0;
       for (const auto& row : *rows) bytes += row.key.size() + row.value.size();
-      ChargeRpc(route->server_id, key.size() + 64, bytes + 32);
+      ChargeRpc(route.server_id, key.size() + 64, bytes + 32);
       result.rows = std::move(*rows);
       return result;
     }
 
-    auto read =
-        (*server)->Get(route->tablet_uid, key, SnapshotOf(options));
-    if (!read.ok()) return NormalizeServerStatus(read.status());
-    ChargeRpc(route->server_id, key.size() + 64, read->value.size() + 32);
-    result.rows.push_back(tablet::ReadRow{
-        key.ToString(), options.with_timestamp ? read->timestamp : 0,
-        std::move(read->value)});
+    std::optional<Result<tablet::ReadValue>> read;
+    if (options.allow_stale) {
+      uint64_t snapshot_ts = 0;
+      read = ReplicaFirst<tablet::ReadValue>(
+          route, key, key.size() + 64, [&](replica::ReplicaServer* rep) {
+            return rep->Get(route.tablet_uid, key, SnapshotOf(options),
+                            options.max_staleness_us, &snapshot_ts);
+          });
+      if (read && read->ok()) result.snapshot_ts = snapshot_ts;
+    }
+    if (!read) {
+      auto server = ServerFor(route.server_id);
+      if (!server.ok()) return server.status();
+      read = (*server)->Get(route.tablet_uid, key, SnapshotOf(options));
+      if (!read->ok()) return NormalizeServerStatus(read->status());
+      ChargeRpc(route.server_id, key.size() + 64, (*read)->value.size() + 32);
+    }
+    if (!read->ok()) return read->status();
+    result.rows.push_back(tablet::ReadRow{key.ToString(), (*read)->timestamp,
+                                          std::move((*read)->value)});
     return result;
   });
 }
@@ -449,75 +451,36 @@ Result<std::vector<tablet::ReadRow>> LogBaseClient::Scan(
 }
 
 Result<query::TabletResult> LogBaseClient::QueryTablet(
-    const master::TabletLocation& location, const Slice& wire_plan,
+    const Route& route, const Slice& wire_plan,
     const query::ExecOptions& exec, const QueryOptions& options,
     bool* from_replica) {
-  const tablet::TabletDescriptor& d = location.descriptor;
   // Transient per-tablet failures (server restarting, replica mid-reseed)
   // retry here without restarting the whole scatter; when the budget runs
   // out the failure bubbles up and the outer whole-query retry re-plans
   // against the then-current layout (stale routes have already invalidated
-  // the cache through NormalizeServerStatus).
+  // the cache through NormalizeServerStatus or ReplicaFirst).
   fault::RetryOptions per_tablet = retry_.options();
   per_tablet.max_attempts = std::min(per_tablet.max_attempts, 3);
   fault::RetryPolicy policy(per_tablet);
   return policy.Run<query::TabletResult>(
       "client.query_tablet", [&]() -> Result<query::TabletResult> {
-        // Replica-preferring routing, like ReplicaGet: rotate by (tablet,
-        // client node) so one tablet's queries spread across its replicas,
-        // fall back to the primary when every candidate declines.
-        if (options.read.allow_stale && replica_resolver_ &&
-            !location.replicas.empty()) {
-          uint64_t h = static_cast<uint64_t>(node_) ^ 0x9E3779B97F4A7C15ull;
-          const std::string uid = d.uid();
-          for (char c : uid) {
-            h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ull;
+        if (options.read.allow_stale) {
+          auto served = ReplicaFirst<query::TabletResult>(
+              route, route.tablet_uid, wire_plan.size() + 64,
+              [&](replica::ReplicaServer* rep) {
+                return rep->ExecuteScan(route.tablet_uid, wire_plan,
+                                        options.read.max_staleness_us, exec);
+              });
+          if (served) {
+            *from_replica = served->ok();
+            return std::move(*served);
           }
-          h ^= h >> 33;
-          size_t start = static_cast<size_t>(h);
-          static obs::Counter* redirects = obs::MetricsRegistry::Global()
-              .counter("client.replica.redirects");
-          for (size_t i = 0; i < location.replicas.size(); i++) {
-            int replica_id =
-                location.replicas[(start + i) % location.replicas.size()];
-            replica::ReplicaServer* rep = replica_resolver_(replica_id);
-            if (rep == nullptr || !rep->running()) continue;
-            if (!ServerReachable(rep->node())) continue;
-            auto part = rep->ExecuteScan(
-                uid, wire_plan, options.read.max_staleness_us, exec);
-            if (part.ok()) {
-              ChargeRpc(rep->node(), wire_plan.size() + 64,
-                        part->stats.bytes_shipped + 32);
-              redirects->Add();
-              *from_replica = true;
-              return part;
-            }
-            if (part.status().IsNotFound() &&
-                part.status().ToString().find("unknown replica tablet") !=
-                    std::string::npos) {
-              // Torn down under us (migration/split): stale route, same as
-              // an unknown-tablet primary response; try the next candidate.
-              InvalidateCache();
-              continue;
-            }
-            // Staleness exceeded / re-seeding / crashed mid-flight: next
-            // candidate, then the primary.
-          }
-          static obs::Counter* fallbacks = obs::MetricsRegistry::Global()
-              .counter("client.replica.fallbacks");
-          fallbacks->Add();
         }
-        if (!ServerReachable(location.server_id)) {
-          return Status::Unavailable("tablet server unreachable (partition)");
-        }
-        tablet::TabletServer* server = server_resolver_(location.server_id);
-        if (server == nullptr || !server->running()) {
-          InvalidateCache();
-          return Status::Unavailable("tablet server down; cache invalidated");
-        }
-        auto part = server->ExecuteScan(d.uid(), wire_plan, exec);
+        auto server = ServerFor(route.server_id);
+        if (!server.ok()) return server.status();
+        auto part = (*server)->ExecuteScan(route.tablet_uid, wire_plan, exec);
         if (!part.ok()) return NormalizeServerStatus(part.status());
-        ChargeRpc(location.server_id, wire_plan.size() + 64,
+        ChargeRpc(route.server_id, wire_plan.size() + 64,
                   part->stats.bytes_shipped + 32);
         return part;
       });
@@ -537,20 +500,19 @@ Result<QueryResult> LogBaseClient::Query(const std::string& table,
   exec.batch_rows = options.batch_rows == 0 ? 256 : options.batch_rows;
 
   // Retried as a unit: a tablet that exhausts its per-tablet budget
-  // restarts the whole query against the (possibly reassigned) layout.
+  // restarts the whole query against the then-cached layout, which a stale
+  // route has dropped, so the retry re-plans from the master's.
   return retry_.Run<QueryResult>(
       "client.query", [&]() -> Result<QueryResult> {
-        auto master = ActiveMaster();
-        if (!master.ok()) return master.status();
-        auto locations = (*master)->LocateAll(table, column_group);
-        if (!locations.ok()) return locations.status();
+        auto layout = LoadLayout(table, column_group);
+        if (!layout.ok()) return layout.status();
 
-        // Tablets overlapping the plan's range, in key order. LocateAll is
+        // Tablets overlapping the plan's range, in key order. The layout is
         // key-ordered and tablet ranges are disjoint, so appending
         // per-tablet batches in this order yields global key order.
-        std::vector<const master::TabletLocation*> targets;
-        for (const master::TabletLocation& location : *locations) {
-          const tablet::TabletDescriptor& d = location.descriptor;
+        std::vector<const Route*> targets;
+        for (const Route& route : **layout) {
+          const tablet::TabletDescriptor& d = route.descriptor;
           if (!plan.end_key.empty() && !d.start_key.empty() &&
               Slice(d.start_key).compare(Slice(plan.end_key)) >= 0) {
             continue;
@@ -559,17 +521,16 @@ Result<QueryResult> LogBaseClient::Query(const std::string& table,
               Slice(d.end_key).compare(Slice(plan.start_key)) <= 0) {
             continue;
           }
-          targets.push_back(&location);
+          targets.push_back(&route);
         }
 
-        // Partition-parallel scatter in virtual time: up to `max_fanout`
+        // Partition-parallel scatter in virtual time: up to kQueryFanout
         // sub-queries overlap. Each runs in a child clock starting at the
         // fan-out point while slots are free, else at the earliest running
         // sub-query's completion; the caller advances to the last
         // completion — elapsed time is the critical path, not the sum.
         sim::SimContext* ctx = sim::SimContext::Current();
         const sim::VirtualTime base = ctx != nullptr ? ctx->now() : 0;
-        const size_t fanout = std::max<size_t>(1, options.max_fanout);
         std::priority_queue<sim::VirtualTime, std::vector<sim::VirtualTime>,
                             std::greater<sim::VirtualTime>>
             slots;
@@ -577,9 +538,9 @@ Result<QueryResult> LogBaseClient::Query(const std::string& table,
 
         QueryResult out;
         query::TabletResult acc;
-        for (const master::TabletLocation* location : targets) {
+        for (const Route* route : targets) {
           sim::VirtualTime start = base;
-          if (ctx != nullptr && slots.size() >= fanout) {
+          if (ctx != nullptr && slots.size() >= kQueryFanout) {
             start = slots.top();
             slots.pop();
           }
@@ -587,7 +548,7 @@ Result<QueryResult> LogBaseClient::Query(const std::string& table,
           bool from_replica = false;
           auto part = [&]() -> Result<query::TabletResult> {
             sim::SimContext::Scope scope(ctx != nullptr ? &child : nullptr);
-            return QueryTablet(*location, Slice(wire_plan), exec, options,
+            return QueryTablet(*route, Slice(wire_plan), exec, options,
                                &from_replica);
           }();
           if (ctx != nullptr) {
@@ -677,7 +638,7 @@ Result<std::string> LogBaseClient::TxnReadImpl(txn::Transaction* txn,
   qos::TenantScope tenant(&tenant_);
   auto route = Resolve(table, column_group, key);
   if (!route.ok()) return route.status();
-  return txn_->Read(txn, route->tablet_uid, key);
+  return txn_->Read(txn, (*route)->tablet_uid, key);
 }
 
 Status LogBaseClient::TxnWriteImpl(txn::Transaction* txn,
@@ -686,7 +647,7 @@ Status LogBaseClient::TxnWriteImpl(txn::Transaction* txn,
                                    const Slice& value) {
   auto route = Resolve(table, column_group, key);
   if (!route.ok()) return route.status();
-  return txn_->Write(txn, route->tablet_uid, key, value);
+  return txn_->Write(txn, (*route)->tablet_uid, key, value);
 }
 
 Status LogBaseClient::TxnDeleteImpl(txn::Transaction* txn,
@@ -694,7 +655,7 @@ Status LogBaseClient::TxnDeleteImpl(txn::Transaction* txn,
                                     uint32_t column_group, const Slice& key) {
   auto route = Resolve(table, column_group, key);
   if (!route.ok()) return route.status();
-  return txn_->Delete(txn, route->tablet_uid, key);
+  return txn_->Delete(txn, (*route)->tablet_uid, key);
 }
 
 Status LogBaseClient::CommitImpl(txn::Transaction* txn, log::AckMode ack) {

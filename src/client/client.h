@@ -16,7 +16,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/fault/retry_policy.h"
@@ -91,9 +93,6 @@ struct ReadOptions {
   /// Return every version of the key, newest first. An unknown key yields an
   /// OK result with zero rows (check `found()`), not NotFound.
   bool all_versions = false;
-  /// Populate `ReadRow::timestamp` in the result rows. Version reads always
-  /// carry timestamps; plain reads may skip them when this is false.
-  bool with_timestamp = true;
   /// Allow serving from a read replica at a possibly-stale snapshot (the
   /// replica's applied watermark). Ignored for all-versions reads, which
   /// always go to the primary.
@@ -121,13 +120,9 @@ struct ReadResult {
 
 /// How a `Query` executes. `read` supplies the snapshot and replica routing
 /// (as_of, allow_stale, max_staleness_us — all_versions is ignored: queries
-/// see one version per key); the remaining knobs are query-specific.
+/// see one version per key); `batch_rows` is query-specific.
 struct QueryOptions {
   ReadOptions read;
-  /// Per-tablet sub-queries in flight at once: the scatter/gather fan-out
-  /// bound. In virtual time up to this many tablets overlap; the next
-  /// sub-query starts when the earliest running one finishes.
-  size_t max_fanout = 4;
   /// Rows per shipped ColumnBatch.
   size_t batch_rows = 256;
 };
@@ -272,12 +267,13 @@ class LogBaseClient {
   }
 
   /// Pushed-down query (src/query/): fans the plan out across every tablet
-  /// overlapping the plan's key range — bounded fan-out, per-tablet retry,
-  /// replica-preferring routing under `options.read.allow_stale` — and
-  /// gathers filtered/projected batches (global key order) or merges
-  /// aggregation partials (sum-of-sums, min-of-mins, group-by map merge).
-  /// Retried as a unit on per-tablet exhaustion, against the then-current
-  /// layout.
+  /// of the cached table layout that overlaps the plan's key range — at
+  /// most four sub-queries in flight, per-tablet retry, replica-preferring
+  /// routing under `options.read.allow_stale` — and gathers
+  /// filtered/projected batches (global key order) or merges aggregation
+  /// partials (sum-of-sums, min-of-mins, group-by map merge). Retried as a
+  /// unit on per-tablet exhaustion; a stale route met on the way has
+  /// dropped the cached layout, so the retry re-plans against the master's.
   Result<QueryResult> Query(const std::string& table, uint32_t column_group,
                             const query::QueryPlan& plan,
                             const QueryOptions& options = {});
@@ -309,41 +305,67 @@ class LogBaseClient {
     replica_resolver_ = std::move(resolver);
   }
 
-  /// Drops cached locations (picked up again from the master lazily).
+  /// Drops every cached table layout (picked up again from the master
+  /// lazily).
   void InvalidateCache();
 
  private:
   friend class Txn;
 
-  struct Route {
+  /// One tablet of a cached table layout: the master's location (key
+  /// range, primary server, read replicas) and the tablet's uid.
+  struct Route : master::TabletLocation {
     std::string tablet_uid;
-    int server_id = -1;
-    std::vector<int> replicas;  // read replicas of this tablet, if any
   };
-  Result<Route> Resolve(const std::string& table, uint32_t column_group,
-                        const Slice& key);
-  /// Replica-side Get for one resolved route. Returns the served row (and
-  /// snapshot) on success; NotFound("no replica served") when every
-  /// candidate declined so the caller falls through to the primary (a
-  /// torn-down replica also invalidates the route cache on the way).
-  Result<tablet::ReadValue> ReplicaGet(const Route& route, const Slice& key,
-                                       const ReadOptions& options,
-                                       uint64_t* snapshot_ts);
-  /// One tablet's slice of a Query: replica-preferring routing (mirrors
-  /// ReplicaGet's rotation + fallback) with a per-tablet retry budget.
-  /// `wire_plan` is the already-encoded plan — encoded once per Query, the
-  /// same bytes shipped to every server. Sets `*from_replica` when a replica
-  /// served the slice.
-  Result<query::TabletResult> QueryTablet(
-      const master::TabletLocation& location, const Slice& wire_plan,
-      const query::ExecOptions& exec, const QueryOptions& options,
-      bool* from_replica);
+  /// A table column group's tablets in key order, as the master's
+  /// LocateAll returned them.
+  using Layout = std::vector<Route>;
+
+  /// The cached layout of (table, column group); a miss loads the whole
+  /// layout from the master in one call.
+  Result<std::shared_ptr<const Layout>> LoadLayout(const std::string& table,
+                                                   uint32_t column_group);
+  /// A route that shares ownership of its layout, so it stays valid when
+  /// the cache drops the layout.
+  using RouteRef = std::shared_ptr<const Route>;
+  /// The cached route of the tablet holding `key`.
+  Result<RouteRef> Resolve(const std::string& table, uint32_t column_group,
+                           const Slice& key);
+  /// Offers one request to `route`'s read replicas, rotated by
+  /// (`rotation_key`, client node) so one tablet's load spreads across
+  /// them. Skips a replica that is down or unreachable, and one whose
+  /// attachment was torn down (that also drops the cached layout). Returns
+  /// the first answer a replica served: a result, or a NotFound that is
+  /// authoritative at the replica's prefix-consistent snapshot. Returns
+  /// nullopt when every replica was skipped or declined; the caller then
+  /// goes to the primary.
+  /// `call(replica)` sends the request and returns Result<T>; a served
+  /// answer is charged as an RPC of `request_bytes` out and its payload plus
+  /// 32 bytes back.
+  template <typename T, typename Call>
+  std::optional<Result<T>> ReplicaFirst(const Route& route,
+                                        const Slice& rotation_key,
+                                        uint64_t request_bytes,
+                                        const Call& call);
+  /// One tablet's slice of a Query: ReplicaFirst, then the primary, with a
+  /// per-tablet retry budget. `wire_plan` is the already-encoded plan —
+  /// encoded once per Query, the same bytes shipped to every server. Sets
+  /// `*from_replica` when a replica served the slice.
+  Result<query::TabletResult> QueryTablet(const Route& route,
+                                          const Slice& wire_plan,
+                                          const query::ExecOptions& exec,
+                                          const QueryOptions& options,
+                                          bool* from_replica);
+  /// The transaction manager's resolver: the cached route of `uid`, then
+  /// ServerFor. Null when the route is not cached or ServerFor fails.
   tablet::TabletServer* ServerByUid(const std::string& uid);
-  Result<tablet::TabletServer*> ServerFor(const Route& route);
+  /// The tablet server a route names as primary: Unavailable when it is
+  /// unreachable or down (a down server also drops the cached layouts).
+  Result<tablet::TabletServer*> ServerFor(int server_id);
   /// The active master, or Unavailable when none is elected/reachable.
   Result<master::Master*> ActiveMaster() const;
-  /// Maps "unknown tablet" (a stale route to a fenced/restarted server)
-  /// to a retryable Unavailable after invalidating the location cache.
+  /// Maps a stale-route answer (tablet::IsStaleRoute) to a retryable
+  /// Unavailable after dropping the cached layouts.
   Status NormalizeServerStatus(const Status& s);
   /// False when a fault policy says this client can't reach `server_id`.
   bool ServerReachable(int server_id) const;
@@ -382,11 +404,9 @@ class LogBaseClient {
   std::unique_ptr<txn::TransactionManager> txn_;
 
   OrderedMutex cache_mu_{lockrank::kClientCache, "client.cache"};
-  // By uid.
-  std::map<std::string, master::TabletLocation> location_cache_
-      GUARDED_BY(cache_mu_);
-  std::map<std::string, tablet::TableSchema> schema_cache_
-      GUARDED_BY(cache_mu_);
+  // By (table, column group); only non-empty layouts are cached.
+  std::map<std::pair<std::string, uint32_t>, std::shared_ptr<const Layout>>
+      layouts_ GUARDED_BY(cache_mu_);
 };
 
 }  // namespace logbase::client

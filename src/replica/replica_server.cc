@@ -8,6 +8,7 @@
 #include "src/obs/trace.h"
 #include "src/sim/sim_context.h"
 #include "src/tablet/checkpoint_internal.h"
+#include "src/tablet/stale_route.h"
 #include "src/util/logging.h"
 
 namespace logbase::replica {
@@ -179,9 +180,7 @@ Result<ReplicaServer::ReplicatedTablet*> ReplicaServer::SnapshotLocked(
     const std::string& uid, uint64_t as_of, int64_t max_staleness_us,
     uint64_t* snapshot, uint64_t* snapshot_ts) {
   auto it = tablets_.find(uid);
-  if (it == tablets_.end()) {
-    return Status::NotFound("unknown replica tablet: " + uid);
-  }
+  if (it == tablets_.end()) return tablet::UnknownReplicaTablet(uid);
   ReplicatedTablet* t = it->second.get();
   if (max_staleness_us > 0) {
     int64_t staleness = sim::CurrentVirtualTime() - t->last_sync_us;
@@ -274,18 +273,14 @@ Result<query::TabletResult> ReplicaServer::ExecuteScan(
 Result<uint64_t> ReplicaServer::Watermark(const std::string& uid) const {
   MutexLock l(mu_);
   auto it = tablets_.find(uid);
-  if (it == tablets_.end()) {
-    return Status::NotFound("unknown replica tablet: " + uid);
-  }
+  if (it == tablets_.end()) return tablet::UnknownReplicaTablet(uid);
   return it->second->applier.Watermark();
 }
 
 Result<int64_t> ReplicaServer::StalenessUs(const std::string& uid) const {
   MutexLock l(mu_);
   auto it = tablets_.find(uid);
-  if (it == tablets_.end()) {
-    return Status::NotFound("unknown replica tablet: " + uid);
-  }
+  if (it == tablets_.end()) return tablet::UnknownReplicaTablet(uid);
   return sim::CurrentVirtualTime() - it->second->last_sync_us;
 }
 
@@ -293,9 +288,7 @@ Result<std::vector<index::IndexEntry>> ReplicaServer::IndexEntries(
     const std::string& uid) const {
   MutexLock l(mu_);
   auto it = tablets_.find(uid);
-  if (it == tablets_.end()) {
-    return Status::NotFound("unknown replica tablet: " + uid);
-  }
+  if (it == tablets_.end()) return tablet::UnknownReplicaTablet(uid);
   std::vector<index::IndexEntry> entries;
   it->second->index->VisitAll(
       [&entries](const index::IndexEntry& entry) { entries.push_back(entry); });

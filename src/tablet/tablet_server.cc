@@ -12,6 +12,7 @@
 #include "src/sim/costs.h"
 #include "src/sim/sim_context.h"
 #include "src/tablet/log_applier.h"
+#include "src/tablet/stale_route.h"
 #include "src/util/logging.h"
 
 namespace logbase::tablet {
@@ -245,14 +246,14 @@ Tablet* TabletServer::FindTabletCovering(uint32_t table_id,
 
 Status TabletServer::SealTablet(const std::string& uid) {
   Tablet* tablet = FindTablet(uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  if (tablet == nullptr) return UnknownTablet();
   tablet->Seal();
   return Status::OK();
 }
 
 Status TabletServer::UnsealTablet(const std::string& uid) {
   Tablet* tablet = FindTablet(uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  if (tablet == nullptr) return UnknownTablet();
   tablet->Unseal();
   return Status::OK();
 }
@@ -302,7 +303,7 @@ balance::LoadReport TabletServer::CollectLoadReport() {
 
 Result<std::string> TabletServer::SuggestSplitKey(const std::string& uid) {
   Tablet* tablet = FindTablet(uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  if (tablet == nullptr) return UnknownTablet();
   const TabletDescriptor& d = tablet->descriptor();
   std::vector<std::string> keys;
   for (const index::IndexEntry& entry :
@@ -381,10 +382,9 @@ Result<MutationBatch> TabletServer::Submit(std::vector<WriteOp> ops,
   tablets.reserve(ops.size());
   for (const WriteOp& op : ops) {
     Tablet* tablet = FindTablet(op.tablet_uid);
-    if (tablet == nullptr) return Status::NotFound("unknown tablet");
+    if (tablet == nullptr) return UnknownTablet();
     if (tablet->sealed()) {
-      return Status::Unavailable("tablet sealed for migration: " +
-                                 op.tablet_uid);
+      return TabletSealed(op.tablet_uid);
     }
     tablets.push_back(tablet);
   }
@@ -441,7 +441,7 @@ Status TabletServer::Publish(const MutationBatch& batch) {
     const WriteOp& op = batch.ops[i];
     const uint64_t ts = batch.timestamps[i];
     Tablet* tablet = FindTablet(op.tablet_uid);
-    if (tablet == nullptr) return Status::NotFound("unknown tablet");
+    if (tablet == nullptr) return UnknownTablet();
     LOGBASE_RETURN_NOT_OK(ApplyToIndex(tablet->index(), op.is_delete,
                                        Slice(op.key), ts, batch.ptrs[i]));
     tablet->RecordUpdate();
@@ -485,7 +485,7 @@ Result<ReadValue> TabletServer::Get(const std::string& tablet_uid,
   if (!running()) return Status::Unavailable("tablet server is down");
   LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, key.size()));
   Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  if (tablet == nullptr) return UnknownTablet();
   auto read = ReadPoint(*tablet->index(), &buffer_, tablet_uid, key, as_of,
                         [this](const index::IndexEntry& entry) {
                           return FetchLogValue(entry);
@@ -500,7 +500,7 @@ Result<std::vector<ReadRow>> TabletServer::GetVersions(
   if (!running()) return Status::Unavailable("tablet server is down");
   LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, key.size()));
   Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  if (tablet == nullptr) return UnknownTablet();
 
   std::vector<ReadRow> rows;
   for (const index::IndexEntry& entry :
@@ -523,7 +523,7 @@ Result<query::TabletResult> TabletServer::ExecuteScan(
   LOGBASE_RETURN_NOT_OK(
       admission_.Admit(tablet_uid, 1, encoded_plan.size()));
   Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  if (tablet == nullptr) return UnknownTablet();
 
   uint64_t scanned_bytes = 0;
   auto result = ReadRange(*tablet->index(), &buffer_, tablet_uid,
@@ -541,7 +541,7 @@ Result<uint64_t> TabletServer::FullScanCount(const std::string& tablet_uid) {
   if (!running()) return Status::Unavailable("tablet server is down");
   LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, 0));
   Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  if (tablet == nullptr) return UnknownTablet();
 
   log::LogReader* reader = ReaderFor(tablet->source_instance());
   auto segments = reader->ListSegments();
@@ -574,7 +574,7 @@ Result<uint64_t> TabletServer::FullScanCount(const std::string& tablet_uid) {
 Result<uint64_t> TabletServer::LatestVersion(const std::string& tablet_uid,
                                              const Slice& key) {
   Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  if (tablet == nullptr) return UnknownTablet();
   auto entry = tablet->index()->GetLatest(key);
   if (!entry.ok()) {
     if (entry.status().IsNotFound()) return static_cast<uint64_t>(0);
@@ -591,7 +591,7 @@ Status TabletServer::CreateSecondaryIndex(const std::string& tablet_uid,
                                           const std::string& index_name,
                                           secondary::KeyExtractor extractor) {
   Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  if (tablet == nullptr) return UnknownTablet();
   if (tablet->FindSecondaryIndex(index_name) != nullptr) {
     return Status::InvalidArgument("secondary index exists: " + index_name);
   }
@@ -614,7 +614,7 @@ Result<std::vector<ReadRow>> TabletServer::LookupBySecondary(
     const Slice& secondary_key, uint64_t as_of) {
   if (!running()) return Status::Unavailable("tablet server is down");
   Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  if (tablet == nullptr) return UnknownTablet();
   secondary::SecondaryIndex* index = tablet->FindSecondaryIndex(index_name);
   if (index == nullptr) return Status::NotFound("unknown secondary index");
 

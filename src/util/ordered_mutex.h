@@ -96,8 +96,6 @@ enum Rank : uint32_t {
   kSimDisk = 800,               // sim::DiskModel::mu_
   kSimResource = 810,           // sim::Resource::mu_
 
-  kThreadPool = 850,            // ThreadPool::mu_
-
   // Observability: metrics are bumped from everywhere, including while
   // holding the log-writer lock, so they rank last.
   kMetricsShard = 900,          // obs::MetricsRegistry::Shard::mu

@@ -195,6 +195,11 @@ TEST(SplitTest, SplitPreservesDataAndScans) {
   for (int i = 0; i < 60; i++) {
     ASSERT_TRUE(client->Put("t", 0, Key(i), "v" + std::to_string(i), {}).ok());
   }
+  // A second client scans before the split and caches the one-tablet layout.
+  auto scanner = cluster.NewClient(1);
+  auto before = scanner->Scan("t", 0, "", "", client::ReadOptions{});
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->size(), 60u);
   auto loc = cluster.master()->Locate("t", 0, Slice(Key(0)));
   ASSERT_TRUE(loc.ok());
   const std::string parent_uid = loc->descriptor.uid();
@@ -225,6 +230,11 @@ TEST(SplitTest, SplitPreservesDataAndScans) {
   auto rows = client->Scan("t", 0, "", "", client::ReadOptions{});
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 60u);
+  // The scanner's layout still names the retired parent: its scan meets the
+  // stale route, drops the layout and re-plans over both children.
+  auto stale_layout = scanner->Scan("t", 0, "", "", client::ReadOptions{});
+  ASSERT_TRUE(stale_layout.ok()) << stale_layout.status().ToString();
+  EXPECT_EQ(stale_layout->size(), 60u);
   // Writes land on the correct child and survive.
   ASSERT_TRUE(client->Put("t", 0, Key(5), "post-split", {}).ok());
   ASSERT_TRUE(client->Put("t", 0, Key(55), "post-split", {}).ok());

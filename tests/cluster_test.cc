@@ -231,6 +231,34 @@ TEST(ClientTest, ScanSpansTablets) {
   EXPECT_EQ(rows->back().key, "user7");
 }
 
+TEST(ClientTest, LayoutMissLoadsWholeTableOnce) {
+  // The first op on a table loads the whole layout of its column group in
+  // one master call (§3.3); ops on every other tablet resolve from it.
+  ClusterFixture f;
+  ASSERT_TRUE(f.CreateUsersTable(/*splits=*/3).ok());
+  auto tablets = f.cluster->master()->LocateAll("users", 0);
+  ASSERT_TRUE(tablets.ok());
+  ASSERT_EQ(tablets->size(), 4u);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 10; i++) keys.push_back("user" + std::to_string(i));
+  for (const master::TabletLocation& tablet : *tablets) {
+    EXPECT_TRUE(std::any_of(keys.begin(), keys.end(), [&](const auto& key) {
+      return tablet.descriptor.Contains(Slice(key));
+    })) << tablet.descriptor.uid();
+  }
+
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
+  for (const std::string& key : keys) {
+    ASSERT_TRUE(f.client->Put("users", 0, key, "v", {}).ok()) << key;
+    ASSERT_TRUE(f.client->Get("users", 0, key, client::ReadOptions{}).ok());
+  }
+  const obs::MetricsSnapshot delta =
+      obs::MetricsRegistry::Global().Snapshot().Delta(before);
+  const obs::MetricPoint* misses = delta.Find("client.route.cache_misses");
+  ASSERT_NE(misses, nullptr);
+  EXPECT_EQ(misses->count, 1u);
+}
+
 TEST(ClientTest, HistoricalReads) {
   ClusterFixture f;
   ASSERT_TRUE(f.CreateUsersTable().ok());
@@ -277,6 +305,27 @@ TEST(ClientTest, TransactionsThroughClient) {
   EXPECT_EQ(
       f.client->Get("users", 0, "user2", client::ReadOptions{})->value(),
       "balance:50");
+}
+
+TEST(ClientTest, TransactionsFollowReassignedTablets) {
+  // A transaction finds its servers through the same primary lookup as Get
+  // and PutBatch: a dead primary drops the cached layout, so the next
+  // transaction routes to the tablet's new owner.
+  ClusterFixture f;
+  ASSERT_TRUE(f.CreateUsersTable().ok());
+  ASSERT_TRUE(f.client->Put("users", 0, "user1", "balance:100", {}).ok());
+  int victim = f.cluster->master()->Locate("users", 0, "user1")->server_id;
+  f.cluster->CrashServer(victim);
+  ASSERT_TRUE(f.cluster->master()->DetectAndHandleFailures().ok());
+
+  client::Txn stale = f.client->BeginTxn();
+  EXPECT_TRUE(stale.Read("users", 0, "user1").status().IsUnavailable());
+  client::Txn txn = f.client->BeginTxn();
+  auto balance = txn.Read("users", 0, "user1");
+  ASSERT_TRUE(balance.ok()) << balance.status().ToString();
+  EXPECT_EQ(*balance, "balance:100");
+  ASSERT_TRUE(txn.Write("users", 0, "user1", "balance:90").ok());
+  ASSERT_TRUE(txn.Commit().ok());
 }
 
 TEST(ClusterTest, ServerCrashRecoveryEndToEnd) {

@@ -4,13 +4,11 @@
 
 #include "src/util/ordered_mutex.h"
 
-#include <atomic>
 #include <shared_mutex>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/util/thread_pool.h"
 
 namespace logbase {
 namespace {
@@ -202,22 +200,6 @@ TEST(OrderedMutexTest, RealRankTableNestingsPass) {
     std::lock_guard<OrderedMutex> l1(writer);
     std::lock_guard<OrderedMutex> l2(namenode);
   }
-  EXPECT_TRUE(violations.empty());
-}
-
-TEST(OrderedMutexTest, ThreadPoolWaitCyclesCleanly) {
-  // condition_variable_any::wait releases and reacquires the OrderedMutex;
-  // the held-rank stack must stay balanced through those cycles.
-  std::vector<LockOrderViolation> violations;
-  HookGuard guard(&violations);
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; i++) {
-    pool.Submit([&ran] { ran++; });
-  }
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 64);
-  EXPECT_EQ(HeldRankCount(), 0u);
   EXPECT_TRUE(violations.empty());
 }
 

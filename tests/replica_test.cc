@@ -690,6 +690,14 @@ TEST(ReplicaTest, MigrationTearsDownReplicasAndClientsFallBack) {
   auto warmed = client->Get("t", 0, Key(2), stale_opts);
   ASSERT_TRUE(warmed.ok());
   EXPECT_NE(warmed->snapshot_ts, 0u);
+  // A second client's stale-tolerant query caches the same layout, and the
+  // replica serves it.
+  auto querier = cluster.NewClient(1);
+  client::QueryOptions query_opts;
+  query_opts.read.allow_stale = true;
+  auto served = querier->Query("t", 0, query::QueryPlan{}, query_opts);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->tablets_from_replica, 1u);
 
   // Migrate the tablet: its replicas tail the *source's* log, so the master
   // tears them down rather than serve a frozen cursor.
@@ -713,6 +721,24 @@ TEST(ReplicaTest, MigrationTearsDownReplicasAndClientsFallBack) {
   EXPECT_EQ(fallback->snapshot_ts, 0u);
   EXPECT_EQ(fallback->value(), "v2");
 
+  // The querier's layout still names the torn-down replica and the old
+  // owner: the query drops the layout, re-plans, and the new primary gives
+  // the same answer.
+  auto requeried = querier->Query("t", 0, query::QueryPlan{}, query_opts);
+  ASSERT_TRUE(requeried.ok()) << requeried.status().ToString();
+  EXPECT_EQ(requeried->tablets_from_replica, 0u);
+  const std::vector<tablet::ReadRow> want =
+      tablet::RowsFromBatches(served->batches);
+  const std::vector<tablet::ReadRow> got =
+      tablet::RowsFromBatches(requeried->batches);
+  ASSERT_EQ(got.size(), 20u);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); i++) {
+    EXPECT_EQ(got[i].key, want[i].key);
+    EXPECT_EQ(got[i].timestamp, want[i].timestamp);
+    EXPECT_EQ(got[i].value, want[i].value);
+  }
+
   // Re-attached replicas on the new owner serve again.
   ASSERT_TRUE(m->AddReplica(uid).ok());
   ASSERT_TRUE(cluster.TickReplicas().ok());
@@ -721,6 +747,54 @@ TEST(ReplicaTest, MigrationTearsDownReplicasAndClientsFallBack) {
   ASSERT_TRUE(reattached.ok());
   EXPECT_NE(reattached->snapshot_ts, 0u);
   EXPECT_EQ(reattached->value(), "v2");
+}
+
+// A replica torn down under an unchanged primary: the replica walk skips it
+// and drops the cached layout, so the next stale read routes by a fresh
+// layout straight to the primary instead of trying the detached replica
+// again.
+TEST(ReplicaTest, TornDownReplicaDropsCachedLayout) {
+  cluster::MiniCluster cluster(SmallCluster());
+  ASSERT_TRUE(cluster.Start().ok());
+  master::Master* m = cluster.active_master();
+  ASSERT_TRUE(m->CreateTable("t", {"v"}, {{"v"}}, {}).ok());
+  auto client = cluster.NewClient(0);
+  ASSERT_TRUE(client->Put("t", 0, Key(1), "v1", {}).ok());
+  std::vector<std::string> uids = AttachAll(m, 1);
+  ASSERT_EQ(uids.size(), 1u);
+  ASSERT_TRUE(cluster.TickReplicas().ok());
+  client->InvalidateCache();  // routes were cached before the attach
+  client::ReadOptions stale_opts;
+  stale_opts.allow_stale = true;
+  auto served = client->Get("t", 0, Key(1), stale_opts);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_NE(served->snapshot_ts, 0u);
+  auto since = [](const obs::MetricsSnapshot& before, const char* name) {
+    const obs::MetricsSnapshot delta =
+        obs::MetricsRegistry::Global().Snapshot().Delta(before);
+    const obs::MetricPoint* point = delta.Find(name);
+    return point != nullptr ? point->count : 0;
+  };
+
+  // The replica's NotFound is the answer (its snapshot is prefix-consistent),
+  // not a reason to fall back to the primary.
+  obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_TRUE(client->Get("t", 0, Key(2), stale_opts).status().IsNotFound());
+  EXPECT_EQ(since(before, "client.replica.redirects"), 1u);
+  EXPECT_EQ(since(before, "client.replica.fallbacks"), 0u);
+
+  ASSERT_TRUE(m->DropReplicas(uids[0]).ok());
+  before = obs::MetricsRegistry::Global().Snapshot();
+  for (int i = 0; i < 2; i++) {
+    auto read = client->Get("t", 0, Key(1), stale_opts);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(read->snapshot_ts, 0u);
+    EXPECT_EQ(read->value(), "v1");
+  }
+  // Only the first read met the detached replica; the second routed by the
+  // reloaded layout, which lists no replica.
+  EXPECT_EQ(since(before, "client.replica.fallbacks"), 1u);
+  EXPECT_EQ(since(before, "client.route.cache_misses"), 1u);
 }
 
 // I6 under chaos: replica crashes/restarts race server and master faults

@@ -1,7 +1,7 @@
 // Concurrency stress tests, written for the ThreadSanitizer preset
 // (`cmake --preset tsan`). They hammer the components with real cross-thread
-// contention — ThreadPool, the coordination lock table, one DFS block
-// written and read at once, random DFS readers on every node beside an
+// contention — the coordination lock table, one DFS block written and
+// read at once, random DFS readers on every node beside an
 // appending writer, and a tablet server serving writes, reads and
 // checkpoints concurrently — so TSan sees the
 // interesting interleavings and the ranked lock-order checker (on by
@@ -26,27 +26,9 @@
 #include "src/txn/lock_table.h"
 #include "src/util/ordered_mutex.h"
 #include "src/util/random.h"
-#include "src/util/thread_pool.h"
 
 namespace logbase {
 namespace {
-
-TEST(StressTest, ThreadPoolManySubmittersAndWaiters) {
-  ThreadPool pool(4);
-  std::atomic<int> executed{0};
-  std::vector<std::thread> submitters;
-  for (int t = 0; t < 4; t++) {
-    submitters.emplace_back([&pool, &executed] {
-      for (int i = 0; i < 500; i++) {
-        pool.Submit([&executed] { executed++; });
-      }
-    });
-  }
-  for (auto& t : submitters) t.join();
-  pool.Wait();
-  EXPECT_EQ(executed.load(), 2000);
-  EXPECT_EQ(HeldRankCount(), 0u);
-}
 
 TEST(StressTest, LockTableContendedAcquireRelease) {
   coord::CoordinationService coord;

@@ -19,7 +19,6 @@
 #include "src/util/skiplist.h"
 #include "src/util/slice.h"
 #include "src/util/status.h"
-#include "src/util/thread_pool.h"
 
 namespace logbase {
 namespace {
@@ -465,31 +464,6 @@ TEST(SkipListTest, ConcurrentReadersDuringWrites) {
   writer.join();
   reader.join();
   EXPECT_TRUE(list.Contains(19999));
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; i++) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 2);
 }
 
 // ---------------------------------------------------------------------------
