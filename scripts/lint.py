@@ -51,6 +51,11 @@ Rules enforced over src/ (and, where noted, the whole tree):
                 actor clocks (a container of sim::SimContext). Several
                 actors are stepped by sim::Scheduler alone, smallest clock
                 first, so no driver keeps its own round-robin or barrier.
+  child-clock   Under src/, only src/sim/ constructs a sim::SimContext.
+                Work that overlaps in virtual time runs as sim::Fanout
+                branches, several actors step through sim::Scheduler, and
+                an actor that runs alone installs a sim::ScopedClock, so no
+                module hand-rolls a child clock.
   status-text   Under src/, only src/tablet/stale_route.cc matches a
                 Status's message text (`ToString().find(`,
                 `message().find(`). Callers tell statuses apart by code, and
@@ -598,6 +603,33 @@ def check_actor_clock(path, rel, stripped):
 
 
 # --------------------------------------------------------------------------
+# rule: child-clock
+
+# A module that builds its own SimContext to overlap work (a scatter, a 2PC
+# round, an off-path release) is one more copy of the rule for where each
+# branch starts and what the caller waits for. sim::Fanout owns that rule,
+# sim::Scheduler steps actors and sim::ScopedClock gives a lone actor its
+# clock, so only src/sim/ constructs a SimContext. Pointers, references and
+# the static members (Current, Scope) stay allowed everywhere.
+CHILD_CLOCK_OWNER_DIR = 'src/sim/'
+CHILD_CLOCK_CONSTRUCT = re.compile(
+    r'\bSimContext\b(?!\s*(?:[*&:>]))\s*(?:\w+\s*)?[({;=]'
+    r'|\b(?:make_unique|make_shared|optional)\s*<\s*(?:sim::)?SimContext\s*>'
+    r'|\bnew\s+(?:sim::)?SimContext\b')
+
+
+def check_child_clock(path, rel, stripped):
+    if not rel.startswith('src/') or rel.startswith(CHILD_CLOCK_OWNER_DIR):
+        return []
+    return [Violation('child-clock', rel, lineno,
+                      'sim::SimContext constructed outside src/sim/; run '
+                      'overlapping work as sim::Fanout branches (or a lone '
+                      'actor under sim::ScopedClock)')
+            for lineno, line in iter_lines(stripped)
+            if CHILD_CLOCK_CONSTRUCT.search(line)]
+
+
+# --------------------------------------------------------------------------
 # rule: status-text
 
 # A caller that finds a substring in another module's error message breaks
@@ -627,7 +659,7 @@ def check_status_text(path, rel, stripped):
 PER_FILE_RULES = [check_wall_clock, check_nondet, check_raw_new,
                   check_deprecated, check_mutex, check_guarded_by,
                   check_write_path, check_read_buffer, check_reassign,
-                  check_actor_clock, check_status_text]
+                  check_actor_clock, check_child_clock, check_status_text]
 
 
 def lint_tree(root):
@@ -889,6 +921,20 @@ SELF_TEST_CASES = [
      'sim::SimContext stream_ctx[kHostileStreams];',
      'sim::SimContext load_ctx(QuiesceTime(cluster.dfs(), '
      'cluster.network()));'),
+    # One owner for overlapping virtual time: a hand-rolled child clock is a
+    # second copy of sim::Fanout's start and join rule.
+    (check_child_clock, 'src/client/client.cc',
+     'sim::SimContext child(start);',
+     'sim::Fanout scatter(kQueryFanout);\n'
+     'auto part = scatter.Run([&] { return QueryTablet(route); });'),
+    (check_child_clock, 'src/txn/lock_table.cc',
+     'sim::SimContext release(ctx != nullptr ? ctx->now() : 0);',
+     'sim::SimContext* ctx = sim::SimContext::Current();\n'
+     'sim::SimContext::Scope scope(ctx);'),
+    (check_child_clock, 'src/fault/nemesis.cc',
+     'auto clock = std::make_unique<sim::SimContext>();',
+     'sim::ScopedClock clock;\n'
+     'sched.Add(0, [&](sim::SimContext& ctx) { return Step(ctx); });'),
     # One stale-route rule: a client that greps a server's error text is a
     # second copy of it.
     (check_status_text, 'src/client/client.cc',
@@ -932,6 +978,13 @@ def self_test():
         failures += 1
     else:
         print('self-test ok: actor-clock allows src/sim/')
+    # src/sim/ itself builds the clocks its helpers hand out.
+    if check_child_clock('x', 'src/sim/fanout.h', strip_comments_and_strings(
+            'SimContext clock_;')):
+        print('SELF-TEST FAIL: child-clock fires inside src/sim/')
+        failures += 1
+    else:
+        print('self-test ok: child-clock allows src/sim/')
     # The stale-route helper itself may read the text it builds.
     if check_status_text('x', STATUS_TEXT_OWNER_FILE,
                          strip_comments_and_strings(

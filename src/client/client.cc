@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <functional>
-#include <queue>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/query/column_batch.h"
+#include "src/sim/fanout.h"
 #include "src/sim/sim_context.h"
 #include "src/tablet/stale_route.h"
 
@@ -525,39 +525,19 @@ Result<QueryResult> LogBaseClient::Query(const std::string& table,
         }
 
         // Partition-parallel scatter in virtual time: up to kQueryFanout
-        // sub-queries overlap. Each runs in a child clock starting at the
-        // fan-out point while slots are free, else at the earliest running
-        // sub-query's completion; the caller advances to the last
-        // completion — elapsed time is the critical path, not the sum.
-        sim::SimContext* ctx = sim::SimContext::Current();
-        const sim::VirtualTime base = ctx != nullptr ? ctx->now() : 0;
-        std::priority_queue<sim::VirtualTime, std::vector<sim::VirtualTime>,
-                            std::greater<sim::VirtualTime>>
-            slots;
-        sim::VirtualTime finish = base;
-
+        // sub-queries overlap, and elapsed time is the critical path, not
+        // the sum. A failed sub-query's elapsed time still happened.
+        sim::Fanout scatter(kQueryFanout);
         QueryResult out;
         query::TabletResult acc;
         for (const Route* route : targets) {
-          sim::VirtualTime start = base;
-          if (ctx != nullptr && slots.size() >= kQueryFanout) {
-            start = slots.top();
-            slots.pop();
-          }
-          sim::SimContext child(start);
           bool from_replica = false;
-          auto part = [&]() -> Result<query::TabletResult> {
-            sim::SimContext::Scope scope(ctx != nullptr ? &child : nullptr);
+          auto part = scatter.Run([&] {
             return QueryTablet(*route, Slice(wire_plan), exec, options,
                                &from_replica);
-          }();
-          if (ctx != nullptr) {
-            slots.push(child.now());
-            finish = std::max(finish, child.now());
-          }
+          });
           if (!part.ok()) {
-            // The failed sub-query's elapsed time still happened.
-            if (ctx != nullptr) ctx->AdvanceTo(finish);
+            scatter.Join();
             return part.status();
           }
           out.tablets_queried++;
@@ -567,7 +547,7 @@ Result<QueryResult> LogBaseClient::Query(const std::string& table,
           out.bytes_shipped += part->stats.bytes_shipped;
           query::MergeInto(&acc, std::move(*part));
         }
-        if (ctx != nullptr) ctx->AdvanceTo(finish);
+        scatter.Join();
         out.aggregated = acc.aggregated;
         out.batches = std::move(acc.batches);
         out.agg = std::move(acc.agg);

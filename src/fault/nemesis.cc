@@ -88,8 +88,7 @@ std::string NemesisReport::ToString() const {
 
 Result<NemesisReport> RunNemesis(const NemesisOptions& options,
                                  const FaultPlan& plan) {
-  sim::SimContext ctx;
-  sim::SimContext::Scope scope(&ctx);
+  sim::ScopedClock clock;
 
   cluster::MiniClusterOptions copts;
   copts.num_nodes = options.num_nodes;
@@ -173,8 +172,8 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
 
   // -- Workload, with the fault schedule firing as virtual time passes ----
   for (int round = 0; round < options.rounds; round++) {
-    ctx.Advance(options.round_advance_us);
-    auto fired = injector.AdvanceTo(ctx.now());
+    clock.Advance(options.round_advance_us);
+    auto fired = injector.AdvanceTo(clock.now());
     if (!fired.ok()) return fired.status();
     report.faults_fired += *fired;
 

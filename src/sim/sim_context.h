@@ -55,6 +55,24 @@ class SimContext {
   VirtualTime now_ = 0;
 };
 
+/// A clock of its own, installed as the ambient context for this object's
+/// lifetime: one actor that runs alone rather than under a sim::Scheduler
+/// (a nemesis run).
+class ScopedClock {
+ public:
+  explicit ScopedClock(VirtualTime start = 0)
+      : clock_(start), scope_(&clock_) {}
+  ScopedClock(const ScopedClock&) = delete;
+  ScopedClock& operator=(const ScopedClock&) = delete;
+
+  VirtualTime now() const { return clock_.now(); }
+  void Advance(VirtualTime dt) { clock_.Advance(dt); }
+
+ private:
+  SimContext clock_;
+  SimContext::Scope scope_;
+};
+
 /// Advances the ambient clock by a pure-CPU cost; no-op without a context.
 void ChargeCpu(VirtualTime us);
 

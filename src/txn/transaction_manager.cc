@@ -6,6 +6,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/costs.h"
+#include "src/sim/fanout.h"
 #include "src/txn/lock_table.h"
 #include "src/util/logging.h"
 
@@ -69,6 +70,18 @@ Result<std::string> TransactionManager::Read(Transaction* txn,
 Status TransactionManager::Write(Transaction* txn,
                                  const std::string& tablet_uid,
                                  const Slice& key, const Slice& value) {
+  return Buffer(txn, tablet_uid, key, BufferedWrite{false, value.ToString()});
+}
+
+Status TransactionManager::Delete(Transaction* txn,
+                                  const std::string& tablet_uid,
+                                  const Slice& key) {
+  return Buffer(txn, tablet_uid, key, BufferedWrite{true, ""});
+}
+
+Status TransactionManager::Buffer(Transaction* txn,
+                                  const std::string& tablet_uid,
+                                  const Slice& key, BufferedWrite write) {
   sim::ChargeCpu(sim::costs::kTxnBookkeepingUs);
   TxnCell cell{tablet_uid, key.ToString()};
   if (txn->FindReadVersion(cell) == nullptr) {
@@ -80,22 +93,7 @@ Status TransactionManager::Write(Transaction* txn,
     if (!version.ok()) return version.status();
     txn->RecordRead(cell, *version);
   }
-  txn->BufferWrite(cell, BufferedWrite{false, value.ToString()});
-  return Status::OK();
-}
-
-Status TransactionManager::Delete(Transaction* txn,
-                                  const std::string& tablet_uid,
-                                  const Slice& key) {
-  TxnCell cell{tablet_uid, key.ToString()};
-  if (txn->FindReadVersion(cell) == nullptr) {
-    tablet::TabletServer* server = resolver_(tablet_uid);
-    if (server == nullptr) return Status::Unavailable("no server for tablet");
-    auto version = server->LatestVersion(tablet_uid, key);
-    if (!version.ok()) return version.status();
-    txn->RecordRead(cell, *version);
-  }
-  txn->BufferWrite(cell, BufferedWrite{true, ""});
+  txn->BufferWrite(cell, std::move(write));
   return Status::OK();
 }
 
@@ -141,22 +139,36 @@ Status TransactionManager::PersistAndPublish(Transaction* txn,
   // Fast path: one participant writes data + COMMIT in one group-committed
   // batch (§3.7.2). 2PC: phase one writes the data records everywhere,
   // phase two the COMMIT records; a failure before every COMMIT is durable
-  // leaves the transaction invisible everywhere.
+  // leaves the transaction invisible everywhere. Each phase is one
+  // concurrent round: every participant's append is a branch, issued in
+  // server-id order, and the round ends when the last one is durable. The
+  // first participant that fails ends the round; its time still counts.
   tablet::TxnStamp stamp{txn->id(), txn->commit_ts(),
                          /*commit=*/participants.size() == 1};
-  for (auto& [id, p] : participants) {
+  auto round = [&](auto append) {
+    sim::Fanout fanout;
+    Status status;
+    for (auto& [id, p] : participants) {
+      status = fanout.Run([&] { return append(p); });
+      if (!status.ok()) break;
+    }
+    fanout.Join();
+    return status;
+  };
+  LOGBASE_RETURN_NOT_OK(round([&](Participant& p) -> Status {
     auto batch = p.server->Submit(std::move(p.ops), ack, stamp);
     if (!batch.ok()) return batch.status();
     LOGBASE_RETURN_NOT_OK(p.server->Wait(&*batch));
     p.batch = std::move(*batch);
-  }
+    return Status::OK();
+  }));
   if (!stamp.commit) {
     stamp.commit = true;
-    for (auto& [id, p] : participants) {
+    LOGBASE_RETURN_NOT_OK(round([&](Participant& p) -> Status {
       auto commit = p.server->Submit({}, ack, stamp);
       if (!commit.ok()) return commit.status();
-      LOGBASE_RETURN_NOT_OK(p.server->Wait(&*commit));
-    }
+      return p.server->Wait(&*commit);
+    }));
   }
 
   // Publication: only now do the writes become visible to reads.

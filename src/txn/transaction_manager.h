@@ -11,10 +11,11 @@
 // Single-server transactions commit with one group-committed log append
 // (data + COMMIT together). Multi-server transactions run a two-phase
 // commit: data records on every participant first, COMMIT records after all
-// succeeded, participants in server-id order — visibility requires the
-// COMMIT record plus index publication, so a failure between phases leaves
-// the transaction invisible everywhere. Both go through the tablet servers'
-// one write surface (Submit / Wait / Publish).
+// succeeded, each phase one concurrent round over the participants, issued
+// in server-id order — visibility requires the COMMIT record plus index
+// publication, so a failure between phases leaves the transaction invisible
+// everywhere. Both go through the tablet servers' one write surface
+// (Submit / Wait / Publish).
 
 #ifndef LOGBASE_TXN_TRANSACTION_MANAGER_H_
 #define LOGBASE_TXN_TRANSACTION_MANAGER_H_
@@ -90,6 +91,10 @@ class TransactionManager {
   /// thread-safety analysis cannot express; it covers OrderedMutex
   /// capabilities only.
   Status ValidateLocked(Transaction* txn);
+  /// Buffers a write or delete, charging the bookkeeping every transactional
+  /// operation pays and observing the overwritten version.
+  Status Buffer(Transaction* txn, const std::string& tablet_uid,
+                const Slice& key, BufferedWrite write);
   Status PersistAndPublish(Transaction* txn, log::AckMode ack);
 
   coord::CoordinationService* const coord_;

@@ -1,6 +1,6 @@
 // Tests for the virtual-time simulation substrate: FCFS resources, the disk
 // cost model's sequential/random classification, the network model,
-// ambient context plumbing, and the actor scheduler.
+// ambient context plumbing, the actor scheduler, and fan-out branches.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 
 #include "src/sim/costs.h"
 #include "src/sim/disk_model.h"
+#include "src/sim/fanout.h"
 #include "src/sim/network_model.h"
 #include "src/sim/resource.h"
 #include "src/sim/scheduler.h"
@@ -269,6 +270,73 @@ TEST(SchedulerTest, FalseRetiresTheActor) {
   EXPECT_EQ(sched.Run(), 9);
   EXPECT_EQ(a_steps, 1);
   EXPECT_EQ(b_steps, 4);
+}
+
+TEST(FanoutTest, BranchPastTheWidthStartsAtEarliestCompletion) {
+  SimContext ctx(100);
+  SimContext::Scope scope(&ctx);
+  Fanout fanout(/*width=*/4);
+  std::vector<VirtualTime> starts;
+  // Four branches fill the slots; the one taking 10us frees its slot first.
+  for (VirtualTime took : {40, 10, 30, 20, 5}) {
+    fanout.Run([&] {
+      starts.push_back(CurrentVirtualTime());
+      ChargeCpu(took);
+    });
+  }
+  EXPECT_EQ(starts, (std::vector<VirtualTime>{100, 100, 100, 100, 110}));
+  EXPECT_EQ(ctx.now(), 100);  // nothing moves the caller before Join
+}
+
+TEST(FanoutTest, JoinMovesToTheLastCompletion) {
+  SimContext ctx(100);
+  SimContext::Scope scope(&ctx);
+  Fanout fanout;
+  std::vector<VirtualTime> starts;
+  for (VirtualTime took : {40, 70, 10, 25, 60}) {
+    fanout.Run([&] {
+      starts.push_back(CurrentVirtualTime());
+      ChargeCpu(took);
+    });
+  }
+  // Unbounded: every branch starts at the fan-out point.
+  EXPECT_EQ(starts, (std::vector<VirtualTime>(5, 100)));
+  fanout.Join();
+  EXPECT_EQ(ctx.now(), 170);
+  EXPECT_EQ(SimContext::Current(), &ctx);
+}
+
+TEST(FanoutTest, NoAmbientClockOnlyRunsTheBranches) {
+  Fanout fanout(/*width=*/1);
+  int ran = 0;
+  for (int i = 0; i < 3; i++) {
+    int value = fanout.Run([&] {
+      EXPECT_EQ(SimContext::Current(), nullptr);
+      ChargeCpu(50);
+      return ++ran;
+    });
+    EXPECT_EQ(value, ran);
+  }
+  fanout.Join();
+  EXPECT_EQ(ran, 3);
+  EXPECT_EQ(CurrentVirtualTime(), 0);
+}
+
+TEST(FanoutTest, FailedBranchTimeIsKept) {
+  SimContext ctx(0);
+  SimContext::Scope scope(&ctx);
+  Fanout fanout;
+  EXPECT_TRUE(fanout.Run([] {
+    ChargeCpu(30);
+    return true;
+  }));
+  // The caller stops issuing at the failure; the 80us it took still count.
+  EXPECT_FALSE(fanout.Run([] {
+    ChargeCpu(80);
+    return false;
+  }));
+  fanout.Join();
+  EXPECT_EQ(ctx.now(), 80);
 }
 
 TEST(DiskModelTest, SequentialAvoidsSeek) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <optional>
@@ -76,6 +77,35 @@ Status AppendUncommitted(TabletServer* server, const std::string& uid,
   if (!batch.ok()) return batch.status();
   return server->Wait(&*batch);
 }
+
+/// A tablet server logging to a DFS of its own, hosting one tablet: two of
+/// them append concurrently without sharing a disk, and a fault injected in
+/// one's DFS fails only its appends.
+struct SoloServer {
+  dfs::Dfs dfs{[] {
+    dfs::DfsOptions o;
+    o.num_nodes = 3;
+    return o;
+  }()};
+  std::unique_ptr<TabletServer> server;
+  std::string uid;
+
+  SoloServer(int server_id, coord::CoordinationService* coord) {
+    TabletServerOptions options;
+    options.server_id = server_id;
+    server = std::make_unique<TabletServer>(options, &dfs, coord);
+    EXPECT_TRUE(server->Start().ok());
+    TabletDescriptor d;
+    d.table_id = 1;
+    d.range_id = server_id;
+    uid = d.uid();
+    EXPECT_TRUE(server->OpenTablet(d).ok());
+  }
+
+  void InjectIoErrors(int n) {
+    for (int node = 0; node < 3; node++) dfs.data_node(node)->InjectIoErrors(n);
+  }
+};
 
 TEST(TxnTest, CommitMakesWritesVisible) {
   TxnFixture f;
@@ -323,6 +353,117 @@ TEST(TxnTest, TwoPhaseCommitAppendsInServerIdOrder) {
   for (int node = 0; node < 3; node++) {
     high_dfs.data_node(node)->InjectIoErrors(0);
   }
+}
+
+// When the lower-id participant fails phase one, the round issues nothing
+// to the higher-id one: no participant after the first failure logs.
+TEST(TxnTest, TwoPhaseRoundStopsAtFirstFailingParticipant) {
+  coord::CoordinationService coord;
+  SoloServer low(0, &coord), high(1, &coord);
+  TransactionManager manager(&coord, /*client_node=*/0,
+                             [&](const std::string& uid) {
+                               return uid == low.uid ? low.server.get()
+                                                     : high.server.get();
+                             });
+  sim::SimContext ctx(50000);
+  sim::SimContext::Scope scope(&ctx);
+  auto txn = manager.Begin();
+  ASSERT_TRUE(manager.Write(txn.get(), low.uid, "a", "x").ok());
+  ASSERT_TRUE(manager.Write(txn.get(), high.uid, "b", "y").ok());
+  low.InjectIoErrors(1000);
+  EXPECT_FALSE(manager.Commit(txn.get()).ok());
+  EXPECT_EQ(high.server->log_bytes_written(), 0u);
+  EXPECT_TRUE(high.server->Get(high.uid, "b").status().IsNotFound());
+  low.InjectIoErrors(0);
+}
+
+// Each 2PC phase is one concurrent round: a cross-server commit costs the
+// coordination round trip, the slower participant's data append, the slower
+// participant's COMMIT append, then publication on each participant.
+TEST(TxnTest, CrossServerCommitTakesTwoAppendRounds) {
+  coord::CoordinationService coord;
+  SoloServer low(0, &coord), high(1, &coord);
+  TransactionManager manager(&coord, /*client_node=*/0,
+                             [&](const std::string& uid) {
+                               return uid == low.uid ? low.server.get()
+                                                     : high.server.get();
+                             });
+  sim::SimContext ctx(50000);
+  sim::VirtualTime start = 0;
+  std::unique_ptr<Transaction> txn;
+  {
+    sim::SimContext::Scope scope(&ctx);
+    txn = manager.Begin();
+    ASSERT_TRUE(manager.Write(txn.get(), low.uid, "a", "1").ok());
+    ASSERT_TRUE(manager.Write(txn.get(), high.uid, "b", "2").ok());
+    start = ctx.now();
+    ASSERT_TRUE(manager.Commit(txn.get()).ok());
+  }
+
+  // The same rounds on identical servers. Every append of a round starts
+  // where the round starts; the next round starts at the round's last
+  // completion. There is no network here, so the round trip before the
+  // first round is the coordination service's quorum time.
+  coord::CoordinationService ref_coord;
+  std::array<std::unique_ptr<SoloServer>, 2> refs = {
+      std::make_unique<SoloServer>(0, &ref_coord),
+      std::make_unique<SoloServer>(1, &ref_coord)};
+  const std::array<tablet::WriteOp, 2> ops = {
+      tablet::WriteOp{refs[0]->uid, "a", "1"},
+      tablet::WriteOp{refs[1]->uid, "b", "2"}};
+  std::array<tablet::MutationBatch, 2> data;
+  auto round = [&](sim::VirtualTime at, bool commit) {
+    sim::VirtualTime end = at;
+    for (int i = 0; i < 2; i++) {
+      sim::SimContext clock(at);
+      sim::SimContext::Scope scope(&clock);
+      std::vector<tablet::WriteOp> batch_ops;
+      if (!commit) batch_ops.push_back(ops[i]);
+      auto batch = refs[i]->server->Submit(
+          std::move(batch_ops), log::AckMode::kQuorum,
+          tablet::TxnStamp{txn->id(), txn->commit_ts(), commit});
+      EXPECT_TRUE(batch.ok());
+      EXPECT_TRUE(refs[i]->server->Wait(&*batch).ok());
+      if (!commit) data[i] = std::move(*batch);
+      end = std::max(end, clock.now());
+    }
+    return end;
+  };
+  const sim::VirtualTime data_round =
+      start + sim::costs::kCoordinationUs + 2 * sim::costs::kIndexLookupUs;
+  const sim::VirtualTime commit_round = round(data_round, /*commit=*/false);
+  sim::SimContext publish(round(commit_round, /*commit=*/true));
+  {
+    sim::SimContext::Scope scope(&publish);
+    for (int i = 0; i < 2; i++) {
+      ASSERT_TRUE(refs[i]->server->Publish(data[i]).ok());
+    }
+  }
+  EXPECT_GT(commit_round, data_round);
+  EXPECT_GT(publish.now(), commit_round);
+  EXPECT_EQ(ctx.now(), publish.now());
+  EXPECT_EQ(low.server->Get(low.uid, "a")->value, "1");
+  EXPECT_EQ(high.server->Get(high.uid, "b")->value, "2");
+}
+
+// A transactional delete is a buffered write: it pays the same bookkeeping
+// as Write and Read.
+TEST(TxnTest, TransactionalDeleteChargesBookkeeping) {
+  TxnFixture f(1);
+  ASSERT_TRUE(f.servers[0]->Put(f.uid0, "k", "v").ok());
+  ASSERT_TRUE(f.servers[0]->Put(f.uid0, "j", "v").ok());
+  sim::SimContext ctx;
+  sim::SimContext::Scope scope(&ctx);
+  auto txn = f.manager->Begin();
+  ASSERT_TRUE(f.manager->Read(txn.get(), f.uid0, "k").ok());
+  ASSERT_TRUE(f.manager->Read(txn.get(), f.uid0, "j").ok());
+  // Both cells were read, so neither call looks up a version again.
+  sim::VirtualTime before = ctx.now();
+  ASSERT_TRUE(f.manager->Delete(txn.get(), f.uid0, "k").ok());
+  EXPECT_EQ(ctx.now() - before, sim::costs::kTxnBookkeepingUs);
+  before = ctx.now();
+  ASSERT_TRUE(f.manager->Write(txn.get(), f.uid0, "j", "w").ok());
+  EXPECT_EQ(ctx.now() - before, sim::costs::kTxnBookkeepingUs);
 }
 
 TEST(TxnTest, SerializableModeAbortsWriteSkew) {
