@@ -61,6 +61,16 @@ Rules enforced over src/ (and, where noted, the whole tree):
                 `message().find(`). Callers tell statuses apart by code, and
                 stale routes by tablet::IsStaleRoute, so no module spells
                 another module's error text.
+  rank-table    The rank table in DESIGN.md section 6.1 lists exactly the
+                lockrank enum of src/util/ordered_mutex.h (same names, same
+                numbers), and every rank names at least one OrderedMutex
+                under src/. A rank left behind by a deleted lock, or a doc
+                row the checker no longer has, fails the lint.
+  stale-allowlist
+                Every `file#member` in GUARDED_BY_ALLOWLIST names a file
+                that exists and declares that member, and every path in
+                MUTEX_ALLOWLIST exists, so an escape cannot outlive the
+                code it excused.
 
 Usage:
   lint.py [--root DIR]     lint the tree, exit non-zero on violations
@@ -78,6 +88,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 # --------------------------------------------------------------------------
 # helpers
@@ -140,6 +151,18 @@ class Violation:
 def iter_lines(stripped):
     for lineno, line in enumerate(stripped.split('\n'), start=1):
         yield lineno, line
+
+
+def read_file(root, rel):
+    try:
+        with open(os.path.join(root, rel), encoding='utf-8') as f:
+            return f.read()
+    except OSError:
+        return None
+
+
+def line_at(text, pos):
+    return text.count('\n', 0, pos) + 1
 
 
 # --------------------------------------------------------------------------
@@ -392,7 +415,6 @@ GUARDED_BY_ALLOWLIST = {
     'src/obs/metrics.h#shards_',
     'src/sim/disk_model.h#resource_',
     'src/dfs/data_node.h#disk_',
-    'src/secondary/secondary_index.h#tree_',
     # The DFS writer's state, confined to the file's one writing thread;
     # the OrderedMutex in the same file belongs to the reader.
     'src/dfs/dfs.cc#w_',
@@ -450,14 +472,10 @@ def check_nodiscard(root):
             r'class\s+\[\[nodiscard\]\]\s+Status\b')),
                         ('src/util/result.h', re.compile(
             r'class\s+\[\[nodiscard\]\]\s+Result\b'))):
-        path = os.path.join(root, rel)
-        try:
-            with open(path, encoding='utf-8') as f:
-                text = f.read()
-        except OSError:
+        text = read_file(root, rel)
+        if text is None:
             found.append(Violation('nodiscard', rel, 1, 'file missing'))
-            continue
-        if not marker.search(text):
+        elif not marker.search(text):
             found.append(Violation(
                 'nodiscard', rel, 1,
                 'missing [[nodiscard]] on the class declaration; ignored '
@@ -654,6 +672,109 @@ def check_status_text(path, rel, stripped):
 
 
 # --------------------------------------------------------------------------
+# rule: rank-table
+
+# src/util/ordered_mutex.h holds the authoritative rank table and DESIGN.md
+# section 6.1 mirrors it row for row. A rank that no OrderedMutex names is
+# the leftover of a deleted lock; a row that differs from the enum is a doc
+# that no longer describes the checker.
+RANK_HEADER = 'src/util/ordered_mutex.h'
+RANK_DOC = 'DESIGN.md'
+RANK_ENUM = re.compile(r'\benum\s+Rank\b[^{]*\{([^}]*)\}')
+RANK_ENTRY = re.compile(r'\b(k\w+)\s*=\s*(\d+)')
+RANK_DOC_SECTION = re.compile(r'^### 6\.1 .*?(?=^#{2,3} |\Z)', re.M | re.S)
+RANK_DOC_ROW = re.compile(r'^\|\s*(\d+)\s*\|\s*`(k\w+)`\s*\|', re.M)
+RANK_USE = re.compile(
+    r'\bOrdered(?:Shared)?Mutex\s+\w+\s*[{(]\s*lockrank::(k\w+)\b')
+
+
+def check_rank_table(root):
+    header = read_file(root, RANK_HEADER)
+    doc = read_file(root, RANK_DOC)
+    if header is None or doc is None:
+        return [Violation('rank-table', RANK_HEADER if header is None
+                          else RANK_DOC, 1, 'file missing')]
+    header = strip_comments_and_strings(header)
+    enum = RANK_ENUM.search(header)
+    ranks = {}  # name -> (rank, line)
+    if enum:
+        for m in RANK_ENTRY.finditer(header, enum.start(1), enum.end(1)):
+            ranks[m.group(1)] = (int(m.group(2)), line_at(header, m.start()))
+    section = RANK_DOC_SECTION.search(doc)
+    rows = {}
+    if section:
+        for m in RANK_DOC_ROW.finditer(doc, section.start(), section.end()):
+            rows[m.group(2)] = (int(m.group(1)), line_at(doc, m.start()))
+    if not ranks or not rows:
+        return [Violation('rank-table', RANK_HEADER if not ranks else RANK_DOC,
+                          1, 'no rank table found')]
+    found = []
+    for name in sorted(set(ranks) | set(rows)):
+        code, row = ranks.get(name), rows.get(name)
+        if row is None:
+            found.append(Violation(
+                'rank-table', RANK_DOC, 1,
+                'lockrank::%s (%d) has no row in section 6.1'
+                % (name, code[0])))
+        elif code is None:
+            found.append(Violation(
+                'rank-table', RANK_DOC, row[1],
+                'row %d %s is not in the lockrank enum' % (row[0], name)))
+        elif code[0] != row[0]:
+            found.append(Violation(
+                'rank-table', RANK_DOC, row[1],
+                '%s is %d here but %d in %s' % (name, row[0], code[0],
+                                                RANK_HEADER)))
+    used = set()
+    for _path, rel, stripped in iter_sources(root, 'src'):
+        if rel != RANK_HEADER:
+            used.update(RANK_USE.findall(stripped))
+    for name in sorted(set(ranks) - used):
+        found.append(Violation(
+            'rank-table', RANK_HEADER, ranks[name][1],
+            'lockrank::%s names no OrderedMutex under src/; delete the rank '
+            'and its DESIGN.md row' % name))
+    return found
+
+
+# --------------------------------------------------------------------------
+# rule: stale-allowlist
+
+# An allowlist entry whose file or member is gone excuses nothing today and
+# silently excuses whatever reuses the name tomorrow.
+def member_declared(stripped, member):
+    return re.search(r'\b%s\s*(?:=[^;]*|\{[^;{}]*\})?\s*'
+                     r'(?:GUARDED_BY\s*\([^)]*\)\s*)?;' % re.escape(member),
+                     stripped) is not None
+
+
+def check_stale_allowlist(root, guarded=None, mutex=None):
+    guarded = GUARDED_BY_ALLOWLIST if guarded is None else guarded
+    mutex = MUTEX_ALLOWLIST if mutex is None else mutex
+    own = read_file(os.path.dirname(os.path.abspath(__file__)),
+                    'lint.py') or ''
+
+    def violation(entry, message):
+        pos = own.find("'%s'" % entry)
+        return Violation('stale-allowlist', 'scripts/lint.py',
+                         line_at(own, pos) if pos >= 0 else 1,
+                         '%r %s; delete the entry' % (entry, message))
+
+    found = []
+    for rel in sorted(mutex):
+        if not os.path.isfile(os.path.join(root, rel)):
+            found.append(violation(rel, 'names a missing file'))
+    for entry in sorted(guarded):
+        rel, _, member = entry.partition('#')
+        text = read_file(root, rel)
+        if text is None:
+            found.append(violation(entry, 'names a missing file'))
+        elif not member_declared(strip_comments_and_strings(text), member):
+            found.append(violation(entry, 'names no member of %s' % rel))
+    return found
+
+
+# --------------------------------------------------------------------------
 # driver
 
 PER_FILE_RULES = [check_wall_clock, check_nondet, check_raw_new,
@@ -662,37 +783,33 @@ PER_FILE_RULES = [check_wall_clock, check_nondet, check_raw_new,
                   check_actor_clock, check_child_clock, check_status_text]
 
 
-def lint_tree(root):
-    violations = []
-    src_root = os.path.join(root, 'src')
-    for dirpath, _dirnames, filenames in os.walk(src_root):
+def iter_sources(root, top):
+    """Yields (path, relpath, stripped text) for each C++ file under top."""
+    for dirpath, _dirnames, filenames in os.walk(os.path.join(root, top)):
         for name in sorted(filenames):
             if not name.endswith(('.h', '.cc', '.cpp', '.hpp')):
                 continue
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, root).replace(os.sep, '/')
             with open(path, encoding='utf-8') as f:
-                stripped = strip_comments_and_strings(f.read())
-            for rule in PER_FILE_RULES:
-                violations.extend(rule(path, rel, stripped))
+                yield path, rel, strip_comments_and_strings(f.read())
+
+
+def lint_tree(root):
+    violations = []
+    for path, rel, stripped in iter_sources(root, 'src'):
+        for rule in PER_FILE_RULES:
+            violations.extend(rule(path, rel, stripped))
     # The deprecated-API rule also covers tests, examples and benches:
     # lint must stay clean there so the shims can eventually be removed.
     # Benches also step their actors through sim::Scheduler only.
     for extra in ('tests', 'examples', 'bench'):
-        extra_root = os.path.join(root, extra)
-        if not os.path.isdir(extra_root):
-            continue
-        for dirpath, _dirnames, filenames in os.walk(extra_root):
-            for name in sorted(filenames):
-                if not name.endswith(('.h', '.cc', '.cpp', '.hpp')):
-                    continue
-                path = os.path.join(dirpath, name)
-                rel = os.path.relpath(path, root).replace(os.sep, '/')
-                with open(path, encoding='utf-8') as f:
-                    stripped = strip_comments_and_strings(f.read())
-                violations.extend(check_deprecated(path, rel, stripped))
-                violations.extend(check_actor_clock(path, rel, stripped))
+        for path, rel, stripped in iter_sources(root, extra):
+            violations.extend(check_deprecated(path, rel, stripped))
+            violations.extend(check_actor_clock(path, rel, stripped))
     violations.extend(check_nodiscard(root))
+    violations.extend(check_rank_table(root))
+    violations.extend(check_stale_allowlist(root))
     return violations
 
 
@@ -946,6 +1063,29 @@ SELF_TEST_CASES = [
 ]
 
 
+def seeded_tree(parent, files):
+    """Writes {relpath: text} into a fresh directory under `parent`."""
+    root = tempfile.mkdtemp(dir=parent)
+    for rel, text in files.items():
+        path = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, 'w', encoding='utf-8') as f:
+            f.write(text)
+    return root
+
+
+def report(tag, hits, want):
+    """Prints one self-test line; returns 1 unless `want` hits were found."""
+    if len(hits) != want:
+        print('SELF-TEST FAIL: %s: %d hit(s), want %d' % (tag, len(hits),
+                                                        want))
+        for hit in hits:
+            print('  %s' % hit)
+        return 1
+    print('self-test ok: %s (%d hit(s))' % (tag, want))
+    return 0
+
+
 def self_test():
     failures = 0
     for rule, rel, bad, good in SELF_TEST_CASES:
@@ -993,20 +1133,42 @@ def self_test():
         failures += 1
     else:
         print('self-test ok: status-text allows %s' % STATUS_TEXT_OWNER_FILE)
-    # nodiscard rule fires when the attribute is absent.
-    import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        os.makedirs(os.path.join(tmp, 'src', 'util'))
-        with open(os.path.join(tmp, 'src', 'util', 'status.h'), 'w') as f:
-            f.write('class Status {};\n')
-        with open(os.path.join(tmp, 'src', 'util', 'result.h'), 'w') as f:
-            f.write('template <typename T>\nclass Result {};\n')
-        hits = check_nodiscard(tmp)
-        if len(hits) != 2:
-            print('SELF-TEST FAIL: nodiscard rule (%d hits)' % len(hits))
-            failures += 1
-        else:
-            print('self-test ok: check_nodiscard fires when stripped')
+        # rank-table: a consistent two-rank tree is clean; a missing row, a
+        # renumbered row and a rank no mutex names each fire once.
+        header = ('enum Rank : uint32_t {\n  kA = 10,  // A::mu_\n'
+                  '  kB = 20,\n};\n')
+        doc = ('### 6.1 Ranks\n\n| Rank | Name | Lock |\n|---|---|---|\n'
+               '| 10 | `kA` | `A::mu_` |\n| 20 | `kB` | `B::mu_` |\n\n'
+               '### 6.2 Next\n\n| 30 | `kC` | outside the section |\n')
+        users = ('OrderedMutex a_{lockrank::kA, "a"};\n'
+                 'mutable OrderedMutex b_{lockrank::kB,\n  "b"};\n')
+        for label, d, u, want in (
+                ('clean', doc, users, 0),
+                ('missing row', doc.replace('| 20 | `kB` | `B::mu_` |\n', ''),
+                 users, 1),
+                ('renumbered row', doc.replace('| 20 |', '| 25 |'), users, 1),
+                ('unused rank', doc, users.split('\n')[0], 1)):
+            hits = check_rank_table(seeded_tree(tmp, {
+                RANK_HEADER: header, RANK_DOC: d, 'src/x/x.h': u}))
+            failures += report('check_rank_table on ' + label, hits, want)
+        # stale-allowlist: entries that resolve are clean; a missing
+        # member, or a missing file in either allowlist, each fire.
+        root = seeded_tree(tmp, {
+            'src/x/x.h': 'int* p_;  // the pointee is synchronized\n'
+                         'std::map<int, int> m_\n    GUARDED_BY(mu_);\n'})
+        for label, guarded, mutex, want in (
+                ('clean', {'src/x/x.h#p_', 'src/x/x.h#m_'}, {'src/x/x.h'}, 0),
+                ('missing member', {'src/x/x.h#q_'}, set(), 1),
+                ('missing file', {'src/gone/y.h#p_'}, {'src/gone/y.h'}, 2)):
+            hits = check_stale_allowlist(root, guarded, mutex)
+            failures += report('check_stale_allowlist on ' + label, hits,
+                               want)
+        # nodiscard rule fires when the attribute is absent.
+        hits = check_nodiscard(seeded_tree(tmp, {
+            'src/util/status.h': 'class Status {};\n',
+            'src/util/result.h': 'template <typename T>\nclass Result {};\n'}))
+        failures += report('check_nodiscard when stripped', hits, 2)
     if failures:
         print('%d self-test failure(s)' % failures)
         return 1

@@ -8,6 +8,17 @@
 namespace logbase::balance {
 
 namespace {
+
+/// Act when the hottest server's smoothed score exceeds this multiple of
+/// the cluster mean.
+constexpr double kImbalanceRatio = 1.5;
+/// Split instead of migrating when one tablet alone carries more than this
+/// fraction of its server's score (moving it whole would only move the hot
+/// spot).
+constexpr double kSplitFraction = 0.6;
+/// EWMA weight of the newest report window.
+constexpr double kSmoothingAlpha = 0.6;
+
 obs::Counter* BalanceCounter(const char* name) {
   return obs::MetricsRegistry::Global().counter(name);
 }
@@ -34,11 +45,6 @@ std::map<std::string, double> Balancer::TabletScores() const {
   return tablet_score_;
 }
 
-std::map<std::string, double> Balancer::TenantScores() const {
-  MutexLock l(mu_);
-  return tenant_score_;
-}
-
 Status Balancer::Tick() {
   MutexLock l(mu_);
   master::Master* m = master_resolver_();
@@ -52,16 +58,12 @@ Status Balancer::Tick() {
   // Drain every live server's load window. The servers aggregate per-tablet
   // op/byte counters between ticks; CollectLoadReport hands over the delta.
   std::map<std::string, double> fresh;  // uid -> this window's score
-  std::map<std::string, double> fresh_tenants;  // tenant -> window score
   for (int id : live) {
     tablet::TabletServer* server = m->ResolveServer(id);
     if (server == nullptr || !server->running()) continue;
     LoadReport report = server->CollectLoadReport();
     for (const TabletLoad& t : report.tablets) {
       fresh[t.uid] += t.Score();
-      for (const TenantLoad& tenant : t.tenants) {
-        fresh_tenants[tenant.tenant] += tenant.Score();
-      }
     }
   }
 
@@ -75,32 +77,14 @@ Status Balancer::Tick() {
     }
     auto f = fresh.find(it->first);
     double window = f == fresh.end() ? 0.0 : f->second;
-    it->second = options_.smoothing_alpha * window +
-                 (1.0 - options_.smoothing_alpha) * it->second;
+    it->second =
+        kSmoothingAlpha * window + (1.0 - kSmoothingAlpha) * it->second;
     ++it;
   }
   for (const auto& [uid, score] : fresh) {
     if (tablet_score_.count(uid) == 0 && assignments.count(uid) > 0) {
       tablet_score_[uid] = score;
     }
-  }
-
-  // Same fold for per-tenant scores (src/qos/): smooth reporting tenants in,
-  // decay silent ones, and forget tenants once they fade below a noise
-  // floor so one-shot tenants don't accumulate forever.
-  for (auto it = tenant_score_.begin(); it != tenant_score_.end();) {
-    auto f = fresh_tenants.find(it->first);
-    double window = f == fresh_tenants.end() ? 0.0 : f->second;
-    it->second = options_.smoothing_alpha * window +
-                 (1.0 - options_.smoothing_alpha) * it->second;
-    if (it->second < 1e-3 && window == 0.0) {
-      it = tenant_score_.erase(it);
-      continue;
-    }
-    ++it;
-  }
-  for (const auto& [tenant, score] : fresh_tenants) {
-    if (tenant_score_.count(tenant) == 0) tenant_score_[tenant] = score;
   }
 
   // Per-server smoothed score + tablet count over live servers.
@@ -141,7 +125,7 @@ Status Balancer::Tick() {
       hot_score = score;
     }
   }
-  if (hot_score <= options_.imbalance_ratio * mean) return Status::OK();
+  if (hot_score <= kImbalanceRatio * mean) return Status::OK();
 
   // Coldest server: lowest score, then fewest tablets; exact ties broken by
   // the seeded generator so an idle fleet doesn't pile onto the lowest id.
@@ -182,7 +166,7 @@ Status Balancer::Tick() {
   MigrationCoordinator coordinator(m);
   coordinator.set_step_hook(hook_);
 
-  if (options_.enable_splits && top_score > options_.split_fraction * hot_score) {
+  if (options_.enable_splits && top_score > kSplitFraction * hot_score) {
     // One tablet dominates its server: migrating it whole only moves the
     // hot spot, so split it and hand the right half to the coldest server.
     tablet::TabletServer* owner = m->ResolveServer(hot);

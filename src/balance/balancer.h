@@ -22,19 +22,10 @@ struct BalancerOptions {
   /// Tie-break seed (equally cold targets are chosen pseudo-randomly so a
   /// degenerate all-idle cluster does not always dump on the lowest id).
   uint64_t seed = 42;
-  /// Act when the hottest server's smoothed score exceeds this multiple of
-  /// the cluster mean.
-  double imbalance_ratio = 1.5;
   /// Sleep through rounds whose cluster-wide score is below this: a cold
   /// cluster has nothing worth moving.
   double min_total_score = 64.0;
-  /// Split instead of migrating when one tablet alone carries more than
-  /// this fraction of its server's score (moving it whole would only move
-  /// the hot spot).
-  double split_fraction = 0.6;
   bool enable_splits = true;
-  /// EWMA weight of the newest report window.
-  double smoothing_alpha = 0.6;
 };
 
 struct BalancerStats {
@@ -63,10 +54,6 @@ class Balancer {
   BalancerStats stats() const;
   /// Smoothed per-tablet scores, for tests and benchmarks.
   std::map<std::string, double> TabletScores() const;
-  /// Smoothed per-tenant scores aggregated across all tablets (src/qos/).
-  /// Surfaces which tenant is driving cluster load — a noisy neighbor shows
-  /// up here even before any tablet gets hot enough to migrate.
-  std::map<std::string, double> TenantScores() const;
 
  private:
   const std::function<master::Master*()> master_resolver_;
@@ -75,9 +62,6 @@ class Balancer {
   mutable OrderedMutex mu_{lockrank::kBalancerState, "balancer.state"};
   // By uid, EWMA-smoothed.
   std::map<std::string, double> tablet_score_ GUARDED_BY(mu_);
-  // By tenant name, EWMA-smoothed across all tablets; silent tenants decay
-  // toward zero and are forgotten below a noise floor.
-  std::map<std::string, double> tenant_score_ GUARDED_BY(mu_);
   BalancerStats stats_ GUARDED_BY(mu_);
   Random rnd_ GUARDED_BY(mu_);
   std::function<void(MigrationStep)> hook_ GUARDED_BY(mu_);

@@ -15,18 +15,6 @@
 
 namespace logbase::balance {
 
-/// One tenant's slice of a tablet's activity window (QoS: lets the
-/// balancer see *who* drives a hot tablet, not just that it is hot).
-struct TenantLoad {
-  std::string tenant;
-  uint64_t ops = 0;
-  uint64_t bytes = 0;
-
-  double Score() const {
-    return static_cast<double>(ops) + static_cast<double>(bytes) / 4096.0;
-  }
-};
-
 /// One tablet's activity window.
 struct TabletLoad {
   std::string uid;
@@ -34,9 +22,6 @@ struct TabletLoad {
   uint64_t write_ops = 0;
   uint64_t read_bytes = 0;
   uint64_t write_bytes = 0;
-  /// Per-tenant breakdown, tenant-ordered; only externally-driven ops are
-  /// attributed, so the slices may sum to less than the tablet totals.
-  std::vector<TenantLoad> tenants;
 
   uint64_t ops() const { return read_ops + write_ops; }
   uint64_t bytes() const { return read_bytes + write_bytes; }
@@ -45,18 +30,6 @@ struct TabletLoad {
   double Score() const {
     return static_cast<double>(ops()) +
            static_cast<double>(bytes()) / 4096.0;
-  }
-  /// The tenant contributing the largest share of this window, or empty.
-  std::string DominantTenant() const {
-    std::string best;
-    double best_score = 0.0;
-    for (const TenantLoad& t : tenants) {
-      if (t.Score() > best_score) {
-        best_score = t.Score();
-        best = t.tenant;
-      }
-    }
-    return best;
   }
 };
 

@@ -47,9 +47,6 @@ struct AppendQueueOptions {
   size_t max_batch_bytes = 1 << 20;
   /// Seal when the open batch would exceed this many records.
   size_t max_batch_records = 512;
-  /// Maximum flushed-but-unacked batches in flight at the DFS. > 1
-  /// pipelines appends: batch k+1 ships before batch k's ack lands.
-  int pipeline_depth = 4;
 };
 
 /// Handle for a submission: which batch it landed in and which of the

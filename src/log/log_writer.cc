@@ -11,6 +11,10 @@ namespace logbase::log {
 
 namespace {
 
+/// Maximum flushed-but-unacked batches in flight at the DFS. > 1 pipelines
+/// appends: batch k+1 ships before batch k's ack lands.
+constexpr int kPipelineDepth = 4;
+
 obs::Gauge* QueueDepthGauge() {
   static obs::Gauge* g =
       obs::MetricsRegistry::Global().gauge("log.append.queue_depth");
@@ -209,7 +213,7 @@ AppendQueue::FlushOutcome LogWriter::FlushSealedBatchLocked(
   SyncPolicy policy;
   policy.ack = batch.ack == AckMode::kAll ? SyncPolicy::Ack::kAll
                                           : SyncPolicy::Ack::kQuorum;
-  policy.max_inflight = queue_options_.pipeline_depth;
+  policy.max_inflight = kPipelineDepth;
   sim::SimContext* ctx = sim::SimContext::Current();
   sim::VirtualTime sync_begin = ctx != nullptr ? ctx->now() : 0;
   SyncReceipt receipt;

@@ -16,8 +16,6 @@ const TenantIdentity& CurrentTenant() {
   return g_current_tenant != nullptr ? *g_current_tenant : DefaultIdentity();
 }
 
-bool HasTenantScope() { return g_current_tenant != nullptr; }
-
 TenantScope::TenantScope(const TenantIdentity* identity)
     : saved_(g_current_tenant) {
   g_current_tenant = identity;

@@ -1,10 +1,10 @@
 // Thread-ambient tenant identity. Multi-tenant QoS needs to know *who* an
-// operation belongs to at every layer — client entry point, server front
-// door, tablet load accounting — without threading a tenant argument through
-// every signature in the system. The identity rides the same way the virtual
-// clock does (sim::SimContext): a thread-local stack with an RAII installer.
-// The client installs a TenantScope around each public operation; servers and
-// tablets read CurrentTenant() wherever they need it.
+// operation belongs to at the server's front door (admission control)
+// without threading a tenant argument through every signature in the
+// system. The identity rides the same way the virtual clock does
+// (sim::SimContext): a thread-local stack with an RAII installer. The client
+// installs a TenantScope around each public operation; servers read
+// CurrentTenant() wherever they need it.
 //
 // When no scope is installed (unit tests, internal maintenance work such as
 // compaction or recovery) CurrentTenant() returns the default identity, which
@@ -34,8 +34,8 @@ inline const char* PriorityName(Priority p) {
   return "unknown";
 }
 
-/// Who an operation belongs to. The tenant string keys quota lookup and
-/// per-tenant load accounting; empty means "default".
+/// Who an operation belongs to. The tenant string keys quota lookup; empty
+/// means "default".
 struct TenantIdentity {
   std::string tenant;
   Priority priority = Priority::kNormal;
@@ -49,10 +49,6 @@ inline const std::string& DefaultTenantName() {
 /// The ambient identity of the calling thread. Never null; falls back to a
 /// static default identity ("default", kNormal) when no scope is installed.
 const TenantIdentity& CurrentTenant();
-
-/// True iff a TenantScope is installed on the calling thread (used by load
-/// accounting to skip per-tenant bookkeeping for internal work).
-bool HasTenantScope();
 
 /// RAII installer: sets the ambient tenant for the current thread. Nests;
 /// the innermost scope wins (e.g. an internal maintenance job spawned while

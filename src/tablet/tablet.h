@@ -8,18 +8,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
 
 #include "src/index/multiversion_index.h"
-#include "src/qos/tenant.h"
-#include "src/secondary/secondary_index.h"
 #include "src/tablet/schema.h"
-
-#include "src/util/ordered_mutex.h"
 
 namespace logbase::tablet {
 
@@ -72,12 +64,10 @@ class Tablet {
   void RecordRead(uint64_t bytes) {
     read_ops_.fetch_add(1, std::memory_order_relaxed);
     read_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    RecordTenant(/*write=*/false, bytes);
   }
   void RecordWrite(uint64_t bytes) {
     write_ops_.fetch_add(1, std::memory_order_relaxed);
     write_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    RecordTenant(/*write=*/true, bytes);
   }
   /// Drains the per-tablet counters: each load report carries the window
   /// since the previous collection, so the balancer sees deltas.
@@ -89,65 +79,8 @@ class Tablet {
     w.write_bytes = write_bytes_.exchange(0, std::memory_order_relaxed);
     return w;
   }
-  /// Drains the per-tenant breakdown accumulated alongside the window
-  /// above. Only externally-driven ops (those running under a
-  /// qos::TenantScope) appear here; internal work (compaction, recovery)
-  /// counts toward the tablet totals but no tenant.
-  std::map<std::string, LoadWindow> TakeTenantWindows() {
-    MutexLock l(tenant_mu_);
-    std::map<std::string, LoadWindow> out;
-    out.swap(tenant_windows_);
-    return out;
-  }
-
-  // -- Secondary indexes (§5 future work, implemented) -------------------
-
-  void AddSecondaryIndex(std::unique_ptr<secondary::SecondaryIndex> index) {
-    MutexLock l(secondary_mu_);
-    secondary_.push_back(std::move(index));
-  }
-  secondary::SecondaryIndex* FindSecondaryIndex(const std::string& name) {
-    MutexLock l(secondary_mu_);
-    for (auto& index : secondary_) {
-      if (index->name() == name) return index.get();
-    }
-    return nullptr;
-  }
-  /// Notifies every secondary index of a committed write / delete.
-  Status NotifySecondaryWrite(const Slice& key, uint64_t timestamp,
-                              const Slice& value) {
-    MutexLock l(secondary_mu_);
-    for (auto& index : secondary_) {
-      LOGBASE_RETURN_NOT_OK(index->OnWrite(key, timestamp, value));
-    }
-    return Status::OK();
-  }
-  Status NotifySecondaryDelete(const Slice& key) {
-    MutexLock l(secondary_mu_);
-    for (auto& index : secondary_) {
-      LOGBASE_RETURN_NOT_OK(index->OnDelete(key));
-    }
-    return Status::OK();
-  }
-  bool has_secondary_indexes() const {
-    MutexLock l(secondary_mu_);
-    return !secondary_.empty();
-  }
 
  private:
-  void RecordTenant(bool write, uint64_t bytes) {
-    if (!qos::HasTenantScope()) return;
-    MutexLock l(tenant_mu_);
-    LoadWindow& w = tenant_windows_[qos::CurrentTenant().tenant];
-    if (write) {
-      w.write_ops++;
-      w.write_bytes += bytes;
-    } else {
-      w.read_ops++;
-      w.read_bytes += bytes;
-    }
-  }
-
   const TabletDescriptor descriptor_;
   // Set in the constructor; MultiVersionIndex is internally synchronized
   // (B-link latch protocol underneath).
@@ -160,18 +93,6 @@ class Tablet {
   std::atomic<uint64_t> write_ops_{0};
   std::atomic<uint64_t> read_bytes_{0};
   std::atomic<uint64_t> write_bytes_{0};
-  mutable OrderedMutex tenant_mu_{lockrank::kTabletTenantLoad,
-                                  "tablet.tenant_load"};
-  /// Per-tenant slice of the load window (QoS: the balancer sees *who* is
-  /// hot, not just what).
-  std::map<std::string, LoadWindow> tenant_windows_ GUARDED_BY(tenant_mu_);
-  mutable OrderedMutex secondary_mu_{lockrank::kTabletSecondary,
-                                   "tablet.secondary"};
-  // Values are stable: a registered index lives for the tablet's lifetime,
-  // so FindSecondaryIndex may return the raw pointer for use off-lock
-  // (SecondaryIndex is internally synchronized).
-  std::vector<std::unique_ptr<secondary::SecondaryIndex>> secondary_
-      GUARDED_BY(secondary_mu_);
 };
 
 }  // namespace logbase::tablet

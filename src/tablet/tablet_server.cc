@@ -1,7 +1,6 @@
 #include "src/tablet/tablet_server.h"
 
 #include <algorithm>
-#include <set>
 
 #include "src/coord/znode_tree.h"
 #include "src/index/blink_tree.h"
@@ -287,13 +286,6 @@ balance::LoadReport TabletServer::CollectLoadReport() {
       load.write_ops = w.write_ops;
       load.read_bytes = w.read_bytes;
       load.write_bytes = w.write_bytes;
-      for (auto& [tenant, tw] : tablet->TakeTenantWindows()) {
-        balance::TenantLoad tl;
-        tl.tenant = tenant;
-        tl.ops = tw.read_ops + tw.write_ops;
-        tl.bytes = tw.read_bytes + tw.write_bytes;
-        load.tenants.push_back(std::move(tl));
-      }
       report.tablets.push_back(std::move(load));
     }
   }
@@ -451,13 +443,6 @@ Status TabletServer::Publish(const MutationBatch& batch) {
     } else {
       buffer_.Put(bkey, CachedRecord{ts, op.value});
     }
-    if (tablet->has_secondary_indexes()) {
-      LOGBASE_RETURN_NOT_OK(
-          op.is_delete
-              ? tablet->NotifySecondaryDelete(Slice(op.key))
-              : tablet->NotifySecondaryWrite(Slice(op.key), ts,
-                                             Slice(op.value)));
-    }
     // Persist indexes after enough updates (§3.6.1), but only once the
     // whole batch is applied: the checkpoint's log position is past it.
     checkpoint_due |= options_.checkpoint_update_threshold > 0 &&
@@ -581,61 +566,6 @@ Result<uint64_t> TabletServer::LatestVersion(const std::string& tablet_uid,
     return entry.status();
   }
   return entry->timestamp;
-}
-
-// ---------------------------------------------------------------------------
-// Secondary indexes.
-// ---------------------------------------------------------------------------
-
-Status TabletServer::CreateSecondaryIndex(const std::string& tablet_uid,
-                                          const std::string& index_name,
-                                          secondary::KeyExtractor extractor) {
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return UnknownTablet();
-  if (tablet->FindSecondaryIndex(index_name) != nullptr) {
-    return Status::InvalidArgument("secondary index exists: " + index_name);
-  }
-  auto index =
-      std::make_unique<secondary::SecondaryIndex>(index_name, extractor);
-  // Backfill from the current (latest-version) contents of the tablet.
-  for (const index::IndexEntry& entry :
-       tablet->index()->ScanRange("", "", index::kLatest)) {
-    auto value = FetchLogValue(entry);
-    if (!value.ok()) return value.status();
-    LOGBASE_RETURN_NOT_OK(
-        index->OnWrite(Slice(entry.key), entry.timestamp, Slice(*value)));
-  }
-  tablet->AddSecondaryIndex(std::move(index));
-  return Status::OK();
-}
-
-Result<std::vector<ReadRow>> TabletServer::LookupBySecondary(
-    const std::string& tablet_uid, const std::string& index_name,
-    const Slice& secondary_key, uint64_t as_of) {
-  if (!running()) return Status::Unavailable("tablet server is down");
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return UnknownTablet();
-  secondary::SecondaryIndex* index = tablet->FindSecondaryIndex(index_name);
-  if (index == nullptr) return Status::NotFound("unknown secondary index");
-
-  std::vector<ReadRow> rows;
-  std::set<std::string> seen;
-  for (const secondary::SecondaryMatch& match :
-       index->Lookup(secondary_key, as_of)) {
-    if (!seen.insert(match.primary_key).second) continue;
-    // Verify the candidate: its value at `as_of` must still map to the
-    // queried secondary key (the entry may predate an attribute change).
-    auto read = Get(tablet_uid, Slice(match.primary_key), as_of);
-    if (!read.ok()) {
-      if (read.status().IsNotFound()) continue;
-      return read.status();
-    }
-    auto current = index->extractor()(Slice(read->value));
-    if (!current.has_value() || Slice(*current) != secondary_key) continue;
-    rows.push_back(
-        ReadRow{match.primary_key, read->timestamp, std::move(read->value)});
-  }
-  return rows;
 }
 
 // ---------------------------------------------------------------------------

@@ -175,9 +175,9 @@ class TabletServer {
                                const TxnStamp& txn = {});
   /// Waits until the batch's records are durable and fills its `ptrs`.
   Status Wait(MutationBatch* batch);
-  /// Applies the ops, in op order, to the index, read buffer and secondary
-  /// indexes. Call only after Wait (for 2PC: after every participant's
-  /// COMMIT is durable).
+  /// Applies the ops, in op order, to the index and the read buffer. Call
+  /// only after Wait (for 2PC: after every participant's COMMIT is
+  /// durable).
   Status Publish(const MutationBatch& batch);
 
   Status Put(const std::string& tablet_uid, const Slice& key,
@@ -216,22 +216,6 @@ class TabletServer {
   Result<query::TabletResult> ExecuteScan(
       const std::string& tablet_uid, const Slice& encoded_plan,
       const query::ExecOptions& options = {});
-
-  // -- Secondary indexes (§5 future work, implemented) -------------------
-
-  /// Creates and backfills a secondary index on the tablet: `extractor`
-  /// derives the indexed attribute from record values. Subsequent writes
-  /// and deletes maintain the index; lookups verify candidates against the
-  /// base record. After a restart the application recreates its secondary
-  /// indexes (backfill rebuilds them from the recovered data).
-  Status CreateSecondaryIndex(const std::string& tablet_uid,
-                              const std::string& index_name,
-                              secondary::KeyExtractor extractor);
-
-  /// Rows whose extracted attribute equals `secondary_key` at `as_of`.
-  Result<std::vector<ReadRow>> LookupBySecondary(
-      const std::string& tablet_uid, const std::string& index_name,
-      const Slice& secondary_key, uint64_t as_of = index::kLatest);
 
   // -- Maintenance -------------------------------------------------------
 
@@ -322,7 +306,7 @@ class TabletServer {
                                  "tablet.server.tablets"};
   // Values are handed out as raw Tablet* for use off-lock: a tablet object
   // stays alive until CloseTablet/Crash, and Tablet is internally
-  // synchronized (atomics + secondary_mu_).
+  // synchronized (atomics over an internally synchronized index).
   std::map<std::string, std::unique_ptr<Tablet>> tablets_
       GUARDED_BY(tablets_mu_);
 

@@ -56,9 +56,6 @@ enum Rank : uint32_t {
   kTabletServerTablets = 200,   // tablet::TabletServer::tablets_mu_
   kTabletServerReaders = 210,   // tablet::TabletServer::readers_mu_
   kTabletServerTimestamps = 220,// tablet::TabletServer::ts_mu_
-  kTabletSecondary = 230,       // tablet::Tablet::secondary_mu_
-  kTabletTenantLoad = 235,      // tablet::Tablet::tenant_mu_
-  kSecondaryHistory = 240,      // secondary::SecondaryIndex::history_mu_
   kReadBuffer = 250,            // tablet::ReadBuffer::mu_
 
   // Coordination service (leaf of the control plane: the master queries it

@@ -1,10 +1,9 @@
 // Multi-tenant QoS (src/qos/): token-bucket math on the virtual clock,
 // quota spec codec + distribution through the master's /meta/quota znodes,
 // admission control (admit/queue/shed, priorities, retry-after hints),
-// Status wire round-trips, RetryPolicy hint capping, per-tenant load
-// accounting, end-to-end throttling through the client, and the I7 nemesis
-// invariant (quota enforcement deterministic under faults; shed ops never
-// apply).
+// Status wire round-trips, RetryPolicy hint capping, end-to-end throttling
+// through the client, and the I7 nemesis invariant (quota enforcement
+// deterministic under faults; shed ops never apply).
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/balance/load_report.h"
 #include "src/client/client.h"
 #include "src/cluster/mini_cluster.h"
 #include "src/fault/nemesis.h"
@@ -536,54 +534,6 @@ TEST(QosEndToEndTest, RetryAfterHintPacesThrottledTenant) {
   double rate = acked / seconds;
   EXPECT_GT(rate, 150) << "paced rate " << rate;
   EXPECT_LT(rate, 270) << "paced rate " << rate;
-}
-
-TEST(QosEndToEndTest, PerTenantLoadReport) {
-  QosCluster fixture;
-  cluster::MiniCluster& cluster = *fixture.cluster;
-
-  auto alice = cluster.NewClient(0);
-  alice->set_tenant({"alice", qos::Priority::kNormal});
-  auto bob = cluster.NewClient(1);
-  bob->set_tenant({"bob", qos::Priority::kNormal});
-
-  for (int i = 0; i < 30; i++) {
-    ASSERT_TRUE(alice->Put("t", 0, "key10", "a", {}).ok());
-  }
-  for (int i = 0; i < 10; i++) {
-    ASSERT_TRUE(bob->Put("t", 0, "key10", "b", {}).ok());
-  }
-
-  // The owning server's load report attributes the window per tenant.
-  uint64_t alice_ops = 0, bob_ops = 0;
-  std::string dominant;
-  for (int node = 0; node < cluster.num_nodes(); node++) {
-    balance::LoadReport report =
-        cluster.server(node)->CollectLoadReport();
-    for (const balance::TabletLoad& t : report.tablets) {
-      for (const balance::TenantLoad& tenant : t.tenants) {
-        if (tenant.tenant == "alice") alice_ops += tenant.ops;
-        if (tenant.tenant == "bob") bob_ops += tenant.ops;
-      }
-      if (!t.tenants.empty() && dominant.empty()) {
-        dominant = t.DominantTenant();
-      }
-    }
-  }
-  EXPECT_EQ(alice_ops, 30u);
-  EXPECT_EQ(bob_ops, 10u);
-  EXPECT_EQ(dominant, "alice");
-
-  // The balancer folds the same windows into per-tenant scores.
-  ASSERT_TRUE(cluster.balancer()->Tick().ok());
-  // (Windows were drained above; push fresh traffic through and tick.)
-  for (int i = 0; i < 20; i++) {
-    ASSERT_TRUE(alice->Put("t", 0, "key10", "a", {}).ok());
-  }
-  ASSERT_TRUE(cluster.balancer()->Tick().ok());
-  auto scores = cluster.balancer()->TenantScores();
-  ASSERT_TRUE(scores.count("alice") > 0);
-  EXPECT_GT(scores["alice"], 0.0);
 }
 
 // ---------------------------------------------------------------------------

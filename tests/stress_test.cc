@@ -1,12 +1,12 @@
 // Concurrency stress tests, written for the ThreadSanitizer preset
 // (`cmake --preset tsan`). They hammer the components with real cross-thread
-// contention — the coordination lock table, one DFS block written and
-// read at once, random DFS readers on every node beside an
-// appending writer, and a tablet server serving writes, reads and
-// checkpoints concurrently — so TSan sees the
-// interesting interleavings and the ranked lock-order checker (on by
-// default) observes every nested acquisition the system performs under
-// load. They also run under the default preset as plain correctness tests.
+// contention — the coordination lock table, one DFS block written and read
+// at once, random DFS readers on every node beside an appending writer, a
+// tablet server serving writes, reads and checkpoints concurrently, and load
+// reports drained while ops run — so TSan sees the interesting interleavings
+// and the ranked lock-order checker (on by default) observes every nested
+// acquisition the system performs under load. They also run under the
+// default preset as plain correctness tests.
 
 #include <algorithm>
 #include <array>
@@ -283,6 +283,85 @@ TEST(StressTest, TabletServerConcurrentWriteReadCheckpoint) {
   for (int k = 0; k < 40; k++) {
     EXPECT_TRUE(server->Get(uid, "k" + std::to_string(k)).ok()) << k;
   }
+  ASSERT_TRUE(server->Stop().ok());
+  EXPECT_EQ(HeldRankCount(), 0u);
+}
+
+// A tablet's load window is four relaxed counters that CollectLoadReport
+// drains by exchange, with no lock. Writers and readers run while another
+// thread collects reports in a loop: summed over every report plus a final
+// one, the drained counts and bytes equal exactly the ops issued.
+TEST(StressTest, LoadWindowDrainLosesNoOps) {
+  dfs::DfsOptions dfs_options;
+  dfs_options.num_nodes = 3;
+  auto dfs = std::make_unique<dfs::Dfs>(dfs_options);
+  coord::CoordinationService coord;
+  auto server = std::make_unique<tablet::TabletServer>(
+      tablet::TabletServerOptions{}, dfs.get(), &coord);
+  ASSERT_TRUE(server->Start().ok());
+  tablet::TabletDescriptor d;
+  d.table_id = 3;
+  d.column_group = 0;
+  d.range_id = 0;
+  const std::string uid = d.uid();
+  ASSERT_TRUE(server->OpenTablet(d).ok());
+
+  // Keys are 3 bytes and values 5, so every op moves 8 bytes.
+  constexpr int kKeys = 40;
+  constexpr uint64_t kOpBytes = 8;
+  auto key = [](int i) { return "k" + std::to_string(10 + i % kKeys); };
+  auto value = [](int i) { return "v" + std::to_string(1000 + i); };
+  for (int k = 0; k < kKeys; k++) {
+    ASSERT_TRUE(server->Put(uid, key(k), value(k)).ok());
+  }
+  (void)server->CollectLoadReport();  // the preload is not counted
+
+  uint64_t read_ops = 0, write_ops = 0, read_bytes = 0, write_bytes = 0;
+  auto drain = [&] {
+    for (const balance::TabletLoad& t : server->CollectLoadReport().tablets) {
+      read_ops += t.read_ops;
+      write_ops += t.write_ops;
+      read_bytes += t.read_bytes;
+      write_bytes += t.write_bytes;
+    }
+  };
+
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kOpsEach = 200;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWriters; w++) {
+    workers.emplace_back([&, w] {
+      for (int i = 0; i < kOpsEach; i++) {
+        if (!server->Put(uid, key(w * 7 + i), value(i)).ok()) failures++;
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; r++) {
+    workers.emplace_back([&, r] {
+      for (int i = 0; i < kOpsEach; i++) {
+        if (!server->Get(uid, key(r * 13 + i)).ok()) failures++;
+      }
+    });
+  }
+  std::atomic<bool> stop{false};
+  std::thread collector([&] {
+    while (!stop.load()) {
+      drain();
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& t : workers) t.join();
+  stop.store(true);
+  collector.join();
+  drain();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(write_ops, uint64_t{kWriters * kOpsEach});
+  EXPECT_EQ(read_ops, uint64_t{kReaders * kOpsEach});
+  EXPECT_EQ(write_bytes, kWriters * kOpsEach * kOpBytes);
+  EXPECT_EQ(read_bytes, kReaders * kOpsEach * kOpBytes);
   ASSERT_TRUE(server->Stop().ok());
   EXPECT_EQ(HeldRankCount(), 0u);
 }
