@@ -10,11 +10,17 @@ file answers "what did this tree measure".
 
 Usage:
   collect_bench.py [--build-dir build] [--out-dir .] [bench_name ...]
+  collect_bench.py --check [--build-dir build] [bench_name ...]
 
 With no names, every bench_* executable under <build-dir>/bench runs.
 Benches run sequentially (they are single-process virtual-time simulations;
 parallel runs would fight for cores and skew nothing but wall time). A
 non-zero bench exit fails the driver, so check.sh --bench is a real gate.
+
+--check writes the results to a temporary directory instead and also fails
+when a result differs from the committed BENCH_<name>.json at the repo
+root, printing each differing key. Virtual-time results are deterministic,
+so any difference is a real change.
 """
 
 import argparse
@@ -22,6 +28,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 
 def discover(build_bench_dir):
@@ -43,6 +50,39 @@ def result_name(bench_binary):
         else bench_binary
 
 
+def diff_keys(old, new, path=''):
+    """(key path, committed, fresh) for each key where `new` differs from
+    `old`; a key path reads like phases[2].p99_us."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = []
+        for k in sorted(set(old) | set(new)):
+            sub = '%s.%s' % (path, k) if path else k
+            keys.extend(diff_keys(old.get(k), new.get(k), sub))
+        return keys
+    if isinstance(old, list) and isinstance(new, list) \
+            and len(old) == len(new):
+        keys = []
+        for i, (o, n) in enumerate(zip(old, new)):
+            keys.extend(diff_keys(o, n, '%s[%d]' % (path, i)))
+        return keys
+    return [] if old == new else [(path or '<root>', old, new)]
+
+
+def check_against_committed(json_path, root):
+    """Failure reasons of one fresh result vs its committed copy."""
+    committed = os.path.join(root, os.path.basename(json_path))
+    try:
+        with open(committed, encoding='utf-8') as f:
+            old = json.load(f)
+        with open(json_path, encoding='utf-8') as f:
+            new = json.load(f)
+    except (OSError, ValueError) as e:
+        return ['cannot compare with %s: %s' % (committed, e)]
+    return ['%s is %s, committed %s has %s' % (key, json.dumps(fresh),
+                                               committed, json.dumps(was))
+            for key, was, fresh in diff_keys(old, new)]
+
+
 def run_bench(binary_path, json_path):
     print('==== %s -> %s ====' % (os.path.basename(binary_path), json_path))
     sys.stdout.flush()
@@ -56,13 +96,24 @@ def main():
                         help='CMake build tree holding bench/ binaries')
     parser.add_argument('--out-dir', default=None,
                         help='where BENCH_*.json land (default: repo root)')
+    parser.add_argument('--check', action='store_true',
+                        help='write results to a temporary directory and '
+                             'fail when one differs from the committed '
+                             'BENCH_<name>.json')
     parser.add_argument('benches', nargs='*',
                         help='bench binary names (default: all bench_* '
                              'under <build-dir>/bench)')
     args = parser.parse_args()
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    out_dir = os.path.abspath(args.out_dir or root)
+    if args.check:
+        if args.out_dir:
+            parser.error('--check writes to a temporary directory; '
+                         'drop --out-dir')
+        scratch = tempfile.TemporaryDirectory(prefix='collect_bench.')
+        out_dir = scratch.name
+    else:
+        out_dir = os.path.abspath(args.out_dir or root)
     build_bench_dir = os.path.join(os.path.abspath(args.build_dir), 'bench')
     names = args.benches or discover(build_bench_dir)
     if not names:
@@ -85,6 +136,9 @@ def main():
             failures.append((name, 'did not write %s' % json_path))
         else:
             written.append(json_path)
+            if args.check:
+                failures.extend((name, why) for why in
+                                check_against_committed(json_path, root))
 
     # One summary file: per-bench scalar headlines (arrays stay in the
     # per-bench files — the summary is for quick diffs, not raw data).
@@ -109,6 +163,9 @@ def main():
         for name, why in failures:
             print('collect_bench: FAILED %s: %s' % (name, why))
         return 1
+    if args.check:
+        print('collect_bench: %d result(s) match the committed files'
+              % len(written))
     return 0
 
 

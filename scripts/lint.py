@@ -404,11 +404,8 @@ GUARDED_BY_ALLOWLIST = {
     'src/client/client.h#tenant_',
     # Internally synchronized members (their own ranked locks or latch
     # protocol); the owning class's mutex does not cover them.
-    # The QoS front door: TenantQuotaRegistry carries kQosRegistry,
-    # AdmissionController carries kQosAdmission.
-    'src/tablet/tablet_server.h#quota_registry_',
+    # The QoS front door: AdmissionController carries kQosAdmission.
     'src/tablet/tablet_server.h#admission_',
-    'src/replica/replica_server.h#quota_registry_',
     'src/replica/replica_server.h#admission_',
     'src/tablet/tablet_server.h#buffer_',
     'src/replica/replica_server.h#buffer_',
@@ -957,31 +954,25 @@ SELF_TEST_CASES = [
     (check_mutex, 'src/query/executor.h',
      'mutable std::mutex plan_cache_mu_;',
      'mutable OrderedMutex plan_cache_mu_{lockrank::kClientCache, "q"};'),
-    # The QoS subsystem (token buckets, quota registry, admission control)
-    # is the most determinism-sensitive code in the tree: every refill,
-    # wait and retry-after hint is a pure function of the virtual clock, so
-    # wall clocks and unseeded randomness are banned, and both of its locks
-    # (kQosAdmission, kQosRegistry) must be ranked and their state
-    # annotated.
+    # The QoS subsystem (token buckets, admission control) is the most
+    # determinism-sensitive code in the tree: every refill, wait and
+    # retry-after hint is a pure function of the virtual clock, so wall
+    # clocks and unseeded randomness are banned, and its lock
+    # (kQosAdmission) must be ranked and its state annotated.
     (check_wall_clock, 'src/qos/token_bucket.cc',
      'auto refill_at = std::chrono::steady_clock::now();',
      'sim::VirtualTime refill_at = now;  // caller passes the sim clock'),
     (check_nondet, 'src/qos/admission.cc',
      'if (rand() % 2) return Status::OK();  // probabilistic shed',
-     'const int64_t wait = server_bucket_.WaitFor(ops, bytes, now);'),
-    (check_mutex, 'src/qos/quota_registry.h',
+     'const int64_t wait = bucket->WaitFor(ops, now);'),
+    (check_mutex, 'src/qos/admission.h',
      'mutable std::mutex mu_;',
-     'mutable OrderedMutex mu_{lockrank::kQosRegistry, "qos.registry"};'),
+     'mutable OrderedMutex mu_{lockrank::kQosAdmission, "qos.admission"};'),
     (check_guarded_by, 'src/qos/admission.h',
      'mutable OrderedMutex mu_{lockrank::kQosAdmission, "qos.admission"};\n'
-     '  TokenBucket server_bucket_;',
+     '  std::map<std::string, Quota> quotas_;',
      'mutable OrderedMutex mu_{lockrank::kQosAdmission, "qos.admission"};\n'
-     '  TokenBucket server_bucket_ GUARDED_BY(mu_);'),
-    (check_guarded_by, 'src/qos/quota_registry.h',
-     'mutable OrderedMutex mu_{lockrank::kQosRegistry, "qos.registry"};\n'
-     '  std::map<std::string, Entry> entries_;',
-     'mutable OrderedMutex mu_{lockrank::kQosRegistry, "qos.registry"};\n'
-     '  std::map<std::string, Entry> entries_ GUARDED_BY(mu_);'),
+     '  std::map<std::string, Quota> quotas_ GUARDED_BY(mu_);'),
     # One write path: only TabletServer::Submit appends to the LogWriter.
     # A delete that logs its own INVALIDATE, or a transaction manager that
     # appends its own records, is a second path.

@@ -7,19 +7,6 @@
 
 namespace logbase::balance {
 
-namespace {
-
-Status EnsurePath(coord::ZnodeTree* znodes, coord::SessionId session,
-                  const char* path) {
-  if (znodes->Exists(path)) return Status::OK();
-  auto created =
-      znodes->Create(session, path, "", coord::CreateMode::kPersistent);
-  if (!created.ok() && !znodes->Exists(path)) return created.status();
-  return Status::OK();
-}
-
-}  // namespace
-
 const char* MigrationStepName(MigrationStep step) {
   switch (step) {
     case MigrationStep::kIntentPersisted: return "intent-persisted";
@@ -107,10 +94,9 @@ Status MigrationCoordinator::Reassign(
   }
 
   coord::ZnodeTree* znodes = master_->coord()->znodes();
-  LOGBASE_RETURN_NOT_OK(
-      EnsurePath(znodes, master_->session(), master::meta::kMetaRoot));
-  LOGBASE_RETURN_NOT_OK(
-      EnsurePath(znodes, master_->session(), master::meta::kMetaReassign));
+  LOGBASE_RETURN_NOT_OK(master::EnsureZnodes(
+      znodes, master_->session(),
+      {master::meta::kMetaRoot, master::meta::kMetaReassign}));
   const std::string path = master::meta::ReassignPath(parent_uid);
   if (znodes->Exists(path)) {
     return Status::Busy("reassignment already in flight: " + parent_uid);

@@ -130,7 +130,7 @@ Status MiniCluster::RestartServer(int node, tablet::RecoveryStats* stats) {
 Status MiniCluster::KillNode(int node) {
   servers_[node]->Crash();
   dfs_->KillDataNode(node);
-  auto copied = dfs_->Rereplicate(node);
+  auto copied = dfs_->HealUnderReplicated();
   if (!copied.ok()) return copied.status();
   return Status::OK();
 }

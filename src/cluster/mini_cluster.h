@@ -38,9 +38,8 @@ struct MiniClusterOptions {
   /// Tablets are attached via active_master()->AddReplica(uid); tailing
   /// advances when the driver calls TickReplicas().
   int num_replicas = 0;
-  /// Template for replica servers (read buffer size, admission control +
-  /// quota refresh knobs, src/qos/); replica_id and node are overridden per
-  /// instance.
+  /// Template for replica servers (read buffer size, admission control,
+  /// src/qos/); replica_id and node are overridden per instance.
   replica::ReplicaServerOptions replica_template;
 };
 

@@ -556,14 +556,6 @@ int Dfs::ExecuteRereplication(
   return copied;
 }
 
-Result<int> Dfs::Rereplicate(int dead_node) {
-  auto tasks = name_node_.PlanRereplication(dead_node, AliveNodes());
-  int copied = ExecuteRereplication(tasks);
-  LOGBASE_LOG(kInfo, "re-replicated %d blocks after node %d failure", copied,
-              dead_node);
-  return copied;
-}
-
 Result<int> Dfs::HealUnderReplicated() {
   // Iterate: a sweep can itself be partially blocked (sources unreachable),
   // and each completed copy may enable another; stop at a fixpoint.

@@ -59,9 +59,6 @@ class Dfs {
 
   void KillDataNode(int node);
   void RestartDataNode(int node);
-  /// Restores full replication for blocks that lost a replica on
-  /// `dead_node`; returns the number of block copies made.
-  Result<int> Rereplicate(int dead_node);
   /// The periodic under-replication sweep: re-replicates every block whose
   /// live replica count is below the replication factor, whatever the cause
   /// (multiple node deaths, failed pipeline replicas, earlier partial

@@ -163,43 +163,6 @@ Result<std::vector<std::string>> NameNode::List(
   return names;
 }
 
-std::vector<NameNode::RereplicationTask> NameNode::PlanRereplication(
-    int dead_node, const std::vector<bool>& alive) {
-  MutexLock l(mu_);
-  std::vector<RereplicationTask> tasks;
-  const int n = static_cast<int>(racks_.size());
-  for (auto& [path, inode] : files_) {
-    for (BlockInfo& b : inode.blocks) {
-      auto dead_it =
-          std::find(b.replicas.begin(), b.replicas.end(), dead_node);
-      if (dead_it == b.replicas.end()) continue;
-
-      int source = -1;
-      for (int r : b.replicas) {
-        if (r != dead_node && r >= 0 && r < n && alive[r]) {
-          source = r;
-          break;
-        }
-      }
-      if (source < 0) continue;  // no live source; block is lost for now
-
-      std::vector<int> candidates;
-      for (int i = 0; i < n; i++) {
-        if (alive[i] &&
-            std::find(b.replicas.begin(), b.replicas.end(), i) ==
-                b.replicas.end()) {
-          candidates.push_back(i);
-        }
-      }
-      if (candidates.empty()) continue;
-      int target =
-          static_cast<int>(candidates[rnd_.Uniform(candidates.size())]);
-      tasks.push_back(RereplicationTask{path, b.id, source, target});
-    }
-  }
-  return tasks;
-}
-
 std::vector<NameNode::RereplicationTask> NameNode::PlanUnderReplicated(
     const std::vector<bool>& alive,
     const std::function<bool(const BlockInfo&, int)>& replica_complete) {

@@ -56,21 +56,18 @@ class NameNode {
   Result<std::vector<BlockInfo>> DeleteFile(const std::string& path);
   Result<std::vector<std::string>> List(const std::string& prefix) const;
 
-  /// Blocks that lost a replica on `dead_node` and, for each, a surviving
-  /// source and a placement target for re-replication.
+  /// One block copy: a surviving source and a placement target.
   struct RereplicationTask {
     std::string path;
     BlockId block;
     int source_node;
     int target_node;
   };
-  std::vector<RereplicationTask> PlanRereplication(
-      int dead_node, const std::vector<bool>& alive);
 
-  /// Like PlanRereplication, but scans for any block whose live replica
-  /// count is below the replication factor regardless of which node(s)
-  /// died — the periodic under-replication sweep a real NameNode runs.
-  /// Emits one task per missing replica (distinct targets).
+  /// Scans for every block whose live replica count is below the
+  /// replication factor, whichever node(s) died — the periodic
+  /// under-replication sweep a real NameNode runs. Emits one task per
+  /// missing replica (distinct targets).
   ///
   /// `replica_complete(block, node)` reports whether the node's stored copy
   /// covers the block's committed length. A live-but-stale replica (a node

@@ -7,7 +7,7 @@
 
 #include "src/client/client.h"
 #include "src/cluster/mini_cluster.h"
-#include "src/qos/quota_registry.h"
+#include "src/qos/admission.h"
 #include "src/sim/sim_context.h"
 #include "src/util/crc32c.h"
 #include "src/util/logging.h"
@@ -101,11 +101,7 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
   const bool qos_on = options.qos_hostile_ops_per_sec > 0.0;
   if (qos_on) {
     copts.server_template.admission.enabled = true;
-    // Quotas must propagate well within the run: refresh every 20ms of
-    // virtual time instead of the production default.
-    copts.server_template.quota_registry.refresh_interval_us = 20'000;
     copts.replica_template.admission.enabled = true;
-    copts.replica_template.quota_registry.refresh_interval_us = 20'000;
   }
   cluster::MiniCluster cluster(copts);
   LOGBASE_RETURN_NOT_OK(cluster.Start());
@@ -132,12 +128,12 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
   }
 
   // The hostile tenant's quota, persisted through the master so every
-  // server's registry resolves it from /meta/quota (I7).
+  // server's admission controller reads it from /meta/quota (I7).
   if (qos_on) {
     qos::QuotaSpec quota;
     quota.tenant = kHostileTenant;
-    quota.limits.ops_per_sec = options.qos_hostile_ops_per_sec;
-    quota.limits.ops_burst = options.qos_hostile_burst_ops;
+    quota.ops_per_sec = options.qos_hostile_ops_per_sec;
+    quota.ops_burst = options.qos_hostile_burst_ops;
     LOGBASE_RETURN_NOT_OK(boot_master->SetQuota(quota));
   }
 

@@ -14,11 +14,8 @@ bool AppendQueue::MustSeal(sim::VirtualTime now, size_t bytes,
   if (!open_active_) return false;
   if (options_.window_us == 0) return true;
   if (now >= open_.first_arrival_us + options_.window_us) return true;
-  if (open_.frames.size() + bytes > options_.max_batch_bytes) return true;
-  if (open_.frame_offsets.size() + records > options_.max_batch_records) {
-    return true;
-  }
-  return false;
+  return open_.frames.size() + bytes > kMaxBatchBytes ||
+         open_.frame_offsets.size() + records > kMaxBatchRecords;
 }
 
 AppendTicket AppendQueue::Submit(const Slice& frames,

@@ -37,16 +37,17 @@ enum class AckMode : uint8_t {
   kAll,
 };
 
+/// Size caps of one batch: the open batch is sealed when a submission
+/// would take it past either.
+inline constexpr size_t kMaxBatchBytes = 1 << 20;  // record-frame bytes
+inline constexpr size_t kMaxBatchRecords = 512;
+
 struct AppendQueueOptions {
   /// Group-commit window: an open batch is sealed once this much virtual
   /// time has passed since its first submission arrived (checked at the
   /// next Submit). 0 disables cross-submission coalescing — every
   /// submission flushes the previous one out.
   sim::VirtualTime window_us = 200;
-  /// Seal when the open batch would exceed this many record-frame bytes.
-  size_t max_batch_bytes = 1 << 20;
-  /// Seal when the open batch would exceed this many records.
-  size_t max_batch_records = 512;
 };
 
 /// Handle for a submission: which batch it landed in and which of the

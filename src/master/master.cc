@@ -59,7 +59,6 @@ void Master::Crash() {
   tables_.clear();
   split_keys_.clear();
   assignments_.clear();
-  quotas_.clear();
   next_table_id_ = 1;
 }
 
@@ -77,82 +76,49 @@ Result<bool> Master::TryPromote() {
   return true;
 }
 
-Status Master::PersistTableLocked(const std::string& name) {
-  coord::ZnodeTree* znodes = coord_->znodes();
-  for (const char* path : {kMetaRoot, kMetaTables, kMetaAssign}) {
-    if (!znodes->Exists(path)) {
-      auto created = znodes->Create(session_, path, "",
-                                    coord::CreateMode::kPersistent);
-      if (!created.ok() && !znodes->Exists(path)) return created.status();
-    }
+Status EnsureZnodes(coord::ZnodeTree* znodes, coord::SessionId session,
+                    std::initializer_list<const char*> paths) {
+  for (const char* path : paths) {
+    if (znodes->Exists(path)) continue;
+    auto created =
+        znodes->Create(session, path, "", coord::CreateMode::kPersistent);
+    if (!created.ok() && !znodes->Exists(path)) return created.status();
   }
-  std::string data = meta::EncodeTableMeta(tables_[name], split_keys_[name]);
-  std::string path = std::string(kMetaTables) + "/" + name;
+  return Status::OK();
+}
+
+Status Master::UpsertZnodeLocked(std::initializer_list<const char*> parents,
+                                 const std::string& path,
+                                 const std::string& data) {
+  coord::ZnodeTree* znodes = coord_->znodes();
+  LOGBASE_RETURN_NOT_OK(EnsureZnodes(znodes, session_, parents));
   coord_->ChargeRoundTrip(node_, data.size());
   if (znodes->Exists(path)) return znodes->Set(path, data);
   auto created =
       znodes->Create(session_, path, data, coord::CreateMode::kPersistent);
   return created.ok() ? Status::OK() : created.status();
+}
+
+Status Master::PersistTableLocked(const std::string& name) {
+  return UpsertZnodeLocked(
+      {kMetaRoot, kMetaTables, kMetaAssign}, meta::TablePath(name),
+      meta::EncodeTableMeta(tables_[name], split_keys_[name]));
 }
 
 Status Master::PersistAssignmentLocked(const TabletLocation& location) {
-  coord::ZnodeTree* znodes = coord_->znodes();
-  for (const char* path : {kMetaRoot, kMetaAssign}) {
-    if (!znodes->Exists(path)) {
-      auto created = znodes->Create(session_, path, "",
-                                    coord::CreateMode::kPersistent);
-      if (!created.ok() && !znodes->Exists(path)) return created.status();
-    }
-  }
-  std::string data =
-      meta::EncodeAssignment(location.server_id, location.descriptor);
-  std::string path =
-      std::string(kMetaAssign) + "/" + location.descriptor.uid();
-  coord_->ChargeRoundTrip(node_, data.size());
-  if (znodes->Exists(path)) return znodes->Set(path, data);
-  auto created =
-      znodes->Create(session_, path, data, coord::CreateMode::kPersistent);
-  return created.ok() ? Status::OK() : created.status();
+  return UpsertZnodeLocked(
+      {kMetaRoot, kMetaAssign}, meta::AssignPath(location.descriptor.uid()),
+      meta::EncodeAssignment(location.server_id, location.descriptor));
 }
 
 Status Master::PersistReplicaSetLocked(const std::string& uid) {
-  coord::ZnodeTree* znodes = coord_->znodes();
-  for (const char* path : {kMetaRoot, meta::kMetaReplica}) {
-    if (!znodes->Exists(path)) {
-      auto created = znodes->Create(session_, path, "",
-                                    coord::CreateMode::kPersistent);
-      if (!created.ok() && !znodes->Exists(path)) return created.status();
-    }
-  }
   auto it = assignments_.find(uid);
   if (it == assignments_.end()) {
     return Status::NotFound("tablet not assigned: " + uid);
   }
-  std::string data = meta::EncodeReplicaSet(it->second.replicas);
-  std::string path = meta::ReplicaPath(uid);
-  coord_->ChargeRoundTrip(node_, data.size());
-  if (znodes->Exists(path)) return znodes->Set(path, data);
-  auto created =
-      znodes->Create(session_, path, data, coord::CreateMode::kPersistent);
-  return created.ok() ? Status::OK() : created.status();
-}
-
-Status Master::PersistQuotaLocked(const qos::QuotaSpec& spec) {
-  coord::ZnodeTree* znodes = coord_->znodes();
-  for (const char* path : {kMetaRoot, qos::kMetaQuota}) {
-    if (!znodes->Exists(path)) {
-      auto created = znodes->Create(session_, path, "",
-                                    coord::CreateMode::kPersistent);
-      if (!created.ok() && !znodes->Exists(path)) return created.status();
-    }
-  }
-  std::string data = qos::EncodeQuotaSpec(spec);
-  std::string path = qos::QuotaPath(spec.Id());
-  coord_->ChargeRoundTrip(node_, data.size());
-  if (znodes->Exists(path)) return znodes->Set(path, data);
-  auto created =
-      znodes->Create(session_, path, data, coord::CreateMode::kPersistent);
-  return created.ok() ? Status::OK() : created.status();
+  return UpsertZnodeLocked({kMetaRoot, meta::kMetaReplica},
+                           meta::ReplicaPath(uid),
+                           meta::EncodeReplicaSet(it->second.replicas));
 }
 
 Status Master::SetQuota(const qos::QuotaSpec& spec) {
@@ -161,36 +127,12 @@ Status Master::SetQuota(const qos::QuotaSpec& spec) {
   if (spec.tenant.empty()) {
     return Status::InvalidArgument("quota needs a tenant");
   }
-  LOGBASE_RETURN_NOT_OK(PersistQuotaLocked(spec));
-  quotas_[spec.Id()] = spec;
-  LOGBASE_LOG(kInfo,
-              "master %d set quota %s: %.0f ops/s (burst %.0f), "
-              "%.0f B/s (burst %.0f)",
-              node_, spec.Id().c_str(), spec.limits.ops_per_sec,
-              spec.limits.ops_burst, spec.limits.bytes_per_sec,
-              spec.limits.bytes_burst);
+  LOGBASE_RETURN_NOT_OK(UpsertZnodeLocked({kMetaRoot, qos::kMetaQuota},
+                                          qos::QuotaPath(spec.tenant),
+                                          qos::EncodeQuotaSpec(spec)));
+  LOGBASE_LOG(kInfo, "master %d set quota %s: %.0f ops/s (burst %.0f)",
+              node_, spec.tenant.c_str(), spec.ops_per_sec, spec.ops_burst);
   return Status::OK();
-}
-
-Result<qos::QuotaSpec> Master::GetQuota(const std::string& tenant,
-                                        const std::string& table) const {
-  MutexLock l(mu_);
-  qos::QuotaSpec probe;
-  probe.tenant = tenant;
-  probe.table = table;
-  auto it = quotas_.find(probe.Id());
-  if (it == quotas_.end()) {
-    return Status::NotFound("no quota for " + probe.Id());
-  }
-  return it->second;
-}
-
-std::vector<qos::QuotaSpec> Master::QuotasSnapshot() const {
-  MutexLock l(mu_);
-  std::vector<qos::QuotaSpec> out;
-  out.reserve(quotas_.size());
-  for (const auto& [id, spec] : quotas_) out.push_back(spec);
-  return out;
 }
 
 void Master::DropReplicasLocked(const std::string& uid) {
@@ -212,7 +154,6 @@ Status Master::RecoverMetadataLocked() {
   tables_.clear();
   split_keys_.clear();
   assignments_.clear();
-  quotas_.clear();
   next_table_id_ = 1;
   coord::ZnodeTree* znodes = coord_->znodes();
   coord_->ChargeRoundTrip(node_);
@@ -262,19 +203,6 @@ Status Master::RecoverMetadataLocked() {
       if (!meta::DecodeReplicaSet(Slice(*data), &it->second.replicas)) {
         return Status::Corruption("bad replica set metadata for " + uid);
       }
-    }
-  }
-  if (znodes->Exists(qos::kMetaQuota)) {
-    auto ids = znodes->GetChildren(qos::kMetaQuota);
-    if (!ids.ok()) return ids.status();
-    for (const std::string& id : *ids) {
-      auto data = znodes->Get(qos::QuotaPath(id));
-      if (!data.ok()) return data.status();
-      qos::QuotaSpec spec;
-      if (!qos::DecodeQuotaSpec(Slice(*data), &spec)) {
-        return Status::Corruption("bad quota metadata for " + id);
-      }
-      quotas_[spec.Id()] = std::move(spec);
     }
   }
   return Status::OK();

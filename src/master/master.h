@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -37,6 +38,12 @@ inline bool RetiresParent(const std::string& parent_uid,
   }
   return true;
 }
+
+/// Creates each of `paths` that is missing, in order (parents first), as an
+/// empty persistent znode. Losing a creation race to another session is not
+/// an error.
+Status EnsureZnodes(coord::ZnodeTree* znodes, coord::SessionId session,
+                    std::initializer_list<const char*> paths);
 
 class Master {
  public:
@@ -151,17 +158,10 @@ class Master {
   // -- Multi-tenant QoS (src/qos/) -----------------------------------------
 
   /// Installs (or replaces) a tenant quota: persists it under
-  /// /meta/quota/<id> so every server's TenantQuotaRegistry resolves it
-  /// within one refresh interval, and survives master failover. Active
-  /// master only.
+  /// /meta/quota/<tenant>, the one copy every server's admission controller
+  /// reads within one refresh interval; it survives master failover.
+  /// Active master only.
   Status SetQuota(const qos::QuotaSpec& spec);
-  /// The persisted quota for (tenant, table); NotFound when absent. Exact
-  /// key match — no tenant-wide fallback (that resolution happens on the
-  /// servers).
-  Result<qos::QuotaSpec> GetQuota(const std::string& tenant,
-                                  const std::string& table) const;
-  /// Copy of all configured quotas, id-ordered.
-  std::vector<qos::QuotaSpec> QuotasSnapshot() const;
 
   // -- Failure handling ----------------------------------------------------
 
@@ -205,7 +205,11 @@ class Master {
   Status PersistAssignmentLocked(const TabletLocation& location)
       REQUIRES(mu_);
   Status PersistReplicaSetLocked(const std::string& uid) REQUIRES(mu_);
-  Status PersistQuotaLocked(const qos::QuotaSpec& spec) REQUIRES(mu_);
+  /// Creates `parents`, charges one round trip of `data.size()` bytes, then
+  /// creates or overwrites the persistent znode `path`.
+  Status UpsertZnodeLocked(std::initializer_list<const char*> parents,
+                           const std::string& path, const std::string& data)
+      REQUIRES(mu_);
   /// Detaches `uid`'s replicas and drops the persisted set. Used when the
   /// tablet's log stream changes owner (migration/split/failure), which
   /// invalidates every replica's tail cursor.
@@ -230,8 +234,6 @@ class Master {
   std::map<std::string, std::vector<std::string>> split_keys_ GUARDED_BY(mu_);
   // By uid.
   std::map<std::string, TabletLocation> assignments_ GUARDED_BY(mu_);
-  // Tenant quotas by QuotaSpec::Id().
-  std::map<std::string, qos::QuotaSpec> quotas_ GUARDED_BY(mu_);
   uint32_t next_table_id_ GUARDED_BY(mu_) = 1;
   // Balancer-fed, may be empty.
   std::function<double(int)> load_hint_ GUARDED_BY(mu_);

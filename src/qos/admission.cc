@@ -1,13 +1,23 @@
 #include "src/qos/admission.h"
 
-#include <algorithm>
+#include <cstring>
 
+#include "src/coord/coordination_service.h"
 #include "src/obs/metrics.h"
-#include "src/sim/sim_context.h"
+#include "src/util/coding.h"
 
 namespace logbase::qos {
 
 namespace {
+
+// Per-priority queue policy, indexed by Priority. A computed wait above the
+// class's cap — or a full queue — sheds instead of queueing.
+constexpr std::array<int64_t, kNumPriorities> kMaxQueueWaitUs{10'000, 5'000};
+constexpr std::array<size_t, kNumPriorities> kMaxQueueDepth{32, 16};
+// How long the cached /meta/quota view stays fresh before the next Admit
+// re-reads the znodes.
+constexpr sim::VirtualTime kRefreshIntervalUs = 20'000;
+
 obs::Counter* Admitted() {
   static obs::Counter* c =
       obs::MetricsRegistry::Global().counter("qos.admitted");
@@ -32,13 +42,83 @@ obs::Gauge* TokensAvailableGauge() {
       obs::MetricsRegistry::Global().gauge("qos.tokens_available");
   return g;
 }
+
+// Doubles are stored as their IEEE-754 bit pattern: exact round-trip, no
+// locale/printf dependence.
+void PutDouble(std::string* dst, double v) {
+  uint64_t bits;
+  memcpy(&bits, &v, sizeof(bits));
+  PutFixed64(dst, bits);
+}
+
+bool GetDouble(Slice* in, double* v) {
+  uint64_t bits;
+  if (!GetFixed64(in, &bits)) return false;
+  memcpy(v, &bits, sizeof(bits));
+  return true;
+}
+
 }  // namespace
 
+std::string EncodeQuotaSpec(const QuotaSpec& spec) {
+  std::string out;
+  PutLengthPrefixedSlice(&out, Slice(spec.tenant));
+  PutDouble(&out, spec.ops_per_sec);
+  PutDouble(&out, spec.ops_burst);
+  return out;
+}
+
+bool DecodeQuotaSpec(Slice in, QuotaSpec* spec) {
+  Slice tenant;
+  if (!GetLengthPrefixedSlice(&in, &tenant)) return false;
+  spec->tenant = tenant.ToString();
+  return GetDouble(&in, &spec->ops_per_sec) &&
+         GetDouble(&in, &spec->ops_burst) && in.empty();
+}
+
 AdmissionController::AdmissionController(const AdmissionOptions& options,
-                                         TenantQuotaRegistry* registry)
-    : options_(options), registry_(registry) {
+                                         coord::CoordinationService* coord,
+                                         int node)
+    : options_(options), coord_(coord), node_(node) {}
+
+void AdmissionController::SetLocal(const QuotaSpec& spec) {
   MutexLock l(mu_);
-  server_bucket_.Reset(options_.server_limits);
+  Quota& quota = quotas_[spec.tenant];
+  quota.spec = spec;
+  quota.bucket.Reset(spec.ops_per_sec, spec.ops_burst);
+}
+
+void AdmissionController::RefreshLocked(sim::VirtualTime now) {
+  if (coord_ == nullptr) return;
+  if (last_refresh_ >= 0 && now >= last_refresh_ &&
+      now - last_refresh_ < kRefreshIntervalUs) {
+    return;
+  }
+  last_refresh_ = now;
+  auto* znodes = coord_->znodes();
+  auto children = znodes->GetChildren(kMetaQuota);
+  coord_->ChargeRoundTrip(node_);
+  // No quota subtree yet means quotas were never pushed: keep every entry
+  // (locally installed ones have no znode backing).
+  if (!children.ok()) return;
+  for (const auto& child : children.value()) {
+    auto data = znodes->Get(QuotaPath(child));
+    if (!data.ok()) continue;
+    QuotaSpec spec;
+    if (!DecodeQuotaSpec(Slice(data.value()), &spec)) continue;
+    Quota& quota = quotas_[spec.tenant];
+    // Only a changed limit resets the bucket: a routine refresh must not
+    // forgive accumulated debt.
+    if (quota.spec == spec) continue;
+    quota.spec = spec;
+    quota.bucket.Reset(spec.ops_per_sec, spec.ops_burst);
+  }
+}
+
+TokenBucket* AdmissionController::BucketLocked(const std::string& tenant) {
+  auto it = quotas_.find(tenant);
+  if (it == quotas_.end() || it->second.spec.ops_per_sec <= 0) return nullptr;
+  return &it->second.bucket;
 }
 
 size_t AdmissionController::PruneQueuesLocked(sim::VirtualTime now) {
@@ -62,52 +142,35 @@ size_t AdmissionController::QueueDepth() const {
   return depth;
 }
 
-Status AdmissionController::Admit(const std::string& table, uint64_t ops,
-                                  uint64_t bytes) {
+Status AdmissionController::Admit(uint64_t ops) {
   if (!options_.enabled) return Status::OK();
   const TenantIdentity& who = CurrentTenant();
   const int pri = static_cast<int>(who.priority);
   const sim::VirtualTime now = sim::CurrentVirtualTime();
 
   MutexLock l(mu_);
-  // Probe both gates first — the tenant's quota and the server-wide
-  // saturation bucket — and only consume once the request is actually
-  // admitted, so a shed burns no tokens anywhere. kQosAdmission <
-  // kQosRegistry, so the registry call nests under mu_.
-  const int64_t tenant_wait =
-      registry_ != nullptr
-          ? registry_->WaitFor(who.tenant, table, ops, bytes, now)
-          : 0;
-  const int64_t server_wait = server_bucket_.WaitFor(ops, bytes, now);
-  const int64_t wait = std::max(tenant_wait, server_wait);
+  // Probe first and consume only once the request is actually admitted, so
+  // a shed burns no tokens.
+  RefreshLocked(now);
+  TokenBucket* bucket = BucketLocked(who.tenant);
+  const int64_t wait = bucket != nullptr ? bucket->WaitFor(ops, now) : 0;
 
-  const size_t depth = PruneQueuesLocked(now);
-  QueueDepthGauge()->Set(static_cast<int64_t>(depth));
-  if (registry_ != nullptr) {
-    const double avail = registry_->OpsAvailable(who.tenant, table, now);
-    if (avail >= 0) {
-      TokensAvailableGauge()->Set(static_cast<int64_t>(avail));
-    }
+  QueueDepthGauge()->Set(static_cast<int64_t>(PruneQueuesLocked(now)));
+  if (bucket != nullptr) {
+    TokensAvailableGauge()->Set(
+        static_cast<int64_t>(bucket->OpsAvailable(now)));
   }
 
   if (wait == 0) {
-    if (registry_ != nullptr) {
-      registry_->Consume(who.tenant, table, ops, bytes, now);
-    }
-    server_bucket_.Consume(ops, bytes, now);
+    if (bucket != nullptr) bucket->Consume(ops, now);
     Admitted()->Add();
     return Status::OK();
   }
 
   auto& queue = queues_[pri];
-  const bool can_queue =
-      wait <= options_.max_queue_wait_us[pri] &&
-      queue.size() < static_cast<size_t>(options_.max_queue_depth[pri]);
-  if (!can_queue) {
+  if (wait > kMaxQueueWaitUs[pri] || queue.size() >= kMaxQueueDepth[pri]) {
     ShedCount()->Add();
-    const char* why = tenant_wait >= server_wait ? "over tenant quota: "
-                                                 : "server saturated: ";
-    return Status::UnavailableWithRetryAfter(std::string(why) + who.tenant,
+    return Status::UnavailableWithRetryAfter("over tenant quota: " + who.tenant,
                                              wait);
   }
 
@@ -118,10 +181,7 @@ Status AdmissionController::Admit(const std::string& table, uint64_t ops,
   const sim::VirtualTime release = now + wait;
   queue.push_back(release);
   if (auto* ctx = sim::SimContext::Current()) ctx->Advance(wait);
-  if (registry_ != nullptr) {
-    registry_->Consume(who.tenant, table, ops, bytes, release);
-  }
-  server_bucket_.Consume(ops, bytes, release);
+  bucket->Consume(ops, release);
   QueuedCount()->Add();
   Admitted()->Add();
   return Status::OK();

@@ -19,20 +19,11 @@
 namespace logbase::qos {
 
 /// Priority class of a request: decides which bounded wait-queue the
-/// admission controller parks it in when tokens are short. kHigh queues the
-/// deepest and waits the longest before shedding; kLow sheds first.
-enum class Priority : int { kHigh = 0, kNormal = 1, kLow = 2 };
+/// admission controller parks it in when tokens are short. kLow queues
+/// less deep and sheds at a shorter wait than kNormal.
+enum class Priority : int { kNormal = 0, kLow = 1 };
 
-inline constexpr int kNumPriorities = 3;
-
-inline const char* PriorityName(Priority p) {
-  switch (p) {
-    case Priority::kHigh: return "high";
-    case Priority::kNormal: return "normal";
-    case Priority::kLow: return "low";
-  }
-  return "unknown";
-}
+inline constexpr int kNumPriorities = 2;
 
 /// Who an operation belongs to. The tenant string keys quota lookup; empty
 /// means "default".

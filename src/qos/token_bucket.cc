@@ -5,10 +5,10 @@
 
 namespace logbase::qos {
 
-void TokenBucket::Reset(const BucketLimits& limits) {
-  limits_ = limits;
-  op_tokens_ = std::max(limits_.ops_burst, 0.0);
-  byte_tokens_ = std::max(limits_.bytes_burst, 0.0);
+void TokenBucket::Reset(double ops_per_sec, double ops_burst) {
+  ops_per_sec_ = ops_per_sec;
+  ops_burst_ = ops_burst;
+  op_tokens_ = std::max(ops_burst_, 0.0);
   // Keep the refill origin wherever it already is: a quota update must not
   // manufacture a retroactive refill window.
 }
@@ -17,38 +17,25 @@ void TokenBucket::RefillTo(sim::VirtualTime now) {
   if (now <= last_refill_) return;
   const double dt_sec =
       static_cast<double>(now - last_refill_) / 1'000'000.0;
-  if (limits_.ops_per_sec > 0) {
-    op_tokens_ = std::min(limits_.ops_burst,
-                          op_tokens_ + limits_.ops_per_sec * dt_sec);
-  }
-  if (limits_.bytes_per_sec > 0) {
-    byte_tokens_ = std::min(limits_.bytes_burst,
-                            byte_tokens_ + limits_.bytes_per_sec * dt_sec);
+  if (ops_per_sec_ > 0) {
+    op_tokens_ = std::min(ops_burst_, op_tokens_ + ops_per_sec_ * dt_sec);
   }
   last_refill_ = now;
 }
 
-int64_t TokenBucket::WaitFor(uint64_t ops, uint64_t bytes,
-                             sim::VirtualTime now) {
+int64_t TokenBucket::WaitFor(uint64_t ops, sim::VirtualTime now) {
   RefillTo(now);
-  double wait_sec = 0.0;
-  if (limits_.ops_per_sec > 0) {
-    const double need = static_cast<double>(ops) - op_tokens_;
-    if (need > 0) wait_sec = std::max(wait_sec, need / limits_.ops_per_sec);
-  }
-  if (limits_.bytes_per_sec > 0) {
-    const double need = static_cast<double>(bytes) - byte_tokens_;
-    if (need > 0) wait_sec = std::max(wait_sec, need / limits_.bytes_per_sec);
-  }
-  if (wait_sec <= 0.0) return 0;
+  if (ops_per_sec_ <= 0) return 0;
+  const double need = static_cast<double>(ops) - op_tokens_;
+  if (need <= 0) return 0;
   // Round up so the returned release time really has the tokens.
-  return static_cast<int64_t>(std::ceil(wait_sec * 1'000'000.0)) + 1;
+  return static_cast<int64_t>(std::ceil(need / ops_per_sec_ * 1'000'000.0)) +
+         1;
 }
 
-void TokenBucket::Consume(uint64_t ops, uint64_t bytes, sim::VirtualTime at) {
+void TokenBucket::Consume(uint64_t ops, sim::VirtualTime at) {
   RefillTo(at);
-  if (limits_.ops_per_sec > 0) op_tokens_ -= static_cast<double>(ops);
-  if (limits_.bytes_per_sec > 0) byte_tokens_ -= static_cast<double>(bytes);
+  if (ops_per_sec_ > 0) op_tokens_ -= static_cast<double>(ops);
 }
 
 double TokenBucket::OpsAvailable(sim::VirtualTime now) {

@@ -1,19 +1,16 @@
-// Deterministic token bucket on the virtual clock. Two coupled buckets —
-// operations and bytes — refill continuously at their configured rates as
-// virtual time advances; an acquisition must find tokens in both. There is
+// Deterministic token bucket on the virtual clock. Operation tokens refill
+// continuously at the configured rate as virtual time advances. There is
 // no background refill thread: the bucket lazily tops itself up from the
 // timestamp the caller passes in, so identical (op, timestamp) sequences
 // always produce identical admit/shed decisions regardless of real-thread
 // scheduling.
 //
-// Probing (WaitFor) and debiting (Consume) are split so a caller gating one
-// request against several buckets — the tenant quota AND the server-wide
-// saturation bucket — can first learn every wait, decide admit/queue/shed,
-// and only then consume, from all buckets or none. A shed therefore never
-// burns tokens anywhere.
+// Probing (WaitFor) and debiting (Consume) are split so the admission
+// controller can first learn the wait, decide admit/queue/shed, and only
+// then consume. A shed therefore never burns tokens.
 //
-// The bucket itself is not synchronized; the owner (TenantQuotaRegistry /
-// AdmissionController) serializes access under its own ranked mutex.
+// The bucket itself is not synchronized; the owner (AdmissionController)
+// serializes access under its own ranked mutex.
 
 #ifndef LOGBASE_QOS_TOKEN_BUCKET_H_
 #define LOGBASE_QOS_TOKEN_BUCKET_H_
@@ -24,52 +21,36 @@
 
 namespace logbase::qos {
 
-/// Rate + burst limits for one bucket pair. A rate <= 0 means that
-/// dimension is unlimited.
-struct BucketLimits {
-  double ops_per_sec = 0.0;
-  double ops_burst = 0.0;
-  double bytes_per_sec = 0.0;
-  double bytes_burst = 0.0;
-
-  bool Unlimited() const { return ops_per_sec <= 0 && bytes_per_sec <= 0; }
-
-  bool operator==(const BucketLimits& o) const {
-    return ops_per_sec == o.ops_per_sec && ops_burst == o.ops_burst &&
-           bytes_per_sec == o.bytes_per_sec && bytes_burst == o.bytes_burst;
-  }
-};
-
 class TokenBucket {
  public:
   TokenBucket() = default;
-  explicit TokenBucket(const BucketLimits& limits) { Reset(limits); }
+  /// A rate <= 0 means unlimited.
+  TokenBucket(double ops_per_sec, double ops_burst) {
+    Reset(ops_per_sec, ops_burst);
+  }
 
-  /// Replaces the limits and refills both buckets to their burst capacity.
-  void Reset(const BucketLimits& limits);
-
-  const BucketLimits& limits() const { return limits_; }
+  /// Replaces the limits and refills the bucket to its burst capacity.
+  void Reset(double ops_per_sec, double ops_burst);
 
   /// Refills to virtual time `now` and returns how many microseconds until
-  /// `ops` op-tokens and `bytes` byte-tokens are all available: 0 = they
-  /// already are. Never consumes.
-  int64_t WaitFor(uint64_t ops, uint64_t bytes, sim::VirtualTime now);
+  /// `ops` tokens are available: 0 = they already are. Never consumes.
+  int64_t WaitFor(uint64_t ops, sim::VirtualTime now);
 
-  /// Debits `ops`/`bytes` as of virtual time `at` (refilling up to `at`
-  /// first). `at` is `now` for an immediate admit, or the queued request's
-  /// release time — consuming at release is what makes later arrivals see
-  /// the queue's token debt.
-  void Consume(uint64_t ops, uint64_t bytes, sim::VirtualTime at);
+  /// Debits `ops` as of virtual time `at` (refilling up to `at` first).
+  /// `at` is `now` for an immediate admit, or the queued request's release
+  /// time — consuming at release is what makes later arrivals see the
+  /// queue's token debt.
+  void Consume(uint64_t ops, sim::VirtualTime at);
 
-  /// Current op tokens after refilling to `now` (observability gauge).
+  /// Current tokens after refilling to `now` (observability gauge).
   double OpsAvailable(sim::VirtualTime now);
 
  private:
   void RefillTo(sim::VirtualTime now);
 
-  BucketLimits limits_;
+  double ops_per_sec_ = 0.0;
+  double ops_burst_ = 0.0;
   double op_tokens_ = 0.0;
-  double byte_tokens_ = 0.0;
   sim::VirtualTime last_refill_ = 0;
 };
 

@@ -25,8 +25,7 @@ ReplicaServer::ReplicaServer(ReplicaServerOptions options, dfs::Dfs* dfs,
                              coord::CoordinationService* coord)
     : options_(options),
       dfs_(dfs),
-      quota_registry_(coord, options_.node, options_.quota_registry),
-      admission_(options_.admission, &quota_registry_),
+      admission_(options_.admission, coord, options_.node),
       fs_(std::make_unique<dfs::DfsFileSystem>(dfs, options_.node)),
       buffer_(options_.read_buffer_bytes, tablet::MakeLruPolicy()) {}
 
@@ -222,7 +221,7 @@ Result<tablet::ReadValue> ReplicaServer::Get(const std::string& uid,
   if (!running()) return Status::Unavailable("replica server is down");
   // Admission before any replica state is touched (same contract as the
   // primary front doors: a shed op never partially applies).
-  LOGBASE_RETURN_NOT_OK(admission_.Admit(uid, 1, key.size()));
+  LOGBASE_RETURN_NOT_OK(admission_.Admit(1));
   MutexLock l(mu_);
   uint64_t snapshot = 0;
   auto t = SnapshotLocked(uid, as_of, max_staleness_us, &snapshot,
@@ -251,7 +250,7 @@ Result<query::TabletResult> ReplicaServer::ExecuteScan(
     uint64_t* snapshot_ts) {
   obs::Span span("replica.exec_scan");
   if (!running()) return Status::Unavailable("replica server is down");
-  LOGBASE_RETURN_NOT_OK(admission_.Admit(uid, 1, encoded_plan.size()));
+  LOGBASE_RETURN_NOT_OK(admission_.Admit(1));
   MutexLock l(mu_);
   uint64_t snapshot = 0;
   auto t = SnapshotLocked(uid, options.as_of, max_staleness_us, &snapshot,

@@ -51,13 +51,12 @@ struct ReplicaServerOptions {
   /// Multi-tenant QoS at the replica front door (src/qos/): disabled by
   /// default.
   qos::AdmissionOptions admission;
-  qos::TenantQuotaRegistry::Options quota_registry;
 };
 
 class ReplicaServer {
  public:
   /// `coord` may be null: quota znodes are then invisible and only locally
-  /// installed quotas (quota_registry()->SetLocal) apply.
+  /// installed quotas (admission()->SetLocal) apply.
   ReplicaServer(ReplicaServerOptions options, dfs::Dfs* dfs,
                 coord::CoordinationService* coord = nullptr);
 
@@ -126,7 +125,6 @@ class ReplicaServer {
       const std::string& uid) const;
   int replica_id() const { return options_.replica_id; }
   int node() const { return options_.node; }
-  qos::TenantQuotaRegistry* quota_registry() { return &quota_registry_; }
   qos::AdmissionController* admission() { return &admission_; }
 
  private:
@@ -183,7 +181,6 @@ class ReplicaServer {
   ReplicaServerOptions options_;  // fixed after construction
   dfs::Dfs* const dfs_;
   // Internally synchronized; gates Get/ExecuteScan before mu_.
-  qos::TenantQuotaRegistry quota_registry_;
   qos::AdmissionController admission_;
   // Set in the constructor; the DFS adapter is internally synchronized.
   std::unique_ptr<FileSystem> fs_;  // DFS adapter bound to this node

@@ -52,8 +52,7 @@ TabletServer::TabletServer(TabletServerOptions options, dfs::Dfs* dfs,
     : options_(std::move(options)),
       dfs_(dfs),
       coord_(coord),
-      quota_registry_(coord, options_.server_id, options_.quota_registry),
-      admission_(options_.admission, &quota_registry_),
+      admission_(options_.admission, coord, options_.server_id),
       fs_(std::make_unique<dfs::DfsFileSystem>(dfs, options_.server_id)),
       buffer_(options_.read_buffer_bytes, MakeLruPolicy()) {
   writer_ = std::make_unique<log::LogWriter>(
@@ -356,18 +355,10 @@ Result<MutationBatch> TabletServer::Submit(std::vector<WriteOp> ops,
                                            const TxnStamp& txn) {
   if (!running()) return Status::Unavailable("tablet server is down");
   // Admission before any state is touched: a shed write must not have
-  // recorded load, drawn timestamps, or enqueued log records (I7). A batch
-  // within one tablet is gated under that tablet's quota, one spanning
-  // tablets (or a bare COMMIT) under the tenant's.
-  std::string scope = ops.empty() ? "" : ops.front().tablet_uid;
-  uint64_t payload = 0;
-  for (const WriteOp& op : ops) {
-    payload += op.key.size() + op.value.size();
-    if (op.tablet_uid != scope) scope.clear();
-  }
+  // recorded load, drawn timestamps, or enqueued log records (I7).
   const size_t record_count = ops.size() + (txn.commit ? 1 : 0);
-  LOGBASE_RETURN_NOT_OK(admission_.Admit(
-      scope, record_count == 0 ? 1 : record_count, payload));
+  LOGBASE_RETURN_NOT_OK(
+      admission_.Admit(record_count == 0 ? 1 : record_count));
   // Every op's tablet is checked before anything reaches the log, so a
   // refused batch leaves no record behind for recovery to resurrect.
   std::vector<Tablet*> tablets;
@@ -468,7 +459,7 @@ Result<ReadValue> TabletServer::Get(const std::string& tablet_uid,
                                     const Slice& key, uint64_t as_of) {
   obs::Span span("tablet.get");
   if (!running()) return Status::Unavailable("tablet server is down");
-  LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, key.size()));
+  LOGBASE_RETURN_NOT_OK(admission_.Admit(1));
   Tablet* tablet = FindTablet(tablet_uid);
   if (tablet == nullptr) return UnknownTablet();
   auto read = ReadPoint(*tablet->index(), &buffer_, tablet_uid, key, as_of,
@@ -483,7 +474,7 @@ Result<ReadValue> TabletServer::Get(const std::string& tablet_uid,
 Result<std::vector<ReadRow>> TabletServer::GetVersions(
     const std::string& tablet_uid, const Slice& key) {
   if (!running()) return Status::Unavailable("tablet server is down");
-  LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, key.size()));
+  LOGBASE_RETURN_NOT_OK(admission_.Admit(1));
   Tablet* tablet = FindTablet(tablet_uid);
   if (tablet == nullptr) return UnknownTablet();
 
@@ -505,8 +496,7 @@ Result<query::TabletResult> TabletServer::ExecuteScan(
     const query::ExecOptions& options) {
   obs::Span span("tablet.exec_scan");
   if (!running()) return Status::Unavailable("tablet server is down");
-  LOGBASE_RETURN_NOT_OK(
-      admission_.Admit(tablet_uid, 1, encoded_plan.size()));
+  LOGBASE_RETURN_NOT_OK(admission_.Admit(1));
   Tablet* tablet = FindTablet(tablet_uid);
   if (tablet == nullptr) return UnknownTablet();
 
@@ -524,7 +514,7 @@ Result<query::TabletResult> TabletServer::ExecuteScan(
 
 Result<uint64_t> TabletServer::FullScanCount(const std::string& tablet_uid) {
   if (!running()) return Status::Unavailable("tablet server is down");
-  LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, 0));
+  LOGBASE_RETURN_NOT_OK(admission_.Admit(1));
   Tablet* tablet = FindTablet(tablet_uid);
   if (tablet == nullptr) return UnknownTablet();
 

@@ -22,7 +22,6 @@
 #include "src/log/log_writer.h"
 #include "src/lsm/lsm_tree.h"
 #include "src/qos/admission.h"
-#include "src/qos/quota_registry.h"
 #include "src/query/executor.h"
 #include "src/tablet/read_buffer.h"
 #include "src/tablet/read_path.h"
@@ -43,13 +42,12 @@ struct TabletServerOptions {
   /// checkpoints), §3.6.1.
   uint64_t checkpoint_update_threshold = 0;
   /// Group-commit dispatcher settings for the server's log writer (batch
-  /// window, size caps, pipeline depth).
+  /// window).
   log::AppendQueueOptions group_commit;
   /// Settings for IndexKind::kLsm.
   lsm::LsmOptions lsm;
   /// Multi-tenant QoS at the front door (src/qos/): disabled by default.
   qos::AdmissionOptions admission;
-  qos::TenantQuotaRegistry::Options quota_registry;
 };
 
 struct CompactionOptions {
@@ -253,9 +251,8 @@ class TabletServer {
   coord::CoordinationService* coord() { return coord_; }
   dfs::Dfs* dfs() { return dfs_; }
   const TabletServerOptions& options() const { return options_; }
-  /// Front-door admission control (test/bench aid: quota registry for local
-  /// overrides, controller for queue introspection).
-  qos::TenantQuotaRegistry* quota_registry() { return &quota_registry_; }
+  /// Front-door admission control (test aid: local quotas, queue
+  /// introspection).
   qos::AdmissionController* admission() { return &admission_; }
 
  private:
@@ -290,9 +287,8 @@ class TabletServer {
   TabletServerOptions options_;  // fixed after construction
   dfs::Dfs* const dfs_;
   coord::CoordinationService* const coord_;
-  // Internally synchronized (kQosRegistry / kQosAdmission); the controller
-  // gates every front door before any server state is touched.
-  qos::TenantQuotaRegistry quota_registry_;
+  // Internally synchronized (kQosAdmission); gates every front door before
+  // any server state is touched.
   qos::AdmissionController admission_;
   // Set in the constructor; the DFS adapter is internally synchronized.
   std::unique_ptr<FileSystem> fs_;  // DFS adapter bound to this node

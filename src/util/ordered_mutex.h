@@ -37,11 +37,10 @@ enum Rank : uint32_t {
   // Control plane: held across calls into almost everything below.
   kBalancerState = 90,          // balance::Balancer::mu_
   kMasterState = 100,           // master::Master::mu_
-  // QoS front door: admission holds its lock while probing the quota
-  // registry, which in turn reads /meta/quota znodes (kCoordZnodes).
+  // QoS front door: admission holds its lock while refreshing its quotas
+  // from the /meta/quota znodes (kCoordZnodes).
   kQosAdmission = 105,          // qos::AdmissionController::mu_
   kClientCache = 110,           // client::LogBaseClient::cache_mu_
-  kQosRegistry = 115,           // qos::TenantQuotaRegistry::mu_
 
   // Read replicas: tablets_mu_ is held across checkpoint seeding and log
   // tail polls (both call down into the DFS and log-reader locks).

@@ -145,7 +145,7 @@ TEST(DfsTest, RereplicationRestoresCopies) {
   auto blocks = dfs.name_node()->GetBlocks("/heal");
   int victim = (*blocks)[0].replicas[0];
   dfs.KillDataNode(victim);
-  auto copied = dfs.Rereplicate(victim);
+  auto copied = dfs.HealUnderReplicated();
   ASSERT_TRUE(copied.ok());
   EXPECT_EQ(*copied, 1);
   // Live replicas back to 3.
@@ -173,7 +173,7 @@ TEST(DfsTest, KillNodeRestoresReplicationOfEveryAffectedBlock) {
 
   int victim = (*dfs.name_node()->GetBlocks("/kill0"))[0].replicas[0];
   dfs.KillDataNode(victim);
-  auto copied = dfs.Rereplicate(victim);
+  auto copied = dfs.HealUnderReplicated();
   ASSERT_TRUE(copied.ok());
   EXPECT_GT(*copied, 0);
 

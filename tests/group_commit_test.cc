@@ -88,24 +88,25 @@ TEST(AppendQueueTest, WaitCoalescesPendingSubmissions) {
 
 TEST(AppendQueueTest, RecordCapSealsTheBatch) {
   MemFileSystem fs;
-  AppendQueueOptions qo;
-  qo.max_batch_records = 3;
-  LogWriter writer(&fs, "/log", 0, 64ull << 20, qo);
+  LogWriter writer(&fs, "/log", 0);
   ASSERT_TRUE(writer.Open().ok());
 
+  constexpr int kCap = static_cast<int>(kMaxBatchRecords);
+  constexpr int kRecords = 2 * kCap + 1;
   std::vector<Result<AppendTicket>> tickets;
-  for (int i = 0; i < 7; i++) {
+  for (int i = 0; i < kRecords; i++) {
     std::vector<LogRecord> r = One("k" + std::to_string(i), i + 1);
     tickets.push_back(writer.Submit(&r));
     ASSERT_TRUE(tickets.back().ok());
   }
-  // Seals at 3 and 6; the 7th record sits in the open batch.
+  // Seals at the cap and at twice the cap; the last record sits in the
+  // open batch.
   EXPECT_EQ(writer.pending_records(), 1u);
-  EXPECT_EQ(tickets[0]->batch_seq, tickets[2]->batch_seq);
-  EXPECT_NE(tickets[2]->batch_seq, tickets[3]->batch_seq);
+  EXPECT_EQ(tickets[0]->batch_seq, tickets[kCap - 1]->batch_seq);
+  EXPECT_NE(tickets[kCap - 1]->batch_seq, tickets[kCap]->batch_seq);
 
   // Tickets of already-flushed batches still collect their pointers.
-  for (int i = 0; i < 7; i++) {
+  for (int i = 0; i < kRecords; i++) {
     std::vector<LogPtr> ptrs;
     ASSERT_TRUE(writer.Wait(*tickets[i], &ptrs).ok());
     ASSERT_EQ(ptrs.size(), 1u);
@@ -119,19 +120,19 @@ TEST(AppendQueueTest, RecordCapSealsTheBatch) {
 
 TEST(AppendQueueTest, ByteCapSealsTheBatch) {
   MemFileSystem fs;
-  AppendQueueOptions qo;
-  qo.max_batch_bytes = 256;
-  LogWriter writer(&fs, "/log", 0, 64ull << 20, qo);
+  LogWriter writer(&fs, "/log", 0);
   ASSERT_TRUE(writer.Open().ok());
 
+  // Each frame holds a bit over half the byte cap.
+  const size_t value_bytes = kMaxBatchBytes / 2 + 1;
   std::vector<LogRecord> big;
-  big.push_back(MakeData("a", std::string(200, 'x'), 1));
+  big.push_back(MakeData("a", std::string(value_bytes, 'x'), 1));
   auto t1 = writer.Submit(&big);
   std::vector<LogRecord> big2;
-  big2.push_back(MakeData("b", std::string(200, 'y'), 2));
+  big2.push_back(MakeData("b", std::string(value_bytes, 'y'), 2));
   auto t2 = writer.Submit(&big2);
   ASSERT_TRUE(t1.ok() && t2.ok());
-  // The second submission would exceed 256 bytes: the first batch sealed.
+  // The second submission would exceed the cap: the first batch sealed.
   EXPECT_NE(t1->batch_seq, t2->batch_seq);
   EXPECT_EQ(writer.pending_records(), 1u);
 }
@@ -204,14 +205,16 @@ TEST(AppendQueueTest, TicketsAreSingleUse) {
 
 TEST(AppendQueueTest, ScannerSeesSubmitOrderAcrossBatches) {
   MemFileSystem fs;
-  AppendQueueOptions qo;
-  qo.max_batch_records = 2;
-  LogWriter writer(&fs, "/log", 0, 64ull << 20, qo);
+  LogWriter writer(&fs, "/log", 0);
   ASSERT_TRUE(writer.Open().ok());
 
-  for (int i = 0; i < 7; i++) {
-    ASSERT_TRUE(writer.Append(MakeData("k" + std::to_string(i), "v", i + 1))
-                    .ok());
+  // Submitted without waiting, so the record cap alone splits them into
+  // three batches.
+  constexpr int kRecords = 2 * static_cast<int>(kMaxBatchRecords) + 1;
+  for (int i = 0; i < kRecords; i++) {
+    std::vector<LogRecord> r;
+    r.push_back(MakeData("k" + std::to_string(i), "v", i + 1));
+    ASSERT_TRUE(writer.Submit(&r).ok());
   }
   ASSERT_TRUE(writer.Flush().ok());
 
@@ -226,7 +229,7 @@ TEST(AppendQueueTest, ScannerSeesSubmitOrderAcrossBatches) {
     expected_lsn++;
   }
   EXPECT_TRUE((*scanner)->status().ok());
-  EXPECT_EQ(expected_lsn, 8u);
+  EXPECT_EQ(expected_lsn, static_cast<uint64_t>(kRecords + 1));
 }
 
 // ---------------------------------------------------------------------------

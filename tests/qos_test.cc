@@ -2,8 +2,9 @@
 // quota spec codec + distribution through the master's /meta/quota znodes,
 // admission control (admit/queue/shed, priorities, retry-after hints),
 // Status wire round-trips, RetryPolicy hint capping, end-to-end throttling
-// through the client, and the I7 nemesis invariant (quota enforcement
-// deterministic under faults; shed ops never apply).
+// through the client and at the replica front door, and the I7 nemesis
+// invariant (quota enforcement deterministic under faults; shed ops never
+// apply).
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,6 @@
 #include "src/fault/nemesis.h"
 #include "src/fault/retry_policy.h"
 #include "src/qos/admission.h"
-#include "src/qos/quota_registry.h"
 #include "src/qos/tenant.h"
 #include "src/qos/token_bucket.h"
 #include "src/sim/sim_context.h"
@@ -27,9 +27,7 @@ namespace {
 
 using qos::AdmissionController;
 using qos::AdmissionOptions;
-using qos::BucketLimits;
 using qos::QuotaSpec;
-using qos::TenantQuotaRegistry;
 using qos::TokenBucket;
 
 // ---------------------------------------------------------------------------
@@ -37,95 +35,65 @@ using qos::TokenBucket;
 // ---------------------------------------------------------------------------
 
 TEST(TokenBucketTest, BurstThenRefill) {
-  BucketLimits limits;
-  limits.ops_per_sec = 1000;
-  limits.ops_burst = 10;
-  TokenBucket bucket(limits);
+  TokenBucket bucket(/*ops_per_sec=*/1000, /*ops_burst=*/10);
 
   // The full burst fits immediately; probing never consumes.
-  EXPECT_EQ(bucket.WaitFor(10, 0, 0), 0);
-  EXPECT_EQ(bucket.WaitFor(10, 0, 0), 0);
-  bucket.Consume(10, 0, 0);
+  EXPECT_EQ(bucket.WaitFor(10, 0), 0);
+  EXPECT_EQ(bucket.WaitFor(10, 0), 0);
+  bucket.Consume(10, 0);
   EXPECT_DOUBLE_EQ(bucket.OpsAvailable(0), 0.0);
 
   // One token refills in 1ms at 1000 ops/s; the wait rounds up.
-  int64_t wait = bucket.WaitFor(1, 0, 0);
+  int64_t wait = bucket.WaitFor(1, 0);
   EXPECT_GT(wait, 0);
   EXPECT_LE(wait, 1001);
-  EXPECT_EQ(bucket.WaitFor(1, 0, wait), 0);
+  EXPECT_EQ(bucket.WaitFor(1, wait), 0);
 
   // Refill caps at the burst, not beyond.
-  EXPECT_EQ(bucket.WaitFor(10, 0, 1'000'000), 0);
-  EXPECT_GT(bucket.WaitFor(11, 0, 1'000'000), 0);
-}
-
-TEST(TokenBucketTest, BytesDimensionIndependent) {
-  BucketLimits limits;
-  limits.bytes_per_sec = 1000;
-  limits.bytes_burst = 500;
-  TokenBucket bucket(limits);
-
-  // Ops are unlimited here; only bytes gate.
-  EXPECT_EQ(bucket.WaitFor(1000, 500, 0), 0);
-  bucket.Consume(1000, 500, 0);
-  int64_t wait = bucket.WaitFor(0, 100, 0);
-  EXPECT_GT(wait, 0);
-  EXPECT_LE(wait, 100'001);
-  EXPECT_EQ(bucket.WaitFor(0, 100, wait), 0);
+  EXPECT_EQ(bucket.WaitFor(10, 1'000'000), 0);
+  EXPECT_GT(bucket.WaitFor(11, 1'000'000), 0);
 }
 
 TEST(TokenBucketTest, ConsumeAtReleaseCreatesDebt) {
-  BucketLimits limits;
-  limits.ops_per_sec = 100;
-  limits.ops_burst = 1;
-  TokenBucket bucket(limits);
+  TokenBucket bucket(/*ops_per_sec=*/100, /*ops_burst=*/1);
 
   // A queued op consumes at its future release time: a probe at that same
   // time sees the debt and must wait a full token's refill again.
-  bucket.Consume(1, 0, 0);
-  int64_t wait = bucket.WaitFor(1, 0, 0);  // ~10ms
-  bucket.Consume(1, 0, wait);
-  int64_t wait2 = bucket.WaitFor(1, 0, wait);
+  bucket.Consume(1, 0);
+  int64_t wait = bucket.WaitFor(1, 0);  // ~10ms
+  bucket.Consume(1, wait);
+  int64_t wait2 = bucket.WaitFor(1, wait);
   EXPECT_GT(wait2, 9'000);
 }
 
 TEST(TokenBucketTest, Deterministic) {
-  BucketLimits limits;
-  limits.ops_per_sec = 333;
-  limits.ops_burst = 7;
-  TokenBucket a(limits), b(limits);
+  TokenBucket a(333, 7), b(333, 7);
   sim::VirtualTime t = 0;
   for (int i = 0; i < 200; i++) {
     t += 1000 + 37 * (i % 11);
-    ASSERT_EQ(a.WaitFor(2, 0, t), b.WaitFor(2, 0, t)) << i;
-    if (a.WaitFor(2, 0, t) == 0) {
-      a.Consume(2, 0, t);
-      b.Consume(2, 0, t);
+    ASSERT_EQ(a.WaitFor(2, t), b.WaitFor(2, t)) << i;
+    if (a.WaitFor(2, t) == 0) {
+      a.Consume(2, t);
+      b.Consume(2, t);
     }
     ASSERT_DOUBLE_EQ(a.OpsAvailable(t), b.OpsAvailable(t)) << i;
   }
 }
 
 // ---------------------------------------------------------------------------
-// QuotaSpec codec + TenantQuotaRegistry resolution
+// QuotaSpec codec
 // ---------------------------------------------------------------------------
 
 TEST(QuotaCodecTest, RoundTrip) {
   QuotaSpec spec;
   spec.tenant = "tenant-a";
-  spec.table = "t42";
-  spec.limits.ops_per_sec = 123.456;
-  spec.limits.ops_burst = 0.25;
-  spec.limits.bytes_per_sec = 1e9;
-  spec.limits.bytes_burst = 7.0;
+  spec.ops_per_sec = 123.456;
+  spec.ops_burst = 0.25;
   std::string wire = qos::EncodeQuotaSpec(spec);
 
   QuotaSpec out;
   ASSERT_TRUE(qos::DecodeQuotaSpec(Slice(wire), &out));
-  EXPECT_EQ(out.tenant, spec.tenant);
-  EXPECT_EQ(out.table, spec.table);
-  EXPECT_TRUE(out.limits == spec.limits);
-  EXPECT_EQ(out.Id(), "tenant-a@t42");
+  EXPECT_EQ(out, spec);
 
   // Truncated and over-long inputs are rejected.
   QuotaSpec scratch;
@@ -135,33 +103,21 @@ TEST(QuotaCodecTest, RoundTrip) {
   EXPECT_FALSE(qos::DecodeQuotaSpec(Slice(extra), &scratch));
 }
 
-TEST(QuotaRegistryTest, ResolutionPrecedence) {
-  TenantQuotaRegistry registry(nullptr, 0);
+// ---------------------------------------------------------------------------
+// Master SetQuota -> /meta/quota znodes -> every server's admission gate
+// ---------------------------------------------------------------------------
 
-  QuotaSpec tenant_wide;
-  tenant_wide.tenant = "a";
-  tenant_wide.limits.ops_per_sec = 100;
-  tenant_wide.limits.ops_burst = 1;
-  registry.SetLocal(tenant_wide);
-
-  QuotaSpec scoped = tenant_wide;
-  scoped.table = "hot";
-  scoped.limits.ops_burst = 50;
-  registry.SetLocal(scoped);
-
-  // The scoped quota wins on its scope; the tenant-wide one elsewhere.
-  EXPECT_EQ(registry.WaitFor("a", "hot", 50, 0, 0), 0);
-  EXPECT_GT(registry.WaitFor("a", "cold", 50, 0, 0), 0);
-  EXPECT_EQ(registry.WaitFor("a", "cold", 1, 0, 0), 0);
-
-  // Unknown tenants are unlimited.
-  EXPECT_EQ(registry.WaitFor("b", "hot", 1'000'000, 1'000'000, 0), 0);
-  EXPECT_DOUBLE_EQ(registry.OpsAvailable("b", "hot", 0), -1.0);
+/// Under `tenant` (kLow: a 5ms queue cap), `admission` admits exactly
+/// `burst` ops at once and sheds the next one with a retry-after hint.
+void ExpectBurstThenShed(AdmissionController* admission,
+                         const std::string& tenant, uint64_t burst) {
+  qos::TenantIdentity who{tenant, qos::Priority::kLow};
+  qos::TenantScope scope(&who);
+  EXPECT_TRUE(admission->Admit(burst).ok());
+  Status shed = admission->Admit(1);
+  EXPECT_TRUE(shed.IsUnavailable()) << shed.ToString();
+  EXPECT_GT(shed.retry_after_us(), 0);
 }
-
-// ---------------------------------------------------------------------------
-// Master SetQuota -> znodes -> every server's registry
-// ---------------------------------------------------------------------------
 
 TEST(MasterQuotaTest, SetQuotaDistributesAndSurvivesFailover) {
   sim::SimContext ctx;
@@ -170,7 +126,7 @@ TEST(MasterQuotaTest, SetQuotaDistributesAndSurvivesFailover) {
   cluster::MiniClusterOptions options;
   options.num_nodes = 3;
   options.num_masters = 2;
-  options.server_template.quota_registry.refresh_interval_us = 10'000;
+  options.server_template.admission.enabled = true;
   cluster::MiniCluster cluster(options);
   ASSERT_TRUE(cluster.Start().ok());
   master::Master* active = cluster.active_master();
@@ -178,16 +134,9 @@ TEST(MasterQuotaTest, SetQuotaDistributesAndSurvivesFailover) {
 
   QuotaSpec quota;
   quota.tenant = "hostile";
-  quota.limits.ops_per_sec = 10;
-  quota.limits.ops_burst = 2;
+  quota.ops_per_sec = 10;
+  quota.ops_burst = 2;
   ASSERT_TRUE(active->SetQuota(quota).ok());
-
-  // Exact-match read-back + snapshot.
-  auto got = active->GetQuota("hostile", "");
-  ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(got->limits == quota.limits);
-  EXPECT_TRUE(active->GetQuota("hostile", "sometable").status().IsNotFound());
-  EXPECT_EQ(active->QuotasSnapshot().size(), 1u);
 
   // Empty tenant and standby masters are rejected.
   EXPECT_TRUE(active->SetQuota(QuotaSpec{}).IsInvalidArgument());
@@ -196,20 +145,15 @@ TEST(MasterQuotaTest, SetQuotaDistributesAndSurvivesFailover) {
     EXPECT_TRUE(cluster.masters(i)->SetQuota(quota).IsUnavailable());
   }
 
-  // Every tablet server's registry resolves the quota once its TTL expires.
+  // Every tablet server enforces the quota once its cached view expires.
   ctx.Advance(20'000);
   for (int node = 0; node < options.num_nodes; node++) {
-    TenantQuotaRegistry* registry = cluster.server(node)->quota_registry();
-    EXPECT_EQ(registry->WaitFor("hostile", "", 2, 0, ctx.now()), 0)
-        << "node " << node;
-    EXPECT_GT(registry->WaitFor("hostile", "", 3, 0, ctx.now()), 0)
-        << "node " << node;
+    SCOPED_TRACE("node " + std::to_string(node));
+    ExpectBurstThenShed(cluster.server(node)->admission(), "hostile", 2);
   }
-  // Replica registries share the same coordination service (none running
-  // here, but the wiring is covered by the nemesis/replica suites).
 
-  // Failover: the quota was persisted in znodes, so the standby that takes
-  // over recovers it.
+  // Failover: the quota lives in its znode, so it survives the master that
+  // wrote it, and the standby that takes over can replace it.
   int active_idx = -1;
   for (int i = 0; i < cluster.num_masters(); i++) {
     if (cluster.masters(i) == active) active_idx = i;
@@ -219,22 +163,37 @@ TEST(MasterQuotaTest, SetQuotaDistributesAndSurvivesFailover) {
   master::Master* next = cluster.active_master();
   ASSERT_NE(next, nullptr);
   ASSERT_NE(next, active);
-  auto recovered = next->GetQuota("hostile", "");
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_TRUE(recovered->limits == quota.limits);
+  auto persisted = cluster.coord()->znodes()->Get(qos::QuotaPath("hostile"));
+  ASSERT_TRUE(persisted.ok()) << persisted.status().ToString();
+  QuotaSpec recovered;
+  ASSERT_TRUE(qos::DecodeQuotaSpec(Slice(*persisted), &recovered));
+  EXPECT_EQ(recovered, quota);
+
+  quota.ops_burst = 5;
+  ASSERT_TRUE(next->SetQuota(quota).ok());
+  ctx.Advance(20'000);
+  for (int node = 0; node < options.num_nodes; node++) {
+    SCOPED_TRACE("node " + std::to_string(node));
+    ExpectBurstThenShed(cluster.server(node)->admission(), "hostile", 5);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // AdmissionController: admit / queue / shed
 // ---------------------------------------------------------------------------
 
+/// A locally installed quota for the default tenant (the identity every
+/// un-scoped caller runs as).
+QuotaSpec DefaultQuota(double ops_per_sec, double ops_burst) {
+  return QuotaSpec{qos::DefaultTenantName(), ops_per_sec, ops_burst};
+}
+
 TEST(AdmissionTest, DisabledIsFreePass) {
   AdmissionOptions options;  // enabled = false
-  options.server_limits.ops_per_sec = 1;
-  options.server_limits.ops_burst = 1;
-  AdmissionController admission(options, nullptr);
+  AdmissionController admission(options, nullptr, 0);
+  admission.SetLocal(DefaultQuota(1, 1));
   for (int i = 0; i < 100; i++) {
-    EXPECT_TRUE(admission.Admit("t", 1, 1 << 20).ok());
+    EXPECT_TRUE(admission.Admit(1).ok());
   }
 }
 
@@ -242,88 +201,90 @@ TEST(AdmissionTest, QueueAdvancesClockThenSheds) {
   sim::SimContext ctx;
   sim::SimContext::Scope scope(&ctx);
 
-  AdmissionOptions options;
-  options.enabled = true;
-  options.server_limits.ops_per_sec = 1000;
-  options.server_limits.ops_burst = 4;
-  AdmissionController admission(options, nullptr);
+  AdmissionController admission({.enabled = true}, nullptr, 0);
+  admission.SetLocal(DefaultQuota(1000, 4));
 
   // Burst admits instantly.
   for (int i = 0; i < 4; i++) {
-    ASSERT_TRUE(admission.Admit("t", 1, 0).ok()) << i;
+    ASSERT_TRUE(admission.Admit(1).ok()) << i;
   }
   EXPECT_EQ(ctx.now(), 0);
 
   // The 5th op waits ~1ms for a token: under the kNormal 10ms cap, so it
   // queues — the ambient clock advances by the wait and the op is admitted.
-  ASSERT_TRUE(admission.Admit("t", 1, 0).ok());
+  ASSERT_TRUE(admission.Admit(1).ok());
   EXPECT_GT(ctx.now(), 900);
   EXPECT_LE(ctx.now(), 1100);
 
   // A burst-sized op now needs ~4ms+: still queueable; a 15-token op needs
   // ~15ms: over the cap, shed with the honest wait as the hint.
-  Status shed = admission.Admit("t", 15, 0);
+  Status shed = admission.Admit(15);
   EXPECT_TRUE(shed.IsUnavailable());
   EXPECT_GT(shed.retry_after_us(), 10'000);
-  EXPECT_NE(shed.message().find("server saturated"), std::string::npos);
+  EXPECT_NE(shed.message().find("over tenant quota: default"),
+            std::string::npos);
 }
 
 TEST(AdmissionTest, PriorityLaddersShedLowFirst) {
-  AdmissionOptions options;
-  options.enabled = true;
-  options.server_limits.ops_per_sec = 1000;
-  options.server_limits.ops_burst = 1;
-
   // A 7-token op waits ~6ms: the kLow cap (5ms) sheds it, the kNormal cap
   // (10ms) queues it. Run each case on a fresh controller + clock.
-  qos::TenantIdentity low{"batch", qos::Priority::kLow};
+  qos::TenantIdentity low{qos::DefaultTenantName(), qos::Priority::kLow};
   {
     sim::SimContext ctx;
     sim::SimContext::Scope scope(&ctx);
-    AdmissionController admission(options, nullptr);
-    ASSERT_TRUE(admission.Admit("t", 1, 0).ok());
+    AdmissionController admission({.enabled = true}, nullptr, 0);
+    admission.SetLocal(DefaultQuota(1000, 1));
+    ASSERT_TRUE(admission.Admit(1).ok());
     qos::TenantScope tenant(&low);
-    EXPECT_TRUE(admission.Admit("t", 6, 0).IsUnavailable());
+    EXPECT_TRUE(admission.Admit(6).IsUnavailable());
   }
   {
     sim::SimContext ctx;
     sim::SimContext::Scope scope(&ctx);
-    AdmissionController admission(options, nullptr);
-    ASSERT_TRUE(admission.Admit("t", 1, 0).ok());
-    EXPECT_TRUE(admission.Admit("t", 6, 0).ok());  // kNormal default
+    AdmissionController admission({.enabled = true}, nullptr, 0);
+    admission.SetLocal(DefaultQuota(1000, 1));
+    ASSERT_TRUE(admission.Admit(1).ok());
+    EXPECT_TRUE(admission.Admit(6).ok());  // kNormal default
     EXPECT_GT(ctx.now(), 5'000);
   }
 }
 
 TEST(AdmissionTest, QueueDepthBoundsAcrossClients) {
-  AdmissionOptions options;
-  options.enabled = true;
-  options.server_limits.ops_per_sec = 1000;
-  options.server_limits.ops_burst = 1;
-  options.max_queue_depth = {1, 1, 1};
-  AdmissionController admission(options, nullptr);
+  // 100 ops/ms: each queued op below adds ~0.1ms of debt, so 32 of them
+  // stay far under the kNormal 10ms wait cap and only the queue's depth
+  // (32 for kNormal) can shed.
+  AdmissionController admission({.enabled = true}, nullptr, 0);
+  admission.SetLocal(DefaultQuota(100'000, 1));
+  {
+    sim::SimContext client;
+    sim::SimContext::Scope scope(&client);
+    ASSERT_TRUE(admission.Admit(1).ok());  // burst
+    EXPECT_EQ(client.now(), 0);
+  }
 
   // A queued request advances its *own* client's clock to the release time,
-  // so from that client's view the entry is already drained. A second
-  // client still at an earlier virtual time sees it pending — and with the
-  // kNormal queue capped at one entry, that client's queueable-wait request
-  // is shed by depth, not by the wait cap.
-  sim::SimContext client_a;
-  {
-    sim::SimContext::Scope scope(&client_a);
-    ASSERT_TRUE(admission.Admit("t", 1, 0).ok());  // burst
-    ASSERT_TRUE(admission.Admit("t", 3, 0).ok());  // queued ~3ms out
-    EXPECT_GT(client_a.now(), 3000);
-    EXPECT_EQ(admission.QueueDepth(), 0u);  // drained from a's view
+  // so from that client's view the entry is already drained. Clients still
+  // at an earlier virtual time see it pending — and once the kNormal queue
+  // is full, a queueable-wait request is shed by depth, not by the wait cap.
+  constexpr int kDepth = 32;
+  for (int i = 0; i < kDepth; i++) {
+    sim::SimContext client;  // at t=0
+    sim::SimContext::Scope scope(&client);
+    ASSERT_TRUE(admission.Admit(1).ok()) << i;  // queued
+    EXPECT_GT(client.now(), 0) << i;
+    EXPECT_LT(client.now(), 10'000) << i;
+    // Released last so far: nothing is pending from this client's view.
+    EXPECT_EQ(admission.QueueDepth(), 0u) << i;
   }
-  sim::SimContext client_b;  // still at t=0
+  sim::SimContext late;  // still at t=0
   {
-    sim::SimContext::Scope scope(&client_b);
-    EXPECT_EQ(admission.QueueDepth(), 1u);  // a's entry releases later
-    Status s = admission.Admit("t", 1, 0);
+    sim::SimContext::Scope scope(&late);
+    EXPECT_EQ(admission.QueueDepth(), static_cast<size_t>(kDepth));
+    Status s = admission.Admit(1);
     ASSERT_TRUE(s.IsUnavailable()) << s.ToString();
     EXPECT_GT(s.retry_after_us(), 0);
-    EXPECT_EQ(client_b.now(), 0);  // shed without blocking
+    EXPECT_LT(s.retry_after_us(), 10'000);  // shed by depth, not wait
+    EXPECT_EQ(late.now(), 0);  // shed without blocking
   }
 }
 
@@ -331,24 +292,16 @@ TEST(AdmissionTest, TenantQuotaShedsWithHonestHint) {
   sim::SimContext ctx;
   sim::SimContext::Scope scope(&ctx);
 
-  TenantQuotaRegistry registry(nullptr, 0);
-  QuotaSpec quota;
-  quota.tenant = "hostile";
-  quota.limits.ops_per_sec = 100;
-  quota.limits.ops_burst = 1;
-  registry.SetLocal(quota);
-
-  AdmissionOptions options;
-  options.enabled = true;
-  AdmissionController admission(options, &registry);
+  AdmissionController admission({.enabled = true}, nullptr, 0);
+  admission.SetLocal(QuotaSpec{"hostile", 100, 1});
 
   qos::TenantIdentity hostile{"hostile", qos::Priority::kLow};
   qos::TenantScope tenant(&hostile);
 
-  ASSERT_TRUE(admission.Admit("t", 1, 0).ok());
+  ASSERT_TRUE(admission.Admit(1).ok());
   // Next op needs a 10ms refill: over the kLow 5ms cap -> shed, and the
   // message names the throttled tenant.
-  Status s = admission.Admit("t", 1, 0);
+  Status s = admission.Admit(1);
   ASSERT_TRUE(s.IsUnavailable());
   EXPECT_GT(s.retry_after_us(), 9'000);
   EXPECT_NE(s.message().find("over tenant quota: hostile"),
@@ -356,12 +309,34 @@ TEST(AdmissionTest, TenantQuotaShedsWithHonestHint) {
 
   // The shed burned no tokens: sleeping out the hint admits cleanly.
   ctx.Advance(s.retry_after_us());
-  EXPECT_TRUE(admission.Admit("t", 1, 0).ok());
+  EXPECT_TRUE(admission.Admit(1).ok());
 
   // Other tenants are untouched by the hostile tenant's quota.
   qos::TenantIdentity victim{"victim", qos::Priority::kNormal};
   qos::TenantScope inner(&victim);
-  EXPECT_TRUE(admission.Admit("t", 100, 0).ok());
+  EXPECT_TRUE(admission.Admit(100).ok());
+}
+
+TEST(AdmissionTest, QuotaGovernsOnlyItsTenant) {
+  sim::SimContext ctx;
+  sim::SimContext::Scope scope(&ctx);
+  AdmissionController admission({.enabled = true}, nullptr, 0);
+  admission.SetLocal(QuotaSpec{"a", 100, 1});
+
+  // The tenant-wide quota gates every op of its tenant: 50 ops at once are
+  // ~490ms out (shed, nothing consumed), one op fits.
+  qos::TenantIdentity a{"a", qos::Priority::kNormal};
+  {
+    qos::TenantScope tenant(&a);
+    EXPECT_TRUE(admission.Admit(50).IsUnavailable());
+    EXPECT_TRUE(admission.Admit(1).ok());
+  }
+
+  // Tenants without a quota are unlimited.
+  qos::TenantIdentity b{"b", qos::Priority::kNormal};
+  qos::TenantScope tenant(&b);
+  EXPECT_TRUE(admission.Admit(1'000'000).ok());
+  EXPECT_EQ(ctx.now(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -438,7 +413,7 @@ TEST(RetryHintTest, ExhaustedPreservesHint) {
 }
 
 // ---------------------------------------------------------------------------
-// End to end: client tenant scopes, front-door shedding, load attribution
+// End to end: client tenant scopes, shedding at primary and replica doors
 // ---------------------------------------------------------------------------
 
 struct QosCluster {
@@ -451,7 +426,6 @@ struct QosCluster {
     cluster::MiniClusterOptions options;
     options.num_nodes = 3;
     options.server_template.admission.enabled = true;
-    options.server_template.quota_registry.refresh_interval_us = 10'000;
     cluster = std::make_unique<cluster::MiniCluster>(options);
     if (!cluster->Start().ok()) std::abort();
     auto schema = cluster->master()->CreateTable("t", {"v"}, {{"v"}},
@@ -469,8 +443,8 @@ TEST(QosEndToEndTest, ShedWriteNeverApplies) {
   // 1 op/s: the refill period (1 s) dwarfs any virtual latency the
   // intermediate operations below can accumulate, so the bucket stays
   // empty for the whole test after the first admitted write.
-  quota.limits.ops_per_sec = 1;
-  quota.limits.ops_burst = 1;
+  quota.ops_per_sec = 1;
+  quota.ops_burst = 1;
   ASSERT_TRUE(cluster.active_master()->SetQuota(quota).ok());
   fixture.ctx.Advance(20'000);
 
@@ -505,8 +479,8 @@ TEST(QosEndToEndTest, RetryAfterHintPacesThrottledTenant) {
 
   QuotaSpec quota;
   quota.tenant = "hostile";
-  quota.limits.ops_per_sec = 200;
-  quota.limits.ops_burst = 5;
+  quota.ops_per_sec = 200;
+  quota.ops_burst = 5;
   ASSERT_TRUE(cluster.active_master()->SetQuota(quota).ok());
   fixture.ctx.Advance(20'000);
 
@@ -534,6 +508,66 @@ TEST(QosEndToEndTest, RetryAfterHintPacesThrottledTenant) {
   double rate = acked / seconds;
   EXPECT_GT(rate, 150) << "paced rate " << rate;
   EXPECT_LT(rate, 270) << "paced rate " << rate;
+}
+
+TEST(QosEndToEndTest, ReplicaShedsOverQuotaStaleReads) {
+  sim::SimContext ctx;
+  sim::SimContext::Scope scope(&ctx);
+  cluster::MiniClusterOptions options;
+  options.num_nodes = 3;
+  options.num_replicas = 1;
+  options.server_template.admission.enabled = true;
+  options.replica_template.admission.enabled = true;
+  cluster::MiniCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  master::Master* m = cluster.active_master();
+  ASSERT_TRUE(m->CreateTable("t", {"v"}, {{"v"}}, {}).ok());
+  auto writer = cluster.NewClient(0);
+  for (int i = 0; i < 10; i++) {
+    ASSERT_TRUE(
+        writer->Put("t", 0, "key" + std::to_string(i), "v", {}).ok());
+  }
+  std::vector<std::string> uids;
+  for (const auto& [uid, location] : m->AssignmentsSnapshot()) {
+    ASSERT_TRUE(m->AddReplica(uid).ok());
+    uids.push_back(uid);
+  }
+  ASSERT_EQ(uids.size(), 1u);
+  ASSERT_TRUE(cluster.TickReplicas().ok());
+  replica::ReplicaServer* rep = cluster.replica(0);
+  auto stale_read = [&](int i) {
+    return rep
+        ->Get(uids[0], Slice("key" + std::to_string(i)), index::kLatest,
+              /*max_staleness_us=*/0)
+        .status();
+  };
+
+  // The replica reads /meta/quota before any quota exists, then the quota
+  // lands through the master and is in force one refresh interval later.
+  ASSERT_TRUE(stale_read(0).ok());
+  QuotaSpec quota;
+  quota.tenant = "hostile";
+  quota.ops_per_sec = 1;
+  quota.ops_burst = 2;
+  ASSERT_TRUE(m->SetQuota(quota).ok());
+  ctx.Advance(20'000);
+
+  {
+    qos::TenantIdentity hostile{"hostile", qos::Priority::kLow};
+    qos::TenantScope tenant(&hostile);
+    ASSERT_TRUE(stale_read(0).ok());
+    ASSERT_TRUE(stale_read(1).ok());
+    Status shed = stale_read(2);
+    ASSERT_TRUE(shed.IsUnavailable()) << shed.ToString();
+    EXPECT_GT(shed.retry_after_us(), 0);
+  }
+
+  // Another tenant's reads on the same replica are still served.
+  qos::TenantIdentity victim{"victim", qos::Priority::kNormal};
+  qos::TenantScope tenant(&victim);
+  for (int i = 0; i < 10; i++) {
+    EXPECT_TRUE(stale_read(i).ok()) << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
