@@ -4,9 +4,10 @@
 Each bench binary (bench/*.cc) writes one machine-readable result file via
 BenchResult::WriteFile (see bench/common.h). This driver runs a set of them,
 directs every result to BENCH_<name>.json at the repo root (the canonical
-location EXPERIMENTS.md quotes and CI diffs), and writes one combined
-BENCH_SUMMARY.json holding every bench's scalar headline numbers so a single
-file answers "what did this tree measure".
+location EXPERIMENTS.md quotes and CI diffs), and merges each bench's scalar
+headline numbers into one combined BENCH_SUMMARY.json, so a single file
+answers "what did this tree measure". A run of some benches replaces only
+their entries; the other benches' headlines stay.
 
 Usage:
   collect_bench.py [--build-dir build] [--out-dir .] [bench_name ...]
@@ -17,10 +18,10 @@ Benches run sequentially (they are single-process virtual-time simulations;
 parallel runs would fight for cores and skew nothing but wall time). A
 non-zero bench exit fails the driver, so check.sh --bench is a real gate.
 
---check writes the results to a temporary directory instead and also fails
-when a result differs from the committed BENCH_<name>.json at the repo
-root, printing each differing key. Virtual-time results are deterministic,
-so any difference is a real change.
+--check writes the results to a temporary directory instead, writes no
+summary, and also fails when a result differs from the committed
+BENCH_<name>.json at the repo root, printing each differing key.
+Virtual-time results are deterministic, so any difference is a real change.
 """
 
 import argparse
@@ -142,22 +143,34 @@ def main():
 
     # One summary file: per-bench scalar headlines (arrays stay in the
     # per-bench files — the summary is for quick diffs, not raw data).
-    summary = {}
-    for path in written:
+    if not args.check:
+        summary_path = os.path.join(out_dir, 'BENCH_SUMMARY.json')
+        summary = {}
+        for path in written:
+            try:
+                with open(path, encoding='utf-8') as f:
+                    data = json.load(f)
+            except (OSError, ValueError) as e:
+                failures.append((os.path.basename(path),
+                                 'unparseable: %s' % e))
+                continue
+            scalars = {k: v for k, v in data.items()
+                       if not isinstance(v, (list, dict))}
+            summary[data.get('bench', os.path.basename(path))] = scalars
+        fresh = len(summary)
         try:
-            with open(path, encoding='utf-8') as f:
-                data = json.load(f)
+            if os.path.isfile(summary_path):
+                with open(summary_path, encoding='utf-8') as f:
+                    summary = dict(json.load(f), **summary)
+            with open(summary_path, 'w', encoding='utf-8') as f:
+                json.dump(summary, f, indent=2, sort_keys=True)
+                f.write('\n')
+            print('summary: %s (%d bench(es), %d fresh)'
+                  % (summary_path, len(summary), fresh))
         except (OSError, ValueError) as e:
-            failures.append((os.path.basename(path), 'unparseable: %s' % e))
-            continue
-        scalars = {k: v for k, v in data.items()
-                   if not isinstance(v, (list, dict))}
-        summary[data.get('bench', os.path.basename(path))] = scalars
-    summary_path = os.path.join(out_dir, 'BENCH_SUMMARY.json')
-    with open(summary_path, 'w', encoding='utf-8') as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write('\n')
-    print('summary: %s (%d bench(es))' % (summary_path, len(summary)))
+            # An unreadable summary is left as it is, not replaced by this
+            # run's subset.
+            failures.append(('BENCH_SUMMARY.json', str(e)))
 
     if failures:
         for name, why in failures:

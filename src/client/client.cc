@@ -221,38 +221,41 @@ Status LogBaseClient::NormalizeServerStatus(const Status& s) {
 Status LogBaseClient::PutBatchAttempt(const std::string& table,
                                       const WriteBatch& batch,
                                       log::AckMode ack) {
-  // A run is a maximal sequence of consecutive same-tablet ops, puts and
-  // deletes mixed: one server-side mutation batch, so the group-commit
-  // queue sees multi-record submissions. Runs go out in insertion order.
-  RouteRef run_route;
-  std::vector<tablet::WriteOp> run;
-  auto flush_run = [&]() -> Status {
-    if (run.empty()) return Status::OK();
-    auto server = ServerFor(run_route->server_id);
-    if (!server.ok()) return server.status();
+  // One server-side mutation batch per server, puts and deletes mixed: a
+  // server's tablets share one log (paper §3), so the batch costs each
+  // server it touches one append. Servers go out in the order the batch
+  // first names them, each with its own ops in insertion order.
+  struct ServerBatch {
+    int server_id;
+    std::vector<tablet::WriteOp> ops;
     uint64_t bytes = 0;
-    for (const tablet::WriteOp& op : run) {
-      bytes += op.key.size() + op.value.size();
-    }
-    ChargeRpc(run_route->server_id, bytes + 64, 32);
-    auto submitted = (*server)->Submit(std::move(run), ack);
-    run.clear();
-    Status s = submitted.status();
-    if (s.ok()) s = (*server)->Wait(&*submitted);
-    if (s.ok()) s = (*server)->Publish(*submitted);
-    return NormalizeServerStatus(s);
   };
+  std::vector<ServerBatch> batches;
   for (const WriteBatch::Op& op : batch.ops()) {
     auto route = Resolve(table, op.column_group, Slice(op.key));
     if (!route.ok()) return route.status();
-    if (!run.empty() && (*route)->tablet_uid != run_route->tablet_uid) {
-      LOGBASE_RETURN_NOT_OK(flush_run());
+    const int server_id = (*route)->server_id;
+    auto it = std::find_if(
+        batches.begin(), batches.end(),
+        [&](const ServerBatch& b) { return b.server_id == server_id; });
+    if (it == batches.end()) {
+      it = batches.insert(batches.end(), ServerBatch{server_id, {}});
     }
-    run_route = std::move(*route);
-    run.push_back(tablet::WriteOp{run_route->tablet_uid, op.key, op.value,
-                                  op.is_delete});
+    it->bytes += op.key.size() + op.value.size();
+    it->ops.push_back(tablet::WriteOp{(*route)->tablet_uid, op.key, op.value,
+                                      op.is_delete});
   }
-  return flush_run();
+  for (ServerBatch& b : batches) {
+    auto server = ServerFor(b.server_id);
+    if (!server.ok()) return server.status();
+    ChargeRpc(b.server_id, b.bytes + 64, 32);
+    auto submitted = (*server)->Submit(std::move(b.ops), ack);
+    Status s = submitted.status();
+    if (s.ok()) s = (*server)->Wait(&*submitted);
+    if (s.ok()) s = (*server)->Publish(*submitted);
+    LOGBASE_RETURN_NOT_OK(NormalizeServerStatus(s));
+  }
+  return Status::OK();
 }
 
 Status LogBaseClient::PutBatch(const std::string& table,

@@ -54,9 +54,9 @@ struct WriteOptions {
 };
 
 /// An ordered list of row mutations submitted together through `PutBatch`.
-/// Consecutive ops (puts and deletes) that land on the same tablet are
-/// shipped as one server-side batch, so they share a single group-committed
-/// log append.
+/// The ops (puts and deletes) that land on one tablet server are shipped as
+/// one server-side batch, so they share a single group-committed log
+/// append whichever of the server's tablets they touch.
 class WriteBatch {
  public:
   struct Op {
@@ -223,7 +223,7 @@ class LogBaseClient {
   // -- Writes (auto-commit, §3.6) ------------------------------------------
 
   /// The unified write entry point: applies the batch's mutations in
-  /// insertion order, coalescing consecutive same-tablet puts into one
+  /// insertion order per server, coalescing each server's ops into one
   /// group-committed log append. `options.ack` picks the replication
   /// acknowledgement level, `options.deadline_us` bounds the whole call.
   Status PutBatch(const std::string& table, const WriteBatch& batch,

@@ -1,6 +1,14 @@
 #include "src/dfs/data_node.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -21,54 +29,134 @@ obs::Counter* InjectedIoErrors() {
   return c;
 }
 
+[[noreturn]] void HostIoFailed(const char* what) {
+  std::fprintf(stderr, "dfs chunk file: %s failed: %s\n", what,
+               std::strerror(errno));
+  std::abort();
+}
+
+int CreateUnlinkedFile() {
+  std::string path =
+      (std::filesystem::temp_directory_path() / "logbase-dfs-XXXXXX").string();
+  int fd = ::mkstemp(path.data());
+  if (fd < 0) HostIoFailed("mkstemp");
+  ::unlink(path.c_str());
+  return fd;
+}
+
 }  // namespace
+
+ChunkFile::ChunkFile() : fd_(CreateUnlinkedFile()) {}
+
+ChunkFile::~ChunkFile() { ::close(fd_); }
+
+uint64_t ChunkFile::Write(const char* chunk) {
+  uint64_t slot;
+  {
+    MutexLock l(mu_);
+    if (free_.empty()) {
+      slot = slots_++;
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+  }
+  const off_t at = static_cast<off_t>(slot * kChunkBytes);
+  if (::pwrite(fd_, chunk, kChunkBytes, at) !=
+      static_cast<ssize_t>(kChunkBytes)) {
+    HostIoFailed("pwrite");
+  }
+  return slot;
+}
+
+void ChunkFile::Read(uint64_t slot, uint64_t at, uint64_t n, char* out) const {
+  if (::pread(fd_, out, n, static_cast<off_t>(slot * kChunkBytes + at)) !=
+      static_cast<ssize_t>(n)) {
+    HostIoFailed("pread");
+  }
+}
+
+void ChunkFile::Free(uint64_t slot) {
+  MutexLock l(mu_);
+  free_.push_back(slot);
+}
+
+uint64_t ChunkFile::slot_count() const {
+  MutexLock l(mu_);
+  return slots_;
+}
+
+BlockBytes::~BlockBytes() {
+  for (uint64_t slot : slots_) file_->Free(slot);
+}
 
 void BlockBytes::WriteAt(uint64_t offset, const Slice& data) {
   MutexLock l(mu_);
-  if (offset < size_) {
-    // Drop the bytes at and past `offset`.
-    chunks_.resize((offset + kChunkBytes - 1) / kChunkBytes);
-    if (!chunks_.empty()) {
-      chunks_.back().resize(offset - (chunks_.size() - 1) * kChunkBytes);
+  if (offset < slots_.size() * kChunkBytes + tail_.size()) {
+    // Drop the bytes at and past `offset`. When they start inside a chunk
+    // already in the file, its kept prefix comes back as the tail.
+    const size_t keep = offset / kChunkBytes;
+    const uint64_t at = offset % kChunkBytes;
+    tail_.resize(at);
+    if (keep < slots_.size()) {
+      if (at > 0) file_->Read(slots_[keep], 0, at, tail_.data());
+      for (size_t i = keep; i < slots_.size(); i++) file_->Free(slots_[i]);
+      slots_.resize(keep);
     }
-    size_ = offset;
   }
   const char* p = data.data();
   uint64_t left = data.size();
   while (left > 0) {
-    if (chunks_.empty() || chunks_.back().size() == kChunkBytes) {
-      chunks_.emplace_back();
+    if (tail_.empty() && left >= kChunkBytes) {
+      slots_.push_back(file_->Write(p));
+      p += kChunkBytes;
+      left -= kChunkBytes;
+      continue;
     }
-    std::string& chunk = chunks_.back();
-    uint64_t take = std::min<uint64_t>(left, kChunkBytes - chunk.size());
-    if (chunk.size() + take > chunk.capacity()) {
+    uint64_t take = std::min<uint64_t>(left, kChunkBytes - tail_.size());
+    if (tail_.size() + take > tail_.capacity()) {
       // A block's first write is sized exactly, so a small file stays
-      // small; past that a chunk is allocated whole, as growing it in steps
-      // leaves holes in the heap that other allocations fit poorly.
-      chunk.reserve(chunks_.size() == 1 && chunk.empty() ? take : kChunkBytes);
+      // small; past that the tail is allocated whole, as growing it in
+      // steps leaves holes in the heap that other allocations fit poorly.
+      tail_.reserve(slots_.empty() && tail_.empty() ? take : kChunkBytes);
     }
-    chunk.append(p, take);
+    tail_.append(p, take);
     p += take;
     left -= take;
+    if (tail_.size() == kChunkBytes) {
+      slots_.push_back(file_->Write(tail_.data()));
+      tail_.clear();
+    }
   }
-  size_ += data.size();
 }
 
 void BlockBytes::CopyTo(uint64_t offset, uint64_t n, std::string* out) const {
   MutexLock l(mu_);
-  out->reserve(out->size() + n);
-  for (size_t i = offset / kChunkBytes; n > 0; i++) {
-    uint64_t at = offset % kChunkBytes;
-    uint64_t take = std::min<uint64_t>(n, chunks_[i].size() - at);
-    out->append(chunks_[i], at, take);
+  size_t pos = out->size();
+  out->resize(pos + n);
+  while (n > 0) {
+    size_t i = offset / kChunkBytes;
+    const uint64_t at = offset % kChunkBytes;
+    uint64_t take;
+    if (i < slots_.size()) {
+      // One read for each run of chunks in consecutive slots.
+      size_t end = i + 1;
+      while (end < slots_.size() && slots_[end] == slots_[end - 1] + 1) end++;
+      take = std::min<uint64_t>(n, (end - i) * kChunkBytes - at);
+      file_->Read(slots_[i], at, take, out->data() + pos);
+    } else {
+      take = n;
+      std::memcpy(out->data() + pos, tail_.data() + at, take);
+    }
     offset += take;
+    pos += take;
     n -= take;
   }
 }
 
 uint64_t BlockBytes::size() const {
   MutexLock l(mu_);
-  return size_;
+  return slots_.size() * kChunkBytes + tail_.size();
 }
 
 bool DataNode::ConsumeInjectedError() const {

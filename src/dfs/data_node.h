@@ -2,7 +2,8 @@
 // simulated disk. Each cluster machine runs one data node and one tablet
 // server (the paper's deployment), so they share the machine's node id.
 // A block's bytes are stored once, in a BlockBytes the writer appends to;
-// each replica holds a reference to it plus its own length.
+// each replica holds a reference to it plus its own length. Full chunks of
+// those bytes live in a host file, a ChunkFile, that the Dfs owns.
 
 #ifndef LOGBASE_DFS_DATA_NODE_H_
 #define LOGBASE_DFS_DATA_NODE_H_
@@ -26,12 +27,52 @@ namespace logbase::dfs {
 
 using BlockId = uint64_t;
 
+/// The host file behind the block bytes of one Dfs, in fixed-size slots:
+/// an HDFS data node keeps its block replicas in local files, and keeping
+/// them off the heap lets a long run write more log than the host has
+/// memory for. The file is unlinked once created, so it is gone when the
+/// last reference closes it. A freed slot is reused by the next write.
+/// Thread-safe. A failed host read or write aborts the process, as a failed
+/// allocation would.
+class ChunkFile {
+ public:
+  static constexpr uint64_t kChunkBytes = 4 << 10;
+
+  /// Creates the file in the system temp directory.
+  ChunkFile();
+  ~ChunkFile();
+  ChunkFile(const ChunkFile&) = delete;
+  ChunkFile& operator=(const ChunkFile&) = delete;
+
+  /// Writes kChunkBytes from `chunk` into a free slot and returns the slot.
+  uint64_t Write(const char* chunk);
+  /// Reads `n` bytes starting `at` bytes into slot `slot` into `out`; a
+  /// read past the slot's end goes on into the slots that follow it.
+  void Read(uint64_t slot, uint64_t at, uint64_t n, char* out) const;
+  void Free(uint64_t slot);
+  /// The slots the file spans, in use or free.
+  uint64_t slot_count() const;
+
+ private:
+  const int fd_;
+  mutable OrderedMutex mu_{lockrank::kDfsChunkFile, "dfs.chunk_file"};
+  std::vector<uint64_t> free_ GUARDED_BY(mu_);
+  uint64_t slots_ GUARDED_BY(mu_) = 0;
+};
+
 /// One block's bytes, stored once for all its replicas: the block's writer
-/// appends, and each replica is a prefix of length at most size().
-/// Append-only in small fixed-size chunks, so a growing block never moves
-/// the bytes it already holds and a small block stays small. Thread-safe.
+/// appends, and each replica is a prefix of length at most size(). Each
+/// full chunk is written once into the Dfs's ChunkFile; only the partial
+/// last chunk stays on the heap, so a block costs the heap at most one
+/// chunk. Thread-safe.
 class BlockBytes {
  public:
+  explicit BlockBytes(std::shared_ptr<ChunkFile> file)
+      : file_(std::move(file)) {}
+  ~BlockBytes();
+  BlockBytes(const BlockBytes&) = delete;
+  BlockBytes& operator=(const BlockBytes&) = delete;
+
   /// Stores `data` at `offset` <= size(). Bytes at or past `offset` came
   /// from a pipeline attempt that reached no replica, so no replica covers
   /// them; they are replaced.
@@ -44,12 +85,14 @@ class BlockBytes {
   uint64_t size() const;
 
  private:
-  static constexpr uint64_t kChunkBytes = 4 << 10;
+  static constexpr uint64_t kChunkBytes = ChunkFile::kChunkBytes;
 
+  const std::shared_ptr<ChunkFile> file_;
   mutable OrderedMutex mu_{lockrank::kDfsBlockBytes, "dfs.block_bytes"};
-  /// Every chunk but the last holds exactly kChunkBytes.
-  std::vector<std::string> chunks_ GUARDED_BY(mu_);
-  uint64_t size_ GUARDED_BY(mu_) = 0;
+  /// The file slot of each full chunk, in block order.
+  std::vector<uint64_t> slots_ GUARDED_BY(mu_);
+  /// The bytes past the last full chunk: fewer than kChunkBytes.
+  std::string tail_ GUARDED_BY(mu_);
 };
 
 /// Thread-safe block store with simulated disk costs.

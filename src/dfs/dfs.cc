@@ -140,7 +140,7 @@ class DfsWritableFile : public WritableFile {
                                                   dfs_->AliveNodes());
       if (!block.ok()) return block.status();
       w_.current = *block;
-      w_.bytes = std::make_shared<BlockBytes>();
+      w_.bytes = std::make_shared<BlockBytes>(dfs_->chunk_file_);
       w_.block_fill = 0;
       w_.block_open = true;
       return Status::OK();

@@ -90,6 +90,9 @@ class Dfs {
   sim::NetworkModel* network_;
   NameNode name_node_;
   std::vector<std::unique_ptr<DataNode>> data_nodes_;
+  /// Where every block's full chunks are kept (shared with the blocks).
+  const std::shared_ptr<ChunkFile> chunk_file_ =
+      std::make_shared<ChunkFile>();
   /// What each reader node has seen of each data node, shared by every
   /// file the reader has open.
   ReplicaView view_;

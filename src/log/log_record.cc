@@ -20,20 +20,28 @@ void EncodePayload(const LogRecord& record, std::string* dst) {
   PutFixed64(dst, record.commit_ts);
 }
 
+// A frame is [masked crc32c of payload][payload length][payload]. The
+// payload is encoded in place after the header, which is filled in last.
+size_t BeginFrame(std::string* dst) {
+  const size_t frame = dst->size();
+  dst->resize(frame + kLogFrameHeaderSize);
+  return frame;
+}
+
+void EndFrame(std::string* dst, size_t frame) {
+  char* header = dst->data() + frame;
+  const char* payload = header + kLogFrameHeaderSize;
+  const size_t len = dst->size() - frame - kLogFrameHeaderSize;
+  EncodeFixed32(header, crc32c::Mask(crc32c::Value(payload, len)));
+  EncodeFixed32(header + 4, static_cast<uint32_t>(len));
+}
+
 }  // namespace
 
 void LogRecord::EncodeTo(std::string* dst) const {
-  std::string payload;
-  EncodePayload(*this, &payload);
-  PutFixed32(dst, crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  PutFixed32(dst, static_cast<uint32_t>(payload.size()));
-  dst->append(payload);
-}
-
-uint32_t LogRecord::EncodedSize() const {
-  std::string payload;
-  EncodePayload(*this, &payload);
-  return kLogFrameHeaderSize + static_cast<uint32_t>(payload.size());
+  const size_t frame = BeginFrame(dst);
+  EncodePayload(*this, dst);
+  EndFrame(dst, frame);
 }
 
 Status LogRecord::DecodeFrom(Slice* input, LogRecord* record) {
@@ -79,14 +87,12 @@ Status LogRecord::DecodeFrom(Slice* input, LogRecord* record) {
 }
 
 void EncodeBatchHeaderFrame(std::string* dst, const BatchHeader& header) {
-  std::string payload;
-  payload.push_back(static_cast<char>(LogRecordType::kBatchHeader));
-  PutVarint32(&payload, header.record_count);
-  PutVarint64(&payload, header.batch_bytes);
-  PutFixed32(&payload, header.batch_crc);
-  PutFixed32(dst, crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  PutFixed32(dst, static_cast<uint32_t>(payload.size()));
-  dst->append(payload);
+  const size_t frame = BeginFrame(dst);
+  dst->push_back(static_cast<char>(LogRecordType::kBatchHeader));
+  PutVarint32(dst, header.record_count);
+  PutVarint64(dst, header.batch_bytes);
+  PutFixed32(dst, header.batch_crc);
+  EndFrame(dst, frame);
 }
 
 bool IsBatchHeaderPayload(const Slice& payload) {

@@ -56,9 +56,6 @@ struct LogRecord {
   /// Appends the full frame (header + payload) to dst.
   void EncodeTo(std::string* dst) const;
 
-  /// Size of the encoded frame.
-  uint32_t EncodedSize() const;
-
   /// Decodes one frame from the front of `input`, consuming it.
   /// Corruption (bad CRC / truncation) is reported as Status::Corruption.
   static Status DecodeFrom(Slice* input, LogRecord* record);

@@ -13,6 +13,17 @@ namespace logbase::crc32c {
 /// CRC32C of some string A.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
 
+namespace internal {
+/// The two implementations Extend picks between, exposed so tests can check
+/// that they agree: slicing-by-8 tables, portable; and SSE4.2's CRC32
+/// instruction, which Extend uses when HardwareAvailable(). On x86-64,
+/// ExtendHardware requires HardwareAvailable(); elsewhere it runs the
+/// portable code.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n);
+bool HardwareAvailable();
+}  // namespace internal
+
 /// CRC32C of data[0,n-1].
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
 

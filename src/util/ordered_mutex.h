@@ -82,6 +82,7 @@ enum Rank : uint32_t {
   kDfsNameNode = 700,           // dfs::NameNode::mu_
   kDfsDataNode = 710,           // dfs::DataNode::mu_
   kDfsBlockBytes = 720,         // dfs::BlockBytes::mu_
+  kDfsChunkFile = 725,          // dfs::ChunkFile::mu_
 
   // In-memory test filesystem: map lock, then per-file lock.
   kMemFs = 750,                 // MemFileSystem::mu_

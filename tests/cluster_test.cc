@@ -140,8 +140,8 @@ TEST(ClientTest, DeleteThroughClient) {
 TEST(ClientTest, PutBatchSpansTabletsAndDeletes) {
   // One WriteBatch mixing puts across tablet boundaries (splits at user3 and
   // user6), column groups, deletes, and same-key sequences. The client ships
-  // each maximal same-tablet run, puts and deletes mixed, as one server-side
-  // batch; insertion order must still be what the reader observes.
+  // each server's ops, puts and deletes mixed, as one server-side batch;
+  // insertion order must still be what the reader observes.
   ClusterFixture f;
   ASSERT_TRUE(f.CreateUsersTable().ok());
   ASSERT_TRUE(f.client->Put("users", 0, "user5", "stale", {}).ok());
@@ -149,12 +149,12 @@ TEST(ClientTest, PutBatchSpansTabletsAndDeletes) {
 
   client::WriteBatch batch;
   batch.Put(0, "user1", "v1")
-      .Put(0, "user2", "v2")     // same tablet as user1: one run
+      .Put(0, "user2", "v2")     // same tablet as user1
       .Put(0, "user4", "v4")     // crosses the user3 split
-      .Delete(0, "user5")        // same tablet as user4: joins its run
+      .Delete(0, "user5")        // same tablet as user4
       .Put(0, "user7", "v7")     // crosses the user6 split
       .Put(1, "user1", "bio1")   // different column group
-      .Put(0, "user9", "early")  // back to user7's tablet: a new run
+      .Put(0, "user9", "early")  // back to user7's tablet
       .Put(0, "user9", "late")   // same key twice: later op wins
       .Put(0, "user8", "first")  // put, delete, put of one key
       .Delete(0, "user8")
@@ -166,10 +166,18 @@ TEST(ClientTest, PutBatchSpansTabletsAndDeletes) {
   const obs::MetricsSnapshot delta =
       obs::MetricsRegistry::Global().Snapshot().Delta(before);
 
-  // Five runs, five log submissions: the deletes ride their runs.
+  // One log submission per server the batch touches; the deletes ride
+  // their server's submission.
+  std::set<int> servers;
+  for (const client::WriteBatch::Op& op : batch.ops()) {
+    servers.insert(f.cluster->master()
+                       ->Locate("users", op.column_group, op.key)
+                       ->server_id);
+  }
+  EXPECT_EQ(servers.size(), 3u);
   const obs::MetricPoint* submissions = delta.Find("log.append.batch_records");
   ASSERT_NE(submissions, nullptr);
-  EXPECT_EQ(submissions->count, 5u);
+  EXPECT_EQ(submissions->count, servers.size());
   EXPECT_EQ(submissions->sum, static_cast<double>(batch.size()));
 
   for (auto [key, want] : std::initializer_list<
@@ -186,6 +194,33 @@ TEST(ClientTest, PutBatchSpansTabletsAndDeletes) {
   EXPECT_TRUE(f.client->Get("users", 0, "user5", client::ReadOptions{})
                   .status()
                   .IsNotFound());
+}
+
+TEST(ClientTest, PutBatchShipsOneServersTabletsAsOneAppend) {
+  // On one server every tablet shares its log, so a batch over four of its
+  // tablets (three ranges and a second column group) is one submission.
+  ClusterFixture f(1);
+  ASSERT_TRUE(f.CreateUsersTable().ok());
+  client::WriteBatch batch;
+  batch.Put(0, "user1", "v1")
+      .Put(0, "user4", "v4")
+      .Put(0, "user7", "v7")
+      .Put(1, "user1", "bio1")
+      .Put(0, "user2", "v2");
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
+  ASSERT_TRUE(f.client->PutBatch("users", batch, {}).ok());
+  const obs::MetricsSnapshot delta =
+      obs::MetricsRegistry::Global().Snapshot().Delta(before);
+  const obs::MetricPoint* submissions = delta.Find("log.append.batch_records");
+  ASSERT_NE(submissions, nullptr);
+  EXPECT_EQ(submissions->count, 1u);
+  EXPECT_EQ(submissions->sum, static_cast<double>(batch.size()));
+  for (const client::WriteBatch::Op& op : batch.ops()) {
+    auto value = f.client->Get("users", op.column_group, op.key,
+                               client::ReadOptions{});
+    ASSERT_TRUE(value.ok()) << op.key;
+    EXPECT_EQ(value->value(), op.value) << op.key;
+  }
 }
 
 TEST(ClientTest, WriteDeadlineCapsRetries) {

@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/dfs/dfs.h"
 #include "src/obs/metrics.h"
@@ -278,7 +281,7 @@ TEST(DfsTest, StaleReplicaReadsItsPrefixUntilHealed) {
 TEST(BlockBytesTest, ChunkedAppendRewriteAndCopy) {
   std::string data(20000, '\0');
   for (size_t i = 0; i < data.size(); i++) data[i] = static_cast<char>(i % 253);
-  BlockBytes bytes;
+  BlockBytes bytes(std::make_shared<ChunkFile>());
   bytes.WriteAt(0, Slice(data.data(), 9000));
   bytes.WriteAt(9000, Slice(data.data() + 9000, 5000));
   EXPECT_EQ(bytes.size(), 14000u);
@@ -295,6 +298,133 @@ TEST(BlockBytesTest, ChunkedAppendRewriteAndCopy) {
   EXPECT_EQ(out, data);
   bytes.WriteAt(0, Slice("a"));
   EXPECT_EQ(bytes.size(), 1u);
+}
+
+std::string Pattern(size_t n, int seed) {
+  std::string data(n, '\0');
+  for (size_t i = 0; i < n; i++) {
+    data[i] = static_cast<char>((i * 7 + seed) % 251);
+  }
+  return data;
+}
+
+std::string Contents(const BlockBytes& bytes) {
+  std::string out;
+  bytes.CopyTo(0, bytes.size(), &out);
+  return out;
+}
+
+TEST(BlockBytesTest, WritesEndingOnAndJustPastAChunkBoundary) {
+  constexpr uint64_t kChunk = ChunkFile::kChunkBytes;
+  auto file = std::make_shared<ChunkFile>();
+  const std::string data = Pattern(3 * kChunk + 1, 1);
+  // One write of exactly one chunk, then pieces that end on the next
+  // boundary, then one byte past it.
+  BlockBytes bytes(file);
+  bytes.WriteAt(0, Slice(data.data(), kChunk));
+  EXPECT_EQ(bytes.size(), kChunk);
+  EXPECT_EQ(Contents(bytes), data.substr(0, kChunk));
+  EXPECT_EQ(file->slot_count(), 1u);
+  bytes.WriteAt(kChunk, Slice(data.data() + kChunk, 100));
+  bytes.WriteAt(kChunk + 100, Slice(data.data() + kChunk + 100, kChunk - 100));
+  EXPECT_EQ(bytes.size(), 2 * kChunk);
+  EXPECT_EQ(file->slot_count(), 2u);
+  bytes.WriteAt(2 * kChunk, Slice(data.data() + 2 * kChunk, kChunk + 1));
+  EXPECT_EQ(bytes.size(), data.size());
+  EXPECT_EQ(file->slot_count(), 3u);  // the last byte stays on the heap
+  EXPECT_EQ(Contents(bytes), data);
+  // A single write one byte past a boundary, into a block of its own.
+  BlockBytes other(file);
+  other.WriteAt(0, Slice(data.data(), kChunk + 1));
+  EXPECT_EQ(other.size(), kChunk + 1);
+  EXPECT_EQ(Contents(other), data.substr(0, kChunk + 1));
+  EXPECT_EQ(Contents(bytes), data);
+}
+
+TEST(BlockBytesTest, CopySpansFileChunksAndTheTail) {
+  constexpr uint64_t kChunk = ChunkFile::kChunkBytes;
+  auto file = std::make_shared<ChunkFile>();
+  const std::string a = Pattern(3 * kChunk + 1500, 2);
+  const std::string b = Pattern(2 * kChunk + 10, 3);
+  // Interleaved appends leave each block's chunks in slots that are not
+  // all consecutive.
+  BlockBytes x(file), y(file);
+  x.WriteAt(0, Slice(a.data(), kChunk + 10));
+  y.WriteAt(0, Slice(b.data(), kChunk));
+  x.WriteAt(kChunk + 10, Slice(a.data() + kChunk + 10, a.size() - kChunk - 10));
+  y.WriteAt(kChunk, Slice(b.data() + kChunk, b.size() - kChunk));
+  const std::vector<std::pair<uint64_t, uint64_t>> ranges = {
+      {0, 10},                        // inside the first file chunk
+      {kChunk - 5, 10},               // across two file chunks
+      {100, 3 * kChunk},              // across three file chunks and the tail
+      {2 * kChunk + 7, kChunk + 100}, // the last file chunk into the tail
+      {3 * kChunk + 3, 1000},         // the tail alone
+      {0, a.size()},
+  };
+  for (auto [offset, n] : ranges) {
+    std::string out = "p";
+    x.CopyTo(offset, n, &out);
+    EXPECT_EQ(out, std::string("p").append(a, offset, n))
+        << offset << "+" << n;
+  }
+  EXPECT_EQ(Contents(y), b);
+}
+
+TEST(BlockBytesTest, RewindIntoAFileChunkThenRewrite) {
+  constexpr uint64_t kChunk = ChunkFile::kChunkBytes;
+  auto file = std::make_shared<ChunkFile>();
+  const std::string data = Pattern(3 * kChunk + 500, 4);
+  BlockBytes bytes(file);
+  bytes.WriteAt(0, Slice(data));
+  EXPECT_EQ(file->slot_count(), 3u);
+  // Rewind into the middle of the second chunk, which is in the file: its
+  // kept prefix comes back to the heap and the later chunks are freed.
+  const uint64_t rewind = kChunk + 1000;
+  bytes.WriteAt(rewind, Slice("xyz"));
+  EXPECT_EQ(bytes.size(), rewind + 3);
+  EXPECT_EQ(Contents(bytes), data.substr(0, rewind) + "xyz");
+  // Rewriting the rest reuses the freed slots.
+  const std::string again = Pattern(data.size(), 5);
+  bytes.WriteAt(rewind, Slice(again.data() + rewind, again.size() - rewind));
+  EXPECT_EQ(Contents(bytes), data.substr(0, rewind) + again.substr(rewind));
+  EXPECT_EQ(file->slot_count(), 3u);
+  // A rewind to exactly a chunk boundary keeps no partial chunk.
+  bytes.WriteAt(2 * kChunk, Slice(again.data(), 10));
+  EXPECT_EQ(Contents(bytes), data.substr(0, rewind) +
+                                 again.substr(rewind, 2 * kChunk - rewind) +
+                                 again.substr(0, 10));
+  // A freed block's slots go to the next block.
+  { BlockBytes doomed(file); doomed.WriteAt(0, Slice(data)); }
+  BlockBytes reuser(file);
+  reuser.WriteAt(0, Slice(data));
+  EXPECT_EQ(file->slot_count(), 5u);
+  EXPECT_EQ(Contents(reuser), data);
+}
+
+TEST(DfsTest, TwoClustersInOneProcessKeepTheirOwnBytes) {
+  Dfs one(SmallBlocks(3, 64 << 10));
+  Dfs two(SmallBlocks(3, 64 << 10));
+  const std::string a = Pattern(150000, 6);
+  const std::string b = Pattern(150000, 7);
+  auto write = [](Dfs* dfs, const std::string& data) {
+    auto wf = dfs->Create("/same/path", 0);
+    ASSERT_TRUE(wf.ok());
+    for (size_t at = 0; at < data.size(); at += 5000) {
+      ASSERT_TRUE((*wf)->Append(Slice(data.data() + at,
+                                      std::min<size_t>(5000, data.size() - at)))
+                      .ok());
+      ASSERT_TRUE((*wf)->Sync().ok());
+    }
+  };
+  std::thread t1(write, &one, a);
+  std::thread t2(write, &two, b);
+  t1.join();
+  t2.join();
+  auto r1 = one.Open("/same/path", 1);
+  auto r2 = two.Open("/same/path", 2);
+  ASSERT_TRUE(r1.ok() && r2.ok());
+  EXPECT_EQ(*(*r1)->Read(0, a.size()), a);
+  EXPECT_EQ(*(*r2)->Read(0, b.size()), b);
 }
 
 TEST(DfsTest, DeleteReclaimsBlocks) {

@@ -268,6 +268,29 @@ TEST(Crc32cTest, MatchesBytewiseAtEveryLengthAndAlignment) {
   }
 }
 
+TEST(Crc32cTest, HardwareAndPortablePathsAgree) {
+  const bool hardware = crc32c::internal::HardwareAvailable();
+  EXPECT_EQ(crc32c::internal::ExtendPortable(0, "123456789", 9), 0xe3069283u);
+  if (hardware) {
+    EXPECT_EQ(crc32c::internal::ExtendHardware(0, "123456789", 9),
+              0xe3069283u);
+  }
+  Random rnd(96);
+  std::string buf(300 + 16, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Uniform(256));
+  for (size_t len = 0; len <= 300; len++) {
+    const size_t align = rnd.Uniform(16);
+    const uint32_t init = static_cast<uint32_t>(rnd.Next());
+    const char* p = buf.data() + align;
+    const uint32_t portable = crc32c::internal::ExtendPortable(init, p, len);
+    EXPECT_EQ(portable, BytewiseCrc32c(init, p, len)) << "len " << len;
+    if (hardware) {
+      EXPECT_EQ(crc32c::internal::ExtendHardware(init, p, len), portable)
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
 TEST(Crc32cTest, MatchesBytewiseOnLargeBuffers) {
   Random rnd(64);
   std::string buf((1 << 20) + 7, '\0');
