@@ -120,24 +120,6 @@ for preset in "${presets[@]}"; do
   cmake --preset "${preset}"
   cmake --build --preset "${preset}" -j "$(nproc)"
   ctest --preset "${preset}"
-  # The balance suite (live migration / split protocol safety), the
-  # replica suite (snapshot-serving read replicas, I6 nemesis), the log
-  # suite (group commit, quorum appends, quorum-tail recovery), the query
-  # suite (scan pushdown three-way differential) and the qos suite
-  # (multi-tenant admission control, I7 nemesis) gate the default and tsan
-  # trees explicitly by label, mirroring the chaos stage.
-  case "${preset}" in
-    default)
-      echo "==== balance+replica+log+query+qos: ${preset} ===="
-      (cd "build" && \
-        ctest -L 'balance|replica|log|query|qos' --output-on-failure)
-      ;;
-    tsan)
-      echo "==== balance+replica+log+query+qos: ${preset} ===="
-      (cd "build-tsan" && TSAN_OPTIONS=halt_on_error=1 \
-        ctest -L 'balance|replica|log|query|qos' --output-on-failure)
-      ;;
-  esac
 done
 
 if [ "${tsa}" -eq 1 ]; then

@@ -908,16 +908,16 @@ SELF_TEST_CASES = [
     (check_nondet, 'src/tablet/log_applier.cc',
      'if (rand() % 100 < jitter) return Status::OK();',
      'if (rnd.Uniform(100) < jitter) return Status::OK();'),
-    # The group-commit write path: the append queue's batch window is a
-    # virtual-time deadline and its synchronization rides the ranked
-    # LogWriter mutex; the client write surface must carry WriteOptions.
-    (check_wall_clock, 'src/log/append_queue.cc',
+    # The group-commit write path: the log writer's batch window is a
+    # virtual-time deadline, its batch sequence is a counter, and its open
+    # batch rides the one ranked LogWriter mutex.
+    (check_wall_clock, 'src/log/log_writer.cc',
      'auto deadline = std::chrono::steady_clock::now() + window;',
-     'sim::VirtualTime deadline = opened_at + options_.window_us;'),
-    (check_mutex, 'src/log/append_queue.h',
+     'sim::VirtualTime deadline = open_.first_arrival_us + window_us;'),
+    (check_mutex, 'src/log/log_writer.h',
      'mutable std::mutex flush_mu_;',
-     '// externally synchronized by LogWriter::mu_ (lockrank::kLogWriter)'),
-    (check_nondet, 'src/log/append_queue.cc',
+     'OpenBatch open_ GUARDED_BY(mu_);  // mu_ is lockrank::kLogWriter'),
+    (check_nondet, 'src/log/log_writer.cc',
      'uint64_t batch_seq = rand();',
      'uint64_t batch_seq = next_batch_seq_++;'),
     # Thread-safety annotation coverage, pinned to the real subsystem

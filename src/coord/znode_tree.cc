@@ -28,98 +28,66 @@ bool ZnodeTree::SessionAlive(SessionId session) const {
 }
 
 void ZnodeTree::CloseSession(SessionId session) {
-  std::vector<std::pair<WatchCallback, std::string>> fired;
-  {
-    MutexLock l(mu_);
-    if (sessions_.erase(session) == 0) return;
-    // Collect this session's ephemerals, then delete them.
-    std::vector<std::string> to_delete;
-    for (const auto& [path, node] : nodes_) {
-      if ((node.mode == CreateMode::kEphemeral ||
-           node.mode == CreateMode::kEphemeralSequential) &&
-          node.owner == session) {
-        to_delete.push_back(path);
-      }
-    }
-    // Delete deepest-first so children go before parents. A failure here
-    // means an ephemeral gained children after collection; those nodes
-    // simply outlive the session.
-    for (auto it = to_delete.rbegin(); it != to_delete.rend(); ++it) {
-      (void)DeleteLocked(*it, &fired);
+  MutexLock l(mu_);
+  if (sessions_.erase(session) == 0) return;
+  // Collect this session's ephemerals, then delete them.
+  std::vector<std::string> to_delete;
+  for (const auto& [path, node] : nodes_) {
+    if ((node.mode == CreateMode::kEphemeral ||
+         node.mode == CreateMode::kEphemeralSequential) &&
+        node.owner == session) {
+      to_delete.push_back(path);
     }
   }
-  for (auto& [cb, path] : fired) cb(path);
-}
-
-std::vector<std::pair<WatchCallback, std::string>>
-ZnodeTree::CollectNodeWatches(const std::string& path) {
-  std::vector<std::pair<WatchCallback, std::string>> fired;
-  auto it = node_watches_.find(path);
-  if (it != node_watches_.end()) {
-    for (auto& cb : it->second) fired.emplace_back(std::move(cb), path);
-    node_watches_.erase(it);
+  // Delete deepest-first so children go before parents. A failure here
+  // means an ephemeral gained children after collection; those nodes
+  // simply outlive the session.
+  for (auto it = to_delete.rbegin(); it != to_delete.rend(); ++it) {
+    (void)DeleteLocked(*it);
   }
-  return fired;
-}
-
-std::vector<std::pair<WatchCallback, std::string>>
-ZnodeTree::CollectChildWatches(const std::string& parent) {
-  std::vector<std::pair<WatchCallback, std::string>> fired;
-  auto it = child_watches_.find(parent);
-  if (it != child_watches_.end()) {
-    for (auto& cb : it->second) fired.emplace_back(std::move(cb), parent);
-    child_watches_.erase(it);
-  }
-  return fired;
 }
 
 Result<std::string> ZnodeTree::Create(SessionId session,
                                       const std::string& path,
                                       const std::string& data,
                                       CreateMode mode) {
-  std::vector<std::pair<WatchCallback, std::string>> fired;
-  std::string actual;
-  {
-    MutexLock l(mu_);
-    if (!ValidPath(path)) {
-      return Status::InvalidArgument("bad znode path: " + path);
-    }
-    if ((mode == CreateMode::kEphemeral ||
-         mode == CreateMode::kEphemeralSequential) &&
-        sessions_.count(session) == 0) {
-      return Status::InvalidArgument("ephemeral create with dead session");
-    }
-    std::string parent = ParentOf(path);
-    if (parent != "/" && nodes_.count(parent) == 0) {
-      return Status::NotFound("parent znode missing: " + parent);
-    }
-
-    actual = path;
-    if (mode == CreateMode::kPersistentSequential ||
-        mode == CreateMode::kEphemeralSequential) {
-      uint64_t seq = 0;
-      if (parent == "/") {
-        seq = root_sequence_counter_++;
-      } else {
-        seq = nodes_[parent].next_sequence++;
-      }
-      char buf[16];
-      std::snprintf(buf, sizeof(buf), "%010llu",
-                    static_cast<unsigned long long>(seq));
-      actual += buf;
-    }
-
-    if (nodes_.count(actual) > 0) {
-      return Status::InvalidArgument("znode exists: " + actual);
-    }
-    Znode node;
-    node.data = data;
-    node.mode = mode;
-    node.owner = session;
-    nodes_[actual] = std::move(node);
-    fired = CollectChildWatches(parent);
+  MutexLock l(mu_);
+  if (!ValidPath(path)) {
+    return Status::InvalidArgument("bad znode path: " + path);
   }
-  for (auto& [cb, p] : fired) cb(p);
+  if ((mode == CreateMode::kEphemeral ||
+       mode == CreateMode::kEphemeralSequential) &&
+      sessions_.count(session) == 0) {
+    return Status::InvalidArgument("ephemeral create with dead session");
+  }
+  std::string parent = ParentOf(path);
+  if (parent != "/" && nodes_.count(parent) == 0) {
+    return Status::NotFound("parent znode missing: " + parent);
+  }
+
+  std::string actual = path;
+  if (mode == CreateMode::kPersistentSequential ||
+      mode == CreateMode::kEphemeralSequential) {
+    uint64_t seq = 0;
+    if (parent == "/") {
+      seq = root_sequence_counter_++;
+    } else {
+      seq = nodes_[parent].next_sequence++;
+    }
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%010llu",
+                  static_cast<unsigned long long>(seq));
+    actual += buf;
+  }
+
+  if (nodes_.count(actual) > 0) {
+    return Status::InvalidArgument("znode exists: " + actual);
+  }
+  Znode node;
+  node.data = data;
+  node.mode = mode;
+  node.owner = session;
+  nodes_[actual] = std::move(node);
   return actual;
 }
 
@@ -130,39 +98,31 @@ Status ZnodeTree::CreateAll(SessionId session,
       mode == CreateMode::kEphemeralSequential) {
     return Status::InvalidArgument("sequential create in a multi");
   }
-  std::vector<std::pair<WatchCallback, std::string>> fired;
-  {
-    MutexLock l(mu_);
-    if (mode == CreateMode::kEphemeral && sessions_.count(session) == 0) {
-      return Status::InvalidArgument("ephemeral create with dead session");
+  MutexLock l(mu_);
+  if (mode == CreateMode::kEphemeral && sessions_.count(session) == 0) {
+    return Status::InvalidArgument("ephemeral create with dead session");
+  }
+  // Check every path before creating any, so a failure changes nothing.
+  std::vector<const std::string*> missing;
+  for (const std::string& path : paths) {
+    if (!ValidPath(path)) {
+      return Status::InvalidArgument("bad znode path: " + path);
     }
-    // Check every path before creating any, so a failure changes nothing.
-    std::vector<const std::string*> missing;
-    for (const std::string& path : paths) {
-      if (!ValidPath(path)) {
-        return Status::InvalidArgument("bad znode path: " + path);
-      }
-      std::string parent = ParentOf(path);
-      if (parent != "/" && nodes_.count(parent) == 0) {
-        return Status::NotFound("parent znode missing: " + parent);
-      }
-      auto it = nodes_.find(path);
-      if (it == nodes_.end()) {
-        missing.push_back(&path);
-      } else if (it->second.data != data) {
-        return Status::InvalidArgument("znode exists: " + path);
-      }
+    std::string parent = ParentOf(path);
+    if (parent != "/" && nodes_.count(parent) == 0) {
+      return Status::NotFound("parent znode missing: " + parent);
     }
-    for (const std::string* path : missing) {
-      // A path listed twice is created once.
-      if (!nodes_.emplace(*path, Znode{data, mode, session, 0}).second) {
-        continue;
-      }
-      auto child_fired = CollectChildWatches(ParentOf(*path));
-      fired.insert(fired.end(), child_fired.begin(), child_fired.end());
+    auto it = nodes_.find(path);
+    if (it == nodes_.end()) {
+      missing.push_back(&path);
+    } else if (it->second.data != data) {
+      return Status::InvalidArgument("znode exists: " + path);
     }
   }
-  for (auto& [cb, p] : fired) cb(p);
+  // A path listed twice is created once.
+  for (const std::string* path : missing) {
+    nodes_.emplace(*path, Znode{data, mode, session, 0});
+  }
   return Status::OK();
 }
 
@@ -174,15 +134,10 @@ Result<std::string> ZnodeTree::Get(const std::string& path) const {
 }
 
 Status ZnodeTree::Set(const std::string& path, const std::string& data) {
-  std::vector<std::pair<WatchCallback, std::string>> fired;
-  {
-    MutexLock l(mu_);
-    auto it = nodes_.find(path);
-    if (it == nodes_.end()) return Status::NotFound(path);
-    it->second.data = data;
-    fired = CollectNodeWatches(path);
-  }
-  for (auto& [cb, p] : fired) cb(p);
+  MutexLock l(mu_);
+  auto it = nodes_.find(path);
+  if (it == nodes_.end()) return Status::NotFound(path);
+  it->second.data = data;
   return Status::OK();
 }
 
@@ -192,46 +147,30 @@ bool ZnodeTree::HasChildrenLocked(const std::string& path) const {
   return it != nodes_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
 }
 
-Status ZnodeTree::DeleteLocked(
-    const std::string& path,
-    std::vector<std::pair<WatchCallback, std::string>>* fired) {
+Status ZnodeTree::DeleteLocked(const std::string& path) {
   auto it = nodes_.find(path);
   if (it == nodes_.end()) return Status::NotFound(path);
   if (HasChildrenLocked(path)) {
     return Status::InvalidArgument("znode has children: " + path);
   }
   nodes_.erase(it);
-  auto node_fired = CollectNodeWatches(path);
-  fired->insert(fired->end(), node_fired.begin(), node_fired.end());
-  auto child_fired = CollectChildWatches(ParentOf(path));
-  fired->insert(fired->end(), child_fired.begin(), child_fired.end());
   return Status::OK();
 }
 
 Status ZnodeTree::Delete(const std::string& path) {
-  std::vector<std::pair<WatchCallback, std::string>> fired;
-  Status s;
-  {
-    MutexLock l(mu_);
-    s = DeleteLocked(path, &fired);
-  }
-  for (auto& [cb, p] : fired) cb(p);
-  return s;
+  MutexLock l(mu_);
+  return DeleteLocked(path);
 }
 
 void ZnodeTree::DeleteAll(const std::vector<std::string>& paths,
                           const std::string& data) {
-  std::vector<std::pair<WatchCallback, std::string>> fired;
-  {
-    MutexLock l(mu_);
-    for (const std::string& path : paths) {
-      auto it = nodes_.find(path);
-      if (it != nodes_.end() && it->second.data == data) {
-        (void)DeleteLocked(path, &fired);
-      }
+  MutexLock l(mu_);
+  for (const std::string& path : paths) {
+    auto it = nodes_.find(path);
+    if (it != nodes_.end() && it->second.data == data) {
+      (void)DeleteLocked(path);
     }
   }
-  for (auto& [cb, p] : fired) cb(p);
 }
 
 bool ZnodeTree::Exists(const std::string& path) const {
@@ -253,17 +192,6 @@ Result<std::vector<std::string>> ZnodeTree::GetChildren(
     if (rest.find('/') == std::string::npos) children.push_back(rest);
   }
   return children;
-}
-
-void ZnodeTree::WatchNode(const std::string& path, WatchCallback callback) {
-  MutexLock l(mu_);
-  node_watches_[path].push_back(std::move(callback));
-}
-
-void ZnodeTree::WatchChildren(const std::string& path,
-                              WatchCallback callback) {
-  MutexLock l(mu_);
-  child_watches_[path].push_back(std::move(callback));
 }
 
 }  // namespace logbase::coord

@@ -1,6 +1,6 @@
 // A Zookeeper-like hierarchical znode store: persistent/ephemeral and
-// sequential nodes, sessions whose expiry removes their ephemerals, and
-// one-shot watches. Master election, tablet-server liveness tracking and the
+// sequential nodes, and sessions whose expiry removes their ephemerals.
+// Master election, tablet-server liveness tracking and the
 // distributed write locks of MVOCC validation are built on this substrate
 // (the paper delegates all three to Zookeeper, §3.3/§3.7).
 
@@ -8,7 +8,6 @@
 #define LOGBASE_COORD_ZNODE_TREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -31,10 +30,6 @@ enum class CreateMode {
   kEphemeralSequential,
 };
 
-/// Invoked once when the watched node (or child set) changes; the argument is
-/// the path of the node the watch was set on.
-using WatchCallback = std::function<void(const std::string& path)>;
-
 /// Thread-safe znode tree. Paths are absolute, '/'-separated, no trailing
 /// slash; the root "/" always exists.
 class ZnodeTree {
@@ -44,7 +39,7 @@ class ZnodeTree {
   ZnodeTree& operator=(const ZnodeTree&) = delete;
 
   SessionId CreateSession();
-  /// Expires the session: deletes its ephemeral nodes and fires watches.
+  /// Expires the session: deletes its ephemeral nodes.
   void CloseSession(SessionId session);
   bool SessionAlive(SessionId session) const;
 
@@ -74,11 +69,6 @@ class ZnodeTree {
   /// Child *names* (not full paths), sorted.
   Result<std::vector<std::string>> GetChildren(const std::string& path) const;
 
-  /// One-shot watch on data change or deletion of `path`.
-  void WatchNode(const std::string& path, WatchCallback callback);
-  /// One-shot watch on the child set of `path`.
-  void WatchChildren(const std::string& path, WatchCallback callback);
-
  private:
   struct Znode {
     std::string data;
@@ -87,26 +77,14 @@ class ZnodeTree {
     uint64_t next_sequence = 0;
   };
 
-  /// Returns fired callbacks to run outside the lock.
-  std::vector<std::pair<WatchCallback, std::string>> CollectNodeWatches(
-      const std::string& path) REQUIRES(mu_);
-  std::vector<std::pair<WatchCallback, std::string>> CollectChildWatches(
-      const std::string& parent) REQUIRES(mu_);
   static std::string ParentOf(const std::string& path);
   static bool ValidPath(const std::string& path);
   bool HasChildrenLocked(const std::string& path) const REQUIRES(mu_);
-  Status DeleteLocked(
-      const std::string& path,
-      std::vector<std::pair<WatchCallback, std::string>>* fired)
-      REQUIRES(mu_);
+  Status DeleteLocked(const std::string& path) REQUIRES(mu_);
 
   mutable OrderedMutex mu_{lockrank::kCoordZnodes, "coord.znodes"};
   std::map<std::string, Znode> nodes_
       GUARDED_BY(mu_);  // sorted: children via prefix range
-  std::map<std::string, std::vector<WatchCallback>> node_watches_
-      GUARDED_BY(mu_);
-  std::map<std::string, std::vector<WatchCallback>> child_watches_
-      GUARDED_BY(mu_);
   std::set<SessionId> sessions_ GUARDED_BY(mu_);
   SessionId next_session_ GUARDED_BY(mu_) = 1;
   uint64_t root_sequence_counter_ GUARDED_BY(mu_) =

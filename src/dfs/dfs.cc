@@ -43,7 +43,7 @@ obs::Counter* PreadRemote() {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Writer: replication pipeline with policy-controlled acks.
+// Writer: replication pipeline with quorum or full acks.
 // ---------------------------------------------------------------------------
 
 class DfsWritableFile : public WritableFile {
@@ -61,22 +61,22 @@ class DfsWritableFile : public WritableFile {
   Status Append(const Slice& data) override {
     w_.buffer.append(data.data(), data.size());
     w_.size += data.size();
-    if (w_.buffer.size() >= kStreamChunk) {
-      return FlushBuffer(w_.policy, nullptr);
-    }
+    if (w_.buffer.size() >= kStreamChunk) return FlushBuffer(nullptr);
     return Status::OK();
   }
 
-  Status Sync() override { return FlushBuffer(w_.policy, nullptr); }
+  Status Sync() override { return FlushBuffer(nullptr); }
 
-  // Quorum / pipelined durability: remembers the policy (so streaming
-  // flushes triggered by Append() keep using it) and reports when the ack
-  // landed on the virtual clock. With max_inflight > 1 the caller's clock
-  // only advances to the point its NIC finished streaming the chunk; the
-  // replication pipeline's completion is tracked as an outstanding ack.
-  Status SyncWith(const SyncPolicy& policy, SyncReceipt* receipt) override {
-    w_.policy = policy;
-    return FlushBuffer(policy, receipt);
+  // Quorum / pipelined durability: remembers the ack mode and switches the
+  // file to pipelined syncs (so streaming flushes triggered by Append() and
+  // later Sync() calls keep both), and reports when the ack landed on the
+  // virtual clock. The caller's clock only advances to the point its NIC
+  // finished streaming the chunk; the replication pipeline's completion is
+  // tracked as an outstanding ack.
+  Status SyncWith(AckMode ack, uint64_t* ack_us) override {
+    w_.ack = ack;
+    w_.pipelined = true;
+    return FlushBuffer(ack_us);
   }
 
   Status WaitForAcks() override {
@@ -89,7 +89,7 @@ class DfsWritableFile : public WritableFile {
   }
 
   Status Close() override {
-    LOGBASE_RETURN_NOT_OK(FlushBuffer(w_.policy, nullptr));
+    LOGBASE_RETURN_NOT_OK(FlushBuffer(nullptr));
     LOGBASE_RETURN_NOT_OK(WaitForAcks());
     w_.block_open = false;
     return Status::OK();
@@ -99,11 +99,13 @@ class DfsWritableFile : public WritableFile {
 
  private:
   static constexpr size_t kStreamChunk = 1 << 20;
+  /// Maximum pipelined syncs in flight before the writer blocks on the
+  /// oldest ack: sync k+1 ships while sync k's ack is still outstanding.
+  static constexpr size_t kPipelineDepth = 4;
 
-  Status FlushBuffer(const SyncPolicy& policy, SyncReceipt* receipt) {
+  Status FlushBuffer(uint64_t* ack_us_out) {
     Slice remaining(w_.buffer);
     sim::VirtualTime ack_us = 0;
-    sim::VirtualTime full_us = 0;
     while (!remaining.empty()) {
       if (!w_.block_open || w_.block_fill >= dfs_->options_.block_size) {
         LOGBASE_RETURN_NOT_OK(StartNewBlock());
@@ -116,15 +118,12 @@ class DfsWritableFile : public WritableFile {
       // retry re-appends at the same offset; partial successes return OK
       // (under-replication is healed by the name node's sweep).
       LOGBASE_RETURN_NOT_OK(retry_.Run("dfs.pipeline_write", [&]() {
-        return PipelineWrite(chunk, policy, &ack_us, &full_us);
+        return PipelineWrite(chunk, &ack_us);
       }));
       remaining.remove_prefix(chunk_len);
     }
     w_.buffer.clear();
-    if (receipt != nullptr) {
-      receipt->ack_us = static_cast<uint64_t>(ack_us);
-      receipt->full_us = static_cast<uint64_t>(full_us);
-    }
+    if (ack_us_out != nullptr) *ack_us_out = static_cast<uint64_t>(ack_us);
     return Status::OK();
   }
   Status StartNewBlock() {
@@ -155,17 +154,15 @@ class DfsWritableFile : public WritableFile {
   /// utilization and contention stay honest). Dead replicas are dropped
   /// from the pipeline (HDFS behaviour); at least one must survive.
   ///
-  /// The ack point depends on the policy: kAll waits for every surviving
+  /// The ack point depends on the ack mode: kAll waits for every surviving
   /// replica (the strict chain ack), kQuorum acks at the majority-th
   /// fastest replica — a disk-stalled straggler still gets the data and is
   /// still charged its full disk/NIC time, it just completes in the
-  /// background. With max_inflight > 1 the caller's clock only advances to
-  /// the point its own NIC finished streaming; the ack is tracked as
-  /// outstanding and collected by WaitForAcks()/a later sync (bounded
-  /// in-flight depth).
-  Status PipelineWrite(const Slice& chunk, const SyncPolicy& policy,
-                       sim::VirtualTime* ack_out,
-                       sim::VirtualTime* full_out) {
+  /// background. A pipelined file's caller only advances its clock to the
+  /// point its own NIC finished streaming; the ack is tracked as
+  /// outstanding and collected by WaitForAcks()/a later sync (at most
+  /// kPipelineDepth in flight).
+  Status PipelineWrite(const Slice& chunk, sim::VirtualTime* ack_out) {
     obs::Span span("dfs.write");
     sim::SimContext* ctx = sim::SimContext::Current();
     sim::VirtualTime stream_begin = ctx != nullptr ? ctx->now() : 0;
@@ -210,11 +207,10 @@ class DfsWritableFile : public WritableFile {
     }
     ReplicationBytes()->Add(chunk.size() * successes);
     if (ctx != nullptr && !completions.empty()) {
-      sim::VirtualTime full =
+      sim::VirtualTime ack =
           *std::max_element(completions.begin(), completions.end());
-      sim::VirtualTime ack = full;
       int quorum = dfs_->options_.replication / 2 + 1;
-      if (policy.ack == SyncPolicy::Ack::kQuorum &&
+      if (w_.ack == AckMode::kQuorum &&
           static_cast<int>(completions.size()) >= quorum) {
         // The quorum-th fastest completion acks the write; if the pipeline
         // already degraded below quorum width, every survivor must ack
@@ -224,13 +220,11 @@ class DfsWritableFile : public WritableFile {
                          completions.end());
         ack = completions[quorum - 1];
       }
-      if (ack_out != nullptr) *ack_out = std::max(*ack_out, ack);
-      if (full_out != nullptr) *full_out = std::max(*full_out, full);
-      if (policy.max_inflight > 1) {
+      *ack_out = std::max(*ack_out, ack);
+      if (w_.pipelined) {
         ctx->AdvanceTo(push_done);
         w_.inflight_acks.push_back(ack);
-        while (static_cast<int>(w_.inflight_acks.size()) >=
-               policy.max_inflight) {
+        while (w_.inflight_acks.size() >= kPipelineDepth) {
           ctx->AdvanceTo(w_.inflight_acks.front());
           w_.inflight_acks.pop_front();
         }
@@ -253,7 +247,10 @@ class DfsWritableFile : public WritableFile {
   /// takes no lock (the reader's mutex further down does not cover it).
   struct WriteState {
     std::string buffer;  // appended but not yet pipelined
-    SyncPolicy policy;   // sticky: the last policy a SyncWith() installed
+    // Sticky ack policy: the strict unpipelined chain until the first
+    // SyncWith(), then that call's ack mode, pipelined.
+    AckMode ack = AckMode::kAll;
+    bool pipelined = false;
     std::deque<sim::VirtualTime> inflight_acks;  // pipelined, not yet waited
     BlockInfo current;
     std::shared_ptr<BlockBytes> bytes;  // current's bytes, appended here

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -10,10 +11,6 @@
 namespace logbase::log {
 
 namespace {
-
-/// Maximum flushed-but-unacked batches in flight at the DFS. > 1 pipelines
-/// appends: batch k+1 ships before batch k's ack lands.
-constexpr int kPipelineDepth = 4;
 
 obs::Gauge* QueueDepthGauge() {
   static obs::Gauge* g =
@@ -41,18 +38,12 @@ bool ParseSegmentNumber(const std::string& path, uint32_t* segment) {
 }
 
 LogWriter::LogWriter(FileSystem* fs, std::string dir, uint32_t instance,
-                     uint64_t segment_bytes, AppendQueueOptions queue_options)
+                     uint64_t segment_bytes, GroupCommitOptions group_commit)
     : fs_(fs),
       dir_(std::move(dir)),
       instance_(instance),
       segment_bytes_(segment_bytes),
-      queue_options_(queue_options) {
-  queue_ = std::make_unique<AppendQueue>(
-      [this](const AppendQueue::SealedBatch& batch) {
-        return SinkEntry(batch);
-      },
-      queue_options_);
-}
+      group_commit_(group_commit) {}
 
 Status LogWriter::Open(uint64_t first_lsn) {
   MutexLock l(mu_);
@@ -60,11 +51,8 @@ Status LogWriter::Open(uint64_t first_lsn) {
   // Drop any submissions queued before a crash/restart: they were never
   // acked, and flushing them into the fresh segment would resurrect writes
   // whose callers already saw the server die.
-  queue_ = std::make_unique<AppendQueue>(
-      [this](const AppendQueue::SealedBatch& batch) {
-        return SinkEntry(batch);
-      },
-      queue_options_);
+  open_ = OpenBatch{};
+  outcomes_.clear();
   // Find the highest existing segment and continue after it: old segments
   // are immutable history (possibly replayed by recovery).
   auto existing = fs_->List(dir_ + "/segment_");
@@ -103,7 +91,7 @@ Status LogWriter::RollSegmentLocked() {
 Status LogWriter::Roll() {
   MutexLock l(mu_);
   if (file_ == nullptr) return Status::InvalidArgument("log writer not open");
-  LOGBASE_RETURN_NOT_OK(queue_->Flush());
+  LOGBASE_RETURN_NOT_OK(FlushOpenBatchLocked());
   return RollSegmentLocked();
 }
 
@@ -134,17 +122,57 @@ Result<AppendTicket> LogWriter::Submit(std::vector<LogRecord>* records,
       obs::MetricsRegistry::Global().histogram("log.append.batch_records");
   batch_records->Observe(static_cast<double>(records->size()));
 
-  std::string frames;
-  std::vector<uint32_t> offsets;
-  offsets.reserve(records->size());
+  sim::SimContext* ctx = sim::SimContext::Current();
+  sim::VirtualTime now = ctx != nullptr ? ctx->now() : 0;
+  if (open_.seq != 0 &&
+      (group_commit_.window_us == 0 ||
+       now >= open_.first_arrival_us + group_commit_.window_us)) {
+    // The window expired (or is 0): ship the open batch. Its waiters pick
+    // up the outcome later; the pipelined sync does not stall this
+    // submission on the previous batch's ack.
+    (void)FlushOpenBatchLocked();
+  }
+  const bool joined = open_.seq != 0;
+  if (!joined) OpenBatchLocked(now);
+  const size_t mark = open_.frames.size();
+  const size_t first = open_.frame_offsets.size();
   for (LogRecord& record : *records) {
     record.key.lsn = next_lsn_++;
-    offsets.push_back(static_cast<uint32_t>(frames.size()));
-    record.EncodeTo(&frames);
+    open_.frame_offsets.push_back(static_cast<uint32_t>(open_.frames.size()));
+    record.EncodeTo(&open_.frames);
   }
-  AppendTicket ticket = queue_->Submit(Slice(frames), offsets, ack);
-  QueueDepthGauge()->Set(static_cast<int64_t>(queue_->pending_records()));
+  if (joined && (open_.frames.size() > kMaxBatchBytes ||
+                 open_.frame_offsets.size() > kMaxBatchRecords)) {
+    // These records would take the batch past a cap: seal it without them
+    // and carry them over into a fresh batch.
+    std::string frames = open_.frames.substr(mark);
+    std::vector<uint32_t> offsets(open_.frame_offsets.begin() + first,
+                                  open_.frame_offsets.end());
+    open_.frames.resize(mark);
+    open_.frame_offsets.resize(first);
+    (void)FlushOpenBatchLocked();
+    OpenBatchLocked(now);
+    open_.frames = std::move(frames);
+    for (uint32_t& off : offsets) off -= static_cast<uint32_t>(mark);
+    open_.frame_offsets = std::move(offsets);
+  }
+  // A batch acks at the strongest mode any of its submissions asked for.
+  if (ack == AckMode::kAll) open_.ack = AckMode::kAll;
+  open_.submissions++;
+
+  AppendTicket ticket;
+  ticket.batch_seq = open_.seq;
+  ticket.record_count = static_cast<uint32_t>(records->size());
+  ticket.first_record =
+      static_cast<uint32_t>(open_.frame_offsets.size()) - ticket.record_count;
+  QueueDepthGauge()->Set(static_cast<int64_t>(open_.frame_offsets.size()));
   return ticket;
+}
+
+void LogWriter::OpenBatchLocked(sim::VirtualTime now) {
+  open_ = OpenBatch{};
+  open_.seq = next_batch_seq_++;
+  open_.first_arrival_us = now;
 }
 
 Status LogWriter::Wait(const AppendTicket& ticket, std::vector<LogPtr>* ptrs) {
@@ -152,9 +180,22 @@ Status LogWriter::Wait(const AppendTicket& ticket, std::vector<LogPtr>* ptrs) {
   if (ptrs != nullptr) ptrs->clear();
   if (!ticket.valid()) return Status::OK();
   MutexLock l(mu_);
-  sim::VirtualTime ack_us = 0;
-  Status status = queue_->Wait(ticket, ptrs, &ack_us);
-  QueueDepthGauge()->Set(static_cast<int64_t>(queue_->pending_records()));
+  // Group-commit leader: the first waiter flushes the batch for every
+  // submission coalesced into it.
+  if (open_.seq == ticket.batch_seq) (void)FlushOpenBatchLocked();
+  QueueDepthGauge()->Set(static_cast<int64_t>(open_.frame_offsets.size()));
+  auto it = outcomes_.find(ticket.batch_seq);
+  if (it == outcomes_.end()) {
+    return Status::InvalidArgument("append ticket unknown or already waited");
+  }
+  Outcome& outcome = it->second;
+  Status status = outcome.status;
+  sim::VirtualTime ack_us = outcome.ack_us;
+  if (status.ok() && ptrs != nullptr) {
+    auto begin = outcome.ptrs.begin() + ticket.first_record;
+    ptrs->assign(begin, begin + ticket.record_count);
+  }
+  if (--outcome.waiters_left == 0) outcomes_.erase(it);
   LOGBASE_RETURN_NOT_OK(status);
   sim::SimContext* ctx = sim::SimContext::Current();
   if (ctx != nullptr && ack_us > 0) ctx->AdvanceTo(ack_us);
@@ -163,14 +204,27 @@ Status LogWriter::Wait(const AppendTicket& ticket, std::vector<LogPtr>* ptrs) {
 
 Status LogWriter::Flush() {
   MutexLock l(mu_);
-  Status status = queue_->Flush();
-  QueueDepthGauge()->Set(static_cast<int64_t>(queue_->pending_records()));
+  Status status = FlushOpenBatchLocked();
+  QueueDepthGauge()->Set(static_cast<int64_t>(open_.frame_offsets.size()));
   return status;
 }
 
-AppendQueue::FlushOutcome LogWriter::FlushSealedBatchLocked(
-    const AppendQueue::SealedBatch& batch) {
-  AppendQueue::FlushOutcome out;
+Status LogWriter::FlushOpenBatchLocked() {
+  if (open_.seq == 0) return Status::OK();
+  OpenBatch batch = std::move(open_);
+  open_ = OpenBatch{};
+  Outcome outcome = WriteBatchLocked(batch);
+  outcome.waiters_left = batch.submissions;
+  static obs::HistogramMetric* batch_size =
+      obs::MetricsRegistry::Global().histogram("log.append.batch_size");
+  batch_size->Observe(static_cast<double>(batch.frame_offsets.size()));
+  Status status = outcome.status;
+  outcomes_.emplace(batch.seq, std::move(outcome));
+  return status;
+}
+
+LogWriter::Outcome LogWriter::WriteBatchLocked(const OpenBatch& batch) {
+  Outcome out;
   if (file_ == nullptr) {
     out.status = Status::InvalidArgument("log writer not open");
     return out;
@@ -210,16 +264,12 @@ AppendQueue::FlushOutcome LogWriter::FlushSealedBatchLocked(
   out.status = file_->Append(Slice(batch.frames));
   if (!out.status.ok()) return out;
 
-  SyncPolicy policy;
-  policy.ack = batch.ack == AckMode::kAll ? SyncPolicy::Ack::kAll
-                                          : SyncPolicy::Ack::kQuorum;
-  policy.max_inflight = kPipelineDepth;
   sim::SimContext* ctx = sim::SimContext::Current();
   sim::VirtualTime sync_begin = ctx != nullptr ? ctx->now() : 0;
-  SyncReceipt receipt;
-  out.status = file_->SyncWith(policy, &receipt);
+  uint64_t ack_us = 0;
+  out.status = file_->SyncWith(batch.ack, &ack_us);
   if (!out.status.ok()) return out;
-  out.ack_us = static_cast<sim::VirtualTime>(receipt.ack_us);
+  out.ack_us = static_cast<sim::VirtualTime>(ack_us);
 
   if (ctx != nullptr) {
     static obs::HistogramMetric* quorum_wait =
@@ -255,7 +305,7 @@ uint64_t LogWriter::bytes_written() const {
 
 size_t LogWriter::pending_records() const {
   MutexLock l(mu_);
-  return queue_->pending_records();
+  return open_.frame_offsets.size();
 }
 
 }  // namespace logbase::log

@@ -41,9 +41,8 @@ struct TabletServerOptions {
   /// Persist indexes after this many updates (0 = only explicit
   /// checkpoints), §3.6.1.
   uint64_t checkpoint_update_threshold = 0;
-  /// Group-commit dispatcher settings for the server's log writer (batch
-  /// window).
-  log::AppendQueueOptions group_commit;
+  /// Group-commit settings for the server's log writer (batch window).
+  log::GroupCommitOptions group_commit;
   /// Settings for IndexKind::kLsm.
   lsm::LsmOptions lsm;
   /// Multi-tenant QoS at the front door (src/qos/): disabled by default.

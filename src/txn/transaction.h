@@ -13,8 +13,9 @@
 namespace logbase::txn {
 
 /// Identifies one record cell a transaction touched. Ordered by record key
-/// first — the global lock-acquisition order that prevents deadlock
-/// (§3.7.1).
+/// first; the order only fixes how the read and write maps iterate. Locks
+/// are taken as one all-or-nothing set (`OrderedLockSet` sorts its own
+/// names), so no acquisition order is needed to prevent deadlock.
 struct TxnCell {
   std::string tablet_uid;
   std::string key;

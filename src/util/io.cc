@@ -6,13 +6,12 @@
 
 namespace logbase {
 
-Status WritableFile::SyncWith(const SyncPolicy& policy, SyncReceipt* receipt) {
-  (void)policy;
+Status WritableFile::SyncWith(AckMode ack, uint64_t* ack_us) {
+  (void)ack;
   LOGBASE_RETURN_NOT_OK(Sync());
-  if (receipt != nullptr) {
+  if (ack_us != nullptr) {
     sim::SimContext* ctx = sim::SimContext::Current();
-    receipt->ack_us = ctx != nullptr ? ctx->now() : 0;
-    receipt->full_us = receipt->ack_us;
+    *ack_us = ctx != nullptr ? ctx->now() : 0;
   }
   return Status::OK();
 }

@@ -21,30 +21,15 @@
 
 namespace logbase {
 
-/// How a Sync acknowledges durability on a replicated file.
-struct SyncPolicy {
-  enum class Ack : uint8_t {
-    /// Every replica must finish before the sync is acknowledged (the
-    /// strict chain pipeline — the historical behaviour).
-    kAll,
-    /// A majority of replicas suffices; stragglers complete in the
-    /// background (Taurus-style quorum ack).
-    kQuorum,
-  };
-  Ack ack = Ack::kAll;
-  /// Maximum syncs in flight before the caller blocks on the oldest ack.
-  /// 1 = fully synchronous; > 1 pipelines: sync k+1 ships while sync k's
-  /// ack is still outstanding.
-  int max_inflight = 1;
-};
-
-/// What a SyncWith call acknowledged, on the virtual clock.
-struct SyncReceipt {
-  /// When the policy's ack condition was met (quorum or all replicas).
-  uint64_t ack_us = 0;
-  /// When the slowest replica finished (the straggler's background
-  /// completion; == ack_us for single-copy files or Ack::kAll).
-  uint64_t full_us = 0;
+/// How a write acknowledges durability on a replicated file, from the
+/// client's WriteOptions down to the DFS sync.
+enum class AckMode : uint8_t {
+  /// A majority of replicas suffices; stragglers complete in the
+  /// background (Taurus-style quorum ack).
+  kQuorum,
+  /// Every replica must finish before the sync is acknowledged (the
+  /// strict chain ack).
+  kAll,
 };
 
 /// An append-only output file.
@@ -56,10 +41,11 @@ class WritableFile {
   /// Forces buffered data to durable storage (for the DFS adapter: the
   /// synchronous replication pipeline).
   virtual Status Sync() = 0;
-  /// Sync with an explicit ack policy. The base implementation is a plain
-  /// Sync() acknowledged immediately — single-copy files have no
-  /// replication pipeline to relax. `receipt` may be null.
-  virtual Status SyncWith(const SyncPolicy& policy, SyncReceipt* receipt);
+  /// Pipelined sync acknowledged under `ack`; `*ack_us` (may be null)
+  /// receives the virtual time the ack landed. The base implementation is a
+  /// plain Sync() acknowledged immediately — single-copy files have no
+  /// replication pipeline to relax.
+  virtual Status SyncWith(AckMode ack, uint64_t* ack_us);
   /// Blocks (advances the virtual clock) until every pipelined sync ack
   /// has landed. No-op for files without pipelined syncs outstanding.
   virtual Status WaitForAcks() { return Status::OK(); }

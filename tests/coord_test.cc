@@ -1,9 +1,8 @@
 // Tests for the coordination service: znode semantics, sessions/ephemerals,
-// watches, master election, distributed locks, timestamp oracle.
+// master election, distributed locks, timestamp oracle.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <functional>
 #include <optional>
 #include <string>
@@ -104,40 +103,6 @@ TEST(ZnodeTreeTest, EphemeralCreateWithDeadSessionFails) {
   SessionId s = tree.CreateSession();
   tree.CloseSession(s);
   EXPECT_FALSE(tree.Create(s, "/e", "", CreateMode::kEphemeral).ok());
-}
-
-TEST(ZnodeTreeTest, NodeWatchFiresOnceOnSet) {
-  ZnodeTree tree;
-  SessionId s = tree.CreateSession();
-  ASSERT_TRUE(tree.Create(s, "/w", "", CreateMode::kPersistent).ok());
-  std::atomic<int> fired{0};
-  tree.WatchNode("/w", [&fired](const std::string&) { fired++; });
-  ASSERT_TRUE(tree.Set("/w", "1").ok());
-  ASSERT_TRUE(tree.Set("/w", "2").ok());  // one-shot: no second fire
-  EXPECT_EQ(fired.load(), 1);
-}
-
-TEST(ZnodeTreeTest, NodeWatchFiresOnDelete) {
-  ZnodeTree tree;
-  SessionId s = tree.CreateSession();
-  ASSERT_TRUE(tree.Create(s, "/w", "", CreateMode::kPersistent).ok());
-  std::atomic<int> fired{0};
-  tree.WatchNode("/w", [&fired](const std::string&) { fired++; });
-  ASSERT_TRUE(tree.Delete("/w").ok());
-  EXPECT_EQ(fired.load(), 1);
-}
-
-TEST(ZnodeTreeTest, ChildWatchFiresOnCreateAndSessionExpiry) {
-  ZnodeTree tree;
-  SessionId s = tree.CreateSession();
-  ASSERT_TRUE(tree.Create(s, "/parent", "", CreateMode::kPersistent).ok());
-  std::atomic<int> fired{0};
-  tree.WatchChildren("/parent", [&fired](const std::string&) { fired++; });
-  ASSERT_TRUE(tree.Create(s, "/parent/kid", "", CreateMode::kEphemeral).ok());
-  EXPECT_EQ(fired.load(), 1);
-  tree.WatchChildren("/parent", [&fired](const std::string&) { fired++; });
-  tree.CloseSession(s);  // ephemeral kid disappears
-  EXPECT_EQ(fired.load(), 2);
 }
 
 TEST(CoordinationServiceTest, TimestampsAreUniqueAndMonotonic) {

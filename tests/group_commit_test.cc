@@ -1,6 +1,6 @@
-// Tests for the group-commit write path: append-queue coalescing
-// boundaries (window, caps, tickets), pipelined quorum-ack replication at
-// the DFS sync layer, and recovery of a quorum-durable-but-not-fully-
+// Tests for the group-commit write path: LogWriter coalescing boundaries
+// (window, caps, tickets, Open, ack mode), pipelined quorum-ack replication
+// at the DFS sync layer, and recovery of a quorum-durable-but-not-fully-
 // replicated log tail.
 
 #include <gtest/gtest.h>
@@ -141,7 +141,7 @@ TEST(AppendQueueTest, WindowExpirySealsOnNextSubmit) {
   sim::SimContext ctx;
   sim::SimContext::Scope scope(&ctx);
   MemFileSystem fs;
-  AppendQueueOptions qo;
+  GroupCommitOptions qo;
   qo.window_us = 200;
   LogWriter writer(&fs, "/log", 0, 64ull << 20, qo);
   ASSERT_TRUE(writer.Open().ok());
@@ -168,7 +168,7 @@ TEST(AppendQueueTest, WindowExpirySealsOnNextSubmit) {
 
 TEST(AppendQueueTest, WindowZeroDisablesCoalescing) {
   MemFileSystem fs;
-  AppendQueueOptions qo;
+  GroupCommitOptions qo;
   qo.window_us = 0;
   LogWriter writer(&fs, "/log", 0, 64ull << 20, qo);
   ASSERT_TRUE(writer.Open().ok());
@@ -232,6 +232,63 @@ TEST(AppendQueueTest, ScannerSeesSubmitOrderAcrossBatches) {
   EXPECT_EQ(expected_lsn, static_cast<uint64_t>(kRecords + 1));
 }
 
+TEST(AppendQueueTest, OpenDropsNeverWaitedSubmissions) {
+  MemFileSystem fs;
+  LogWriter writer(&fs, "/log", 0);
+  ASSERT_TRUE(writer.Open().ok());
+
+  // Submitted but never waited: the records sit in the open batch when the
+  // writer restarts, so no caller was ever told they were durable.
+  std::vector<LogRecord> lost = One("lost", 1);
+  auto stale = writer.Submit(&lost);
+  ASSERT_TRUE(stale.ok());
+  ASSERT_TRUE(writer.Open(/*first_lsn=*/1).ok());
+  EXPECT_EQ(writer.pending_records(), 0u);
+
+  ASSERT_TRUE(writer.Append(MakeData("kept", "v", 2)).ok());
+  LogReader reader(&fs, "/log", 0);
+  auto scanner = reader.NewScanner();
+  ASSERT_TRUE(scanner.ok());
+  std::vector<std::string> keys;
+  for (; (*scanner)->Valid(); (*scanner)->Next()) {
+    keys.push_back((*scanner)->record().row.primary_key);
+  }
+  EXPECT_TRUE((*scanner)->status().ok());
+  EXPECT_EQ(keys, std::vector<std::string>{"kept"});
+
+  std::vector<LogPtr> ptrs;
+  EXPECT_TRUE(writer.Wait(*stale, &ptrs).IsInvalidArgument());
+}
+
+TEST(AppendQueueTest, BatchAcksAtStrongestMode) {
+  sim::SimContext ctx;
+  sim::SimContext::Scope scope(&ctx);
+  dfs::DfsOptions options;
+  options.num_nodes = 3;
+  dfs::Dfs dfs(options);
+  dfs::DfsFileSystem fs(&dfs, /*client_node=*/0);
+  constexpr sim::VirtualTime kStallUs = 50000;
+  dfs.data_node(2)->disk()->set_stall_us(kStallUs);
+
+  LogWriter writer(&fs, "/log", 0);
+  ASSERT_TRUE(writer.Open().ok());
+  // Both submissions arrive at the same instant: one batch.
+  std::vector<LogRecord> q = One("q", 1);
+  std::vector<LogRecord> a = One("a", 2);
+  auto tq = writer.Submit(&q, AckMode::kQuorum);
+  auto ta = writer.Submit(&a, AckMode::kAll);
+  ASSERT_TRUE(tq.ok() && ta.ok());
+  ASSERT_EQ(tq->batch_seq, ta->batch_seq);
+
+  // The kAll submission makes the whole batch wait for the stalled
+  // replica, so even the kQuorum waiter's ack lands after the stall.
+  std::vector<LogPtr> ptrs;
+  ASSERT_TRUE(writer.Wait(*tq, &ptrs).ok());
+  EXPECT_GE(ctx.now(), kStallUs);
+  ASSERT_TRUE(writer.Wait(*ta, &ptrs).ok());
+  EXPECT_GE(ctx.now(), kStallUs);
+}
+
 // ---------------------------------------------------------------------------
 // Pipelined quorum-ack replication (DFS sync layer).
 // ---------------------------------------------------------------------------
@@ -245,16 +302,15 @@ TEST(PipelinedSyncTest, PipelineDoesNotBlockOnAcks) {
 
   auto file = dfs.Create("/pipelined", 0);
   ASSERT_TRUE(file.ok());
-  SyncPolicy policy{SyncPolicy::Ack::kQuorum, /*max_inflight=*/4};
   uint64_t last_ack = 0;
   for (int i = 0; i < 3; i++) {
     ASSERT_TRUE((*file)->Append(Slice(std::string(64 << 10, 'x'))).ok());
-    SyncReceipt receipt;
-    ASSERT_TRUE((*file)->SyncWith(policy, &receipt).ok());
+    uint64_t ack_us = 0;
+    ASSERT_TRUE((*file)->SyncWith(AckMode::kQuorum, &ack_us).ok());
     // Pipelining: the caller's clock stops at its own NIC push; the
     // replication ack is still outstanding (in the future).
-    EXPECT_LT(static_cast<uint64_t>(ctx.now()), receipt.ack_us);
-    last_ack = std::max(last_ack, receipt.ack_us);
+    EXPECT_LT(static_cast<uint64_t>(ctx.now()), ack_us);
+    last_ack = std::max(last_ack, ack_us);
   }
   // The barrier collects every outstanding ack.
   ASSERT_TRUE((*file)->WaitForAcks().ok());
@@ -272,17 +328,15 @@ TEST(PipelinedSyncTest, QuorumAckExcludesStalledStraggler) {
   dfs.data_node(2)->disk()->set_stall_us(kStallUs);
 
   // Quorum ack: the stalled replica is off the critical path — the ack
-  // lands a full stall earlier than the slowest replica's completion.
+  // lands well before the stall ends, so the straggler finishes at least
+  // half a stall after it.
   {
     auto file = dfs.Create("/quorum", 0);
     ASSERT_TRUE(file.ok());
     ASSERT_TRUE((*file)->Append(Slice(std::string(1024, 'x'))).ok());
-    SyncReceipt receipt;
-    ASSERT_TRUE((*file)
-                    ->SyncWith(SyncPolicy{SyncPolicy::Ack::kQuorum, 1},
-                               &receipt)
-                    .ok());
-    EXPECT_GE(receipt.full_us, receipt.ack_us + kStallUs / 2);
+    uint64_t ack_us = 0;
+    ASSERT_TRUE((*file)->SyncWith(AckMode::kQuorum, &ack_us).ok());
+    EXPECT_LT(ack_us, static_cast<uint64_t>(kStallUs / 2));
     ASSERT_TRUE((*file)->Close().ok());
   }
   // Full ack: the straggler gates the ack.
@@ -290,13 +344,9 @@ TEST(PipelinedSyncTest, QuorumAckExcludesStalledStraggler) {
     auto file = dfs.Create("/all", 0);
     ASSERT_TRUE(file.ok());
     ASSERT_TRUE((*file)->Append(Slice(std::string(1024, 'x'))).ok());
-    SyncReceipt receipt;
-    ASSERT_TRUE(
-        (*file)
-            ->SyncWith(SyncPolicy{SyncPolicy::Ack::kAll, 1}, &receipt)
-            .ok());
-    EXPECT_EQ(receipt.full_us, receipt.ack_us);
-    EXPECT_GE(receipt.ack_us, static_cast<uint64_t>(kStallUs));
+    uint64_t ack_us = 0;
+    ASSERT_TRUE((*file)->SyncWith(AckMode::kAll, &ack_us).ok());
+    EXPECT_GE(ack_us, static_cast<uint64_t>(kStallUs));
     ASSERT_TRUE((*file)->Close().ok());
   }
 }
