@@ -1,6 +1,6 @@
 // Figure 18 — Recovery time for a failed tablet server holding 600-900MB
 // (scaled), with a checkpoint taken at 500MB vs without any checkpoint.
-// With a checkpoint, restart reloads the persisted index files and redoes
+// With a checkpoint, restart reloads the server's checkpoint file and redoes
 // only the log tail; without, it scans the entire log.
 
 #include "bench/common.h"

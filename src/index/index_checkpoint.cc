@@ -1,80 +1,40 @@
 #include "src/index/index_checkpoint.h"
 
 #include "src/util/coding.h"
-#include "src/util/crc32c.h"
 
 namespace logbase::index {
 
-namespace {
-constexpr uint64_t kCheckpointMagic = 0x4c42494458ull;  // "LBIDX"
-}  // namespace
-
-Status WriteIndexCheckpoint(FileSystem* fs, const std::string& path,
-                            const MultiVersionIndex& index) {
-  std::string buffer;
-  PutFixed64(&buffer, kCheckpointMagic);
-  PutFixed64(&buffer, index.num_entries());
+void EncodeIndexSection(const MultiVersionIndex& index, std::string* out) {
+  const size_t count_at = out->size();
+  PutFixed64(out, 0);
   uint64_t written = 0;
-  index.VisitAll([&buffer, &written](const IndexEntry& entry) {
-    PutLengthPrefixedSlice(&buffer, Slice(entry.key));
-    PutFixed64(&buffer, entry.timestamp);
-    log::EncodeLogPtr(&buffer, entry.ptr);
+  index.VisitAll([out, &written](const IndexEntry& entry) {
+    PutLengthPrefixedSlice(out, Slice(entry.key));
+    PutFixed64(out, entry.timestamp);
+    log::EncodeLogPtr(out, entry.ptr);
     written++;
   });
-  // VisitAll may observe a count that moved under concurrent writes; store
-  // what was actually serialized.
-  EncodeFixed64(buffer.data() + 8, written);
-  PutFixed32(&buffer,
-             crc32c::Mask(crc32c::Value(buffer.data(), buffer.size())));
-
-  auto file = fs->NewWritableFile(path);
-  if (!file.ok()) return file.status();
-  LOGBASE_RETURN_NOT_OK((*file)->Append(Slice(buffer)));
-  LOGBASE_RETURN_NOT_OK((*file)->Sync());
-  return (*file)->Close();
+  // num_entries() may move under concurrent writes; store what was
+  // actually serialized.
+  EncodeFixed64(out->data() + count_at, written);
 }
 
-Status LoadIndexCheckpoint(FileSystem* fs, const std::string& path,
-                           MultiVersionIndex* index) {
-  return LoadIndexCheckpointFiltered(fs, path, index, nullptr);
-}
-
-Status LoadIndexCheckpointFiltered(
-    FileSystem* fs, const std::string& path, MultiVersionIndex* index,
+Status DecodeIndexSection(
+    Slice* in, MultiVersionIndex* index,
     const std::function<bool(const Slice& key)>& filter) {
-  auto file = fs->NewRandomAccessFile(path);
-  if (!file.ok()) return file.status();
-  auto contents = (*file)->Read(0, (*file)->Size());
-  if (!contents.ok()) return contents.status();
-  if (contents->size() < 20) {
-    return Status::Corruption("index checkpoint too short");
-  }
-
-  uint32_t stored_crc =
-      crc32c::Unmask(DecodeFixed32(contents->data() + contents->size() - 4));
-  uint32_t actual_crc =
-      crc32c::Value(contents->data(), contents->size() - 4);
-  if (stored_crc != actual_crc) {
-    return Status::Corruption("index checkpoint checksum mismatch");
-  }
-
-  Slice input(contents->data(), contents->size() - 4);
-  uint64_t magic, count;
-  if (!GetFixed64(&input, &magic) || magic != kCheckpointMagic) {
-    return Status::Corruption("bad index checkpoint magic");
-  }
-  if (!GetFixed64(&input, &count)) {
-    return Status::Corruption("bad index checkpoint header");
+  uint64_t count;
+  if (!GetFixed64(in, &count)) {
+    return Status::Corruption("bad index section header");
   }
   for (uint64_t i = 0; i < count; i++) {
     Slice key;
     uint64_t timestamp;
     log::LogPtr ptr;
-    if (!GetLengthPrefixedSlice(&input, &key) ||
-        !GetFixed64(&input, &timestamp) || !log::DecodeLogPtr(&input, &ptr)) {
-      return Status::Corruption("bad index checkpoint entry");
+    if (!GetLengthPrefixedSlice(in, &key) || !GetFixed64(in, &timestamp) ||
+        !log::DecodeLogPtr(in, &ptr)) {
+      return Status::Corruption("bad index section entry");
     }
-    if (filter != nullptr && !filter(key)) continue;
+    if (index == nullptr || (filter != nullptr && !filter(key))) continue;
     LOGBASE_RETURN_NOT_OK(index->Insert(key, timestamp, ptr));
   }
   return Status::OK();

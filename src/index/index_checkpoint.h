@@ -1,11 +1,9 @@
-// Persisting an in-memory index to a DFS index file and reloading it — the
-// checkpoint primitive (paper §3.5/§3.8): flushing indexes to index files
-// lets a restarted tablet server reload them instead of scanning the whole
-// log.
-//
-// File format: fixed64 magic, fixed64 entry count, entries (length-prefixed
-// key, fixed64 timestamp, LogPtr), fixed32 masked CRC32C over everything
-// before it.
+// The index section of a checkpoint (paper §3.5/§3.8): one in-memory index
+// encoded as fixed64 entry count, then entries (length-prefixed key, fixed64
+// timestamp, LogPtr). A tablet server's checkpoint file holds one section
+// per hosted tablet; reloading the sections lets a restarted server skip
+// scanning the whole log. The file, its header and its checksum belong to
+// the tablet server (src/tablet/checkpoint.cc).
 
 #ifndef LOGBASE_INDEX_INDEX_CHECKPOINT_H_
 #define LOGBASE_INDEX_INDEX_CHECKPOINT_H_
@@ -14,24 +12,18 @@
 #include <string>
 
 #include "src/index/multiversion_index.h"
-#include "src/util/io.h"
 
 namespace logbase::index {
 
-/// Writes all entries of `index` to `path` (replacing any existing file).
-Status WriteIndexCheckpoint(FileSystem* fs, const std::string& path,
-                            const MultiVersionIndex& index);
+/// Appends every entry of `index` to `out` as one section.
+void EncodeIndexSection(const MultiVersionIndex& index, std::string* out);
 
-/// Loads a checkpoint file, inserting every entry into `index`.
-Status LoadIndexCheckpoint(FileSystem* fs, const std::string& path,
-                           MultiVersionIndex* index);
-
-/// Loads a checkpoint file, inserting only the entries whose key passes
-/// `filter`. Tablet splits rebuild each child from the parent's checkpoint
-/// restricted to the child's key range (the log itself is never copied).
-Status LoadIndexCheckpointFiltered(
-    FileSystem* fs, const std::string& path, MultiVersionIndex* index,
-    const std::function<bool(const Slice& key)>& filter);
+/// Consumes one section from the front of `in`, inserting each entry whose
+/// key passes `filter` (every entry when null) into `index`. A null `index`
+/// only checks and skips the section.
+Status DecodeIndexSection(
+    Slice* in, MultiVersionIndex* index,
+    const std::function<bool(const Slice& key)>& filter = nullptr);
 
 }  // namespace logbase::index
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/index/blink_tree.h"
-#include "src/index/index_checkpoint.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/sim_context.h"

@@ -1,7 +1,7 @@
-// Checkpointing (paper §3.8): the tablet server persists every tablet's
-// in-memory index into a DFS index file plus a checkpoint block holding the
-// log position / LSN whose effects those files already contain. Recovery
-// reloads the files and redoes only the log tail after the position.
+// Checkpointing (paper §3.8): the tablet server persists every hosted
+// tablet's in-memory index, together with the log position / LSN whose
+// effects those indexes already contain, as one DFS file. Recovery reloads
+// the file and redoes only the log tail after the position.
 
 #include "src/tablet/checkpoint_internal.h"
 
@@ -15,11 +15,7 @@ namespace logbase::tablet {
 
 namespace checkpoint_internal {
 
-std::string MetaPath(const std::string& dir) { return dir + "/CHECKPOINT"; }
-
-std::string IndexFilePath(const std::string& dir, const std::string& uid) {
-  return dir + "/" + uid + ".idx";
-}
+namespace {
 
 void EncodeDescriptor(std::string* out, const TabletDescriptor& d,
                       uint32_t source_instance) {
@@ -48,19 +44,30 @@ bool DecodeDescriptor(Slice* in, TabletDescriptor* d,
   return true;
 }
 
-Status LoadMeta(FileSystem* fs, const std::string& dir, CheckpointMeta* meta) {
-  auto file = fs->NewRandomAccessFile(MetaPath(dir));
+}  // namespace
+
+std::string CheckpointPath(const std::string& dir) {
+  return dir + "/CHECKPOINT";
+}
+
+Status LoadCheckpoint(FileSystem* fs, const std::string& dir,
+                      CheckpointMeta* meta) {
+  const std::string path = CheckpointPath(dir);
+  if (!fs->Exists(path)) return Status::NotFound(path);
+  auto file = fs->NewRandomAccessFile(path);
   if (!file.ok()) return file.status();
   auto contents = (*file)->Read(0, (*file)->Size());
   if (!contents.ok()) return contents.status();
-  if (contents->size() < 4) return Status::Corruption("checkpoint too short");
+  meta->contents = std::move(*contents);
+  const std::string& bytes = meta->contents;
+  if (bytes.size() < 4) return Status::Corruption("checkpoint too short");
 
   uint32_t stored =
-      crc32c::Unmask(DecodeFixed32(contents->data() + contents->size() - 4));
-  if (stored != crc32c::Value(contents->data(), contents->size() - 4)) {
+      crc32c::Unmask(DecodeFixed32(bytes.data() + bytes.size() - 4));
+  if (stored != crc32c::Value(bytes.data(), bytes.size() - 4)) {
     return Status::Corruption("checkpoint checksum mismatch");
   }
-  Slice in(contents->data(), contents->size() - 4);
+  Slice in(bytes.data(), bytes.size() - 4);
   uint64_t magic;
   uint32_t count;
   if (!GetFixed64(&in, &magic) || magic != kCheckpointMagic ||
@@ -70,13 +77,17 @@ Status LoadMeta(FileSystem* fs, const std::string& dir, CheckpointMeta* meta) {
     return Status::Corruption("bad checkpoint header");
   }
   for (uint32_t i = 0; i < count; i++) {
-    TabletDescriptor d;
-    uint32_t source;
-    if (!DecodeDescriptor(&in, &d, &source)) {
+    CheckpointMeta::TabletSection section;
+    if (!DecodeDescriptor(&in, &section.descriptor,
+                          &section.source_instance)) {
       return Status::Corruption("bad checkpoint tablet entry");
     }
-    meta->tablets.emplace_back(std::move(d), source);
+    const char* begin = in.data();
+    LOGBASE_RETURN_NOT_OK(index::DecodeIndexSection(&in, nullptr));
+    section.entries = Slice(begin, static_cast<size_t>(in.data() - begin));
+    meta->tablets.push_back(std::move(section));
   }
+  if (!in.empty()) return Status::Corruption("checkpoint trailing bytes");
   return Status::OK();
 }
 
@@ -85,16 +96,16 @@ Result<CheckpointSeed> SeedFromCheckpoint(FileSystem* fs,
                                           const TabletDescriptor& descriptor,
                                           index::MultiVersionIndex* index) {
   CheckpointSeed seed;
-  if (!fs->Exists(MetaPath(dir))) return seed;
   CheckpointMeta meta;
-  LOGBASE_RETURN_NOT_OK(LoadMeta(fs, dir, &meta));
-  for (const auto& [d, source] : meta.tablets) {
-    if (!d.Overlaps(descriptor)) continue;
-    std::string idx_path = IndexFilePath(dir, d.uid());
-    if (!fs->Exists(idx_path)) continue;
+  Status s = LoadCheckpoint(fs, dir, &meta);
+  if (s.IsNotFound()) return seed;
+  LOGBASE_RETURN_NOT_OK(s);
+  for (const auto& section : meta.tablets) {
+    if (!section.descriptor.Overlaps(descriptor)) continue;
     uint64_t before = index->num_entries();
-    LOGBASE_RETURN_NOT_OK(index::LoadIndexCheckpointFiltered(
-        fs, idx_path, index, [&descriptor](const Slice& key) {
+    Slice entries = section.entries;
+    LOGBASE_RETURN_NOT_OK(index::DecodeIndexSection(
+        &entries, index, [&descriptor](const Slice& key) {
           return descriptor.Contains(key);
         }));
     seed.loaded = true;
@@ -109,7 +120,8 @@ Result<CheckpointSeed> SeedFromCheckpoint(FileSystem* fs,
 Status WriteServerCheckpoint(TabletServer* server) {
   namespace ci = checkpoint_internal;
   FileSystem* fs = server->fs_.get();
-  const std::string dir = server->checkpoint_dir();
+  const std::string path = ci::CheckpointPath(server->checkpoint_dir());
+  MutexLock checkpoint_lock(server->checkpoint_mu_);
 
   // Capture the position FIRST: index entries created after it will simply
   // be redone on recovery (redo is an idempotent upsert). Flush drains any
@@ -118,38 +130,52 @@ Status WriteServerCheckpoint(TabletServer* server) {
   log::LogPosition position = server->writer_->Position();
   uint64_t next_lsn = server->writer_->next_lsn();
 
-  std::vector<std::pair<TabletDescriptor, uint32_t>> descriptors;
+  // Encode under the lock, write after releasing it. Each update counter
+  // resets before its tablet is encoded, so an update published during or
+  // after the encode counts toward the next threshold checkpoint.
+  std::vector<std::string> sections;
   {
     MutexLock l(server->tablets_mu_);
+    sections.reserve(server->tablets_.size());
     for (auto& [uid, tablet] : server->tablets_) {
-      descriptors.emplace_back(tablet->descriptor(),
-                               tablet->source_instance());
-      std::string path = ci::IndexFilePath(dir, uid);
-      std::string tmp = path + ".tmp";
-      LOGBASE_RETURN_NOT_OK(
-          index::WriteIndexCheckpoint(fs, tmp, *tablet->index()));
-      LOGBASE_RETURN_NOT_OK(fs->Rename(tmp, path));
+      tablet->ResetUpdateCounter();
+      std::string& section = sections.emplace_back();
+      ci::EncodeDescriptor(&section, tablet->descriptor(),
+                           tablet->source_instance());
+      index::EncodeIndexSection(*tablet->index(), &section);
     }
   }
 
-  std::string meta;
-  PutFixed64(&meta, ci::kCheckpointMagic);
-  PutFixed32(&meta, position.segment);
-  PutFixed64(&meta, position.offset);
-  PutFixed64(&meta, next_lsn);
-  PutFixed32(&meta, static_cast<uint32_t>(descriptors.size()));
-  for (const auto& [descriptor, source] : descriptors) {
-    ci::EncodeDescriptor(&meta, descriptor, source);
-  }
-  PutFixed32(&meta, crc32c::Mask(crc32c::Value(meta.data(), meta.size())));
+  std::string header;
+  PutFixed64(&header, ci::kCheckpointMagic);
+  PutFixed32(&header, position.segment);
+  PutFixed64(&header, position.offset);
+  PutFixed64(&header, next_lsn);
+  PutFixed32(&header, static_cast<uint32_t>(sections.size()));
 
-  std::string tmp = ci::MetaPath(dir) + ".tmp";
+  // One file, renamed into place once: the anchor and every section become
+  // visible together.
+  const std::string tmp = path + ".tmp";
   auto file = fs->NewWritableFile(tmp);
   if (!file.ok()) return file.status();
-  LOGBASE_RETURN_NOT_OK((*file)->Append(Slice(meta)));
+  uint32_t crc = 0;
+  auto append = [&file, &crc](const std::string& bytes) {
+    crc = crc32c::Extend(crc, bytes.data(), bytes.size());
+    return (*file)->Append(Slice(bytes));
+  };
+  LOGBASE_RETURN_NOT_OK(append(header));
+  for (std::string& section : sections) {
+    LOGBASE_RETURN_NOT_OK(append(section));
+    // The file buffers what it was given until Sync; drop this copy so the
+    // checkpoint holds about one copy of the indexes, not two.
+    std::string().swap(section);
+  }
+  std::string trailer;
+  PutFixed32(&trailer, crc32c::Mask(crc));
+  LOGBASE_RETURN_NOT_OK((*file)->Append(Slice(trailer)));
   LOGBASE_RETURN_NOT_OK((*file)->Sync());
   LOGBASE_RETURN_NOT_OK((*file)->Close());
-  LOGBASE_RETURN_NOT_OK(fs->Rename(tmp, ci::MetaPath(dir)));
+  LOGBASE_RETURN_NOT_OK(fs->Rename(tmp, path));
   LOGBASE_LOG(kDebug, "server %d checkpoint at segment %u offset %llu",
               server->server_id(), position.segment,
               static_cast<unsigned long long>(position.offset));

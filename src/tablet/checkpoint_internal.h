@@ -1,11 +1,10 @@
 // Shared between checkpoint.cc (writer), recovery.cc (loader) and replica
-// seeding: the checkpoint block format and the range-filtered reload.
+// seeding: the checkpoint file format and the range-filtered reload.
 
 #ifndef LOGBASE_TABLET_CHECKPOINT_INTERNAL_H_
 #define LOGBASE_TABLET_CHECKPOINT_INTERNAL_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/index/multiversion_index.h"
@@ -15,29 +14,47 @@
 
 namespace logbase::tablet::checkpoint_internal {
 
-inline constexpr uint64_t kCheckpointMagic = 0x4c42434b50ull;  // "LBCKP"
+/// One file per server: fixed64 magic, the log position (fixed32 segment,
+/// fixed64 offset), fixed64 next LSN, fixed32 tablet count; per tablet its
+/// descriptor, fixed32 source instance and index section
+/// (index::EncodeIndexSection); fixed32 masked CRC32C over all before it.
+inline constexpr uint64_t kCheckpointMagic = 0x4c42434b5032ull;  // "LBCKP2"
 
-std::string MetaPath(const std::string& dir);
-std::string IndexFilePath(const std::string& dir, const std::string& uid);
+std::string CheckpointPath(const std::string& dir);
 
 struct CheckpointMeta {
+  CheckpointMeta() = default;
+  // Pinned in place: every section's `entries` points into `contents`.
+  CheckpointMeta(const CheckpointMeta&) = delete;
+  CheckpointMeta& operator=(const CheckpointMeta&) = delete;
+
   log::LogPosition position;
   uint64_t next_lsn = 1;
-  /// Descriptors plus the log instance each tablet reads from.
-  std::vector<std::pair<TabletDescriptor, uint32_t>> tablets;
+  struct TabletSection {
+    TabletDescriptor descriptor;
+    /// The log instance the tablet reads from.
+    uint32_t source_instance = 0;
+    /// Its encoded index section; points into `contents`.
+    Slice entries;
+  };
+  std::vector<TabletSection> tablets;
+  std::string contents;  // the file's bytes
 };
 
-Status LoadMeta(FileSystem* fs, const std::string& dir, CheckpointMeta* meta);
+/// Reads and checks the checkpoint under `dir` into `meta` (NotFound when
+/// there is none).
+Status LoadCheckpoint(FileSystem* fs, const std::string& dir,
+                      CheckpointMeta* meta);
 
 /// What SeedFromCheckpoint loaded.
 struct CheckpointSeed {
-  bool loaded = false;           // some checkpointed index file overlapped
+  bool loaded = false;           // some checkpointed tablet overlapped
   log::LogPosition start{0, 0};  // the seeded index is complete up to here
   uint64_t entries = 0;          // entries loaded into the index
 };
 
 /// Loads the checkpointed index entries under `dir` that fall in
-/// `descriptor`'s key range into `index`. Entries are matched by range
+/// `descriptor`'s key range into `index`. Sections are matched by range
 /// overlap, never by uid: a split child seeds its half of the parent's
 /// checkpoint. Without a checkpoint nothing loads and the redo starts at the
 /// log's beginning. Shared by tablet adoption and replica seeding.

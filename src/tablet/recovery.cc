@@ -1,14 +1,14 @@
-// Recovery (paper §3.8): reload the persisted index files named by the last
-// checkpoint block, then redo the log from the checkpoint position through
+// Recovery (paper §3.8): reload the index sections of the server's last
+// checkpoint file, then redo the log from the checkpoint position through
 // the committed-record applier. Redo is an idempotent upsert keyed by (key,
 // write timestamp); uncommitted transactional entries are ignored (their
 // COMMIT record never appears) and invalidated entries re-apply deletions.
 // Repeated crashes during recovery simply redo again.
 //
 // Also implements tablet adoption after *permanent* server failures: the new
-// owner loads the dead server's per-tablet index file and redoes the dead
-// log's tail filtered to the adopted tablet, reading everything from the
-// shared DFS.
+// owner loads the overlapping sections of the dead server's checkpoint and
+// redoes the dead log's tail filtered to the adopted tablet, reading
+// everything from the shared DFS.
 
 #include <algorithm>
 
@@ -46,37 +46,42 @@ Result<uint64_t> RedoLog(TabletServer* server, uint32_t instance,
   return max_lsn;
 }
 
+/// Opens every tablet of `server`'s checkpoint and loads its index section,
+/// and sets the redo start and the next LSN; without a checkpoint it leaves
+/// them as they are. The file's bytes are freed before the redo runs.
+Status LoadOwnCheckpoint(FileSystem* fs, TabletServer* server,
+                         RecoveryStats* stats, log::LogPosition* start,
+                         uint64_t* next_lsn) {
+  checkpoint_internal::CheckpointMeta meta;
+  Status s = checkpoint_internal::LoadCheckpoint(fs, server->checkpoint_dir(),
+                                                 &meta);
+  if (s.IsNotFound()) return Status::OK();
+  LOGBASE_RETURN_NOT_OK(s);
+  *start = meta.position;
+  *next_lsn = meta.next_lsn;
+  if (stats != nullptr) stats->loaded_checkpoint = true;
+  for (const auto& section : meta.tablets) {
+    LOGBASE_RETURN_NOT_OK(server->OpenTablet(section.descriptor));
+    Tablet* tablet = server->FindTablet(section.descriptor.uid());
+    tablet->set_source_instance(section.source_instance);
+    Slice entries = section.entries;
+    LOGBASE_RETURN_NOT_OK(
+        index::DecodeIndexSection(&entries, tablet->index()));
+    if (stats != nullptr) {
+      stats->checkpoint_entries += tablet->index()->num_entries();
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status RunRecovery(TabletServer* server, RecoveryStats* stats) {
-  namespace ci = checkpoint_internal;
-  FileSystem* fs = server->fs_.get();
-  const std::string ckpt_dir = server->checkpoint_dir();
-
   log::LogPosition start{0, 0};
   uint64_t next_lsn = 1;
 
-  if (fs->Exists(ci::MetaPath(ckpt_dir))) {
-    ci::CheckpointMeta meta;
-    LOGBASE_RETURN_NOT_OK(ci::LoadMeta(fs, ckpt_dir, &meta));
-    start = meta.position;
-    next_lsn = meta.next_lsn;
-    if (stats != nullptr) stats->loaded_checkpoint = true;
-
-    for (const auto& [descriptor, source] : meta.tablets) {
-      LOGBASE_RETURN_NOT_OK(server->OpenTablet(descriptor));
-      Tablet* tablet = server->FindTablet(descriptor.uid());
-      tablet->set_source_instance(source);
-      std::string idx_path = ci::IndexFilePath(ckpt_dir, descriptor.uid());
-      if (fs->Exists(idx_path)) {
-        LOGBASE_RETURN_NOT_OK(
-            index::LoadIndexCheckpoint(fs, idx_path, tablet->index()));
-        if (stats != nullptr) {
-          stats->checkpoint_entries += tablet->index()->num_entries();
-        }
-      }
-    }
-  }
+  LOGBASE_RETURN_NOT_OK(LoadOwnCheckpoint(server->fs_.get(), server, stats,
+                                          &start, &next_lsn));
 
   // Redo the tail of our own log. Records of tablets we have not seen yet
   // (no checkpoint — e.g. first crash before any checkpoint) recreate their

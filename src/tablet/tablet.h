@@ -1,7 +1,7 @@
 // One tablet as hosted by a tablet server: the descriptor plus the
 // per-column-group in-memory multiversion index and its persistence counter
 // (paper §3.6.1: an update counter triggers merging the index out to an
-// index file).
+// index file; here, the server's checkpoint file).
 
 #ifndef LOGBASE_TABLET_TABLET_H_
 #define LOGBASE_TABLET_TABLET_H_

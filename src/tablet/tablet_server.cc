@@ -565,13 +565,7 @@ Result<uint64_t> TabletServer::LatestVersion(const std::string& tablet_uid,
 Status TabletServer::Checkpoint() {
   obs::Span span("tablet.checkpoint");
   Status s = WriteServerCheckpoint(this);
-  if (s.ok()) {
-    TabletCounter("tablet.checkpoint.count")->Add();
-    MutexLock l(tablets_mu_);
-    for (auto& [uid, tablet] : tablets_) {
-      tablet->ResetUpdateCounter();
-    }
-  }
+  if (s.ok()) TabletCounter("tablet.checkpoint.count")->Add();
   return s;
 }
 

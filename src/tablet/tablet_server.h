@@ -216,8 +216,8 @@ class TabletServer {
 
   // -- Maintenance -------------------------------------------------------
 
-  /// Persists all indexes + a checkpoint block {log position, last LSN}
-  /// (§3.8).
+  /// Persists every hosted tablet's index with the log position and next
+  /// LSN they cover, as one checkpoint file (§3.8).
   Status Checkpoint();
   /// Log compaction (§3.6.5): drops uncommitted/invalidated/obsolete
   /// entries, clusters the survivors by (table, column group, key,
@@ -297,6 +297,9 @@ class TabletServer {
   // data-path threads never touch the session.
   coord::SessionId session_ = 0;
 
+  // Serializes checkpoints: each writes and renames the same DFS file.
+  OrderedMutex checkpoint_mu_{lockrank::kTabletServerCheckpoint,
+                              "tablet.server.checkpoint"};
   mutable OrderedMutex tablets_mu_{lockrank::kTabletServerTablets,
                                  "tablet.server.tablets"};
   // Values are handed out as raw Tablet* for use off-lock: a tablet object

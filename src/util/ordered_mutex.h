@@ -51,7 +51,9 @@ enum Rank : uint32_t {
   kHBaseServerTimestamps = 160, // baselines::HBaseServer::ts_mu_
   kHBaseTablet = 170,           // baselines::HBaseTablet::mu_
 
-  // Tablet server: tablets_mu_ is held across index-checkpoint DFS writes.
+  // Tablet server: checkpoint_mu_ is held across the checkpoint's log flush
+  // and DFS write; tablets_mu_ only while the sections are encoded.
+  kTabletServerCheckpoint = 195,// tablet::TabletServer::checkpoint_mu_
   kTabletServerTablets = 200,   // tablet::TabletServer::tablets_mu_
   kTabletServerReaders = 210,   // tablet::TabletServer::readers_mu_
   kTabletServerTimestamps = 220,// tablet::TabletServer::ts_mu_

@@ -1,7 +1,7 @@
 // Tests for the multiversion index: composite key codec, the B-link tree
 // (unit + randomized differential + concurrency), the LSM-backed index, and
-// index checkpoint persistence. The differential suites run against both
-// index kinds through the common interface.
+// the checkpoint's index section codec. The differential suites run against
+// both index kinds through the common interface.
 
 #include <gtest/gtest.h>
 
@@ -396,21 +396,24 @@ TEST(BlinkTreeTest, ConcurrentReadersDuringSplits) {
 }
 
 // ---------------------------------------------------------------------------
-// Index checkpoints
+// Index checkpoint sections (the server-level file is tested in
+// tablet_test.cc)
 // ---------------------------------------------------------------------------
 
 TEST(IndexCheckpointTest, PersistAndReload) {
-  MemFileSystem fs;
   BlinkTree original;
   Random rnd(88);
   for (int i = 0; i < 2000; i++) {
     std::string key = "ck" + std::to_string(rnd.Uniform(400));
     ASSERT_TRUE(original.Insert(key, rnd.Uniform(50) + 1, Ptr(3, i)).ok());
   }
-  ASSERT_TRUE(WriteIndexCheckpoint(&fs, "/ckpt.idx", original).ok());
+  std::string section;
+  EncodeIndexSection(original, &section);
 
   BlinkTree reloaded;
-  ASSERT_TRUE(LoadIndexCheckpoint(&fs, "/ckpt.idx", &reloaded).ok());
+  Slice in(section);
+  ASSERT_TRUE(DecodeIndexSection(&in, &reloaded).ok());
+  EXPECT_TRUE(in.empty());
   EXPECT_EQ(reloaded.num_entries(), original.num_entries());
   original.VisitAll([&reloaded](const IndexEntry& entry) {
     auto got = reloaded.GetAsOf(Slice(entry.key), entry.timestamp);
@@ -421,38 +424,20 @@ TEST(IndexCheckpointTest, PersistAndReload) {
 }
 
 TEST(IndexCheckpointTest, CrossImplementationReload) {
-  // Checkpoint written from a B-link tree loads into an LSM index.
+  // A section encoded from a B-link tree loads into an LSM index.
   MemFileSystem fs;
   BlinkTree original;
   for (int i = 0; i < 100; i++) {
     ASSERT_TRUE(original.Insert("k" + std::to_string(i), 5, Ptr(1, i)).ok());
   }
-  ASSERT_TRUE(WriteIndexCheckpoint(&fs, "/x.idx", original).ok());
+  std::string section;
+  EncodeIndexSection(original, &section);
   lsm::LsmOptions options;
   auto lsm_index = LsmIndex::Open(options, &fs, "/lsmidx");
   ASSERT_TRUE(lsm_index.ok());
-  ASSERT_TRUE(LoadIndexCheckpoint(&fs, "/x.idx", lsm_index->get()).ok());
+  Slice in(section);
+  ASSERT_TRUE(DecodeIndexSection(&in, lsm_index->get()).ok());
   EXPECT_EQ((*lsm_index)->GetLatest("k42")->ptr.offset, 42u);
-}
-
-TEST(IndexCheckpointTest, CorruptionRejected) {
-  MemFileSystem fs;
-  BlinkTree original;
-  ASSERT_TRUE(original.Insert("k", 1, Ptr(1, 1)).ok());
-  ASSERT_TRUE(WriteIndexCheckpoint(&fs, "/c.idx", original).ok());
-  auto rf = fs.NewRandomAccessFile("/c.idx");
-  auto bytes = (*rf)->Read(0, (*rf)->Size());
-  (*bytes)[10] ^= 0x80;
-  auto wf = fs.NewWritableFile("/c.idx");
-  ASSERT_TRUE((*wf)->Append(*bytes).ok());
-  BlinkTree reloaded;
-  EXPECT_TRUE(LoadIndexCheckpoint(&fs, "/c.idx", &reloaded).IsCorruption());
-}
-
-TEST(IndexCheckpointTest, MissingFileIsNotFound) {
-  MemFileSystem fs;
-  BlinkTree index;
-  EXPECT_TRUE(LoadIndexCheckpoint(&fs, "/absent", &index).IsNotFound());
 }
 
 }  // namespace

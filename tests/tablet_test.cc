@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "src/dfs/dfs.h"
 #include "src/query/plan.h"
+#include "src/sim/disk_model.h"
+#include "src/sim/sim_context.h"
 #include "src/tablet/read_buffer.h"
 #include "src/tablet/tablet_server.h"
+#include "src/util/coding.h"
+#include "src/util/crc32c.h"
 
 namespace logbase::tablet {
 namespace {
@@ -429,6 +434,150 @@ TEST(RecoveryTest, AdoptTabletFromDeadServer) {
   // New writes go to the heir's own log.
   ASSERT_TRUE(heir.Put(d.uid(), "new", "v").ok());
   EXPECT_TRUE(heir.Get(d.uid(), "new").ok());
+}
+
+/// Every file under `server`'s checkpoint directory, with its bytes.
+std::map<std::string, std::string> CheckpointFiles(dfs::Dfs* dfs,
+                                                   TabletServer* server) {
+  std::map<std::string, std::string> files;
+  auto paths = dfs->List(server->checkpoint_dir() + "/");
+  EXPECT_TRUE(paths.ok());
+  if (!paths.ok()) return files;
+  for (const std::string& path : *paths) {
+    auto file = dfs->Open(path, 0);
+    EXPECT_TRUE(file.ok()) << path;
+    if (!file.ok()) continue;
+    auto bytes = (*file)->Read(0, (*file)->Size());
+    EXPECT_TRUE(bytes.ok()) << path;
+    if (bytes.ok()) files[path] = *bytes;
+  }
+  return files;
+}
+
+/// Replaces the DFS file at `path` with `bytes`.
+void RewriteFile(dfs::Dfs* dfs, const std::string& path,
+                 const std::string& bytes) {
+  ASSERT_TRUE(dfs->Delete(path).ok());
+  auto file = dfs->Create(path, 0);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->Append(Slice(bytes)).ok());
+  ASSERT_TRUE((*file)->Close().ok());
+}
+
+TEST(RecoveryTest, CorruptCheckpointFailsStart) {
+  ServerFixture f;
+  for (int i = 0; i < 100; i++) {
+    ASSERT_TRUE(f.server->Put(f.uid, "k" + std::to_string(i), "v").ok());
+  }
+  ASSERT_TRUE(f.server->Checkpoint().ok());
+  auto files = CheckpointFiles(f.dfs.get(), f.server.get());
+  ASSERT_EQ(files.size(), 1u);
+  auto& [path, bytes] = *files.begin();
+  bytes[bytes.size() / 2] ^= 0x80;  // inside the tablet's index section
+  RewriteFile(f.dfs.get(), path, bytes);
+  f.server->Crash();
+  // The whole file is rejected; no part of it loads.
+  EXPECT_TRUE(f.server->Start().IsCorruption());
+
+  // So is a file in the earlier meta-file format ("LBCKP" magic, no
+  // sections) whose checksum holds.
+  std::string old_format;
+  PutFixed64(&old_format, 0x4c42434b50ull);
+  PutFixed32(&old_format, 0);  // log position
+  PutFixed64(&old_format, 0);
+  PutFixed64(&old_format, 1);  // next LSN
+  PutFixed32(&old_format, 0);  // tablets
+  PutFixed32(&old_format, crc32c::Mask(crc32c::Value(old_format.data(),
+                                                     old_format.size())));
+  RewriteFile(f.dfs.get(), path, old_format);
+  f.server->Crash();
+  EXPECT_TRUE(f.server->Start().IsCorruption());
+}
+
+TEST(RecoveryTest, MissingCheckpointRedoesWholeLog) {
+  ServerFixture f;
+  for (int i = 0; i < 100; i++) {
+    ASSERT_TRUE(f.server->Put(f.uid, "k" + std::to_string(i), "v").ok());
+  }
+  ASSERT_TRUE(f.server->Checkpoint().ok());
+  auto files = CheckpointFiles(f.dfs.get(), f.server.get());
+  ASSERT_EQ(files.size(), 1u);
+  ASSERT_TRUE(f.dfs->Delete(files.begin()->first).ok());
+  f.server->Crash();
+  RecoveryStats stats;
+  ASSERT_TRUE(f.server->Start(&stats).ok());
+  EXPECT_FALSE(stats.loaded_checkpoint);
+  EXPECT_EQ(stats.checkpoint_entries, 0u);
+  EXPECT_EQ(stats.redo_records, 100u);
+  for (int i = 0; i < 100; i++) {
+    EXPECT_TRUE(f.server->Get(f.uid, "k" + std::to_string(i)).ok()) << i;
+  }
+}
+
+/// Virtual time of one Checkpoint() on a fresh server hosting `tablets`
+/// tablets of 50 rows each; `files` receives its checkpoint directory.
+sim::VirtualTime TimedCheckpoint(int tablets,
+                                 std::map<std::string, std::string>* files) {
+  ServerFixture f;
+  for (int t = 0; t < tablets; t++) {
+    TabletDescriptor d = Descriptor(/*table=*/t + 1);
+    EXPECT_TRUE(f.server->OpenTablet(d).ok());
+    for (int i = 0; i < 50; i++) {
+      EXPECT_TRUE(f.server->Put(d.uid(), "k" + std::to_string(i), "v").ok());
+    }
+  }
+  sim::SimContext ctx;
+  {
+    sim::SimContext::Scope scope(&ctx);
+    EXPECT_TRUE(f.server->Checkpoint().ok());
+  }
+  *files = CheckpointFiles(f.dfs.get(), f.server.get());
+  return ctx.now();
+}
+
+TEST(RecoveryTest, CheckpointIsOneFileWhateverTheTabletCount) {
+  std::map<std::string, std::string> one_files, four_files;
+  sim::VirtualTime one = TimedCheckpoint(1, &one_files);
+  sim::VirtualTime four = TimedCheckpoint(4, &four_files);
+  EXPECT_EQ(one_files.size(), 1u);
+  EXPECT_EQ(four_files.size(), 1u);
+  // Every file starts a DFS block whose first write positions each replica
+  // disk; three more tablets must not add one.
+  sim::DiskParams disk;
+  EXPECT_GT(one, 0);
+  EXPECT_LT(four - one, disk.seek_us + disk.rotational_us);
+}
+
+TEST(RecoveryTest, CheckpointForgetsTabletsThatLeft) {
+  ServerFixture f;
+  TabletDescriptor left = Descriptor(/*table=*/2);
+  ASSERT_TRUE(f.server->OpenTablet(left).ok());
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(f.server->Put(f.uid, "kept" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(
+        f.server->Put(left.uid(), "left" + std::to_string(i), "v").ok());
+  }
+  ASSERT_TRUE(f.server->Checkpoint().ok());
+  ASSERT_TRUE(f.server->CloseTablet(left.uid()).ok());
+  ASSERT_TRUE(f.server->Checkpoint().ok());
+
+  auto files = CheckpointFiles(f.dfs.get(), f.server.get());
+  ASSERT_FALSE(files.empty());
+  bool kept_found = false;
+  for (const auto& [path, bytes] : files) {
+    EXPECT_EQ(bytes.find("left"), std::string::npos) << path;
+    kept_found |= bytes.find("kept") != std::string::npos;
+  }
+  EXPECT_TRUE(kept_found);
+
+  f.server->Crash();
+  RecoveryStats stats;
+  ASSERT_TRUE(f.server->Start(&stats).ok());
+  EXPECT_EQ(stats.checkpoint_entries, 20u);
+  EXPECT_EQ(stats.redo_records, 0u);
+  EXPECT_NE(f.server->FindTablet(f.uid), nullptr);
+  EXPECT_EQ(f.server->FindTablet(left.uid()), nullptr);
+  EXPECT_TRUE(f.server->Get(f.uid, "kept19").ok());
 }
 
 // ---------------------------------------------------------------------------
