@@ -121,13 +121,6 @@ bool LogBaseClient::ServerReachable(int server_id) const {
   return network_ == nullptr || network_->Reachable(node_, server_id);
 }
 
-void LogBaseClient::ChargeRpc(int server_id, uint64_t request_bytes,
-                              uint64_t response_bytes) {
-  if (network_ == nullptr) return;
-  network_->Transfer(node_, server_id, request_bytes);
-  network_->Transfer(server_id, node_, response_bytes);
-}
-
 Result<std::shared_ptr<const LogBaseClient::Layout>> LogBaseClient::LoadLayout(
     const std::string& table, uint32_t column_group) {
   {
@@ -248,7 +241,7 @@ Status LogBaseClient::PutBatchAttempt(const std::string& table,
   for (ServerBatch& b : batches) {
     auto server = ServerFor(b.server_id);
     if (!server.ok()) return server.status();
-    ChargeRpc(b.server_id, b.bytes + 64, 32);
+    sim::ChargeRpc(network_, node_, b.server_id, b.bytes, 0);
     auto submitted = (*server)->Submit(std::move(b.ops), ack);
     Status s = submitted.status();
     if (s.ok()) s = (*server)->Wait(&*submitted);
@@ -376,8 +369,8 @@ std::optional<Result<T>> LogBaseClient::ReplicaFirst(const Route& route,
       continue;
     }
     if (answer.ok() || answer.status().IsNotFound()) {
-      ChargeRpc(rep->node(), request_bytes,
-                (answer.ok() ? PayloadBytes(*answer) : 0) + 32);
+      sim::ChargeRpc(network_, node_, rep->node(), request_bytes,
+                     answer.ok() ? PayloadBytes(*answer) : 0);
       redirects->Add();
       return answer;
     }
@@ -406,7 +399,7 @@ Result<ReadResult> LogBaseClient::Get(const std::string& table,
       if (!rows.ok()) return NormalizeServerStatus(rows.status());
       uint64_t bytes = 0;
       for (const auto& row : *rows) bytes += row.key.size() + row.value.size();
-      ChargeRpc(route.server_id, key.size() + 64, bytes + 32);
+      sim::ChargeRpc(network_, node_, route.server_id, key.size(), bytes);
       result.rows = std::move(*rows);
       return result;
     }
@@ -415,7 +408,7 @@ Result<ReadResult> LogBaseClient::Get(const std::string& table,
     if (options.allow_stale) {
       uint64_t snapshot_ts = 0;
       read = ReplicaFirst<tablet::ReadValue>(
-          route, key, key.size() + 64, [&](replica::ReplicaServer* rep) {
+          route, key, key.size(), [&](replica::ReplicaServer* rep) {
             return rep->Get(route.tablet_uid, key, SnapshotOf(options),
                             options.max_staleness_us, &snapshot_ts);
           });
@@ -426,7 +419,8 @@ Result<ReadResult> LogBaseClient::Get(const std::string& table,
       if (!server.ok()) return server.status();
       read = (*server)->Get(route.tablet_uid, key, SnapshotOf(options));
       if (!read->ok()) return NormalizeServerStatus(read->status());
-      ChargeRpc(route.server_id, key.size() + 64, (*read)->value.size() + 32);
+      sim::ChargeRpc(network_, node_, route.server_id, key.size(),
+                     (*read)->value.size());
     }
     if (!read->ok()) return read->status();
     result.rows.push_back(tablet::ReadRow{key.ToString(), (*read)->timestamp,
@@ -454,7 +448,7 @@ Result<std::vector<tablet::ReadRow>> LogBaseClient::Scan(
 }
 
 Result<query::TabletResult> LogBaseClient::QueryTablet(
-    const Route& route, const Slice& wire_plan,
+    const Route& route, const query::QueryPlan& plan,
     const query::ExecOptions& exec, const QueryOptions& options,
     bool* from_replica) {
   // Transient per-tablet failures (server restarting, replica mid-reseed)
@@ -465,13 +459,14 @@ Result<query::TabletResult> LogBaseClient::QueryTablet(
   fault::RetryOptions per_tablet = retry_.options();
   per_tablet.max_attempts = std::min(per_tablet.max_attempts, 3);
   fault::RetryPolicy policy(per_tablet);
+  const uint64_t plan_bytes = plan.EncodedSize();
   return policy.Run<query::TabletResult>(
       "client.query_tablet", [&]() -> Result<query::TabletResult> {
         if (options.read.allow_stale) {
           auto served = ReplicaFirst<query::TabletResult>(
-              route, route.tablet_uid, wire_plan.size() + 64,
+              route, route.tablet_uid, plan_bytes,
               [&](replica::ReplicaServer* rep) {
-                return rep->ExecuteScan(route.tablet_uid, wire_plan,
+                return rep->ExecuteScan(route.tablet_uid, plan,
                                         options.read.max_staleness_us, exec);
               });
           if (served) {
@@ -481,10 +476,10 @@ Result<query::TabletResult> LogBaseClient::QueryTablet(
         }
         auto server = ServerFor(route.server_id);
         if (!server.ok()) return server.status();
-        auto part = (*server)->ExecuteScan(route.tablet_uid, wire_plan, exec);
+        auto part = (*server)->ExecuteScan(route.tablet_uid, plan, exec);
         if (!part.ok()) return NormalizeServerStatus(part.status());
-        ChargeRpc(route.server_id, wire_plan.size() + 64,
-                  part->stats.bytes_shipped + 32);
+        sim::ChargeRpc(network_, node_, route.server_id, plan_bytes,
+                       part->stats.bytes_shipped);
         return part;
       });
 }
@@ -495,9 +490,6 @@ Result<QueryResult> LogBaseClient::Query(const std::string& table,
                                          const QueryOptions& options) {
   obs::Span span("client.query");
   qos::TenantScope tenant(&tenant_);
-  // Encoded once; the same bytes ship to every server (and are what the
-  // network model charges for each request).
-  const std::string wire_plan = plan.Encode();
   query::ExecOptions exec;
   exec.as_of = SnapshotOf(options.read);
   exec.batch_rows = options.batch_rows == 0 ? 256 : options.batch_rows;
@@ -536,8 +528,7 @@ Result<QueryResult> LogBaseClient::Query(const std::string& table,
         for (const Route* route : targets) {
           bool from_replica = false;
           auto part = scatter.Run([&] {
-            return QueryTablet(*route, Slice(wire_plan), exec, options,
-                               &from_replica);
+            return QueryTablet(*route, plan, exec, options, &from_replica);
           });
           if (!part.ok()) {
             scatter.Join();

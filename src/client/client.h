@@ -295,8 +295,6 @@ class LogBaseClient {
   /// Starts a transaction owned by the returned RAII handle.
   Txn BeginTxn();
 
-  const txn::TxnStats& txn_stats() const { return txn_->stats(); }
-
   /// Routes stale-tolerant reads to read replicas: maps a replica id to its
   /// live ReplicaServer (nullptr when down). Unset, `allow_stale` reads go
   /// to the primary like any other read.
@@ -340,19 +338,19 @@ class LogBaseClient {
   /// nullopt when every replica was skipped or declined; the caller then
   /// goes to the primary.
   /// `call(replica)` sends the request and returns Result<T>; a served
-  /// answer is charged as an RPC of `request_bytes` out and its payload plus
-  /// 32 bytes back.
+  /// answer is charged as one RPC (sim::ChargeRpc) of `request_bytes`
+  /// payload out and the answer's payload back.
   template <typename T, typename Call>
   std::optional<Result<T>> ReplicaFirst(const Route& route,
                                         const Slice& rotation_key,
                                         uint64_t request_bytes,
                                         const Call& call);
   /// One tablet's slice of a Query: ReplicaFirst, then the primary, with a
-  /// per-tablet retry budget. `wire_plan` is the already-encoded plan —
-  /// encoded once per Query, the same bytes shipped to every server. Sets
-  /// `*from_replica` when a replica served the slice.
+  /// per-tablet retry budget. The server takes `plan` as a value; the
+  /// request is charged its EncodedSize(). Sets `*from_replica` when a
+  /// replica served the slice.
   Result<query::TabletResult> QueryTablet(const Route& route,
-                                          const Slice& wire_plan,
+                                          const query::QueryPlan& plan,
                                           const query::ExecOptions& exec,
                                           const QueryOptions& options,
                                           bool* from_replica);
@@ -369,8 +367,6 @@ class LogBaseClient {
   Status NormalizeServerStatus(const Status& s);
   /// False when a fault policy says this client can't reach `server_id`.
   bool ServerReachable(int server_id) const;
-  void ChargeRpc(int server_id, uint64_t request_bytes,
-                 uint64_t response_bytes);
 
   // Transaction internals shared with the Txn handle.
   Result<std::string> TxnReadImpl(txn::Transaction* txn,

@@ -68,7 +68,7 @@ class TabletServerEngine : public KvEngine {
     query::QueryPlan plan;
     plan.start_key = start.ToString();
     plan.end_key = end.ToString();
-    auto result = server_->ExecuteScan(uid, Slice(plan.Encode()));
+    auto result = server_->ExecuteScan(uid, plan);
     if (!result.ok()) return result.status();
     return tablet::RowsFromBatches(result->batches);
   }

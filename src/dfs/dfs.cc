@@ -267,8 +267,12 @@ class DfsWritableFile : public WritableFile {
 
 class DfsRandomAccessFile : public RandomAccessFile {
  public:
-  DfsRandomAccessFile(Dfs* dfs, std::string path, int client_node)
-      : dfs_(dfs), path_(std::move(path)), client_node_(client_node) {}
+  DfsRandomAccessFile(Dfs* dfs, std::string path, uint64_t file_id,
+                      int client_node)
+      : dfs_(dfs),
+        path_(std::move(path)),
+        file_id_(file_id),
+        client_node_(client_node) {}
 
   Result<std::string> Read(uint64_t offset, size_t n) const override {
     auto blocks = Locations(offset + n);
@@ -292,7 +296,7 @@ class DfsRandomAccessFile : public RandomAccessFile {
   }
 
   uint64_t Size() const override {
-    auto size = dfs_->name_node_.FileSize(path_);
+    auto size = dfs_->name_node_.FileSize(path_, file_id_);
     return size.ok() ? *size : 0;
   }
 
@@ -309,7 +313,7 @@ class DfsRandomAccessFile : public RandomAccessFile {
       if (cached >= need_bytes) return blocks_;
     }
     dfs_->MetadataRpc(client_node_);
-    auto blocks = dfs_->name_node_.GetBlocks(path_);
+    auto blocks = dfs_->name_node_.GetBlocks(path_, file_id_);
     if (!blocks.ok()) return blocks.status();
     blocks_ =
         std::make_shared<const std::vector<BlockInfo>>(std::move(*blocks));
@@ -412,6 +416,9 @@ class DfsRandomAccessFile : public RandomAccessFile {
 
   Dfs* const dfs_;
   const std::string path_;
+  // The file opened: a rename that replaces it does not swap it under the
+  // reader.
+  const uint64_t file_id_;
   const int client_node_;
   // Readers may share the file: its cached locations are swapped under
   // mu_, never held across a data node's read.
@@ -475,26 +482,34 @@ Result<std::unique_ptr<WritableFile>> Dfs::Create(const std::string& path,
 Result<std::unique_ptr<RandomAccessFile>> Dfs::Open(const std::string& path,
                                                     int client_node) {
   MetadataRpc(client_node);
-  if (!name_node_.Exists(path)) return Status::NotFound(path);
+  auto file_id = name_node_.FileId(path);
+  if (!file_id.ok()) return file_id.status();
   return std::unique_ptr<RandomAccessFile>(
-      new DfsRandomAccessFile(this, path, client_node));
+      new DfsRandomAccessFile(this, path, *file_id, client_node));
 }
 
-Status Dfs::Delete(const std::string& path) {
-  auto blocks = name_node_.DeleteFile(path);
-  if (!blocks.ok()) return blocks.status();
-  for (const BlockInfo& b : *blocks) {
+void Dfs::FreeBlocks(const std::vector<BlockInfo>& blocks) {
+  for (const BlockInfo& b : blocks) {
     for (int r : b.replicas) {
       // A replica missing its block (dead or already-cleaned node) is fine:
       // the file's metadata is gone either way.
       (void)data_nodes_[r]->DeleteBlock(b.id);
     }
   }
+}
+
+Status Dfs::Delete(const std::string& path) {
+  auto blocks = name_node_.DeleteFile(path);
+  if (!blocks.ok()) return blocks.status();
+  FreeBlocks(*blocks);
   return Status::OK();
 }
 
 Status Dfs::Rename(const std::string& from, const std::string& to) {
-  return name_node_.Rename(from, to);
+  auto replaced = name_node_.Rename(from, to);
+  if (!replaced.ok()) return replaced.status();
+  FreeBlocks(*replaced);
+  return Status::OK();
 }
 
 bool Dfs::Exists(const std::string& path) const {

@@ -52,6 +52,9 @@ class Dfs {
                                                  int client_node);
 
   Status Delete(const std::string& path);
+  /// Moves `from` to `to`. A file already at `to` is replaced and its blocks
+  /// are freed, as Delete frees them: a reader opened on it fails from then
+  /// on rather than read the new file's bytes after the old one's.
   Status Rename(const std::string& from, const std::string& to);
   bool Exists(const std::string& path) const;
   Result<uint64_t> FileSize(const std::string& path) const;
@@ -80,6 +83,10 @@ class Dfs {
   /// Charges a small metadata RPC from `client_node` to the name-node host
   /// (node 0 by convention).
   void MetadataRpc(int client_node) const;
+
+  /// Drops every replica of `blocks` from its data node (Delete and a
+  /// Rename over an existing file).
+  void FreeBlocks(const std::vector<BlockInfo>& blocks);
 
   /// Executes re-replication copy tasks; returns the number completed.
   int ExecuteRereplication(

@@ -13,6 +13,7 @@ Status NameNode::CreateFile(const std::string& path) {
   MutexLock l(mu_);
   auto [it, inserted] = files_.try_emplace(path);
   if (!inserted) return Status::InvalidArgument("file exists: " + path);
+  it->second.id = next_file_id_++;
   return Status::OK();
 }
 
@@ -113,20 +114,36 @@ Status NameNode::SealBlock(const std::string& path, BlockId block,
   return Status::NotFound("block not in file");
 }
 
-Result<std::vector<BlockInfo>> NameNode::GetBlocks(
-    const std::string& path) const {
-  MutexLock l(mu_);
+const NameNode::Inode* NameNode::FindLocked(const std::string& path,
+                                            uint64_t file_id) const {
   auto it = files_.find(path);
-  if (it == files_.end()) return Status::NotFound(path);
-  return it->second.blocks;
+  if (it == files_.end()) return nullptr;
+  if (file_id != 0 && it->second.id != file_id) return nullptr;
+  return &it->second;
 }
 
-Result<uint64_t> NameNode::FileSize(const std::string& path) const {
+Result<uint64_t> NameNode::FileId(const std::string& path) const {
   MutexLock l(mu_);
-  auto it = files_.find(path);
-  if (it == files_.end()) return Status::NotFound(path);
+  const Inode* inode = FindLocked(path, 0);
+  if (inode == nullptr) return Status::NotFound(path);
+  return inode->id;
+}
+
+Result<std::vector<BlockInfo>> NameNode::GetBlocks(const std::string& path,
+                                                   uint64_t file_id) const {
+  MutexLock l(mu_);
+  const Inode* inode = FindLocked(path, file_id);
+  if (inode == nullptr) return Status::NotFound(path);
+  return inode->blocks;
+}
+
+Result<uint64_t> NameNode::FileSize(const std::string& path,
+                                    uint64_t file_id) const {
+  MutexLock l(mu_);
+  const Inode* inode = FindLocked(path, file_id);
+  if (inode == nullptr) return Status::NotFound(path);
   uint64_t total = 0;
-  for (const BlockInfo& b : it->second.blocks) total += b.size;
+  for (const BlockInfo& b : inode->blocks) total += b.size;
   return total;
 }
 
@@ -135,13 +152,18 @@ bool NameNode::Exists(const std::string& path) const {
   return files_.count(path) > 0;
 }
 
-Status NameNode::Rename(const std::string& from, const std::string& to) {
+Result<std::vector<BlockInfo>> NameNode::Rename(const std::string& from,
+                                                const std::string& to) {
   MutexLock l(mu_);
   auto it = files_.find(from);
   if (it == files_.end()) return Status::NotFound(from);
-  files_[to] = std::move(it->second);
+  std::vector<BlockInfo> replaced;
+  if (from == to) return replaced;
+  Inode& target = files_[to];
+  replaced = std::move(target.blocks);
+  target = std::move(it->second);
   files_.erase(it);
-  return Status::OK();
+  return replaced;
 }
 
 Result<std::vector<BlockInfo>> NameNode::DeleteFile(const std::string& path) {

@@ -48,10 +48,20 @@ class NameNode {
   /// Records the final size of a block once the writer seals it.
   Status SealBlock(const std::string& path, BlockId block, uint64_t size);
 
-  Result<std::vector<BlockInfo>> GetBlocks(const std::string& path) const;
-  Result<uint64_t> FileSize(const std::string& path) const;
+  /// The id of the file `path` names: set at creation, kept across
+  /// renames, never reused.
+  Result<uint64_t> FileId(const std::string& path) const;
+  /// A nonzero `file_id` pins the file: NotFound once `path` names another
+  /// one (a rename replaced it).
+  Result<std::vector<BlockInfo>> GetBlocks(const std::string& path,
+                                           uint64_t file_id = 0) const;
+  Result<uint64_t> FileSize(const std::string& path,
+                            uint64_t file_id = 0) const;
   bool Exists(const std::string& path) const;
-  Status Rename(const std::string& from, const std::string& to);
+  /// Moves `from` to `to`, replacing any file there; returns the replaced
+  /// file's blocks, which should be reclaimed (none when `to` was free).
+  Result<std::vector<BlockInfo>> Rename(const std::string& from,
+                                        const std::string& to);
   /// Removes the file; returns the blocks that should be reclaimed.
   Result<std::vector<BlockInfo>> DeleteFile(const std::string& path);
   Result<std::vector<std::string>> List(const std::string& prefix) const;
@@ -92,8 +102,14 @@ class NameNode {
 
  private:
   struct Inode {
+    uint64_t id = 0;
     std::vector<BlockInfo> blocks;
   };
+
+  /// The inode `path` names, or null when none does or, with a nonzero
+  /// `file_id`, when it is another file.
+  const Inode* FindLocked(const std::string& path, uint64_t file_id) const
+      REQUIRES(mu_);
 
   /// Picks replica nodes per the rack-aware policy.
   std::vector<int> PlaceReplicas(int writer_node,
@@ -105,6 +121,7 @@ class NameNode {
   mutable OrderedMutex mu_{lockrank::kDfsNameNode, "dfs.name"};
   std::map<std::string, Inode> files_ GUARDED_BY(mu_);
   BlockId next_block_id_ GUARDED_BY(mu_) = 1;
+  uint64_t next_file_id_ GUARDED_BY(mu_) = 1;
   Random rnd_ GUARDED_BY(mu_){12345};
   std::atomic<int> injected_allocate_failures_{0};
 };

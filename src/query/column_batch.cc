@@ -40,11 +40,11 @@ const BatchColumn* ColumnBatch::Find(const std::string& name) const {
   return nullptr;
 }
 
-// Wire layout (sizes varint, order fixed):
+// Wire layout the size counts (sizes varint, order fixed):
 //   row_count | keys... | timestamps (varint each) | column_count |
 //   per column: name | presence bytes (row_count raw bytes) |
 //               cells (length-prefixed, present rows only)
-// Absent cells are omitted from the wire entirely — that omission IS the
+// Absent cells are left out entirely — that omission IS the
 // projection/selectivity byte win.
 
 uint64_t ColumnBatch::EncodedSize() const {
@@ -64,81 +64,6 @@ uint64_t ColumnBatch::EncodedSize() const {
     }
   }
   return size;
-}
-
-void ColumnBatch::EncodeTo(std::string* dst) const {
-  PutVarint32(dst, static_cast<uint32_t>(keys.size()));
-  for (const std::string& key : keys) {
-    PutLengthPrefixedSlice(dst, Slice(key));
-  }
-  for (uint64_t ts : timestamps) PutVarint64(dst, ts);
-  PutVarint32(dst, static_cast<uint32_t>(columns.size()));
-  for (const BatchColumn& column : columns) {
-    PutLengthPrefixedSlice(dst, Slice(column.name));
-    dst->append(reinterpret_cast<const char*>(column.present.data()),
-                column.present.size());
-    for (size_t i = 0; i < column.cells.size(); i++) {
-      if (column.present[i] != 0) {
-        PutLengthPrefixedSlice(dst, Slice(column.cells[i]));
-      }
-    }
-  }
-}
-
-Result<ColumnBatch> ColumnBatch::Decode(const Slice& encoded) {
-  Slice in = encoded;
-  ColumnBatch batch;
-  uint32_t rows;
-  if (!GetVarint32(&in, &rows) || rows > (1u << 24)) {
-    return Status::Corruption("bad column batch row count");
-  }
-  batch.keys.reserve(rows);
-  for (uint32_t i = 0; i < rows; i++) {
-    Slice key;
-    if (!GetLengthPrefixedSlice(&in, &key)) {
-      return Status::Corruption("bad column batch key");
-    }
-    batch.keys.push_back(key.ToString());
-  }
-  batch.timestamps.reserve(rows);
-  for (uint32_t i = 0; i < rows; i++) {
-    uint64_t ts;
-    if (!GetVarint64(&in, &ts)) {
-      return Status::Corruption("bad column batch timestamp");
-    }
-    batch.timestamps.push_back(ts);
-  }
-  uint32_t num_columns;
-  if (!GetVarint32(&in, &num_columns) || num_columns > 4096) {
-    return Status::Corruption("bad column batch column count");
-  }
-  batch.columns.resize(num_columns);
-  for (uint32_t c = 0; c < num_columns; c++) {
-    BatchColumn& column = batch.columns[c];
-    Slice name;
-    if (!GetLengthPrefixedSlice(&in, &name)) {
-      return Status::Corruption("bad column batch column name");
-    }
-    column.name = name.ToString();
-    if (in.size() < rows) {
-      return Status::Corruption("bad column batch presence");
-    }
-    column.present.assign(
-        reinterpret_cast<const uint8_t*>(in.data()),
-        reinterpret_cast<const uint8_t*>(in.data()) + rows);
-    in.remove_prefix(rows);
-    column.cells.resize(rows);
-    for (uint32_t i = 0; i < rows; i++) {
-      if (column.present[i] == 0) continue;
-      Slice cell;
-      if (!GetLengthPrefixedSlice(&in, &cell)) {
-        return Status::Corruption("bad column batch cell");
-      }
-      column.cells[i] = cell.ToString();
-    }
-  }
-  if (!in.empty()) return Status::Corruption("trailing column batch bytes");
-  return batch;
 }
 
 }  // namespace logbase::query

@@ -4,9 +4,9 @@
 // executor evaluates predicates column-at-a-time and the wire carries only
 // the projected columns — not the full stored rows.
 //
-// Like query plans, batches have a deterministic wire encoding; the client
-// charges `EncodedSize()` bytes to the network model per shipped batch, so
-// the bytes-on-the-wire win of projection/aggregation pushdown is physically
+// Batches reach the client as values, like query plans; the client charges
+// `EncodedSize()` bytes to the network model per shipped batch, so the
+// bytes-on-the-wire win of projection/aggregation pushdown is physically
 // modeled, not just reported.
 
 #ifndef LOGBASE_QUERY_COLUMN_BATCH_H_
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "src/util/result.h"
 #include "src/util/slice.h"
 
 namespace logbase::query {
@@ -55,11 +54,9 @@ struct ColumnBatch {
   size_t NumRows() const { return keys.size(); }
   const BatchColumn* Find(const std::string& name) const;
 
-  /// Exact wire size of EncodeTo's output, computed without materializing
-  /// the encoding (the client charges this to the network per batch).
+  /// Wire size of the batch's deterministic layout (column_batch.cc); the
+  /// client charges this to the network per batch.
   uint64_t EncodedSize() const;
-  void EncodeTo(std::string* dst) const;
-  static Result<ColumnBatch> Decode(const Slice& encoded);
 };
 
 }  // namespace logbase::query

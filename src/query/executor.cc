@@ -31,16 +31,6 @@ void AggResult::Merge(const AggResult& other) {
   }
 }
 
-namespace {
-
-uint64_t EncodedValueSize(const Value& v) {
-  if (v.kind == Value::Kind::kInt64) return 1 + 8;
-  return 1 + static_cast<uint64_t>(VarintLength(v.bytes.size())) +
-         v.bytes.size();
-}
-
-}  // namespace
-
 uint64_t AggResult::EncodedSize() const {
   uint64_t size = VarintLength(groups.size());
   for (const auto& [key, bucket] : groups) {
@@ -49,58 +39,10 @@ uint64_t AggResult::EncodedSize() const {
     size += 8;  // sum, fixed64
     size += 1;  // has_minmax
     if (bucket.has_minmax) {
-      size += EncodedValueSize(bucket.min) + EncodedValueSize(bucket.max);
+      size += bucket.min.EncodedSize() + bucket.max.EncodedSize();
     }
   }
   return size;
-}
-
-void AggResult::EncodeTo(std::string* dst) const {
-  PutVarint32(dst, static_cast<uint32_t>(groups.size()));
-  for (const auto& [key, bucket] : groups) {
-    PutLengthPrefixedSlice(dst, Slice(key));
-    PutVarint64(dst, bucket.count);
-    PutFixed64(dst, static_cast<uint64_t>(bucket.sum));
-    dst->push_back(bucket.has_minmax ? 1 : 0);
-    if (bucket.has_minmax) {
-      bucket.min.EncodeTo(dst);
-      bucket.max.EncodeTo(dst);
-    }
-  }
-}
-
-Result<AggResult> AggResult::Decode(const Slice& encoded) {
-  Slice in = encoded;
-  AggResult result;
-  uint32_t count;
-  if (!GetVarint32(&in, &count) || count > (1u << 22)) {
-    return Status::Corruption("bad aggregation partial group count");
-  }
-  for (uint32_t i = 0; i < count; i++) {
-    Slice key;
-    uint64_t rows, sum;
-    if (!GetLengthPrefixedSlice(&in, &key) || !GetVarint64(&in, &rows) ||
-        !GetFixed64(&in, &sum) || in.empty()) {
-      return Status::Corruption("bad aggregation partial group");
-    }
-    AggBucket bucket;
-    bucket.count = rows;
-    bucket.sum = static_cast<int64_t>(sum);
-    uint8_t has = static_cast<uint8_t>(in[0]);
-    in.remove_prefix(1);
-    if (has != 0) {
-      bucket.has_minmax = true;
-      if (!Value::DecodeFrom(&in, &bucket.min) ||
-          !Value::DecodeFrom(&in, &bucket.max)) {
-        return Status::Corruption("bad aggregation partial min/max");
-      }
-    }
-    result.groups[key.ToString()] = bucket;
-  }
-  if (!in.empty()) {
-    return Status::Corruption("trailing aggregation partial bytes");
-  }
-  return result;
 }
 
 std::string AggResult::Render(const Aggregation& spec) const {

@@ -29,7 +29,7 @@
 
 namespace logbase::query {
 
-/// Server-side execution knobs, shipped alongside the plan.
+/// Server-side execution knobs, passed to the server beside the plan.
 struct ExecOptions {
   /// Snapshot bound (the index's ScanRange semantics): latest by default.
   uint64_t as_of = index::kLatest;
@@ -62,10 +62,10 @@ struct AggResult {
   std::map<std::string, AggBucket> groups;
 
   void Merge(const AggResult& other);
-  /// Wire size, charged to the network when a server ships partials.
+  /// Wire size, charged to the network when a server ships partials:
+  /// group count, then per group its key, count (varint), sum (fixed64), a
+  /// has-min/max byte and, when set, min and max.
   uint64_t EncodedSize() const;
-  void EncodeTo(std::string* dst) const;
-  static Result<AggResult> Decode(const Slice& encoded);
   /// Deterministic one-line-per-group rendering of the plan's aggregate —
   /// what the differential test compares across execution paths.
   std::string Render(const Aggregation& spec) const;

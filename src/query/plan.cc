@@ -7,14 +7,6 @@
 
 namespace logbase::query {
 
-namespace {
-
-// Guards Decode against adversarial nesting blowing the stack; real plans
-// are a handful of levels deep.
-constexpr uint32_t kMaxPredicateDepth = 64;
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Value.
 // ---------------------------------------------------------------------------
@@ -28,30 +20,9 @@ int Value::Compare(const Value& other) const {
   return Slice(bytes).compare(Slice(other.bytes));
 }
 
-void Value::EncodeTo(std::string* dst) const {
-  dst->push_back(static_cast<char>(kind));
-  if (kind == Kind::kInt64) {
-    PutFixed64(dst, static_cast<uint64_t>(i64));
-  } else {
-    PutLengthPrefixedSlice(dst, Slice(bytes));
-  }
-}
-
-bool Value::DecodeFrom(Slice* in, Value* out) {
-  if (in->empty()) return false;
-  uint8_t kind = static_cast<uint8_t>((*in)[0]);
-  in->remove_prefix(1);
-  if (kind == static_cast<uint8_t>(Kind::kInt64)) {
-    uint64_t raw;
-    if (!GetFixed64(in, &raw)) return false;
-    *out = Value::Int64(static_cast<int64_t>(raw));
-    return true;
-  }
-  if (kind != static_cast<uint8_t>(Kind::kBytes)) return false;
-  Slice bytes;
-  if (!GetLengthPrefixedSlice(in, &bytes)) return false;
-  *out = Value::Bytes(bytes.ToString());
-  return true;
+uint64_t Value::EncodedSize() const {
+  if (kind == Kind::kInt64) return 1 + 8;
+  return 1 + static_cast<uint64_t>(VarintLength(bytes.size())) + bytes.size();
 }
 
 bool ParseInt64(const Slice& cell, int64_t* out) {
@@ -179,130 +150,43 @@ bool Predicate::Matches(
 }
 
 // ---------------------------------------------------------------------------
-// Plan encoding. Layout (all sizes varint, field order fixed):
-//   version byte | start_key | end_key | predicate | projection | aggregation
-// Predicate: op byte, then (leaf) column + value or (and/or) count+children.
+// Plan size: the layout QueryPlan::EncodedSize documents, all sizes varint.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-constexpr uint8_t kPlanVersion = 1;
-
-void EncodePredicate(const Predicate& p, std::string* dst) {
-  dst->push_back(static_cast<char>(p.op));
-  switch (p.op) {
-    case Predicate::Op::kTrue:
-      return;
-    case Predicate::Op::kAnd:
-    case Predicate::Op::kOr:
-      PutVarint32(dst, static_cast<uint32_t>(p.children.size()));
-      for (const Predicate& child : p.children) EncodePredicate(child, dst);
-      return;
-    default:
-      PutLengthPrefixedSlice(dst, Slice(p.column));
-      p.operand.EncodeTo(dst);
-      return;
-  }
+uint64_t StringSize(const std::string& s) {
+  return static_cast<uint64_t>(VarintLength(s.size())) + s.size();
 }
 
-bool DecodePredicate(Slice* in, Predicate* out, uint32_t depth) {
-  if (depth > kMaxPredicateDepth || in->empty()) return false;
-  uint8_t op = static_cast<uint8_t>((*in)[0]);
-  in->remove_prefix(1);
-  if (op > static_cast<uint8_t>(Predicate::Op::kOr)) return false;
-  out->op = static_cast<Predicate::Op>(op);
-  switch (out->op) {
+uint64_t PredicateSize(const Predicate& p) {
+  switch (p.op) {
     case Predicate::Op::kTrue:
-      return true;
+      return 1;
     case Predicate::Op::kAnd:
     case Predicate::Op::kOr: {
-      uint32_t count;
-      if (!GetVarint32(in, &count) || count > 1024) return false;
-      out->children.resize(count);
-      for (uint32_t i = 0; i < count; i++) {
-        if (!DecodePredicate(in, &out->children[i], depth + 1)) return false;
-      }
-      return true;
+      uint64_t size = 1 + VarintLength(p.children.size());
+      for (const Predicate& child : p.children) size += PredicateSize(child);
+      return size;
     }
-    default: {
-      Slice column;
-      if (!GetLengthPrefixedSlice(in, &column)) return false;
-      out->column = column.ToString();
-      return Value::DecodeFrom(in, &out->operand);
-    }
+    default:
+      return 1 + StringSize(p.column) + p.operand.EncodedSize();
   }
 }
 
 }  // namespace
 
-void QueryPlan::EncodeTo(std::string* dst) const {
-  dst->push_back(static_cast<char>(kPlanVersion));
-  PutLengthPrefixedSlice(dst, Slice(start_key));
-  PutLengthPrefixedSlice(dst, Slice(end_key));
-  EncodePredicate(predicate, dst);
-  PutVarint32(dst, static_cast<uint32_t>(projection.columns.size()));
+uint64_t QueryPlan::EncodedSize() const {
+  uint64_t size = 1;  // version byte
+  size += StringSize(start_key) + StringSize(end_key);
+  size += PredicateSize(predicate);
+  size += VarintLength(projection.columns.size());
   for (const std::string& column : projection.columns) {
-    PutLengthPrefixedSlice(dst, Slice(column));
+    size += StringSize(column);
   }
-  dst->push_back(static_cast<char>(aggregation.kind));
-  PutLengthPrefixedSlice(dst, Slice(aggregation.column));
-  dst->push_back(static_cast<char>(aggregation.value_kind));
-  PutVarint32(dst, aggregation.group_by_prefix_len);
-}
-
-Result<QueryPlan> QueryPlan::Decode(const Slice& encoded) {
-  Slice in = encoded;
-  if (in.empty() || in[0] != static_cast<char>(kPlanVersion)) {
-    return Status::Corruption("bad query plan version");
-  }
-  in.remove_prefix(1);
-  QueryPlan plan;
-  Slice start, end;
-  if (!GetLengthPrefixedSlice(&in, &start) ||
-      !GetLengthPrefixedSlice(&in, &end)) {
-    return Status::Corruption("bad query plan key range");
-  }
-  plan.start_key = start.ToString();
-  plan.end_key = end.ToString();
-  if (!DecodePredicate(&in, &plan.predicate, 0)) {
-    return Status::Corruption("bad query plan predicate");
-  }
-  uint32_t num_columns;
-  if (!GetVarint32(&in, &num_columns) || num_columns > 4096) {
-    return Status::Corruption("bad query plan projection");
-  }
-  plan.projection.columns.reserve(num_columns);
-  for (uint32_t i = 0; i < num_columns; i++) {
-    Slice column;
-    if (!GetLengthPrefixedSlice(&in, &column)) {
-      return Status::Corruption("bad query plan projection column");
-    }
-    plan.projection.columns.push_back(column.ToString());
-  }
-  if (in.size() < 2) return Status::Corruption("bad query plan aggregation");
-  uint8_t agg_kind = static_cast<uint8_t>(in[0]);
-  in.remove_prefix(1);
-  if (agg_kind > static_cast<uint8_t>(Aggregation::Kind::kMax)) {
-    return Status::Corruption("bad query plan aggregation kind");
-  }
-  plan.aggregation.kind = static_cast<Aggregation::Kind>(agg_kind);
-  Slice agg_column;
-  if (!GetLengthPrefixedSlice(&in, &agg_column)) {
-    return Status::Corruption("bad query plan aggregation column");
-  }
-  plan.aggregation.column = agg_column.ToString();
-  if (in.empty()) return Status::Corruption("bad query plan aggregation");
-  uint8_t value_kind = static_cast<uint8_t>(in[0]);
-  in.remove_prefix(1);
-  if (value_kind > static_cast<uint8_t>(Value::Kind::kInt64)) {
-    return Status::Corruption("bad query plan aggregation value kind");
-  }
-  plan.aggregation.value_kind = static_cast<Value::Kind>(value_kind);
-  if (!GetVarint32(&in, &plan.aggregation.group_by_prefix_len)) {
-    return Status::Corruption("bad query plan group-by");
-  }
-  if (!in.empty()) return Status::Corruption("trailing query plan bytes");
-  return plan;
+  size += 1 + StringSize(aggregation.column) + 1 +  // kind, column, value kind
+          VarintLength(aggregation.group_by_prefix_len);
+  return size;
 }
 
 std::string PrefixSuccessor(const std::string& prefix) {

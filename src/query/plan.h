@@ -3,11 +3,11 @@
 // shipping whole rows. A plan describes WHAT to evaluate; the executor
 // (src/query/executor.h) describes HOW, over column-group-aligned batches.
 //
-// Plans carry a deterministic wire encoding (EncodeTo/Decode) so they travel
-// through the simulated RPC layer exactly like any other request payload:
-// the client encodes once, charges the bytes to the network model, and the
-// server decodes before executing. Same plan -> same bytes, always, so
-// request sizes (and therefore virtual-time costs) are reproducible.
+// Plans travel through the simulated RPC layer as values, like every other
+// request: the client hands the server the QueryPlan itself and charges the
+// network model `EncodedSize()` bytes for it, the size of a fixed
+// deterministic layout. Same plan -> same size, always, so request charges
+// (and therefore virtual-time costs) are reproducible.
 
 #ifndef LOGBASE_QUERY_PLAN_H_
 #define LOGBASE_QUERY_PLAN_H_
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "src/util/result.h"
 #include "src/util/slice.h"
 
 namespace logbase::query {
@@ -49,8 +48,9 @@ struct Value {
   /// it: operands type the comparison).
   int Compare(const Value& other) const;
 
-  void EncodeTo(std::string* dst) const;
-  static bool DecodeFrom(Slice* in, Value* out);
+  /// Bytes on the wire: a kind byte, then a fixed64 or a length-prefixed
+  /// string.
+  uint64_t EncodedSize() const;
 };
 
 /// Parses a full-string base-10 int64 ("42", "-7"); false on any trailing
@@ -147,15 +147,13 @@ struct QueryPlan {
   Projection projection;
   Aggregation aggregation;
 
-  /// Deterministic wire encoding (tag-free, field order fixed, varint
-  /// sizes): the bytes the RPC sim charges for the request.
-  void EncodeTo(std::string* dst) const;
-  std::string Encode() const {
-    std::string out;
-    EncodeTo(&out);
-    return out;
-  }
-  static Result<QueryPlan> Decode(const Slice& encoded);
+  /// The request bytes the RPC sim charges for the plan: the size of its
+  /// deterministic layout (tag-free, field order fixed, varint sizes)
+  ///   version byte | start_key | end_key | predicate | projection |
+  ///   aggregation
+  /// where a predicate is an op byte, then a leaf's column + operand or a
+  /// combinator's child count + children.
+  uint64_t EncodedSize() const;
 };
 
 /// The exclusive upper bound of the smallest key range covering every key

@@ -244,7 +244,7 @@ Result<tablet::ReadValue> ReplicaServer::Get(const std::string& uid,
 }
 
 Result<query::TabletResult> ReplicaServer::ExecuteScan(
-    const std::string& uid, const Slice& encoded_plan,
+    const std::string& uid, const query::QueryPlan& plan,
     int64_t max_staleness_us, const query::ExecOptions& options,
     uint64_t* snapshot_ts) {
   obs::Span span("replica.exec_scan");
@@ -258,7 +258,7 @@ Result<query::TabletResult> ReplicaServer::ExecuteScan(
 
   // Rows the applier hook or a latest read buffered skip the log fetch.
   auto result = tablet::ReadRange(
-      *(*t)->index, &buffer_, uid, encoded_plan, snapshot, options.batch_rows,
+      *(*t)->index, &buffer_, uid, plan, snapshot, options.batch_rows,
       [this, t = *t](const index::IndexEntry& entry) {
         return FetchValueLocked(t, entry);
       });

@@ -102,14 +102,14 @@ class ReplicaServer {
                                 uint64_t* snapshot_ts = nullptr);
 
   /// Scan pushdown at the replica (the Taurus-style analytics-over-the-log
-  /// tier): evaluates the wire-encoded QueryPlan through tablet::ReadRange
-  /// at min(`options.as_of`, applied watermark), under the same staleness
-  /// gate as Get. As on the primary, rows buffered at the indexed version
-  /// skip the log. Aggregation partials computed here merge bit-identically
+  /// tier): evaluates the QueryPlan through tablet::ReadRange at
+  /// min(`options.as_of`, applied watermark), under the same staleness gate
+  /// as Get. As on the primary, rows buffered at the indexed version skip
+  /// the log. Aggregation partials computed here merge bit-identically
   /// with primary partials — the snapshot bound, not the serving tier,
   /// decides the answer.
   Result<query::TabletResult> ExecuteScan(
-      const std::string& uid, const Slice& encoded_plan,
+      const std::string& uid, const query::QueryPlan& plan,
       int64_t max_staleness_us, const query::ExecOptions& options = {},
       uint64_t* snapshot_ts = nullptr);
 

@@ -68,4 +68,12 @@ void NetworkModel::Transfer(int src, int dst, uint64_t bytes) {
   ctx->AdvanceTo(TransferFrom(ctx->now(), src, dst, bytes));
 }
 
+void ChargeRpc(NetworkModel* network, int client, int server,
+               uint64_t request_payload, uint64_t response_payload) {
+  if (network == nullptr) return;
+  network->Transfer(client, server, request_payload + kRpcRequestHeaderBytes);
+  network->Transfer(server, client,
+                    response_payload + kRpcResponseHeaderBytes);
+}
+
 }  // namespace logbase::sim

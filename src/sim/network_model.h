@@ -85,6 +85,19 @@ class NetworkModel {
   std::atomic<NetworkFaultPolicy*> fault_policy_{nullptr};
 };
 
+/// RPC framing: the header bytes a simulated request and its response carry
+/// on top of their payloads.
+inline constexpr uint64_t kRpcRequestHeaderBytes = 64;
+inline constexpr uint64_t kRpcResponseHeaderBytes = 32;
+
+/// Charges one RPC from `client` to `server` to the ambient SimContext: the
+/// request payload plus its header out, then the response payload plus its
+/// header back, as two transfers from the current time. Every client call
+/// to a tablet server or read replica pays its network cost here, so
+/// callers pass payload sizes only. No-op when `network` is null.
+void ChargeRpc(NetworkModel* network, int client, int server,
+               uint64_t request_payload, uint64_t response_payload);
+
 }  // namespace logbase::sim
 
 #endif  // LOGBASE_SIM_NETWORK_MODEL_H_

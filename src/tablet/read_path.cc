@@ -53,15 +53,13 @@ Result<ReadValue> ReadPoint(const index::MultiVersionIndex& index,
 Result<query::TabletResult> ReadRange(const index::MultiVersionIndex& index,
                                       ReadBuffer* buffer,
                                       const std::string& uid,
-                                      const Slice& encoded_plan,
+                                      const query::QueryPlan& plan,
                                       uint64_t snapshot, size_t batch_rows,
                                       const query::ValueFetcher& fetch,
                                       uint64_t* row_bytes) {
-  auto plan = query::QueryPlan::Decode(encoded_plan);
-  if (!plan.ok()) return plan.status();
   std::vector<index::IndexEntry> entries = [&] {
     obs::Span probe("index.probe");
-    return index.ScanRange(Slice(plan->start_key), Slice(plan->end_key),
+    return index.ScanRange(Slice(plan.start_key), Slice(plan.end_key),
                            snapshot);
   }();
   uint64_t bytes = 0;
@@ -83,7 +81,7 @@ Result<query::TabletResult> ReadRange(const index::MultiVersionIndex& index,
     return value;
   };
   auto result =
-      query::ExecuteOverEntries(*plan, entries, buffered_fetch, batch_rows);
+      query::ExecuteOverEntries(plan, entries, buffered_fetch, batch_rows);
   if (!result.ok()) return result.status();
   query::RecordScanMetrics(result->stats);
   if (row_bytes != nullptr) *row_bytes += bytes;

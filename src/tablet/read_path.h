@@ -50,15 +50,15 @@ Result<ReadValue> ReadPoint(const index::MultiVersionIndex& index,
                             const Slice& key, uint64_t snapshot,
                             const query::ValueFetcher& fetch);
 
-/// Runs the wire-encoded plan over its key range at `snapshot`; reports
-/// into the query.scan.* metrics. The index picks each row's version, so
-/// the buffer answers only when it holds exactly that version; other rows
-/// come from `fetch` and fill the buffer only at index::kLatest. Adds each
-/// row's key and value bytes to `*row_bytes` when it is not null.
+/// Runs `plan` over its key range at `snapshot`; reports into the
+/// query.scan.* metrics. The index picks each row's version, so the buffer
+/// answers only when it holds exactly that version; other rows come from
+/// `fetch` and fill the buffer only at index::kLatest. Adds each row's key
+/// and value bytes to `*row_bytes` when it is not null.
 Result<query::TabletResult> ReadRange(const index::MultiVersionIndex& index,
                                       ReadBuffer* buffer,
                                       const std::string& uid,
-                                      const Slice& encoded_plan,
+                                      const query::QueryPlan& plan,
                                       uint64_t snapshot, size_t batch_rows,
                                       const query::ValueFetcher& fetch,
                                       uint64_t* row_bytes = nullptr);

@@ -492,7 +492,7 @@ Result<std::vector<ReadRow>> TabletServer::GetVersions(
 }
 
 Result<query::TabletResult> TabletServer::ExecuteScan(
-    const std::string& tablet_uid, const Slice& encoded_plan,
+    const std::string& tablet_uid, const query::QueryPlan& plan,
     const query::ExecOptions& options) {
   obs::Span span("tablet.exec_scan");
   if (!running()) return Status::Unavailable("tablet server is down");
@@ -501,8 +501,8 @@ Result<query::TabletResult> TabletServer::ExecuteScan(
   if (tablet == nullptr) return UnknownTablet();
 
   uint64_t scanned_bytes = 0;
-  auto result = ReadRange(*tablet->index(), &buffer_, tablet_uid,
-                          encoded_plan, options.as_of, options.batch_rows,
+  auto result = ReadRange(*tablet->index(), &buffer_, tablet_uid, plan,
+                          options.as_of, options.batch_rows,
                           [this](const index::IndexEntry& entry) {
                             return FetchLogValue(entry);
                           },

@@ -206,12 +206,12 @@ class TabletServer {
   /// The only range read: evaluates a pushed-down QueryPlan (tablet::
   /// ReadRange) and returns filtered/projected column batches (whole rows
   /// for a match-all plan, see RowsFromBatches) or aggregate partials. The
-  /// plan arrives in its wire encoding (exactly what the RPC layer
-  /// delivers); value fetches go through the read buffer first, so warm
-  /// scans skip the log entirely. Historical executions (`options.as_of`)
-  /// never populate the buffer — it holds only latest versions.
+  /// plan arrives as a value, like every simulated request; value fetches
+  /// go through the read buffer first, so warm scans skip the log entirely.
+  /// Historical executions (`options.as_of`) never populate the buffer — it
+  /// holds only latest versions.
   Result<query::TabletResult> ExecuteScan(
-      const std::string& tablet_uid, const Slice& encoded_plan,
+      const std::string& tablet_uid, const query::QueryPlan& plan,
       const query::ExecOptions& options = {});
 
   // -- Maintenance -------------------------------------------------------

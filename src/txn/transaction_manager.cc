@@ -33,7 +33,6 @@ TransactionManager::TransactionManager(coord::CoordinationService* coord,
 }
 
 std::unique_ptr<Transaction> TransactionManager::Begin() {
-  stats_.begun.fetch_add(1, std::memory_order_relaxed);
   static obs::Counter* begun = TxnCounter("txn.begun");
   begun->Add();
   // The snapshot is the latest issued timestamp: every transaction that
@@ -188,7 +187,6 @@ Status TransactionManager::Commit(Transaction* txn, log::AckMode ack) {
   // (§3.7.1 — the separation MVOCC buys).
   if (txn->read_only()) {
     txn->set_state(Transaction::State::kCommitted);
-    stats_.committed.fetch_add(1, std::memory_order_relaxed);
     committed->Add();
     return Status::OK();
   }
@@ -214,7 +212,6 @@ Status TransactionManager::Commit(Transaction* txn, log::AckMode ack) {
     return lock_set.AcquireAll(cells);
   }();
   if (!stamp.ok()) {
-    stats_.lock_failures.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter* lock_failures = TxnCounter("txn.lock_failures");
     lock_failures->Add();
     Abort(txn);
@@ -224,7 +221,6 @@ Status TransactionManager::Commit(Transaction* txn, log::AckMode ack) {
   Status valid = ValidateLocked(txn);
   if (!valid.ok()) {
     if (valid.IsAborted()) {
-      stats_.validation_failures.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter* validation_failures =
           TxnCounter("txn.validation_failures");
       validation_failures->Add();
@@ -240,7 +236,6 @@ Status TransactionManager::Commit(Transaction* txn, log::AckMode ack) {
     return persisted;
   }
   txn->set_state(Transaction::State::kCommitted);
-  stats_.committed.fetch_add(1, std::memory_order_relaxed);
   committed->Add();
   return Status::OK();
 }
@@ -248,7 +243,6 @@ Status TransactionManager::Commit(Transaction* txn, log::AckMode ack) {
 void TransactionManager::Abort(Transaction* txn) {
   if (txn->state() == Transaction::State::kActive) {
     txn->set_state(Transaction::State::kAborted);
-    stats_.aborted.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter* aborted = TxnCounter("txn.aborted");
     aborted->Add();
   }

@@ -32,14 +32,6 @@
 
 namespace logbase::txn {
 
-struct TxnStats {
-  std::atomic<uint64_t> begun{0};
-  std::atomic<uint64_t> committed{0};
-  std::atomic<uint64_t> aborted{0};
-  std::atomic<uint64_t> validation_failures{0};
-  std::atomic<uint64_t> lock_failures{0};
-};
-
 struct TransactionManagerOptions {
   /// Default snapshot isolation. When true, commit additionally locks and
   /// validates the *read* set (the paper's §3.7.1 option: "if strict
@@ -83,8 +75,6 @@ class TransactionManager {
 
   void Abort(Transaction* txn);
 
-  const TxnStats& stats() const { return stats_; }
-
  private:
   /// "Locked" here means the transaction's *distributed* write locks (znode
   /// leases, §3.7.1) are held — a protocol invariant the compile-time
@@ -104,7 +94,6 @@ class TransactionManager {
   coord::LockManager locks_;
   coord::SessionId session_;
   std::atomic<uint64_t> next_txn_id_{1};
-  TxnStats stats_;
 };
 
 }  // namespace logbase::txn

@@ -1,7 +1,5 @@
 #include "src/util/status.h"
 
-#include "src/util/coding.h"
-
 namespace logbase {
 
 namespace {
@@ -46,40 +44,6 @@ std::string Status::ToString() const {
     result += "us)";
   }
   return result;
-}
-
-std::string Status::EncodeWire() const {
-  std::string out;
-  out.push_back(static_cast<char>(code_));
-  PutLengthPrefixedSlice(&out, Slice(msg_));
-  // The hint is appended only when present, so pre-hint encodings decode
-  // unchanged and hint-free statuses stay byte-identical to before.
-  if (retry_after_us_ > 0) {
-    PutVarint64(&out, static_cast<uint64_t>(retry_after_us_));
-  }
-  return out;
-}
-
-bool Status::DecodeWire(Slice in, Status* out) {
-  if (in.size() < 1) return false;
-  const auto code = static_cast<Code>(in[0]);
-  if (static_cast<unsigned char>(code) > static_cast<unsigned char>(
-                                             Code::kUnavailable)) {
-    return false;
-  }
-  in.remove_prefix(1);
-  Slice msg;
-  if (!GetLengthPrefixedSlice(&in, &msg)) return false;
-  uint64_t hint = 0;
-  if (!in.empty() && !GetVarint64(&in, &hint)) return false;
-  if (!in.empty()) return false;
-  if (code == Code::kOk) {
-    *out = Status::OK();
-    return true;
-  }
-  *out = Status(code, msg);
-  out->retry_after_us_ = static_cast<int64_t>(hint);
-  return true;
 }
 
 }  // namespace logbase

@@ -88,12 +88,6 @@ class [[nodiscard]] Status {
   /// Human-readable "<code>: <message>" form for logging and test output.
   std::string ToString() const;
 
-  /// Wire form (code + message + optional retry-after hint), for statuses
-  /// that cross a simulated RPC boundary. Round-trips exactly; a decoded
-  /// legacy encoding without the hint yields retry_after_us() == 0.
-  std::string EncodeWire() const;
-  static bool DecodeWire(Slice in, Status* out);
-
  private:
   Status(Code code, Slice msg) : code_(code), msg_(msg.ToString()) {}
 

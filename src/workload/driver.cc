@@ -13,14 +13,6 @@ std::function<int(const Slice&)> HashRouter(int num_nodes) {
 
 namespace {
 
-/// Client -> server request/response RPC charge.
-void ChargeRpc(const EngineCluster& cluster, int client_node, int server_node,
-               uint64_t request_bytes, uint64_t response_bytes) {
-  if (cluster.network == nullptr) return;
-  cluster.network->Transfer(client_node, server_node, request_bytes);
-  cluster.network->Transfer(server_node, client_node, response_bytes);
-}
-
 /// Fills the makespan-derived fields once every client is done.
 void Finish(sim::VirtualTime start, sim::VirtualTime end,
             DriverResult* result) {
@@ -46,7 +38,7 @@ DriverResult ClosedLoopDriver::Load(const EngineCluster& cluster,
   auto send_batch = [&](int loader, int target, Batch* batch) {
     uint64_t bytes = 0;
     for (const auto& [k, v] : *batch) bytes += k.size() + v.size();
-    ChargeRpc(cluster, loader, target, bytes, 64);
+    sim::ChargeRpc(cluster.network, loader, target, bytes, 0);
     Status s = cluster.engines[target]->PutBatch(cluster.tablet_uid(target),
                                                  *batch);
     if (!s.ok()) result.failed_ops++;
@@ -102,8 +94,8 @@ DriverResult ClosedLoopDriver::RunYcsb(const EngineCluster& cluster,
       int target = cluster.route(Slice(op.key));
       sim::VirtualTime op_start = ctx.now();
       if (op.type == YcsbWorkload::OpType::kUpdate) {
-        ChargeRpc(cluster, c, target, op.key.size() + op.value.size() + 64,
-                  32);
+        sim::ChargeRpc(cluster.network, c, target,
+                       op.key.size() + op.value.size(), 0);
         Status s = cluster.engines[target]->Put(cluster.tablet_uid(target),
                                                 Slice(op.key),
                                                 Slice(op.value));
@@ -114,11 +106,11 @@ DriverResult ClosedLoopDriver::RunYcsb(const EngineCluster& cluster,
               static_cast<double>(ctx.now() - op_start));
         }
       } else {
-        ChargeRpc(cluster, c, target, op.key.size() + 64, 32);
         auto read = cluster.engines[target]->Get(cluster.tablet_uid(target),
                                                  Slice(op.key));
+        sim::ChargeRpc(cluster.network, c, target, op.key.size(),
+                       read.ok() ? read->value.size() : 0);
         if (read.ok()) {
-          ChargeRpc(cluster, c, target, 0, read->value.size());
           result.read_latency_us.Add(
               static_cast<double>(ctx.now() - op_start));
         } else {

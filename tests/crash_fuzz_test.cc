@@ -62,7 +62,7 @@ TEST_P(CrashFuzzTest, RecoveredStateMatchesOracle) {
     }
     // Scan agreement (count + order).
     query::QueryPlan match_all;  // whole range, no predicate, raw values
-    auto scanned = f.server->ExecuteScan(f.uid, Slice(match_all.Encode()));
+    auto scanned = f.server->ExecuteScan(f.uid, match_all);
     ASSERT_TRUE(scanned.ok());
     std::vector<ReadRow> rows = RowsFromBatches(scanned->batches);
     ASSERT_EQ(rows.size(), oracle.size());

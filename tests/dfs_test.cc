@@ -452,6 +452,64 @@ TEST(DfsTest, RenameAndList) {
   EXPECT_EQ(set, (std::set<std::string>{"/dir/b", "/dir/c"}));
 }
 
+/// Writes `data` to a fresh `path` and closes it.
+void WriteFile(Dfs* dfs, const std::string& path, const std::string& data) {
+  auto wf = dfs->Create(path, 0);
+  ASSERT_TRUE(wf.ok()) << wf.status().ToString();
+  ASSERT_TRUE((*wf)->Append(data).ok());
+  ASSERT_TRUE((*wf)->Close().ok());
+}
+
+// The checkpoint idiom (write a temp file, rename it over the live one)
+// frees the replaced file's blocks, so repeating it holds storage steady.
+TEST(DfsTest, RenameOverFileFreesItsBlocks) {
+  Dfs dfs(SmallBlocks(3));
+  const std::string data(2500, 'c');  // three 1 KB blocks
+  auto storage = [&dfs] {
+    std::pair<size_t, uint64_t> total{0, 0};
+    for (int i = 0; i < dfs.num_nodes(); i++) {
+      total.first += dfs.data_node(i)->ListBlocks().size();
+      total.second += dfs.data_node(i)->used_bytes();
+    }
+    return total;
+  };
+  WriteFile(&dfs, "/ckpt", data);
+  const auto steady = storage();
+  EXPECT_EQ(steady.first, 9u);  // 3 blocks x 3 replicas
+  EXPECT_EQ(steady.second, 3 * data.size());
+  for (int round = 0; round < 5; round++) {
+    WriteFile(&dfs, "/ckpt.tmp", data);
+    ASSERT_TRUE(dfs.Rename("/ckpt.tmp", "/ckpt").ok());
+    EXPECT_EQ(storage(), steady) << "round " << round;
+  }
+  auto rf = dfs.Open("/ckpt", 1);
+  ASSERT_TRUE(rf.ok());
+  EXPECT_EQ(*(*rf)->Read(0, data.size()), data);
+}
+
+// A reader of a replaced file fails like a reader of a deleted one, whether
+// or not it read before the rename: it never returns the new file's bytes.
+TEST(DfsTest, ReaderOfReplacedFileFails) {
+  Dfs dfs(SmallBlocks(3));
+  const std::string old_data(1500, 'o');
+  const std::string new_data(3000, 'n');
+  WriteFile(&dfs, "/ckpt", old_data);
+  auto warm = dfs.Open("/ckpt", 1);  // has read the old file's first block
+  auto cold = dfs.Open("/ckpt", 2);  // has read nothing yet
+  ASSERT_TRUE(warm.ok() && cold.ok());
+  ASSERT_EQ(*(*warm)->Read(0, 100), old_data.substr(0, 100));
+
+  WriteFile(&dfs, "/ckpt.tmp", new_data);
+  ASSERT_TRUE(dfs.Rename("/ckpt.tmp", "/ckpt").ok());
+  EXPECT_FALSE((*warm)->Read(0, 100).ok());  // its cached blocks are freed
+  EXPECT_FALSE((*warm)->Read(0, 3000).ok());  // refetch finds another file
+  EXPECT_FALSE((*cold)->Read(0, 100).ok());
+  EXPECT_EQ((*warm)->Size(), 0u);
+  auto fresh = dfs.Open("/ckpt", 1);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(*(*fresh)->Read(0, new_data.size()), new_data);
+}
+
 TEST(DfsTest, WritesChargeDiskAndNetwork) {
   Dfs dfs(SmallBlocks(3));
   sim::SimContext ctx;

@@ -340,32 +340,8 @@ TEST(AdmissionTest, QuotaGovernsOnlyItsTenant) {
 }
 
 // ---------------------------------------------------------------------------
-// Status wire codec + RetryPolicy hint handling
+// RetryPolicy hint handling
 // ---------------------------------------------------------------------------
-
-TEST(StatusWireTest, RoundTripsWithAndWithoutHint) {
-  Status plain = Status::IOError("disk on fire");
-  Status decoded = Status::OK();
-  ASSERT_TRUE(Status::DecodeWire(Slice(plain.EncodeWire()), &decoded));
-  EXPECT_TRUE(decoded.IsIOError());
-  EXPECT_EQ(decoded.message(), "disk on fire");
-  EXPECT_EQ(decoded.retry_after_us(), 0);
-
-  Status hinted = Status::UnavailableWithRetryAfter("over quota", 12'345);
-  ASSERT_TRUE(Status::DecodeWire(Slice(hinted.EncodeWire()), &decoded));
-  EXPECT_TRUE(decoded.IsUnavailable());
-  EXPECT_EQ(decoded.message(), "over quota");
-  EXPECT_EQ(decoded.retry_after_us(), 12'345);
-
-  Status ok = Status::OK();
-  ASSERT_TRUE(Status::DecodeWire(Slice(ok.EncodeWire()), &decoded));
-  EXPECT_TRUE(decoded.ok());
-
-  // Corrupt inputs are rejected, not misdecoded.
-  EXPECT_FALSE(Status::DecodeWire(Slice(""), &decoded));
-  std::string trailing = hinted.EncodeWire() + "zz";
-  EXPECT_FALSE(Status::DecodeWire(Slice(trailing), &decoded));
-}
 
 TEST(RetryHintTest, HintCapsBackoffDeterministically) {
   fault::RetryOptions options;

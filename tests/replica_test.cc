@@ -282,8 +282,8 @@ TEST(ReplicaTest, CrashedReplicaRebuildsAndConverges) {
   ReplicaServer* rep = cluster.replica(0);
   uint64_t snapshot_ts = 0;
   query::QueryPlan match_all;  // whole range, no predicate, raw values
-  auto scanned = rep->ExecuteScan(uid, Slice(match_all.Encode()),
-                                  /*max_staleness_us=*/0, {}, &snapshot_ts);
+  auto scanned = rep->ExecuteScan(uid, match_all, /*max_staleness_us=*/0, {},
+                                  &snapshot_ts);
   ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
   ASSERT_NE(snapshot_ts, 0u);
   auto replica_rows = tablet::RowsFromBatches(scanned->batches);
@@ -293,7 +293,7 @@ TEST(ReplicaTest, CrashedReplicaRebuildsAndConverges) {
   query::ExecOptions at_snapshot;
   at_snapshot.as_of = snapshot_ts;
   auto primary = cluster.server(location->server_id)
-                     ->ExecuteScan(uid, Slice(match_all.Encode()), at_snapshot);
+                     ->ExecuteScan(uid, match_all, at_snapshot);
   ASSERT_TRUE(primary.ok()) << primary.status().ToString();
   auto primary_rows = tablet::RowsFromBatches(primary->batches);
 
@@ -560,8 +560,7 @@ TEST(ReplicaTest, PointAndRangeReadsAgreeOnBothServers) {
     first_write.as_of = write_ts[key];  // round 0
     const uint64_t preads_before = PreadBytes();
     EXPECT_EQ(
-        FromScan(rep->ExecuteScan(uid, OneKey(Key(key)).Encode(), 0,
-                                  first_write)),
+        FromScan(rep->ExecuteScan(uid, OneKey(Key(key)), 0, first_write)),
         (PointRead{true, write_ts[key], "v" + std::to_string(key) + ".0"}));
     EXPECT_GT(PreadBytes(), preads_before);
     EXPECT_EQ(FromGet(rep->Get(uid, Key(key), index::kLatest, 0)),
@@ -572,7 +571,7 @@ TEST(ReplicaTest, PointAndRangeReadsAgreeOnBothServers) {
   snapshots.push_back(index::kLatest);
   for (int pass = 0; pass < 2; pass++) {
     for (int key = 0; key < 10; key++) {
-      const std::string plan = OneKey(Key(key)).Encode();
+      const query::QueryPlan plan = OneKey(Key(key));
       for (uint64_t snapshot : snapshots) {
         query::ExecOptions exec;
         exec.as_of = snapshot;
@@ -635,7 +634,7 @@ TEST(ReplicaTest, CompactedLogPointerReseedsOnNextTick) {
 
   ASSERT_TRUE(primary->CompactLog().ok());
 
-  auto stale = rep->ExecuteScan(uid, OneKey(Key(0)).Encode(), 0);
+  auto stale = rep->ExecuteScan(uid, OneKey(Key(0)), 0);
   ASSERT_FALSE(stale.ok());
   EXPECT_TRUE(stale.status().IsUnavailable()) << stale.status().ToString();
 
@@ -649,13 +648,12 @@ TEST(ReplicaTest, CompactedLogPointerReseedsOnNextTick) {
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].value, "cold0");
 
-  EXPECT_EQ(FromScan(rep->ExecuteScan(uid, OneKey(Key(5)).Encode(), 0)), hot);
+  EXPECT_EQ(FromScan(rep->ExecuteScan(uid, OneKey(Key(5)), 0)), hot);
 
   ASSERT_TRUE(rep->TickTailers().ok());
   query::QueryPlan all;
-  const std::string plan = all.Encode();
-  auto want = primary->ExecuteScan(uid, plan, {});
-  auto got = rep->ExecuteScan(uid, plan, 0);
+  auto want = primary->ExecuteScan(uid, all, {});
+  auto got = rep->ExecuteScan(uid, all, 0);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   std::vector<tablet::ReadRow> want_rows =

@@ -105,7 +105,7 @@ Result<std::vector<ReadRow>> ScanRows(TabletServer* server,
   query::QueryPlan plan;
   plan.start_key = start;
   plan.end_key = end;
-  auto result = server->ExecuteScan(uid, Slice(plan.Encode()));
+  auto result = server->ExecuteScan(uid, plan);
   if (!result.ok()) return result.status();
   return RowsFromBatches(result->batches);
 }

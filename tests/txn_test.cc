@@ -12,6 +12,7 @@
 
 #include "src/cluster/mini_cluster.h"
 #include "src/dfs/dfs.h"
+#include "src/obs/metrics.h"
 #include "src/sim/costs.h"
 #include "src/sim/network_model.h"
 #include "src/sim/sim_context.h"
@@ -25,6 +26,11 @@ namespace {
 using tablet::TabletDescriptor;
 using tablet::TabletServer;
 using tablet::TabletServerOptions;
+
+/// The process-wide txn.* registry counter `name`; tests compare deltas.
+uint64_t TxnCounter(const char* name) {
+  return obs::MetricsRegistry::Global().counter(name)->value();
+}
 
 struct TxnFixture {
   dfs::Dfs dfs{[] {
@@ -139,6 +145,7 @@ TEST(TxnTest, ReadYourOwnWrites) {
 
 TEST(TxnTest, ReadOnlyAlwaysCommits) {
   TxnFixture f;
+  const uint64_t committed = TxnCounter("txn.committed");
   ASSERT_TRUE(f.servers[0]->Put(f.uid0, "k", "v").ok());
   // Even with a concurrent writer on the same key.
   auto reader = f.manager->Begin();
@@ -147,7 +154,7 @@ TEST(TxnTest, ReadOnlyAlwaysCommits) {
   ASSERT_TRUE(f.manager->Commit(writer.get()).ok());
   ASSERT_TRUE(f.manager->Read(reader.get(), f.uid0, "k").ok());
   EXPECT_TRUE(f.manager->Commit(reader.get()).ok());
-  EXPECT_EQ(f.manager->stats().committed.load(), 2u);
+  EXPECT_EQ(TxnCounter("txn.committed") - committed, 2u);
 }
 
 TEST(TxnTest, SnapshotReadsIgnoreLaterCommits) {
@@ -168,6 +175,7 @@ TEST(TxnTest, SnapshotReadsIgnoreLaterCommits) {
 
 TEST(TxnTest, LostUpdatePrevented) {
   TxnFixture f;
+  const uint64_t validation_failures = TxnCounter("txn.validation_failures");
   ASSERT_TRUE(f.servers[0]->Put(f.uid0, "counter", "10").ok());
   auto t1 = f.manager->Begin();
   auto t2 = f.manager->Begin();
@@ -180,7 +188,7 @@ TEST(TxnTest, LostUpdatePrevented) {
   // First committer wins; the second must abort on validation.
   Status second = f.manager->Commit(t2.get());
   EXPECT_TRUE(second.IsAborted());
-  EXPECT_EQ(f.manager->stats().validation_failures.load(), 1u);
+  EXPECT_EQ(TxnCounter("txn.validation_failures") - validation_failures, 1u);
 }
 
 TEST(TxnTest, WriteSkewPermitted) {
@@ -630,10 +638,11 @@ TEST(OrderedLockSetTest, StatsCountLockFailures) {
   lock_name += "blocked";
   ASSERT_TRUE(locks.TryLock(s, {lock_name}, "outsider", 0));
 
+  const uint64_t lock_failures = TxnCounter("txn.lock_failures");
   auto txn = f.manager->Begin();
   ASSERT_TRUE(f.manager->Write(txn.get(), f.uid0, "blocked", "v").ok());
   EXPECT_TRUE(f.manager->Commit(txn.get()).IsAborted());
-  EXPECT_EQ(f.manager->stats().lock_failures.load(), 1u);
+  EXPECT_EQ(TxnCounter("txn.lock_failures") - lock_failures, 1u);
 }
 
 // The RAII client::Txn handle: dropping it without Commit must abort the
