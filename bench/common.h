@@ -51,8 +51,8 @@ inline uint64_t ScaledBytes(uint64_t paper_bytes) {
   return std::max<uint64_t>(v, 64 << 10);
 }
 
-/// Output path override for BenchResult::WriteFile, set by `--json <path>`;
-/// empty means the default BENCH_<name>.json in the working directory.
+/// Where BenchResult::WriteFile writes, set by `--json <path>`; empty means
+/// no JSON is written, so a plain run never overwrites a committed file.
 inline std::string& BenchJsonPath() {
   static std::string* path = new std::string();
   return *path;
@@ -60,7 +60,7 @@ inline std::string& BenchJsonPath() {
 
 /// Parses the flags every bench main shares. Currently:
 ///   --json <path>   write the machine-readable BenchResult to <path>
-///                   instead of BENCH_<name>.json in the working directory
+///                   (scripts/collect_bench.py passes BENCH_<name>.json)
 /// Unknown arguments abort with a usage line, so a typo cannot silently run
 /// a default configuration.
 inline void ParseBenchArgs(int argc, char** argv) {
@@ -253,16 +253,16 @@ inline void PrintComponentBreakdown() {
 
 // ---------------------------------------------------------------------------
 // Machine-readable results: a bench builds one BenchResult alongside its
-// stdout report and calls WriteFile() before exiting, producing
-// BENCH_<name>.json in the working directory so drivers and CI can diff
-// headline numbers without scraping stdout. Keys keep insertion order;
-// numbers print with %.6g.
+// stdout report and calls WriteFile() before exiting; given `--json <path>`,
+// that writes the result to <path> so drivers and CI can diff headline
+// numbers without scraping stdout. Keys keep insertion order; numbers print
+// with %.6g.
 // ---------------------------------------------------------------------------
 
 class BenchResult {
  public:
-  explicit BenchResult(std::string name) : name_(std::move(name)) {
-    Set("bench", name_);
+  explicit BenchResult(const std::string& name) {
+    Set("bench", name);
     Set("scale", Scale());
   }
 
@@ -291,12 +291,11 @@ class BenchResult {
     }
   }
 
-  /// Writes BENCH_<name>.json (or the --json override); prints the path
-  /// (or the failure) to stdout.
+  /// Writes the result to the `--json` path, if one was given; prints the
+  /// path (or the failure) to stdout.
   void WriteFile() const {
-    const std::string path = BenchJsonPath().empty()
-                                 ? "BENCH_" + name_ + ".json"
-                                 : BenchJsonPath();
+    const std::string& path = BenchJsonPath();
+    if (path.empty()) return;
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
       std::printf("results: could not write %s\n", path.c_str());
@@ -338,7 +337,6 @@ class BenchResult {
     return out + "\"";
   }
 
-  std::string name_;
   std::vector<std::pair<std::string, std::string>> scalars_;
   std::vector<std::pair<std::string, std::vector<std::string>>> arrays_;
 };

@@ -7,10 +7,10 @@
 # <parent-build>/bench except the host-time bench_micro_index) from both
 # build trees at the ambient LOGBASE_BENCH_SCALE (the benches default to
 # 0.1), and compares their stdout plus exit status. Each run gets its own
-# scratch working directory, so the BENCH_<name>.json files a bench writes
-# never touch the checkout, and the `results: <path>` lines naming those
-# files are dropped before comparing. The two builds' runs of one bench go
-# side by side; the benches run one after another.
+# scratch working directory, so nothing a bench writes lands in the
+# checkout, and `results: <path>` lines are dropped before comparing. The
+# two builds' runs of one bench go side by side; the benches run one after
+# another.
 #
 # Prints `same`/`DIFFERS` per bench, with the first differing lines of a
 # bench that differs; exits 1 when any bench differs, 2 on bad usage.

@@ -2,9 +2,10 @@
 """Run benchmark binaries and aggregate their --json outputs.
 
 Each bench binary (bench/*.cc) writes one machine-readable result file via
-BenchResult::WriteFile (see bench/common.h). This driver runs a set of them,
-directs every result to BENCH_<name>.json at the repo root (the canonical
-location EXPERIMENTS.md quotes and CI diffs), and merges each bench's scalar
+BenchResult::WriteFile (see bench/common.h), and only to the path its --json
+flag names. This driver runs a set of them, points each one's --json at
+BENCH_<name>.json at the repo root (the canonical location EXPERIMENTS.md
+quotes and CI diffs), and merges each bench's scalar
 headline numbers into one combined BENCH_SUMMARY.json, so a single file
 answers "what did this tree measure". A run of some benches replaces only
 their entries; the other benches' headlines stay.

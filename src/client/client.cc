@@ -396,10 +396,15 @@ Result<ReadResult> LogBaseClient::Get(const std::string& table,
       auto server = ServerFor(route.server_id);
       if (!server.ok()) return server.status();
       auto rows = (*server)->GetVersions(route.tablet_uid, key);
-      if (!rows.ok()) return NormalizeServerStatus(rows.status());
       uint64_t bytes = 0;
-      for (const auto& row : *rows) bytes += row.key.size() + row.value.size();
+      if (rows.ok()) {
+        for (const auto& row : *rows) {
+          bytes += row.key.size() + row.value.size();
+        }
+      }
+      // The server answered, with rows or an error: the round trip is paid.
       sim::ChargeRpc(network_, node_, route.server_id, key.size(), bytes);
+      if (!rows.ok()) return NormalizeServerStatus(rows.status());
       result.rows = std::move(*rows);
       return result;
     }
@@ -418,9 +423,9 @@ Result<ReadResult> LogBaseClient::Get(const std::string& table,
       auto server = ServerFor(route.server_id);
       if (!server.ok()) return server.status();
       read = (*server)->Get(route.tablet_uid, key, SnapshotOf(options));
-      if (!read->ok()) return NormalizeServerStatus(read->status());
       sim::ChargeRpc(network_, node_, route.server_id, key.size(),
-                     (*read)->value.size());
+                     read->ok() ? (*read)->value.size() : 0);
+      if (!read->ok()) return NormalizeServerStatus(read->status());
     }
     if (!read->ok()) return read->status();
     result.rows.push_back(tablet::ReadRow{key.ToString(), (*read)->timestamp,

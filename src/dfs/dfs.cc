@@ -1,7 +1,6 @@
 #include "src/dfs/dfs.h"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <utility>
 
@@ -61,35 +60,35 @@ class DfsWritableFile : public WritableFile {
   Status Append(const Slice& data) override {
     w_.buffer.append(data.data(), data.size());
     w_.size += data.size();
-    if (w_.buffer.size() >= kStreamChunk) return FlushBuffer(nullptr);
+    if (w_.buffer.size() >= kStreamChunk) return FlushBuffer();
     return Status::OK();
   }
 
-  Status Sync() override { return FlushBuffer(nullptr); }
+  Status Sync() override { return FlushBuffer(); }
 
   // Quorum / pipelined durability: remembers the ack mode and switches the
   // file to pipelined syncs (so streaming flushes triggered by Append() and
-  // later Sync() calls keep both), and reports when the ack landed on the
-  // virtual clock. The caller's clock only advances to the point its NIC
-  // finished streaming the chunk; the replication pipeline's completion is
-  // tracked as an outstanding ack.
+  // later Sync() calls keep both). The caller's clock only advances to the
+  // point its NIC finished streaming; `*ack_us` receives the latest ack of
+  // every chunk pushed since the previous SyncWith, including chunks that an
+  // Append past kStreamChunk pushed.
   Status SyncWith(AckMode ack, uint64_t* ack_us) override {
     w_.ack = ack;
     w_.pipelined = true;
-    return FlushBuffer(ack_us);
+    LOGBASE_RETURN_NOT_OK(FlushBuffer());
+    if (ack_us != nullptr) *ack_us = static_cast<uint64_t>(w_.unsynced_ack);
+    w_.unsynced_ack = 0;
+    return Status::OK();
   }
 
   Status WaitForAcks() override {
     sim::SimContext* ctx = sim::SimContext::Current();
-    if (ctx != nullptr) {
-      for (sim::VirtualTime ack : w_.inflight_acks) ctx->AdvanceTo(ack);
-    }
-    w_.inflight_acks.clear();
+    if (ctx != nullptr) ctx->AdvanceTo(w_.last_ack);
     return Status::OK();
   }
 
   Status Close() override {
-    LOGBASE_RETURN_NOT_OK(FlushBuffer(nullptr));
+    LOGBASE_RETURN_NOT_OK(FlushBuffer());
     LOGBASE_RETURN_NOT_OK(WaitForAcks());
     w_.block_open = false;
     return Status::OK();
@@ -99,13 +98,9 @@ class DfsWritableFile : public WritableFile {
 
  private:
   static constexpr size_t kStreamChunk = 1 << 20;
-  /// Maximum pipelined syncs in flight before the writer blocks on the
-  /// oldest ack: sync k+1 ships while sync k's ack is still outstanding.
-  static constexpr size_t kPipelineDepth = 4;
 
-  Status FlushBuffer(uint64_t* ack_us_out) {
+  Status FlushBuffer() {
     Slice remaining(w_.buffer);
-    sim::VirtualTime ack_us = 0;
     while (!remaining.empty()) {
       if (!w_.block_open || w_.block_fill >= dfs_->options_.block_size) {
         LOGBASE_RETURN_NOT_OK(StartNewBlock());
@@ -117,13 +112,11 @@ class DfsWritableFile : public WritableFile {
       // A chunk that reached zero replicas stored nothing anywhere, so the
       // retry re-appends at the same offset; partial successes return OK
       // (under-replication is healed by the name node's sweep).
-      LOGBASE_RETURN_NOT_OK(retry_.Run("dfs.pipeline_write", [&]() {
-        return PipelineWrite(chunk, &ack_us);
-      }));
+      LOGBASE_RETURN_NOT_OK(retry_.Run(
+          "dfs.pipeline_write", [&]() { return PipelineWrite(chunk); }));
       remaining.remove_prefix(chunk_len);
     }
     w_.buffer.clear();
-    if (ack_us_out != nullptr) *ack_us_out = static_cast<uint64_t>(ack_us);
     return Status::OK();
   }
   Status StartNewBlock() {
@@ -148,10 +141,12 @@ class DfsWritableFile : public WritableFile {
 
   /// Streams the chunk through the replica pipeline: client → r0 → r1 → r2.
   /// HDFS pipelines packets, so the hops overlap: each downstream hop
-  /// starts one RPC overhead after its upstream, and disks write while the
-  /// network streams. Total latency ≈ max(stage time) + per-hop overheads,
-  /// while every NIC/disk is still charged its full service time (so
-  /// utilization and contention stay honest). Dead replicas are dropped
+  /// starts one hop latency after its upstream (`loopback_us` after a
+  /// same-node hop, as the first hop to the writer's own replica is;
+  /// `rpc_overhead_us` after a hop between nodes), and disks write while
+  /// the network streams. Total latency ≈ max(stage time) + per-hop
+  /// latencies, while every NIC/disk is still charged its full service time
+  /// (so utilization and contention stay honest). Dead replicas are dropped
   /// from the pipeline (HDFS behaviour); at least one must survive.
   ///
   /// The ack point depends on the ack mode: kAll waits for every surviving
@@ -159,10 +154,10 @@ class DfsWritableFile : public WritableFile {
   /// fastest replica — a disk-stalled straggler still gets the data and is
   /// still charged its full disk/NIC time, it just completes in the
   /// background. A pipelined file's caller only advances its clock to the
-  /// point its own NIC finished streaming; the ack is tracked as
-  /// outstanding and collected by WaitForAcks()/a later sync (at most
-  /// kPipelineDepth in flight).
-  Status PipelineWrite(const Slice& chunk, sim::VirtualTime* ack_out) {
+  /// point its own NIC finished streaming; the ack is recorded for the next
+  /// SyncWith to report and for WaitForAcks() to wait on. No sync waits on
+  /// another's ack.
+  Status PipelineWrite(const Slice& chunk) {
     obs::Span span("dfs.write");
     sim::SimContext* ctx = sim::SimContext::Current();
     sim::VirtualTime stream_begin = ctx != nullptr ? ctx->now() : 0;
@@ -193,7 +188,8 @@ class DfsWritableFile : public WritableFile {
             /*is_write=*/true);
         completions.push_back(std::max(net_done, disk_done));
         if (prev == client_node_) push_done = net_done;
-        stream_begin += dfs_->network_->params().rpc_overhead_us;
+        const sim::NetworkParams& net = dfs_->network_->params();
+        stream_begin += prev == replica ? net.loopback_us : net.rpc_overhead_us;
       } else {
         // No actor: keep the disk's stream state warm, charge nothing.
         dn->disk()->Access(w_.current.id, w_.block_fill, chunk.size(),
@@ -220,20 +216,15 @@ class DfsWritableFile : public WritableFile {
                          completions.end());
         ack = completions[quorum - 1];
       }
-      *ack_out = std::max(*ack_out, ack);
+      w_.unsynced_ack = std::max(w_.unsynced_ack, ack);
+      w_.last_ack = std::max(w_.last_ack, ack);
       if (w_.pipelined) {
         ctx->AdvanceTo(push_done);
-        w_.inflight_acks.push_back(ack);
-        while (w_.inflight_acks.size() >= kPipelineDepth) {
-          ctx->AdvanceTo(w_.inflight_acks.front());
-          w_.inflight_acks.pop_front();
-        }
       } else {
         ctx->AdvanceTo(ack);
       }
     }
     w_.block_fill += chunk.size();
-    w_.size += chunk.size();
     // Publish the new length so concurrent readers can see the tail.
     return dfs_->name_node_.SealBlock(path_, w_.current.id, w_.block_fill);
   }
@@ -251,7 +242,8 @@ class DfsWritableFile : public WritableFile {
     // SyncWith(), then that call's ack mode, pipelined.
     AckMode ack = AckMode::kAll;
     bool pipelined = false;
-    std::deque<sim::VirtualTime> inflight_acks;  // pipelined, not yet waited
+    sim::VirtualTime unsynced_ack = 0;  // latest ack since the last SyncWith
+    sim::VirtualTime last_ack = 0;      // latest ack of any chunk
     BlockInfo current;
     std::shared_ptr<BlockBytes> bytes;  // current's bytes, appended here
     bool block_open = false;

@@ -42,7 +42,8 @@ class WritableFile {
   /// synchronous replication pipeline).
   virtual Status Sync() = 0;
   /// Pipelined sync acknowledged under `ack`; `*ack_us` (may be null)
-  /// receives the virtual time the ack landed. The base implementation is a
+  /// receives the virtual time the ack of everything appended since the
+  /// previous SyncWith landed. The base implementation is a
   /// plain Sync() acknowledged immediately — single-copy files have no
   /// replication pipeline to relax.
   virtual Status SyncWith(AckMode ack, uint64_t* ack_us);

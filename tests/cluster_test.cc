@@ -251,6 +251,23 @@ TEST(ClientTest, WriteDeadlineCapsRetries) {
   EXPECT_LT(bounded_elapsed, unbounded_elapsed);
 }
 
+TEST(ClientTest, NotFoundReadPaysItsRoundTrip) {
+  // A read the primary answers NotFound still crossed the network both ways.
+  ClusterFixture f;
+  ASSERT_TRUE(f.CreateUsersTable().ok());
+  auto route = f.cluster->master()->Locate("users", 0, "user4");
+  ASSERT_TRUE(route.ok());
+  auto reader = f.cluster->NewClient((route->server_id + 1) % 3);
+  ASSERT_TRUE(reader->Put("users", 0, "user5", "v", {}).ok());
+
+  sim::SimContext ctx;
+  sim::SimContext::Scope scope(&ctx);
+  EXPECT_TRUE(reader->Get("users", 0, "user4", client::ReadOptions{})
+                  .status()
+                  .IsNotFound());
+  EXPECT_GE(ctx.now(), f.cluster->network()->params().rpc_overhead_us);
+}
+
 TEST(ClientTest, ScanSpansTablets) {
   ClusterFixture f;
   ASSERT_TRUE(f.CreateUsersTable().ok());

@@ -82,6 +82,7 @@ TEST(DfsBufferingTest, DataInvisibleUntilSync) {
   EXPECT_EQ(*dfs.FileSize("/buffered"), 0u);
   ASSERT_TRUE((*wf)->Sync().ok());
   EXPECT_EQ(*dfs.FileSize("/buffered"), 7u);
+  EXPECT_EQ((*wf)->Size(), 7u);  // the sync moves bytes, it adds none
 }
 
 TEST(DfsBufferingTest, CloseFlushesOutstandingBuffer) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/dfs/dfs.h"
 #include "src/log/log_reader.h"
 #include "src/log/log_writer.h"
@@ -349,6 +352,102 @@ TEST(PipelinedSyncTest, QuorumAckExcludesStalledStraggler) {
     EXPECT_GE(ack_us, static_cast<uint64_t>(kStallUs));
     ASSERT_TRUE((*file)->Close().ok());
   }
+}
+
+TEST(PipelinedSyncTest, ConcurrentSyncsStopAtTheirOwnPush) {
+  // Five writers sync the one log file at the same virtual time while the
+  // remote replicas' disks lag: each caller's clock stops at its own NIC
+  // push, never at the ack of a sync issued before it.
+  dfs::DfsOptions options;
+  options.num_nodes = 3;
+  dfs::Dfs dfs(options);
+  const sim::NetworkParams& net = dfs.network()->params();
+  auto file = dfs.Create("/shared", 0);
+  ASSERT_TRUE(file.ok());
+  {
+    sim::SimContext setup;
+    sim::SimContext::Scope scope(&setup);
+    ASSERT_TRUE((*file)->Append(Slice(std::string(1024, 'x'))).ok());
+    ASSERT_TRUE((*file)->SyncWith(AckMode::kQuorum, nullptr).ok());
+  }
+  dfs.data_node(1)->disk()->set_stall_us(2000);
+  dfs.data_node(2)->disk()->set_stall_us(2000);
+
+  constexpr sim::VirtualTime kStart = 1000000;
+  constexpr int kWriters = 5;
+  std::vector<sim::VirtualTime> stopped;
+  std::vector<uint64_t> acks;
+  for (int i = 0; i < kWriters; i++) {
+    sim::SimContext ctx(kStart);
+    sim::SimContext::Scope scope(&ctx);
+    ASSERT_TRUE((*file)->Append(Slice(std::string(1024, 'y'))).ok());
+    uint64_t ack_us = 0;
+    ASSERT_TRUE((*file)->SyncWith(AckMode::kQuorum, &ack_us).ok());
+    stopped.push_back(ctx.now());
+    acks.push_back(ack_us);
+  }
+  const uint64_t first_ack = *std::min_element(acks.begin(), acks.end());
+  for (int i = 0; i < kWriters; i++) {
+    // One remote hop: loopback, the wire time of 1 KB, one RPC overhead.
+    EXPECT_LT(stopped[i], kStart + 2 * net.rpc_overhead_us) << i;
+    EXPECT_LT(static_cast<uint64_t>(stopped[i]), first_ack) << i;
+  }
+  // The barrier still waits for the latest ack.
+  sim::SimContext closer(kStart);
+  sim::SimContext::Scope scope(&closer);
+  ASSERT_TRUE((*file)->WaitForAcks().ok());
+  EXPECT_EQ(static_cast<uint64_t>(closer.now()),
+            *std::max_element(acks.begin(), acks.end()));
+}
+
+TEST(PipelinedSyncTest, LocalFirstQuorumAckTakesOneRemoteHop) {
+  // The writer's own node holds the first replica, so the hop to the second
+  // replica starts one loopback after the sync, not one RPC overhead: on an
+  // idle cluster a 1 KB quorum sync acks within two RPC overheads.
+  dfs::DfsOptions options;
+  options.num_nodes = 3;
+  dfs::Dfs dfs(options);
+  const sim::NetworkParams& net = dfs.network()->params();
+  auto file = dfs.Create("/idle", 0);
+  ASSERT_TRUE(file.ok());
+  {
+    // Open the block and every replica's write stream first, so the timed
+    // sync pays no disk positioning.
+    sim::SimContext setup;
+    sim::SimContext::Scope scope(&setup);
+    ASSERT_TRUE((*file)->Append(Slice(std::string(1024, 'x'))).ok());
+    ASSERT_TRUE((*file)->Sync().ok());
+  }
+  constexpr sim::VirtualTime kStart = 1000000;
+  sim::SimContext ctx(kStart);
+  sim::SimContext::Scope scope(&ctx);
+  ASSERT_TRUE((*file)->Append(Slice(std::string(1024, 'y'))).ok());
+  uint64_t ack_us = 0;
+  ASSERT_TRUE((*file)->SyncWith(AckMode::kQuorum, &ack_us).ok());
+  EXPECT_LT(ack_us, static_cast<uint64_t>(kStart + 2 * net.rpc_overhead_us));
+}
+
+TEST(PipelinedSyncTest, MegabyteBatchWaitsForItsQuorumAck) {
+  // A batch past the 1 MB streaming chunk is pushed by the Append that
+  // crosses it; the sync after it still reports that push's ack, so the
+  // writer waits until a quorum of disks holds the megabyte.
+  sim::SimContext ctx;
+  sim::SimContext::Scope scope(&ctx);
+  dfs::DfsOptions options;
+  options.num_nodes = 3;
+  dfs::Dfs dfs(options);
+  dfs::DfsFileSystem fs(&dfs, /*client_node=*/0);
+  LogWriter writer(&fs, "/log", 0);
+  ASSERT_TRUE(writer.Open().ok());
+  ASSERT_TRUE(writer.Append(MakeData("small", "v", 1)).ok());
+
+  const sim::VirtualTime before = ctx.now();
+  ASSERT_TRUE(
+      writer.Append(MakeData("big", std::string(1 << 20, 'x'), 2)).ok());
+  const sim::DiskParams& disk = dfs.data_node(0)->disk()->params();
+  const auto disk_write_us = static_cast<sim::VirtualTime>(
+      (1 << 20) / disk.bandwidth_mb_per_s);
+  EXPECT_GE(ctx.now() - before, disk_write_us);
 }
 
 // ---------------------------------------------------------------------------
