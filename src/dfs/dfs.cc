@@ -67,11 +67,11 @@ class DfsWritableFile : public WritableFile {
   Status Sync() override { return FlushBuffer(); }
 
   // Quorum / pipelined durability: remembers the ack mode and switches the
-  // file to pipelined syncs (so streaming flushes triggered by Append() and
-  // later Sync() calls keep both). The caller's clock only advances to the
-  // point its NIC finished streaming; `*ack_us` receives the latest ack of
-  // every chunk pushed since the previous SyncWith, including chunks that an
-  // Append past kStreamChunk pushed.
+  // file to pipelined, fanned-out syncs (so streaming flushes triggered by
+  // Append() and later Sync() calls keep both). The caller's clock only
+  // advances to where its first remote copy lands; `*ack_us` receives the
+  // latest ack of every chunk pushed since the previous SyncWith, including
+  // chunks that an Append past kStreamChunk pushed.
   Status SyncWith(AckMode ack, uint64_t* ack_us) override {
     w_.ack = ack;
     w_.pipelined = true;
@@ -139,22 +139,27 @@ class DfsWritableFile : public WritableFile {
     });
   }
 
-  /// Streams the chunk through the replica pipeline: client → r0 → r1 → r2.
-  /// HDFS pipelines packets, so the hops overlap: each downstream hop
-  /// starts one hop latency after its upstream (`loopback_us` after a
-  /// same-node hop, as the first hop to the writer's own replica is;
-  /// `rpc_overhead_us` after a hop between nodes), and disks write while
-  /// the network streams. Total latency ≈ max(stage time) + per-hop
-  /// latencies, while every NIC/disk is still charged its full service time
-  /// (so utilization and contention stay honest). Dead replicas are dropped
-  /// from the pipeline (HDFS behaviour); at least one must survive.
+  /// Writes the chunk to every replica. A plain Sync streams it down the
+  /// HDFS chain, client → r0 → r1 → r2: packets are pipelined, so the hops
+  /// overlap, each downstream hop starting one hop latency after its
+  /// upstream (`loopback_us` after a same-node hop, as the first hop to the
+  /// writer's own replica is; `rpc_overhead_us` after a hop between nodes),
+  /// and each NIC carries the chunk once. A pipelined file (a log, synced
+  /// through SyncWith) fans the chunk out instead, as Taurus sends each log
+  /// record to all of its Log Stores: the writer sends every copy from the
+  /// same start time, its own NIC carrying them one after another, so the
+  /// k-th remote copy waits on k wire times, not k hops. Disks write while
+  /// the network streams, and every NIC/disk is still charged its full
+  /// service time (so utilization and contention stay honest). A replica
+  /// that is dead, or that the hop's sender can't reach, drops out (HDFS
+  /// behaviour); at least one must survive.
   ///
   /// The ack point depends on the ack mode: kAll waits for every surviving
-  /// replica (the strict chain ack), kQuorum acks at the majority-th
+  /// replica (HDFS's strict ack), kQuorum acks at the majority-th
   /// fastest replica — a disk-stalled straggler still gets the data and is
   /// still charged its full disk/NIC time, it just completes in the
   /// background. A pipelined file's caller only advances its clock to the
-  /// point its own NIC finished streaming; the ack is recorded for the next
+  /// point its first remote copy landed; the ack is recorded for the next
   /// SyncWith to report and for WaitForAcks() to wait on. No sync waits on
   /// another's ack.
   Status PipelineWrite(const Slice& chunk) {
@@ -162,6 +167,7 @@ class DfsWritableFile : public WritableFile {
     sim::SimContext* ctx = sim::SimContext::Current();
     sim::VirtualTime stream_begin = ctx != nullptr ? ctx->now() : 0;
     sim::VirtualTime push_done = stream_begin;
+    bool pushed_remote = false;
     std::vector<sim::VirtualTime> completions;
     int prev = client_node_;
     int successes = 0;
@@ -171,8 +177,6 @@ class DfsWritableFile : public WritableFile {
     for (int replica : w_.current.replicas) {
       DataNode* dn = dfs_->data_nodes_[replica].get();
       if (!dn->alive()) continue;
-      // A replica the upstream hop can't reach drops out of the pipeline
-      // exactly like a dead one (HDFS excludes it and continues).
       if (dfs_->network_ != nullptr &&
           !dfs_->network_->Reachable(prev, replica)) {
         continue;
@@ -187,16 +191,23 @@ class DfsWritableFile : public WritableFile {
             stream_begin, w_.current.id, w_.block_fill, chunk.size(),
             /*is_write=*/true);
         completions.push_back(std::max(net_done, disk_done));
-        if (prev == client_node_) push_done = net_done;
-        const sim::NetworkParams& net = dfs_->network_->params();
-        stream_begin += prev == replica ? net.loopback_us : net.rpc_overhead_us;
+        if (!pushed_remote) {
+          push_done = net_done;
+          pushed_remote = replica != client_node_;
+        }
+        if (!w_.pipelined) {
+          // The chain relays: the next hop sends from this replica.
+          const sim::NetworkParams& net = dfs_->network_->params();
+          stream_begin +=
+              prev == replica ? net.loopback_us : net.rpc_overhead_us;
+        }
       } else {
         // No actor: keep the disk's stream state warm, charge nothing.
         dn->disk()->Access(w_.current.id, w_.block_fill, chunk.size(),
                            /*is_write=*/true);
       }
       successes++;
-      prev = replica;
+      if (!w_.pipelined) prev = replica;
     }
     if (successes == 0) {
       return Status::IOError("all replicas failed for block append");

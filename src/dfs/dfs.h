@@ -1,9 +1,10 @@
 // The distributed file system facade: append-only replicated files striped
 // into 64 MB blocks (HDFS semantics — the paper stores both LogBase's log
-// and HBase's WAL + store files in HDFS). Every append is synchronously
-// pipelined through all replicas before returning, which is what lets the
-// log-only design claim the stable-storage guarantee (paper §3.4,
-// Guarantee 1).
+// and HBase's WAL + store files in HDFS). Every sync is synchronously
+// replicated before it is acknowledged, which is what lets the log-only
+// design claim the stable-storage guarantee (paper §3.4, Guarantee 1): a
+// plain Sync streams down the replica chain, a log's SyncWith sends to
+// every replica at once and may ack at a quorum.
 
 #ifndef LOGBASE_DFS_DFS_H_
 #define LOGBASE_DFS_DFS_H_

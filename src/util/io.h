@@ -27,8 +27,8 @@ enum class AckMode : uint8_t {
   /// A majority of replicas suffices; stragglers complete in the
   /// background (Taurus-style quorum ack).
   kQuorum,
-  /// Every replica must finish before the sync is acknowledged (the
-  /// strict chain ack).
+  /// Every replica must finish before the sync is acknowledged (HDFS's
+  /// strict ack).
   kAll,
 };
 
@@ -41,7 +41,8 @@ class WritableFile {
   /// Forces buffered data to durable storage (for the DFS adapter: the
   /// synchronous replication pipeline).
   virtual Status Sync() = 0;
-  /// Pipelined sync acknowledged under `ack`; `*ack_us` (may be null)
+  /// Pipelined sync acknowledged under `ack` (on the DFS, the writer sends
+  /// the data to every replica at once); `*ack_us` (may be null)
   /// receives the virtual time the ack of everything appended since the
   /// previous SyncWith landed. The base implementation is a
   /// plain Sync() acknowledged immediately — single-copy files have no

@@ -525,6 +525,27 @@ TEST(DfsTest, WritesChargeDiskAndNetwork) {
   EXPECT_GT(dfs.data_node(0)->disk()->resource()->total_busy_us(), 0);
 }
 
+// A plain Sync (checkpoints, sstables, flushes) streams down the chain, so
+// the writer's NIC sends each byte once, as each remote replica receives
+// it. Only a log syncing through SyncWith fans its copies out from the
+// writer.
+TEST(DfsTest, PlainSyncSendsOneCopyFromTheWriter) {
+  DfsOptions options;
+  options.num_nodes = 3;
+  Dfs dfs(options);
+  sim::NetworkModel* net = dfs.network();
+  sim::SimContext ctx;
+  sim::SimContext::Scope scope(&ctx);
+  auto wf = dfs.Create("/bulk", 0);
+  ASSERT_TRUE(wf.ok());
+  ASSERT_TRUE((*wf)->Append(std::string(1 << 20, 'b')).ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+  const sim::VirtualTime one_copy = net->nic_rx(1)->total_busy_us();
+  EXPECT_GT(one_copy, 0);
+  EXPECT_EQ(net->nic_rx(2)->total_busy_us(), one_copy);
+  EXPECT_EQ(net->nic_tx(0)->total_busy_us(), one_copy);
+}
+
 TEST(DfsTest, LocalReadSkipsNetwork) {
   Dfs dfs(SmallBlocks(3));
   {

@@ -40,7 +40,7 @@ std::vector<LogRecord> One(const std::string& key, uint64_t ts) {
 // Coalescing boundaries.
 // ---------------------------------------------------------------------------
 
-TEST(AppendQueueTest, WaitCoalescesPendingSubmissions) {
+TEST(GroupCommitTest, WaitCoalescesPendingSubmissions) {
   MemFileSystem fs;
   LogWriter writer(&fs, "/log", /*instance=*/5);
   ASSERT_TRUE(writer.Open().ok());
@@ -89,7 +89,7 @@ TEST(AppendQueueTest, WaitCoalescesPendingSubmissions) {
   EXPECT_EQ(rc->key.lsn, 4u);
 }
 
-TEST(AppendQueueTest, RecordCapSealsTheBatch) {
+TEST(GroupCommitTest, RecordCapSealsTheBatch) {
   MemFileSystem fs;
   LogWriter writer(&fs, "/log", 0);
   ASSERT_TRUE(writer.Open().ok());
@@ -121,7 +121,7 @@ TEST(AppendQueueTest, RecordCapSealsTheBatch) {
   }
 }
 
-TEST(AppendQueueTest, ByteCapSealsTheBatch) {
+TEST(GroupCommitTest, ByteCapSealsTheBatch) {
   MemFileSystem fs;
   LogWriter writer(&fs, "/log", 0);
   ASSERT_TRUE(writer.Open().ok());
@@ -140,7 +140,7 @@ TEST(AppendQueueTest, ByteCapSealsTheBatch) {
   EXPECT_EQ(writer.pending_records(), 1u);
 }
 
-TEST(AppendQueueTest, WindowExpirySealsOnNextSubmit) {
+TEST(GroupCommitTest, WindowExpirySealsOnNextSubmit) {
   sim::SimContext ctx;
   sim::SimContext::Scope scope(&ctx);
   MemFileSystem fs;
@@ -169,7 +169,7 @@ TEST(AppendQueueTest, WindowExpirySealsOnNextSubmit) {
   ASSERT_EQ(p2.size(), 1u);
 }
 
-TEST(AppendQueueTest, WindowZeroDisablesCoalescing) {
+TEST(GroupCommitTest, WindowZeroDisablesCoalescing) {
   MemFileSystem fs;
   GroupCommitOptions qo;
   qo.window_us = 0;
@@ -184,7 +184,7 @@ TEST(AppendQueueTest, WindowZeroDisablesCoalescing) {
   EXPECT_NE(t1->batch_seq, t2->batch_seq);
 }
 
-TEST(AppendQueueTest, TicketsAreSingleUse) {
+TEST(GroupCommitTest, TicketsAreSingleUse) {
   MemFileSystem fs;
   LogWriter writer(&fs, "/log");
   ASSERT_TRUE(writer.Open().ok());
@@ -206,7 +206,7 @@ TEST(AppendQueueTest, TicketsAreSingleUse) {
   EXPECT_TRUE(none.empty());
 }
 
-TEST(AppendQueueTest, ScannerSeesSubmitOrderAcrossBatches) {
+TEST(GroupCommitTest, ScannerSeesSubmitOrderAcrossBatches) {
   MemFileSystem fs;
   LogWriter writer(&fs, "/log", 0);
   ASSERT_TRUE(writer.Open().ok());
@@ -235,7 +235,7 @@ TEST(AppendQueueTest, ScannerSeesSubmitOrderAcrossBatches) {
   EXPECT_EQ(expected_lsn, static_cast<uint64_t>(kRecords + 1));
 }
 
-TEST(AppendQueueTest, OpenDropsNeverWaitedSubmissions) {
+TEST(GroupCommitTest, OpenDropsNeverWaitedSubmissions) {
   MemFileSystem fs;
   LogWriter writer(&fs, "/log", 0);
   ASSERT_TRUE(writer.Open().ok());
@@ -263,7 +263,7 @@ TEST(AppendQueueTest, OpenDropsNeverWaitedSubmissions) {
   EXPECT_TRUE(writer.Wait(*stale, &ptrs).IsInvalidArgument());
 }
 
-TEST(AppendQueueTest, BatchAcksAtStrongestMode) {
+TEST(GroupCommitTest, BatchAcksAtStrongestMode) {
   sim::SimContext ctx;
   sim::SimContext::Scope scope(&ctx);
   dfs::DfsOptions options;
@@ -388,7 +388,8 @@ TEST(PipelinedSyncTest, ConcurrentSyncsStopAtTheirOwnPush) {
   }
   const uint64_t first_ack = *std::min_element(acks.begin(), acks.end());
   for (int i = 0; i < kWriters; i++) {
-    // One remote hop: loopback, the wire time of 1 KB, one RPC overhead.
+    // One remote hop: one RPC overhead after the writer's NIC sent this
+    // copy, behind the 1 KB copies queued ahead of it.
     EXPECT_LT(stopped[i], kStart + 2 * net.rpc_overhead_us) << i;
     EXPECT_LT(static_cast<uint64_t>(stopped[i]), first_ack) << i;
   }
@@ -401,9 +402,10 @@ TEST(PipelinedSyncTest, ConcurrentSyncsStopAtTheirOwnPush) {
 }
 
 TEST(PipelinedSyncTest, LocalFirstQuorumAckTakesOneRemoteHop) {
-  // The writer's own node holds the first replica, so the hop to the second
-  // replica starts one loopback after the sync, not one RPC overhead: on an
-  // idle cluster a 1 KB quorum sync acks within two RPC overheads.
+  // The writer's own node holds the first replica, and a log sync sends
+  // every remote copy from the writer at the sync's start: the quorum's
+  // second copy pays one RPC overhead and its wire time, so on an idle
+  // cluster a 1 KB quorum sync acks within two RPC overheads.
   dfs::DfsOptions options;
   options.num_nodes = 3;
   dfs::Dfs dfs(options);
@@ -413,6 +415,34 @@ TEST(PipelinedSyncTest, LocalFirstQuorumAckTakesOneRemoteHop) {
   {
     // Open the block and every replica's write stream first, so the timed
     // sync pays no disk positioning.
+    sim::SimContext setup;
+    sim::SimContext::Scope scope(&setup);
+    ASSERT_TRUE((*file)->Append(Slice(std::string(1024, 'x'))).ok());
+    ASSERT_TRUE((*file)->Sync().ok());
+  }
+  constexpr sim::VirtualTime kStart = 1000000;
+  sim::SimContext ctx(kStart);
+  sim::SimContext::Scope scope(&ctx);
+  ASSERT_TRUE((*file)->Append(Slice(std::string(1024, 'y'))).ok());
+  uint64_t ack_us = 0;
+  ASSERT_TRUE((*file)->SyncWith(AckMode::kQuorum, &ack_us).ok());
+  EXPECT_LT(ack_us, static_cast<uint64_t>(kStart + 2 * net.rpc_overhead_us));
+}
+
+TEST(PipelinedSyncTest, FourWayQuorumAcksAfterOneRemoteHop) {
+  // Four copies, a quorum of three. A chain would start the third copy two
+  // hops after the sync; the fan-out starts every copy at the sync, the
+  // writer's NIC sending the remote ones back to back, so the quorum acks
+  // one RPC overhead and two 1 KB wire times after the sync.
+  dfs::DfsOptions options;
+  options.num_nodes = 4;
+  options.replication = 4;
+  dfs::Dfs dfs(options);
+  const sim::NetworkParams& net = dfs.network()->params();
+  auto file = dfs.Create("/four", 0);
+  ASSERT_TRUE(file.ok());
+  {
+    // Open the block and every replica's write stream first.
     sim::SimContext setup;
     sim::SimContext::Scope scope(&setup);
     ASSERT_TRUE((*file)->Append(Slice(std::string(1024, 'x'))).ok());
