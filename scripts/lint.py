@@ -42,11 +42,13 @@ Rules enforced over src/ (and, where noted, the whole tree):
                 (`buffer_.Get(` / `buffer->Get(`). Point and range reads on
                 both server kinds share its one rule for when a buffered
                 value may answer and when a fetch may fill the buffer.
-  reassign      Under src/, only src/balance/migration.cc and
-                src/master/master.cc name the reassignment intent path
-                (kMetaReassign / ReassignPath) or call CommitReassign;
-                meta_codec.h and master.h only declare them. Migrations and
-                splits share that one intent-commit-reconcile protocol.
+  reassign      Under src/, only src/master/master.cc names the
+                reassignment intent path (kMetaReassign / ReassignPath) or
+                calls CommitReassignLocked; meta_codec.h and master.h only
+                declare them. Outside src/tablet/, TabletServer::AdoptTablet
+                is called from one site, in master.cc. Migrations, splits,
+                failure adoption and failover roll-forward share that one
+                intent-adopt-commit-reconcile routine.
   actor-clock   Under src/ and bench/, only src/sim/ holds a collection of
                 actor clocks (a container of sim::SimContext). Several
                 actors are stepped by sim::Scheduler alone, smallest clock
@@ -562,31 +564,47 @@ def check_read_buffer(path, rel, stripped):
 # --------------------------------------------------------------------------
 # rule: reassign
 
-# DESIGN.md §8.2: tablet migration and split are one reassignment protocol,
-# with one intent znode per parent tablet and one commit point. The
-# migration coordinator writes the intent and drives the steps; the master
-# commits and reconciles. Another file that names the intent path or
-# commits a reassignment is a second copy of that state machine, which is
-# how a split and a migration of one tablet once ran at the same time (their
-# intents lived in two directories).
-REASSIGN_OWNER_FILES = ('src/balance/migration.cc', 'src/master/master.cc')
+# DESIGN.md §8.2: tablet migration, split and failure adoption are one
+# reassignment routine, with one intent znode per parent tablet and one
+# commit point, and a failover's roll-forward resumes that same routine.
+# Another file that names the intent path or commits a reassignment is a
+# second copy of that state machine, which is how a split and a migration of
+# one tablet once ran at the same time (their intents lived in two
+# directories). A second adoption site is how failure handling once
+# persisted an assignment before the adopter's checkpoint named the tablet.
+REASSIGN_OWNER_FILE = 'src/master/master.cc'
 REASSIGN_DECL_FILES = ('src/master/meta_codec.h', 'src/master/master.h')
-REASSIGN_USE = re.compile(r'\b(kMetaReassign|ReassignPath|CommitReassign)\b')
+REASSIGN_USE = re.compile(
+    r'\b(kMetaReassign|ReassignPath|CommitReassign(?:Locked)?)\b')
+ADOPT_CALL = re.compile(r'\bAdoptTablet\s*\(')
 
 
 def check_reassign(path, rel, stripped):
-    if (not rel.startswith('src/') or
-            rel in REASSIGN_OWNER_FILES + REASSIGN_DECL_FILES):
+    if not rel.startswith('src/'):
         return []
     found = []
+    adopt_sites = 0
     for lineno, line in iter_lines(stripped):
+        if not rel.startswith('src/tablet/') and ADOPT_CALL.search(line):
+            adopt_sites += 1
+            if rel != REASSIGN_OWNER_FILE or adopt_sites > 1:
+                found.append(Violation(
+                    'reassign', rel, lineno,
+                    'AdoptTablet call outside the reassignment routine in '
+                    'src/master/master.cc; move tablets through '
+                    'Master::MigrateTablet / SplitTablet / '
+                    'HandleServerFailure so every adopter checkpoints before '
+                    'the commit'))
+        if rel in (REASSIGN_OWNER_FILE,) + REASSIGN_DECL_FILES:
+            continue
         m = REASSIGN_USE.search(line)
         if m:
             found.append(Violation(
                 'reassign', rel, lineno,
-                '%s outside src/balance/migration.cc and src/master/master.cc;'
-                ' move tablets through MigrationCoordinator so migrations and'
-                ' splits share one intent and one commit point' % m.group(1)))
+                '%s outside src/master/master.cc; move tablets through the'
+                ' master\'s reassignment routine so migrations, splits and'
+                ' failure adoption share one intent and one commit point'
+                % m.group(1)))
     return found
 
 
@@ -1006,8 +1024,19 @@ SELF_TEST_CASES = [
     # One reassignment protocol: a balancer that commits its own split, or a
     # server that peeks at in-flight intents, is a second state machine.
     (check_reassign, 'src/balance/balancer.cc',
-     'Status s = m->CommitReassign(top_uid, {left, right});',
-     'Status s = coordinator.SplitTablet(top_uid, *key, cold);'),
+     'Status s = m->CommitReassignLocked(top_uid, {left, right});',
+     'Status s = m->SplitTablet(top_uid, *key, cold);'),
+    # One adoption site: a balancer that adopts on its own, or a master with
+    # a second adopt loop (failure handling, reconcile), skips the routine's
+    # checkpoint-before-commit rule.
+    (check_reassign, 'src/balance/balancer.cc',
+     'Status s = dst->AdoptTablet(child.descriptor, owner);',
+     'Status s = m->MigrateTablet(pick, cold);'),
+    (check_reassign, 'src/master/master.cc',
+     's = dst[i]->AdoptTablet(children[i].descriptor, owner, &stats);\n'
+     'LOGBASE_RETURN_NOT_OK(target->AdoptTablet(location.descriptor, dead));',
+     's = dst[i]->AdoptTablet(children[i].descriptor, owner, &stats);\n'
+     'LOGBASE_RETURN_NOT_OK(Reassign(dead, d, {child}, false));'),
     (check_reassign, 'src/tablet/tablet_server.cc',
      'if (tree->Exists(master::meta::ReassignPath(d.uid()))) continue;',
      'std::string path = master::meta::AssignPath(d.uid());'),
@@ -1048,7 +1077,7 @@ SELF_TEST_CASES = [
     (check_status_text, 'src/client/client.cc',
      'if (s.ToString().find("unknown tablet") != std::string::npos) {',
      'if (tablet::IsStaleRoute(s)) {'),
-    (check_status_text, 'src/balance/migration.cc',
+    (check_status_text, 'src/master/master.cc',
      'bool sealed = s.message().find("tablet sealed") == 0;',
      'bool sealed = s.IsUnavailable();'),
 ]

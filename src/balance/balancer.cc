@@ -30,19 +30,9 @@ Balancer::Balancer(std::function<master::Master*()> master_resolver,
       options_(options),
       rnd_(options.seed) {}
 
-void Balancer::set_step_hook(std::function<void(MigrationStep)> hook) {
-  MutexLock l(mu_);
-  hook_ = std::move(hook);
-}
-
 BalancerStats Balancer::stats() const {
   MutexLock l(mu_);
   return stats_;
-}
-
-std::map<std::string, double> Balancer::TabletScores() const {
-  MutexLock l(mu_);
-  return tablet_score_;
 }
 
 Status Balancer::Tick() {
@@ -59,8 +49,8 @@ Status Balancer::Tick() {
   // op/byte counters between ticks; CollectLoadReport hands over the delta.
   std::map<std::string, double> fresh;  // uid -> this window's score
   for (int id : live) {
-    tablet::TabletServer* server = m->ResolveServer(id);
-    if (server == nullptr || !server->running()) continue;
+    tablet::TabletServer* server = m->RunningServer(id);
+    if (server == nullptr) continue;
     LoadReport report = server->CollectLoadReport();
     for (const TabletLoad& t : report.tablets) {
       fresh[t.uid] += t.Score();
@@ -163,17 +153,14 @@ Status Balancer::Tick() {
   }
   if (hot_tablets.empty()) return Status::OK();
 
-  MigrationCoordinator coordinator(m);
-  coordinator.set_step_hook(hook_);
-
   if (options_.enable_splits && top_score > kSplitFraction * hot_score) {
     // One tablet dominates its server: migrating it whole only moves the
     // hot spot, so split it and hand the right half to the coldest server.
-    tablet::TabletServer* owner = m->ResolveServer(hot);
-    if (owner != nullptr && owner->running()) {
+    tablet::TabletServer* owner = m->RunningServer(hot);
+    if (owner != nullptr) {
       auto key = owner->SuggestSplitKey(top_uid);
       if (key.ok()) {
-        Status s = coordinator.SplitTablet(top_uid, *key, cold);
+        Status s = m->SplitTablet(top_uid, *key, cold);
         if (s.ok()) {
           stats_.splits++;
           BalanceCounter("balance.split")->Add();
@@ -198,7 +185,7 @@ Status Balancer::Tick() {
       pick_delta = delta;
     }
   }
-  Status s = coordinator.MigrateTablet(pick, cold);
+  Status s = m->MigrateTablet(pick, cold);
   if (s.ok()) {
     stats_.migrations++;
     BalanceCounter("balance.migration")->Add();

@@ -1,6 +1,7 @@
 // The load-aware placement loop: folds the tablet servers' periodic load
 // reports into smoothed per-tablet scores, detects imbalance, and issues at
-// most one migration or split per tick through the MigrationCoordinator.
+// most one migration or split per tick through the master's reassignment
+// routine (Master::MigrateTablet / SplitTablet).
 // Runs on the virtual clock (the cluster driver calls Tick()), is a no-op
 // without an active master, and is deterministic for a fixed seed.
 
@@ -11,7 +12,6 @@
 #include <map>
 #include <string>
 
-#include "src/balance/migration.h"
 #include "src/master/master.h"
 #include "src/util/ordered_mutex.h"
 #include "src/util/random.h"
@@ -47,13 +47,7 @@ class Balancer {
   /// the master's placement load hint, then migrate or split at most once.
   Status Tick();
 
-  /// Forwarded to the MigrationCoordinator of every operation this balancer
-  /// issues (fault-injection hooks).
-  void set_step_hook(std::function<void(MigrationStep)> hook);
-
   BalancerStats stats() const;
-  /// Smoothed per-tablet scores, for tests and benchmarks.
-  std::map<std::string, double> TabletScores() const;
 
  private:
   const std::function<master::Master*()> master_resolver_;
@@ -64,7 +58,6 @@ class Balancer {
   std::map<std::string, double> tablet_score_ GUARDED_BY(mu_);
   BalancerStats stats_ GUARDED_BY(mu_);
   Random rnd_ GUARDED_BY(mu_);
-  std::function<void(MigrationStep)> hook_ GUARDED_BY(mu_);
 };
 
 }  // namespace logbase::balance

@@ -39,12 +39,6 @@ struct LoadReport {
   int server_id = -1;
   int64_t generated_at_us = 0;
   std::vector<TabletLoad> tablets;  // uid-ordered (map iteration order)
-
-  double TotalScore() const {
-    double total = 0.0;
-    for (const TabletLoad& t : tablets) total += t.Score();
-    return total;
-  }
 };
 
 }  // namespace logbase::balance

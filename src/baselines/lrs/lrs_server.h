@@ -21,10 +21,9 @@ namespace logbase::baselines::lrs {
 struct LrsOptions {
   int server_id = 0;
   uint64_t segment_bytes = 64ull << 20;
-  /// LevelDB-default-ish buffers (the paper: 4 MB write / 8 MB read
-  /// buffer).
+  /// LevelDB-default-ish write buffer (the paper: 4 MB; the read buffer is
+  /// 8 MB).
   size_t write_buffer_bytes = 4ull << 20;
-  size_t read_cache_bytes = 8ull << 20;
 };
 
 /// Builds a tablet server whose multiversion index is the LSM-tree.

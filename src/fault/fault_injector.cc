@@ -145,6 +145,10 @@ std::string FaultPlan::ToString() const {
   return out;
 }
 
+/// A random plan's crashes, partitions and disk stalls heal this long after
+/// they start.
+constexpr sim::VirtualTime kRecoveryDelayUs = 100 * 1000;
+
 FaultPlan FaultPlan::Random(uint64_t seed, const RandomOptions& options) {
   FaultPlan plan;
   // Qualified: inside this scope `Random` names this factory, not the PRNG.
@@ -156,18 +160,18 @@ FaultPlan FaultPlan::Random(uint64_t seed, const RandomOptions& options) {
     switch (rnd.Uniform(options.allow_kill ? 5 : 4)) {
       case 0:  // crash + scheduled restart
         plan.Crash(at, node);
-        plan.Restart(at + options.recovery_delay_us, node);
+        plan.Restart(at + kRecoveryDelayUs, node);
         break;
       case 1: {  // partition window
         int other = static_cast<int>(rnd.Uniform(options.num_nodes));
         if (other == node) other = (other + 1) % options.num_nodes;
         plan.PartitionNodes(at, node, other);
-        plan.Heal(at + options.recovery_delay_us);
+        plan.Heal(at + kRecoveryDelayUs);
         break;
       }
       case 2:  // disk stall window
         plan.DiskStall(at, node, 2000 + rnd.Uniform(20000));
-        plan.DiskClear(at + options.recovery_delay_us, node);
+        plan.DiskClear(at + kRecoveryDelayUs, node);
         break;
       case 3:  // a burst of disk I/O errors
         plan.DiskErrors(at, node, 1 + static_cast<int>(rnd.Uniform(4)));

@@ -90,8 +90,6 @@ class FaultPlan {
     int num_nodes = 3;
     sim::VirtualTime horizon_us = 1000 * 1000;
     int num_faults = 4;
-    /// Crashed servers get a restart scheduled this long after the crash.
-    sim::VirtualTime recovery_delay_us = 100 * 1000;
     bool allow_kill = false;  // machine kills are permanent; opt in
   };
   /// A seeded schedule of fault/heal windows: same seed, same plan.

@@ -18,6 +18,13 @@ namespace logbase::fault {
 namespace {
 
 constexpr const char* kTable = "chaos";
+/// Virtual time added per round (drives the fault schedule forward).
+constexpr sim::VirtualTime kRoundAdvanceUs = 2500;
+/// Snapshot samples to take for the I2 check.
+constexpr size_t kSnapshotSamples = 24;
+/// With replicas: percentage of workload reads issued stale-tolerant
+/// (allow_stale, routed to replicas with primary fallback).
+constexpr uint64_t kStaleReadPercent = 40;
 // The transaction pair: two keys in the same tablet range (between key0000
 // and key0001), always written together with the same sequence number, so a
 // partial commit is observable as a mismatch.
@@ -35,6 +42,8 @@ std::string KeyName(int i) {
 // neighbor would).
 constexpr const char* kHostileTenant = "hostile";
 constexpr int kHostileKeys = 16;
+/// Burst (ops) granted to the hostile tenant's bucket.
+constexpr double kHostileBurstOps = 4.0;
 
 std::string HostileKeyName(int i) {
   char buf[16];
@@ -133,7 +142,7 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
     qos::QuotaSpec quota;
     quota.tenant = kHostileTenant;
     quota.ops_per_sec = options.qos_hostile_ops_per_sec;
-    quota.ops_burst = options.qos_hostile_burst_ops;
+    quota.ops_burst = kHostileBurstOps;
     LOGBASE_RETURN_NOT_OK(boot_master->SetQuota(quota));
   }
 
@@ -168,7 +177,7 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
 
   // -- Workload, with the fault schedule firing as virtual time passes ----
   for (int round = 0; round < options.rounds; round++) {
-    clock.Advance(options.round_advance_us);
+    clock.Advance(kRoundAdvanceUs);
     auto fired = injector.AdvanceTo(clock.now());
     if (!fired.ok()) return fired.status();
     report.faults_fired += *fired;
@@ -251,13 +260,11 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
           rnd.Uniform(static_cast<uint64_t>(options.keys))));
       report.ops_attempted++;
       client::ReadOptions ro;
-      if (options.num_replicas > 0 &&
-          rnd.Uniform(100) <
-              static_cast<uint64_t>(options.stale_read_percent)) {
+      if (options.num_replicas > 0 && rnd.Uniform(100) < kStaleReadPercent) {
         ro.allow_stale = true;
         // Generous bound: replicas tick every round, so only a crashed or
         // badly lagging replica trips it (and the read falls back).
-        ro.max_staleness_us = 20 * options.round_advance_us;
+        ro.max_staleness_us = 20 * kRoundAdvanceUs;
       }
       auto r = client->Get(kTable, 0, key, ro);
       if (r.ok()) {
@@ -292,8 +299,7 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
             }
           }
           if (r->timestamp() != 0 && r->snapshot_ts == 0 &&
-              samples.size() <
-                  static_cast<size_t>(options.snapshot_samples) &&
+              samples.size() < kSnapshotSamples &&
               rnd.Bernoulli(0.4)) {
             samples.push_back({key, r->timestamp(), r->value()});
           }

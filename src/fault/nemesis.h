@@ -55,12 +55,8 @@ struct NemesisOptions {
   uint64_t seed = 1;
   /// Workload rounds; each runs one client operation.
   int rounds = 300;
-  /// Virtual time added per round (drives the fault schedule forward).
-  sim::VirtualTime round_advance_us = 2500;
   /// Distinct keys in the workload (small so keys collide across faults).
   int keys = 48;
-  /// Snapshot samples to take for the I2 check.
-  int snapshot_samples = 24;
   /// Attempt an AddColumnGroup every this many rounds (0 disables DDL).
   int ddl_every = 97;
   /// Run the elastic balancer (migrations + splits) during the chaos run.
@@ -74,9 +70,6 @@ struct NemesisOptions {
   /// rounds/2 and restarted a tenth of the run later, exercising soft-state
   /// rebuild under the fault schedule.
   int num_replicas = 0;
-  /// With replicas: percentage of workload reads issued stale-tolerant
-  /// (allow_stale, routed to replicas with primary fallback).
-  int stale_read_percent = 40;
   /// Multi-tenant QoS chaos (I7): when > 0, enables admission control on
   /// every tablet server, installs an op/sec quota of this rate for tenant
   /// "hostile", and runs a second client under that tenant issuing one
@@ -84,8 +77,6 @@ struct NemesisOptions {
   /// shed at the front door; I7 then checks that no shed write ever
   /// reached the table. 0 disables the machinery.
   double qos_hostile_ops_per_sec = 0.0;
-  /// Burst (ops) granted to the hostile tenant's bucket.
-  double qos_hostile_burst_ops = 4.0;
   RetryOptions retry;
 };
 

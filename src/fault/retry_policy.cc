@@ -9,6 +9,9 @@ namespace logbase::fault {
 
 namespace {
 
+/// Each retry's backoff is this multiple of the previous one's.
+constexpr double kBackoffMultiplier = 2.0;
+
 obs::Counter* RetryAttempts() {
   static obs::Counter* c =
       obs::MetricsRegistry::Global().counter("fault.retry.attempts");
@@ -53,8 +56,8 @@ bool IsRetryableStatus(const Status& s) {
 
 sim::VirtualTime RetryPolicy::BackoffUs(const char* op, int attempt) const {
   double base = static_cast<double>(options_.initial_backoff_us) *
-                std::pow(options_.backoff_multiplier, attempt - 1);
-  base = std::min(base, static_cast<double>(options_.max_backoff_us));
+                std::pow(kBackoffMultiplier, attempt - 1);
+  base = std::min(base, static_cast<double>(kMaxBackoffUs));
   uint64_t h = Mix(options_.seed ^ HashOp(op) ^
                    (static_cast<uint64_t>(attempt) << 32));
   // 53 random bits -> uniform double in [0, 1).

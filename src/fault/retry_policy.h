@@ -19,14 +19,15 @@
 
 namespace logbase::fault {
 
+/// No backoff exceeds this, before jitter.
+inline constexpr sim::VirtualTime kMaxBackoffUs = 200 * 1000;
+
 struct RetryOptions {
   /// Total attempts, including the first (so max_attempts - 1 retries).
   int max_attempts = 5;
-  /// Backoff before the first retry.
+  /// Backoff before the first retry; each retry doubles it, up to
+  /// kMaxBackoffUs.
   sim::VirtualTime initial_backoff_us = 500;
-  /// Backoff grows by this factor per retry, capped at max_backoff_us.
-  double backoff_multiplier = 2.0;
-  sim::VirtualTime max_backoff_us = 200 * 1000;
   /// Each backoff is scaled by a factor uniform in [1-jitter, 1+jitter].
   double jitter = 0.2;
   /// Per-op deadline on the *cumulative backoff* budget, in virtual

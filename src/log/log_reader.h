@@ -52,7 +52,6 @@ class LogReader {
     /// Refills buffer_ so it holds at least `want` bytes from the current
     /// position, switching segments at EOF. False at end of log.
     bool Ensure(size_t want);
-    void ParseOne();
 
     LogReader* reader_;
     std::vector<uint32_t> segments_;

@@ -12,6 +12,7 @@ namespace logbase::lsm {
 namespace {
 constexpr const char* kManifestName = "MANIFEST";
 constexpr const char* kManifestTmpName = "MANIFEST.tmp";
+constexpr int kNumLevels = 7;
 }  // namespace
 
 LsmTree::LsmTree(LsmOptions options, FileSystem* fs, std::string dir)
@@ -27,7 +28,7 @@ LsmTree::LsmTree(LsmOptions options, FileSystem* fs, std::string dir)
   };
   mem_ = std::make_shared<MemTable>(&internal_comparator_);
   versions_ = std::make_unique<VersionSet>(&internal_comparator_,
-                                           options_.num_levels);
+                                           kNumLevels);
 }
 
 LsmTree::~LsmTree() = default;

@@ -41,7 +41,6 @@ struct LsmOptions {
   int l0_compaction_trigger = 4;
   uint64_t base_level_bytes = 10ull << 20;
   uint64_t max_output_file_bytes = 2ull << 20;
-  int num_levels = 7;
   sstable::BlockCache* block_cache = nullptr;
 };
 

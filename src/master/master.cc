@@ -63,13 +63,21 @@ void Master::Crash() {
 }
 
 Result<bool> Master::TryPromote() {
-  if (!running() || election_ == nullptr || !election_->IsLeader()) {
-    return false;
+  if (!IsActiveMaster()) return false;
+  {
+    MutexLock l(mu_);
+    if (promoted_) return true;
+    if (promoting_) return false;
+    LOGBASE_RETURN_NOT_OK(RecoverMetadataLocked());
+    promoting_ = true;
   }
+  // Outside mu_: a committed intent resumes the reassignment routine, which
+  // calls servers and takes mu_ only for its commit.
+  Status reconciled = ReconcileIntents();
   MutexLock l(mu_);
-  if (promoted_) return true;
-  LOGBASE_RETURN_NOT_OK(RecoverMetadataLocked());
-  LOGBASE_RETURN_NOT_OK(ReconcileIntentsLocked());
+  promoting_ = false;
+  LOGBASE_RETURN_NOT_OK(reconciled);
+  if (!IsActiveMaster()) return false;
   promoted_ = true;
   LOGBASE_LOG(kInfo, "master %d promoted to active: %zu tables, %zu tablets",
               node_, tables_.size(), assignments_.size());
@@ -239,10 +247,8 @@ int Master::PickServerForRange(const std::vector<int>& live,
 
 Status Master::AssignTablet(const tablet::TabletDescriptor& descriptor,
                             int server_id) {
-  tablet::TabletServer* server = server_resolver_(server_id);
-  if (server == nullptr || !server->running()) {
-    return Status::Unavailable("assigned server is down");
-  }
+  tablet::TabletServer* server = RunningServer(server_id);
+  if (server == nullptr) return Status::Unavailable("assigned server is down");
   LOGBASE_RETURN_NOT_OK(server->OpenTablet(descriptor));
   assignments_[descriptor.uid()] = TabletLocation{descriptor, server_id};
   return PersistAssignmentLocked(assignments_[descriptor.uid()]);
@@ -406,49 +412,39 @@ Result<std::vector<TabletLocation>> Master::LocateAll(
 }
 
 Status Master::HandleServerFailure(int dead_server) {
-  MutexLock l(mu_);
   std::vector<int> live = LiveServers();
   live.erase(std::remove(live.begin(), live.end(), dead_server), live.end());
   if (live.empty()) return Status::Unavailable("no live servers to adopt");
-
-  // Scatter by load, not round-robin: each pick recounts assignments (the
-  // previous adoptions already flipped server_id in place), so the dead
-  // server's tablets spread across the least-loaded survivors.
-  int adopted = 0;
-  std::vector<int> targets;
-  for (auto& [uid, location] : assignments_) {
-    if (location.server_id != dead_server) continue;
-    // The adopter starts appending the tablet's history to its own log, so
-    // every replica's tail cursor (pinned to the dead server's log) is
-    // stale. Detach them; callers re-attach against the new owner.
-    DropReplicasLocked(uid);
-    int target_id = PickServerForRange(live, {});
-    if (target_id < 0) return Status::Unavailable("no live servers to adopt");
-    tablet::TabletServer* target = server_resolver_(target_id);
-    if (target == nullptr || !target->running()) {
-      return Status::Unavailable("adoption target is down");
+  std::vector<std::string> orphans;
+  {
+    MutexLock l(mu_);
+    for (const auto& [uid, location] : assignments_) {
+      if (location.server_id == dead_server) orphans.push_back(uid);
+    }
+  }
+  // One reassignment per tablet, from the dead server as source. Scatter by
+  // load, not round-robin: each pick recounts assignments (the previous
+  // reassignment already committed), so the dead server's tablets spread
+  // across the least-loaded survivors.
+  for (const std::string& uid : orphans) {
+    TabletLocation child;
+    {
+      MutexLock l(mu_);
+      auto it = assignments_.find(uid);
+      if (it == assignments_.end() || it->second.server_id != dead_server) {
+        continue;
+      }
+      child = TabletLocation{it->second.descriptor,
+                             PickServerForRange(live, {})};
+    }
+    if (child.server_id < 0) {
+      return Status::Unavailable("no live servers to adopt");
     }
     LOGBASE_RETURN_NOT_OK(
-        target->AdoptTablet(location.descriptor, dead_server));
-    location.server_id = target_id;
-    LOGBASE_RETURN_NOT_OK(PersistAssignmentLocked(location));
-    if (std::find(targets.begin(), targets.end(), target_id) ==
-        targets.end()) {
-      targets.push_back(target_id);
-    }
-    adopted++;
+        Reassign(dead_server, child.descriptor, {child}, /*resume=*/false));
   }
-  // Adopters checkpoint right away: their recovery metadata must name the
-  // adopted tablets (whose history lives in the dead server's log) or a
-  // second failure on the adopter would lose them.
-  for (int target_id : targets) {
-    tablet::TabletServer* target = server_resolver_(target_id);
-    if (target != nullptr && target->running()) {
-      LOGBASE_RETURN_NOT_OK(target->Checkpoint());
-    }
-  }
-  LOGBASE_LOG(kInfo, "master reassigned %d tablets from dead server %d",
-              adopted, dead_server);
+  LOGBASE_LOG(kInfo, "master reassigned %zu tablets from dead server %d",
+              orphans.size(), dead_server);
   return Status::OK();
 }
 
@@ -489,16 +485,6 @@ Result<TabletLocation> Master::GetAssignment(const std::string& uid) const {
 void Master::set_load_hint(std::function<double(int)> hint) {
   MutexLock l(mu_);
   load_hint_ = std::move(hint);
-}
-
-Status Master::CommitReassign(const std::string& parent_uid,
-                              const std::vector<TabletLocation>& children) {
-  MutexLock l(mu_);
-  if (!promoted_) return Status::Unavailable("not the active master");
-  if (assignments_.count(parent_uid) == 0) {
-    return Status::NotFound("tablet not assigned: " + parent_uid);
-  }
-  return CommitReassignLocked(parent_uid, children);
 }
 
 Status Master::CommitReassignLocked(
@@ -562,8 +548,7 @@ Result<int> Master::AddReplica(const std::string& uid) {
     return Status::NotFound("tablet not assigned: " + uid);
   }
   TabletLocation& location = it->second;
-  tablet::TabletServer* owner = server_resolver_(location.server_id);
-  if (owner == nullptr || !owner->running()) {
+  if (RunningServer(location.server_id) == nullptr) {
     return Status::Unavailable("tablet owner is down");
   }
 
@@ -618,8 +603,7 @@ Status Master::ReseedReplica(int replica_id) {
                   replica_id) == location.replicas.end()) {
       continue;
     }
-    tablet::TabletServer* owner = server_resolver_(location.server_id);
-    if (owner == nullptr || !owner->running()) continue;
+    if (RunningServer(location.server_id) == nullptr) continue;
     LOGBASE_RETURN_NOT_OK(rep->AddTablet(
         location.descriptor, static_cast<uint32_t>(location.server_id)));
     reseeded++;
@@ -629,16 +613,230 @@ Status Master::ReseedReplica(int replica_id) {
   return Status::OK();
 }
 
-Status Master::ReconcileIntentsLocked() {
+const char* MigrationStepName(MigrationStep step) {
+  switch (step) {
+    case MigrationStep::kIntentPersisted: return "intent-persisted";
+    case MigrationStep::kSourceSealed: return "source-sealed";
+    case MigrationStep::kCheckpointFlushed: return "checkpoint-flushed";
+    case MigrationStep::kDestAdopted: return "dest-adopted";
+    case MigrationStep::kAssignmentFlipped: return "assignment-flipped";
+    case MigrationStep::kSourceClosed: return "source-closed";
+    case MigrationStep::kIntentCleared: return "intent-cleared";
+  }
+  return "unknown";
+}
+
+void Master::set_step_hook(std::function<void(MigrationStep)> hook) {
+  MutexLock l(mu_);
+  step_hook_ = std::move(hook);
+}
+
+Status Master::AfterStep(MigrationStep step) {
+  std::function<void(MigrationStep)> hook;
+  {
+    MutexLock l(mu_);
+    hook = step_hook_;
+  }
+  if (hook) hook(step);
+  if (!IsActiveMaster()) {
+    return Status::Unavailable(
+        std::string("master lost leadership after step ") +
+        MigrationStepName(step));
+  }
+  return Status::OK();
+}
+
+tablet::TabletServer* Master::RunningServer(int server_id) const {
+  tablet::TabletServer* server = server_resolver_(server_id);
+  return server != nullptr && server->running() ? server : nullptr;
+}
+
+Status Master::MigrateTablet(const std::string& uid, int to) {
+  if (!IsActiveMaster()) return Status::Unavailable("not the active master");
+  auto loc = GetAssignment(uid);
+  if (!loc.ok()) return loc.status();
+  if (loc->server_id == to) {
+    return Status::InvalidArgument("tablet already on target");
+  }
+  if (RunningServer(loc->server_id) == nullptr) {
+    return Status::Unavailable("reassignment source is down");
+  }
+  return Reassign(loc->server_id, loc->descriptor,
+                  {TabletLocation{loc->descriptor, to}}, /*resume=*/false);
+}
+
+Status Master::SplitTablet(const std::string& uid,
+                           const std::string& split_key, int right_server) {
+  if (!IsActiveMaster()) return Status::Unavailable("not the active master");
+  auto loc = GetAssignment(uid);
+  if (!loc.ok()) return loc.status();
+  const tablet::TabletDescriptor& parent = loc->descriptor;
+  if (!parent.Contains(Slice(split_key)) || split_key == parent.start_key) {
+    return Status::InvalidArgument("split key not interior to " + uid);
+  }
+  if (RunningServer(loc->server_id) == nullptr) {
+    return Status::Unavailable("reassignment source is down");
+  }
+  // Children take fresh range ids: reusing the parent's uid would route
+  // stale-cached clients at the wrong half and collide checkpoint files.
+  auto ids = AllocateRangeIds(parent.table_id, parent.column_group, 2);
+  if (!ids.ok()) return ids.status();
+  TabletLocation left{parent, loc->server_id};
+  left.descriptor.range_id = (*ids)[0];
+  left.descriptor.end_key = split_key;
+  TabletLocation right{parent, right_server};
+  right.descriptor.range_id = (*ids)[1];
+  right.descriptor.start_key = split_key;
+  return Reassign(loc->server_id, parent, {left, right}, /*resume=*/false);
+}
+
+Status Master::Reassign(int owner, const tablet::TabletDescriptor& parent,
+                        const std::vector<TabletLocation>& children,
+                        bool resume) {
+  const std::string parent_uid = parent.uid();
+  // nullptr when down: a dead source is failure adoption.
+  tablet::TabletServer* src = RunningServer(owner);
+  // Each child's server (nullptr when down), and the distinct running ones
+  // in child order: those are the servers whose recovery metadata must name
+  // the children.
+  std::vector<tablet::TabletServer*> dst;
+  std::vector<tablet::TabletServer*> dst_servers;
+  for (const TabletLocation& child : children) {
+    tablet::TabletServer* server = RunningServer(child.server_id);
+    if (server == nullptr && !resume) {
+      return Status::Unavailable("reassignment target is down");
+    }
+    dst.push_back(server);
+    if (server != nullptr && std::find(dst_servers.begin(), dst_servers.end(),
+                                       server) == dst_servers.end()) {
+      dst_servers.push_back(server);
+    }
+  }
+
+  coord::ZnodeTree* znodes = coord_->znodes();
+  const std::string path = meta::ReassignPath(parent_uid);
+  // Errors before the commit roll back inline while this master still
+  // leads; a successor repeats the same rollback from the intent. A resumed
+  // reassignment is committed already: its intent stays for the next try.
+  auto fail = [&](const Status& s) -> Status {
+    if (!resume) RollBackReassign(owner, parent_uid, children);
+    return s;
+  };
+  Status s;
+  if (!resume) {
+    LOGBASE_RETURN_NOT_OK(
+        EnsureZnodes(znodes, session_, {kMetaRoot, meta::kMetaReassign}));
+    if (znodes->Exists(path)) {
+      return Status::Busy("reassignment already in flight: " + parent_uid);
+    }
+
+    // Step 1: durable intent. A master promoted mid-protocol decides from
+    // this intent + the persisted assignments whether to roll forward or
+    // back.
+    std::string intent = meta::EncodeReassignIntent(owner, parent, children);
+    coord_->ChargeRoundTrip(node_, intent.size());
+    auto created = znodes->Create(session_, path, intent,
+                                  coord::CreateMode::kPersistent);
+    if (!created.ok()) return created.status();
+    LOGBASE_RETURN_NOT_OK(AfterStep(MigrationStep::kIntentPersisted));
+
+    // A dead source acks no more writes and wrote its last checkpoint
+    // before it died, so steps 2-3 run only on a running one.
+    if (src != nullptr) {
+      // Step 2: fence the parent. No write can be acked past this point, so
+      // the checkpoint + tail the children read below is complete.
+      s = src->SealTablet(parent_uid);
+      if (!s.ok()) return fail(s);
+      LOGBASE_RETURN_NOT_OK(AfterStep(MigrationStep::kSourceSealed));
+
+      // Step 3: flush the owner's index checkpoint; it bounds each child's
+      // replay to the log tail written since.
+      s = src->Checkpoint();
+      if (!s.ok()) return fail(s);
+      LOGBASE_RETURN_NOT_OK(AfterStep(MigrationStep::kCheckpointFlushed));
+    }
+  }
+
+  // Step 4: each child's server rebuilds the child's index from the owner's
+  // checkpoint + tail, filtered to the child's range, then checkpoints
+  // itself before the commit — its own recovery metadata must name the
+  // child (with pointers into the owner's log), or a later failure of that
+  // server would lose the child's history.
+  tablet::RecoveryStats stats;
+  std::vector<tablet::TabletServer*> adopters;
+  for (size_t i = 0; i < children.size(); i++) {
+    if (dst[i] == nullptr ||
+        dst[i]->FindTablet(children[i].descriptor.uid()) != nullptr) {
+      continue;
+    }
+    s = dst[i]->AdoptTablet(children[i].descriptor,
+                            static_cast<uint32_t>(owner), &stats);
+    if (!s.ok()) return fail(s);
+    if (std::find(adopters.begin(), adopters.end(), dst[i]) ==
+        adopters.end()) {
+      adopters.push_back(dst[i]);
+    }
+  }
+  for (tablet::TabletServer* server : adopters) {
+    s = server->Checkpoint();
+    if (!s.ok()) return fail(s);
+  }
+  LOGBASE_RETURN_NOT_OK(AfterStep(MigrationStep::kDestAdopted));
+
+  // Step 5: commit point — persist the children's assignments.
+  {
+    MutexLock l(mu_);
+    s = CommitReassignLocked(parent_uid, children);
+  }
+  if (!s.ok()) return fail(s);
+  // Committed; a successor rolls forward from here.
+  LOGBASE_RETURN_NOT_OK(AfterStep(MigrationStep::kAssignmentFlipped));
+
+  // Steps 6-7: release the parent and clear the intent. Failures here are
+  // finished by the next promote's reconcile.
+  if (src != nullptr) {
+    (void)src->CloseTablet(parent_uid);
+    LOGBASE_RETURN_NOT_OK(AfterStep(MigrationStep::kSourceClosed));
+  }
+  if (RetiresParent(parent_uid, children)) {
+    // Re-checkpoint every involved server: its recovery metadata must name
+    // the children, not the parent, or a restart resurrects the parent
+    // alongside them.
+    if (src != nullptr) (void)src->Checkpoint();
+    for (tablet::TabletServer* server : dst_servers) {
+      if (server != src) (void)server->Checkpoint();
+    }
+  }
+  coord_->ChargeRoundTrip(node_);
+  (void)znodes->Delete(path);
+  LOGBASE_RETURN_NOT_OK(AfterStep(MigrationStep::kIntentCleared));
+
+  LOGBASE_LOG(kInfo,
+              "reassigned tablet %s on server %d to %zu children (%llu "
+              "checkpoint entries, %llu redo records)",
+              parent_uid.c_str(), owner, children.size(),
+              static_cast<unsigned long long>(stats.checkpoint_entries),
+              static_cast<unsigned long long>(stats.redo_records));
+  return Status::OK();
+}
+
+void Master::RollBackReassign(
+    int owner, const std::string& parent_uid,
+    const std::vector<TabletLocation>& children) const {
+  for (const TabletLocation& child : children) {
+    tablet::TabletServer* server = RunningServer(child.server_id);
+    if (server != nullptr) (void)server->CloseTablet(child.descriptor.uid());
+  }
+  tablet::TabletServer* src = RunningServer(owner);
+  if (src != nullptr) (void)src->UnsealTablet(parent_uid);
+  (void)coord_->znodes()->Delete(meta::ReassignPath(parent_uid));
+}
+
+Status Master::ReconcileIntents() {
   coord::ZnodeTree* znodes = coord_->znodes();
   if (!znodes->Exists(meta::kMetaReassign)) return Status::OK();
   auto uids = znodes->GetChildren(meta::kMetaReassign);
   if (!uids.ok()) return uids.status();
-  // Dead endpoints are skipped here and left to DetectAndHandleFailures.
-  auto up = [this](int server_id) -> tablet::TabletServer* {
-    tablet::TabletServer* server = server_resolver_(server_id);
-    return server != nullptr && server->running() ? server : nullptr;
-  };
   for (const std::string& uid : *uids) {
     const std::string path = meta::ReassignPath(uid);
     auto data = znodes->Get(path);
@@ -654,51 +852,24 @@ Status Master::ReconcileIntentsLocked() {
     // The commit point is the persisted flip: committed iff some child's
     // assignment already names that child's server.
     bool committed = false;
-    for (const TabletLocation& child : children) {
-      auto it = assignments_.find(child.descriptor.uid());
-      if (it != assignments_.end() && it->second.server_id == child.server_id) {
-        committed = true;
-      }
-    }
-    tablet::TabletServer* owner_srv = up(owner);
-    if (committed) {
-      // Roll forward: finish the commit, adopt children a crash left
-      // unbuilt, release the parent, then checkpoint every server whose
-      // recovery metadata changed (adopters; all involved when the parent
-      // is retired).
-      LOGBASE_RETURN_NOT_OK(CommitReassignLocked(uid, children));
-      std::vector<tablet::TabletServer*> stale;
-      auto mark = [&stale](tablet::TabletServer* srv) {
-        if (srv != nullptr &&
-            std::find(stale.begin(), stale.end(), srv) == stale.end()) {
-          stale.push_back(srv);
+    {
+      MutexLock l(mu_);
+      for (const TabletLocation& child : children) {
+        auto it = assignments_.find(child.descriptor.uid());
+        if (it != assignments_.end() &&
+            it->second.server_id == child.server_id) {
+          committed = true;
         }
-      };
-      for (const TabletLocation& child : children) {
-        const std::string child_uid = child.descriptor.uid();
-        tablet::TabletServer* srv = up(child.server_id);
-        if (srv == nullptr || srv->FindTablet(child_uid) != nullptr) continue;
-        LOGBASE_RETURN_NOT_OK(
-            srv->AdoptTablet(child.descriptor, static_cast<uint32_t>(owner)));
-        mark(srv);
       }
-      if (owner_srv != nullptr) (void)owner_srv->CloseTablet(uid);
-      if (RetiresParent(uid, children)) {
-        mark(owner_srv);
-        for (const TabletLocation& child : children) mark(up(child.server_id));
-      }
-      for (tablet::TabletServer* srv : stale) {
-        LOGBASE_RETURN_NOT_OK(srv->Checkpoint());
-      }
-    } else {
-      // Roll back: drop every child copy, the parent resumes on its owner.
-      for (const TabletLocation& child : children) {
-        tablet::TabletServer* srv = up(child.server_id);
-        if (srv != nullptr) (void)srv->CloseTablet(child.descriptor.uid());
-      }
-      if (owner_srv != nullptr) (void)owner_srv->UnsealTablet(uid);
     }
-    (void)znodes->Delete(path);
+    // Roll forward by resuming the routine at its adopt step; otherwise the
+    // parent resumes on its owner. Dead endpoints are skipped either way and
+    // left to DetectAndHandleFailures.
+    if (committed) {
+      LOGBASE_RETURN_NOT_OK(Reassign(owner, parent, children, /*resume=*/true));
+    } else {
+      RollBackReassign(owner, uid, children);
+    }
     LOGBASE_LOG(kInfo, "master %d rolled reassignment of %s %s", node_,
                 uid.c_str(), committed ? "forward" : "back");
   }

@@ -1,9 +1,19 @@
 // The master node (paper §3.3): metadata (tables, column groups, range
-// partitions), tablet-to-server assignment, and tablet-server failure
-// handling (permanent failures reassign tablets; the new owners recover from
-// the dead server's log in the shared DFS, §3.8). Multiple masters may run;
-// the active one is elected through the coordination service. The master is
-// off the data path: clients cache routing information.
+// partitions), tablet-to-server assignment, and tablet reassignment. One
+// routine moves tablets for live migration, hot-tablet splitting and
+// permanent server failure alike (§3.8 applied to elasticity): a parent
+// tablet on its owner is replaced by a list of children (descriptor + server
+// each), and each child's server rebuilds its index from the owner's
+// checkpoint and log in the shared DFS — no data is copied. Multiple masters
+// may run; the active one is elected through the coordination service. The
+// master is off the data path: clients cache routing information.
+//
+// Crash safety: every reassignment writes a durable intent znode
+// (/meta/reassign/<parent uid>) before its first side effect and deletes it
+// after the last, so one tablet never has two reassignments in flight. The
+// persisted assignment flip is the single commit point; a master promoted
+// mid-protocol rolls the surviving intent forward iff some child's
+// assignment landed, and back otherwise (TryPromote).
 
 #ifndef LOGBASE_MASTER_MASTER_H_
 #define LOGBASE_MASTER_MASTER_H_
@@ -39,6 +49,22 @@ inline bool RetiresParent(const std::string& parent_uid,
   return true;
 }
 
+/// Reassignment steps, in execution order, for fault-injection hooks: a test
+/// crashes the master after a named step and asserts the reconcile outcome.
+/// "Source" is the parent's owner, "dest" every child's server. A dead
+/// source (failure adoption) skips the three source steps.
+enum class MigrationStep {
+  kIntentPersisted,
+  kSourceSealed,
+  kCheckpointFlushed,
+  kDestAdopted,        // each child built and its server checkpointed
+  kAssignmentFlipped,  // commit point
+  kSourceClosed,
+  kIntentCleared,
+};
+
+const char* MigrationStepName(MigrationStep step);
+
 /// Creates each of `paths` that is missing, in order (parents first), as an
 /// empty persistent znode. Losing a creation race to another session is not
 /// an error.
@@ -69,8 +95,12 @@ class Master {
 
   /// Called on a standby after the active master's session dies: when this
   /// master now leads the election, it reloads table schemas and tablet
-  /// assignments persisted in znodes and becomes the active master. Returns
-  /// whether this master is (now) the active, recovered master. Idempotent.
+  /// assignments persisted in znodes, settles every surviving reassignment
+  /// intent (forward through the reassignment routine when committed, back
+  /// otherwise) and becomes the active master. `mu_` is held only while
+  /// metadata loads, not across the server calls of reconcile; a concurrent
+  /// caller meanwhile gets false. Returns whether this master is (now) the
+  /// active, recovered master. Idempotent.
   Result<bool> TryPromote();
 
   // -- DDL ---------------------------------------------------------------
@@ -104,9 +134,8 @@ class Master {
   /// Copy of the current assignment table (uid -> location).
   std::map<std::string, TabletLocation> AssignmentsSnapshot() const;
   Result<TabletLocation> GetAssignment(const std::string& uid) const;
-  tablet::TabletServer* ResolveServer(int server_id) const {
-    return server_resolver_(server_id);
-  }
+  /// The server `server_id` when it is up, else nullptr.
+  tablet::TabletServer* RunningServer(int server_id) const;
   coord::CoordinationService* coord() const { return coord_; }
   coord::SessionId session() const { return session_; }
   int node() const { return node_; }
@@ -114,11 +143,22 @@ class Master {
   /// as a tie-break by placement decisions. May be empty (returns 0).
   void set_load_hint(std::function<double(int)> hint);
 
-  /// The commit point of a reassignment (src/balance/migration.h): drops the
-  /// parent's replicas, persists every child's assignment, then removes the
-  /// parent's (map entry + znode) when it is retired. Active master only.
-  Status CommitReassign(const std::string& parent_uid,
-                        const std::vector<TabletLocation>& children);
+  /// Fires after each completed reassignment step; leadership is re-checked
+  /// after the hook returns, so a hook that crashes the master aborts the
+  /// protocol exactly there (the intent znode stays behind for reconcile).
+  void set_step_hook(std::function<void(MigrationStep)> hook) EXCLUDES(mu_);
+
+  /// Moves `uid` to server `to` with no acked-write loss: a reassignment to
+  /// one child with the parent's descriptor. Unavailable when the owner is
+  /// down (a dead owner's tablets move through failure handling).
+  Status MigrateTablet(const std::string& uid, int to);
+  /// Splits `uid` at `split_key` (strictly interior): the left child stays
+  /// on the owner, the right child lands on `right_server`. Children get
+  /// fresh range ids and rebuild their indexes from the parent's checkpoint
+  /// + log tail, filtered by range — no data is copied or rewritten.
+  /// Unavailable when the owner is down.
+  Status SplitTablet(const std::string& uid, const std::string& split_key,
+                     int right_server);
   /// Fresh range ids for split children (max over current assignments of the
   /// (table, group) + 1). Fails when the 20-bit range-id space would
   /// overflow the packed tablet id.
@@ -168,12 +208,18 @@ class Master {
   /// Servers whose liveness znode is present.
   std::vector<int> LiveServers() const;
 
-  /// Treats `dead_server` as permanently failed: every tablet it hosted is
-  /// adopted by a live server (checkpoint reload + filtered log redo).
+  /// Treats `dead_server` as permanently failed: each tablet it hosted is
+  /// reassigned, one at a time, from the dead server as source to the
+  /// least-loaded live server (one child with the tablet's descriptor). The
+  /// adopter rebuilds the tablet from the dead server's checkpoint and log
+  /// and checkpoints before the new assignment is persisted; the intent
+  /// znode makes a master crash mid-adoption reconcile like any other
+  /// reassignment.
   Status HandleServerFailure(int dead_server);
 
-  /// Compares assignments against liveness znodes and handles every dead
-  /// server found. Returns the number of servers handled.
+  /// Compares assignments against liveness znodes and runs
+  /// HandleServerFailure for every dead server found. Returns the number of
+  /// servers handled.
   Result<int> DetectAndHandleFailures();
 
  private:
@@ -189,15 +235,38 @@ class Master {
       REQUIRES(mu_) {
     return replica_resolver_ ? replica_resolver_(replica_id) : nullptr;
   }
-  /// CommitReassign without the leadership check; children whose
-  /// assignment already names their server are skipped, so reconcile can
-  /// finish a commit that was cut short.
+  /// The reassignment routine: replaces `parent` on `owner` with
+  /// `children`. Intent; when the owner runs, seal the parent and checkpoint
+  /// the owner; each child's server adopts its child unless it already
+  /// hosts it, and every adopter checkpoints; commit; close the parent on a
+  /// running owner; clear the intent. A retired parent (no child keeps its
+  /// uid) also re-checkpoints every involved server after the close, or a
+  /// restart would recover the parent beside its children. `resume` starts
+  /// at the adopt step of a committed intent that a crashed master left
+  /// behind: down child servers are skipped, and errors keep the intent.
+  /// Otherwise errors before the commit roll back inline while this master
+  /// still leads; Busy when `parent` already has an intent. Takes `mu_` only
+  /// for the commit.
+  Status Reassign(int owner, const tablet::TabletDescriptor& parent,
+                  const std::vector<TabletLocation>& children, bool resume)
+      EXCLUDES(mu_);
+  /// Undoes an uncommitted reassignment: closes each child on its running
+  /// server, unseals the parent on a running owner, deletes the intent.
+  void RollBackReassign(int owner, const std::string& parent_uid,
+                        const std::vector<TabletLocation>& children) const;
+  /// Fires the step hook, then verifies this master still leads.
+  Status AfterStep(MigrationStep step) EXCLUDES(mu_);
+  /// The commit point of a reassignment: drops the parent's replicas,
+  /// persists every child's assignment, then removes the parent's (map
+  /// entry + znode) when it is retired. Children whose assignment already
+  /// names their server are skipped, so reconcile can finish a commit that
+  /// was cut short.
   Status CommitReassignLocked(const std::string& parent_uid,
                               const std::vector<TabletLocation>& children)
       REQUIRES(mu_);
   /// Rolls surviving reassignment intents forward or back after this master
   /// recovers metadata (the previous active master died mid-protocol).
-  Status ReconcileIntentsLocked() REQUIRES(mu_);
+  Status ReconcileIntents() EXCLUDES(mu_);
 
   // Metadata persistence (znodes under /meta): schemas + split keys under
   // /meta/tables/<name>, assignments under /meta/assign/<uid>.
@@ -229,6 +298,9 @@ class Master {
   mutable OrderedMutex mu_{lockrank::kMasterState, "master.state"};
   // Leader that has recovered persisted metadata.
   bool promoted_ GUARDED_BY(mu_) = false;
+  // A TryPromote is reconciling intents outside mu_.
+  bool promoting_ GUARDED_BY(mu_) = false;
+  std::function<void(MigrationStep)> step_hook_ GUARDED_BY(mu_);
   std::map<std::string, tablet::TableSchema> tables_ GUARDED_BY(mu_);
   // Per table.
   std::map<std::string, std::vector<std::string>> split_keys_ GUARDED_BY(mu_);

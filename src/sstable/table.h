@@ -43,7 +43,6 @@ struct TableOptions {
   size_t block_size = 64 * 1024;  // HBase default block size (paper §4.2.2)
   int restart_interval = 16;
   bool enable_bloom = true;
-  int bloom_bits_per_key = 10;
   const Comparator* comparator = BytewiseComparator();
   /// Maps an entry key to the key stored in / probed against the bloom
   /// filter (the LSM strips version trailers so all versions share one

@@ -6,12 +6,17 @@
 
 namespace logbase::sstable {
 
+namespace {
+/// Bloom filter density: about a 1% false-positive rate.
+constexpr int kBloomBitsPerKey = 10;
+}  // namespace
+
 TableBuilder::TableBuilder(TableOptions options, WritableFile* file)
     : options_(std::move(options)),
       file_(file),
       data_block_(options_.restart_interval),
       index_block_(1),
-      filter_(options_.bloom_bits_per_key) {}
+      filter_(kBloomBitsPerKey) {}
 
 Status TableBuilder::Add(const Slice& key, const Slice& value) {
   assert(!finished_);

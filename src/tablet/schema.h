@@ -26,22 +26,6 @@ struct TableSchema {
   std::string name;
   std::vector<std::string> columns;
   std::vector<ColumnGroup> groups;
-
-  const ColumnGroup* FindGroup(uint32_t group_id) const {
-    for (const ColumnGroup& g : groups) {
-      if (g.id == group_id) return &g;
-    }
-    return nullptr;
-  }
-
-  const ColumnGroup* GroupForColumn(const std::string& column) const {
-    for (const ColumnGroup& g : groups) {
-      for (const std::string& c : g.columns) {
-        if (c == column) return &g;
-      }
-    }
-    return nullptr;
-  }
 };
 
 /// One tablet: a key range of one column group of one table.

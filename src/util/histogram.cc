@@ -34,7 +34,6 @@ void Histogram::Clear() {
   max_ = 0;
   num_ = 0;
   sum_ = 0;
-  sum_squares_ = 0;
   buckets_.assign(Limits().size() + 1, 0.0);
 }
 
@@ -55,7 +54,6 @@ void Histogram::Add(double value) {
   if (max_ < value) max_ = value;
   num_++;
   sum_ += value;
-  sum_squares_ += value * value;
 }
 
 void Histogram::Merge(const Histogram& other) {
@@ -63,7 +61,6 @@ void Histogram::Merge(const Histogram& other) {
   if (other.max_ > max_) max_ = other.max_;
   num_ += other.num_;
   sum_ += other.sum_;
-  sum_squares_ += other.sum_squares_;
   for (size_t b = 0; b < buckets_.size(); b++) {
     buckets_[b] += other.buckets_[b];
   }
@@ -72,13 +69,6 @@ void Histogram::Merge(const Histogram& other) {
 double Histogram::Average() const {
   if (num_ == 0) return 0;
   return sum_ / static_cast<double>(num_);
-}
-
-double Histogram::StandardDeviation() const {
-  if (num_ == 0) return 0;
-  double n = static_cast<double>(num_);
-  double variance = (sum_squares_ * n - sum_ * sum_) / (n * n);
-  return variance > 0 ? std::sqrt(variance) : 0;
 }
 
 double Histogram::Percentile(double p) const {

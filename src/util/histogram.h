@@ -26,7 +26,6 @@ class Histogram {
   double min() const { return num_ == 0 ? 0 : min_; }
   double max() const { return max_; }
   double Average() const;
-  double StandardDeviation() const;
   /// p in [0, 100].
   double Percentile(double p) const;
   double Median() const { return Percentile(50.0); }
@@ -38,7 +37,6 @@ class Histogram {
   double max_;
   uint64_t num_;
   double sum_;
-  double sum_squares_;
   std::vector<double> buckets_;
 };
 

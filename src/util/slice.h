@@ -46,9 +46,6 @@ class Slice {
   }
 
   std::string ToString() const { return std::string(data_, size_); }
-  std::string_view ToStringView() const {
-    return std::string_view(data_, size_);
-  }
 
   /// Three-way comparison: <0, ==0, >0 as in memcmp.
   int compare(const Slice& b) const {

@@ -12,8 +12,6 @@ const char* CodeName(Status::Code code) {
       return "NotFound";
     case Status::Code::kCorruption:
       return "Corruption";
-    case Status::Code::kNotSupported:
-      return "NotSupported";
     case Status::Code::kInvalidArgument:
       return "InvalidArgument";
     case Status::Code::kIOError:

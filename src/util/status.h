@@ -22,7 +22,6 @@ class [[nodiscard]] Status {
     kOk = 0,
     kNotFound = 1,
     kCorruption = 2,
-    kNotSupported = 3,
     kInvalidArgument = 4,
     kIOError = 5,
     kBusy = 6,
@@ -39,9 +38,6 @@ class [[nodiscard]] Status {
   }
   static Status Corruption(Slice msg = Slice()) {
     return Status(Code::kCorruption, msg);
-  }
-  static Status NotSupported(Slice msg = Slice()) {
-    return Status(Code::kNotSupported, msg);
   }
   static Status InvalidArgument(Slice msg = Slice()) {
     return Status(Code::kInvalidArgument, msg);
@@ -72,7 +68,6 @@ class [[nodiscard]] Status {
   bool ok() const { return code_ == Code::kOk; }
   bool IsNotFound() const { return code_ == Code::kNotFound; }
   bool IsCorruption() const { return code_ == Code::kCorruption; }
-  bool IsNotSupported() const { return code_ == Code::kNotSupported; }
   bool IsInvalidArgument() const { return code_ == Code::kInvalidArgument; }
   bool IsIOError() const { return code_ == Code::kIOError; }
   bool IsBusy() const { return code_ == Code::kBusy; }

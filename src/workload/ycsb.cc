@@ -4,9 +4,15 @@
 
 namespace logbase::workload {
 
+namespace {
+constexpr double kZipfConstant = 0.99;
+/// Keys take values from this domain (paper: max key 2e9).
+constexpr uint64_t kKeyDomain = 2000000000ull;
+}  // namespace
+
 YcsbWorkload::YcsbWorkload(YcsbOptions options, uint64_t seed)
     : options_(options),
-      key_chooser_(options.record_count, options.zipf_constant) {
+      key_chooser_(options.record_count, kZipfConstant) {
   (void)seed;
 }
 
@@ -15,7 +21,7 @@ std::string YcsbWorkload::KeyAt(uint64_t index) const {
   // loads do not produce adjacent keys.
   uint64_t hashed = index * 0x9e3779b97f4a7c15ull;
   hashed ^= hashed >> 29;
-  hashed %= options_.key_domain;
+  hashed %= kKeyDomain;
   char buf[32];
   std::snprintf(buf, sizeof(buf), "user%012llu",
                 static_cast<unsigned long long>(hashed));

@@ -18,9 +18,6 @@ struct YcsbOptions {
   uint64_t record_count = 10000;
   size_t value_bytes = 1024;
   double update_proportion = 0.95;  // remainder are reads
-  double zipf_constant = 0.99;
-  /// Keys take values from this domain (paper: max key 2e9).
-  uint64_t key_domain = 2000000000ull;
 };
 
 class YcsbWorkload {

@@ -1,8 +1,8 @@
 // Elastic load balancing (src/balance/): load reports, placement scoring,
 // live log-based migration (checkpoint-bounded replay, fencing, client
 // re-routing), hot-tablet splitting, the policy loop, the reassignment
-// intent codec, and crash recovery of migrations and splits across master
-// failovers.
+// intent codec, and crash recovery of migrations, splits and failure
+// adoptions across master failovers.
 
 #include <gtest/gtest.h>
 
@@ -10,13 +10,15 @@
 #include <set>
 
 #include "src/balance/balancer.h"
-#include "src/balance/migration.h"
 #include "src/balance/placement.h"
 #include "src/cluster/mini_cluster.h"
 #include "src/master/meta_codec.h"
 
 namespace logbase::balance {
 namespace {
+
+using master::MigrationStep;
+using master::MigrationStepName;
 
 cluster::MiniClusterOptions SmallCluster(int nodes = 3, int masters = 1) {
   cluster::MiniClusterOptions options;
@@ -109,8 +111,7 @@ TEST(MigrationTest, MoveTabletKeepsDataAndRoutes) {
   const int from = loc->server_id;
   const int to = (from + 1) % cluster.num_nodes();
 
-  MigrationCoordinator coordinator(cluster.active_master());
-  ASSERT_TRUE(coordinator.MigrateTablet(uid, to).ok());
+  ASSERT_TRUE(cluster.active_master()->MigrateTablet(uid, to).ok());
 
   // Assignment flipped and persisted; old owner released the tablet.
   auto moved = cluster.master()->GetAssignment(uid);
@@ -207,9 +208,9 @@ TEST(SplitTest, SplitPreservesDataAndScans) {
   ASSERT_TRUE(split_key.ok());
 
   const int right_target = (loc->server_id + 1) % cluster.num_nodes();
-  MigrationCoordinator coordinator(cluster.active_master());
-  ASSERT_TRUE(
-      coordinator.SplitTablet(parent_uid, *split_key, right_target).ok());
+  ASSERT_TRUE(cluster.active_master()
+                  ->SplitTablet(parent_uid, *split_key, right_target)
+                  .ok());
 
   // Parent assignment replaced by two children covering the halves.
   EXPECT_FALSE(cluster.master()->GetAssignment(parent_uid).ok());
@@ -255,9 +256,9 @@ TEST(SplitTest, SplitSurvivesServerRestart) {
   auto split_key = cluster.server(owner)->SuggestSplitKey(parent_uid);
   ASSERT_TRUE(split_key.ok());
   const int right_target = (owner + 1) % cluster.num_nodes();
-  MigrationCoordinator coordinator(cluster.active_master());
-  ASSERT_TRUE(
-      coordinator.SplitTablet(parent_uid, *split_key, right_target).ok());
+  ASSERT_TRUE(cluster.active_master()
+                  ->SplitTablet(parent_uid, *split_key, right_target)
+                  .ok());
   // Post-split writes that only the children's recovery can replay.
   ASSERT_TRUE(client->Put("t", 0, Key(2), "post-split", {}).ok());
   ASSERT_TRUE(client->Put("t", 0, Key(38), "post-split", {}).ok());
@@ -378,17 +379,22 @@ void ExpectHostedAsAssigned(cluster::MiniCluster* cluster, master::Master* m) {
 }
 
 // Crash the active master after a chosen protocol step of a migration
-// (StandbyReconcilesToOneOwner) or a split (StandbyReconcilesSplit); the
-// standby must reconcile the surviving intent to one owner per key range,
-// and restarting the owner and the child servers must not undo that.
+// (StandbyReconcilesToOneOwner), a split (StandbyReconcilesSplit) or the
+// failure adoption of a dead owner's tablet
+// (StandbyReconcilesFailureAdoption); the standby must reconcile the
+// surviving intent to one owner per key range, and restarting the live
+// owner and the child servers must not undo that.
+enum class Move { kMigrate, kSplit, kAdopt };
+
 class FailoverMidMigrationTest
     : public ::testing::TestWithParam<MigrationStep> {
  protected:
-  void CrashAndReconcile(bool split);
+  void CrashAndReconcile(Move move);
 };
 
-void FailoverMidMigrationTest::CrashAndReconcile(bool split) {
+void FailoverMidMigrationTest::CrashAndReconcile(Move move) {
   const MigrationStep crash_after = GetParam();
+  const bool split = move == Move::kSplit;
   cluster::MiniCluster cluster(SmallCluster(3, /*masters=*/2));
   ASSERT_TRUE(cluster.Start().ok());
   master::Master* first = cluster.active_master();
@@ -410,13 +416,25 @@ void FailoverMidMigrationTest::CrashAndReconcile(bool split) {
     split_key = *key;
   }
 
-  MigrationCoordinator coordinator(first);
-  coordinator.set_step_hook([&](MigrationStep step) {
+  first->set_step_hook([&](MigrationStep step) {
     if (step == crash_after) cluster.CrashMaster(0);
   });
-  Status s = split ? coordinator.SplitTablet(uid, split_key, target)
-                   : coordinator.MigrateTablet(uid, target);
-  EXPECT_FALSE(s.ok());  // leadership lost mid-protocol
+  // A dead source skips the source steps: a hook there never fires, the
+  // adoption completes, and the master crashes only afterwards.
+  const bool source_step = crash_after == MigrationStep::kSourceSealed ||
+                           crash_after == MigrationStep::kCheckpointFlushed ||
+                           crash_after == MigrationStep::kSourceClosed;
+  const bool runs = move != Move::kAdopt || !source_step;
+  Status s;
+  if (move == Move::kAdopt) {
+    cluster.CrashServer(owner);
+    s = first->DetectAndHandleFailures().status();
+  } else {
+    s = split ? first->SplitTablet(uid, split_key, target)
+              : first->MigrateTablet(uid, target);
+  }
+  EXPECT_EQ(s.ok(), !runs) << s.ToString();  // leadership lost mid-protocol
+  if (!runs) cluster.CrashMaster(0);
 
   // Standby takes over and reconciles the intent.
   master::Master* active = cluster.active_master();
@@ -425,7 +443,8 @@ void FailoverMidMigrationTest::CrashAndReconcile(bool split) {
   EXPECT_FALSE(cluster.coord()->znodes()->Exists(
       master::meta::ReassignPath(uid)));
 
-  const bool committed = crash_after >= MigrationStep::kAssignmentFlipped;
+  const bool committed =
+      !runs || crash_after >= MigrationStep::kAssignmentFlipped;
   auto all = active->LocateAll("t", 0);
   ASSERT_TRUE(all.ok());
   if (split && committed) {
@@ -435,6 +454,14 @@ void FailoverMidMigrationTest::CrashAndReconcile(bool split) {
     EXPECT_EQ((*all)[0].descriptor.end_key, split_key);
     EXPECT_EQ((*all)[1].server_id, target);
     EXPECT_EQ((*all)[1].descriptor.start_key, split_key);
+  } else if (move == Move::kAdopt) {
+    ASSERT_EQ(all->size(), 1u);
+    EXPECT_EQ((*all)[0].descriptor.uid(), uid);
+    EXPECT_EQ((*all)[0].server_id != owner, committed);
+    // The standby adopts whatever the crash left on the dead owner.
+    auto handled = active->DetectAndHandleFailures();
+    ASSERT_TRUE(handled.ok()) << handled.status().ToString();
+    EXPECT_EQ(*handled, committed ? 0 : 1);
   } else {
     ASSERT_EQ(all->size(), 1u);
     EXPECT_EQ((*all)[0].descriptor.uid(), uid);
@@ -456,23 +483,39 @@ void FailoverMidMigrationTest::CrashAndReconcile(bool split) {
 
   // The reconciled state is durable in the servers' own recovery metadata.
   // A committed split re-checkpointed the owner after closing the parent,
-  // so the owner reloads the left child alone, not the parent's 25 rows.
-  cluster.CrashServer(owner);
-  cluster.CrashServer(target);
-  tablet::RecoveryStats owner_stats;
-  ASSERT_TRUE(cluster.RestartServer(owner, &owner_stats).ok());
-  ASSERT_TRUE(cluster.RestartServer(target).ok());
-  if (split && committed) EXPECT_LT(owner_stats.checkpoint_entries, 25u);
+  // so the owner reloads the left child alone, not the parent's 25 rows. An
+  // adopter checkpointed before its assignment was persisted, so a restart
+  // rebuilds the adopted tablet; the dead owner stays down.
+  if (move == Move::kAdopt) {
+    auto adopted = active->GetAssignment(uid);
+    ASSERT_TRUE(adopted.ok());
+    ASSERT_NE(adopted->server_id, owner);
+    cluster.CrashServer(adopted->server_id);
+    ASSERT_TRUE(cluster.RestartServer(adopted->server_id).ok());
+  } else {
+    cluster.CrashServer(owner);
+    cluster.CrashServer(target);
+    tablet::RecoveryStats owner_stats;
+    ASSERT_TRUE(cluster.RestartServer(owner, &owner_stats).ok());
+    ASSERT_TRUE(cluster.RestartServer(target).ok());
+    if (split && committed) {
+      EXPECT_LT(owner_stats.checkpoint_entries, 25u);
+    }
+  }
   ExpectHostedAsAssigned(&cluster, active);
   expect_rows("post-failover");
 }
 
 TEST_P(FailoverMidMigrationTest, StandbyReconcilesToOneOwner) {
-  CrashAndReconcile(/*split=*/false);
+  CrashAndReconcile(Move::kMigrate);
 }
 
 TEST_P(FailoverMidMigrationTest, StandbyReconcilesSplit) {
-  CrashAndReconcile(/*split=*/true);
+  CrashAndReconcile(Move::kSplit);
+}
+
+TEST_P(FailoverMidMigrationTest, StandbyReconcilesFailureAdoption) {
+  CrashAndReconcile(Move::kAdopt);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -509,14 +552,13 @@ TEST(ReassignTest, SecondReassignmentOfOneTabletIsBusy) {
 
   // A split of the same tablet, started after every step of a migration
   // that is still in flight, must be refused: both share one intent.
-  MigrationCoordinator migration(cluster.active_master());
-  MigrationCoordinator splitter(cluster.active_master());
+  master::Master* m = cluster.active_master();
   std::vector<Status> refused;
-  migration.set_step_hook([&](MigrationStep step) {
+  m->set_step_hook([&](MigrationStep step) {
     if (step == MigrationStep::kIntentCleared) return;
-    refused.push_back(splitter.SplitTablet(uid, *split_key, owner));
+    refused.push_back(m->SplitTablet(uid, *split_key, owner));
   });
-  Status s = migration.MigrateTablet(uid, to);
+  Status s = m->MigrateTablet(uid, to);
   ASSERT_TRUE(s.ok()) << s.ToString();
   ASSERT_EQ(refused.size(), 6u);
   for (const Status& r : refused) EXPECT_TRUE(r.IsBusy()) << r.ToString();
@@ -533,6 +575,31 @@ TEST(ReassignTest, SecondReassignmentOfOneTabletIsBusy) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->value(), "v" + std::to_string(i));
   }
+}
+
+TEST(ReassignTest, MigrateOrSplitOfDownOwnerIsUnavailable) {
+  cluster::MiniCluster cluster(SmallCluster());
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.master()->CreateTable("t", {"v"}, {{"v"}}, {}).ok());
+  master::Master* m = cluster.active_master();
+  auto loc = m->Locate("t", 0, Slice(Key(0)));
+  ASSERT_TRUE(loc.ok());
+  const std::string uid = loc->descriptor.uid();
+  const int owner = loc->server_id;
+  const int to = (owner + 1) % cluster.num_nodes();
+
+  // A dead owner's tablets move through failure handling; the balancer's
+  // entry points refuse them before writing an intent.
+  cluster.CrashServer(owner);
+  Status s = m->MigrateTablet(uid, to);
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  s = m->SplitTablet(uid, Key(10), to);
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_FALSE(cluster.coord()->znodes()->Exists(
+      master::meta::ReassignPath(uid)));
+  auto assignment = m->GetAssignment(uid);
+  ASSERT_TRUE(assignment.ok());
+  EXPECT_EQ(assignment->server_id, owner);
 }
 
 TEST(ReassignTest, StandbyDropsUndecodableIntent) {

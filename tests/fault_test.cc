@@ -118,7 +118,7 @@ TEST(RetryPolicyTest, BackoffGrowsAndIsSeedDeterministic) {
   // Backoff is capped.
   EXPECT_LE(a.BackoffUs("op", 40),
             static_cast<sim::VirtualTime>(
-                opts.max_backoff_us * (1.0 + opts.jitter)) +
+                fault::kMaxBackoffUs * (1.0 + opts.jitter)) +
                 1);
 }
 

@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/balance/migration.h"
 #include "src/cluster/mini_cluster.h"
 #include "src/fault/nemesis.h"
 #include "src/log/log_record.h"
@@ -702,8 +701,7 @@ TEST(ReplicaTest, MigrationTearsDownReplicasAndClientsFallBack) {
   auto location = m->GetAssignment(uid);
   ASSERT_TRUE(location.ok());
   int to = (location->server_id + 1) % cluster.num_nodes();
-  balance::MigrationCoordinator coordinator(m);
-  ASSERT_TRUE(coordinator.MigrateTablet(uid, to).ok());
+  ASSERT_TRUE(m->MigrateTablet(uid, to).ok());
 
   auto after = m->GetAssignment(uid);
   ASSERT_TRUE(after.ok());
