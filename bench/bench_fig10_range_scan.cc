@@ -28,16 +28,15 @@ double AvgScanMs(ScanFn&& scan, const std::vector<std::string>& sorted_keys,
                  uint64_t count, int queries, uint64_t seed,
                  logbase::dfs::Dfs* dfs) {
   Random rnd(seed);
-  logbase::sim::SimContext ctx(logbase::bench::QuiesceTime(dfs));
-  logbase::sim::SimContext::Scope scope(&ctx);
+  logbase::sim::ScopedClock clock(logbase::bench::QuiesceTime(dfs));
   double total_us = 0;
   for (int q = 0; q < queries; q++) {
     size_t start = rnd.Uniform(sorted_keys.size() - count - 1);
     const std::string& start_key = sorted_keys[start];
     const std::string& end_key = sorted_keys[start + count];
-    logbase::sim::VirtualTime begin = ctx.now();
+    logbase::sim::VirtualTime begin = clock.now();
     scan(start_key, end_key, count);
-    total_us += static_cast<double>(ctx.now() - begin);
+    total_us += static_cast<double>(clock.now() - begin);
   }
   return total_us / 1000.0 / queries;
 }
@@ -160,8 +159,7 @@ int main(int argc, char** argv) {
   const char* colors[] = {"red", "green", "blue", "amber"};
   Random rnd(10);
   {
-    sim::SimContext load_ctx(QuiesceTime(cluster.dfs(), cluster.network()));
-    sim::SimContext::Scope scope(&load_ctx);
+    sim::ScopedClock load_clock(QuiesceTime(cluster.dfs(), cluster.network()));
     for (uint64_t i = 0; i < kRows; i++) {
       std::map<std::string, std::string> columns;
       columns["f0"] = std::to_string(i);
@@ -188,11 +186,10 @@ int main(int argc, char** argv) {
   const int kPushdownQueries = 5;
   auto run = [&](const query::QueryPlan& plan, bool client_filter) {
     PushdownRun out;
-    sim::SimContext ctx(QuiesceTime(cluster.dfs(), cluster.network()));
-    sim::SimContext::Scope scope(&ctx);
+    sim::ScopedClock clock(QuiesceTime(cluster.dfs(), cluster.network()));
     double total_us = 0;
     for (int q = 0; q < kPushdownQueries; q++) {
-      sim::VirtualTime begin = ctx.now();
+      sim::VirtualTime begin = clock.now();
       auto result = qclient->Query("scan", 0, plan, {});
       if (!result.ok()) std::abort();
       out.bytes_shipped = result->bytes_shipped;
@@ -212,7 +209,7 @@ int main(int argc, char** argv) {
         }
         out.rows_returned = matched;
       }
-      total_us += static_cast<double>(ctx.now() - begin);
+      total_us += static_cast<double>(clock.now() - begin);
     }
     out.avg_ms = total_us / 1000.0 / kPushdownQueries;
     return out;

@@ -29,9 +29,8 @@ double RecoverAfterLoading(uint64_t checkpoint_at_records,
   }
   // Keep loading past the checkpoint up to the crash point.
   Random rnd(77);
-  sim::SimContext load_ctx(QuiesceTime(fixture.dfs.get()));
   {
-    sim::SimContext::Scope scope(&load_ctx);
+    sim::ScopedClock load_clock(QuiesceTime(fixture.dfs.get()));
     for (uint64_t i = checkpoint_at_records; i < total_records; i++) {
       if (!engine.Put(fixture.uid, Slice(workload.KeyAt(i)),
                       Slice(workload.MakeValue(&rnd)))
@@ -46,10 +45,10 @@ double RecoverAfterLoading(uint64_t checkpoint_at_records,
     targets.num_nodes = 1;
     targets.crash_server = [&](int) { fixture.server->Crash(); };
     fault::FaultPlan plan;
-    plan.Crash(load_ctx.now() + 1, 0);
+    plan.Crash(load_clock.now() + 1, 0);
     fault::FaultInjector injector(targets, plan);
-    load_ctx.Advance(2);
-    if (!injector.AdvanceTo(load_ctx.now()).ok()) std::abort();
+    load_clock.Advance(2);
+    if (!injector.AdvanceTo(load_clock.now()).ok()) std::abort();
   }
   if (fixture.server->running()) std::abort();
   return TimedRun(QuiesceTime(fixture.dfs.get()), [&] {

@@ -46,7 +46,7 @@ void BM_BlinkGetLatest(benchmark::State& state) {
   for (uint64_t i = 0; i < n; i++) (void)tree.Insert(Key(i), 1, Ptr(i));
   Random rnd(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.GetLatest(Key(rnd.Uniform(n))));
+    benchmark::DoNotOptimize(tree.GetAsOf(Key(rnd.Uniform(n)), index::kLatest));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -128,7 +128,8 @@ void BM_LsmIndexGet(benchmark::State& state) {
   for (uint64_t i = 0; i < n; i++) (void)(*idx)->Insert(Key(i), 1, Ptr(i));
   Random rnd(5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize((*idx)->GetLatest(Key(rnd.Uniform(n))));
+    benchmark::DoNotOptimize(
+        (*idx)->GetAsOf(Key(rnd.Uniform(n)), index::kLatest));
   }
   state.SetItemsProcessed(state.iterations());
 }

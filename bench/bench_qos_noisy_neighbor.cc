@@ -208,8 +208,7 @@ int main(int argc, char** argv) {
 
   // Load all records (uniform, as the victim tenant's setup job).
   {
-    sim::SimContext load_ctx(QuiesceTime(cluster.dfs(), cluster.network()));
-    sim::SimContext::Scope scope(&load_ctx);
+    sim::ScopedClock load_clock(QuiesceTime(cluster.dfs(), cluster.network()));
     for (uint64_t i = 0; i < records; i++) {
       if (!victim->Put(kTable, 0, KeyAt(i), value, {}).ok()) std::abort();
     }

@@ -81,8 +81,7 @@ ConfigResult RunConfig(int num_replicas, uint64_t records,
 
   // Load, then attach every tablet to every replica and let them catch up.
   {
-    sim::SimContext load_ctx(QuiesceTime(cluster.dfs(), cluster.network()));
-    sim::SimContext::Scope scope(&load_ctx);
+    sim::ScopedClock load_clock(QuiesceTime(cluster.dfs(), cluster.network()));
     for (uint64_t i = 0; i < records; i++) {
       if (!writers[i % kWriteClients]->Put(kTable, 0, KeyAt(i), value, {}).ok()) {
         std::abort();
@@ -96,8 +95,7 @@ ConfigResult RunConfig(int num_replicas, uint64_t records,
     }
   }
   {
-    sim::SimContext seed_ctx(QuiesceTime(cluster.dfs(), cluster.network()));
-    sim::SimContext::Scope scope(&seed_ctx);
+    sim::ScopedClock seed_clock(QuiesceTime(cluster.dfs(), cluster.network()));
     if (!cluster.TickReplicas().ok()) std::abort();
   }
   for (auto& c : readers) c->InvalidateCache();

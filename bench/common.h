@@ -364,12 +364,9 @@ inline sim::VirtualTime QuiesceTime(dfs::Dfs* dfs,
 /// the virtual seconds it took.
 template <typename Fn>
 double TimedRun(sim::VirtualTime start, Fn&& fn) {
-  sim::SimContext ctx(start);
-  {
-    sim::SimContext::Scope scope(&ctx);
-    fn();
-  }
-  return static_cast<double>(ctx.now() - start) / 1e6;
+  sim::ScopedClock clock(start);
+  fn();
+  return static_cast<double>(clock.now() - start) / 1e6;
 }
 
 // ---------------------------------------------------------------------------
@@ -471,7 +468,6 @@ struct LogBaseCluster {
                           index::IndexKind kind = index::IndexKind::kBlink,
                           size_t read_buffer_bytes = 8ull << 20,
                           uint64_t data_per_node_bytes = 0) {
-    (void)data_per_node_bytes;
     network = std::make_unique<sim::NetworkModel>(nodes);
     dfs::DfsOptions dfs_options;
     dfs_options.num_nodes = nodes;

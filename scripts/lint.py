@@ -53,10 +53,11 @@ Rules enforced over src/ (and, where noted, the whole tree):
                 actor clocks (a container of sim::SimContext). Several
                 actors are stepped by sim::Scheduler alone, smallest clock
                 first, so no driver keeps its own round-robin or barrier.
-  child-clock   Under src/, only src/sim/ constructs a sim::SimContext.
-                Work that overlaps in virtual time runs as sim::Fanout
-                branches, several actors step through sim::Scheduler, and
-                an actor that runs alone installs a sim::ScopedClock, so no
+  child-clock   Under src/ and bench/, only src/sim/ constructs a
+                sim::SimContext. Work that overlaps in virtual time runs as
+                sim::Fanout branches, several actors step through
+                sim::Scheduler, and an actor that runs alone (a bench's load
+                or timed phase included) installs a sim::ScopedClock, so no
                 module hand-rolls a child clock.
   status-text   Under src/, only src/tablet/stale_route.cc matches a
                 Status's message text (`ToString().find(`,
@@ -642,8 +643,10 @@ def check_actor_clock(path, rel, stripped):
 # round, an off-path release) is one more copy of the rule for where each
 # branch starts and what the caller waits for. sim::Fanout owns that rule,
 # sim::Scheduler steps actors and sim::ScopedClock gives a lone actor its
-# clock, so only src/sim/ constructs a SimContext. Pointers, references and
-# the static members (Current, Scope) stay allowed everywhere.
+# clock, so only src/sim/ constructs a SimContext; a bench phase that runs
+# one actor takes a ScopedClock too. Pointers, references and the static
+# members (Current, Scope) stay allowed everywhere.
+CHILD_CLOCK_DIRS = ('src/', 'bench/')
 CHILD_CLOCK_OWNER_DIR = 'src/sim/'
 CHILD_CLOCK_CONSTRUCT = re.compile(
     r'\bSimContext\b(?!\s*(?:[*&:>]))\s*(?:\w+\s*)?[({;=]'
@@ -652,7 +655,8 @@ CHILD_CLOCK_CONSTRUCT = re.compile(
 
 
 def check_child_clock(path, rel, stripped):
-    if not rel.startswith('src/') or rel.startswith(CHILD_CLOCK_OWNER_DIR):
+    if not rel.startswith(CHILD_CLOCK_DIRS) or \
+            rel.startswith(CHILD_CLOCK_OWNER_DIR):
         return []
     return [Violation('child-clock', rel, lineno,
                       'sim::SimContext constructed outside src/sim/; run '
@@ -815,13 +819,15 @@ def lint_tree(root):
     for path, rel, stripped in iter_sources(root, 'src'):
         for rule in PER_FILE_RULES:
             violations.extend(rule(path, rel, stripped))
-    # The deprecated-API rule also covers tests, examples and benches:
-    # lint must stay clean there so the shims can eventually be removed.
-    # Benches also step their actors through sim::Scheduler only.
+    # The deprecated-API rule also covers tests, examples and benches, so
+    # the removed client calls stay removed there. Benches also step their
+    # actors through sim::Scheduler and give a lone actor a
+    # sim::ScopedClock (the clock rules skip tests/ and examples/ by path).
     for extra in ('tests', 'examples', 'bench'):
         for path, rel, stripped in iter_sources(root, extra):
             violations.extend(check_deprecated(path, rel, stripped))
             violations.extend(check_actor_clock(path, rel, stripped))
+            violations.extend(check_child_clock(path, rel, stripped))
     violations.extend(check_nodiscard(root))
     violations.extend(check_rank_table(root))
     violations.extend(check_stale_allowlist(root))
@@ -1072,6 +1078,11 @@ SELF_TEST_CASES = [
      'auto clock = std::make_unique<sim::SimContext>();',
      'sim::ScopedClock clock;\n'
      'sched.Add(0, [&](sim::SimContext& ctx) { return Step(ctx); });'),
+    (check_child_clock, 'bench/bench_fig18_recovery.cc',
+     'sim::SimContext load_ctx(QuiesceTime(fixture.dfs.get()));\n'
+     'sim::SimContext::Scope scope(&load_ctx);',
+     'sim::ScopedClock load_clock(QuiesceTime(fixture.dfs.get()));\n'
+     'sim::SimContext* ctx = sim::SimContext::Current();'),
     # One stale-route rule: a client that greps a server's error text is a
     # second copy of it.
     (check_status_text, 'src/client/client.cc',

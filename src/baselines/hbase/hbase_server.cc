@@ -181,20 +181,23 @@ HTablet* HBaseServer::FindTablet(const std::string& uid) {
   return it == tablets_.end() ? nullptr : it->second.get();
 }
 
-Status HBaseServer::Put(const std::string& uid, const Slice& key,
-                        const Slice& value) {
+Result<HTablet*> HBaseServer::LiveTablet(const std::string& uid) {
   if (!running_) return Status::Unavailable("hbase server is down");
   HTablet* tablet = FindTablet(uid);
   if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  return tablet;
+}
+
+Status HBaseServer::Put(const std::string& uid, const Slice& key,
+                        const Slice& value) {
+  LOGBASE_ASSIGN_OR_RETURN(HTablet* tablet, LiveTablet(uid));
   return tablet->Put(key, NextTimestamp(), value);
 }
 
 Status HBaseServer::PutBatch(
     const std::string& uid,
     const std::vector<std::pair<std::string, std::string>>& kvs) {
-  if (!running_) return Status::Unavailable("hbase server is down");
-  HTablet* tablet = FindTablet(uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  LOGBASE_ASSIGN_OR_RETURN(HTablet* tablet, LiveTablet(uid));
   std::vector<uint64_t> timestamps;
   timestamps.reserve(kvs.size());
   for (size_t i = 0; i < kvs.size(); i++) timestamps.push_back(NextTimestamp());
@@ -203,33 +206,18 @@ Status HBaseServer::PutBatch(
 
 Result<tablet::ReadValue> HBaseServer::Get(const std::string& uid,
                                            const Slice& key) {
-  if (!running_) return Status::Unavailable("hbase server is down");
-  HTablet* tablet = FindTablet(uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  LOGBASE_ASSIGN_OR_RETURN(HTablet* tablet, LiveTablet(uid));
   return tablet->Get(key);
 }
 
-Result<tablet::ReadValue> HBaseServer::GetAsOf(const std::string& uid,
-                                               const Slice& key,
-                                               uint64_t as_of) {
-  if (!running_) return Status::Unavailable("hbase server is down");
-  HTablet* tablet = FindTablet(uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-  return tablet->Get(key, as_of);
-}
-
 Status HBaseServer::Delete(const std::string& uid, const Slice& key) {
-  if (!running_) return Status::Unavailable("hbase server is down");
-  HTablet* tablet = FindTablet(uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  LOGBASE_ASSIGN_OR_RETURN(HTablet* tablet, LiveTablet(uid));
   return tablet->Delete(key, NextTimestamp());
 }
 
 Result<std::vector<tablet::ReadRow>> HBaseServer::Scan(
     const std::string& uid, const Slice& start_key, const Slice& end_key) {
-  if (!running_) return Status::Unavailable("hbase server is down");
-  HTablet* tablet = FindTablet(uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+  LOGBASE_ASSIGN_OR_RETURN(HTablet* tablet, LiveTablet(uid));
   return tablet->Scan(start_key, end_key);
 }
 

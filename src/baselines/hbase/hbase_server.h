@@ -49,8 +49,6 @@ class HBaseServer {
       const std::string& uid,
       const std::vector<std::pair<std::string, std::string>>& kvs);
   Result<tablet::ReadValue> Get(const std::string& uid, const Slice& key);
-  Result<tablet::ReadValue> GetAsOf(const std::string& uid, const Slice& key,
-                                    uint64_t as_of);
   Status Delete(const std::string& uid, const Slice& key);
   Result<std::vector<tablet::ReadRow>> Scan(const std::string& uid,
                                             const Slice& start_key,
@@ -61,7 +59,6 @@ class HBaseServer {
 
   HTablet* FindTablet(const std::string& uid);
   sstable::BlockCache* block_cache() { return block_cache_.get(); }
-  uint64_t wal_bytes_written() const { return wal_->bytes_written(); }
   int server_id() const { return options_.server_id; }
 
  private:
@@ -69,6 +66,9 @@ class HBaseServer {
     return "/hbase/" + std::to_string(options_.server_id);
   }
   uint64_t NextTimestamp() EXCLUDES(ts_mu_);
+  /// The tablet a data call names: Unavailable while the server is down,
+  /// NotFound when it hosts no such tablet.
+  Result<HTablet*> LiveTablet(const std::string& uid);
   Status ReplayWal() EXCLUDES(tablets_mu_);
   /// uid -> numeric id mapping, persisted so WAL records stay routable
   /// across restarts.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "src/index/multiversion_index.h"
 #include "src/lsm/merging_iterator.h"
 #include "src/sstable/table_builder.h"
 #include "src/util/coding.h"
@@ -226,9 +227,7 @@ Result<std::vector<tablet::ReadRow>> HTablet::Scan(const Slice& start_key,
   merged.Seek(Slice(index::EncodeCompositeKey(start_key, index::kLatest)));
 
   std::vector<tablet::ReadRow> rows;
-  std::string current_key;
-  bool have_current = false;
-  bool taken = false;
+  index::NewestVisible newest(as_of);
   std::string last_composite;
   for (; merged.Valid(); merged.Next()) {
     // Duplicates across memtable/files (same key+ts) collapse here.
@@ -242,13 +241,7 @@ Result<std::vector<tablet::ReadRow>> HTablet::Scan(const Slice& start_key,
       return Status::Corruption("bad composite key in scan");
     }
     if (!end_key.empty() && Slice(key).compare(end_key) >= 0) break;
-    if (!have_current || key != current_key) {
-      current_key = key;
-      have_current = true;
-      taken = false;
-    }
-    if (taken || ts > as_of) continue;
-    taken = true;
+    if (!newest.Admit(Slice(key), ts)) continue;
     bool is_delete;
     Slice value;
     if (!DecodeCell(merged.value(), &is_delete, &value)) {

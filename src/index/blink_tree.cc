@@ -1,7 +1,7 @@
 #include "src/index/blink_tree.h"
 
-#include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "src/obs/metrics.h"
 #include "src/sim/costs.h"
@@ -76,6 +76,23 @@ size_t LowerBound(const std::vector<BlinkTree::CompositeKey>& keys,
   return lo;
 }
 
+/// The Lehman–Yao move-right: latches `n`, then follows right-links while
+/// `target` lies past the latched node's high key. Returns the node that
+/// covers `target`, latched; adds each hop to *chases when given.
+BlinkTree::Node* MoveRight(BlinkTree::Node* n,
+                           const BlinkTree::CompositeKey& target,
+                           uint64_t* chases = nullptr) {
+  n->mu.lock();
+  while (n->has_high_key && CompareCK(target, n->high_key) > 0) {
+    BlinkTree::Node* r = n->right;
+    n->mu.unlock();
+    n = r;
+    n->mu.lock();
+    if (chases != nullptr) ++*chases;
+  }
+  return n;
+}
+
 }  // namespace
 
 BlinkTree::BlinkTree() {
@@ -94,55 +111,59 @@ BlinkTree::Node* BlinkTree::NewNode(bool is_leaf, int level) {
 
 int BlinkTree::Height() const { return root_.load()->level + 1; }
 
-BlinkTree::Node* BlinkTree::DescendToLeaf(const CompositeKey& target,
-                                          std::vector<Node*>* path) const {
+BlinkTree::Node* BlinkTree::Descend(const CompositeKey& target, int level,
+                                    std::vector<Node*>* path) const {
   Node* n = root_.load(std::memory_order_acquire);
   int depth = 0;
   uint64_t chases = 0;
   while (true) {
     depth++;
-    n->mu.lock();
-    while (n->has_high_key && CompareCK(target, n->high_key) > 0) {
-      Node* r = n->right;
-      n->mu.unlock();
-      n = r;
-      n->mu.lock();
-      chases++;
-    }
-    if (n->is_leaf) {
-      n->mu.unlock();
-      ProbeDepth()->Observe(depth);
-      if (chases != 0) LatchRetries()->Add(chases);
-      return n;
-    }
+    n = MoveRight(n, target, &chases);
+    if (n->level == level) break;
+    assert(!n->is_leaf && n->level > level);
     if (path != nullptr) path->push_back(n);
     size_t i = LowerBound(n->keys, target);
     Node* child = (i < n->keys.size()) ? n->children[i] : n->children.back();
     n->mu.unlock();
     n = child;
   }
+  if (level == 0) {
+    ProbeDepth()->Observe(depth);
+    if (chases != 0) LatchRetries()->Add(chases);
+  }
+  return n;
 }
 
-BlinkTree::Node* BlinkTree::FindParentAtLevel(const CompositeKey& key,
-                                              int level) const {
-  Node* n = root_.load(std::memory_order_acquire);
+template <typename Visit>
+void BlinkTree::Walk(const CompositeKey& from, Visit&& visit) const {
+  Node* n = Descend(from, /*level=*/0, /*path=*/nullptr);
+  size_t pos = LowerBound(n->keys, from);
+  // The hop guard: the last entry visited before a hop. Entries in the
+  // right sibling that do not sort after it were seen already.
+  CompositeKey last;
+  bool have_last = false;
   while (true) {
-    n->mu.lock();
-    while (n->has_high_key && CompareCK(key, n->high_key) > 0) {
-      Node* r = n->right;
-      n->mu.unlock();
-      n = r;
-      n->mu.lock();
+    const size_t first = pos;
+    for (; pos < n->keys.size(); pos++) {
+      if (!visit(n->keys[pos], n->ptrs[pos])) {
+        n->mu.unlock();
+        return;
+      }
     }
-    if (n->level == level) {
-      n->mu.unlock();
-      return n;
+    if (pos > first) {
+      last = n->keys.back();
+      have_last = true;
     }
-    assert(!n->is_leaf && n->level > level);
-    size_t i = LowerBound(n->keys, key);
-    Node* child = (i < n->keys.size()) ? n->children[i] : n->children.back();
+    Node* r = n->right;
     n->mu.unlock();
-    n = child;
+    if (r == nullptr) return;
+    n = r;
+    n->mu.lock();
+    pos = 0;
+    while (have_last && pos < n->keys.size() &&
+           CompareCK(n->keys[pos], last) <= 0) {
+      pos++;
+    }
   }
 }
 
@@ -192,7 +213,9 @@ void BlinkTree::InsertIntoParent(std::vector<Node*>* path, int child_level,
       break;
     }
   }
-  if (parent == nullptr) {
+  if (parent != nullptr) {
+    parent = MoveRight(parent, separator);
+  } else {
     // The split node may have been the root: grow the tree.
     MutexLock l(root_change_mu_);
     Node* root = root_.load(std::memory_order_acquire);
@@ -208,17 +231,9 @@ void BlinkTree::InsertIntoParent(std::vector<Node*>* path, int child_level,
       return;
     }
     // Someone else grew the tree already; find the real parent below.
-    parent = FindParentAtLevel(separator, parent_level);
+    parent = Descend(separator, parent_level, /*path=*/nullptr);
   }
 
-  parent->mu.lock();
-  while (parent->has_high_key &&
-         CompareCK(separator, parent->high_key) > 0) {
-    Node* r = parent->right;
-    parent->mu.unlock();
-    parent = r;
-    parent->mu.lock();
-  }
   size_t pos = LowerBound(parent->keys, separator);
   parent->keys.insert(parent->keys.begin() + pos, separator);
   parent->children.insert(parent->children.begin() + pos + 1, new_child);
@@ -238,15 +253,7 @@ Status BlinkTree::Insert(const Slice& key, uint64_t timestamp,
   sim::ChargeCpu(sim::costs::kIndexInsertUs);
   CompositeKey ck{key.ToString(), timestamp};
   std::vector<Node*> path;
-  Node* leaf = DescendToLeaf(ck, &path);
-
-  leaf->mu.lock();
-  while (leaf->has_high_key && CompareCK(ck, leaf->high_key) > 0) {
-    Node* r = leaf->right;
-    leaf->mu.unlock();
-    leaf = r;
-    leaf->mu.lock();
-  }
+  Node* leaf = Descend(ck, /*level=*/0, &path);
   size_t pos = LowerBound(leaf->keys, ck);
   if (pos < leaf->keys.size() && CompareCK(leaf->keys[pos], ck) == 0) {
     leaf->ptrs[pos] = ptr;  // upsert (recovery redo)
@@ -256,7 +263,6 @@ Status BlinkTree::Insert(const Slice& key, uint64_t timestamp,
   leaf->keys.insert(leaf->keys.begin() + pos, ck);
   leaf->ptrs.insert(leaf->ptrs.begin() + pos, ptr);
   num_entries_.fetch_add(1, std::memory_order_relaxed);
-  memory_bytes_.fetch_add(ck.key.size() + 40, std::memory_order_relaxed);
 
   if (leaf->keys.size() > kNodeCapacity) {
     CompositeKey separator;
@@ -272,102 +278,40 @@ Status BlinkTree::Insert(const Slice& key, uint64_t timestamp,
 Status BlinkTree::UpdateIfPresent(const Slice& key, uint64_t timestamp,
                                   const log::LogPtr& ptr) {
   sim::ChargeCpu(sim::costs::kIndexLookupUs);
-  CompositeKey ck{key.ToString(), timestamp};
-  Node* leaf = DescendToLeaf(ck, nullptr);
-  leaf->mu.lock();
-  while (leaf->has_high_key && CompareCK(ck, leaf->high_key) > 0) {
-    Node* r = leaf->right;
-    leaf->mu.unlock();
-    leaf = r;
-    leaf->mu.lock();
-  }
-  size_t pos = LowerBound(leaf->keys, ck);
-  // The exact entry may sit in a right sibling after empty-suffix erases.
-  while (pos >= leaf->keys.size()) {
-    Node* r = leaf->right;
-    leaf->mu.unlock();
-    if (r == nullptr) return Status::NotFound("version not indexed");
-    leaf = r;
-    leaf->mu.lock();
-    pos = LowerBound(leaf->keys, ck);
-  }
-  if (CompareCK(leaf->keys[pos], ck) != 0) {
-    leaf->mu.unlock();
-    return Status::NotFound("version not indexed");
-  }
-  leaf->ptrs[pos] = ptr;
-  leaf->mu.unlock();
-  return Status::OK();
+  CompositeKey target{key.ToString(), timestamp};
+  bool found = false;
+  // The walk, not the leaf alone: after empty-suffix erases the exact entry
+  // may sit in a right sibling.
+  Walk(target, [&](const CompositeKey& ck, log::LogPtr& entry_ptr) {
+    found = CompareCK(ck, target) == 0;
+    if (found) entry_ptr = ptr;
+    return false;
+  });
+  return found ? Status::OK() : Status::NotFound("version not indexed");
 }
 
 Result<IndexEntry> BlinkTree::GetAsOf(const Slice& key,
                                       uint64_t as_of) const {
   sim::ChargeCpu(sim::costs::kIndexLookupUs);
-  CompositeKey target{key.ToString(), as_of};
-  Node* n = DescendToLeaf(target, nullptr);
-  n->mu.lock();
-  while (n->has_high_key && CompareCK(target, n->high_key) > 0) {
-    Node* r = n->right;
-    n->mu.unlock();
-    n = r;
-    n->mu.lock();
-  }
-  size_t pos = LowerBound(n->keys, target);
-  while (pos >= n->keys.size()) {
-    if (n->right == nullptr) {
-      n->mu.unlock();
-      return Status::NotFound("key not in index");
-    }
-    Node* r = n->right;
-    n->mu.unlock();
-    n = r;
-    n->mu.lock();
-    pos = LowerBound(n->keys, target);
-  }
-  if (Slice(n->keys[pos].key) != key) {
-    n->mu.unlock();
-    return Status::NotFound("key not in index");
-  }
-  IndexEntry entry{n->keys[pos].key, n->keys[pos].ts, n->ptrs[pos]};
-  n->mu.unlock();
-  return entry;
-}
-
-Result<IndexEntry> BlinkTree::GetLatest(const Slice& key) const {
-  return GetAsOf(key, kLatest);
+  std::optional<IndexEntry> found;
+  Walk(CompositeKey{key.ToString(), as_of},
+       [&](const CompositeKey& ck, const log::LogPtr& ptr) {
+         if (Slice(ck.key) == key) found = IndexEntry{ck.key, ck.ts, ptr};
+         return false;
+       });
+  if (!found) return Status::NotFound("key not in index");
+  return std::move(*found);
 }
 
 std::vector<IndexEntry> BlinkTree::GetAllVersions(const Slice& key) const {
   sim::ChargeCpu(sim::costs::kIndexLookupUs);
   std::vector<IndexEntry> versions;
-  CompositeKey target{key.ToString(), kLatest};
-  Node* n = DescendToLeaf(target, nullptr);
-  n->mu.lock();
-  while (n->has_high_key && CompareCK(target, n->high_key) > 0) {
-    Node* r = n->right;
-    n->mu.unlock();
-    n = r;
-    n->mu.lock();
-  }
-  size_t pos = LowerBound(n->keys, target);
-  while (true) {
-    if (pos >= n->keys.size()) {
-      Node* r = n->right;
-      n->mu.unlock();
-      if (r == nullptr) break;
-      n = r;
-      n->mu.lock();
-      pos = 0;
-      continue;
-    }
-    if (Slice(n->keys[pos].key) != key) {
-      n->mu.unlock();
-      break;
-    }
-    versions.push_back(
-        IndexEntry{n->keys[pos].key, n->keys[pos].ts, n->ptrs[pos]});
-    pos++;
-  }
+  Walk(CompositeKey{key.ToString(), kLatest},
+       [&](const CompositeKey& ck, const log::LogPtr& ptr) {
+         if (Slice(ck.key) != key) return false;
+         versions.push_back(IndexEntry{ck.key, ck.ts, ptr});
+         return true;
+       });
   return versions;
 }
 
@@ -375,25 +319,15 @@ Status BlinkTree::RemoveAllVersions(const Slice& key) {
   sim::ChargeCpu(sim::costs::kIndexLookupUs);
   CompositeKey first{key.ToString(), kLatest};
   CompositeKey last{key.ToString(), 0};
-  Node* n = DescendToLeaf(first, nullptr);
-  n->mu.lock();
-  while (n->has_high_key && CompareCK(first, n->high_key) > 0) {
-    Node* r = n->right;
-    n->mu.unlock();
-    n = r;
-    n->mu.lock();
-  }
+  Node* n = Descend(first, /*level=*/0, /*path=*/nullptr);
   while (true) {
     size_t lo = LowerBound(n->keys, first);
     size_t hi = lo;
     while (hi < n->keys.size() && Slice(n->keys[hi].key) == key) hi++;
     if (hi > lo) {
-      size_t removed = hi - lo;
-      size_t bytes = removed * (key.size() + 40);
       n->keys.erase(n->keys.begin() + lo, n->keys.begin() + hi);
       n->ptrs.erase(n->ptrs.begin() + lo, n->ptrs.begin() + hi);
-      num_entries_.fetch_sub(removed, std::memory_order_relaxed);
-      memory_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+      num_entries_.fetch_sub(hi - lo, std::memory_order_relaxed);
     }
     // More versions can only live to the right when this node's bound does
     // not cover (key, ts=0), the last possible entry for the key.
@@ -411,86 +345,26 @@ std::vector<IndexEntry> BlinkTree::ScanRange(const Slice& start,
                                              const Slice& end,
                                              uint64_t as_of) const {
   std::vector<IndexEntry> result;
-  CompositeKey target{start.ToString(), kLatest};
-  Node* n = DescendToLeaf(target, nullptr);
-  n->mu.lock();
-  while (n->has_high_key && CompareCK(target, n->high_key) > 0) {
-    Node* r = n->right;
-    n->mu.unlock();
-    n = r;
-    n->mu.lock();
-  }
-  size_t pos = LowerBound(n->keys, target);
-  std::string current_key;
-  bool have_current = false;
-  bool taken = false;
-  // Dedup guard across node hops (entries can move right under us).
-  CompositeKey last_seen;
-  bool have_last_seen = false;
-  while (true) {
-    if (pos >= n->keys.size()) {
-      Node* r = n->right;
-      n->mu.unlock();
-      if (r == nullptr) break;
-      n = r;
-      n->mu.lock();
-      pos = 0;
-      continue;
-    }
-    const CompositeKey& ck = n->keys[pos];
-    if (!end.empty() && Slice(ck.key).compare(end) >= 0) {
-      n->mu.unlock();
-      break;
-    }
-    if (have_last_seen && CompareCK(ck, last_seen) <= 0) {
-      pos++;
-      continue;
-    }
-    last_seen = ck;
-    have_last_seen = true;
-    sim::ChargeCpu(sim::costs::kIndexNextUs);
-    if (!have_current || ck.key != current_key) {
-      current_key = ck.key;
-      have_current = true;
-      taken = false;
-    }
-    if (!taken && ck.ts <= as_of) {
-      result.push_back(IndexEntry{ck.key, ck.ts, n->ptrs[pos]});
-      taken = true;
-    }
-    pos++;
-  }
+  NewestVisible newest(as_of);
+  Walk(CompositeKey{start.ToString(), kLatest},
+       [&](const CompositeKey& ck, const log::LogPtr& ptr) {
+         if (!end.empty() && Slice(ck.key).compare(end) >= 0) return false;
+         sim::ChargeCpu(sim::costs::kIndexNextUs);
+         if (newest.Admit(Slice(ck.key), ck.ts)) {
+           result.push_back(IndexEntry{ck.key, ck.ts, ptr});
+         }
+         return true;
+       });
   return result;
 }
 
 void BlinkTree::VisitAll(
     const std::function<void(const IndexEntry&)>& visitor) const {
-  CompositeKey target{"", kLatest};
-  Node* n = DescendToLeaf(target, nullptr);
-  n->mu.lock();
-  size_t pos = 0;
-  CompositeKey last_seen;
-  bool have_last_seen = false;
-  while (true) {
-    if (pos >= n->keys.size()) {
-      Node* r = n->right;
-      n->mu.unlock();
-      if (r == nullptr) return;
-      n = r;
-      n->mu.lock();
-      pos = 0;
-      continue;
-    }
-    const CompositeKey& ck = n->keys[pos];
-    if (have_last_seen && CompareCK(ck, last_seen) <= 0) {
-      pos++;
-      continue;
-    }
-    last_seen = ck;
-    have_last_seen = true;
-    visitor(IndexEntry{ck.key, ck.ts, n->ptrs[pos]});
-    pos++;
-  }
+  Walk(CompositeKey{"", kLatest},
+       [&](const CompositeKey& ck, const log::LogPtr& ptr) {
+         visitor(IndexEntry{ck.key, ck.ts, ptr});
+         return true;
+       });
 }
 
 }  // namespace logbase::index

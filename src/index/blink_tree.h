@@ -7,8 +7,13 @@
 //
 // Concurrency: per-node mutexes, no lock coupling on descent; every
 // traversal is prepared to chase right-links because a node may split
-// underneath it (the Lehman–Yao protocol). Nodes are never reclaimed until
-// the tree is destroyed, so lock-free readers of stale pointers stay safe.
+// underneath it (the Lehman–Yao protocol). One helper latches a node and
+// moves right until the node covers its target, and one descent built on it
+// reaches a leaf (every operation) or a parent level (split propagation).
+// Every read, and the pointer swing of UpdateIfPresent, is a visitor over one
+// forward walk from that leaf across right-links. Nodes are never reclaimed
+// until the tree is destroyed, so lock-free readers of stale pointers stay
+// safe.
 
 #ifndef LOGBASE_INDEX_BLINK_TREE_H_
 #define LOGBASE_INDEX_BLINK_TREE_H_
@@ -36,7 +41,6 @@ class BlinkTree : public MultiVersionIndex {
                 const log::LogPtr& ptr) override;
   Status UpdateIfPresent(const Slice& key, uint64_t timestamp,
                          const log::LogPtr& ptr) override;
-  Result<IndexEntry> GetLatest(const Slice& key) const override;
   Result<IndexEntry> GetAsOf(const Slice& key, uint64_t as_of) const override;
   std::vector<IndexEntry> GetAllVersions(const Slice& key) const override;
   Status RemoveAllVersions(const Slice& key) override;
@@ -46,9 +50,6 @@ class BlinkTree : public MultiVersionIndex {
       const std::function<void(const IndexEntry&)>& visitor) const override;
   size_t num_entries() const override {
     return num_entries_.load(std::memory_order_relaxed);
-  }
-  size_t ApproximateMemoryBytes() const override {
-    return memory_bytes_.load(std::memory_order_relaxed);
   }
 
   /// Tree height (test/diagnostic aid).
@@ -61,18 +62,23 @@ class BlinkTree : public MultiVersionIndex {
 
  private:
   Node* NewNode(bool is_leaf, int level);
-  /// Descends to the leaf that should hold `target`, filling `path` with the
-  /// visited node per level (hints for split propagation); no locks held on
-  /// return.
-  Node* DescendToLeaf(const CompositeKey& target,
-                      std::vector<Node*>* path) const;
+  /// The one descent: from the root to the node at `level` (0 = leaf) that
+  /// covers `target`, returned latched. Fills `path`, when given, with the
+  /// node visited at each level above it (hints for split propagation). A
+  /// leaf descent records its depth and right-link chases.
+  Node* Descend(const CompositeKey& target, int level,
+                std::vector<Node*>* path) const;
+  /// The one forward walk: visits leaf entries in (key asc, timestamp desc)
+  /// order from the first at or after `from`, each under its leaf's latch,
+  /// as visit(const CompositeKey&, log::LogPtr&), until it returns false.
+  template <typename Visit>
+  void Walk(const CompositeKey& from, Visit&& visit) const;
   /// Inserts separator/child into the parent level after a split.
   void InsertIntoParent(std::vector<Node*>* path, int child_level,
                         const CompositeKey& separator, Node* new_child);
   /// Splits `node` (exclusively locked) and returns the new right sibling;
   /// the separator (left node's new high key) is stored in *separator.
   Node* SplitLocked(Node* node, CompositeKey* separator);
-  Node* FindParentAtLevel(const CompositeKey& key, int level) const;
 
   std::atomic<Node*> root_;
   // Serializes root replacement (the root_ atomic itself is lock-free to
@@ -85,7 +91,6 @@ class BlinkTree : public MultiVersionIndex {
   // traversals use raw Node* without this lock by design.
   std::vector<std::unique_ptr<Node>> all_nodes_ GUARDED_BY(alloc_mu_);
   std::atomic<size_t> num_entries_{0};
-  std::atomic<size_t> memory_bytes_{0};
 };
 
 }  // namespace logbase::index

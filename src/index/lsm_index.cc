@@ -33,10 +33,27 @@ Status LsmIndex::Insert(const Slice& key, uint64_t timestamp,
   return tree_->Put(Slice(EncodeCompositeKey(key, timestamp)), Slice(value));
 }
 
+template <typename Visit>
+void LsmIndex::Walk(const std::string& from, Visit&& visit) const {
+  auto iter = tree_->NewIterator();
+  if (from.empty()) {
+    iter->SeekToFirst();
+  } else {
+    iter->Seek(Slice(from));
+  }
+  for (; iter->Valid(); iter->Next()) {
+    IndexEntry entry;
+    if (!ParseEntry(iter->key(), iter->value(), &entry)) continue;
+    if (!visit(std::move(entry))) return;
+  }
+}
+
 size_t LsmIndex::num_entries() const {
   size_t count = 0;
-  auto iter = tree_->NewIterator();
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) count++;
+  Walk("", [&](IndexEntry&&) {
+    count++;
+    return true;
+  });
   return count;
 }
 
@@ -67,20 +84,13 @@ Result<IndexEntry> LsmIndex::GetAsOf(const Slice& key, uint64_t as_of) const {
   return entry;
 }
 
-Result<IndexEntry> LsmIndex::GetLatest(const Slice& key) const {
-  return GetAsOf(key, kLatest);
-}
-
 std::vector<IndexEntry> LsmIndex::GetAllVersions(const Slice& key) const {
   std::vector<IndexEntry> versions;
-  auto iter = tree_->NewIterator();
-  for (iter->Seek(Slice(EncodeCompositeKey(key, kLatest))); iter->Valid();
-       iter->Next()) {
-    IndexEntry entry;
-    if (!ParseEntry(iter->key(), iter->value(), &entry)) break;
-    if (Slice(entry.key) != key) break;
+  Walk(EncodeCompositeKey(key, kLatest), [&](IndexEntry&& entry) {
+    if (Slice(entry.key) != key) return false;
     versions.push_back(std::move(entry));
-  }
+    return true;
+  });
   return versions;
 }
 
@@ -97,40 +107,23 @@ std::vector<IndexEntry> LsmIndex::ScanRange(const Slice& start,
                                             const Slice& end,
                                             uint64_t as_of) const {
   std::vector<IndexEntry> result;
-  auto iter = tree_->NewIterator();
-  std::string current_key;
-  bool have_current = false;
-  bool taken = false;
-  for (iter->Seek(Slice(EncodeCompositeKey(start, kLatest))); iter->Valid();
-       iter->Next()) {
-    IndexEntry entry;
-    if (!ParseEntry(iter->key(), iter->value(), &entry)) break;
-    if (!end.empty() && Slice(entry.key).compare(end) >= 0) break;
-    if (!have_current || entry.key != current_key) {
-      current_key = entry.key;
-      have_current = true;
-      taken = false;
-    }
-    if (!taken && entry.timestamp <= as_of) {
-      taken = true;
+  NewestVisible newest(as_of);
+  Walk(EncodeCompositeKey(start, kLatest), [&](IndexEntry&& entry) {
+    if (!end.empty() && Slice(entry.key).compare(end) >= 0) return false;
+    if (newest.Admit(Slice(entry.key), entry.timestamp)) {
       result.push_back(std::move(entry));
     }
-  }
+    return true;
+  });
   return result;
 }
 
 void LsmIndex::VisitAll(
     const std::function<void(const IndexEntry&)>& visitor) const {
-  auto iter = tree_->NewIterator();
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-    IndexEntry entry;
-    if (!ParseEntry(iter->key(), iter->value(), &entry)) continue;
+  Walk("", [&](IndexEntry&& entry) {
     visitor(entry);
-  }
-}
-
-size_t LsmIndex::ApproximateMemoryBytes() const {
-  return tree_->MemtableBytes();
+    return true;
+  });
 }
 
 }  // namespace logbase::index

@@ -26,7 +26,6 @@ class LsmIndex : public MultiVersionIndex {
                 const log::LogPtr& ptr) override;
   Status UpdateIfPresent(const Slice& key, uint64_t timestamp,
                          const log::LogPtr& ptr) override;
-  Result<IndexEntry> GetLatest(const Slice& key) const override;
   Result<IndexEntry> GetAsOf(const Slice& key, uint64_t as_of) const override;
   std::vector<IndexEntry> GetAllVersions(const Slice& key) const override;
   Status RemoveAllVersions(const Slice& key) override;
@@ -37,13 +36,19 @@ class LsmIndex : public MultiVersionIndex {
   /// Exact live-entry count (O(n): walks the tree; used by checkpoints and
   /// diagnostics, not the data path).
   size_t num_entries() const override;
-  size_t ApproximateMemoryBytes() const override;
 
   lsm::LsmTree* tree() { return tree_.get(); }
 
  private:
   explicit LsmIndex(std::unique_ptr<lsm::LsmTree> tree)
       : tree_(std::move(tree)) {}
+
+  /// The one seek-and-walk loop: visits entries in (key asc, timestamp
+  /// desc) order from the first at or after the encoded composite key
+  /// `from` (from the first entry when `from` is empty) until `visit`
+  /// returns false. A malformed entry is skipped.
+  template <typename Visit>
+  void Walk(const std::string& from, Visit&& visit) const;
 
   std::unique_ptr<lsm::LsmTree> tree_;
 };

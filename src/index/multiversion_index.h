@@ -4,6 +4,11 @@
 //  * BlinkTree — the paper's in-memory B-link tree (IndexKind::kBlink);
 //  * LsmIndex — an LSM-tree-backed index for when tablet-server memory is
 //    scarce (§3.5 scale-out option / the LRS baseline, §4.6).
+// Each implementation walks its entries forward one way, in (key asc,
+// timestamp desc) order from a seek point; its multi-entry reads
+// (GetAllVersions, ScanRange, VisitAll) are visitors over that walk, and
+// both range scans pick versions through NewestVisible. A read of the
+// newest version passes kLatest to GetAsOf.
 
 #ifndef LOGBASE_INDEX_MULTIVERSION_INDEX_H_
 #define LOGBASE_INDEX_MULTIVERSION_INDEX_H_
@@ -22,6 +27,34 @@ namespace logbase::index {
 /// The snapshot that sees every version: reads at kLatest return a key's
 /// newest version. The one "latest" sentinel of every server-side read.
 constexpr uint64_t kLatest = ~0ull;
+
+/// The newest-visible-version rule of every range scan. Fed versions in
+/// (key asc, timestamp desc) order, it admits the first version of each key
+/// whose timestamp is at or below the snapshot, and nothing else of that
+/// key.
+class NewestVisible {
+ public:
+  explicit NewestVisible(uint64_t as_of) : as_of_(as_of) {}
+
+  /// True when (key, timestamp) is its key's newest version visible at the
+  /// snapshot.
+  bool Admit(const Slice& key, uint64_t timestamp) {
+    if (!have_current_ || key != Slice(current_key_)) {
+      current_key_.assign(key.data(), key.size());
+      have_current_ = true;
+      taken_ = false;
+    }
+    if (taken_ || timestamp > as_of_) return false;
+    taken_ = true;
+    return true;
+  }
+
+ private:
+  const uint64_t as_of_;
+  std::string current_key_;
+  bool have_current_ = false;
+  bool taken_ = false;
+};
 
 struct IndexEntry {
   std::string key;
@@ -44,11 +77,8 @@ class MultiVersionIndex {
   virtual Status Insert(const Slice& key, uint64_t timestamp,
                         const log::LogPtr& ptr) = 0;
 
-  /// The newest version of `key`, or NotFound.
-  virtual Result<IndexEntry> GetLatest(const Slice& key) const = 0;
-
   /// The newest version with timestamp <= `as_of`, or NotFound (historical
-  /// reads, §3.6.2).
+  /// reads, §3.6.2; kLatest reads the newest version).
   virtual Result<IndexEntry> GetAsOf(const Slice& key,
                                      uint64_t as_of) const = 0;
 
@@ -76,9 +106,6 @@ class MultiVersionIndex {
       const std::function<void(const IndexEntry&)>& visitor) const = 0;
 
   virtual size_t num_entries() const = 0;
-  /// Rough resident bytes; drives the §3.5 sizing discussion and the
-  /// checkpoint-threshold logic.
-  virtual size_t ApproximateMemoryBytes() const = 0;
 };
 
 }  // namespace logbase::index

@@ -51,11 +51,6 @@ std::string LsmTree::TableFileName(uint64_t number) const {
   return dir_ + buf;
 }
 
-size_t LsmTree::MemtableBytes() const {
-  MutexLock l(write_mu_);
-  return mem_->ApproximateMemoryUsage();
-}
-
 Status LsmTree::Put(const Slice& key, const Slice& value) {
   return WriteEntry(ValueType::kValue, key, value);
 }

@@ -81,7 +81,6 @@ class LsmTree {
     return versions_->LevelFileCount(level);
   }
   uint64_t TotalTableBytes() const { return versions_->TotalBytes(); }
-  size_t MemtableBytes() const;
 
  private:
   LsmTree(LsmOptions options, FileSystem* fs, std::string dir);

@@ -76,13 +76,6 @@ std::vector<std::shared_ptr<FileMeta>> VersionSet::Overlapping(
   return result;
 }
 
-uint64_t VersionSet::LevelBytes(int level) const {
-  MutexLock l(mu_);
-  uint64_t total = 0;
-  for (const auto& f : levels_[level]) total += f->file_size;
-  return total;
-}
-
 int VersionSet::LevelFileCount(int level) const {
   MutexLock l(mu_);
   return static_cast<int>(levels_[level].size());

@@ -49,7 +49,6 @@ class VersionSet {
                                                      const Slice& end) const;
 
   int num_levels() const { return num_levels_; }
-  uint64_t LevelBytes(int level) const;
   int LevelFileCount(int level) const;
   uint64_t TotalBytes() const;
 

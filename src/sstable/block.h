@@ -19,7 +19,6 @@ class Block {
   explicit Block(std::string contents);
 
   size_t size() const { return data_.size(); }
-  bool valid_format() const { return num_restarts_ > 0 || data_.size() == 4; }
 
   class Iter {
    public:

@@ -19,7 +19,6 @@ class BloomFilterBuilder {
   void AddKey(const Slice& key);
   /// Serializes the filter: bit array followed by a probe-count byte.
   std::string Finish();
-  size_t num_keys() const { return hashes_.size(); }
 
  private:
   const int bits_per_key_;

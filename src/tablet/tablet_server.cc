@@ -536,7 +536,8 @@ Result<uint64_t> TabletServer::FullScanCount(const std::string& tablet_uid) {
       sim::ChargeCpu(sim::costs::kRecordCodecUs);
       // Version check against the in-memory index (§3.6.4): only records
       // holding the current version count as live.
-      auto entry = tablet->index()->GetLatest(Slice(record.row.primary_key));
+      auto entry = tablet->index()->GetAsOf(Slice(record.row.primary_key),
+                                          index::kLatest);
       if (entry.ok() && entry->timestamp == record.row.timestamp) {
         live++;
       }
@@ -550,7 +551,7 @@ Result<uint64_t> TabletServer::LatestVersion(const std::string& tablet_uid,
                                              const Slice& key) {
   Tablet* tablet = FindTablet(tablet_uid);
   if (tablet == nullptr) return UnknownTablet();
-  auto entry = tablet->index()->GetLatest(key);
+  auto entry = tablet->index()->GetAsOf(key, index::kLatest);
   if (!entry.ok()) {
     if (entry.status().IsNotFound()) return static_cast<uint64_t>(0);
     return entry.status();

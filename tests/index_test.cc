@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <thread>
 
@@ -109,7 +111,7 @@ TEST_P(MultiVersionIndexTest, InsertAndGetLatest) {
   ASSERT_TRUE(f.index()->Insert("k", 1, Ptr(1, 10)).ok());
   ASSERT_TRUE(f.index()->Insert("k", 5, Ptr(1, 50)).ok());
   ASSERT_TRUE(f.index()->Insert("k", 3, Ptr(1, 30)).ok());
-  auto latest = f.index()->GetLatest("k");
+  auto latest = f.index()->GetAsOf("k", kLatest);
   ASSERT_TRUE(latest.ok());
   EXPECT_EQ(latest->timestamp, 5u);
   EXPECT_EQ(latest->ptr.offset, 50u);
@@ -129,9 +131,9 @@ TEST_P(MultiVersionIndexTest, GetAsOfPicksNewestVisible) {
 TEST_P(MultiVersionIndexTest, MissingKeyNotFound) {
   IndexFixture f(GetParam());
   ASSERT_TRUE(f.index()->Insert("exists", 1, Ptr(1, 1)).ok());
-  EXPECT_TRUE(f.index()->GetLatest("missing").status().IsNotFound());
-  EXPECT_TRUE(f.index()->GetLatest("exist").status().IsNotFound());
-  EXPECT_TRUE(f.index()->GetLatest("existsX").status().IsNotFound());
+  EXPECT_TRUE(f.index()->GetAsOf("missing", kLatest).status().IsNotFound());
+  EXPECT_TRUE(f.index()->GetAsOf("exist", kLatest).status().IsNotFound());
+  EXPECT_TRUE(f.index()->GetAsOf("existsX", kLatest).status().IsNotFound());
 }
 
 TEST_P(MultiVersionIndexTest, GetAllVersionsNewestFirst) {
@@ -153,16 +155,18 @@ TEST_P(MultiVersionIndexTest, RemoveAllVersions) {
     ASSERT_TRUE(f.index()->Insert("keeper", ts, Ptr(2, ts)).ok());
   }
   ASSERT_TRUE(f.index()->RemoveAllVersions("doomed").ok());
-  EXPECT_TRUE(f.index()->GetLatest("doomed").status().IsNotFound());
+  EXPECT_TRUE(f.index()->GetAsOf("doomed", kLatest).status().IsNotFound());
   EXPECT_TRUE(f.index()->GetAllVersions("doomed").empty());
-  EXPECT_TRUE(f.index()->GetLatest("keeper").ok());
+  EXPECT_TRUE(f.index()->GetAsOf("keeper", kLatest).ok());
+  ASSERT_TRUE(f.index()->RemoveAllVersions("keeper").ok());
+  EXPECT_EQ(f.index()->num_entries(), 0u);
 }
 
 TEST_P(MultiVersionIndexTest, UpsertReplacesPointer) {
   IndexFixture f(GetParam());
   ASSERT_TRUE(f.index()->Insert("k", 7, Ptr(1, 100)).ok());
   ASSERT_TRUE(f.index()->Insert("k", 7, Ptr(2, 200)).ok());
-  auto entry = f.index()->GetLatest("k");
+  auto entry = f.index()->GetAsOf("k", kLatest);
   EXPECT_EQ(entry->ptr.segment, 2u);
   EXPECT_EQ(f.index()->GetAllVersions("k").size(), 1u);
 }
@@ -171,13 +175,13 @@ TEST_P(MultiVersionIndexTest, UpdateIfPresentSemantics) {
   IndexFixture f(GetParam());
   ASSERT_TRUE(f.index()->Insert("k", 7, Ptr(1, 100)).ok());
   ASSERT_TRUE(f.index()->UpdateIfPresent("k", 7, Ptr(9, 900)).ok());
-  EXPECT_EQ(f.index()->GetLatest("k")->ptr.segment, 9u);
+  EXPECT_EQ(f.index()->GetAsOf("k", kLatest)->ptr.segment, 9u);
   // Absent version: must NOT create an entry.
   EXPECT_TRUE(f.index()->UpdateIfPresent("k", 8, Ptr(9, 901)).IsNotFound());
   EXPECT_TRUE(
       f.index()->UpdateIfPresent("other", 7, Ptr(9, 902)).IsNotFound());
   EXPECT_EQ(f.index()->GetAllVersions("k").size(), 1u);
-  EXPECT_TRUE(f.index()->GetLatest("other").status().IsNotFound());
+  EXPECT_TRUE(f.index()->GetAsOf("other", kLatest).status().IsNotFound());
 }
 
 TEST_P(MultiVersionIndexTest, ScanRangeLatestPerKey) {
@@ -246,7 +250,7 @@ TEST_P(MultiVersionIndexTest, LargeVolumeForcesStructureGrowth) {
   for (int i = 0; i < kKeys; i += 97) {
     char key[16];
     std::snprintf(key, sizeof(key), "key%06d", i);
-    auto entry = f.index()->GetLatest(key);
+    auto entry = f.index()->GetAsOf(key, kLatest);
     ASSERT_TRUE(entry.ok()) << key;
     EXPECT_EQ(entry->ptr.offset, static_cast<uint64_t>(i));
   }
@@ -322,17 +326,6 @@ TEST(BlinkTreeTest, HeightGrowsWithVolume) {
   EXPECT_EQ(tree.num_entries(), 10000u);
 }
 
-TEST(BlinkTreeTest, MemoryAccountingTracksEntries) {
-  BlinkTree tree;
-  ASSERT_TRUE(tree.Insert("abcdefgh", 1, Ptr(1, 1)).ok());
-  size_t one = tree.ApproximateMemoryBytes();
-  EXPECT_GT(one, 8u);
-  ASSERT_TRUE(tree.Insert("abcdefgh", 2, Ptr(1, 2)).ok());
-  EXPECT_GT(tree.ApproximateMemoryBytes(), one);
-  ASSERT_TRUE(tree.RemoveAllVersions("abcdefgh").ok());
-  EXPECT_EQ(tree.num_entries(), 0u);
-}
-
 TEST(BlinkTreeTest, ConcurrentInsertsAndReads) {
   BlinkTree tree;
   constexpr int kThreads = 4;
@@ -345,7 +338,7 @@ TEST(BlinkTreeTest, ConcurrentInsertsAndReads) {
         std::snprintf(key, sizeof(key), "t%d-k%06d", t, i);
         ASSERT_TRUE(tree.Insert(key, 1, Ptr(t, i)).ok());
         if (i % 7 == 0) {
-          auto entry = tree.GetLatest(key);
+          auto entry = tree.GetAsOf(key, kLatest);
           ASSERT_TRUE(entry.ok());
           EXPECT_EQ(entry->ptr.offset, static_cast<uint64_t>(i));
         }
@@ -362,7 +355,7 @@ TEST(BlinkTreeTest, ConcurrentInsertsAndReads) {
     std::snprintf(key, sizeof(key), "t%d-k%06d",
                   static_cast<int>(rnd.Uniform(kThreads)),
                   static_cast<int>(rnd.Uniform(kPerThread)));
-    EXPECT_TRUE(tree.GetLatest(key).ok()) << key;
+    EXPECT_TRUE(tree.GetAsOf(key, kLatest).ok()) << key;
   }
 }
 
@@ -393,6 +386,128 @@ TEST(BlinkTreeTest, ConcurrentReadersDuringSplits) {
   writer.join();
   scanner.join();
   EXPECT_EQ(tree.ScanRange("w0001000", "w0002000", ~0ull).size(), 1000u);
+}
+
+// Every read walk races leaf splits: the writer inserts each key's versions
+// in a scattered key order, so splits land all over the tree and a key's
+// run of versions straddles leaf boundaries, and publishes how many keys it
+// has finished. Each reader call must return entries in order, without
+// duplicates, and holding every version finished before the call began.
+TEST(BlinkTreeTest, EveryWalkDuringSplits) {
+  constexpr int kKeys = 1500;
+  constexpr uint64_t kVersions = 7;  // not a divisor of a half-full leaf
+  constexpr int kStride = 7919;      // prime, so i -> i * kStride % kKeys
+                                     // visits every key once
+  auto key_at = [](int i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "v%05d", i);
+    return std::string(key);
+  };
+  // finished_by[i]: how many keys are done once key i is done.
+  std::vector<int> finished_by(kKeys);
+  for (int step = 0; step < kKeys; step++) {
+    finished_by[static_cast<size_t>(step) * kStride % kKeys] = step + 1;
+  }
+  auto finished = [&](int i, int done) { return finished_by[i] <= done; };
+  auto ptr_of = [](uint64_t ts, int i) {
+    return Ptr(static_cast<uint32_t>(ts), static_cast<uint64_t>(i));
+  };
+
+  BlinkTree tree;
+  std::atomic<int> done{0};
+  std::thread writer([&] {
+    for (int step = 0; step < kKeys; step++) {
+      int i = static_cast<int>(static_cast<size_t>(step) * kStride % kKeys);
+      for (uint64_t ts = 1; ts <= kVersions; ts++) {
+        EXPECT_TRUE(tree.Insert(key_at(i), ts, ptr_of(ts, i)).ok());
+      }
+      done.store(step + 1, std::memory_order_release);
+    }
+  });
+
+  Random rnd(2024);
+  int rounds = 0;
+  while (true) {
+    const int now_done = done.load(std::memory_order_acquire);
+    const bool last_round = now_done == kKeys;
+    const int i = static_cast<int>(rnd.Uniform(kKeys));
+    const std::string key = key_at(i);
+    const uint64_t as_of = rnd.Uniform(kVersions) + 1;
+
+    // Point walks over one key.
+    auto got = tree.GetAsOf(key, as_of);
+    auto versions = tree.GetAllVersions(key);
+    for (size_t v = 1; v < versions.size(); v++) {
+      EXPECT_EQ(versions[v].key, key);
+      EXPECT_LT(versions[v].timestamp, versions[v - 1].timestamp) << key;
+    }
+    if (finished(i, now_done)) {
+      EXPECT_TRUE(got.ok()) << key << "@" << as_of;
+      if (got.ok()) {
+        EXPECT_EQ(got->timestamp, as_of);
+        EXPECT_EQ(got->ptr, ptr_of(as_of, i));
+      }
+      EXPECT_EQ(versions.size(), kVersions) << key;
+      // Rewrites the pointer it already holds, so the checks above stay
+      // exact for later rounds.
+      EXPECT_TRUE(tree.UpdateIfPresent(key, as_of, ptr_of(as_of, i)).ok());
+    }
+    EXPECT_TRUE(tree.UpdateIfPresent(key, kVersions + 1, ptr_of(0, i))
+                    .IsNotFound());
+
+    // A range walk from the key: one visible version per key, in order.
+    const int span = 1 + static_cast<int>(rnd.Uniform(200));
+    const int end_i = std::min(kKeys, i + span);
+    const std::string end = key_at(end_i);
+    auto rows = tree.ScanRange(key, end_i == kKeys ? Slice() : Slice(end),
+                               as_of);
+    std::map<std::string, uint64_t> seen;  // key -> visible timestamp
+    for (size_t r = 0; r < rows.size(); r++) {
+      if (r > 0) {
+        EXPECT_LT(rows[r - 1].key, rows[r].key);
+      }
+      EXPECT_GE(rows[r].key, key);
+      // A key still being written may not have reached `as_of` yet.
+      EXPECT_LE(rows[r].timestamp, as_of) << rows[r].key;
+      seen[rows[r].key] = rows[r].timestamp;
+    }
+    for (int k = i; k < end_i; k++) {
+      if (!finished(k, now_done)) continue;
+      auto row = seen.find(key_at(k));
+      EXPECT_TRUE(row != seen.end()) << k;
+      if (row != seen.end()) {
+        EXPECT_EQ(row->second, as_of) << row->first;
+      }
+    }
+
+    // The full walk, every few rounds and once the writer is done.
+    if (rounds % 16 == 0 || last_round) {
+      std::map<std::string, uint64_t> count;
+      std::string last_key;
+      uint64_t last_ts = 0;
+      bool first = true;
+      tree.VisitAll([&](const IndexEntry& entry) {
+        if (!first) {
+          bool after = entry.key > last_key ||
+                       (entry.key == last_key && entry.timestamp < last_ts);
+          EXPECT_TRUE(after) << entry.key << "@" << entry.timestamp;
+        }
+        first = false;
+        last_key = entry.key;
+        last_ts = entry.timestamp;
+        count[entry.key]++;
+      });
+      for (int k = 0; k < kKeys; k++) {
+        if (finished(k, now_done)) {
+          EXPECT_EQ(count[key_at(k)], kVersions) << k;
+        }
+      }
+    }
+    rounds++;
+    if (last_round) break;
+  }
+  writer.join();
+  EXPECT_EQ(tree.num_entries(), kKeys * kVersions);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,7 +552,7 @@ TEST(IndexCheckpointTest, CrossImplementationReload) {
   ASSERT_TRUE(lsm_index.ok());
   Slice in(section);
   ASSERT_TRUE(DecodeIndexSection(&in, lsm_index->get()).ok());
-  EXPECT_EQ((*lsm_index)->GetLatest("k42")->ptr.offset, 42u);
+  EXPECT_EQ((*lsm_index)->GetAsOf("k42", kLatest)->ptr.offset, 42u);
 }
 
 }  // namespace

@@ -659,7 +659,7 @@ TEST(CompactionTest, SortedOutputClustersKeyRanges) {
   uint32_t segment = 0;
   std::string last_key;
   for (const auto& row : *rows) {
-    auto entry = tablet->index()->GetLatest(Slice(row.key));
+    auto entry = tablet->index()->GetAsOf(Slice(row.key), index::kLatest);
     ASSERT_TRUE(entry.ok());
     if (segment == entry->ptr.segment) {
       EXPECT_GT(entry->ptr.offset, last_offset) << row.key;
