@@ -24,6 +24,18 @@
 #                                    # untraced perfbench repetition, built
 #                                    # with the profile preset's flags into
 #                                    # .bench_build/profile
+#   scripts/check.sh --perf-diff <git-ref> [workload...]
+#                                    # virtual-time identity against
+#                                    # <git-ref>: builds the perfbench of
+#                                    # <git-ref>'s committed tree (extracted
+#                                    # with git archive into a temporary
+#                                    # directory) and of the working tree
+#                                    # (into .bench_build/perfbench, as
+#                                    # perfbench/run.py does), then runs
+#                                    # scripts/perf_diff.sh on the two
+#                                    # binaries: `same`/`DIFFERS` per
+#                                    # workload, seed 1-2 and part 0-3, exit
+#                                    # 1 on any difference (a few minutes)
 #   scripts/check.sh default tsan    # explicit preset list
 #
 # The default preset runs the full suite including the `lint` and
@@ -63,6 +75,34 @@ for p in json.load(open("CMakePresets.json"))["configurePresets"]:
   gprof -b -p "${dir}/logbase_perfbench" "${dir}/gmon.out" | head -n 25
 }
 
+# Builds <git-ref>'s perfbench and the working tree's, then compares them
+# part by part with scripts/perf_diff.sh (workloads $2...; all by default).
+run_perf_diff() {
+  local ref="$1"
+  shift
+  local commit
+  if ! commit="$(git rev-parse --verify --quiet "${ref}^{commit}")"; then
+    echo "check.sh --perf-diff: not a commit: ${ref}" >&2
+    exit 2
+  fi
+  local tmp
+  tmp="$(mktemp -d)"
+  # Expanded now: `tmp` is out of scope when the trap runs.
+  trap "rm -rf '${tmp}'" EXIT
+  local change_dir="${CARGO_TARGET_DIR:-.bench_build}/perfbench"
+  echo "==== perf-diff: ${ref} (${commit:0:12}) vs working tree ===="
+  mkdir -p "${tmp}/src"
+  git archive "${commit}" | tar -x -C "${tmp}/src"
+  local dir
+  for dir in "${tmp}/src:${tmp}/build" ".:${change_dir}"; do
+    cmake -S "${dir%%:*}/perfbench" -B "${dir#*:}" \
+      -DCMAKE_BUILD_TYPE=Release >/dev/null
+    cmake --build "${dir#*:}" -j "$(nproc)" >/dev/null
+  done
+  scripts/perf_diff.sh "${tmp}/build/logbase_perfbench" \
+    "${change_dir}/logbase_perfbench" "$@"
+}
+
 presets=()
 lint_only=0
 chaos=0
@@ -70,6 +110,8 @@ tsa=0
 bench=0
 bench_names=()
 profile=""
+perf_ref=""
+perf_workloads=()
 for arg in "$@"; do
   if [ "${bench}" -eq 1 ]; then
     # Everything after --bench names a bench binary to run.
@@ -80,8 +122,18 @@ for arg in "$@"; do
     profile="${arg}"
     continue
   fi
+  if [ "${perf_ref}" = "-" ]; then
+    perf_ref="${arg}"
+    continue
+  fi
+  if [ -n "${perf_ref}" ]; then
+    # Everything after --perf-diff <git-ref> names a workload.
+    perf_workloads+=("${arg}")
+    continue
+  fi
   case "${arg}" in
     --profile) profile="-" ;;
+    --perf-diff) perf_ref="-" ;;
     --lint) lint_only=1 ;;
     --asan) presets+=(asan) ;;
     --tsan) presets+=(tsan) ;;
@@ -98,6 +150,14 @@ if [ "${profile}" = "-" ]; then
 fi
 if [ -n "${profile}" ]; then
   run_profile "${profile}"
+  exit 0
+fi
+if [ "${perf_ref}" = "-" ]; then
+  echo "usage: scripts/check.sh --perf-diff <git-ref> [workload...]" >&2
+  exit 2
+fi
+if [ -n "${perf_ref}" ]; then
+  run_perf_diff "${perf_ref}" ${perf_workloads[@]+"${perf_workloads[@]}"}
   exit 0
 fi
 

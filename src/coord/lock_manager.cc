@@ -31,6 +31,14 @@ std::string LockManager::LockPath(const Slice& key) {
   return std::string(kLockRoot) + "/" + HexEscape(key);
 }
 
+std::string LockManager::CellName(const Slice& tablet_uid,
+                                  const Slice& row_key) {
+  std::string name = tablet_uid.ToString();
+  name.push_back('\0');
+  name.append(row_key.data(), row_key.size());
+  return name;
+}
+
 namespace {
 
 std::vector<std::string> LockPaths(const std::vector<std::string>& keys) {

@@ -45,6 +45,9 @@ class LockManager {
   /// Lock-node path for `key` (keys are hex-escaped into one path segment).
   static std::string LockPath(const Slice& key);
 
+  /// The lock key of one transactional cell: a row key of one tablet.
+  static std::string CellName(const Slice& tablet_uid, const Slice& row_key);
+
  private:
   static constexpr const char* kLockRoot = "/locks";
 

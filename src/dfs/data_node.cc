@@ -161,6 +161,14 @@ uint64_t BlockBytes::size() const {
 
 bool DataNode::ConsumeInjectedError() const {
   int pending = injected_io_errors_.load(std::memory_order_relaxed);
+  if (pending <= 0) return false;
+  int spared = io_errors_after_.load(std::memory_order_relaxed);
+  while (spared > 0) {
+    if (io_errors_after_.compare_exchange_weak(spared, spared - 1,
+                                               std::memory_order_relaxed)) {
+      return false;
+    }
+  }
   while (pending > 0) {
     if (injected_io_errors_.compare_exchange_weak(pending, pending - 1,
                                                   std::memory_order_relaxed)) {

@@ -109,9 +109,11 @@ class DataNode {
   void Restart() { alive_.store(true, std::memory_order_release); }
 
   /// Fault injection: the next `count` block reads/writes on this node fail
-  /// with IOError (a flaky disk/controller). Each failure consumes one
-  /// injected error; 0 clears any that remain.
-  void InjectIoErrors(int count) {
+  /// with IOError (a flaky disk/controller), after the next `after` ones
+  /// succeed. Each failure consumes one injected error; 0 clears any that
+  /// remain.
+  void InjectIoErrors(int count, int after = 0) {
+    io_errors_after_.store(after, std::memory_order_relaxed);
     injected_io_errors_.store(count, std::memory_order_relaxed);
   }
   int injected_io_errors() const {
@@ -152,6 +154,7 @@ class DataNode {
   const int id_;
   std::atomic<bool> alive_{true};
   mutable std::atomic<int> injected_io_errors_{0};
+  mutable std::atomic<int> io_errors_after_{0};  // accesses still spared
   // Mutable: reads charge disk costs too.
   mutable sim::DiskModel disk_;
   mutable OrderedMutex mu_{lockrank::kDfsDataNode, "dfs.data"};

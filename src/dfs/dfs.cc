@@ -101,9 +101,11 @@ class DfsWritableFile : public WritableFile {
 
   Status FlushBuffer() {
     Slice remaining(w_.buffer);
+    Status status;
     while (!remaining.empty()) {
       if (!w_.block_open || w_.block_fill >= dfs_->options_.block_size) {
-        LOGBASE_RETURN_NOT_OK(StartNewBlock());
+        status = StartNewBlock();
+        if (!status.ok()) break;
       }
       uint64_t room = dfs_->options_.block_size - w_.block_fill;
       size_t chunk_len =
@@ -112,12 +114,17 @@ class DfsWritableFile : public WritableFile {
       // A chunk that reached zero replicas stored nothing anywhere, so the
       // retry re-appends at the same offset; partial successes return OK
       // (under-replication is healed by the name node's sweep).
-      LOGBASE_RETURN_NOT_OK(retry_.Run(
-          "dfs.pipeline_write", [&]() { return PipelineWrite(chunk); }));
+      status = retry_.Run("dfs.pipeline_write",
+                          [&]() { return PipelineWrite(chunk); });
+      if (!status.ok()) break;
       remaining.remove_prefix(chunk_len);
     }
+    // What no replica stored is dropped, not kept for the next flush: the
+    // file ends where its last stored chunk does (Size() says so), and a
+    // failed sync never lands later behind the caller's back.
+    w_.size -= remaining.size();
     w_.buffer.clear();
-    return Status::OK();
+    return status;
   }
   Status StartNewBlock() {
     // Allocation failures (name-node overload, injected faults, transient
@@ -284,7 +291,9 @@ class DfsRandomAccessFile : public RandomAccessFile {
     uint64_t block_start = 0;
     for (const BlockInfo& b : **blocks) {
       uint64_t block_end = block_start + b.size;
-      if (offset < block_end && offset + n > block_start) {
+      // A block whose first write reached no replica is empty and stored
+      // nowhere; it holds nothing to read.
+      if (b.size > 0 && offset < block_end && offset + n > block_start) {
         uint64_t in_off = offset > block_start ? offset - block_start : 0;
         uint64_t want =
             std::min<uint64_t>(offset + n, block_end) - (block_start + in_off);

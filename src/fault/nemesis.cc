@@ -1,6 +1,7 @@
 #include "src/fault/nemesis.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -25,11 +26,16 @@ constexpr size_t kSnapshotSamples = 24;
 /// With replicas: percentage of workload reads issued stale-tolerant
 /// (allow_stale, routed to replicas with primary fallback).
 constexpr uint64_t kStaleReadPercent = 40;
-// The transaction pair: two keys in the same tablet range (between key0000
-// and key0001), always written together with the same sequence number, so a
-// partial commit is observable as a mismatch.
-constexpr const char* kPairA = "key0000-txa";
-constexpr const char* kPairB = "key0000-txb";
+// A transaction pair: two keys always written together with the same
+// sequence number, so a partial commit is observable as a mismatch. One pair
+// sits in one tablet range (between key0000 and key0001), the one-server
+// commit; the other spans the first and the last tablet, which boot on
+// different servers, the cross-server commit.
+struct TxnPair {
+  std::string a;
+  std::string b;
+  std::set<uint64_t> acked;  // sequence numbers of acknowledged commits
+};
 
 std::string KeyName(int i) {
   char buf[16];
@@ -80,7 +86,9 @@ std::string NemesisReport::ToString() const {
   std::string out;
   out += "nemesis: " + std::to_string(faults_fired) + " faults, " +
          std::to_string(ops_acked) + "/" + std::to_string(ops_attempted) +
-         " ops acked, digest=" + std::to_string(table_digest) + "\n";
+         " ops acked (" + std::to_string(cross_server_commits_acked) +
+         " cross-server commits), digest=" + std::to_string(table_digest) +
+         "\n";
   if (ops_hostile_attempted > 0) {
     out += "  qos: " + std::to_string(ops_shed) + "/" +
            std::to_string(ops_hostile_attempted) + " hostile writes shed\n";
@@ -123,6 +131,24 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
                                      KeyName(2 * options.keys / 3)};
   auto schema = boot_master->CreateTable(kTable, {"v"}, {{"v"}}, splits);
   if (!schema.ok()) return schema.status();
+  std::array<TxnPair, 2> pairs = {
+      TxnPair{"key0000-txa", "key0000-txb", {}},
+      TxnPair{KeyName(0) + "-txc", KeyName(options.keys - 1) + "-txd", {}}};
+  {
+    std::map<std::string, int> owner;
+    for (const auto& [uid, location] : boot_master->AssignmentsSnapshot()) {
+      if (location.descriptor.column_group != 0) continue;
+      for (const std::string& key : {pairs[1].a, pairs[1].b}) {
+        if (location.descriptor.Contains(Slice(key))) {
+          owner[key] = location.server_id;
+        }
+      }
+    }
+    if (owner.size() != 2 || owner[pairs[1].a] == owner[pairs[1].b]) {
+      return Status::InvalidArgument(
+          "nemesis: the cross-server pair does not span two servers");
+    }
+  }
 
   // Attach every group-0 tablet to every replica (AddReplica skips replicas
   // already serving the tablet, so R calls saturate a fleet of R).
@@ -170,7 +196,6 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
   uint64_t seq = 0;
   std::map<std::string, uint64_t> max_acked;
   std::map<std::string, std::set<uint64_t>> attempted;
-  std::set<uint64_t> pair_acked;
   std::set<uint64_t> shed_seqs;  // hostile seqs rejected by admission (I7)
   std::vector<SnapshotSample> samples;
   std::vector<SnapshotSample> stale_samples;  // replica-served reads (I6)
@@ -305,14 +330,15 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
           }
         }
       }
-    } else {  // transaction writing the pair atomically
+    } else {  // transaction writing a pair atomically
+      TxnPair& pair = pairs[dice < 90 ? 0 : 1];
       seq++;
-      attempted[kPairA].insert(seq);
-      attempted[kPairB].insert(seq);
+      attempted[pair.a].insert(seq);
+      attempted[pair.b].insert(seq);
       report.ops_attempted++;
       client::Txn txn = client->BeginTxn();
-      Status s = txn.Write(kTable, 0, kPairA, EncodeSeq(seq));
-      if (s.ok()) s = txn.Write(kTable, 0, kPairB, EncodeSeq(seq));
+      Status s = txn.Write(kTable, 0, pair.a, EncodeSeq(seq));
+      if (s.ok()) s = txn.Write(kTable, 0, pair.b, EncodeSeq(seq));
       if (s.ok()) {
         s = txn.Commit();
       } else {
@@ -320,9 +346,10 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
       }
       if (s.ok()) {
         report.ops_acked++;
-        pair_acked.insert(seq);
-        max_acked[kPairA] = std::max(max_acked[kPairA], seq);
-        max_acked[kPairB] = std::max(max_acked[kPairB], seq);
+        pair.acked.insert(seq);
+        if (&pair == &pairs[1]) report.cross_server_commits_acked++;
+        max_acked[pair.a] = std::max(max_acked[pair.a], seq);
+        max_acked[pair.b] = std::max(max_acked[pair.b], seq);
       }
     }
   }
@@ -458,8 +485,10 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
   auto checker = cluster.NewClient(0);
   std::vector<std::string> all_keys;
   for (int i = 0; i < options.keys; i++) all_keys.push_back(KeyName(i));
-  all_keys.push_back(kPairA);
-  all_keys.push_back(kPairB);
+  for (const TxnPair& pair : pairs) {
+    all_keys.push_back(pair.a);
+    all_keys.push_back(pair.b);
+  }
   // Hostile keys ride the I1 sweep too: admitted + acked hostile writes are
   // as durable as anyone else's, throttled or not.
   if (qos_on) {
@@ -503,15 +532,19 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
           " below acked seq " + std::to_string(max_acked[key]));
     }
   }
-  // Atomic pair: a mismatch is only legal when one side is an in-doubt
+  // Atomic pairs: a mismatch is only legal when one side is an in-doubt
   // (unacknowledged) commit attempt.
-  if (final_seq.count(kPairA) > 0 && final_seq.count(kPairB) > 0) {
-    uint64_t a = final_seq[kPairA];
-    uint64_t b = final_seq[kPairB];
-    if (a != b && pair_acked.count(a) > 0 && pair_acked.count(b) > 0) {
+  for (const TxnPair& pair : pairs) {
+    if (final_seq.count(pair.a) == 0 || final_seq.count(pair.b) == 0) {
+      continue;
+    }
+    uint64_t a = final_seq[pair.a];
+    uint64_t b = final_seq[pair.b];
+    if (a != b && pair.acked.count(a) > 0 && pair.acked.count(b) > 0) {
       report.violations.push_back(
-          "I1: txn pair split between acked commits " + std::to_string(a) +
-          " and " + std::to_string(b));
+          "I1: txn pair " + pair.a + "/" + pair.b +
+          " split between acked commits " + std::to_string(a) + " and " +
+          std::to_string(b));
     }
   }
 

@@ -89,6 +89,9 @@ struct NemesisReport {
   std::vector<std::string> violations;
   int ops_attempted = 0;
   int ops_acked = 0;
+  /// Acknowledged commits of the pair whose keys boot on two servers.
+  /// Deterministic per (plan, seed).
+  int cross_server_commits_acked = 0;
   int faults_fired = 0;
   /// Successful balancer operations during the run (0 unless
   /// `enable_balancer` was set). Deterministic per (plan, seed).

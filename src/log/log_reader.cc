@@ -149,10 +149,15 @@ void LogReader::Scanner::Next() {
     if (!Ensure(kLogFrameHeaderSize)) return;
     // Ensure() skips a torn tail when it crosses into the next segment;
     // anything read before the switch (frame length, batch header) then
-    // described discarded bytes — detect the switch and reparse fresh.
+    // described discarded bytes — detect the switch and reparse fresh,
+    // also when the next segment is shorter than the discarded bytes asked
+    // for (a torn batch ahead of a short segment).
     size_t seg_before = segment_index_;
     uint32_t len = DecodeFixed32(buffer_.data() + buffer_pos_ + 4);
-    if (!Ensure(kLogFrameHeaderSize + len)) return;
+    if (!Ensure(kLogFrameHeaderSize + len)) {
+      if (segment_index_ != seg_before) continue;
+      return;
+    }
     if (segment_index_ != seg_before) continue;
 
     Slice frame(buffer_.data() + buffer_pos_, kLogFrameHeaderSize + len);
@@ -172,7 +177,10 @@ void LogReader::Scanner::Next() {
       // header, so a later poll retries once the straggler catches up.
       size_t whole = kLogFrameHeaderSize + len +
                      static_cast<size_t>(header.batch_bytes);
-      if (!Ensure(whole)) return;
+      if (!Ensure(whole)) {
+        if (segment_index_ != seg_before) continue;
+        return;
+      }
       if (segment_index_ != seg_before) continue;
       Slice body(buffer_.data() + buffer_pos_ + kLogFrameHeaderSize + len,
                  static_cast<size_t>(header.batch_bytes));

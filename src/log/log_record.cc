@@ -65,7 +65,9 @@ Status LogRecord::DecodeFrom(Slice* input, LogRecord* record) {
   payload.remove_prefix(1);
   if (record->type != LogRecordType::kData &&
       record->type != LogRecordType::kInvalidate &&
-      record->type != LogRecordType::kCommit) {
+      record->type != LogRecordType::kCommit &&
+      record->type != LogRecordType::kPrepare &&
+      record->type != LogRecordType::kAbort) {
     return Status::Corruption("unknown log record type");
   }
 
@@ -84,6 +86,25 @@ Status LogRecord::DecodeFrom(Slice* input, LogRecord* record) {
   record->row.primary_key = primary_key.ToString();
   record->value = value.ToString();
   return Status::OK();
+}
+
+std::string EncodeParticipants(const std::vector<uint32_t>& instances) {
+  std::string out;
+  PutVarint32(&out, static_cast<uint32_t>(instances.size()));
+  for (uint32_t instance : instances) PutVarint32(&out, instance);
+  return out;
+}
+
+bool DecodeParticipants(Slice value, std::vector<uint32_t>* instances) {
+  uint32_t count = 0;
+  if (!GetVarint32(&value, &count)) return false;
+  instances->clear();
+  for (uint32_t i = 0; i < count; i++) {
+    uint32_t instance = 0;
+    if (!GetVarint32(&value, &instance)) return false;
+    instances->push_back(instance);
+  }
+  return value.empty();
 }
 
 void EncodeBatchHeaderFrame(std::string* dst, const BatchHeader& header) {

@@ -3,7 +3,10 @@
 // <RowKey, Value> carries it; RowKey concatenates the record's primary key,
 // the updated column group and the write timestamp. Deletes are persisted as
 // *invalidated* entries with a null value (§3.6.3); transaction commits are
-// COMMIT records (§3.7.2).
+// COMMIT records (§3.7.2). A transaction spanning several servers also logs
+// a PREPARE record on each participant, beside its data, naming every
+// participant's log instance, and an ABORT record when its first round
+// failed (src/txn/transaction_manager.h has the decision rule).
 //
 // On-disk frame:  [masked crc32c fixed32][payload_len fixed32][payload]
 
@@ -12,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/util/result.h"
 #include "src/util/slice.h"
@@ -24,6 +28,8 @@ enum class LogRecordType : uint8_t {
   kInvalidate = 2,  // a delete (null value)
   kCommit = 3,      // a transaction commit record
   kBatchHeader = 4,  // group-commit batch header (not a data record)
+  kPrepare = 5,      // a cross-server transaction's prepare on one participant
+  kAbort = 6,        // a transaction abort record
 };
 
 /// Write-identifying metadata.
@@ -50,7 +56,9 @@ struct LogRecord {
   uint64_t txn_id = 0;
   RowKey row;         // kData / kInvalidate
   std::string value;  // kData payload
-  /// kCommit: the commit timestamp assigned by the timestamp authority.
+  /// kCommit / kPrepare / kAbort: the commit timestamp assigned by the
+  /// timestamp authority. It names the transaction in every log: the
+  /// authority issues each stamp once, while txn ids are per-client.
   uint64_t commit_ts = 0;
 
   /// Appends the full frame (header + payload) to dst.
@@ -60,6 +68,12 @@ struct LogRecord {
   /// Corruption (bad CRC / truncation) is reported as Status::Corruption.
   static Status DecodeFrom(Slice* input, LogRecord* record);
 };
+
+/// A kPrepare record's `value`: the log instances of every participant of
+/// the transaction, in ascending order.
+std::string EncodeParticipants(const std::vector<uint32_t>& instances);
+/// Inverse of EncodeParticipants; false on a malformed value.
+bool DecodeParticipants(Slice value, std::vector<uint32_t>* instances);
 
 /// Frame header size: crc + length.
 inline constexpr uint32_t kLogFrameHeaderSize = 8;

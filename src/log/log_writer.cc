@@ -229,7 +229,10 @@ LogWriter::Outcome LogWriter::WriteBatchLocked(const OpenBatch& batch) {
     out.status = Status::InvalidArgument("log writer not open");
     return out;
   }
-  if (segment_offset_ >= segment_bytes_) {
+  // A failed batch whose sync stored part of it (a torn tail, which
+  // readers skip) leaves the file longer than the writer counted: the next
+  // batch starts a fresh segment so its pointers name its own bytes.
+  if (segment_offset_ >= segment_bytes_ || file_->Size() != segment_offset_) {
     out.status = RollSegmentLocked();
     if (!out.status.ok()) return out;
   }

@@ -1,12 +1,12 @@
 // Work that overlaps in virtual time. An actor that sends several requests
-// at once (a query's per-tablet sub-queries, a 2PC phase's appends on every
-// participant) issues each as a branch of one Fanout. Every branch runs on a
-// child clock of its own that starts at the fan-out point, or, when the
-// width bound is reached, at the earliest running branch's completion;
-// Join() then moves the actor's clock to the last completion, so elapsed
-// time is the critical path, not the sum. The host still runs the branches
-// one after another, in the order the caller issues them, so the calls they
-// make reach the FCFS sim::Resources in that order.
+// at once (a query's per-tablet sub-queries, a commit round's appends on
+// every participant) issues each as a branch of one Fanout. Every branch
+// runs on a child clock of its own that starts at the fan-out point, or,
+// when the width bound is reached, at the earliest running branch's
+// completion; Join() then moves the actor's clock to the last completion,
+// so elapsed time is the critical path, not the sum. The host still runs
+// the branches one after another, in the order the caller issues them, so
+// the calls they make reach the FCFS sim::Resources in that order.
 //
 // Without an ambient context (unit tests, real-time micro benchmarks) a
 // Fanout only runs its branches.

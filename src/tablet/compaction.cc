@@ -6,6 +6,15 @@
 // job; pointer swap uses UpdateIfPresent so concurrent deletes are never
 // resurrected.
 //
+// A transaction is decided by the same rule as recovery's in-doubt
+// resolver (src/tablet/log_applier.h): a COMMIT or ABORT in this log, else,
+// once its coordinator is done, DecidePrepared over the other participants'
+// logs. The PREPARE of a committed cross-server transaction, plus a COMMIT
+// record, is copied to the outputs: another participant that lost its
+// COMMIT may still need this log's evidence to resolve the transaction. A
+// transaction whose coordinator may still act keeps its data and PREPARE,
+// undecided.
+//
 // Crash-safe ordering: write outputs -> swing index pointers -> checkpoint
 // -> delete inputs. Output segments live in a high "generation lane"
 // (gen << 24) so the live writer's low lane is undisturbed, and recovery
@@ -16,6 +25,7 @@
 #include <set>
 
 #include "src/log/log_reader.h"
+#include "src/tablet/log_applier.h"
 #include "src/tablet/tablet_server.h"
 #include "src/util/logging.h"
 
@@ -79,10 +89,14 @@ Status RunCompaction(TabletServer* server, const CompactionOptions& options,
   uint32_t new_gen = max_gen + 1;
   if (inputs.empty()) return Status::OK();
 
-  // Pass over the inputs: gather data records, committed transaction ids
-  // and per-key invalidation horizons.
+  // Pass over the inputs: gather data records, transaction decisions and
+  // PREPAREs (by commit timestamp) and per-key invalidation horizons.
   std::vector<KeptRecord> records;
   std::set<uint64_t> committed;
+  std::set<uint64_t> aborted;
+  std::map<uint64_t, log::LogRecord> prepares;
+  // One written cell per transaction, for CoordinatorActive.
+  std::map<uint64_t, std::pair<log::LogKey, std::string>> txn_cells;
   std::map<std::string, uint64_t> invalidated_upto;
   for (uint32_t seg : inputs) {
     auto scanner = reader->NewSegmentScanner(seg);
@@ -90,12 +104,24 @@ Status RunCompaction(TabletServer* server, const CompactionOptions& options,
     for (; (*scanner)->Valid(); (*scanner)->Next()) {
       const log::LogRecord& record = (*scanner)->record();
       stats->input_records++;
+      const bool write = record.type == log::LogRecordType::kData ||
+                         record.type == log::LogRecordType::kInvalidate;
+      if (write && record.txn_id != 0) {
+        txn_cells.try_emplace(record.commit_ts, record.key,
+                              record.row.primary_key);
+      }
       switch (record.type) {
         case log::LogRecordType::kData:
           records.push_back(KeptRecord{record, {}});
           break;
         case log::LogRecordType::kCommit:
-          committed.insert(record.txn_id);
+          committed.insert(record.commit_ts);
+          break;
+        case log::LogRecordType::kAbort:
+          aborted.insert(record.commit_ts);
+          break;
+        case log::LogRecordType::kPrepare:
+          prepares.emplace(record.commit_ts, record);
           break;
         case log::LogRecordType::kInvalidate: {
           uint64_t& upto = invalidated_upto[InvalidationKey(record)];
@@ -110,18 +136,49 @@ Status RunCompaction(TabletServer* server, const CompactionOptions& options,
     if (!(*scanner)->status().ok()) return (*scanner)->status();
   }
 
-  // A transaction's COMMIT record may have landed after the freeze (its
-  // data records are inputs, its commit is in the tail): scan the tail for
-  // COMMIT records so such transactions are not mistaken for uncommitted.
+  // A transaction's decision may have landed after the freeze (its data
+  // records are inputs, its COMMIT or ABORT is in the tail): scan the tail
+  // for them so such transactions are decided as they were.
   for (uint32_t seg : *segments) {
     if ((seg >> 24) != 0 || seg < tail_segment) continue;
     auto scanner = reader->NewSegmentScanner(seg);
     if (!scanner.ok()) return scanner.status();
     for (; (*scanner)->Valid(); (*scanner)->Next()) {
-      if ((*scanner)->record().type == log::LogRecordType::kCommit) {
-        committed.insert((*scanner)->record().txn_id);
+      const log::LogRecord& record = (*scanner)->record();
+      if (record.type == log::LogRecordType::kCommit) {
+        committed.insert(record.commit_ts);
+      } else if (record.type == log::LogRecordType::kAbort) {
+        aborted.insert(record.commit_ts);
       }
     }
+  }
+
+  // Prepared transactions this log leaves undecided take the in-doubt
+  // rule over their participants' logs, unless their coordinator may still
+  // act on them.
+  std::map<uint64_t, std::vector<uint32_t>> undecided;
+  std::set<uint64_t> in_flight;
+  for (const auto& [commit_ts, prepare] : prepares) {
+    if (committed.count(commit_ts) > 0 || aborted.count(commit_ts) > 0) {
+      continue;
+    }
+    auto cell = txn_cells.find(commit_ts);
+    if (cell != txn_cells.end() &&
+        server->CoordinatorActive(cell->second.first, cell->second.second)) {
+      in_flight.insert(commit_ts);
+      continue;
+    }
+    std::vector<uint32_t>& participants = undecided[commit_ts];
+    if (!log::DecodeParticipants(Slice(prepare.value), &participants)) {
+      return Status::Corruption("malformed PREPARE participants");
+    }
+  }
+  if (!undecided.empty()) {
+    auto decided = DecidePrepared(
+        undecided, server->server_id(),
+        [server](uint32_t instance) { return server->ReaderFor(instance); });
+    if (!decided.ok()) return decided.status();
+    committed.insert(decided->begin(), decided->end());
   }
 
   // Filter: uncommitted and invalidated entries go away.
@@ -129,7 +186,8 @@ Status RunCompaction(TabletServer* server, const CompactionOptions& options,
   kept.reserve(records.size());
   for (KeptRecord& kr : records) {
     const log::LogRecord& r = kr.record;
-    if (r.txn_id != 0 && committed.count(r.txn_id) == 0) {
+    if (r.txn_id != 0 && committed.count(r.commit_ts) == 0 &&
+        in_flight.count(r.commit_ts) == 0) {
       stats->dropped_uncommitted++;
       continue;
     }
@@ -192,6 +250,20 @@ Status RunCompaction(TabletServer* server, const CompactionOptions& options,
     return Status::OK();
   };
 
+  // The committed cross-server transactions' evidence follows the data;
+  // an in-flight one keeps its PREPARE alone.
+  for (auto& [commit_ts, prepare] : prepares) {
+    const bool commit = committed.count(commit_ts) > 0;
+    if (!commit && in_flight.count(commit_ts) == 0) continue;
+    outputs_records.push_back(KeptRecord{std::move(prepare), {}});
+    if (commit) {
+      log::LogRecord record;
+      record.type = log::LogRecordType::kCommit;
+      record.commit_ts = commit_ts;
+      outputs_records.push_back(KeptRecord{std::move(record), {}});
+    }
+  }
+
   std::string buffer;
   for (KeptRecord& kr : outputs_records) {
     if (out == nullptr || out_offset >= server->options_.segment_bytes) {
@@ -227,6 +299,7 @@ Status RunCompaction(TabletServer* server, const CompactionOptions& options,
   // Swing index pointers to the sorted segments. UpdateIfPresent leaves
   // concurrently deleted keys deleted and never resurrects anything.
   for (const KeptRecord& kr : outputs_records) {
+    if (kr.record.type != log::LogRecordType::kData) continue;
     Tablet* tablet = server->FindTablet(
         TabletDescriptor::FromPackedId(kr.record.key.table_id,
                                        kr.record.key.tablet_id)

@@ -7,62 +7,52 @@ namespace logbase::tablet {
 
 namespace {
 
-class LruPolicy : public ReplacementPolicy {
- public:
-  void OnInsert(const std::string& key) override {
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      order_.erase(it->second);
-    }
-    order_.push_front(key);
-    index_[key] = order_.begin();
+/// The tracked entries, most recently inserted (or, for LRU, used) first.
+class RecencyList {
+ protected:
+  void PushFront(BufferEntry* e) {
+    e->prev = nullptr;
+    e->next = head_;
+    if (head_ != nullptr) head_->prev = e;
+    head_ = e;
+    if (tail_ == nullptr) tail_ = e;
   }
 
-  void OnAccess(const std::string& key) override { OnInsert(key); }
-
-  void OnRemove(const std::string& key) override {
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      order_.erase(it->second);
-      index_.erase(it);
-    }
+  void Unlink(BufferEntry* e) {
+    (e->prev != nullptr ? e->prev->next : head_) = e->next;
+    (e->next != nullptr ? e->next->prev : tail_) = e->prev;
+    e->prev = e->next = nullptr;
   }
 
-  std::string Victim() override {
-    return order_.empty() ? std::string() : order_.back();
-  }
+  BufferEntry* Back() const { return tail_; }
 
  private:
-  std::list<std::string> order_;  // front = most recent
-  std::unordered_map<std::string, std::list<std::string>::iterator> index_;
+  BufferEntry* head_ = nullptr;
+  BufferEntry* tail_ = nullptr;
 };
 
-class FifoPolicy : public ReplacementPolicy {
+class LruPolicy : public ReplacementPolicy, private RecencyList {
  public:
-  void OnInsert(const std::string& key) override {
-    if (index_.count(key) > 0) return;  // insertion order is sticky
-    order_.push_front(key);
-    index_[key] = order_.begin();
+  void OnInsert(BufferEntry* e) override { PushFront(e); }
+  void OnAccess(BufferEntry* e) override {
+    Unlink(e);
+    PushFront(e);
   }
-
-  void OnAccess(const std::string&) override {}
-
-  void OnRemove(const std::string& key) override {
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      order_.erase(it->second);
-      index_.erase(it);
-    }
-  }
-
-  std::string Victim() override {
-    return order_.empty() ? std::string() : order_.back();
-  }
-
- private:
-  std::list<std::string> order_;
-  std::unordered_map<std::string, std::list<std::string>::iterator> index_;
+  void OnRemove(BufferEntry* e) override { Unlink(e); }
+  BufferEntry* Victim() override { return Back(); }
 };
+
+class FifoPolicy : public ReplacementPolicy, private RecencyList {
+ public:
+  void OnInsert(BufferEntry* e) override { PushFront(e); }
+  void OnAccess(BufferEntry*) override {}  // insertion order is sticky
+  void OnRemove(BufferEntry* e) override { Unlink(e); }
+  BufferEntry* Victim() override { return Back(); }
+};
+
+size_t Footprint(const std::string& key, const CachedRecord& record) {
+  return key.size() + record.value.size();
+}
 
 }  // namespace
 
@@ -94,41 +84,42 @@ bool ReadBuffer::Get(const std::string& key, CachedRecord* record) {
   }
   hits_++;
   hit_count->Add();
-  policy_->OnAccess(key);
-  *record = it->second;
+  policy_->OnAccess(&it->second);
+  *record = it->second.record;
   return true;
 }
 
 void ReadBuffer::Put(const std::string& key, CachedRecord record) {
   if (!enabled()) return;
   MutexLock l(mu_);
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    if (it->second.timestamp > record.timestamp) return;  // keep newer
-    usage_ -= key.size() + it->second.value.size();
-    it->second = std::move(record);
-    usage_ += key.size() + it->second.value.size();
-    policy_->OnAccess(key);
+  auto [it, inserted] = map_.try_emplace(key);
+  BufferEntry& entry = it->second;
+  if (inserted) {
+    entry.key = &it->first;
+    entry.record = std::move(record);
+    usage_ += Footprint(key, entry.record);
+    policy_->OnInsert(&entry);
   } else {
-    usage_ += key.size() + record.value.size();
-    map_.emplace(key, std::move(record));
-    policy_->OnInsert(key);
+    if (entry.record.timestamp > record.timestamp) return;  // keep newer
+    usage_ -= Footprint(key, entry.record);
+    entry.record = std::move(record);
+    usage_ += Footprint(key, entry.record);
+    policy_->OnAccess(&entry);
   }
   EvictIfNeeded();
 }
 
+void ReadBuffer::EraseLocked(Map::iterator it) {
+  usage_ -= Footprint(it->first, it->second.record);
+  policy_->OnRemove(&it->second);
+  map_.erase(it);
+}
+
 void ReadBuffer::EvictIfNeeded() {
   while (usage_ > capacity_ && !map_.empty()) {
-    std::string victim = policy_->Victim();
-    if (victim.empty()) break;
-    auto it = map_.find(victim);
-    if (it == map_.end()) {
-      policy_->OnRemove(victim);
-      continue;
-    }
-    usage_ -= victim.size() + it->second.value.size();
-    map_.erase(it);
-    policy_->OnRemove(victim);
+    BufferEntry* victim = policy_->Victim();
+    if (victim == nullptr) break;
+    EraseLocked(map_.find(*victim->key));
   }
 }
 
@@ -136,18 +127,12 @@ void ReadBuffer::Invalidate(const std::string& key) {
   if (!enabled()) return;
   MutexLock l(mu_);
   auto it = map_.find(key);
-  if (it != map_.end()) {
-    usage_ -= key.size() + it->second.value.size();
-    map_.erase(it);
-    policy_->OnRemove(key);
-  }
+  if (it != map_.end()) EraseLocked(it);
 }
 
 void ReadBuffer::Clear() {
   MutexLock l(mu_);
-  for (const auto& [key, rec] : map_) {
-    policy_->OnRemove(key);
-  }
+  for (auto& [key, entry] : map_) policy_->OnRemove(&entry);
   map_.clear();
   usage_ = 0;
 }

@@ -1,14 +1,24 @@
 // Recovery (paper §3.8): reload the index sections of the server's last
 // checkpoint file, then redo the log from the checkpoint position through
 // the committed-record applier. Redo is an idempotent upsert keyed by (key,
-// write timestamp); uncommitted transactional entries are ignored (their
-// COMMIT record never appears) and invalidated entries re-apply deletions.
-// Repeated crashes during recovery simply redo again.
+// write timestamp); invalidated entries re-apply deletions, and a
+// transaction's entries apply at its COMMIT record and drop at its ABORT.
+// A transaction the log leaves undecided is in doubt: its COMMIT append
+// was lost, or the server died before the coordinator's decision reached
+// it. While its coordinator may still act (its write locks are held) it
+// stays pending and the coordinator records the decision. Otherwise the
+// applier's resolver decides it by the commit rule, reading the other
+// participants' logs named in its PREPARE (a COMMIT anywhere, else an ABORT
+// anywhere, else a PREPARE on every participant means committed; no PREPARE
+// means it never committed), and the server records each outcome in its own
+// log once it is up. Repeated crashes during recovery simply redo and
+// resolve again.
 //
 // Also implements tablet adoption after *permanent* server failures: the new
 // owner loads the overlapping sections of the dead server's checkpoint and
 // redoes the dead log's tail filtered to the adopted tablet, reading
-// everything from the shared DFS.
+// everything from the shared DFS, and resolves that tail's in-doubt
+// transactions the same way.
 
 #include <algorithm>
 
@@ -46,6 +56,25 @@ Result<uint64_t> RedoLog(TabletServer* server, uint32_t instance,
   return max_lsn;
 }
 
+/// Decides the transactions `applier` left pending after redoing
+/// `instance`'s log, counting them into `stats`.
+Result<std::vector<LogApplier::Decision>> ResolvePending(
+    TabletServer* server, uint32_t instance, LogApplier* applier,
+    RecoveryStats* stats) {
+  auto decisions = applier->ResolveInDoubt(
+      instance, [server](uint32_t other) { return server->ReaderFor(other); },
+      [&](const log::LogKey& tablet, const std::string& key) {
+        const bool active = server->CoordinatorActive(tablet, key);
+        if (active && stats != nullptr) stats->in_doubt_deferred++;
+        return active;
+      });
+  if (!decisions.ok() || stats == nullptr) return decisions;
+  for (const LogApplier::Decision& d : *decisions) {
+    (d.committed ? stats->in_doubt_committed : stats->in_doubt_aborted)++;
+  }
+  return decisions;
+}
+
 /// Opens every tablet of `server`'s checkpoint and loads its index section,
 /// and sets the redo start and the next LSN; without a checkpoint it leaves
 /// them as they are. The file's bytes are freed before the redo runs.
@@ -76,7 +105,8 @@ Status LoadOwnCheckpoint(FileSystem* fs, TabletServer* server,
 
 }  // namespace
 
-Status RunRecovery(TabletServer* server, RecoveryStats* stats) {
+Status RunRecovery(TabletServer* server, RecoveryStats* stats,
+                   std::vector<LogApplier::Decision>* decisions) {
   log::LogPosition start{0, 0};
   uint64_t next_lsn = 1;
 
@@ -106,6 +136,10 @@ Status RunRecovery(TabletServer* server, RecoveryStats* stats) {
   auto max_lsn =
       RedoLog(server, server->server_id(), start, &applier, stats);
   if (!max_lsn.ok()) return max_lsn.status();
+  auto resolved =
+      ResolvePending(server, server->server_id(), &applier, stats);
+  if (!resolved.ok()) return resolved.status();
+  *decisions = std::move(*resolved);
 
   LOGBASE_LOG(kInfo, "server %d recovered: redo from segment %u",
               server->server_id(), start.segment);
@@ -137,6 +171,10 @@ Status TabletServer::AdoptTablet(const TabletDescriptor& descriptor,
       });
   auto redone = RedoLog(this, source_instance, seed->start, &applier, stats);
   if (!redone.ok()) return redone.status();
+  auto resolved = ResolvePending(this, source_instance, &applier, stats);
+  if (!resolved.ok()) return resolved.status();
+  LOGBASE_RETURN_NOT_OK(
+      RecordDecisions(std::move(*resolved), log::AckMode::kQuorum));
 
   // The dead owner drew timestamp blocks this server has not seen; writes
   // issued from a stale local block would sort below the adopted versions

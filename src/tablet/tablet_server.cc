@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/coord/lock_manager.h"
 #include "src/coord/znode_tree.h"
 #include "src/index/blink_tree.h"
 #include "src/index/lsm_index.h"
@@ -26,7 +27,8 @@ obs::Counter* TabletCounter(const char* name) {
 }  // namespace
 
 // Defined in recovery.cc / checkpoint.cc / compaction.cc.
-Status RunRecovery(TabletServer* server, RecoveryStats* stats);
+Status RunRecovery(TabletServer* server, RecoveryStats* stats,
+                   std::vector<LogApplier::Decision>* decisions);
 Status WriteServerCheckpoint(TabletServer* server);
 Status RunCompaction(TabletServer* server, const CompactionOptions& options,
                      CompactionStats* stats);
@@ -89,9 +91,10 @@ Status TabletServer::Start(RecoveryStats* recovery_stats) {
   RecoveryStats local_stats;
   RecoveryStats* stats = recovery_stats != nullptr ? recovery_stats
                                                    : &local_stats;
+  std::vector<LogApplier::Decision> decisions;
   {
     obs::Span span("tablet.recovery");
-    LOGBASE_RETURN_NOT_OK(RunRecovery(this, stats));
+    LOGBASE_RETURN_NOT_OK(RunRecovery(this, stats, &decisions));
   }
   DropUnownedTablets();
   TabletCounter("tablet.recovery.runs")->Add();
@@ -100,7 +103,10 @@ Status TabletServer::Start(RecoveryStats* recovery_stats) {
   TabletCounter("tablet.recovery.redo_records")->Add(stats->redo_records);
   TabletCounter("tablet.recovery.redo_bytes")->Add(stats->redo_bytes);
   running_.store(true, std::memory_order_release);
-  return Status::OK();
+  Status recorded =
+      RecordDecisions(std::move(decisions), log::AckMode::kQuorum);
+  if (!recorded.ok()) running_.store(false, std::memory_order_release);
+  return recorded;
 }
 
 Status TabletServer::Stop() {
@@ -123,6 +129,10 @@ void TabletServer::Crash() {
     readers_.clear();
   }
   buffer_.Clear();
+  {
+    MutexLock l(decisions_mu_);
+    unrecorded_.clear();
+  }
   MutexLock l(ts_mu_);
   ts_next_ = ts_limit_ = 0;
 }
@@ -356,9 +366,9 @@ Result<MutationBatch> TabletServer::Submit(std::vector<WriteOp> ops,
   if (!running()) return Status::Unavailable("tablet server is down");
   // Admission before any state is touched: a shed write must not have
   // recorded load, drawn timestamps, or enqueued log records (I7).
-  const size_t record_count = ops.size() + (txn.commit ? 1 : 0);
-  LOGBASE_RETURN_NOT_OK(
-      admission_.Admit(record_count == 0 ? 1 : record_count));
+  const bool marked = txn.mark != TxnMark::kNone;
+  const size_t record_count = ops.size() + (marked ? 1 : 0);
+  if (!ops.empty()) LOGBASE_RETURN_NOT_OK(admission_.Admit(record_count));
   // Every op's tablet is checked before anything reaches the log, so a
   // refused batch leaves no record behind for recovery to resurrect.
   std::vector<Tablet*> tablets;
@@ -395,17 +405,36 @@ Result<MutationBatch> TabletServer::Submit(std::vector<WriteOp> ops,
     record.commit_ts = ts;
     records.push_back(std::move(record));
   }
-  if (txn.commit) {
-    log::LogRecord commit;
-    commit.type = log::LogRecordType::kCommit;
-    commit.txn_id = txn.txn_id;
-    commit.commit_ts = txn.commit_ts;
-    records.push_back(std::move(commit));
+  if (marked) {
+    log::LogRecord mark;
+    mark.type = txn.mark == TxnMark::kPrepare ? log::LogRecordType::kPrepare
+                                              : log::LogRecordType::kCommit;
+    if (txn.mark == TxnMark::kPrepare) {
+      mark.value = log::EncodeParticipants(txn.participants);
+    }
+    mark.txn_id = txn.txn_id;
+    mark.commit_ts = txn.commit_ts;
+    records.push_back(std::move(mark));
+  }
+  // Decisions an earlier append lost ride behind the ops and their mark.
+  {
+    MutexLock l(decisions_mu_);
+    batch.decisions.swap(unrecorded_);
+  }
+  for (const LogApplier::Decision& d : batch.decisions) {
+    log::LogRecord decision;
+    decision.type = d.committed ? log::LogRecordType::kCommit
+                                : log::LogRecordType::kAbort;
+    decision.commit_ts = d.commit_ts;
+    records.push_back(std::move(decision));
   }
   // Log first (the log IS the data repository): enqueue into the
   // group-commit batch. Nothing is indexed or acked yet.
   auto ticket = writer_->Submit(&records, ack);
-  if (!ticket.ok()) return ticket.status();
+  if (!ticket.ok()) {
+    DeferDecisions(std::move(batch.decisions));
+    return ticket.status();
+  }
   batch.ticket = *ticket;
   batch.ops = std::move(ops);
   return batch;
@@ -413,8 +442,15 @@ Result<MutationBatch> TabletServer::Submit(std::vector<WriteOp> ops,
 
 Status TabletServer::Wait(MutationBatch* batch) {
   if (!running()) return Status::Unavailable("tablet server is down");
-  LOGBASE_RETURN_NOT_OK(writer_->Wait(batch->ticket, &batch->ptrs));
-  batch->ptrs.resize(batch->ops.size());  // a trailing COMMIT's ptr
+  Status status = writer_->Wait(batch->ticket, &batch->ptrs);
+  if (!status.ok()) {
+    static obs::Counter* failures =
+        TabletCounter("tablet.decision_append_failures");
+    failures->Add(batch->decisions.size());
+    DeferDecisions(std::move(batch->decisions));
+    return status;
+  }
+  batch->ptrs.resize(batch->ops.size());  // trailing mark and decisions
   return Status::OK();
 }
 
@@ -449,6 +485,29 @@ Status TabletServer::Write(std::vector<WriteOp> ops, log::AckMode ack) {
   if (!batch.ok()) return batch.status();
   LOGBASE_RETURN_NOT_OK(Wait(&*batch));
   return Publish(*batch);
+}
+
+Status TabletServer::RecordDecisions(
+    std::vector<LogApplier::Decision> decisions, log::AckMode ack) {
+  if (decisions.empty()) return Status::OK();
+  DeferDecisions(std::move(decisions));
+  auto batch = Submit({}, ack);
+  if (!batch.ok()) return batch.status();
+  return Wait(&*batch);
+}
+
+void TabletServer::DeferDecisions(std::vector<LogApplier::Decision> decisions) {
+  MutexLock l(decisions_mu_);
+  unrecorded_.insert(unrecorded_.end(), decisions.begin(), decisions.end());
+}
+
+bool TabletServer::CoordinatorActive(const log::LogKey& tablet,
+                                     const std::string& key) {
+  coord_->ChargeRoundTrip(options_.server_id);
+  const std::string cell = coord::LockManager::CellName(
+      TabletDescriptor::FromPackedId(tablet.table_id, tablet.tablet_id).uid(),
+      key);
+  return coord::LockManager(coord_).Holder(Slice(cell)).ok();
 }
 
 // ---------------------------------------------------------------------------

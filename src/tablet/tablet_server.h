@@ -23,6 +23,7 @@
 #include "src/lsm/lsm_tree.h"
 #include "src/qos/admission.h"
 #include "src/query/executor.h"
+#include "src/tablet/log_applier.h"
 #include "src/tablet/read_buffer.h"
 #include "src/tablet/read_path.h"
 #include "src/tablet/tablet.h"
@@ -68,6 +69,11 @@ struct RecoveryStats {
   uint64_t checkpoint_entries = 0;
   uint64_t redo_records = 0;
   uint64_t redo_bytes = 0;
+  /// Transactions the replay left undecided, by the resolver's outcome;
+  /// deferred ones had a coordinator that may still act, so stay pending.
+  uint64_t in_doubt_committed = 0;
+  uint64_t in_doubt_aborted = 0;
+  uint64_t in_doubt_deferred = 0;
 };
 
 /// One op of a mutation batch: a put, or a delete (an INVALIDATE record,
@@ -79,14 +85,25 @@ struct WriteOp {
   bool is_delete = false;
 };
 
+/// The transaction record a mutation batch appends after its ops, if any.
+enum class TxnMark : uint8_t {
+  kNone,
+  /// PREPARE naming `TxnStamp::participants`: this participant's share of
+  /// a cross-server transaction is durable.
+  kPrepare,
+  kCommit,
+};
+
 /// Marks a mutation batch as (part of) a transaction's write set: every op
-/// is stamped with `txn_id` and versioned at `commit_ts`, and `commit`
-/// appends the COMMIT record after the ops. txn_id 0 is auto-commit: each
-/// op draws its own timestamp and is visible once published.
+/// is stamped with `txn_id` and versioned at `commit_ts`, and `mark` picks
+/// the record appended after the ops. txn_id 0 is auto-commit: each op
+/// draws its own timestamp and is visible once published.
 struct TxnStamp {
   uint64_t txn_id = 0;
   uint64_t commit_ts = 0;
-  bool commit = false;
+  TxnMark mark = TxnMark::kNone;
+  /// kPrepare: every participant's log instance, ascending.
+  std::vector<uint32_t> participants;
 };
 
 /// A mutation batch in flight: Submit enqueues its records, Wait fills
@@ -96,6 +113,8 @@ struct MutationBatch {
   std::vector<uint64_t> timestamps;  // one per op
   std::vector<log::LogPtr> ptrs;     // one per op, after Wait
   log::AppendTicket ticket;
+  /// Unrecorded transaction decisions whose records ride in this batch.
+  std::vector<LogApplier::Decision> decisions;
 };
 
 class TabletServer {
@@ -164,18 +183,34 @@ class TabletServer {
   // survive crashes).
 
   /// Checks admission and every op's tablet (known, not sealed), draws
-  /// timestamps, and enqueues the ops' DATA/INVALIDATE records (plus a
-  /// trailing COMMIT when `txn.commit`) into group commit. Nothing is
-  /// visible yet. An empty `ops` with `txn.commit` submits a bare COMMIT.
+  /// timestamps, and enqueues the ops' DATA/INVALIDATE records (plus the
+  /// trailing record `txn.mark` names) into group commit, followed by a
+  /// COMMIT or ABORT record for every unrecorded decision. Nothing is
+  /// visible yet. Admission never sheds a batch without ops: it only
+  /// records transactions that are already decided.
   Result<MutationBatch> Submit(std::vector<WriteOp> ops,
                                log::AckMode ack = log::AckMode::kQuorum,
                                const TxnStamp& txn = {});
-  /// Waits until the batch's records are durable and fills its `ptrs`.
+  /// Waits until the batch's records are durable and fills its `ptrs`. A
+  /// failed batch hands its decisions back to the unrecorded ones.
   Status Wait(MutationBatch* batch);
   /// Applies the ops, in op order, to the index and the read buffer. Call
-  /// only after Wait (for 2PC: after every participant's COMMIT is
-  /// durable).
+  /// only after Wait (for a cross-server transaction: after every
+  /// participant's PREPARE is durable).
   Status Publish(const MutationBatch& batch);
+
+  /// Appends a COMMIT or ABORT record per decision, with any decision an
+  /// earlier append failed to record, so this log and its tailers see the
+  /// outcome. A decision whose append fails is kept, counted
+  /// (`tablet.decision_append_failures`) and appended again with this
+  /// server's next batch; a crash drops it, and the restart resolves it.
+  Status RecordDecisions(std::vector<LogApplier::Decision> decisions,
+                         log::AckMode ack);
+  /// Whether a coordinator may still act on the transaction that logged a
+  /// write of `key` into the tablet `tablet` names: the cell's write lock
+  /// is held (one coordination read). The in-doubt resolver leaves such a
+  /// transaction pending.
+  bool CoordinatorActive(const log::LogKey& tablet, const std::string& key);
 
   Status Put(const std::string& tablet_uid, const Slice& key,
              const Slice& value, log::AckMode ack = log::AckMode::kQuorum) {
@@ -255,7 +290,8 @@ class TabletServer {
   qos::AdmissionController* admission() { return &admission_; }
 
  private:
-  friend Status RunRecovery(TabletServer* server, RecoveryStats* stats);
+  friend Status RunRecovery(TabletServer* server, RecoveryStats* stats,
+                            std::vector<LogApplier::Decision>* decisions);
   friend Status WriteServerCheckpoint(TabletServer* server);
   friend Status RunCompaction(TabletServer* server,
                               const CompactionOptions& options,
@@ -269,6 +305,8 @@ class TabletServer {
   }
   /// Submit -> Wait -> Publish of one auto-commit batch.
   Status Write(std::vector<WriteOp> ops, log::AckMode ack);
+  /// Adds `decisions` to the unrecorded ones the next batch carries.
+  void DeferDecisions(std::vector<LogApplier::Decision> decisions);
   /// Restart fencing: drops recovered tablets whose persisted assignment
   /// names another server (they were adopted while this process was down;
   /// serving the stale copies would fork history).
@@ -324,6 +362,12 @@ class TabletServer {
                     "tablet.server.timestamps"};
   uint64_t ts_next_ GUARDED_BY(ts_mu_) = 0;
   uint64_t ts_limit_ GUARDED_BY(ts_mu_) = 0;
+
+  OrderedMutex decisions_mu_{lockrank::kTabletServerDecisions,
+                             "tablet.server.decisions"};
+  // Transaction decisions whose COMMIT/ABORT append failed; the next
+  // Submit takes them all into its batch.
+  std::vector<LogApplier::Decision> unrecorded_ GUARDED_BY(decisions_mu_);
 };
 
 }  // namespace logbase::tablet

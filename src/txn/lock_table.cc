@@ -17,18 +17,14 @@ OrderedLockSet::OrderedLockSet(coord::LockManager* locks,
 
 OrderedLockSet::~OrderedLockSet() { ReleaseAll(); }
 
-std::string OrderedLockSet::LockName(const TxnCell& cell) {
-  std::string name = cell.tablet_uid;
-  name.push_back('\0');
-  name += cell.key;
-  return name;
-}
-
 Result<uint64_t> OrderedLockSet::AcquireAll(
     const std::vector<TxnCell>& cells, int max_attempts) {
   std::vector<std::string> names;
   names.reserve(cells.size());
-  for (const TxnCell& cell : cells) names.push_back(LockName(cell));
+  for (const TxnCell& cell : cells) {
+    names.push_back(coord::LockManager::CellName(Slice(cell.tablet_uid),
+                                                 Slice(cell.key)));
+  }
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
   for (int attempt = 0; attempt < max_attempts; attempt++) {

@@ -43,8 +43,6 @@ class OrderedLockSet {
   bool holds_all() const { return holds_all_; }
 
  private:
-  static std::string LockName(const TxnCell& cell);
-
   coord::LockManager* locks_;
   coord::SessionId session_;
   std::string owner_;

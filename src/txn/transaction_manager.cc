@@ -119,7 +119,7 @@ Status TransactionManager::ValidateLocked(Transaction* txn) {
 Status TransactionManager::PersistAndPublish(Transaction* txn,
                                              log::AckMode ack) {
   // One mutation batch per participant server, keyed by server id so the
-  // 2PC append order is the same in every run.
+  // append order is the same in every run.
   struct Participant {
     tablet::TabletServer* server = nullptr;
     std::vector<tablet::WriteOp> ops;  // moved into `batch` by Submit
@@ -135,40 +135,56 @@ Status TransactionManager::PersistAndPublish(Transaction* txn,
                                     write.is_delete});
   }
 
-  // Fast path: one participant writes data + COMMIT in one group-committed
-  // batch (§3.7.2). 2PC: phase one writes the data records everywhere,
-  // phase two the COMMIT records; a failure before every COMMIT is durable
-  // leaves the transaction invisible everywhere. Each phase is one
-  // concurrent round: every participant's append is a branch, issued in
-  // server-id order, and the round ends when the last one is durable. The
-  // first participant that fails ends the round; its time still counts.
+  // One participant writes data + COMMIT in one group-committed batch
+  // (§3.7.2). Several write data + PREPARE, naming every participant's log
+  // instance (its server id), and the transaction is committed once every
+  // PREPARE is durable. Either way that is one concurrent round: every
+  // participant's append is a branch, issued in server-id order, and the
+  // round ends when the last one is durable. The first participant that
+  // fails ends the round; its time still counts.
   tablet::TxnStamp stamp{txn->id(), txn->commit_ts(),
-                         /*commit=*/participants.size() == 1};
-  auto round = [&](auto append) {
-    sim::Fanout fanout;
-    Status status;
+                         participants.size() == 1 ? tablet::TxnMark::kCommit
+                                                  : tablet::TxnMark::kPrepare,
+                         {}};
+  if (stamp.mark == tablet::TxnMark::kPrepare) {
+    for (const auto& [id, p] : participants) {
+      stamp.participants.push_back(static_cast<uint32_t>(id));
+    }
+  }
+  std::vector<Participant*> reached;
+  Status status;
+  {
+    sim::Fanout round;
     for (auto& [id, p] : participants) {
-      status = fanout.Run([&] { return append(p); });
+      reached.push_back(&p);
+      status = round.Run([&]() -> Status {
+        auto batch = p.server->Submit(std::move(p.ops), ack, stamp);
+        if (!batch.ok()) return batch.status();
+        LOGBASE_RETURN_NOT_OK(p.server->Wait(&*batch));
+        p.batch = std::move(*batch);
+        return Status::OK();
+      });
       if (!status.ok()) break;
     }
-    fanout.Join();
-    return status;
-  };
-  LOGBASE_RETURN_NOT_OK(round([&](Participant& p) -> Status {
-    auto batch = p.server->Submit(std::move(p.ops), ack, stamp);
-    if (!batch.ok()) return batch.status();
-    LOGBASE_RETURN_NOT_OK(p.server->Wait(&*batch));
-    p.batch = std::move(*batch);
-    return Status::OK();
-  }));
-  if (!stamp.commit) {
-    stamp.commit = true;
-    LOGBASE_RETURN_NOT_OK(round([&](Participant& p) -> Status {
-      auto commit = p.server->Submit({}, ack, stamp);
-      if (!commit.ok()) return commit.status();
-      return p.server->Wait(&*commit);
-    }));
+    round.Join();
   }
+
+  // The decision is already made, so the COMMIT (or, after a failed round,
+  // ABORT) records that record it run off the critical path: one branch
+  // per participant the round reached, on a fan-out that is never joined,
+  // like the lock release. A participant whose append fails keeps the
+  // decision and appends it again with its next batch (RecordDecisions);
+  // one that crashes first resolves the transaction when it restarts.
+  if (stamp.mark == tablet::TxnMark::kPrepare) {
+    const tablet::LogApplier::Decision decision{txn->commit_ts(),
+                                                status.ok()};
+    sim::Fanout off_path;
+    for (Participant* p : reached) {
+      (void)off_path.Run(
+          [&] { return p->server->RecordDecisions({decision}, ack); });
+    }
+  }
+  LOGBASE_RETURN_NOT_OK(status);
 
   // Publication: only now do the writes become visible to reads.
   for (auto& [id, p] : participants) {
@@ -203,8 +219,8 @@ Status TransactionManager::Commit(Transaction* txn, log::AckMode ack) {
 
   // One coordination round trip takes the whole set and draws the commit
   // timestamp; the set is released when `lock_set` leaves scope, after the
-  // COMMIT record is durable and the writes are published, on a clock of
-  // its own. A transaction that then fails validation burns its stamp.
+  // decision is durable and the writes are published, on a clock of its
+  // own. A transaction that then fails validation burns its stamp.
   OrderedLockSet lock_set(&locks_, session_,
                           "txn-" + std::to_string(txn->id()), client_node_);
   Result<uint64_t> stamp = [&] {

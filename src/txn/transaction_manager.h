@@ -9,13 +9,28 @@
 // validation; the locks are released off the critical path.
 //
 // Single-server transactions commit with one group-committed log append
-// (data + COMMIT together). Multi-server transactions run a two-phase
-// commit: data records on every participant first, COMMIT records after all
-// succeeded, each phase one concurrent round over the participants, issued
-// in server-id order — visibility requires the COMMIT record plus index
-// publication, so a failure between phases leaves the transaction invisible
-// everywhere. Both go through the tablet servers' one write surface
-// (Submit / Wait / Publish).
+// (data + COMMIT together). Multi-server transactions commit in one round
+// too, the parallel-commit rule of CockroachDB (Taft et al., SIGMOD 2020):
+// every participant appends its data records plus a PREPARE record naming
+// every participant's log instance, concurrently, issued in server-id
+// order. The decision rule is that the transaction is committed exactly
+// when every participant holds its durable PREPARE. So once the round
+// succeeds the writes are published and Commit returns; the COMMIT records
+// that record the decision are appended on a fan-out branch that is never
+// joined, like the lock release. When the round fails, ABORT records go the
+// same way to every participant it reached, and Commit returns the failure.
+// A participant whose COMMIT or ABORT append fails keeps the decision and
+// appends it with its next batch. A participant that restarts, or a server
+// that adopts one of its tablets, decides a transaction its log left
+// undecided by that rule (src/tablet/log_applier.h), so a lost COMMIT or
+// ABORT never splits the outcome across participants; while the
+// transaction's write locks are still held it leaves the decision to this
+// coordinator instead, since a PREPARE it misses may still land. A non-OK
+// Commit after a failed round is an
+// abort once an ABORT record lands; if every ABORT was lost too and the
+// failing participant's PREPARE turns out durable, the resolvers commit the
+// transaction on every participant alike. Both paths go through the tablet
+// servers' one write surface (Submit / Wait / Publish).
 
 #ifndef LOGBASE_TXN_TRANSACTION_MANAGER_H_
 #define LOGBASE_TXN_TRANSACTION_MANAGER_H_

@@ -52,7 +52,8 @@ class WritableFile {
   /// has landed. No-op for files without pipelined syncs outstanding.
   virtual Status WaitForAcks() { return Status::OK(); }
   virtual Status Close() = 0;
-  /// Bytes appended so far.
+  /// Bytes appended so far, less any a failed sync dropped: a writer whose
+  /// count differs knows part of a failed append was stored.
   virtual uint64_t Size() const = 0;
 };
 

@@ -57,6 +57,7 @@ enum Rank : uint32_t {
   kTabletServerTablets = 200,   // tablet::TabletServer::tablets_mu_
   kTabletServerReaders = 210,   // tablet::TabletServer::readers_mu_
   kTabletServerTimestamps = 220,// tablet::TabletServer::ts_mu_
+  kTabletServerDecisions = 230, // tablet::TabletServer::decisions_mu_
   kReadBuffer = 250,            // tablet::ReadBuffer::mu_
 
   // Coordination service (leaf of the control plane: the master queries it

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/dfs/dfs.h"
 #include "src/log/log_reader.h"
 #include "src/log/log_record.h"
 #include "src/log/log_writer.h"
@@ -215,6 +216,46 @@ TEST(LogWriterTest, ReopenContinuesInFreshSegment) {
   EXPECT_GT(ptr->segment, old_segment);
   LogReader reader(&fs, "/log");
   EXPECT_EQ(reader.Read(*ptr)->key.lsn, 100u);
+}
+
+// A batch whose sync fails after its first chunk reached the replicas
+// leaves a torn tail in its segment. The next batch starts a fresh segment,
+// so its pointers name its own bytes, and a scan skips the torn batch.
+TEST(LogWriterTest, FailedAppendTornAcrossBlocksStartsFreshSegment) {
+  dfs::DfsOptions options;
+  options.num_nodes = 3;
+  options.block_size = 4096;
+  dfs::Dfs dfs(options);
+  dfs::DfsFileSystem fs(&dfs, /*client_node=*/0);
+  LogWriter writer(&fs, "/log", /*instance=*/0, /*segment_bytes=*/1 << 20);
+  ASSERT_TRUE(writer.Open().ok());
+  LogReader reader(&fs, "/log", /*instance=*/0);
+
+  auto first = writer.Append(MakeData("a", std::string(3000, 'x'), 1));
+  ASSERT_TRUE(first.ok());
+  // The next batch fills the first block, then fails in the second: every
+  // node stores one chunk, then refuses.
+  for (int node = 0; node < 3; node++) {
+    dfs.data_node(node)->InjectIoErrors(1000, /*after=*/1);
+  }
+  EXPECT_FALSE(writer.Append(MakeData("b", std::string(3000, 'y'), 2)).ok());
+  for (int node = 0; node < 3; node++) dfs.data_node(node)->InjectIoErrors(0);
+
+  auto third = writer.Append(MakeData("c", "z", 3));
+  ASSERT_TRUE(third.ok());
+  EXPECT_GT(third->segment, first->segment);
+  auto read = reader.Read(*third);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->row.primary_key, "c");
+
+  auto scanner = reader.NewScanner();
+  ASSERT_TRUE(scanner.ok());
+  std::string keys;
+  for (; (*scanner)->Valid(); (*scanner)->Next()) {
+    keys += (*scanner)->record().row.primary_key;
+  }
+  EXPECT_TRUE((*scanner)->status().ok()) << (*scanner)->status().ToString();
+  EXPECT_EQ(keys, "ac");
 }
 
 TEST(LogReaderTest, ScannerIteratesAllSegmentsInOrder) {

@@ -21,6 +21,7 @@ void RunTwiceAndCheck(const NemesisOptions& options, const FaultPlan& plan) {
   EXPECT_TRUE(first->violations.empty()) << first->ToString();
   EXPECT_GT(first->faults_fired, 0);
   EXPECT_GT(first->ops_acked, 0);
+  EXPECT_GT(first->cross_server_commits_acked, 0) << first->ToString();
 
   auto second = RunNemesis(options, plan);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
@@ -28,6 +29,8 @@ void RunTwiceAndCheck(const NemesisOptions& options, const FaultPlan& plan) {
   EXPECT_EQ(first->schedule, second->schedule);
   EXPECT_EQ(first->table_digest, second->table_digest) << first->ToString();
   EXPECT_EQ(first->ops_acked, second->ops_acked);
+  EXPECT_EQ(first->cross_server_commits_acked,
+            second->cross_server_commits_acked);
 }
 
 NemesisOptions BaseOptions(uint64_t seed) {

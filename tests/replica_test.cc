@@ -154,7 +154,8 @@ TEST(ReplicaTest, TxnHoldbackAdvancesOnCommit) {
   const uint64_t txn_ts = cluster.coord()->ReserveTimestamps(0, 1);
   auto staged = server->Submit({{uid, Key(3), "txn-value"}},
                                log::AckMode::kQuorum,
-                               tablet::TxnStamp{777, txn_ts, false});
+                               tablet::TxnStamp{777, txn_ts,
+                                                tablet::TxnMark::kNone, {}});
   ASSERT_TRUE(staged.ok());
   ASSERT_TRUE(server->Wait(&*staged).ok());
 
@@ -180,7 +181,8 @@ TEST(ReplicaTest, TxnHoldbackAdvancesOnCommit) {
   // COMMIT decides it; the watermark catches up past the late writes and
   // the transactional value becomes readable at the replica.
   auto commit = server->Submit({}, log::AckMode::kQuorum,
-                               tablet::TxnStamp{777, txn_ts, true});
+                               tablet::TxnStamp{777, txn_ts,
+                                                tablet::TxnMark::kCommit, {}});
   ASSERT_TRUE(commit.ok());
   ASSERT_TRUE(server->Wait(&*commit).ok());
   ASSERT_TRUE(cluster.TickReplicas().ok());
@@ -361,7 +363,11 @@ TEST(ReplicaTest, RecoveryAdoptionAndTailingAgree) {
   auto append = [server](std::vector<tablet::WriteOp> ops, uint64_t txn_id,
                          uint64_t ts, bool commit) {
     auto batch = server->Submit(std::move(ops), log::AckMode::kQuorum,
-                                tablet::TxnStamp{txn_id, ts, commit});
+                                tablet::TxnStamp{txn_id, ts,
+                                                 commit
+                                                     ? tablet::TxnMark::kCommit
+                                                     : tablet::TxnMark::kNone,
+                                                 {}});
     if (!batch.ok()) return batch.status();
     return server->Wait(&*batch);
   };

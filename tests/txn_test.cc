@@ -1,7 +1,7 @@
 // Tests for MVOCC transactions (paper §3.7): snapshot isolation semantics
 // (every ANSI anomaly except write skew prevented), validation under an
 // all-or-nothing write-lock set, the commit's coordination cost, read-only
-// fast path, 2PC across servers, and crash atomicity.
+// fast path, the one-round cross-server commit, and crash atomicity.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,9 @@
 
 #include "src/cluster/mini_cluster.h"
 #include "src/dfs/dfs.h"
+#include "src/index/multiversion_index.h"
 #include "src/obs/metrics.h"
+#include "src/replica/replica_server.h"
 #include "src/sim/costs.h"
 #include "src/sim/network_model.h"
 #include "src/sim/sim_context.h"
@@ -73,13 +75,14 @@ struct TxnFixture {
   }
 };
 
-/// Phase one of a commit without phase two: the transaction's data record
-/// made durable in the log, never committed or published.
+/// A transaction's data record made durable in the log with neither a
+/// PREPARE nor a decision, never published.
 Status AppendUncommitted(TabletServer* server, const std::string& uid,
                          const std::string& key, const std::string& value,
                          uint64_t txn_id, uint64_t ts) {
   auto batch = server->Submit({{uid, key, value}}, log::AckMode::kQuorum,
-                              tablet::TxnStamp{txn_id, ts, false});
+                              tablet::TxnStamp{txn_id, ts,
+                                               tablet::TxnMark::kNone, {}});
   if (!batch.ok()) return batch.status();
   return server->Wait(&*batch);
 }
@@ -315,9 +318,10 @@ TEST(TxnTest, SealedTabletRefusesCommitBeforeLog) {
   EXPECT_TRUE(f.servers[0]->Get(f.uid0, "k").status().IsNotFound());
 }
 
-// 2PC visits its participants in server-id order, whatever their addresses:
-// when phase one fails on the higher-id participant, the lower-id one has
-// already appended its data records.
+// A cross-server commit's round visits its participants in server-id order,
+// whatever their addresses: when the round fails on the higher-id
+// participant, the lower-id one has already appended its data records (and
+// then its ABORT).
 TEST(TxnTest, TwoPhaseCommitAppendsInServerIdOrder) {
   dfs::DfsOptions dfs_options;
   dfs_options.num_nodes = 3;
@@ -363,8 +367,9 @@ TEST(TxnTest, TwoPhaseCommitAppendsInServerIdOrder) {
   }
 }
 
-// When the lower-id participant fails phase one, the round issues nothing
-// to the higher-id one: no participant after the first failure logs.
+// When the lower-id participant fails the round, the commit issues nothing
+// to the higher-id one, not even an ABORT: no participant after the first
+// failure logs.
 TEST(TxnTest, TwoPhaseRoundStopsAtFirstFailingParticipant) {
   coord::CoordinationService coord;
   SoloServer low(0, &coord), high(1, &coord);
@@ -385,10 +390,26 @@ TEST(TxnTest, TwoPhaseRoundStopsAtFirstFailingParticipant) {
   low.InjectIoErrors(0);
 }
 
-// Each 2PC phase is one concurrent round: a cross-server commit costs the
-// coordination round trip, the slower participant's data append, the slower
-// participant's COMMIT append, then publication on each participant.
-TEST(TxnTest, CrossServerCommitTakesTwoAppendRounds) {
+/// Every record of `type` for the transaction stamped `commit_ts` in
+/// `server`'s own log.
+int CountMarks(TabletServer* server, log::LogRecordType type,
+               uint64_t commit_ts) {
+  auto scanner = server->ReaderFor(server->server_id())->NewScanner();
+  EXPECT_TRUE(scanner.ok());
+  int n = 0;
+  for (; (*scanner)->Valid(); (*scanner)->Next()) {
+    const log::LogRecord& record = (*scanner)->record();
+    n += record.type == type && record.commit_ts == commit_ts;
+  }
+  EXPECT_TRUE((*scanner)->status().ok());
+  return n;
+}
+
+// A cross-server commit is one concurrent round: it costs the coordination
+// round trip, the slower participant's data + PREPARE append, then
+// publication on each participant. The COMMIT records run off the critical
+// path and still land in both logs.
+TEST(TxnTest, CrossServerCommitTakesOnePrepareRound) {
   coord::CoordinationService coord;
   SoloServer low(0, &coord), high(1, &coord);
   TransactionManager manager(&coord, /*client_node=*/0,
@@ -408,10 +429,11 @@ TEST(TxnTest, CrossServerCommitTakesTwoAppendRounds) {
     ASSERT_TRUE(manager.Commit(txn.get()).ok());
   }
 
-  // The same rounds on identical servers. Every append of a round starts
-  // where the round starts; the next round starts at the round's last
-  // completion. There is no network here, so the round trip before the
-  // first round is the coordination service's quorum time.
+  // The same appends on identical servers. Every append of a round starts
+  // where the round starts; the COMMIT round starts where the PREPARE
+  // round ends and is never waited for. There is no network here, so the
+  // round trip before the first round is the coordination service's
+  // quorum time.
   coord::CoordinationService ref_coord;
   std::array<std::unique_ptr<SoloServer>, 2> refs = {
       std::make_unique<SoloServer>(0, &ref_coord),
@@ -420,38 +442,340 @@ TEST(TxnTest, CrossServerCommitTakesTwoAppendRounds) {
       tablet::WriteOp{refs[0]->uid, "a", "1"},
       tablet::WriteOp{refs[1]->uid, "b", "2"}};
   std::array<tablet::MutationBatch, 2> data;
-  auto round = [&](sim::VirtualTime at, bool commit) {
+  auto round = [&](sim::VirtualTime at, tablet::TxnMark mark) {
     sim::VirtualTime end = at;
     for (int i = 0; i < 2; i++) {
       sim::SimContext clock(at);
       sim::SimContext::Scope scope(&clock);
       std::vector<tablet::WriteOp> batch_ops;
-      if (!commit) batch_ops.push_back(ops[i]);
+      if (mark == tablet::TxnMark::kPrepare) batch_ops.push_back(ops[i]);
       auto batch = refs[i]->server->Submit(
           std::move(batch_ops), log::AckMode::kQuorum,
-          tablet::TxnStamp{txn->id(), txn->commit_ts(), commit});
+          tablet::TxnStamp{txn->id(), txn->commit_ts(), mark, {0, 1}});
       EXPECT_TRUE(batch.ok());
       EXPECT_TRUE(refs[i]->server->Wait(&*batch).ok());
-      if (!commit) data[i] = std::move(*batch);
+      if (mark == tablet::TxnMark::kPrepare) data[i] = std::move(*batch);
       end = std::max(end, clock.now());
     }
     return end;
   };
-  const sim::VirtualTime data_round =
+  const sim::VirtualTime prepare_round =
       start + sim::costs::kCoordinationUs + 2 * sim::costs::kIndexLookupUs;
-  const sim::VirtualTime commit_round = round(data_round, /*commit=*/false);
-  sim::SimContext publish(round(commit_round, /*commit=*/true));
+  const sim::VirtualTime decided =
+      round(prepare_round, tablet::TxnMark::kPrepare);
+  const sim::VirtualTime commit_done = round(decided, tablet::TxnMark::kCommit);
+  sim::SimContext publish(decided);
   {
     sim::SimContext::Scope scope(&publish);
     for (int i = 0; i < 2; i++) {
       ASSERT_TRUE(refs[i]->server->Publish(data[i]).ok());
     }
   }
-  EXPECT_GT(commit_round, data_round);
-  EXPECT_GT(publish.now(), commit_round);
+  EXPECT_GT(decided, prepare_round);
+  EXPECT_GT(commit_done, decided);
+  EXPECT_GT(publish.now(), decided);
   EXPECT_EQ(ctx.now(), publish.now());
   EXPECT_EQ(low.server->Get(low.uid, "a")->value, "1");
   EXPECT_EQ(high.server->Get(high.uid, "b")->value, "2");
+  for (TabletServer* server : {low.server.get(), high.server.get()}) {
+    EXPECT_EQ(CountMarks(server, log::LogRecordType::kPrepare,
+                         txn->commit_ts()),
+              1);
+    EXPECT_EQ(
+        CountMarks(server, log::LogRecordType::kCommit, txn->commit_ts()), 1);
+  }
+}
+
+// -- Crash atomicity of a cross-server commit ------------------------------
+//
+// The decision rule: a cross-server transaction is committed once every
+// participant holds its durable PREPARE. The COMMIT and ABORT records only
+// record that decision, off the commit's critical path, and whatever of
+// them is lost a restarting participant recovers from the other logs.
+
+/// Fails every block access on the fixture's three data nodes after the
+/// next `after` ones, until ClearDiskFaults. Both servers log to those
+/// nodes, and each log append writes one chunk to each of them, so `after`
+/// counts appends: a cross-server commit appends server 0's PREPARE, server
+/// 1's PREPARE, then server 0's and server 1's COMMIT.
+void FailAppendsAfter(TxnFixture* f, int after) {
+  for (int node = 0; node < 3; node++) {
+    f->dfs.data_node(node)->InjectIoErrors(1000, after);
+  }
+}
+
+void ClearDiskFaults(TxnFixture* f) {
+  for (int node = 0; node < 3; node++) {
+    f->dfs.data_node(node)->InjectIoErrors(0);
+  }
+}
+
+/// Begins the transaction that writes the pair: "left" on server 0 and
+/// "right" on server 1.
+std::unique_ptr<Transaction> BeginPair(TxnFixture* f) {
+  auto txn = f->manager->Begin();
+  EXPECT_TRUE(f->manager->Write(txn.get(), f->uid0, "left", "L").ok());
+  EXPECT_TRUE(f->manager->Write(txn.get(), f->uid1, "right", "R").ok());
+  return txn;
+}
+
+/// No snapshot sees one side of the pair without the other: at every
+/// snapshot both sides are visible at `commit_ts` when `committed`, and
+/// neither side is visible otherwise.
+void ExpectAtomicPair(TxnFixture* f, uint64_t commit_ts, bool committed) {
+  for (uint64_t as_of : {commit_ts - 1, commit_ts, index::kLatest}) {
+    auto left = f->servers[0]->Get(f->uid0, "left", as_of);
+    auto right = f->servers[1]->Get(f->uid1, "right", as_of);
+    const bool visible = committed && as_of >= commit_ts;
+    EXPECT_EQ(left.ok(), visible) << "as_of " << as_of << ": "
+                                  << left.status().ToString();
+    EXPECT_EQ(right.ok(), visible) << "as_of " << as_of << ": "
+                                   << right.status().ToString();
+    if (visible && left.ok() && right.ok()) {
+      EXPECT_EQ(left->value, "L");
+      EXPECT_EQ(right->value, "R");
+      EXPECT_EQ(left->timestamp, commit_ts);
+      EXPECT_EQ(right->timestamp, commit_ts);
+    }
+  }
+}
+
+/// Leaves what a cross-server commit leaves when server 1's COMMIT append
+/// is lost: both servers' data + PREPARE durable, a COMMIT on server 0
+/// only, and the writes published. Returns the commit timestamp.
+uint64_t StageLostCommitOnServer1(TxnFixture* f) {
+  // A commit timestamp above every issued one, straight from the authority.
+  const uint64_t ts = f->coord.ReserveTimestamps(0, 1);
+  const std::array<tablet::WriteOp, 2> ops = {
+      tablet::WriteOp{f->uid0, "left", "L"},
+      tablet::WriteOp{f->uid1, "right", "R"}};
+  std::array<tablet::MutationBatch, 2> data;
+  for (int i = 0; i < 2; i++) {
+    auto batch = f->servers[i]->Submit(
+        {ops[i]}, log::AckMode::kQuorum,
+        tablet::TxnStamp{42, ts, tablet::TxnMark::kPrepare, {0, 1}});
+    EXPECT_TRUE(batch.ok());
+    EXPECT_TRUE(f->servers[i]->Wait(&*batch).ok());
+    data[i] = std::move(*batch);
+  }
+  auto commit = f->servers[0]->Submit(
+      {}, log::AckMode::kQuorum,
+      tablet::TxnStamp{42, ts, tablet::TxnMark::kCommit, {}});
+  EXPECT_TRUE(commit.ok());
+  EXPECT_TRUE(f->servers[0]->Wait(&*commit).ok());
+  for (int i = 0; i < 2; i++) {
+    EXPECT_TRUE(f->servers[i]->Publish(data[i]).ok());
+  }
+  return ts;
+}
+
+TEST(TxnCrashTest, LostCommitOnOneParticipantResolvesAtRestart) {
+  TxnFixture f;
+  auto txn = BeginPair(&f);
+  // Both PREPAREs and server 0's COMMIT land; server 1's COMMIT fails. The
+  // transaction was decided when the PREPAREs landed: Commit acks.
+  FailAppendsAfter(&f, 3);
+  ASSERT_TRUE(f.manager->Commit(txn.get()).ok());
+  ClearDiskFaults(&f);
+  const uint64_t ts = txn->commit_ts();
+  TabletServer* lost = f.servers[1].get();
+  EXPECT_EQ(CountMarks(lost, log::LogRecordType::kPrepare, ts), 1);
+  EXPECT_EQ(CountMarks(lost, log::LogRecordType::kCommit, ts), 0);
+  ExpectAtomicPair(&f, ts, /*committed=*/true);
+
+  // The participant that lost its COMMIT restarts. Its log leaves the
+  // transaction undecided; server 0's COMMIT decides it.
+  lost->Crash();
+  tablet::RecoveryStats stats;
+  ASSERT_TRUE(lost->Start(&stats).ok());
+  EXPECT_EQ(stats.in_doubt_committed, 1u);
+  EXPECT_EQ(stats.in_doubt_aborted, 0u);
+  ExpectAtomicPair(&f, ts, /*committed=*/true);
+  // The resolver recorded its outcome in the restarted server's own log.
+  EXPECT_GE(CountMarks(lost, log::LogRecordType::kCommit, ts), 1);
+}
+
+TEST(TxnCrashTest, BothCommitsLostResolveAtRestart) {
+  TxnFixture f;
+  auto txn = BeginPair(&f);
+  FailAppendsAfter(&f, 2);  // both PREPAREs land, neither COMMIT does
+  ASSERT_TRUE(f.manager->Commit(txn.get()).ok());
+  const uint64_t ts = txn->commit_ts();
+  f.servers[0]->Crash();
+  f.servers[1]->Crash();
+  ClearDiskFaults(&f);
+
+  // Server 0 finds server 1's PREPARE (every participant prepared); server
+  // 1 then finds the COMMIT server 0's resolver recorded.
+  for (auto& server : f.servers) {
+    tablet::RecoveryStats stats;
+    ASSERT_TRUE(server->Start(&stats).ok());
+    EXPECT_EQ(stats.in_doubt_committed, 1u);
+  }
+  ExpectAtomicPair(&f, ts, /*committed=*/true);
+}
+
+TEST(TxnCrashTest, FailedPrepareRoundAbortsEverywhere) {
+  TxnFixture f;
+  // A read replica tails server 0's log from the start.
+  replica::ReplicaServerOptions replica_options;
+  replica_options.node = 2;
+  replica::ReplicaServer replica(replica_options, &f.dfs);
+  ASSERT_TRUE(replica.Start().ok());
+  const TabletDescriptor d0 = f.servers[0]->FindTablet(f.uid0)->descriptor();
+  ASSERT_TRUE(replica.AddTablet(d0, /*source_instance=*/0).ok());
+
+  // Server 1's tablet refuses the round after server 0 prepared.
+  auto txn = BeginPair(&f);
+  ASSERT_TRUE(f.servers[1]->SealTablet(f.uid1).ok());
+  EXPECT_FALSE(f.manager->Commit(txn.get()).ok());
+  const uint64_t ts = txn->commit_ts();
+  EXPECT_EQ(CountMarks(f.servers[0].get(), log::LogRecordType::kPrepare, ts),
+            1);
+  EXPECT_EQ(CountMarks(f.servers[0].get(), log::LogRecordType::kAbort, ts),
+            1);
+  ExpectAtomicPair(&f, ts, /*committed=*/false);
+
+  // A later write lands above the transaction, and the replica's watermark
+  // passes both: the ABORT decided what the PREPARE left open.
+  ASSERT_TRUE(f.servers[0]->Put(f.uid0, "later", "v").ok());
+  const uint64_t later_ts = *f.servers[0]->LatestVersion(f.uid0, "later");
+  ASSERT_GT(later_ts, ts);
+  ASSERT_TRUE(replica.TickTailers().ok());
+  auto watermark = replica.Watermark(f.uid0);
+  ASSERT_TRUE(watermark.ok());
+  EXPECT_GE(*watermark, later_ts);
+
+  ASSERT_TRUE(f.servers[1]->UnsealTablet(f.uid1).ok());
+  for (auto& server : f.servers) server->Crash();
+  for (auto& server : f.servers) {
+    tablet::RecoveryStats stats;
+    ASSERT_TRUE(server->Start(&stats).ok());
+    EXPECT_EQ(stats.in_doubt_committed, 0u);
+  }
+  ExpectAtomicPair(&f, ts, /*committed=*/false);
+}
+
+TEST(TxnCrashTest, CompactionKeepsTxnWhoseCommitIsMissing) {
+  TxnFixture f;
+  const uint64_t ts = StageLostCommitOnServer1(&f);
+  tablet::CompactionStats stats;
+  ASSERT_TRUE(f.servers[1]->CompactLog({}, &stats).ok());
+  EXPECT_EQ(stats.dropped_uncommitted, 0u);
+  // The index now points into the sorted output: the record was kept.
+  ExpectAtomicPair(&f, ts, /*committed=*/true);
+  f.servers[1]->Crash();
+  ASSERT_TRUE(f.servers[1]->Start().ok());
+  ExpectAtomicPair(&f, ts, /*committed=*/true);
+}
+
+TEST(TxnCrashTest, CompactionKeepsEvidenceForAnotherParticipant) {
+  TxnFixture f;
+  const uint64_t ts = StageLostCommitOnServer1(&f);
+  // Server 0 compacts its PREPARE and COMMIT away from the live lane; they
+  // must survive in the output, since server 1 still needs them.
+  tablet::CompactionStats stats;
+  ASSERT_TRUE(f.servers[0]->CompactLog({}, &stats).ok());
+  EXPECT_EQ(stats.dropped_uncommitted, 0u);
+  f.servers[1]->Crash();
+  tablet::RecoveryStats recovery;
+  ASSERT_TRUE(f.servers[1]->Start(&recovery).ok());
+  EXPECT_EQ(recovery.in_doubt_committed, 1u);
+  ExpectAtomicPair(&f, ts, /*committed=*/true);
+}
+
+// A participant restarts between the two PREPARE appends, its coordinator
+// still running. Its log holds the PREPARE, the other log does not yet:
+// deciding now would abort a transaction the coordinator is about to
+// commit. The coordinator's steps are taken by hand so the restart can sit
+// between them; the lock set is the real one.
+TEST(TxnCrashTest, RestartBetweenPreparesLeavesTheDecisionToTheCoordinator) {
+  TxnFixture f;
+  coord::LockManager locks(&f.coord);
+  OrderedLockSet lock_set(&locks, f.coord.CreateSession(0), "txn-42",
+                          /*client_node=*/0);
+  auto ts = lock_set.AcquireAll({{f.uid0, "left"}, {f.uid1, "right"}});
+  ASSERT_TRUE(ts.ok());
+  const tablet::TxnStamp prepare{42, *ts, tablet::TxnMark::kPrepare, {0, 1}};
+  const std::array<tablet::WriteOp, 2> ops = {
+      tablet::WriteOp{f.uid0, "left", "L"},
+      tablet::WriteOp{f.uid1, "right", "R"}};
+  std::array<tablet::MutationBatch, 2> data;
+  auto append = [&](int i) {
+    auto batch = f.servers[i]->Submit({ops[i]}, log::AckMode::kQuorum,
+                                      prepare);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_TRUE(f.servers[i]->Wait(&*batch).ok());
+    data[i] = std::move(*batch);
+  };
+  append(0);
+
+  f.servers[0]->Crash();
+  tablet::RecoveryStats stats;
+  ASSERT_TRUE(f.servers[0]->Start(&stats).ok());
+  EXPECT_EQ(stats.in_doubt_deferred, 1u);
+  EXPECT_EQ(stats.in_doubt_aborted, 0u);
+  EXPECT_EQ(stats.in_doubt_committed, 0u);
+  EXPECT_EQ(CountMarks(f.servers[0].get(), log::LogRecordType::kAbort, *ts),
+            0);
+
+  // The second PREPARE lands, so the transaction is committed; the
+  // coordinator records the decision, publishes and releases the locks.
+  append(1);
+  for (int i = 0; i < 2; i++) {
+    ASSERT_TRUE(f.servers[i]
+                    ->RecordDecisions({{*ts, /*committed=*/true}},
+                                      log::AckMode::kQuorum)
+                    .ok());
+    ASSERT_TRUE(f.servers[i]->Publish(data[i]).ok());
+  }
+  lock_set.ReleaseAll();
+  ExpectAtomicPair(&f, *ts, /*committed=*/true);
+
+  // A second restart replays PREPARE then COMMIT: the side stays.
+  f.servers[0]->Crash();
+  ASSERT_TRUE(f.servers[0]->Start().ok());
+  ExpectAtomicPair(&f, *ts, /*committed=*/true);
+}
+
+// A participant that stays up loses its COMMIT append. It keeps the
+// decision and appends it with its next batch, so a replica tailing its log
+// moves its watermark past the transaction, and the failed append leaves
+// nothing behind that would misplace the next batch's records.
+TEST(TxnCrashTest, LostCommitOnLiveParticipantIsAppendedAgain) {
+  TxnFixture f;
+  replica::ReplicaServerOptions replica_options;
+  replica_options.node = 2;
+  replica::ReplicaServer replica(replica_options, &f.dfs);
+  ASSERT_TRUE(replica.Start().ok());
+  const TabletDescriptor d1 = f.servers[1]->FindTablet(f.uid1)->descriptor();
+  ASSERT_TRUE(replica.AddTablet(d1, /*source_instance=*/1).ok());
+
+  const uint64_t failures_before =
+      TxnCounter("tablet.decision_append_failures");
+  auto txn = BeginPair(&f);
+  FailAppendsAfter(&f, 3);  // server 1's COMMIT is the fourth append
+  ASSERT_TRUE(f.manager->Commit(txn.get()).ok());
+  ClearDiskFaults(&f);
+  const uint64_t ts = txn->commit_ts();
+  TabletServer* server = f.servers[1].get();
+  EXPECT_EQ(TxnCounter("tablet.decision_append_failures") - failures_before,
+            1u);
+  EXPECT_EQ(CountMarks(server, log::LogRecordType::kCommit, ts), 0);
+  ASSERT_TRUE(replica.TickTailers().ok());
+  ASSERT_TRUE(replica.Watermark(f.uid1).ok());
+  EXPECT_LT(*replica.Watermark(f.uid1), ts);
+
+  ASSERT_TRUE(server->Put(f.uid1, "later", "v").ok());
+  EXPECT_EQ(CountMarks(server, log::LogRecordType::kCommit, ts), 1);
+  auto later = server->Get(f.uid1, "later");
+  ASSERT_TRUE(later.ok()) << later.status().ToString();
+  EXPECT_EQ(later->value, "v");
+  ASSERT_TRUE(replica.TickTailers().ok());
+  auto watermark = replica.Watermark(f.uid1);
+  ASSERT_TRUE(watermark.ok());
+  EXPECT_GE(*watermark, later->timestamp);
+  ExpectAtomicPair(&f, ts, /*committed=*/true);
 }
 
 // A transactional delete is a buffered write: it pays the same bookkeeping
@@ -549,7 +873,8 @@ TEST(TxnTest, CommitPaysOneCoordinationRoundTripPlusAppend) {
     sim::SimContext::Scope scope(&ref_ctx);
     auto batch = ref.servers[0]->Submit(
         {{ref.uid0, "a", "1"}, {ref.uid0, "b", "2"}}, log::AckMode::kQuorum,
-        tablet::TxnStamp{txn->id(), txn->commit_ts(), /*commit=*/true});
+        tablet::TxnStamp{txn->id(), txn->commit_ts(),
+                         tablet::TxnMark::kCommit, {}});
     ASSERT_TRUE(batch.ok());
     ASSERT_TRUE(ref.servers[0]->Wait(&*batch).ok());
     ASSERT_TRUE(ref.servers[0]->Publish(*batch).ok());
@@ -708,6 +1033,67 @@ TEST(ClientTxnTest, MoveTransfersOwnership) {
   EXPECT_TRUE(outer.active());
   ASSERT_TRUE(outer.Commit().ok());
   EXPECT_EQ(client->Get("t", 0, "moved", client::ReadOptions{})->value(), "v");
+}
+
+// client::Txn::Delete, the client's transactional delete. Each op below
+// holds today; the pre-delete version's as-of reads do not (a delete drops
+// every version of the key), so no test reads below the delete.
+TEST(ClientTxnTest, DeleteReadsItsOwnDeleteAndCommits) {
+  cluster::MiniClusterOptions options;
+  cluster::MiniCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(
+      cluster.master()->CreateTable("t", {"c"}, {{"c"}}, {"key5"}).ok());
+  auto client = cluster.NewClient(0);
+  ASSERT_TRUE(client->Put("t", 0, "key1", "v", {}).ok());
+
+  client::Txn txn = client->BeginTxn();
+  ASSERT_EQ(*txn.Read("t", 0, "key1"), "v");
+  ASSERT_TRUE(txn.Delete("t", 0, "key1").ok());
+  // Read-your-own-delete; the committed value stays visible outside.
+  EXPECT_TRUE(txn.Read("t", 0, "key1").status().IsNotFound());
+  EXPECT_EQ(client->Get("t", 0, "key1", client::ReadOptions{})->value(), "v");
+  ASSERT_TRUE(txn.Commit().ok());
+
+  // A snapshot taken after the commit sees the key gone.
+  client::Txn later = client->BeginTxn();
+  EXPECT_TRUE(later.Read("t", 0, "key1").status().IsNotFound());
+  later.Abort();
+  EXPECT_TRUE(
+      client->Get("t", 0, "key1", client::ReadOptions{}).status().IsNotFound());
+}
+
+TEST(ClientTxnTest, CrossServerDeleteCommitsAtomically) {
+  cluster::MiniClusterOptions options;
+  cluster::MiniCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(
+      cluster.master()->CreateTable("t", {"c"}, {{"c"}}, {"key5"}).ok());
+  ASSERT_NE(cluster.master()->Locate("t", 0, "key1")->server_id,
+            cluster.master()->Locate("t", 0, "key9")->server_id);
+  auto client = cluster.NewClient(0);
+  ASSERT_TRUE(client->Put("t", 0, "key1", "left", {}).ok());
+  ASSERT_TRUE(client->Put("t", 0, "key9", "right", {}).ok());
+
+  client::Txn txn = client->BeginTxn();
+  ASSERT_TRUE(txn.Delete("t", 0, "key1").ok());
+  ASSERT_TRUE(txn.Delete("t", 0, "key9").ok());
+  const uint64_t snapshot = txn.raw()->snapshot_ts();
+  ASSERT_TRUE(txn.Commit().ok());
+
+  // Both deletes landed at one commit timestamp; each server logged the
+  // PREPARE naming both servers, and the COMMIT.
+  const uint64_t commit_ts = txn.raw()->commit_ts();
+  EXPECT_GT(commit_ts, snapshot);
+  for (const char* key : {"key1", "key9"}) {
+    EXPECT_TRUE(
+        client->Get("t", 0, key, client::ReadOptions{}).status().IsNotFound())
+        << key;
+    TabletServer* owner = cluster.server(
+        cluster.master()->Locate("t", 0, key)->server_id);
+    EXPECT_EQ(CountMarks(owner, log::LogRecordType::kPrepare, commit_ts), 1);
+    EXPECT_EQ(CountMarks(owner, log::LogRecordType::kCommit, commit_ts), 1);
+  }
 }
 
 }  // namespace
