@@ -418,6 +418,10 @@ GUARDED_BY_ALLOWLIST = {
     # The DFS writer's state, confined to the file's one writing thread;
     # the OrderedMutex in the same file belongs to the reader.
     'src/dfs/dfs.cc#w_',
+    # A mutation batch's floor handle, confined like the batch to one
+    # thread at a time; the registry it points at has its own ranked lock.
+    'src/tablet/tablet_server.h#registry_',
+    'src/tablet/tablet_server.h#floor_id_',
 }
 
 

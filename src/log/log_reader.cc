@@ -10,7 +10,10 @@ namespace logbase::log {
 
 namespace {
 // Sequential scans read the log in large chunks so the simulated disk sees
-// sequential transfers rather than per-record requests.
+// sequential transfers rather than per-record requests. A scanner's first
+// read is small and each later one doubles up to the chunk, so a scan that
+// stops early (a tail poll, an in-doubt lookup) does not pay for a chunk.
+constexpr size_t kFirstScanRead = 64ull << 10;
 constexpr size_t kScanChunk = 1ull << 20;
 }  // namespace
 
@@ -77,7 +80,9 @@ Result<std::unique_ptr<LogReader::Scanner>> LogReader::NewSegmentScanner(
 
 LogReader::Scanner::Scanner(LogReader* reader, std::vector<uint32_t> segments,
                             LogPosition start)
-    : reader_(reader), segments_(std::move(segments)) {
+    : reader_(reader),
+      segments_(std::move(segments)),
+      read_size_(kFirstScanRead) {
   if (!segments_.empty()) {
     auto file = reader_->fs_->NewRandomAccessFile(
         SegmentFileName(reader_->dir_, segments_[0]));
@@ -103,7 +108,8 @@ bool LogReader::Scanner::Ensure(size_t want) {
       file_offset_ += buffer_pos_;
       buffer_pos_ = 0;
     }
-    size_t need = std::max(want, kScanChunk);
+    size_t need = std::max(want, read_size_);
+    read_size_ = std::min(read_size_ * 2, kScanChunk);
     auto chunk =
         file_->Read(file_offset_ + buffer_.size(), need - buffer_.size());
     if (!chunk.ok()) {

@@ -58,6 +58,7 @@ class LogReader {
     size_t segment_index_ = 0;
     std::unique_ptr<RandomAccessFile> file_;
     uint64_t file_offset_ = 0;   // offset of buffer_ start in current file
+    size_t read_size_;           // bytes the next read asks for, at least
     std::string buffer_;
     size_t buffer_pos_ = 0;
     bool valid_ = false;

@@ -4,6 +4,7 @@
 
 #include "src/balance/placement.h"
 #include "src/master/meta_codec.h"
+#include "src/tablet/checkpoint_internal.h"
 #include "src/util/logging.h"
 
 namespace logbase::master {
@@ -762,7 +763,9 @@ Status Master::Reassign(int owner, const tablet::TabletDescriptor& parent,
   // itself before the commit — its own recovery metadata must name the
   // child (with pointers into the owner's log), or a later failure of that
   // server would lose the child's history.
+  // The owner's checkpoint is read once and seeds every child.
   tablet::RecoveryStats stats;
+  tablet::CheckpointCache checkpoints;
   std::vector<tablet::TabletServer*> adopters;
   for (size_t i = 0; i < children.size(); i++) {
     if (dst[i] == nullptr ||
@@ -770,7 +773,8 @@ Status Master::Reassign(int owner, const tablet::TabletDescriptor& parent,
       continue;
     }
     s = dst[i]->AdoptTablet(children[i].descriptor,
-                            static_cast<uint32_t>(owner), &stats);
+                            static_cast<uint32_t>(owner), &stats,
+                            &checkpoints);
     if (!s.ok()) return fail(s);
     if (std::find(adopters.begin(), adopters.end(), dst[i]) ==
         adopters.end()) {

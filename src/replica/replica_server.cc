@@ -75,15 +75,18 @@ ReplicaServer::ReplicatedTablet::ReplicatedTablet(
           std::move(on_apply), seeded_max_ts) {}
 
 Status ReplicaServer::SeedTabletLocked(
-    const tablet::TabletDescriptor& descriptor, uint32_t source_instance) {
+    const tablet::TabletDescriptor& descriptor, uint32_t source_instance,
+    tablet::CheckpointCache* checkpoints) {
   obs::Span span("replica.seed");
 
   auto seeded =
       std::unique_ptr<index::MultiVersionIndex>(new index::BlinkTree());
-  auto seed = tablet::checkpoint_internal::SeedFromCheckpoint(
+  auto checkpoint = checkpoints->Get(
       fs_.get(),
-      tablet::TabletServer::CheckpointDirFor(static_cast<int>(source_instance)),
-      descriptor, seeded.get());
+      tablet::TabletServer::CheckpointDirFor(static_cast<int>(source_instance)));
+  if (!checkpoint.ok()) return checkpoint.status();
+  auto seed = tablet::checkpoint_internal::SeedFromCheckpoint(
+      *checkpoint, descriptor, seeded.get());
   if (!seed.ok()) return seed.status();
   uint64_t seeded_max_ts = 0;
   seeded->VisitAll([&seeded_max_ts](const index::IndexEntry& entry) {
@@ -134,7 +137,9 @@ Status ReplicaServer::AddTablet(const tablet::TabletDescriptor& descriptor,
                                 uint32_t source_instance) {
   if (!running()) return Status::Unavailable("replica server is down");
   MutexLock l(mu_);
-  LOGBASE_RETURN_NOT_OK(SeedTabletLocked(descriptor, source_instance));
+  tablet::CheckpointCache checkpoints;
+  LOGBASE_RETURN_NOT_OK(
+      SeedTabletLocked(descriptor, source_instance, &checkpoints));
   LOGBASE_LOG(kInfo, "replica %d seeded tablet %s from instance %u",
               options_.replica_id, descriptor.uid().c_str(), source_instance);
   return Status::OK();
@@ -162,11 +167,14 @@ int ReplicaServer::NumTablets() const {
 Status ReplicaServer::TickTailers() {
   if (!running()) return Status::Unavailable("replica server is down");
   MutexLock l(mu_);
+  // A tick's re-seeds read each source's checkpoint once.
+  tablet::CheckpointCache checkpoints;
   for (auto& [uid, t] : tablets_) {
     if (t->needs_reseed) {
       // Copied: re-seeding destroys the tablet the descriptor lives in.
       const tablet::TabletDescriptor descriptor = t->descriptor;
-      LOGBASE_RETURN_NOT_OK(SeedTabletLocked(descriptor, t->source_instance));
+      LOGBASE_RETURN_NOT_OK(
+          SeedTabletLocked(descriptor, t->source_instance, &checkpoints));
       continue;  // the re-seed already caught up to the log end
     }
     LOGBASE_RETURN_NOT_OK(PollLocked(t.get()));

@@ -155,8 +155,11 @@ class ReplicaServer {
     bool needs_reseed = false;
   };
 
+  /// `checkpoints` lets the seeds of one call read each source's
+  /// checkpoint once.
   Status SeedTabletLocked(const tablet::TabletDescriptor& descriptor,
-                          uint32_t source_instance) REQUIRES(mu_);
+                          uint32_t source_instance,
+                          tablet::CheckpointCache* checkpoints) REQUIRES(mu_);
   /// Applies every record appended since the tablet's last poll and
   /// restarts its staleness clock.
   Status PollLocked(ReplicatedTablet* t) REQUIRES(mu_);

@@ -91,16 +91,12 @@ Status LoadCheckpoint(FileSystem* fs, const std::string& dir,
   return Status::OK();
 }
 
-Result<CheckpointSeed> SeedFromCheckpoint(FileSystem* fs,
-                                          const std::string& dir,
+Result<CheckpointSeed> SeedFromCheckpoint(const CheckpointMeta* checkpoint,
                                           const TabletDescriptor& descriptor,
                                           index::MultiVersionIndex* index) {
   CheckpointSeed seed;
-  CheckpointMeta meta;
-  Status s = LoadCheckpoint(fs, dir, &meta);
-  if (s.IsNotFound()) return seed;
-  LOGBASE_RETURN_NOT_OK(s);
-  for (const auto& section : meta.tablets) {
+  if (checkpoint == nullptr) return seed;
+  for (const auto& section : checkpoint->tablets) {
     if (!section.descriptor.Overlaps(descriptor)) continue;
     uint64_t before = index->num_entries();
     Slice entries = section.entries;
@@ -109,13 +105,29 @@ Result<CheckpointSeed> SeedFromCheckpoint(FileSystem* fs,
           return descriptor.Contains(key);
         }));
     seed.loaded = true;
-    seed.start = meta.position;
+    seed.start = checkpoint->position;
     seed.entries += index->num_entries() - before;
   }
   return seed;
 }
 
 }  // namespace checkpoint_internal
+
+Result<const checkpoint_internal::CheckpointMeta*> CheckpointCache::Get(
+    FileSystem* fs, const std::string& dir) {
+  auto it = loaded_.find(dir);
+  if (it == loaded_.end()) {
+    auto meta = std::make_unique<checkpoint_internal::CheckpointMeta>();
+    Status s = checkpoint_internal::LoadCheckpoint(fs, dir, meta.get());
+    if (s.IsNotFound()) {
+      meta.reset();
+    } else if (!s.ok()) {
+      return s;
+    }
+    it = loaded_.emplace(dir, std::move(meta)).first;
+  }
+  return it->second.get();
+}
 
 Status WriteServerCheckpoint(TabletServer* server) {
   namespace ci = checkpoint_internal;
@@ -125,9 +137,12 @@ Status WriteServerCheckpoint(TabletServer* server) {
 
   // Capture the position FIRST: index entries created after it will simply
   // be redone on recovery (redo is an idempotent upsert). Flush drains any
-  // open group-commit batch so the position covers every acked write.
+  // open group-commit batch so the position covers every acked write. A
+  // batch that may be durable but is not yet published is not in the
+  // indexes encoded below, so the redo starts at the oldest such batch.
   LOGBASE_RETURN_NOT_OK(server->writer_->Flush());
-  log::LogPosition position = server->writer_->Position();
+  log::LogPosition position =
+      server->unpublished_->Oldest(server->writer_->Position());
   uint64_t next_lsn = server->writer_->next_lsn();
 
   // Encode under the lock, write after releasing it. Each update counter

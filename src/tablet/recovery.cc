@@ -148,14 +148,18 @@ Status RunRecovery(TabletServer* server, RecoveryStats* stats,
 
 Status TabletServer::AdoptTablet(const TabletDescriptor& descriptor,
                                  uint32_t source_instance,
-                                 RecoveryStats* stats) {
+                                 RecoveryStats* stats,
+                                 CheckpointCache* checkpoints) {
   LOGBASE_RETURN_NOT_OK(OpenTablet(descriptor));
   Tablet* tablet = FindTablet(descriptor.uid());
   tablet->set_source_instance(source_instance);
 
-  auto seed = checkpoint_internal::SeedFromCheckpoint(
-      fs_.get(), CheckpointDirFor(source_instance), descriptor,
-      tablet->index());
+  CheckpointCache own;
+  auto checkpoint = (checkpoints != nullptr ? checkpoints : &own)
+                        ->Get(fs_.get(), CheckpointDirFor(source_instance));
+  if (!checkpoint.ok()) return checkpoint.status();
+  auto seed = checkpoint_internal::SeedFromCheckpoint(*checkpoint, descriptor,
+                                                      tablet->index());
   if (!seed.ok()) return seed.status();
   if (stats != nullptr && seed->loaded) {
     stats->loaded_checkpoint = true;

@@ -360,6 +360,25 @@ void TabletServer::AdvanceTimestampsBeyond(uint64_t ts) {
 // Writes: Submit -> Wait -> Publish.
 // ---------------------------------------------------------------------------
 
+uint64_t UnpublishedBatches::Add(log::LogPosition floor) {
+  MutexLock l(mu_);
+  floors_.emplace(next_id_, floor);
+  return next_id_++;
+}
+
+void UnpublishedBatches::Remove(uint64_t id) {
+  MutexLock l(mu_);
+  floors_.erase(id);
+}
+
+log::LogPosition UnpublishedBatches::Oldest(log::LogPosition position) const {
+  MutexLock l(mu_);
+  for (const auto& [id, floor] : floors_) {
+    position = std::min(position, floor);
+  }
+  return position;
+}
+
 Result<MutationBatch> TabletServer::Submit(std::vector<WriteOp> ops,
                                            log::AckMode ack,
                                            const TxnStamp& txn) {
@@ -428,6 +447,10 @@ Result<MutationBatch> TabletServer::Submit(std::vector<WriteOp> ops,
     decision.commit_ts = d.commit_ts;
     records.push_back(std::move(decision));
   }
+  // The records land at or past the writer's position now; until the batch
+  // is published or dropped, checkpoints redo from there.
+  batch.floor = UnpublishedFloor(unpublished_,
+                                 unpublished_->Add(writer_->Position()));
   // Log first (the log IS the data repository): enqueue into the
   // group-commit batch. Nothing is indexed or acked yet.
   auto ticket = writer_->Submit(&records, ack);
@@ -476,6 +499,7 @@ Status TabletServer::Publish(const MutationBatch& batch) {
                       tablet->updates_since_persist() >=
                           options_.checkpoint_update_threshold;
   }
+  batch.floor.Release();
   return checkpoint_due ? Checkpoint() : Status::OK();
 }
 

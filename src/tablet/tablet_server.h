@@ -106,6 +106,55 @@ struct TxnStamp {
   std::vector<uint32_t> participants;
 };
 
+class CheckpointCache;  // checkpoint_internal.h
+
+/// The redo floors of batches submitted but not yet published or dropped:
+/// each floor is the log position its batch's records land at or past. A
+/// checkpoint's redo starts at the oldest one, since such a batch may be
+/// durable before the writer's position while the indexes lack it.
+class UnpublishedBatches {
+ public:
+  /// Registers a floor; returns its id.
+  uint64_t Add(log::LogPosition floor);
+  /// Drops the floor `id`; a no-op when it is gone already.
+  void Remove(uint64_t id);
+  /// The oldest registered floor, or `position` when none is older.
+  log::LogPosition Oldest(log::LogPosition position) const;
+
+ private:
+  mutable OrderedMutex mu_{lockrank::kTabletServerUnpublished,
+                           "tablet.server.unpublished"};
+  uint64_t next_id_ GUARDED_BY(mu_) = 0;
+  std::map<uint64_t, log::LogPosition> floors_ GUARDED_BY(mu_);
+};
+
+/// A batch's floor in its server's UnpublishedBatches, held until Release
+/// (Publish) or destruction (a batch dropped unpublished). Move-only; like
+/// the batch, confined to one thread at a time.
+class UnpublishedFloor {
+ public:
+  UnpublishedFloor() = default;
+  UnpublishedFloor(std::shared_ptr<UnpublishedBatches> registry,
+                   uint64_t floor_id)
+      : registry_(std::move(registry)), floor_id_(floor_id) {}
+  UnpublishedFloor(UnpublishedFloor&&) = default;
+  UnpublishedFloor& operator=(UnpublishedFloor&& other) noexcept {
+    Release();
+    registry_ = std::move(other.registry_);
+    floor_id_ = other.floor_id_;
+    return *this;
+  }
+  ~UnpublishedFloor() { Release(); }
+
+  void Release() const {
+    if (registry_ != nullptr) registry_->Remove(floor_id_);
+  }
+
+ private:
+  std::shared_ptr<UnpublishedBatches> registry_;
+  uint64_t floor_id_ = 0;
+};
+
 /// A mutation batch in flight: Submit enqueues its records, Wait fills
 /// `ptrs` once they are durable, Publish makes the ops visible.
 struct MutationBatch {
@@ -115,6 +164,7 @@ struct MutationBatch {
   log::AppendTicket ticket;
   /// Unrecorded transaction decisions whose records ride in this batch.
   std::vector<LogApplier::Decision> decisions;
+  UnpublishedFloor floor;
 };
 
 class TabletServer {
@@ -149,10 +199,12 @@ class TabletServer {
   /// filtered by key containment (§3.8). Serves permanent-failure adoption,
   /// live migration and split-child rebuild — all are "hand over the log
   /// tail and rebuild the index". `stats` (optional) reports how much was
-  /// reloaded vs. replayed.
+  /// reloaded vs. replayed. `checkpoints` (optional) shares the source's
+  /// loaded checkpoint with the other adoptions of one reassignment.
   Status AdoptTablet(const TabletDescriptor& descriptor,
                      uint32_t source_instance,
-                     RecoveryStats* stats = nullptr);
+                     RecoveryStats* stats = nullptr,
+                     CheckpointCache* checkpoints = nullptr);
   /// Migration fencing: a sealed tablet rejects writes with a retryable
   /// error until unsealed or closed. NotFound when the tablet is unknown.
   Status SealTablet(const std::string& uid);
@@ -368,6 +420,10 @@ class TabletServer {
   // Transaction decisions whose COMMIT/ABORT append failed; the next
   // Submit takes them all into its batch.
   std::vector<LogApplier::Decision> unrecorded_ GUARDED_BY(decisions_mu_);
+
+  // Internally synchronized; shared with each in-flight batch's floor.
+  const std::shared_ptr<UnpublishedBatches> unpublished_ =
+      std::make_shared<UnpublishedBatches>();
 };
 
 }  // namespace logbase::tablet

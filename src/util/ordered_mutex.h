@@ -58,6 +58,7 @@ enum Rank : uint32_t {
   kTabletServerReaders = 210,   // tablet::TabletServer::readers_mu_
   kTabletServerTimestamps = 220,// tablet::TabletServer::ts_mu_
   kTabletServerDecisions = 230, // tablet::TabletServer::decisions_mu_
+  kTabletServerUnpublished = 240,// tablet::UnpublishedBatches::mu_
   kReadBuffer = 250,            // tablet::ReadBuffer::mu_
 
   // Coordination service (leaf of the control plane: the master queries it

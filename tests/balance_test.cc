@@ -13,6 +13,7 @@
 #include "src/balance/placement.h"
 #include "src/cluster/mini_cluster.h"
 #include "src/master/meta_codec.h"
+#include "src/obs/metrics.h"
 
 namespace logbase::balance {
 namespace {
@@ -239,6 +240,53 @@ TEST(SplitTest, SplitPreservesDataAndScans) {
   // Writes land on the correct child and survive.
   ASSERT_TRUE(client->Put("t", 0, Key(5), "post-split", {}).ok());
   ASSERT_TRUE(client->Put("t", 0, Key(55), "post-split", {}).ok());
+}
+
+TEST(SplitTest, ChildrenSeedFromOneReadOfTheOwnersCheckpoint) {
+  cluster::MiniCluster cluster(SmallCluster());
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.master()->CreateTable("t", {"v"}, {{"v"}}, {}).ok());
+  auto client = cluster.NewClient(0);
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(client->Put("t", 0, Key(i), "v" + std::to_string(i), {}).ok());
+  }
+  auto loc = cluster.master()->Locate("t", 0, Slice(Key(0)));
+  ASSERT_TRUE(loc.ok());
+  const std::string parent_uid = loc->descriptor.uid();
+  auto split_key = cluster.server(loc->server_id)->SuggestSplitKey(parent_uid);
+  ASSERT_TRUE(split_key.ok());
+
+  // DFS bytes read while the children are rebuilt: the step after the
+  // owner's checkpoint up to the children's adoption.
+  obs::Counter* pread = obs::MetricsRegistry::Global().counter("dfs.pread.bytes");
+  uint64_t at_checkpoint = 0, adopted_read = 0;
+  cluster.active_master()->set_step_hook([&](MigrationStep step) {
+    if (step == MigrationStep::kCheckpointFlushed) {
+      at_checkpoint = pread->value();
+    } else if (step == MigrationStep::kDestAdopted) {
+      adopted_read = pread->value() - at_checkpoint;
+    }
+  });
+  const int right_target = (loc->server_id + 1) % cluster.num_nodes();
+  ASSERT_TRUE(cluster.active_master()
+                  ->SplitTablet(parent_uid, *split_key, right_target)
+                  .ok());
+  cluster.active_master()->set_step_hook(nullptr);
+
+  auto file = cluster.dfs()->Open(
+      tablet::TabletServer::CheckpointDirFor(loc->server_id) + "/CHECKPOINT",
+      0);
+  ASSERT_TRUE(file.ok());
+  const uint64_t checkpoint_bytes = (*file)->Size();
+  // One read of the file seeds both children; the log tail past the
+  // checkpoint is empty (the parent was sealed first).
+  EXPECT_GE(adopted_read, checkpoint_bytes);
+  EXPECT_LT(adopted_read, 2 * checkpoint_bytes);
+  for (int i = 0; i < 200; i++) {
+    auto r = client->Get("t", 0, Key(i), client::ReadOptions{});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->found()) << Key(i);
+  }
 }
 
 TEST(SplitTest, SplitSurvivesServerRestart) {

@@ -14,6 +14,7 @@
 #include "src/index/composite_key.h"
 #include "src/index/index_checkpoint.h"
 #include "src/index/lsm_index.h"
+#include "src/util/coding.h"
 #include "src/util/io.h"
 #include "src/util/random.h"
 
@@ -553,6 +554,151 @@ TEST(IndexCheckpointTest, CrossImplementationReload) {
   Slice in(section);
   ASSERT_TRUE(DecodeIndexSection(&in, lsm_index->get()).ok());
   EXPECT_EQ((*lsm_index)->GetAsOf("k42", kLatest)->ptr.offset, 42u);
+}
+
+/// Every entry of `index` in VisitAll order.
+std::vector<IndexEntry> Entries(const MultiVersionIndex& index) {
+  std::vector<IndexEntry> entries;
+  index.VisitAll(
+      [&entries](const IndexEntry& entry) { entries.push_back(entry); });
+  return entries;
+}
+
+void ExpectSameEntries(const std::vector<IndexEntry>& got,
+                       const std::vector<IndexEntry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); i++) {
+    EXPECT_EQ(got[i].key, want[i].key) << i;
+    EXPECT_EQ(got[i].timestamp, want[i].timestamp) << i;
+    EXPECT_EQ(got[i].ptr, want[i].ptr) << i;
+  }
+}
+
+TEST(IndexCheckpointTest, SeededRandomRoundTripEqualsVisitAll) {
+  BlinkTree original;
+  Random rnd(20260);
+  // Keys sharing prefixes of every length with their neighbours, the empty
+  // key among them.
+  const std::vector<std::string> stems = {"", "a", "ab", "abc", "abcd",
+                                          "user", "user0001", "user00010",
+                                          "zz"};
+  for (int i = 0; i < 3000; i++) {
+    std::string key = stems[rnd.Uniform(stems.size())];
+    const uint64_t tail = rnd.Uniform(4);
+    for (uint64_t c = 0; c < tail; c++) {
+      key.push_back(static_cast<char>(rnd.Uniform(256)));
+    }
+    // Timestamps across the whole range, up to just below kLatest.
+    uint64_t ts = rnd.Uniform(3) == 0 ? kLatest - 1 - rnd.Uniform(1000)
+                                      : rnd.Next() >> rnd.Uniform(64);
+    log::LogPtr ptr{static_cast<uint32_t>(rnd.Uniform(4)) * 0x40000000u,
+                    static_cast<uint32_t>(rnd.Next()),
+                    rnd.Uniform(2) == 0 ? ~0ull - rnd.Uniform(1 << 20)
+                                        : rnd.Uniform(1 << 26),
+                    static_cast<uint32_t>(rnd.Next())};
+    ASSERT_TRUE(original.Insert(key, ts, ptr).ok());
+  }
+  // One key with many versions, the oldest at timestamp 0.
+  for (uint64_t v = 0; v < 500; v++) {
+    ASSERT_TRUE(original.Insert("hot", v * 7919, Ptr(9, v)).ok());
+  }
+  std::string section;
+  EncodeIndexSection(original, &section);
+
+  BlinkTree reloaded;
+  Slice in(section);
+  ASSERT_TRUE(DecodeIndexSection(&in, &reloaded).ok());
+  EXPECT_TRUE(in.empty());
+  ExpectSameEntries(Entries(reloaded), Entries(original));
+}
+
+TEST(IndexCheckpointTest, TypicalEntryTakesAboutTwelveBytes) {
+  // Neighbouring keys share their prefix, a key's later versions store a
+  // one-byte gap, and each LogPtr field is as short as its value.
+  BlinkTree index;
+  uint64_t offset = 0;
+  for (int k = 0; k < 1000; k++) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "user%07d", k);
+    for (int v = 0; v < 4; v++) {
+      const uint64_t ts = (uint64_t{1} << 40) + k * 64 + v;
+      ASSERT_TRUE(index.Insert(key, ts, log::LogPtr{2, 3, offset, 1100}).ok());
+      offset += 1100;
+    }
+  }
+  std::string section;
+  EncodeIndexSection(index, &section);
+  EXPECT_LE(section.size(), 13 * index.num_entries());
+}
+
+TEST(IndexCheckpointTest, EveryTruncationIsCorruptionAndLoadsNothing) {
+  BlinkTree original;
+  for (int i = 0; i < 12; i++) {
+    for (uint64_t v = 1; v <= 3; v++) {
+      ASSERT_TRUE(original
+                      .Insert("key" + std::to_string(i * 37), v * 1000 + i,
+                              Ptr(i, v << 20))
+                      .ok());
+    }
+  }
+  std::string section;
+  EncodeIndexSection(original, &section);
+  for (size_t n = 0; n < section.size(); n++) {
+    Slice checked(section.data(), n);
+    EXPECT_TRUE(DecodeIndexSection(&checked, nullptr).IsCorruption()) << n;
+    BlinkTree reloaded;
+    Slice in(section.data(), n);
+    EXPECT_TRUE(DecodeIndexSection(&in, &reloaded).IsCorruption()) << n;
+    EXPECT_EQ(reloaded.num_entries(), 0u) << n;
+  }
+}
+
+/// One hand-built section entry.
+void PutEntry(std::string* out, uint32_t shared, const std::string& rest,
+              uint64_t timestamp) {
+  PutVarint32(out, shared);
+  PutVarint32(out, static_cast<uint32_t>(rest.size()));
+  out->append(rest);
+  PutVarint64(out, timestamp);
+  for (int field = 0; field < 4; field++) PutVarint32(out, 1);
+}
+
+/// Decodes `section` into a fresh tree; returns the status and checks that
+/// the tree was left empty.
+Status DecodeIntoEmptyTree(const std::string& section) {
+  BlinkTree reloaded;
+  Slice in(section);
+  Status s = DecodeIndexSection(&in, &reloaded);
+  EXPECT_EQ(reloaded.num_entries(), 0u);
+  return s;
+}
+
+TEST(IndexCheckpointTest, SharedPrefixLongerThanPreviousKeyIsCorruption) {
+  std::string valid, bad;
+  PutFixed64(&valid, 2);
+  PutEntry(&valid, 0, "ab", 5);
+  bad = valid;
+  PutEntry(&valid, 2, "c", 9);  // "abc"
+  PutEntry(&bad, 3, "c", 9);    // shares 3 bytes of a 2-byte key
+  BlinkTree reloaded;
+  Slice in(valid);
+  ASSERT_TRUE(DecodeIndexSection(&in, &reloaded).ok());
+  EXPECT_TRUE(reloaded.GetAsOf("abc", kLatest).ok());
+  EXPECT_TRUE(DecodeIntoEmptyTree(bad).IsCorruption());
+}
+
+TEST(IndexCheckpointTest, TimestampGapLargerThanPreviousIsCorruption) {
+  std::string valid, bad;
+  PutFixed64(&valid, 2);
+  PutEntry(&valid, 0, "k", 5);
+  bad = valid;
+  PutEntry(&valid, 1, "", 5);  // the same key's version at timestamp 0
+  PutEntry(&bad, 1, "", 6);    // would fall below timestamp 0
+  BlinkTree reloaded;
+  Slice in(valid);
+  ASSERT_TRUE(DecodeIndexSection(&in, &reloaded).ok());
+  EXPECT_EQ(reloaded.GetAllVersions("k").size(), 2u);
+  EXPECT_TRUE(DecodeIntoEmptyTree(bad).IsCorruption());
 }
 
 }  // namespace

@@ -401,9 +401,12 @@ TEST(StressTest, CheckpointVersusWriterRecovery) {
   checkpointer.join();
   server->Crash();
   ASSERT_TRUE(server->Start().ok());
+  // Each key's last acked write survives, even when a checkpoint ran
+  // between that write's durable append and its publish.
   for (int k = 0; k < 25; k++) {
     auto read = server->Get(uid, "key" + std::to_string(k));
     ASSERT_TRUE(read.ok()) << k;
+    EXPECT_EQ(read->value, "v" + std::to_string(175 + k)) << k;
   }
   ASSERT_TRUE(server->Stop().ok());
 }

@@ -400,6 +400,41 @@ TEST(RecoveryTest, AutoCheckpointAtThreshold) {
   EXPECT_LT(stats.redo_records, 60u);
 }
 
+TEST(RecoveryTest, CheckpointBeforePublishKeepsTheDurableBatch) {
+  ServerFixture f;
+  auto batch = f.server->Submit({{f.uid, "k", "v", false}});
+  ASSERT_TRUE(batch.ok());
+  ASSERT_TRUE(f.server->Wait(&*batch).ok());
+  // The batch is durable but not yet in the index the checkpoint writes.
+  ASSERT_TRUE(f.server->Checkpoint().ok());
+  ASSERT_TRUE(f.server->Publish(*batch).ok());
+  ASSERT_EQ(f.server->Get(f.uid, "k")->value, "v");  // acked
+  f.server->Crash();
+  RecoveryStats stats;
+  ASSERT_TRUE(f.server->Start(&stats).ok());
+  EXPECT_EQ(stats.redo_records, 1u);  // the redo starts at the batch
+  auto got = f.server->Get(f.uid, "k");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->value, "v");
+}
+
+TEST(RecoveryTest, DroppedBatchNoLongerHoldsBackTheCheckpoint) {
+  ServerFixture f;
+  ASSERT_TRUE(f.server->Put(f.uid, "kept", "v").ok());
+  {
+    auto batch = f.server->Submit({{f.uid, "dropped", "v", false}});
+    ASSERT_TRUE(batch.ok());
+    ASSERT_TRUE(f.server->Wait(&*batch).ok());
+  }  // never published
+  ASSERT_TRUE(f.server->Checkpoint().ok());
+  f.server->Crash();
+  RecoveryStats stats;
+  ASSERT_TRUE(f.server->Start(&stats).ok());
+  EXPECT_EQ(stats.checkpoint_entries, 1u);
+  EXPECT_EQ(stats.redo_records, 0u);
+  EXPECT_TRUE(f.server->Get(f.uid, "kept").ok());
+}
+
 TEST(RecoveryTest, AdoptTabletFromDeadServer) {
   dfs::DfsOptions dfs_options;
   dfs_options.num_nodes = 3;
@@ -490,6 +525,25 @@ TEST(RecoveryTest, CorruptCheckpointFailsStart) {
   PutFixed32(&old_format, crc32c::Mask(crc32c::Value(old_format.data(),
                                                      old_format.size())));
   RewriteFile(f.dfs.get(), path, old_format);
+  f.server->Crash();
+  EXPECT_TRUE(f.server->Start().IsCorruption());
+}
+
+TEST(RecoveryTest, PreviousFormatMagicFailsStart) {
+  ServerFixture f;
+  for (int i = 0; i < 10; i++) {
+    ASSERT_TRUE(f.server->Put(f.uid, "k" + std::to_string(i), "v").ok());
+  }
+  ASSERT_TRUE(f.server->Checkpoint().ok());
+  auto files = CheckpointFiles(f.dfs.get(), f.server.get());
+  ASSERT_EQ(files.size(), 1u);
+  auto& [path, bytes] = *files.begin();
+  // The fixed-width section layout's magic ("LBCKP2") over this file, with
+  // a checksum that holds.
+  EncodeFixed64(bytes.data(), 0x4c42434b5032ull);
+  bytes.resize(bytes.size() - 4);
+  PutFixed32(&bytes, crc32c::Mask(crc32c::Value(bytes.data(), bytes.size())));
+  RewriteFile(f.dfs.get(), path, bytes);
   f.server->Crash();
   EXPECT_TRUE(f.server->Start().IsCorruption());
 }

@@ -595,6 +595,45 @@ TEST(TxnCrashTest, LostCommitOnOneParticipantResolvesAtRestart) {
   EXPECT_GE(CountMarks(lost, log::LogRecordType::kCommit, ts), 1);
 }
 
+/// Virtual time `server` takes to restart at `start`, when every disk and
+/// NIC is idle.
+sim::VirtualTime TimedRestart(TabletServer* server, sim::VirtualTime start,
+                              tablet::RecoveryStats* stats) {
+  server->Crash();
+  sim::SimContext clock(start);
+  sim::SimContext::Scope scope(&clock);
+  EXPECT_TRUE(server->Start(stats).ok());
+  return clock.now() - start;
+}
+
+TEST(TxnCrashTest, InDoubtRestartReadsOnlyTheHeadOfTheDecidingLog) {
+  TxnFixture f;
+  const uint64_t ts = StageLostCommitOnServer1(&f);
+  // Server 0 logs several whole scan chunks past its COMMIT.
+  for (int i = 0; i < 3000; i++) {
+    ASSERT_TRUE(f.servers[0]
+                    ->Put(f.uid0, "bulk" + std::to_string(i),
+                          std::string(1024, 'x'))
+                    .ok());
+  }
+  TabletServer* lost = f.servers[1].get();
+  tablet::RecoveryStats stats;
+  const sim::VirtualTime in_doubt = TimedRestart(lost, 0, &stats);
+  EXPECT_EQ(stats.in_doubt_committed, 1u);
+  ExpectAtomicPair(&f, ts, /*committed=*/true);
+  // The resolver recorded the outcome: the next restart, a virtual second
+  // later, has nothing in doubt.
+  tablet::RecoveryStats again;
+  const sim::VirtualTime decided = TimedRestart(lost, 1'000'000, &again);
+  EXPECT_EQ(again.in_doubt_committed, 0u);
+  // Finding the COMMIT in the other log's first batches costs one
+  // positioning and a small read, not a whole 1 MB chunk (about 10.5 ms of
+  // transfer on its own).
+  sim::DiskParams disk;
+  EXPECT_LT(in_doubt - decided,
+            disk.seek_us + disk.rotational_us + 3'000);
+}
+
 TEST(TxnCrashTest, BothCommitsLostResolveAtRestart) {
   TxnFixture f;
   auto txn = BeginPair(&f);
